@@ -1,27 +1,11 @@
 """Build script for the optional compiled backtracking kernel.
 
-The package is pure Python except for kmagic._backtrack, a Cython
-translation of the kernel in kmagic._backtrack_py.  If Cython or a C
-compiler is unavailable the extension is skipped and the package falls
-back to the pure implementation at import time.
+The package is pure Python except for kmagic._backtrack, a hand-written
+C twin of the kernel in kmagic._backtrack_py.  It needs only a C
+compiler; if none is available the extension is skipped and the package
+falls back to the pure implementation at import time.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/kmagic/_backtrack.pyx"],
-        compiler_directives={
-            "language_level": "3",
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(ext_modules=[Extension("kmagic._backtrack", ["src/kmagic/_backtrack.c"], optional=True)])

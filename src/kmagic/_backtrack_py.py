@@ -20,11 +20,18 @@ def search(n, k, c, us, vs, node_cap):
 
     us/vs hold edge endpoints in assignment order; node_cap < 0 means
     unbounded.  Returns (status, labels or None, nodes) with labels in
-    assignment order.
+    assignment order.  Raises ValueError when k < 2, when us and vs
+    differ in length or when an endpoint lies outside 0..n-1.
     """
+    if k < 2:
+        raise ValueError(f"search needs k >= 2, got {k}")
     m = len(us)
+    if len(vs) != m:
+        raise ValueError("us and vs differ in length")
     left = [0] * n
     for i in range(m):
+        if not (0 <= us[i] < n and 0 <= vs[i] < n):
+            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
         left[us[i]] += 1
         left[vs[i]] += 1
     sums = [0] * n

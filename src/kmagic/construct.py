@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import FactorError, KmagicError, LabelingError, RegularityError
-from .factorization import double_graph, extract_2h_factor, two_factorization
+from .factorization import double_graph, two_factorization
 from .factors import f_factor, mod3_factor
 from .graphs import MultiGraph, regularity, subgraph, two_regular_profile
 from .labelings import (
@@ -407,15 +407,14 @@ def _rule_odd_gcd_fold(G, r, k, c, budget):
     )
 
 
-def _sub22_even_candidate(G, r, k, target, r0):
+def _sub22_even_candidate(G, k, target, r0, D, parts):
     w = (target - 2 * r0) % k
+    H = parts[0]
+    rest = frozenset().union(*parts[1:])
     for L in (w // 2, w // 2 + k // 2):
         L %= k
         if L == 0 or L == k - 1 or (2 * L) % k == 0:
             continue
-        D, parts = _doubling_parts(G)
-        H = parts[0]
-        rest = frozenset().union(*parts[1:])
         try:
             return _fold_constant_parts(
                 G, k, target, D, [(H, L), (rest, 1)], 1,
@@ -431,9 +430,9 @@ def _rule_even_modulus_fold(G, r, k, c, budget):
     all-ones, folded with divisor 2 (odd c) or 1 (even c)."""
     cn = c % k
     r0 = (r - 1) % k
+    D, parts = _doubling_parts(G)
     if cn % 2 == 1:
         L = (cn - r0) % k
-        D, parts = _doubling_parts(G)
         H = parts[0]
         rest = frozenset().union(*parts[1:])
         return _fold_constant_parts(
@@ -441,10 +440,10 @@ def _rule_even_modulus_fold(G, r, k, c, budget):
             "odd-regular-even-k-fold", {"L": L, "divisor": 2},
         )
     try:
-        return _sub22_even_candidate(G, r, k, cn, r0)
+        return _sub22_even_candidate(G, k, cn, r0, D, parts)
     except _Skip:
         pass
-    lab, steps = _sub22_even_candidate(G, r, k, (k - cn) % k, r0)
+    lab, steps = _sub22_even_candidate(G, k, (k - cn) % k, r0, D, parts)
     flipped = {eid: k - v for eid, v in lab.labels.items()}
     return _accept(
         G, k, cn, flipped, "complement", {"source_sum": (k - cn) % k},

@@ -13,20 +13,22 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from . import _backtrack_py
+from ._backtrack_py import SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
 from .graphs import MultiGraph
 from .labelings import EdgeLabeling
 
+_KERNELS: dict[str, object] = {"pure-python": _backtrack_py}
 try:
-    from . import _backtrack as _kernel
+    from . import _backtrack
 
-    KERNEL = "compiled"
+    _KERNELS["compiled"] = _backtrack
 except ImportError:  # extension not built
-    from . import _backtrack_py as _kernel
+    pass
 
-    KERNEL = "pure-python"
-
-SAT, UNSAT, UNDECIDED = 1, 0, -1
+KERNEL = "compiled" if "compiled" in _KERNELS else "pure-python"
+_kernel = _KERNELS[KERNEL]
 
 
 @dataclass(frozen=True)
@@ -108,13 +110,4 @@ def search_labeling(
 
 def available_kernels() -> dict[str, object]:
     """Importable kernels by name; always includes the pure one."""
-    from . import _backtrack_py
-
-    kernels: dict[str, object] = {"pure-python": _backtrack_py}
-    try:
-        from . import _backtrack
-
-        kernels["compiled"] = _backtrack
-    except ImportError:
-        pass
-    return kernels
+    return dict(_KERNELS)

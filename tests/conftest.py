@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from kmagic import (
@@ -56,3 +59,35 @@ def bridged_cubic_16() -> MultiGraph:
 @pytest.fixture(scope="session")
 def bridged16() -> MultiGraph:
     return bridged_cubic_16()
+
+
+@pytest.fixture(scope="session")
+def compiled_kernel(tmp_path_factory):
+    """The compiled search kernel: the packaged kmagic._backtrack when it
+    imports, else src/kmagic/_backtrack.c built into a temporary directory.
+    Skips only when no C compiler can build it."""
+    try:
+        from kmagic import _backtrack
+
+        return _backtrack
+    except ImportError:
+        pass
+    from setuptools import Distribution, Extension
+    from setuptools.command.build_ext import build_ext
+    from setuptools.errors import CCompilerError, ExecError, PlatformError
+
+    source = Path(__file__).resolve().parents[1] / "src" / "kmagic" / "_backtrack.c"
+    out = tmp_path_factory.mktemp("kernel")
+    cmd = build_ext(Distribution({"ext_modules": [Extension("_backtrack", [str(source)])]}))
+    cmd.build_lib = cmd.build_temp = str(out)
+    cmd.ensure_finalized()
+    try:
+        cmd.run()
+    except (CCompilerError, ExecError, PlatformError) as exc:
+        pytest.skip(f"compiled kernel cannot be built: {exc}")
+    spec = importlib.util.spec_from_file_location(
+        "kmagic._backtrack", cmd.get_ext_fullpath("_backtrack")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -5,6 +5,7 @@ import pytest
 from kmagic import (
     KmagicError,
     SolverBudget,
+    _backtrack_py,
     available_kernels,
     build_graph,
     complete,
@@ -72,24 +73,26 @@ def test_isolated_vertex_handling():
     assert res.labeling.labels == {}
 
 
-def test_kernels_agree_everywhere():
-    kernels = available_kernels()
-    assert "pure-python" in kernels
-    if len(kernels) < 2:
-        pytest.skip("compiled kernel not built")
+def test_kernels_agree_everywhere(compiled_kernel):
+    assert "pure-python" in available_kernels()
+    kernels = {"pure-python": _backtrack_py, "compiled": compiled_kernel}
     cases = [
-        (cycle(4), 5),
-        (cycle(5), 4),
-        (complete(4), 4),
-        (complete(4), 5),
-        (complete(5), 3),
-        (petersen(), 3),
+        (cycle(4), 5, None),
+        (cycle(5), 4, None),
+        (complete(4), 4, None),
+        (complete(4), 5, None),
+        (complete(5), 3, None),
+        (petersen(), 3, None),
+        # capped: the twins must also stop on the same node
+        (complete(6), 7, SolverBudget(exhaustive_states=1, node_cap=3)),
+        # a cap past 64 bits is never reached
+        (cycle(5), 4, SolverBudget(exhaustive_states=1, node_cap=2**64)),
     ]
-    for G, k in cases:
+    for G, k, budget in cases:
         for c in range(k):
             results = {}
             for name, impl in kernels.items():
-                res = search_labeling(G, k, c, kernel=impl)
+                res = search_labeling(G, k, c, budget, kernel=impl)
                 results[name] = res
             statuses = {r.status for r in results.values()}
             assert len(statuses) == 1, f"{k=} {c=}: {results}"
@@ -101,3 +104,14 @@ def test_kernels_agree_everywhere():
                 if r.labeling is not None
             }
             assert len(labs) <= 1  # same first labeling
+
+
+@pytest.mark.parametrize("twin", ["pure-python", "compiled"])
+def test_kernels_reject_bad_input_alike(twin, request):
+    impl = _backtrack_py if twin == "pure-python" else request.getfixturevalue("compiled_kernel")
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="k >= 2"):
+            impl.search(3, k, 0, [0, 1, 2], [1, 2, 0], -1)
+    for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2]), ([0, 1], [1])]:
+        with pytest.raises(ValueError):
+            impl.search(3, 5, 0, us, vs, -1)
