@@ -42,7 +42,6 @@ from .graphs import (
     components,
     cycle,
     disjoint_union,
-    edge_connectivity,
     generate,
     is_connected,
     parse_graph,
@@ -118,7 +117,6 @@ __all__ = [
     "degree_constrained_factor",
     "disjoint_union",
     "double_graph",
-    "edge_connectivity",
     "euler_circuit",
     "exhaustive_factor_search",
     "extend_by_factor",

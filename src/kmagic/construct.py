@@ -238,7 +238,8 @@ def _rule_factor_split(G, r, k, c, budget):
 
 
 def _doubling_parts(G):
-    """Doubled graph with its 2-factorization, shared by the fold rules."""
+    """Doubled graph with its 2-factorization, shared by the fold rules
+    (both are built once per graph)."""
     D = double_graph(G)
     tf = two_factorization(D.doubled)
     return D, tf.parts
@@ -407,7 +408,8 @@ def _rule_odd_gcd_fold(G, r, k, c, budget):
     )
 
 
-def _sub22_even_candidate(G, k, target, r0, D, parts):
+def _sub22_even_candidate(G, k, target, r0):
+    D, parts = _doubling_parts(G)
     w = (target - 2 * r0) % k
     H = parts[0]
     rest = frozenset().union(*parts[1:])
@@ -430,9 +432,9 @@ def _rule_even_modulus_fold(G, r, k, c, budget):
     all-ones, folded with divisor 2 (odd c) or 1 (even c)."""
     cn = c % k
     r0 = (r - 1) % k
-    D, parts = _doubling_parts(G)
     if cn % 2 == 1:
         L = (cn - r0) % k
+        D, parts = _doubling_parts(G)
         H = parts[0]
         rest = frozenset().union(*parts[1:])
         return _fold_constant_parts(
@@ -440,10 +442,10 @@ def _rule_even_modulus_fold(G, r, k, c, budget):
             "odd-regular-even-k-fold", {"L": L, "divisor": 2},
         )
     try:
-        return _sub22_even_candidate(G, k, cn, r0, D, parts)
+        return _sub22_even_candidate(G, k, cn, r0)
     except _Skip:
         pass
-    lab, steps = _sub22_even_candidate(G, k, (k - cn) % k, r0, D, parts)
+    lab, steps = _sub22_even_candidate(G, k, (k - cn) % k, r0)
     flipped = {eid: k - v for eid, v in lab.labels.items()}
     return _accept(
         G, k, cn, flipped, "complement", {"source_sum": (k - cn) % k},
@@ -453,7 +455,9 @@ def _rule_even_modulus_fold(G, r, k, c, budget):
 
 def _factor_extension(G, r, k, c, factor_edges, rule, budget):
     """Recurse on a spanning factor, then pad the rest with ones."""
-    Hs, idmap = subgraph(G, sorted(factor_edges))
+    # Each rule picks its factor as a function of G alone, so the factor
+    # graph, and with it the memo of its own factors, is built once per rule.
+    Hs, idmap = G.memo(f"{rule} graph", lambda: subgraph(G, sorted(factor_edges)))
     h = regularity(Hs)
     if h is None or not 2 <= h <= r:
         raise _Miss(f"{rule}: factor is not usable")

@@ -32,7 +32,11 @@ class DoublingMap:
 
 
 def double_graph(G: MultiGraph) -> DoublingMap:
-    """Duplicate every edge of G."""
+    """Duplicate every edge of G; built once per graph."""
+    return G.memo("double_graph", lambda: _double(G))
+
+
+def _double(G: MultiGraph) -> DoublingMap:
     m = G.m
     records = [EdgeRecord(e.id, e.u, e.v, origin=ORIGINAL) for e in G.edges]
     records += [EdgeRecord(m + e.id, e.u, e.v, origin=e.id) for e in G.edges]
@@ -135,11 +139,17 @@ def check_factor(G: MultiGraph, edge_ids: Iterable[int], h: int) -> None:
 
 
 def two_factorization(G: MultiGraph) -> FactorDecomposition:
-    """Split an even-regular multigraph into r/2 spanning 2-factors."""
+    """Split an even-regular multigraph into r/2 spanning 2-factors.
+
+    Computed once per graph; later calls return the same object.
+    """
     r = regularity(G)
     if r is None or r < 2 or r % 2 != 0:
         raise RegularityError(f"need an even-regular graph with r >= 2, got r={r}")
-    rho = r // 2
+    return G.memo("two_factorization", lambda: _split_two_factors(G, r // 2))
+
+
+def _split_two_factors(G: MultiGraph, rho: int) -> FactorDecomposition:
     parts: list[set[int]] = [set() for _ in range(rho)]
     for comp in components(G):
         circuit = euler_circuit(G, comp)

@@ -1,23 +1,44 @@
 """Degree-constrained spanning subgraphs: f-factors and mod-3 factors.
 
-The workhorse is the gadget reduction from f-factor to perfect matching:
-replace each vertex v by deg(v) edge-end nodes plus deg(v) - f(v) core
-nodes joined completely to the ends; each original edge becomes one
-external edge between its two end nodes.  A perfect matching of the
-gadget must match every core to an end, leaving exactly f(v) ends per
-vertex matched through external edges, so external matched edges form an
-f-factor and conversely.  General-graph maximum matching is delegated to
-networkx; an exhaustive subset search doubles as a small-instance oracle.
+Regular factors come from the theorems that guarantee them, found on
+graphs no larger than G:
+
+- all-ones targets (a 1-factor, and the first profile of a mod-3
+  factor) ask for a perfect matching, found exactly by maximum matching
+  on G itself, parallel edges collapsed to their lowest id;
+- for even r, Petersen's 2-factor theorem splits G into r/2 two-factors
+  (``two_factorization``): an h-factor for even h is the union of h/2
+  of them, one for odd h takes (h-1)/2 of them plus a perfect matching
+  of the remaining edges;
+- for odd r, a perfect matching M of G leaves the even-regular G - M:
+  an h-factor is h//2 two-factors of G - M, plus M when h is odd.
+
+Where a route finds nothing (odd r without a 1-factor, or a remainder
+without a perfect matching) the gadget reduction decides, as it does
+for every other degree profile: replace each vertex v by deg(v)
+edge-end nodes plus deg(v) - f(v) core nodes joined completely to the
+ends; each original edge becomes one external edge between its two end
+nodes.  A perfect matching of the gadget must match every core to an
+end, leaving exactly f(v) ends per vertex matched through external
+edges, so external matched edges form an f-factor and conversely.  The
+gadget is about five times larger than G.  General-graph maximum
+matching is delegated to networkx.  An exhaustive subset search, which
+shares no code with either, is the small-instance oracle.
+
+With the matching method, the perfect matching of G, each h-factor and
+the mod-3 factor are computed once per graph (``MultiGraph.memo``); the
+exhaustive method never reads that memo.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import networkx as nx
 
 from .errors import BudgetError, FactorError, RegularityError
-from .graphs import MultiGraph, regularity
+from .factorization import extract_2h_factor
+from .graphs import MultiGraph, regularity, subgraph
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -44,15 +65,67 @@ def degree_constrained_factor(
         return exhaustive_factor_search(G, targets)
     if method != "matching":
         raise FactorError(f"unknown method {method!r}")
+    if all(t == 1 for t in targets):
+        return _one_factor(G)
     return _gadget_factor(G, targets)
 
 
 def f_factor(G: MultiGraph, h: int, method: str = "matching") -> frozenset[int] | None:
-    """Spanning h-regular subgraph of G, or None if absent."""
+    """Spanning h-regular subgraph of G, or None if absent.
+
+    With the matching method the answer is computed once per graph and h.
+    """
     r = max(G.degrees, default=0)
     if not 0 <= h <= r:
         raise FactorError(f"h must lie in 0..{r}, got {h}")
-    return degree_constrained_factor(G, [h] * G.n, method=method)
+    if method != "matching":
+        return degree_constrained_factor(G, [h] * G.n, method=method)
+    return G.memo(f"f_factor/{h}", lambda: _regular_factor(G, h))
+
+
+def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
+    """h-factor by the matching and 2-factor routes, else by the gadget."""
+    r = regularity(G)
+    targets = [h] * G.n
+    if r is None or h < 2 or (h * G.n) % 2 != 0:
+        return degree_constrained_factor(G, targets)
+    if r % 2 == 0:
+        first, rest = extract_2h_factor(G, h // 2).parts
+        if h % 2 == 0:
+            return first
+        matching = _matching_factor(G, rest)
+        if matching is not None:
+            return first | matching
+        return _gadget_factor(G, targets)
+    matching = _one_factor(G)
+    if matching is None:
+        return _gadget_factor(G, targets)
+    remainder, id_map = subgraph(G, frozenset(range(G.m)) - matching)
+    first = frozenset(id_map[j] for j in extract_2h_factor(remainder, h // 2).parts[0])
+    return first | matching if h % 2 else first
+
+
+def _one_factor(G: MultiGraph) -> frozenset[int] | None:
+    """Perfect matching of G, computed once per graph."""
+    return G.memo("one_factor", lambda: _matching_factor(G, range(G.m)))
+
+
+def _matching_factor(G: MultiGraph, edge_ids: Iterable[int]) -> frozenset[int] | None:
+    """Perfect matching of G using only edge_ids, or None if there is none.
+
+    Maximum matching on G itself; of parallel edges only the lowest id
+    is offered to the matching.
+    """
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    for eid in sorted(edge_ids):
+        e = G.edges[eid]
+        if not H.has_edge(e.u, e.v):
+            H.add_edge(e.u, e.v, id=eid)
+    matching = nx.max_weight_matching(H, maxcardinality=True)
+    if 2 * len(matching) != G.n:
+        return None
+    return frozenset(H.edges[pair]["id"] for pair in matching)
 
 
 def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
@@ -130,11 +203,19 @@ def mod3_factor(G: MultiGraph, method: str = "matching") -> frozenset[int] | Non
     Requires an r-regular G with r odd and divisible by 3.  Degree
     profiles over {1, 4, ..., r} are tried in increasing total degree,
     ties broken lexicographically by vertex index; each profile is
-    decided by the f-factor machinery.
+    decided by the f-factor machinery.  The first profile is all ones, a
+    perfect matching.  With the matching method the answer is computed
+    once per graph.
     """
     r = regularity(G)
     if r is None or r % 3 != 0 or r % 2 == 0:
         raise RegularityError(f"need r-regular with r odd and 3 | r, got r={r}")
+    if method != "matching":
+        return _mod3_profiles(G, r, method)
+    return G.memo("mod3_factor", lambda: _mod3_profiles(G, r, method))
+
+
+def _mod3_profiles(G: MultiGraph, r: int, method: str) -> frozenset[int] | None:
     allowed = tuple(range(1, r + 1, 3))
     lo, hi = G.n * allowed[0], G.n * allowed[-1]
     for total in range(lo, hi + 1):

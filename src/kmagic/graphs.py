@@ -12,11 +12,13 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GraphError, RegularityError
 
 ORIGINAL = "original"
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,18 @@ class MultiGraph:
     def endpoints(self, eid: int) -> tuple[int, int]:
         e = self.edges[eid]
         return e.u, e.v
+
+    def memo(self, key: str, compute: Callable[[], T]) -> T:
+        """compute(), run once per graph and key; later calls return that object.
+
+        Kept in the instance __dict__ beside the cached properties, which
+        is sound because a graph never changes after construction.
+        """
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = compute()
+            return value
 
 
 def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
@@ -271,53 +285,6 @@ def find_bridges(G: MultiGraph) -> frozenset[int]:
                     bridges.append(via)
                 low[p] = min(low[p], low[u])
     return frozenset(bridges)
-
-
-def edge_connectivity(G: MultiGraph) -> int:
-    """Exact edge connectivity via repeated unit-capacity max-flow.
-
-    Returns 0 for a disconnected graph (and degenerately for n <= 1).
-    """
-    if G.n <= 1:
-        return 0
-    if not is_connected(G):
-        return 0
-    best = G.m + 1
-    for t in range(1, G.n):
-        best = min(best, _max_flow(G, 0, t))
-    return best
-
-
-def _max_flow(G: MultiGraph, s: int, t: int) -> int:
-    # each undirected edge becomes a forward/backward arc pair of capacity 1
-    cap: dict[tuple[int, int], int] = {}
-    adj: list[set[int]] = [set() for _ in range(G.n)]
-    for e in G.edges:
-        cap[e.u, e.v] = cap.get((e.u, e.v), 0) + 1
-        cap[e.v, e.u] = cap.get((e.v, e.u), 0) + 1
-        adj[e.u].add(e.v)
-        adj[e.v].add(e.u)
-    flow = 0
-    while True:
-        prev = {s: s}
-        queue = deque([s])
-        while queue and t not in prev:
-            u = queue.popleft()
-            for w in sorted(adj[u]):
-                if w not in prev and cap.get((u, w), 0) > 0:
-                    prev[w] = u
-                    queue.append(w)
-        if t not in prev:
-            return flow
-        path = []
-        v = t
-        while v != s:
-            path.append((prev[v], v))
-            v = prev[v]
-        for u, w in path:
-            cap[u, w] -= 1
-            cap[w, u] = cap.get((w, u), 0) + 1
-        flow += 1
 
 
 # ---------------------------------------------------------------------------

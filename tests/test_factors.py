@@ -1,8 +1,9 @@
-"""Spanning factors: matching route vs exhaustive subset search.
+"""Spanning factors: matching routes vs exhaustive subset search.
 
 The exhaustive search is the oracle here.  It decides existence by a
-pruned subset scan of the edge set, sharing no code with the gadget
-reduction, so agreement between the two is meaningful evidence.
+pruned subset scan of the edge set, sharing no code with the matching
+routes or the gadget reduction, so agreement between them is
+meaningful evidence.
 """
 
 import pytest
@@ -10,8 +11,11 @@ import pytest
 from kmagic import (
     BudgetError,
     FactorError,
+    MultiGraph,
     RegularityError,
     build_graph,
+    check_factor,
+    circulant,
     complete,
     cycle,
     degree_constrained_factor,
@@ -20,7 +24,50 @@ from kmagic import (
     mod3_factor,
     petersen,
     prism,
+    regularity,
+    two_factorization,
 )
+from kmagic import factors
+from conftest import CORPUS_BUILDERS
+
+
+def bridged_cubic_10() -> MultiGraph:
+    """Cubic multigraph without a 1-factor: a hub joined by bridges to
+    three triangles with one doubled edge (three odd components)."""
+    pairs = []
+    for w in (1, 4, 7):
+        x, y = w + 1, w + 2
+        pairs += [(0, w), (w, x), (w, y), (x, y), (x, y)]
+    return build_graph(10, pairs)
+
+
+def doubled(G: MultiGraph) -> MultiGraph:
+    return build_graph(G.n, [G.endpoints(i) for i in range(G.m)] * 2)
+
+
+# Every route against the oracle, on graphs of at most 20 edges: the
+# shared corpus plus odd r without a 1-factor, even r with odd h on
+# parallel edges, and an even r whose 2-factor remainder has no perfect
+# matching.
+ROUTE_BUILDERS = {
+    **{
+        name: CORPUS_BUILDERS[name]
+        for name in ("K4", "K5", "K33", "prism3", "cube", "C3+C4", "circ8_12", "K6", "petersen")
+    },
+    "bridged10": bridged_cubic_10,
+    "2K4": lambda: doubled(complete(4)),
+    "octahedron": lambda: circulant(6, (1, 2)),
+}
+ROUTE_CASES = [
+    (h, name)
+    for name, make in ROUTE_BUILDERS.items()
+    for h in range(1, regularity(make()) + 1)
+    if make().m <= 20
+]
+# (h, graph) where the direct route finds nothing and the gadget decides:
+# bridged10 has no perfect matching to start from; the octahedron's
+# second 2-factor is two triangles, so no 3-factor contains the first.
+GADGET_DECIDES = {(2, "bridged10"), (3, "bridged10"), (3, "octahedron")}
 
 
 def factor_degrees(G, edge_ids):
@@ -81,21 +128,20 @@ def test_uneven_targets():
     assert factor_degrees(G, F) == [2, 1, 0, 1]
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["K4", "K5", "K33", "prism3", "cube", "C3+C4", "circ8_12", "K6", "petersen"],
-)
-@pytest.mark.parametrize("h", [1, 2, 3, 4])
-def test_matching_route_agrees_with_exhaustive(name, h, corpus):
-    G = corpus[name]
-    r = G.degrees[0]
-    if h > r or G.m > 20:
-        pytest.skip("out of range for this graph")
+@pytest.mark.parametrize(("h", "name"), ROUTE_CASES)
+def test_matching_route_agrees_with_exhaustive(name, h, monkeypatch):
+    G = ROUTE_BUILDERS[name]()
+    gadget_calls = []
+    gadget = factors._gadget_factor
+    monkeypatch.setattr(
+        factors, "_gadget_factor", lambda *a: gadget_calls.append(a) or gadget(*a)
+    )
     got = f_factor(G, h)
     want = exhaustive_factor_search(G, [h] * G.n)
     assert (got is None) == (want is None)
     if got is not None:
-        assert factor_degrees(G, got) == [h] * G.n
+        check_factor(G, got, h)
+    assert bool(gadget_calls) == ((h, name) in GADGET_DECIDES)
 
 
 def test_exhaustive_budget_cap():
@@ -111,6 +157,9 @@ def test_mod3_factor_on_cubic_graphs(bridged16):
     assert factor_degrees(petersen(), F) == [1] * 10
     assert mod3_factor(bridged16) is None
     assert f_factor(bridged16, 1) is None
+    G = bridged_cubic_10()
+    assert mod3_factor(G) is None
+    assert mod3_factor(G, method="exhaustive") is None
 
 
 def test_mod3_factor_rejects_wrong_degree():
@@ -140,3 +189,32 @@ def test_profile_enumeration_order():
     got = list(_profiles((1, 4), 3, 6))
     assert got == [(1, 1, 4), (1, 4, 1), (4, 1, 1)]
     assert list(_profiles((1, 4), 2, 3)) == []
+
+
+def test_factors_are_computed_once_per_graph(monkeypatch):
+    matching_calls, oracle_calls = [], []
+    matching = factors.nx.max_weight_matching
+    oracle = factors.exhaustive_factor_search
+    monkeypatch.setattr(
+        factors.nx, "max_weight_matching",
+        lambda *a, **kw: matching_calls.append(a) or matching(*a, **kw),
+    )
+    monkeypatch.setattr(
+        factors, "exhaustive_factor_search",
+        lambda *a: oracle_calls.append(a) or oracle(*a),
+    )
+    G = petersen()
+    first = [f_factor(G, h) for h in (1, 2, 3)] + [mod3_factor(G)]
+    assert matching_calls
+    made = len(matching_calls)
+    again = [f_factor(G, h) for h in (1, 2, 3)] + [mod3_factor(G)]
+    assert all(a is b for a, b in zip(first, again))
+    assert len(matching_calls) == made
+    E = circulant(8, (1, 2))
+    assert two_factorization(E) is two_factorization(E)
+    # the exhaustive method is the oracle: it always searches anew
+    for _ in range(2):
+        check_factor(G, f_factor(G, 1, method="exhaustive"), 1)
+        check_factor(G, mod3_factor(G, method="exhaustive"), 1)
+    assert len(oracle_calls) == 4
+    assert len(matching_calls) == made

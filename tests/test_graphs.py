@@ -12,7 +12,6 @@ from kmagic import (
     components,
     cycle,
     disjoint_union,
-    edge_connectivity,
     generate,
     is_connected,
     parse_graph,
@@ -133,9 +132,6 @@ def test_bridges_and_edge_connectivity(bridged16):
     assert len(bridges) == 3
     for eid in bridges:
         assert 0 in bridged16.endpoints(eid)
-    assert edge_connectivity(bridged16) == 1
-    assert edge_connectivity(cycle(5)) == 2
-    assert edge_connectivity(complete(4)) == 3
 
 
 def test_random_regular_deterministic_and_validated():
