@@ -43,12 +43,16 @@ def _budget() -> SolverBudget:
     return SolverBudget(node_cap=cap)
 
 
-def _read_graph(path: str) -> MultiGraph:
+def _read_input(path) -> str:
+    """Text of an input file; an unreadable or non-ASCII file is invalid input."""
     try:
-        text = Path(path).read_text(encoding="ascii")
-    except OSError as exc:
+        return Path(path).read_text(encoding="ascii")
+    except (OSError, UnicodeDecodeError) as exc:
         raise KmagicError(f"cannot read {path}: {exc}") from None
-    return parse_graph(text)
+
+
+def _read_graph(path) -> MultiGraph:
+    return parse_graph(_read_input(path))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,7 +117,7 @@ def _cmd_label(args) -> int:
 
 def _cmd_verify(args) -> int:
     G = _read_graph(args.file)
-    lab, _, _ = labeling_from_json(Path(args.labeling).read_text(encoding="ascii"))
+    lab, _, _ = labeling_from_json(_read_input(args.labeling))
     c = verify(G, lab)
     if c is None:
         print("not magic")
@@ -133,11 +137,7 @@ def _cmd_spectrum(args) -> int:
         spec = brute_force_spectrum(G, args.k, budget)
         sys.stdout.write(spec.to_json())
         return EXIT_UNDECIDED if spec.undecided else EXIT_OK
-    pred = predict_spectrum(G, args.k, budget)
-    orac = brute_force_spectrum(G, args.k, budget)
-    undecided = set(pred.undecided) | set(orac.undecided)
-    decided = [c for c in range(args.k) if c not in undecided]
-    match = all((c in pred.residues) == (c in orac.residues) for c in decided)
+    pred, orac, undecided, match = _predict_vs_oracle(G, args.k, budget)
     payload = {
         "k": args.k,
         "match": match,
@@ -149,6 +149,18 @@ def _cmd_spectrum(args) -> int:
     if not match:
         return EXIT_NEGATIVE
     return EXIT_UNDECIDED if undecided else EXIT_OK
+
+
+def _predict_vs_oracle(G: MultiGraph, k: int, budget: SolverBudget):
+    """Both spectra, the residues either left undecided, and whether the
+    decided residues agree."""
+    pred = predict_spectrum(G, k, budget)
+    orac = brute_force_spectrum(G, k, budget)
+    undecided = set(pred.undecided) | set(orac.undecided)
+    match = all(
+        (c in pred.residues) == (c in orac.residues) for c in range(k) if c not in undecided
+    )
+    return pred, orac, undecided, match
 
 
 def _cmd_factorize(args) -> int:
@@ -207,16 +219,9 @@ def _cmd_compare(args) -> int:
         raise KmagicError(f"no *.txt graph files under {args.corpus}")
     failed = False
     for path in paths:
-        G = parse_graph(path.read_text(encoding="ascii"))
+        G = _read_graph(path)
         for k in ks:
-            pred = predict_spectrum(G, k, budget)
-            orac = brute_force_spectrum(G, k, budget)
-            undecided = set(pred.undecided) | set(orac.undecided)
-            ok = all(
-                (c in pred.residues) == (c in orac.residues)
-                for c in range(k)
-                if c not in undecided
-            )
+            _, _, undecided, ok = _predict_vs_oracle(G, k, budget)
             if undecided:
                 word = "UNDECIDED"
             elif ok:

@@ -25,6 +25,7 @@ from .labelings import (
     ConstructionTrace,
     EdgeLabeling,
     TraceStep,
+    complement,
     extend_by_factor,
     fold,
     verify,
@@ -206,6 +207,29 @@ def _rule_two_factor_cycle_remainder(G, r, k, c, budget):
     raise _Miss("no 2-factor takes the remaining sum")
 
 
+def _label_pairs(k, c, t, s, divisors=(1,)):
+    """(a, b, divisor) with (t*a + s*b) / divisor = c and a, b nonzero, a
+    and b of one parity under divisor 2: every pair of residues mod k for
+    k >= 2, else a solved exactly for b in 1, 2, -1, -2."""
+    for divisor in divisors:
+        if k >= 2:
+            for a in range(1, k):
+                for b in range(1, k):
+                    if divisor == 2 and (a - b) % 2 != 0:
+                        continue
+                    if ((t * a + s * b) // divisor) % k == c % k:
+                        yield a, b, divisor
+        else:
+            for b in (1, 2, -1, -2):
+                num = c * divisor - s * b
+                if num % t != 0:
+                    continue
+                a = num // t
+                if a == 0 or (divisor == 2 and (a - b) % 2 != 0):
+                    continue
+                yield a, b, divisor
+
+
 def _rule_factor_split(G, r, k, c, budget):
     """An h-factor labeled a against its complement labeled b."""
     for t in range(1, r):
@@ -214,38 +238,29 @@ def _rule_factor_split(G, r, k, c, budget):
         F = f_factor(G, t)
         if F is None:
             continue
-        if k >= 2:
-            for a in range(1, k):
-                for b in range(1, k):
-                    if (t * a + (r - t) * b) % k == c % k:
-                        labels = {e: a if e in F else b for e in range(G.m)}
-                        return _accept(
-                            G, k, c, labels, "factor-split", {"h": t, "a": a, "b": b}
-                        )
-        else:
-            for b in (1, 2, -1, -2):
-                num = c - (r - t) * b
-                if num % t != 0:
-                    continue
-                a = num // t
-                if a == 0:
-                    continue
-                labels = {e: a if e in F else b for e in range(G.m)}
-                return _accept(
-                    G, k, c, labels, "factor-split", {"h": t, "a": a, "b": b}
-                )
+        for a, b, _ in _label_pairs(k, c, t, r - t):
+            labels = {e: a if e in F else b for e in range(G.m)}
+            return _accept(G, k, c, labels, "factor-split", {"h": t, "a": a, "b": b})
     raise _Miss("no factor split reaches the sum")
 
 
-def _doubling_parts(G):
-    """Doubled graph with its 2-factorization, shared by the fold rules
-    (both are built once per graph)."""
-    D = double_graph(G)
-    tf = two_factorization(D.doubled)
-    return D, tf.parts
+def _two_factor_groups(G, labels):
+    """The doubled graph's i-th 2-factor labeled labels[i]; the last label
+    also covers every later 2-factor."""
+    parts = two_factorization(double_graph(G).doubled).parts
+    return [(part, labels[min(i, len(labels) - 1)]) for i, part in enumerate(parts)]
 
 
-def _fold_constant_parts(G, k, c, D, groups, divisor, rule, params):
+def _doubled_three_factor(G):
+    """A 3-factor of the doubled graph and its complement."""
+    doubled = double_graph(G).doubled
+    F3 = f_factor(doubled, 3)
+    if F3 is None:
+        raise _Miss("doubled graph has no 3-factor")
+    return F3, frozenset(range(doubled.m)) - F3
+
+
+def _fold_constant_parts(G, k, c, groups, divisor, rule, params):
     """Label edge groups of the doubled graph with constants and fold."""
     lab2: dict[int, int] = {}
     for edge_set, value in groups:
@@ -253,7 +268,7 @@ def _fold_constant_parts(G, k, c, D, groups, divisor, rule, params):
             lab2[eid] = value
     step = TraceStep(rule, dict(params), labels=dict(lab2), scope="doubled")
     try:
-        folded, got = fold(D, EdgeLabeling(k, lab2), divisor)
+        folded, got = fold(double_graph(G), EdgeLabeling(k, lab2), divisor)
     except LabelingError as exc:
         raise _Miss(f"{rule}: {exc}") from None
     if got != _norm(c, k):
@@ -261,53 +276,30 @@ def _fold_constant_parts(G, k, c, D, groups, divisor, rule, params):
     return _accept(G, k, c, folded.labels, "fold", {"divisor": divisor}, extra_steps=[step])
 
 
+def _complemented(G, k, cn, built):
+    """Turn a built (k - cn)-sum labeling into a cn-sum one by x -> k - x."""
+    lab, steps = built
+    return _accept(
+        G, k, cn, complement(G, lab).labels, "complement", {"source_sum": (k - cn) % k},
+        extra_steps=steps,
+    )
+
+
 def _rule_doubling_search(G, r, k, c, budget):
     """Parametric doubling: 2h-factor of the doubled graph labeled a, the
     complement b, folded with divisor 1 or 2.  Tries all (a, b) pairs."""
-    D, parts = _doubling_parts(G)
     for h in range(1, r):
-        H = frozenset().union(*parts[:h])
-        rest = frozenset(range(D.doubled.m)) - H
-        if k >= 2:
-            cn = c % k
-            for divisor in (1, 2):
-                for a in range(1, k):
-                    for b in range(1, k):
-                        if divisor == 1:
-                            if (2 * h * a + 2 * (r - h) * b) % k != cn:
-                                continue
-                        else:
-                            if (a - b) % 2 != 0:
-                                continue
-                            if ((2 * h * a + 2 * (r - h) * b) // 2) % k != cn:
-                                continue
-                        try:
-                            return _fold_constant_parts(
-                                G, k, c, D, [(H, a), (rest, b)], divisor,
-                                "doubling-parameter-search",
-                                {"h": h, "a": a, "b": b, "divisor": divisor},
-                            )
-                        except _Skip:
-                            continue
-        else:
-            for divisor in (1, 2):
-                for b in (1, 2, -1, -2):
-                    num = c * divisor - 2 * (r - h) * b
-                    if num % (2 * h) != 0:
-                        continue
-                    a = num // (2 * h)
-                    if a == 0 or a == -b:
-                        continue
-                    if divisor == 2 and (a - b) % 2 != 0:
-                        continue
-                    try:
-                        return _fold_constant_parts(
-                            G, k, c, D, [(H, a), (rest, b)], divisor,
-                            "doubling-parameter-search",
-                            {"h": h, "a": a, "b": b, "divisor": divisor},
-                        )
-                    except _Skip:
-                        continue
+        for a, b, divisor in _label_pairs(k, c, 2 * h, 2 * (r - h), (1, 2)):
+            if a == -b:  # an edge with a copy on each side would fold to 0
+                continue
+            try:
+                return _fold_constant_parts(
+                    G, k, c, _two_factor_groups(G, [a] * h + [b]), divisor,
+                    "doubling-parameter-search",
+                    {"h": h, "a": a, "b": b, "divisor": divisor},
+                )
+            except _Skip:
+                continue
     raise _Miss("no doubling parameters reach the sum")
 
 
@@ -322,22 +314,15 @@ def zero_sum_five_regular(G: MultiGraph, k: int) -> tuple[EdgeLabeling, Construc
         raise RegularityError("needs a 5-regular graph")
     if k < 5:
         raise LabelingError(f"doubling construction needs k >= 5, got {k}")
-    D, parts = _doubling_parts(G)
     if k != 8:
-        H = parts[0]
-        rest = frozenset().union(*parts[1:])
-        groups = [(H, k - 4), (rest, 1)]
-        divisor, case = 1, 1
+        labels, divisor, case = [k - 4, 1], 1, 1
     else:
-        H = parts[0] | parts[1]
-        rest = frozenset().union(*parts[2:])
-        groups = [(H, 2), (rest, 4)]
-        divisor, case = 2, 2
+        labels, divisor, case = [2, 2, 4], 2, 2
     try:
         lab, steps = _fold_constant_parts(
-            G, k, 0, D, groups, divisor,
+            G, k, 0, _two_factor_groups(G, labels), divisor,
             "five-regular-doubling",
-            {"case": case, "factor_label": groups[0][1], "rest_label": groups[1][1]},
+            {"case": case, "factor_label": labels[0], "rest_label": labels[-1]},
         )
     except _Skip as exc:
         raise LabelingError(str(exc)) from None
@@ -361,11 +346,8 @@ def _sub21_main(G, r, k, target):
     y = ((k + b) // 2) % k
     if x == 0 or y == 0:
         raise _Miss(f"gcd-fold labels vanish (x={x}, y={y})")
-    D, parts = _doubling_parts(G)
-    H = parts[0]
-    rest = frozenset().union(*parts[1:])
     return _fold_constant_parts(
-        G, k, target, D, [(H, x), (rest, y)], 1,
+        G, k, target, _two_factor_groups(G, [x, y]), 1,
         "odd-regular-gcd-fold", {"b": b, "x": x, "y": y},
     )
 
@@ -377,10 +359,8 @@ def _sub21_threeb(G, r, k):
     p, q = (b + 1) // 2, (b - 1) // 2
     if q == 0:
         raise _Miss("gcd-fold boundary needs b >= 3")
-    D, parts = _doubling_parts(G)
-    rest = frozenset().union(*parts[2:])
     return _fold_constant_parts(
-        G, k, b % k, D, [(parts[0], p), (parts[1], q), (rest, b)], 1,
+        G, k, b % k, _two_factor_groups(G, [p, q, b]), 1,
         "odd-regular-gcd-fold", {"b": b, "x": p, "y": q, "boundary": "k=3b"},
     )
 
@@ -393,33 +373,23 @@ def _rule_odd_gcd_fold(G, r, k, c, budget):
     if cn not in ((k - b) % k, (k - 2 * b) % k):
         return _sub21_main(G, r, k, cn)
     if k != 3 * b:
-        lab, steps = _sub21_main(G, r, k, (k - cn) % k)
-        flipped = {eid: k - v for eid, v in lab.labels.items()}
-        return _accept(
-            G, k, cn, flipped, "complement", {"source_sum": (k - cn) % k},
-            extra_steps=steps,
-        )
-    lab, steps = _sub21_threeb(G, r, k)
+        return _complemented(G, k, cn, _sub21_main(G, r, k, (k - cn) % k))
+    # here k = 3b and cn is b or 2b: the boundary folds to b, complemented to 2b
+    built = _sub21_threeb(G, r, k)
     if cn == b % k:
-        return lab, steps
-    flipped = {eid: k - v for eid, v in lab.labels.items()}
-    return _accept(
-        G, k, cn, flipped, "complement", {"source_sum": b % k}, extra_steps=steps
-    )
+        return built
+    return _complemented(G, k, cn, built)
 
 
 def _sub22_even_candidate(G, k, target, r0):
-    D, parts = _doubling_parts(G)
     w = (target - 2 * r0) % k
-    H = parts[0]
-    rest = frozenset().union(*parts[1:])
     for L in (w // 2, w // 2 + k // 2):
         L %= k
         if L == 0 or L == k - 1 or (2 * L) % k == 0:
             continue
         try:
             return _fold_constant_parts(
-                G, k, target, D, [(H, L), (rest, 1)], 1,
+                G, k, target, _two_factor_groups(G, [L, 1]), 1,
                 "odd-regular-even-k-fold", {"L": L, "divisor": 1},
             )
         except _Skip:
@@ -434,23 +404,15 @@ def _rule_even_modulus_fold(G, r, k, c, budget):
     r0 = (r - 1) % k
     if cn % 2 == 1:
         L = (cn - r0) % k
-        D, parts = _doubling_parts(G)
-        H = parts[0]
-        rest = frozenset().union(*parts[1:])
         return _fold_constant_parts(
-            G, k, cn, D, [(H, L), (rest, 1)], 2,
+            G, k, cn, _two_factor_groups(G, [L, 1]), 2,
             "odd-regular-even-k-fold", {"L": L, "divisor": 2},
         )
     try:
         return _sub22_even_candidate(G, k, cn, r0)
     except _Skip:
         pass
-    lab, steps = _sub22_even_candidate(G, k, (k - cn) % k, r0)
-    flipped = {eid: k - v for eid, v in lab.labels.items()}
-    return _accept(
-        G, k, cn, flipped, "complement", {"source_sum": (k - cn) % k},
-        extra_steps=steps,
-    )
+    return _complemented(G, k, cn, _sub22_even_candidate(G, k, (k - cn) % k, r0))
 
 
 def _factor_extension(G, r, k, c, factor_edges, rule, budget):
@@ -485,16 +447,12 @@ def _four_regular_even_order(G, k, c, budget):
     with labels 2c and k-c, plus the half-modulus specials."""
     cn = c % k
     if (2 * cn) % k != 0 and (4 * cn) % k != 0:
-        D = double_graph(G)
-        F3 = f_factor(D.doubled, 3)
-        if F3 is not None:
-            rest = frozenset(range(D.doubled.m)) - F3
-            a, b = (2 * cn) % k, (k - cn) % k
-            return _fold_constant_parts(
-                G, k, cn, D, [(F3, a), (rest, b)], 1,
-                "four-regular-three-factor-fold", {"a": a, "b": b},
-            )
-        raise _Miss("doubled graph has no 3-factor")
+        F3, rest = _doubled_three_factor(G)
+        a, b = (2 * cn) % k, (k - cn) % k
+        return _fold_constant_parts(
+            G, k, cn, [(F3, a), (rest, b)], 1,
+            "four-regular-three-factor-fold", {"a": a, "b": b},
+        )
     if k % 2 == 0 and cn == k // 2:
         dd = k // 2
         parts = two_factorization(G).parts
@@ -507,14 +465,10 @@ def _four_regular_even_order(G, k, c, budget):
             return _accept(
                 G, k, cn, labels, "four-regular-half-modulus", {"labels": [dd, dd // 2]}
             )
-        D = double_graph(G)
-        F3 = f_factor(D.doubled, 3)
-        if F3 is None:
-            raise _Miss("doubled graph has no 3-factor")
-        rest = frozenset(range(D.doubled.m)) - F3
+        F3, rest = _doubled_three_factor(G)
         if dd not in (3, 9):
             base, steps = _fold_constant_parts(
-                G, k, (k - 1) % k, D, [(F3, k - 2), (rest, 1)], 1,
+                G, k, (k - 1) % k, [(F3, k - 2), (rest, 1)], 1,
                 "four-regular-half-modulus", {"part": "fold", "labels": [k - 2, 1]},
             )
             combined = {}
@@ -527,7 +481,7 @@ def _four_regular_even_order(G, k, c, budget):
             )
         x = dd // 3
         base, steps = _fold_constant_parts(
-            G, k, (6 * x + 5) % k, D, [(F3, 2 * x), (rest, 1)], 1,
+            G, k, (6 * x + 5) % k, [(F3, 2 * x), (rest, 1)], 1,
             "four-regular-half-modulus", {"part": "fold", "labels": [2 * x, 1]},
         )
         combined = {eid: (v + 1) % k for eid, v in base.labels.items()}
@@ -583,6 +537,14 @@ def _rule_four_factor_extension(G, r, k, c, budget):
 # dispatcher
 
 
+# closing trace step of a solver answer, by its status
+_SOLVER_STEP = {
+    "found": "solver",
+    "absent": "solver-exhausted",
+    "undecided": "solver-budget-exceeded",
+}
+
+
 def _solver_result(G, k, c, budget, pre_steps):
     if k == 1:
         steps = pre_steps + [
@@ -590,18 +552,15 @@ def _solver_result(G, k, c, budget, pre_steps):
         ]
         return ConstructResult("undecided", None, None, ConstructionTrace(tuple(steps)))
     res = search_labeling(G, k, c, budget)
-    if res.status == "found":
-        steps = pre_steps + [
-            TraceStep("solver", {"nodes": res.nodes}, labels=dict(res.labeling.labels))
-        ]
-        return ConstructResult(
-            "found", res.labeling, c % k, ConstructionTrace(tuple(steps))
-        )
-    if res.status == "absent":
-        steps = pre_steps + [TraceStep("solver-exhausted", {"nodes": res.nodes})]
-        return ConstructResult("absent", None, None, ConstructionTrace(tuple(steps)))
-    steps = pre_steps + [TraceStep("solver-budget-exceeded", {"nodes": res.nodes})]
-    return ConstructResult("undecided", None, None, ConstructionTrace(tuple(steps)))
+    lab = res.labeling if res.status == "found" else None
+    step = TraceStep(
+        _SOLVER_STEP[res.status], {"nodes": res.nodes},
+        labels=None if lab is None else dict(lab.labels),
+    )
+    return ConstructResult(
+        res.status, lab, None if lab is None else c % k,
+        ConstructionTrace(tuple(pre_steps + [step])),
+    )
 
 
 def _rule_sequence(G, r, k, c):

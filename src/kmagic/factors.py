@@ -25,9 +25,9 @@ gadget is about five times larger than G.  General-graph maximum
 matching is delegated to networkx.  An exhaustive subset search, which
 shares no code with either, is the small-instance oracle.
 
-With the matching method, the perfect matching of G, each h-factor and
-the mod-3 factor are computed once per graph (``MultiGraph.memo``); the
-exhaustive method never reads that memo.
+The perfect matching of G, each h-factor and the mod-3 factor are
+computed once per graph (``MultiGraph.memo``); the exhaustive oracle
+never reads that memo.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ from .graphs import MultiGraph, regularity, subgraph
 EXHAUSTIVE_EDGE_LIMIT = 20
 
 
-def degree_constrained_factor(
-    G: MultiGraph, targets: Sequence[int], method: str = "matching"
-) -> frozenset[int] | None:
+def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
     """Spanning subgraph with prescribed degree at every vertex, or None.
 
     targets[v] is the exact degree required at v.  Raises FactorError if
@@ -61,25 +59,19 @@ def degree_constrained_factor(
         return None
     if all(t == 0 for t in targets):
         return frozenset()
-    if method == "exhaustive":
-        return exhaustive_factor_search(G, targets)
-    if method != "matching":
-        raise FactorError(f"unknown method {method!r}")
     if all(t == 1 for t in targets):
         return _one_factor(G)
     return _gadget_factor(G, targets)
 
 
-def f_factor(G: MultiGraph, h: int, method: str = "matching") -> frozenset[int] | None:
+def f_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
     """Spanning h-regular subgraph of G, or None if absent.
 
-    With the matching method the answer is computed once per graph and h.
+    The answer is computed once per graph and h.
     """
     r = max(G.degrees, default=0)
     if not 0 <= h <= r:
         raise FactorError(f"h must lie in 0..{r}, got {h}")
-    if method != "matching":
-        return degree_constrained_factor(G, [h] * G.n, method=method)
     return G.memo(f"f_factor/{h}", lambda: _regular_factor(G, h))
 
 
@@ -197,32 +189,29 @@ def exhaustive_factor_search(
     return frozenset(chosen) if dfs(0) else None
 
 
-def mod3_factor(G: MultiGraph, method: str = "matching") -> frozenset[int] | None:
+def mod3_factor(G: MultiGraph) -> frozenset[int] | None:
     """Spanning subgraph with every degree congruent to 1 mod 3, or None.
 
     Requires an r-regular G with r odd and divisible by 3.  Degree
     profiles over {1, 4, ..., r} are tried in increasing total degree,
     ties broken lexicographically by vertex index; each profile is
     decided by the f-factor machinery.  The first profile is all ones, a
-    perfect matching.  With the matching method the answer is computed
-    once per graph.
+    perfect matching.  The answer is computed once per graph.
     """
     r = regularity(G)
     if r is None or r % 3 != 0 or r % 2 == 0:
         raise RegularityError(f"need r-regular with r odd and 3 | r, got r={r}")
-    if method != "matching":
-        return _mod3_profiles(G, r, method)
-    return G.memo("mod3_factor", lambda: _mod3_profiles(G, r, method))
+    return G.memo("mod3_factor", lambda: _mod3_profiles(G, r))
 
 
-def _mod3_profiles(G: MultiGraph, r: int, method: str) -> frozenset[int] | None:
+def _mod3_profiles(G: MultiGraph, r: int) -> frozenset[int] | None:
     allowed = tuple(range(1, r + 1, 3))
     lo, hi = G.n * allowed[0], G.n * allowed[-1]
     for total in range(lo, hi + 1):
         if total % 2 != 0 or total % 3 != (G.n % 3):
             continue
         for profile in _profiles(allowed, G.n, total):
-            factor = degree_constrained_factor(G, profile, method=method)
+            factor = degree_constrained_factor(G, profile)
             if factor is not None:
                 return factor
     return None

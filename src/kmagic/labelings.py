@@ -238,7 +238,10 @@ def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None 
 def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
     try:
         payload = json.loads(text)
-        lab = EdgeLabeling(payload["k"], {int(i): v for i, v in payload["labels"].items()})
+        labels = payload["labels"]
+        if not isinstance(labels, dict):
+            raise LabelingError("bad labeling file: labels is not an object")
+        lab = EdgeLabeling(payload["k"], {int(i): v for i, v in labels.items()})
         return lab, payload["c"], payload.get("trace", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise LabelingError(f"bad labeling file: {exc}") from None

@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 from .errors import KmagicError, RegularityError
 from .factors import mod3_factor
-from .graphs import MultiGraph, components, find_bridges, regularity, subgraph, two_regular_profile
+from .graphs import (
+    EdgeRecord,
+    MultiGraph,
+    components,
+    find_bridges,
+    regularity,
+    two_regular_profile,
+)
 from .solver import SolverBudget, search_labeling
 
 SYMBOLIC_TAGS = ("Z", "Z*", "2Z", "2Z*")  # * marks "zero excluded"
@@ -143,24 +150,22 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
 
 
 def _component_graphs(G: MultiGraph) -> list[MultiGraph]:
+    """The connected components as graphs of their own, built once per
+    graph so that their factors are found once too; edge origins point
+    at the edge ids of G."""
     comps = components(G)
     if len(comps) <= 1:
         return [G]
-    out = []
-    for comp in comps:
-        verts = sorted(comp)
-        vmap = {v: i for i, v in enumerate(verts)}
-        edge_ids = [e.id for e in G.edges if e.u in comp]
-        sub, _ = subgraph(G, edge_ids)
-        remapped = MultiGraph(
-            len(verts),
-            tuple(
-                type(e)(i, vmap[e.u], vmap[e.v], origin=e.origin)
-                for i, e in enumerate(sub.edges)
-            ),
-        )
-        out.append(remapped)
-    return out
+    return G.memo("component_graphs", lambda: [_component_graph(G, comp) for comp in comps])
+
+
+def _component_graph(G: MultiGraph, comp: frozenset[int]) -> MultiGraph:
+    vmap = {v: i for i, v in enumerate(sorted(comp))}
+    edges = [e for e in G.edges if e.u in comp]
+    return MultiGraph(
+        len(vmap),
+        tuple(EdgeRecord(i, vmap[e.u], vmap[e.v], origin=e.id) for i, e in enumerate(edges)),
+    )
 
 
 def _symbolic_for_component(C: MultiGraph) -> tuple[str, str]:
@@ -244,6 +249,8 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
     the solver (no closed form is applied); k >= 3 uses the completeness
     conditions plus the bordering exact spectra.
     """
+    if k < 1:
+        raise KmagicError(f"modulus must be >= 1, got {k}")
     _require_regular(G)
     comps = _component_graphs(G)
     if k == 1:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from kmagic import parse_graph, petersen, write_graph
+from kmagic import cycle, parse_graph, petersen, write_graph
 from kmagic.cli import main
 
 
@@ -111,6 +111,13 @@ def test_verify_not_magic_and_malformed(tmp_path, k5_file, capsys):
     garbage = tmp_path / "garbage.json"
     garbage.write_text("nope", encoding="ascii")
     assert run(capsys, "verify", k5_file, str(garbage))[0] == 2
+    listed = tmp_path / "listed.json"
+    listed.write_text(json.dumps({"k": 5, "c": 0, "labels": [1, 2]}), encoding="ascii")
+    assert run(capsys, "verify", k5_file, str(listed))[0] == 2
+    accented = tmp_path / "accented.json"
+    note = {"k": 5, "c": 0, "labels": {"0": 1}, "note": "caf\u00e9"}
+    accented.write_text(json.dumps(note, ensure_ascii=False), encoding="utf-8")
+    assert run(capsys, "verify", k5_file, str(accented))[0] == 2
 
 
 def test_spectrum_methods_agree_and_are_stable(k5_file, capsys):
@@ -160,7 +167,7 @@ def test_null_set_output(k5_file, capsys):
 
 
 def test_compare_over_corpus(tmp_path, capsys):
-    from kmagic import complete, cycle
+    from kmagic import complete
 
     d = tmp_path / "corpus"
     d.mkdir()
@@ -199,3 +206,16 @@ def test_invalid_graph_content(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("p 2 1\n0 0\n", encoding="ascii")
     assert run(capsys, "spectrum", str(bad), "--k", "5")[0] == 2
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    accented = corpus / "accented.txt"
+    accented.write_text("# caf\u00e9\np 3 3\n0 1\n1 2\n2 0\n", encoding="utf-8")
+    assert run(capsys, "spectrum", str(accented), "--k", "5")[0] == 2
+    assert run(capsys, "compare", "--corpus", str(corpus), "--k-range", "3..4")[0] == 2
+
+
+def test_spectrum_rejects_modulus_below_one(tmp_path, capsys):
+    c5 = tmp_path / "c5.txt"
+    c5.write_text(write_graph(cycle(5)), encoding="ascii")
+    for k in ("0", "-3"):
+        assert run(capsys, "spectrum", str(c5), "--k", k)[0] == 2

@@ -62,6 +62,20 @@ def test_constant_rule_comes_first_when_it_fits():
     assert set(res.labeling.labels.values()) == {1}
 
 
+def test_gcd_fold_boundary_and_its_complement():
+    # k = 3b with b = k / gcd(r, k) = 5: the boundary folds to the sum b,
+    # its complement gives 2b, and no constant label reaches either
+    G = petersen()
+    res = construct(G, 15, 5)
+    assert res.trace.rules() == ["odd-regular-gcd-fold", "fold"]
+    assert res.trace.steps[0].params["boundary"] == "k=3b"
+    assert verify(G, res.labeling) == 5
+    res = construct(G, 15, 10)
+    assert res.trace.rules() == ["odd-regular-gcd-fold", "fold", "complement"]
+    assert res.trace.steps[-1].params == {"source_sum": 5}
+    assert verify(G, res.labeling) == 10
+
+
 def test_trace_replay_matches_labeling():
     for G, k, c in [
         (cycle(6), 7, 3),

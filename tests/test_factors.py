@@ -103,8 +103,6 @@ def test_f_factor_argument_checks():
         degree_constrained_factor(cycle(4), [1, 1, 1])
     with pytest.raises(FactorError):
         degree_constrained_factor(cycle(4), [3, 1, 1, 1])
-    with pytest.raises(FactorError):
-        degree_constrained_factor(cycle(4), [1] * 4, method="nope")
 
 
 def test_odd_target_sum_is_infeasible():
@@ -159,7 +157,8 @@ def test_mod3_factor_on_cubic_graphs(bridged16):
     assert f_factor(bridged16, 1) is None
     G = bridged_cubic_10()
     assert mod3_factor(G) is None
-    assert mod3_factor(G, method="exhaustive") is None
+    # a cubic graph's only mod-3 profile is all ones
+    assert exhaustive_factor_search(G, [1] * G.n) is None
 
 
 def test_mod3_factor_rejects_wrong_degree():
@@ -212,9 +211,5 @@ def test_factors_are_computed_once_per_graph(monkeypatch):
     assert len(matching_calls) == made
     E = circulant(8, (1, 2))
     assert two_factorization(E) is two_factorization(E)
-    # the exhaustive method is the oracle: it always searches anew
-    for _ in range(2):
-        check_factor(G, f_factor(G, 1, method="exhaustive"), 1)
-        check_factor(G, mod3_factor(G, method="exhaustive"), 1)
-    assert len(oracle_calls) == 4
-    assert len(matching_calls) == made
+    # the exhaustive search is the oracle only: no factor route calls it
+    assert oracle_calls == []

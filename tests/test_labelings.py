@@ -236,3 +236,5 @@ def test_labeling_json_roundtrip_and_shape():
         labeling_from_json("{}")
     with pytest.raises(LabelingError):
         labeling_from_json("not json")
+    with pytest.raises(LabelingError):
+        labeling_from_json('{"k": 5, "c": 0, "labels": [1, 2]}')

@@ -9,12 +9,14 @@ import json
 
 import pytest
 
+from kmagic import factors
 from kmagic import (
     KmagicError,
     SolverBudget,
     SpectrumSet,
     brute_force_spectrum,
     build_graph,
+    circulant,
     cycle,
     complete,
     disjoint_union,
@@ -184,6 +186,21 @@ def test_disjoint_union_intersects_components():
     assert oracle.residues == {1, 2}
 
 
+def test_component_graphs_are_built_once(monkeypatch):
+    # each component's mod-3 factor is a perfect matching, found once per
+    # component however often the union is asked
+    calls = []
+    matching = factors.nx.max_weight_matching
+    monkeypatch.setattr(
+        factors.nx, "max_weight_matching",
+        lambda *a, **kw: calls.append(a) or matching(*a, **kw),
+    )
+    G = disjoint_union([circulant(12, (1, 2, 3, 4, 6))] * 2)
+    for _ in range(3):
+        assert predict_spectrum(G, 3).residues == {0, 1, 2}
+    assert len(calls) == 2
+
+
 def test_budget_undecided_flows_through():
     s = predict_spectrum(petersen(), 4, TINY)
     assert s.residues == {1, 2, 3}
@@ -200,6 +217,12 @@ def test_null_set_flags():
     assert flags == {1: False, 2: True, 3: False, 4: True, 5: False, 6: True}
     flags = null_set(complete(6), 5)
     assert flags[5] is True
+
+
+def test_modulus_below_one_rejected():
+    for k in (0, -3):
+        with pytest.raises(KmagicError):
+            predict_spectrum(cycle(5), k)
 
 
 def test_irregular_graph_rejected():
