@@ -18,11 +18,9 @@ from .errors import (
 )
 from .factorization import (
     DoublingMap,
-    EulerCircuit,
     FactorDecomposition,
     check_factor,
     double_graph,
-    euler_circuit,
     extract_2h_factor,
     two_factorization,
 )
@@ -90,7 +88,6 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DoublingMap",
     "EdgeLabeling",
-    "EulerCircuit",
     "FAMILIES",
     "FactorDecomposition",
     "FactorError",
@@ -117,7 +114,6 @@ __all__ = [
     "degree_constrained_factor",
     "disjoint_union",
     "double_graph",
-    "euler_circuit",
     "exhaustive_factor_search",
     "extend_by_factor",
     "extract_2h_factor",

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .construct import construct
-from .errors import KmagicError
+from .errors import KmagicError, RegularityError
 from .factorization import FactorDecomposition, two_factorization
 from .factors import f_factor, mod3_factor
 from .graphs import FAMILIES, MultiGraph, generate, parse_graph, regularity, write_graph
@@ -171,13 +171,15 @@ def _cmd_factorize(args) -> int:
     if args.mode == "f-factor":
         if args.h is None:
             raise KmagicError("--h is required with --mode f-factor")
+        r = regularity(G)
+        if r is None:
+            raise RegularityError("f-factor mode needs a regular graph")
         factor = f_factor(G, args.h)
         if factor is None:
             print("no factor")
             return EXIT_NEGATIVE
-        r = regularity(G)
         rest = frozenset(range(G.m)) - factor
-        dec = FactorDecomposition((factor, rest), (args.h, (r or 0) - args.h))
+        dec = FactorDecomposition((factor, rest), (args.h, r - args.h))
         _emit(dec.to_json(), args.output)
         return EXIT_OK
     factor = mod3_factor(G)

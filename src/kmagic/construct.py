@@ -505,9 +505,7 @@ def _rule_even_regular(G, r, k, c, budget):
         if F is None:
             raise _Miss(f"no {rho}-factor for the extension")
         return _factor_extension(G, r, k, c, F, "odd-half-factor-extension", budget)
-    parts = two_factorization(G).parts
-    F = frozenset().union(*parts[:3])
-    return _factor_extension(G, r, k, c, F, "six-factor-extension", budget)
+    return _factor_extension(G, r, k, c, f_factor(G, 6), "six-factor-extension", budget)
 
 
 def _rule_mod3_factor(G, r, k, c, budget):
@@ -528,9 +526,7 @@ def _rule_mod3_factor(G, r, k, c, budget):
 
 def _rule_four_factor_extension(G, r, k, c, budget):
     """k = 3, r = 0 mod 6: recurse on a 4-factor, pad with ones."""
-    parts = two_factorization(G).parts
-    F = parts[0] | parts[1]
-    return _factor_extension(G, r, k, c, F, "four-factor-extension", budget)
+    return _factor_extension(G, r, k, c, f_factor(G, 4), "four-factor-extension", budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
-"""Doubling, Euler circuits, and factor extraction for regular multigraphs.
+"""Doubling, 2-factorization and factor extraction for regular multigraphs.
 
-The central construction: every 2r-regular multigraph splits into r
-edge-disjoint 2-factors.  Orient each component along an Euler circuit,
-so every vertex gets out-degree r; the out/in incidence graph is then an
-r-regular bipartite graph, which decomposes into r perfect matchings by
-repeated augmenting-path search.  Each matching pulls back to a spanning
-2-regular subgraph.
+The central construction (Petersen, 1891): every 2r-regular multigraph
+splits into r edge-disjoint 2-factors.  Walk the graph along unused
+edges and orient each edge the way the walk crosses it; in an even
+graph every walk closes, so every vertex gets out-degree r.  The out/in
+incidence graph is then an r-regular bipartite graph, which decomposes
+into r perfect matchings by repeated augmenting-path search.  Each
+matching pulls back to a spanning 2-regular subgraph.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import FactorError, GraphError, RegularityError
-from .graphs import ORIGINAL, EdgeRecord, MultiGraph, components, regularity
+from .errors import FactorError, RegularityError
+from .graphs import EdgeRecord, MultiGraph, regularity
 
 
 @dataclass(frozen=True)
@@ -38,69 +39,9 @@ def double_graph(G: MultiGraph) -> DoublingMap:
 
 def _double(G: MultiGraph) -> DoublingMap:
     m = G.m
-    records = [EdgeRecord(e.id, e.u, e.v, origin=ORIGINAL) for e in G.edges]
-    records += [EdgeRecord(m + e.id, e.u, e.v, origin=e.id) for e in G.edges]
-    doubled = MultiGraph(G.n, tuple(records))
+    copies = tuple(EdgeRecord(m + e.id, e.u, e.v) for e in G.edges)
+    doubled = MultiGraph(G.n, G.edges + copies)
     return DoublingMap(G, doubled, tuple((i, m + i) for i in range(m)))
-
-
-@dataclass(frozen=True)
-class EulerCircuit:
-    """A closed trail using every edge once: arcs of (edge id, tail, head)."""
-
-    start: int
-    arcs: tuple[tuple[int, int, int], ...]
-
-
-def euler_circuit(G: MultiGraph, component: Iterable[int] | None = None) -> EulerCircuit:
-    """Euler circuit of one connected component (or of a connected G).
-
-    Starts at the smallest vertex and always leaves along the unused edge
-    with the smallest id, so the result is deterministic.  Raises
-    RegularityError on an odd-degree vertex and GraphError if the edges
-    of the component do not form a single closed trail.
-    """
-    comp = sorted(component) if component is not None else list(range(G.n))
-    comp_set = set(comp)
-    edge_ids = [e.id for e in G.edges if e.u in comp_set]
-    for e in (G.edges[i] for i in edge_ids):
-        if e.v not in comp_set:
-            raise GraphError("component is not closed under incidence")
-    for v in comp:
-        if G.degrees[v] % 2 != 0:
-            raise RegularityError(f"vertex {v} has odd degree {G.degrees[v]}")
-    if not edge_ids:
-        return EulerCircuit(comp[0] if comp else 0, ())
-
-    used = [False] * G.m
-    ptr = {v: 0 for v in comp}
-    start = comp[0]
-    stack: list[tuple[int, int | None]] = [(start, None)]
-    path: list[tuple[int, int]] = []
-    while stack:
-        u, via = stack[-1]
-        inc = G.incident[u]
-        i = ptr[u]
-        while i < len(inc) and used[inc[i]]:
-            i += 1
-        ptr[u] = i
-        if i == len(inc):
-            stack.pop()
-            if via is not None:
-                path.append((via, u))
-        else:
-            eid = inc[i]
-            used[eid] = True
-            a, b = G.endpoints(eid)
-            stack.append((b if a == u else a, eid))
-    if len(path) != len(edge_ids):
-        raise GraphError("component edges do not form one closed trail")
-    arcs = []
-    tail = start
-    for eid, head in reversed(path):
-        arcs.append((eid, tail, head))
-        tail = head
-    return EulerCircuit(start, tuple(arcs))
 
 
 @dataclass(frozen=True)
@@ -150,49 +91,87 @@ def two_factorization(G: MultiGraph) -> FactorDecomposition:
 
 
 def _split_two_factors(G: MultiGraph, rho: int) -> FactorDecomposition:
-    parts: list[set[int]] = [set() for _ in range(rho)]
-    for comp in components(G):
-        circuit = euler_circuit(G, comp)
-        out_adj: dict[int, list[tuple[int, int]]] = {v: [] for v in comp}
-        for eid, tail, head in circuit.arcs:
-            out_adj[tail].append((head, eid))
-        for v in out_adj:
-            out_adj[v].sort(key=lambda t: t[1])
-        remaining = {eid for eid, _, _ in circuit.arcs}
-        order = sorted(comp)
-        for i in range(rho):
-            matched = _bipartite_round(order, out_adj, remaining)
-            parts[i].update(matched)
-            remaining -= matched
-    return FactorDecomposition(
-        tuple(frozenset(p) for p in parts), tuple(2 for _ in parts)
-    )
+    out_arcs = _orient(G)
+    alive = bytearray([1]) * G.m
+    parts = []
+    for _ in range(rho):
+        matched = _bipartite_round(out_arcs, alive)
+        for eid in matched:
+            alive[eid] = 0
+        parts.append(frozenset(matched))
+    return FactorDecomposition(tuple(parts), tuple(2 for _ in parts))
 
 
-def _bipartite_round(
-    order: Sequence[int],
-    out_adj: dict[int, list[tuple[int, int]]],
-    remaining: set[int],
-) -> set[int]:
-    """One perfect matching of the out/in incidence graph, as edge ids."""
-    match_left: dict[int, int] = {}  # tail -> edge id
-    match_right: dict[int, tuple[int, int]] = {}  # head -> (tail, edge id)
+def _orient(G: MultiGraph) -> list[list[tuple[int, int]]]:
+    """Per tail vertex, its out-arcs (head, edge id) in edge-id order.
 
-    def reach(u: int, visited: set[int]) -> bool:
-        for head, eid in out_adj[u]:
-            if eid not in remaining or head in visited:
+    From each vertex in turn, walk along unused edges, smallest id first,
+    backing up when stuck; an edge points the way the walk first crossed
+    it.  In an even graph a walk gets stuck only where it started, so
+    every vertex is left by half of its edges.
+    """
+    used = bytearray(G.m)
+    nxt = [0] * G.n
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
+    for start in range(G.n):
+        stack = [start]
+        while stack:
+            u = stack[-1]
+            adj = G.adjacency[u]
+            i = nxt[u]
+            while i < len(adj) and used[adj[i][1]]:
+                i += 1
+            nxt[u] = i
+            if i == len(adj):
+                stack.pop()
                 continue
-            visited.add(head)
-            if head not in match_right or reach(match_right[head][0], visited):
-                match_right[head] = (u, eid)
-                match_left[u] = eid
-                return True
-        return False
+            head, eid = adj[i]
+            used[eid] = 1
+            out_arcs[u].append((head, eid))
+            stack.append(head)
+    for arcs in out_arcs:
+        arcs.sort(key=lambda arc: arc[1])
+    return out_arcs
 
-    for u in order:
-        if not reach(u, set()):
+
+def _bipartite_round(out_arcs: list[list[tuple[int, int]]], alive: bytearray) -> list[int]:
+    """One perfect matching of the out/in incidence graph over alive edges.
+
+    Tails are matched in vertex order by augmenting paths; at each tail
+    the arcs are tried by edge id and the first head not yet visited is
+    followed before later ones.  The path lives on an explicit stack,
+    tails[j] having last tried its arc pos[j] - 1, so its length is not
+    bounded by the interpreter's recursion limit.
+    """
+    n = len(out_arcs)
+    tail_of = [-1] * n  # head -> tail matched into it
+    arc_of = [-1] * n  # head -> edge id of that match
+    visited = [-1] * n  # head -> last root whose search reached it
+    for root in range(n):
+        tails, pos = [root], [0]
+        while tails:
+            arcs = out_arcs[tails[-1]]
+            i = pos[-1]
+            while i < len(arcs) and (visited[arcs[i][0]] == root or not alive[arcs[i][1]]):
+                i += 1
+            pos[-1] = i + 1
+            if i == len(arcs):
+                tails.pop()
+                pos.pop()
+                continue
+            head = arcs[i][0]
+            visited[head] = root
+            if tail_of[head] < 0:
+                break
+            tails.append(tail_of[head])
+            pos.append(0)
+        else:
             raise FactorError("out/in incidence graph lost regularity")
-    return set(match_left.values())
+        for u, p in zip(tails, pos):
+            head, eid = out_arcs[u][p - 1]
+            tail_of[head] = u
+            arc_of[head] = eid
+    return arc_of
 
 
 def extract_2h_factor(G: MultiGraph, h: int) -> FactorDecomposition:
@@ -207,11 +186,6 @@ def extract_2h_factor(G: MultiGraph, h: int) -> FactorDecomposition:
     rho = r // 2
     if not 1 <= h <= rho:
         raise FactorError(f"h must lie in 1..{rho}, got {h}")
-    two_factors = two_factorization(G)
-    first: set[int] = set()
-    for p in two_factors.parts[:h]:
-        first |= p
-    rest = frozenset(range(G.m)) - frozenset(first)
-    return FactorDecomposition(
-        (frozenset(first), frozenset(rest)), (2 * h, r - 2 * h)
-    )
+    first = frozenset().union(*two_factorization(G).parts[:h])
+    rest = frozenset(range(G.m)) - first
+    return FactorDecomposition((first, rest), (2 * h, r - 2 * h))

@@ -8,8 +8,9 @@ graphs no larger than G:
   on G itself, parallel edges collapsed to their lowest id;
 - for even r, Petersen's 2-factor theorem splits G into r/2 two-factors
   (``two_factorization``): an h-factor for even h is the union of h/2
-  of them, one for odd h takes (h-1)/2 of them plus a perfect matching
-  of the remaining edges;
+  of them, one for odd h < r/2 takes (h-1)/2 of them plus a perfect
+  matching of the remaining edges, and one for odd h > r/2 is the
+  complement of an (r-h)-factor;
 - for odd r, a perfect matching M of G leaves the even-regular G - M:
   an h-factor is h//2 two-factors of G - M, plus M when h is odd.
 
@@ -82,6 +83,12 @@ def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
     if r is None or h < 2 or (h * G.n) % 2 != 0:
         return degree_constrained_factor(G, targets)
     if r % 2 == 0:
+        if h % 2 and 2 * h > r:
+            # F is an h-factor exactly when E - F is an (r - h)-factor; the
+            # remainder after (h - 1)/2 two-factors is often too thin to hold
+            # a perfect matching, so the thick side is found as a complement
+            thin = f_factor(G, r - h)
+            return None if thin is None else frozenset(range(G.m)) - thin
         first, rest = extract_2h_factor(G, h // 2).parts
         if h % 2 == 0:
             return first

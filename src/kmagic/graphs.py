@@ -16,24 +16,16 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GraphError, RegularityError
 
-ORIGINAL = "original"
-
 T = TypeVar("T")
 
 
 @dataclass(frozen=True)
 class EdgeRecord:
-    """One edge: id, endpoints u < v is not required, optional origin.
-
-    For edges of a doubled graph, origin is the id of the source edge the
-    record duplicates, or the marker string "original" for the kept copy.
-    For subgraphs it is the id of the parent edge.
-    """
+    """One edge: its id and its endpoints (u < v is not required)."""
 
     id: int
     u: int
     v: int
-    origin: int | str | None = None
 
 
 @dataclass(frozen=True)
@@ -106,15 +98,15 @@ def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
 def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, dict[int, int]]:
     """Spanning subgraph on the given edge ids.
 
-    Returns the subgraph (same vertex set, edges reindexed from 0 with
-    origin pointing at the parent id) and the map new id -> parent id.
+    Returns the subgraph (same vertex set, edges reindexed from 0) and
+    the map new id -> parent id.
     """
     ids = sorted(set(edge_ids))
     records = []
     id_map = {}
     for new_id, old_id in enumerate(ids):
         e = G.edges[old_id]
-        records.append(EdgeRecord(new_id, e.u, e.v, origin=old_id))
+        records.append(EdgeRecord(new_id, e.u, e.v))
         id_map[new_id] = old_id
     return MultiGraph(G.n, tuple(records)), id_map
 

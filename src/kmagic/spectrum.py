@@ -151,8 +151,7 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
 
 def _component_graphs(G: MultiGraph) -> list[MultiGraph]:
     """The connected components as graphs of their own, built once per
-    graph so that their factors are found once too; edge origins point
-    at the edge ids of G."""
+    graph so that their factors are found once too."""
     comps = components(G)
     if len(comps) <= 1:
         return [G]
@@ -164,7 +163,7 @@ def _component_graph(G: MultiGraph, comp: frozenset[int]) -> MultiGraph:
     edges = [e for e in G.edges if e.u in comp]
     return MultiGraph(
         len(vmap),
-        tuple(EdgeRecord(i, vmap[e.u], vmap[e.v], origin=e.id) for i, e in enumerate(edges)),
+        tuple(EdgeRecord(i, vmap[e.u], vmap[e.v]) for i, e in enumerate(edges)),
     )
 
 

@@ -151,6 +151,13 @@ def test_factorize_modes(tmp_path, k5_file, pete_file, capsys):
     assert code == 1
     assert "no factor" in out
     assert run(capsys, "factorize", k5_file, "--mode", "f-factor")[0] == 2
+    # the path 0-1-2-3 has a 1-factor, but the rest has no single degree
+    path = tmp_path / "path.txt"
+    path.write_text("p 4 3\n0 1\n1 2\n2 3\n", encoding="ascii")
+    code, out, err = run(capsys, "factorize", str(path), "--mode", "f-factor", "--h", "1")
+    assert code == 2
+    assert out == ""
+    assert "regular" in err
     code, out, _ = run(capsys, "factorize", pete_file, "--mode", "mod3")
     assert code == 0
     assert json.loads(out)["degrees_mod_3"] == 1

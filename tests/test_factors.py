@@ -24,6 +24,7 @@ from kmagic import (
     mod3_factor,
     petersen,
     prism,
+    random_regular,
     regularity,
     two_factorization,
 )
@@ -48,7 +49,7 @@ def doubled(G: MultiGraph) -> MultiGraph:
 # Every route against the oracle, on graphs of at most 20 edges: the
 # shared corpus plus odd r without a 1-factor, even r with odd h on
 # parallel edges, and an even r whose 2-factor remainder has no perfect
-# matching.
+# matching, so that its 3-factor must come as a complement.
 ROUTE_BUILDERS = {
     **{
         name: CORPUS_BUILDERS[name]
@@ -65,9 +66,8 @@ ROUTE_CASES = [
     if make().m <= 20
 ]
 # (h, graph) where the direct route finds nothing and the gadget decides:
-# bridged10 has no perfect matching to start from; the octahedron's
-# second 2-factor is two triangles, so no 3-factor contains the first.
-GADGET_DECIDES = {(2, "bridged10"), (3, "bridged10"), (3, "octahedron")}
+# bridged10 has no perfect matching to start from.
+GADGET_DECIDES = {(2, "bridged10"), (3, "bridged10")}
 
 
 def factor_degrees(G, edge_ids):
@@ -140,6 +140,19 @@ def test_matching_route_agrees_with_exhaustive(name, h, monkeypatch):
     if got is not None:
         check_factor(G, got, h)
     assert bool(gadget_calls) == ((h, name) in GADGET_DECIDES)
+
+
+def test_odd_factor_above_half_degree_is_a_complement(monkeypatch):
+    # at r = 4 a 3-factor is the complement of a perfect matching; the
+    # lone 2-factor left beside the first one often has an odd cycle
+    gadget_calls = []
+    monkeypatch.setattr(factors, "_gadget_factor", lambda *a: gadget_calls.append(a))
+    for seed in range(20):
+        G = random_regular(40, 4, seed=seed)
+        F = f_factor(G, 3)
+        assert F is not None
+        check_factor(G, F, 3)
+    assert gadget_calls == []
 
 
 def test_exhaustive_budget_cap():

@@ -105,7 +105,6 @@ def test_subgraph_reindexes_and_maps_back():
     assert H.m == 3
     assert sorted(idmap.values()) == [1, 3, 5]
     for new_id, old_id in idmap.items():
-        assert H.edges[new_id].origin == old_id
         assert {H.edges[new_id].u, H.edges[new_id].v} == {
             G.edges[old_id].u,
             G.edges[old_id].v,
