@@ -41,7 +41,6 @@ from .graphs import (
     cycle,
     disjoint_union,
     generate,
-    is_connected,
     parse_graph,
     petersen,
     prism,
@@ -121,7 +120,6 @@ __all__ = [
     "fold",
     "generate",
     "is_completely_k_magic",
-    "is_connected",
     "labeling_from_json",
     "labeling_to_json",
     "mod3_factor",

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .construct import construct
-from .errors import KmagicError, RegularityError
+from .errors import BudgetError, KmagicError, RegularityError
 from .factorization import FactorDecomposition, two_factorization
 from .factors import f_factor, mod3_factor
 from .graphs import FAMILIES, MultiGraph, generate, parse_graph, regularity, write_graph
@@ -182,7 +182,11 @@ def _cmd_factorize(args) -> int:
         dec = FactorDecomposition((factor, rest), (args.h, r - args.h))
         _emit(dec.to_json(), args.output)
         return EXIT_OK
-    factor = mod3_factor(G)
+    try:
+        factor = mod3_factor(G, _budget())
+    except BudgetError:
+        print("undecided")
+        return EXIT_UNDECIDED
     if factor is None:
         print("no factor")
         return EXIT_NEGATIVE

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import FactorError, KmagicError, LabelingError, RegularityError
+from .errors import BudgetError, FactorError, KmagicError, LabelingError, RegularityError
 from .factorization import double_graph, two_factorization
 from .factors import f_factor, mod3_factor
 from .graphs import MultiGraph, regularity, subgraph, two_regular_profile
@@ -511,7 +511,10 @@ def _rule_even_regular(G, r, k, c, budget):
 def _rule_mod3_factor(G, r, k, c, budget):
     """k = 3, r = 3 mod 6: factor with degrees 1 mod 3 labeled 2 against
     ones gives the 1-sum; its complement the 2-sum."""
-    H = mod3_factor(G)
+    try:
+        H = mod3_factor(G, budget)
+    except BudgetError as exc:
+        raise _Miss(f"mod-3 factor undecided: {exc}") from None
     if H is None:
         raise _Miss("no mod-3 factor")
     cn = c % 3

@@ -58,14 +58,6 @@ class FactorDecomposition:
         }
         return json.dumps(payload, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "FactorDecomposition":
-        payload = json.loads(text)
-        return cls(
-            tuple(frozenset(p) for p in payload["parts"]),
-            tuple(payload["degrees"]),
-        )
-
 
 def check_factor(G: MultiGraph, edge_ids: Iterable[int], h: int) -> None:
     """Raise FactorError unless edge_ids induce a spanning h-regular subgraph."""

@@ -3,9 +3,9 @@
 Regular factors come from the theorems that guarantee them, found on
 graphs no larger than G:
 
-- all-ones targets (a 1-factor, and the first profile of a mod-3
-  factor) ask for a perfect matching, found exactly by maximum matching
-  on G itself, parallel edges collapsed to their lowest id;
+- all-ones targets (a 1-factor) ask for a perfect matching, found
+  exactly by maximum matching on G itself, parallel edges collapsed to
+  their lowest id;
 - for even r, Petersen's 2-factor theorem splits G into r/2 two-factors
   (``two_factorization``): an h-factor for even h is the union of h/2
   of them, one for odd h < r/2 takes (h-1)/2 of them plus a perfect
@@ -14,19 +14,23 @@ graphs no larger than G:
 - for odd r, a perfect matching M of G leaves the even-regular G - M:
   an h-factor is h//2 two-factors of G - M, plus M when h is odd.
 
-Where a route finds nothing (odd r without a 1-factor, or a remainder
-without a perfect matching) the gadget reduction decides, as it does
-for every other degree profile: replace each vertex v by deg(v)
-edge-end nodes plus deg(v) - f(v) core nodes joined completely to the
-ends; each original edge becomes one external edge between its two end
-nodes.  A perfect matching of the gadget must match every core to an
-end, leaving exactly f(v) ends per vertex matched through external
-edges, so external matched edges form an f-factor and conversely.  The
-gadget is about five times larger than G.  General-graph maximum
-matching is delegated to networkx.  An exhaustive subset search, which
-shares no code with either, is the small-instance oracle.
+The gadget reduction decides only what these routes leave: targets
+that are not one degree everywhere, and a route that finds nothing
+(odd r without a 1-factor, or a remainder without a perfect matching).
+It replaces each vertex v by deg(v) edge-end nodes plus deg(v) - f(v)
+core nodes joined completely to the ends; each original edge becomes
+one external edge between its two end nodes.  A perfect matching of
+the gadget must match every core to an end, leaving exactly f(v) ends
+per vertex matched through external edges, so external matched edges
+form an f-factor and conversely.  The gadget is about five times larger
+than G.  General-graph maximum matching is delegated to networkx.
 
-The perfect matching of G, each h-factor and the mod-3 factor are
+A mod-3 factor is a perfect matching when G has one; otherwise it is
+the set of label-2 edges of a 1-sum 3-magic labeling, which the
+budgeted label search decides.  An exhaustive subset search, which
+shares no code with any of these routes, is the small-instance oracle.
+
+The perfect matching of G, each h-factor and a decided mod-3 factor are
 computed once per graph (``MultiGraph.memo``); the exhaustive oracle
 never reads that memo.
 """
@@ -40,6 +44,7 @@ import networkx as nx
 from .errors import BudgetError, FactorError, RegularityError
 from .factorization import extract_2h_factor
 from .graphs import MultiGraph, regularity, subgraph
+from .solver import SolverBudget, search_labeling
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
@@ -196,50 +201,31 @@ def exhaustive_factor_search(
     return frozenset(chosen) if dfs(0) else None
 
 
-def mod3_factor(G: MultiGraph) -> frozenset[int] | None:
+def mod3_factor(G: MultiGraph, budget: SolverBudget | None = None) -> frozenset[int] | None:
     """Spanning subgraph with every degree congruent to 1 mod 3, or None.
 
-    Requires an r-regular G with r odd and divisible by 3.  Degree
-    profiles over {1, 4, ..., r} are tried in increasing total degree,
-    ties broken lexicographically by vertex index; each profile is
-    decided by the f-factor machinery.  The first profile is all ones, a
-    perfect matching.  The answer is computed once per graph.
+    Requires an r-regular G with r odd and divisible by 3.  A perfect
+    matching is one, and for r = 3 the only kind.  Otherwise label a
+    factor F with 2 and every other edge with 1: vertex v sums to
+    r + deg_F(v), which is deg_F(v) mod 3, so the mod-3 factors are
+    exactly the label-2 edges of the 1-sum 3-magic labelings, and the
+    label search decides under budget.  Raises BudgetError when that
+    search is capped (the problem is NP-complete in general).  A decided
+    answer is computed once per graph.
     """
     r = regularity(G)
     if r is None or r % 3 != 0 or r % 2 == 0:
         raise RegularityError(f"need r-regular with r odd and 3 | r, got r={r}")
-    return G.memo("mod3_factor", lambda: _mod3_profiles(G, r))
+    return G.memo("mod3_factor", lambda: _mod3_search(G, r, budget))
 
 
-def _mod3_profiles(G: MultiGraph, r: int) -> frozenset[int] | None:
-    allowed = tuple(range(1, r + 1, 3))
-    lo, hi = G.n * allowed[0], G.n * allowed[-1]
-    for total in range(lo, hi + 1):
-        if total % 2 != 0 or total % 3 != (G.n % 3):
-            continue
-        for profile in _profiles(allowed, G.n, total):
-            factor = degree_constrained_factor(G, profile)
-            if factor is not None:
-                return factor
-    return None
-
-
-def _profiles(allowed: tuple[int, ...], n: int, total: int):
-    """Yield degree profiles with the given sum, lexicographically."""
-    mn, mx = allowed[0], allowed[-1]
-    prefix: list[int] = []
-
-    def rec(i: int, left: int):
-        if i == n:
-            if left == 0:
-                yield tuple(prefix)
-            return
-        tail = n - i - 1
-        for a in allowed:
-            rest = left - a
-            if mn * tail <= rest <= mx * tail:
-                prefix.append(a)
-                yield from rec(i + 1, rest)
-                prefix.pop()
-
-    yield from rec(0, total)
+def _mod3_search(G: MultiGraph, r: int, budget: SolverBudget | None) -> frozenset[int] | None:
+    matching = _one_factor(G)
+    if matching is not None or r == 3:
+        return matching
+    res = search_labeling(G, 3, 1, budget)
+    if res.status == "undecided":
+        raise BudgetError(f"mod-3 factor search hit the node cap after {res.nodes} nodes")
+    if res.labeling is None:
+        return None
+    return frozenset(e for e, label in res.labeling.labels.items() if label == 2)

@@ -186,10 +186,6 @@ def components(G: MultiGraph) -> list[frozenset[int]]:
     return out
 
 
-def is_connected(G: MultiGraph) -> bool:
-    return len(components(G)) <= 1
-
-
 @dataclass(frozen=True)
 class TwoRegularProfile:
     """Cycle decomposition of a 2-regular graph.

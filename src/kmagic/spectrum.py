@@ -5,7 +5,9 @@ k-magic labeling.  brute_force_spectrum decides membership by budgeted
 backtracking; predict_spectrum applies the characterization of
 completely k-magic regular graphs, falling back to solver-backed
 predicates (zero-sum 4-magic status, mod-3 factor existence) where the
-characterization demands them.  Disconnected graphs are handled
+characterization demands them.  At k = 2 the only label is 1, so the
+spectrum is {r mod 2} in closed form and the oracle there is
+independent of the prediction.  Disconnected graphs are handled
 component by component and the spectra intersected, since a magic
 labeling restricts to every component.
 """
@@ -15,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import KmagicError, RegularityError
+from .errors import BudgetError, KmagicError, RegularityError
 from .factors import mod3_factor
 from .graphs import (
     EdgeRecord,
@@ -232,11 +234,18 @@ def _component_spectrum(
     if k == 3:
         if r % 3 != 0 or r % 6 == 0:
             return full, set(), [CONDITIONS[6]]
-        factor = mod3_factor(C)
+        try:
+            factor = mod3_factor(C, budget)
+        except BudgetError as exc:
+            return {0}, {1, 2}, [f"k = 3, r % 6 == 3: mod-3 factor undecided ({exc})"]
+        # a mod-3 factor with n/2 edges is a perfect matching; for r > 3 any
+        # other answer came from the 1-sum label search the oracle also runs
+        searched = r > 3 and (factor is None or 2 * len(factor) > C.n)
+        shared = "; decided by the 1-sum 3-magic search the oracle also runs" if searched else ""
         if factor is not None:
-            return full, set(), [CONDITIONS[6] + "; mod-3 factor found"]
+            return full, set(), [CONDITIONS[6] + "; mod-3 factor found" + shared]
         return {0}, set(), [
-            "k = 3, r % 6 == 3, no mod-3 factor: only the zero sum survives"
+            "k = 3, r % 6 == 3, no mod-3 factor: only the zero sum survives" + shared
         ]
     raise RegularityError(f"no closed-form prediction for k={k}")
 
@@ -244,13 +253,16 @@ def _component_spectrum(
 def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) -> SpectrumSet:
     """Spectrum from the characterization, without exhaustive search.
 
-    k = 1 yields a symbolic set over the integers; k = 2 falls back to
-    the solver (no closed form is applied); k >= 3 uses the completeness
-    conditions plus the bordering exact spectra.
+    k = 1 yields a symbolic set over the integers; k = 2 the closed form
+    {r mod 2}, the all-ones labeling being the only one; k >= 3 uses the
+    completeness conditions plus the bordering exact spectra.
     """
     if k < 1:
         raise KmagicError(f"modulus must be >= 1, got {k}")
-    _require_regular(G)
+    r = _require_regular(G)
+    if k == 2:
+        why = f"k = 2: every label is 1, so every vertex sums to r = {r}, which is {r % 2} mod 2"
+        return SpectrumSet(2, residues=frozenset({r % 2}), provenance=(why,))
     comps = _component_graphs(G)
     if k == 1:
         tags = []
@@ -260,14 +272,6 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
             tags.append(tag)
             prov.append(why if len(comps) == 1 else f"component {i}: {why}")
         return SpectrumSet(1, symbolic=_intersect_symbolic(tags), provenance=tuple(prov))
-    if k == 2:
-        base = brute_force_spectrum(G, 2, budget)
-        return SpectrumSet(
-            2,
-            residues=base.residues,
-            provenance=("k = 2 has no closed-form prediction; solver result",),
-            undecided=base.undecided,
-        )
     residue_sets = []
     undecided_sets = []
     prov: list[str] = []
@@ -295,8 +299,6 @@ def is_completely_k_magic(
         raise RegularityError("completeness is asked for k >= 2")
     if G.n < 3:
         raise RegularityError("completeness is asked for order >= 3")
-    if k == 2:
-        return False, ("k = 2: the all-ones labeling is the only one, so at most one sum occurs",)
     spec = predict_spectrum(G, k, budget)
     if spec.is_complete():
         return True, spec.provenance

@@ -61,6 +61,36 @@ def bridged16() -> MultiGraph:
     return bridged_cubic_16()
 
 
+def hub10() -> MultiGraph:
+    """9-regular multigraph on 10 vertices without a perfect matching:
+    a hub joined by 3 parallel edges to one vertex of each of three
+    triangles whose sides have multiplicities 3, 3 and 6.  Removing the
+    hub leaves three odd components, yet a factor with degrees in
+    {1, 4} exists."""
+    pairs: list[tuple[int, int]] = []
+    for a in (1, 4, 7):
+        b, c = a + 1, a + 2
+        pairs += [(0, a)] * 3 + [(a, b)] * 3 + [(a, c)] * 3 + [(b, c)] * 6
+    return build_graph(10, pairs)
+
+
+def hub100() -> MultiGraph:
+    """9-regular graph on 100 vertices without a perfect matching: a
+    centre joined to a0 of each of nine copies of K11 on a0..a10 minus
+    the edges a0a1, a0a2, a3a4, a5a6, a7a8 and a9a10."""
+    missing = {(0, 1), (0, 2), (3, 4), (5, 6), (7, 8), (9, 10)}
+    pairs: list[tuple[int, int]] = []
+    for base in range(1, 100, 11):
+        pairs.append((0, base))
+        pairs += [
+            (base + i, base + j)
+            for i in range(11)
+            for j in range(i + 1, 11)
+            if (i, j) not in missing
+        ]
+    return build_graph(100, pairs)
+
+
 @pytest.fixture(scope="session")
 def compiled_kernel(tmp_path_factory):
     """The compiled search kernel: the packaged kmagic._backtrack when it

@@ -6,6 +6,7 @@ import pytest
 
 from kmagic import cycle, parse_graph, petersen, write_graph
 from kmagic.cli import main
+from conftest import hub10
 
 
 @pytest.fixture()
@@ -138,9 +139,10 @@ def test_spectrum_methods_agree_and_are_stable(k5_file, capsys):
     assert both["oracle"] == both["predict"] == [0, 2, 4]
 
 
-def test_factorize_modes(tmp_path, k5_file, pete_file, capsys):
+def test_factorize_modes(tmp_path, k5_file, pete_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "factorize", k5_file, "--mode", "two-factors")
     assert code == 0
+    assert out.endswith("\n")
     payload = json.loads(out)
     assert payload["degrees"] == [2, 2]
     assert sorted(sum(payload["parts"], [])) == list(range(10))
@@ -163,6 +165,20 @@ def test_factorize_modes(tmp_path, k5_file, pete_file, capsys):
     assert json.loads(out)["degrees_mod_3"] == 1
     # mod3 on even degree is a domain error
     assert run(capsys, "factorize", k5_file, "--mode", "mod3")[0] == 2
+    # without a perfect matching the label search decides under the budget
+    G = hub10()
+    hub = tmp_path / "hub10.txt"
+    hub.write_text(write_graph(G), encoding="ascii")
+    monkeypatch.setenv("MAGIC_SOLVER_BUDGET", "10")
+    assert run(capsys, "factorize", str(hub), "--mode", "mod3") == (3, "undecided\n", "")
+    monkeypatch.delenv("MAGIC_SOLVER_BUDGET")
+    code, out, _ = run(capsys, "factorize", str(hub), "--mode", "mod3")
+    assert code == 0
+    degrees = [0] * G.n
+    for eid in json.loads(out)["edges"]:
+        for v in G.endpoints(eid):
+            degrees[v] += 1
+    assert all(d % 3 == 1 for d in degrees)
 
 
 def test_null_set_output(k5_file, capsys):

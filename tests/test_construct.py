@@ -18,6 +18,7 @@ from kmagic import (
     verify,
     zero_sum_five_regular,
 )
+from conftest import hub10
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -156,6 +157,21 @@ def test_guard_rails():
     path = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(RegularityError):
         construct(path, 5, 0)
+
+
+def test_undecided_mod3_factor_falls_through():
+    # each hub10 decides under the cap on its own (427,422 nodes), so the
+    # prediction holds 1 and 2; the union's own search needs twice that,
+    # and the mod-3 rule falls through to the next rule instead of failing
+    G = disjoint_union([hub10(), hub10()])
+    budget = SolverBudget(node_cap=5 * 10**5)
+    for c in (1, 2):
+        res = construct(G, 3, c, budget)
+        assert res.status == "found"
+        assert verify(G, res.labeling) == c
+        fall = [s.params for s in res.trace.steps if s.rule == "fallthrough"]
+        assert fall[0]["rule"] == "mod3-factor"
+        assert "undecided" in fall[0]["reason"]
 
 
 def test_fallthrough_steps_record_misses():

@@ -7,7 +7,6 @@ degree contract, independently of how it was found.
 import pytest
 
 from kmagic import (
-    FactorDecomposition,
     FactorError,
     RegularityError,
     check_factor,
@@ -106,10 +105,3 @@ def test_check_factor_rejects_wrong_degree():
     with pytest.raises(FactorError):
         check_factor(G, [0, 1], 1)
     check_factor(G, [0, 2], 1)
-
-
-def test_factor_decomposition_json_roundtrip():
-    dec = two_factorization(complete(5))
-    again = FactorDecomposition.from_json(dec.to_json())
-    assert again == dec
-    assert dec.to_json().endswith("\n")

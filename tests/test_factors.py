@@ -13,23 +13,27 @@ from kmagic import (
     FactorError,
     MultiGraph,
     RegularityError,
+    SolverBudget,
     build_graph,
     check_factor,
     circulant,
     complete,
+    construct,
     cycle,
     degree_constrained_factor,
     exhaustive_factor_search,
     f_factor,
     mod3_factor,
     petersen,
+    predict_spectrum,
     prism,
     random_regular,
     regularity,
     two_factorization,
+    verify,
 )
-from kmagic import factors
-from conftest import CORPUS_BUILDERS
+from kmagic import factors, solver
+from conftest import CORPUS_BUILDERS, bridged_cubic_16, hub10, hub100
 
 
 def bridged_cubic_10() -> MultiGraph:
@@ -161,12 +165,20 @@ def test_exhaustive_budget_cap():
         exhaustive_factor_search(G, [1] * 7)
 
 
-def test_mod3_factor_on_cubic_graphs(bridged16):
+def test_mod3_factor_on_cubic_graphs(monkeypatch):
     # cubic: the only admissible degree is 1, so this is perfect matching
     F = mod3_factor(petersen())
     assert F is not None
     assert factor_degrees(petersen(), F) == [1] * 10
+    kernel_calls = []
+    search = solver._kernel.search
+    monkeypatch.setattr(
+        solver._kernel, "search", lambda *a: kernel_calls.append(a) or search(*a)
+    )
+    # at r = 3 a missing perfect matching settles it, with no label search
+    bridged16 = bridged_cubic_16()
     assert mod3_factor(bridged16) is None
+    assert kernel_calls == []
     assert f_factor(bridged16, 1) is None
     G = bridged_cubic_10()
     assert mod3_factor(G) is None
@@ -195,12 +207,36 @@ def test_mod3_factor_nine_regular():
     assert set(degs) <= {1, 4, 7}
 
 
-def test_profile_enumeration_order():
-    from kmagic.factors import _profiles
+def test_mod3_factor_without_a_perfect_matching(monkeypatch):
+    # hub10 has no 1-factor but a factor with degrees in {1, 4}; the label
+    # search finds it without the gadget
+    def no_gadget(*a):
+        raise AssertionError("mod-3 factors never need the gadget")
 
-    got = list(_profiles((1, 4), 3, 6))
-    assert got == [(1, 1, 4), (1, 4, 1), (4, 1, 1)]
-    assert list(_profiles((1, 4), 2, 3)) == []
+    monkeypatch.setattr(factors, "_gadget_factor", no_gadget)
+    G = hub10()
+    assert f_factor(G, 1) is None
+    F = mod3_factor(G)
+    assert F is not None
+    assert all(d % 3 == 1 for d in factor_degrees(G, F))
+    for c in (1, 2):
+        res = construct(G, 3, c)
+        assert res.status == "found"
+        assert verify(G, res.labeling) == c
+    # prediction and oracle shared that search, and the provenance says so
+    assert "oracle also runs" in predict_spectrum(G, 3).provenance[0]
+    assert "oracle" not in predict_spectrum(petersen(), 3).provenance[0]
+
+
+def test_mod3_factor_undecided_under_the_budget():
+    G = hub100()
+    assert f_factor(G, 1) is None
+    budget = SolverBudget(node_cap=10**4)
+    with pytest.raises(BudgetError):
+        mod3_factor(G, budget)
+    spec = predict_spectrum(G, 3, budget)
+    assert spec.residues == {0}
+    assert spec.undecided == {1, 2}
 
 
 def test_factors_are_computed_once_per_graph(monkeypatch):

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from kmagic import factors
+from kmagic import factors, solver
 from kmagic import (
     KmagicError,
     SolverBudget,
@@ -154,13 +154,21 @@ def test_modulus_3_rules(bridged16):
     assert predict_spectrum(G, 3).is_complete()
 
 
-def test_modulus_2_by_solver():
-    # the only legal label is 1, so the spectrum is the degree parity
+def test_modulus_2_by_solver(monkeypatch):
+    # the only legal label is 1, so the spectrum is the degree parity;
+    # the prediction says so in closed form, without the kernel
+    kernel_calls = []
+    search = solver._kernel.search
+    monkeypatch.setattr(
+        solver._kernel, "search", lambda *a: kernel_calls.append(a) or search(*a)
+    )
     assert predict_spectrum(complete(4), 2).residues == {1}
     assert predict_spectrum(complete(5), 2).residues == {0}
-    assert brute_force_spectrum(cycle(5), 2).residues == {0}
     ok, why = is_completely_k_magic(cycle(4), 2)
     assert ok is False
+    assert kernel_calls == []
+    assert brute_force_spectrum(cycle(5), 2).residues == {0}
+    assert brute_force_spectrum(complete(4), 2).residues == {1}
 
 
 def test_symbolic_integer_spectra():
