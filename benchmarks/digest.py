@@ -10,15 +10,20 @@ two SHA-256 digests over the answers in that order:
 
 A change that must leave every answer unchanged leaves the full digest
 unchanged; one that may change which labeling is found, but no
-existence answer, leaves the status digest unchanged.
+existence answer, leaves the status digest unchanged.  With
+--expect-status HEX the script exits with status 1 when the status
+digest differs from HEX.  The full digest is printed only: a different
+networkx may find different matchings, and with them other labelings.
 
-Usage: PYTHONPATH=src python3 benchmarks/digest.py
+Usage: PYTHONPATH=src python3 benchmarks/digest.py [--expect-status HEX]
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
+import sys
 import time
 
 from kmagic import (
@@ -115,6 +120,10 @@ def answers():
 
 
 def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--expect-status", metavar="HEX", help="fail unless the status digest is HEX")
+    args = ap.parse_args()
+
     full, status = hashlib.sha256(), hashlib.sha256()
     calls = 0
     t0 = time.perf_counter()
@@ -126,6 +135,9 @@ def main() -> None:
     print(f"calls   {calls}  ({elapsed:.2f} s)")
     print(f"full    {full.hexdigest()}")
     print(f"status  {status.hexdigest()}")
+    if args.expect_status is not None and status.hexdigest() != args.expect_status:
+        print(f"status digest differs from the expected {args.expect_status}", file=sys.stderr)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

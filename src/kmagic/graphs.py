@@ -186,6 +186,35 @@ def components(G: MultiGraph) -> list[frozenset[int]]:
     return out
 
 
+def component_graphs(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
+    """Each connected component as a graph of its own, with the map from
+    its edge ids to G's, ordered by smallest vertex.
+
+    Vertices and edges keep their relative order, so a breadth-first
+    walk of a component visits its edges in the order a walk of G does.
+    A connected G is returned as itself with no memo entry; the
+    components of any other graph are built once per graph, so that
+    their own memos (factors, say) are found once too.
+    """
+    built = G.__dict__.get("component_graphs")  # the entry G.memo keeps below
+    if built is not None:
+        return built
+    comps = components(G)
+    if len(comps) <= 1:
+        return [(G, range(G.m))]
+    return G.memo("component_graphs", lambda: [_component_graph(G, comp) for comp in comps])
+
+
+def _component_graph(G: MultiGraph, comp: frozenset[int]) -> tuple[MultiGraph, tuple[int, ...]]:
+    vmap = {v: i for i, v in enumerate(sorted(comp))}
+    edges = [e for e in G.edges if e.u in comp]
+    C = MultiGraph(
+        len(vmap),
+        tuple(EdgeRecord(i, vmap[e.u], vmap[e.v]) for i, e in enumerate(edges)),
+    )
+    return C, tuple(e.id for e in edges)
+
+
 @dataclass(frozen=True)
 class TwoRegularProfile:
     """Cycle decomposition of a 2-regular graph.

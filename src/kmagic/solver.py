@@ -5,7 +5,8 @@ Python twin.  The search fixes labels in breadth-first edge order and
 prunes as soon as a vertex with no unlabeled edges misses the target
 sum; small instances (label space at most the exhaustive threshold) run
 uncapped, larger ones run under a node cap and report undecided instead
-of guessing.
+of guessing.  Parity, isolated vertices and connected components settle
+part of each question before the kernel runs (see search_labeling).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from . import _backtrack_py
 from ._backtrack_py import SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
-from .graphs import MultiGraph
+from .graphs import MultiGraph, component_graphs
 from .labelings import EdgeLabeling
 
 _KERNELS: dict[str, object] = {"pure-python": _backtrack_py}
@@ -33,7 +34,11 @@ _kernel = _KERNELS[KERNEL]
 
 @dataclass(frozen=True)
 class SolverBudget:
-    """Search limits: uncapped below exhaustive_states, else node_cap."""
+    """Search limits: uncapped below exhaustive_states, else node_cap.
+
+    Both apply to each connected component on its own, so a
+    disconnected graph may take up to node_cap nodes per component.
+    """
 
     exhaustive_states: int = 10**7
     node_cap: int = 10**8
@@ -83,23 +88,64 @@ def search_labeling(
 
     Deterministic: the first labeling in the kernel's search order is
     returned.  Never wrong: status "undecided" is reported when the node
-    cap is hit.
+    cap is hit.  Three facts settle part of the search before the
+    kernel runs:
+
+    - the vertex sums add up to twice the label sum, so when k is even
+      and n*c is odd the answer is "absent" at 0 nodes;
+    - an isolated vertex sums to 0, so it rules out every c != 0;
+    - a labeling of G is one labeling per connected component, so a
+      disconnected G is searched one component at a time, in order of
+      smallest vertex, each under its own budget, stopping at the first
+      absent one.  Node counts add up.  A found labeling is the one the
+      whole-graph search returns, since the breadth-first order of G
+      finishes each component before it starts the next.
     """
     if k < 2:
         raise KmagicError("label search needs k >= 2")
     c %= k
-    if any(d == 0 for d in G.degrees):
-        # an isolated vertex pins every magic sum to 0
+    impl = kernel if kernel is not None else _kernel
+    budget = budget or DEFAULT_BUDGET
+    settled = _settled(G, k, c)
+    if settled is not None:
+        return settled
+    parts = component_graphs(G)
+    if len(parts) == 1:
+        return _kernel_search(G, k, c, budget, impl)
+    labels: dict[int, int] = {}
+    nodes = 0
+    undecided = False
+    for C, edge_ids in parts:
+        res = _settled(C, k, c) or _kernel_search(C, k, c, budget, impl)
+        nodes += res.nodes
+        if res.status == "absent":
+            return SearchResult("absent", None, nodes)
+        if res.status == "undecided":
+            undecided = True  # a later component may still be absent
+        else:
+            labels.update((edge_ids[e], label) for e, label in res.labeling.labels.items())
+    if undecided:
+        return SearchResult("undecided", None, nodes)
+    return SearchResult("found", EdgeLabeling(k, labels), nodes)
+
+
+def _settled(G: MultiGraph, k: int, c: int) -> SearchResult | None:
+    """The answer at 0 nodes, where counting alone gives it."""
+    if k % 2 == 0 and G.n * c % 2 == 1:
+        return SearchResult("absent", None, 0)
+    if 0 in G.degrees:
         if c != 0:
             return SearchResult("absent", None, 0)
         if G.m == 0:
             return SearchResult("found", EdgeLabeling(k, {}), 0)
-    impl = kernel if kernel is not None else _kernel
+    return None
+
+
+def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
     order = assignment_order(G)
     us = [G.edges[eid].u for eid in order]
     vs = [G.edges[eid].v for eid in order]
-    cap = (budget or DEFAULT_BUDGET).cap_for(k, G.m)
-    status, labels, nodes = impl.search(G.n, k, c, us, vs, cap)
+    status, labels, nodes = impl.search(G.n, k, c, us, vs, budget.cap_for(k, G.m))
     if status == SAT:
         mapping = {order[i]: labels[i] for i in range(G.m)}
         return SearchResult("found", EdgeLabeling(k, mapping), nodes)

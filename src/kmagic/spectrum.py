@@ -2,10 +2,10 @@
 
 The sum spectrum of G mod k is the set of residues c admitting a c-sum
 k-magic labeling.  brute_force_spectrum decides membership by budgeted
-backtracking; predict_spectrum applies the characterization of
-completely k-magic regular graphs, falling back to solver-backed
-predicates (zero-sum 4-magic status, mod-3 factor existence) where the
-characterization demands them.  At k = 2 the only label is 1, so the
+backtracking, one search per unit orbit; predict_spectrum applies the
+characterization of completely k-magic regular graphs, falling back to
+solver-backed predicates (zero-sum 4-magic status, mod-3 factor
+existence) where the characterization demands them.  At k = 2 the only label is 1, so the
 spectrum is {r mod 2} in closed form and the oracle there is
 independent of the prediction.  Disconnected graphs are handled
 component by component and the spectra intersected, since a magic
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import gcd
 
 from .errors import BudgetError, KmagicError, RegularityError
 from .factors import mod3_factor
 from .graphs import (
-    EdgeRecord,
     MultiGraph,
-    components,
+    component_graphs,
     find_bridges,
     regularity,
     two_regular_profile,
@@ -103,27 +103,30 @@ def _require_regular(G: MultiGraph) -> int:
 
 
 def brute_force_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) -> SpectrumSet:
-    """Spectrum by exhaustive backtracking, target sums in increasing order.
+    """Spectrum by exhaustive backtracking, one search per unit orbit.
 
-    Residues whose search hits the node cap are reported undecided,
-    never guessed.
+    Multiplying every label by a unit u of Z_k turns a c-sum labeling
+    into a uc-sum one, so all c with the same gcd(c, k) are in or out
+    together.  Each class is searched at its smallest member first; the
+    next member is tried only while the searches come back undecided
+    (capped), and a class is reported undecided, never guessed, only
+    when every member is.
     """
     if k < 2:
         raise RegularityError("brute force needs k >= 2")
     _require_regular(G)
-    present = set()
-    undecided = set()
+    verdict: dict[int, bool] = {}  # gcd(c, k) -> whether that class is in the spectrum
     for c in range(k):
-        res = search_labeling(G, k, c, budget)
-        if res.status == "found":
-            present.add(c)
-        elif res.status == "undecided":
-            undecided.add(c)
+        d = gcd(c, k)
+        if d not in verdict:
+            res = search_labeling(G, k, c, budget)
+            if res.status != "undecided":
+                verdict[d] = res.status == "found"
     return SpectrumSet(
         k,
-        residues=frozenset(present),
+        residues=frozenset(c for c in range(k) if verdict.get(gcd(c, k))),
         provenance=("solver",),
-        undecided=frozenset(undecided),
+        undecided=frozenset(c for c in range(k) if gcd(c, k) not in verdict),
     )
 
 
@@ -149,24 +152,6 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
     if res.status == "absent":
         return False, "solver exhausted the search space"
     return None, "solver budget exceeded"
-
-
-def _component_graphs(G: MultiGraph) -> list[MultiGraph]:
-    """The connected components as graphs of their own, built once per
-    graph so that their factors are found once too."""
-    comps = components(G)
-    if len(comps) <= 1:
-        return [G]
-    return G.memo("component_graphs", lambda: [_component_graph(G, comp) for comp in comps])
-
-
-def _component_graph(G: MultiGraph, comp: frozenset[int]) -> MultiGraph:
-    vmap = {v: i for i, v in enumerate(sorted(comp))}
-    edges = [e for e in G.edges if e.u in comp]
-    return MultiGraph(
-        len(vmap),
-        tuple(EdgeRecord(i, vmap[e.u], vmap[e.v]) for i, e in enumerate(edges)),
-    )
 
 
 def _symbolic_for_component(C: MultiGraph) -> tuple[str, str]:
@@ -263,7 +248,7 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
     if k == 2:
         why = f"k = 2: every label is 1, so every vertex sums to r = {r}, which is {r % 2} mod 2"
         return SpectrumSet(2, residues=frozenset({r % 2}), provenance=(why,))
-    comps = _component_graphs(G)
+    comps = [C for C, _ in component_graphs(G)]
     if k == 1:
         tags = []
         prov = []

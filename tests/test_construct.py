@@ -159,19 +159,18 @@ def test_guard_rails():
         construct(path, 5, 0)
 
 
-def test_undecided_mod3_factor_falls_through():
-    # each hub10 decides under the cap on its own (427,422 nodes), so the
-    # prediction holds 1 and 2; the union's own search needs twice that,
-    # and the mod-3 rule falls through to the next rule instead of failing
+def test_mod3_factor_rule_decides_a_union_per_component():
+    # each hub10 decides under the cap on its own (427,422 nodes); the
+    # union's search takes its components one at a time, so the mod-3
+    # rule answers both nonzero sums without falling through
     G = disjoint_union([hub10(), hub10()])
     budget = SolverBudget(node_cap=5 * 10**5)
     for c in (1, 2):
         res = construct(G, 3, c, budget)
         assert res.status == "found"
         assert verify(G, res.labeling) == c
-        fall = [s.params for s in res.trace.steps if s.rule == "fallthrough"]
-        assert fall[0]["rule"] == "mod3-factor"
-        assert "undecided" in fall[0]["reason"]
+        assert res.trace.rules()[-1] == "mod3-factor"
+        assert "fallthrough" not in res.trace.rules()
 
 
 def test_fallthrough_steps_record_misses():

@@ -16,6 +16,7 @@ from kmagic import (
     complement,
     construct,
     cycle,
+    disjoint_union,
     double_graph,
     exhaustive_factor_search,
     extend_by_factor,
@@ -41,6 +42,34 @@ def regular_graphs(draw, max_n=9, max_r=4):
         return random_regular(n, r, seed=seed)
     except GraphError:  # pairing model gave up for this seed
         assume(False)
+
+
+@st.composite
+def regular_unions(draw):
+    """A small regular graph, or the disjoint union of two with one degree."""
+    r = draw(st.integers(2, 3))
+    parts = []
+    for _ in range(draw(st.integers(1, 2))):
+        n = draw(st.integers(r + 1, 7).filter(lambda n: n * r % 2 == 0))
+        try:
+            parts.append(random_regular(n, r, seed=draw(st.integers(0, 10**6))))
+        except GraphError:
+            assume(False)
+    return disjoint_union(parts)
+
+
+@SETTINGS
+@given(regular_unions(), st.integers(2, 8))
+def test_oracle_agrees_with_a_search_per_sum(G, k):
+    # one search per unit orbit decides what a search of every c decides
+    budget = SolverBudget(exhaustive_states=10**4, node_cap=10**4)
+    spec = brute_force_spectrum(G, k, budget)
+    for c in range(k):
+        status = search_labeling(G, k, c, budget).status
+        if status != "undecided":
+            assert spec.contains(c) is (status == "found"), (c, status)
+        if c in spec.undecided:
+            assert status == "undecided", c
 
 
 @SETTINGS

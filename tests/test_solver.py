@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import bridged_cubic_16
 from kmagic import (
     KmagicError,
     SolverBudget,
@@ -10,11 +11,32 @@ from kmagic import (
     build_graph,
     complete,
     cycle,
+    disjoint_union,
     petersen,
+    prism,
     search_labeling,
     verify,
 )
+from kmagic._backtrack_py import SAT, UNSAT
 from kmagic.solver import assignment_order
+
+
+@pytest.fixture(params=["pure-python", "compiled"])
+def kernel(request):
+    if request.param == "pure-python":
+        return _backtrack_py
+    return request.getfixturevalue("compiled_kernel")
+
+
+def whole_graph_search(G, k, c, impl):
+    """(status, labels, nodes) of one uncapped kernel run over all of G
+    in assignment order, with none of the driver's shortcuts."""
+    order = assignment_order(G)
+    us = [G.edges[eid].u for eid in order]
+    vs = [G.edges[eid].v for eid in order]
+    status, labels, nodes = impl.search(G.n, k, c, us, vs, -1)
+    name = {SAT: "found", UNSAT: "absent"}.get(status, "undecided")
+    return name, dict(zip(order, labels)) if status == SAT else None, nodes
 
 
 def test_assignment_order_is_a_permutation():
@@ -115,3 +137,59 @@ def test_kernels_reject_bad_input_alike(twin, request):
     for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2]), ([0, 1], [1])]:
         with pytest.raises(ValueError):
             impl.search(3, 5, 0, us, vs, -1)
+
+
+def test_parity_settles_at_zero_nodes(kernel):
+    # the vertex sums add up to twice the label sum: n*c must be even
+    for G, k, c in [(complete(7), 4, 1), (complete(7), 4, 3), (cycle(9), 8, 1)]:
+        res = search_labeling(G, k, c, kernel=kernel)
+        assert (res.status, res.nodes) == ("absent", 0)
+    assert whole_graph_search(cycle(9), 8, 1, kernel)[0] == "absent"
+    # odd k, or an even n*c, never short-circuits
+    for G, k, c in [(complete(7), 5, 1), (complete(7), 4, 2), (cycle(9), 9, 0), (complete(6), 4, 1)]:
+        res = search_labeling(G, k, c, kernel=kernel)
+        status, labels, nodes = whole_graph_search(G, k, c, kernel)
+        assert res.nodes == nodes > 0
+        assert res.status == status
+
+
+@pytest.mark.parametrize(
+    "parts, moduli",
+    [
+        ((petersen(), complete(4)), (3, 4, 5)),
+        ((bridged_cubic_16(), prism(4)), (3, 4)),
+        ((complete(5), complete(5)), (3, 4, 5)),
+    ],
+    ids=["petersen+K4", "bridged16+cube", "K5+K5"],
+)
+def test_components_answer_as_the_whole_graph_search(kernel, parts, moduli):
+    G = disjoint_union(list(parts))
+    for k in moduli:
+        for c in range(k):
+            res = search_labeling(G, k, c, kernel=kernel)
+            status, labels, nodes = whole_graph_search(G, k, c, kernel)
+            assert res.status == status, (k, c)
+            assert (res.labeling and res.labeling.labels) == labels, (k, c)
+            assert res.nodes <= nodes, (k, c)
+            if status == "found":  # node counts add up to the joint search's
+                assert res.nodes == nodes, (k, c)
+
+
+def test_components_skip_backtracking_across_components(kernel):
+    # Petersen has zero-sum labelings mod 4, bridged16 none; searched
+    # jointly, bridged16 fails again under every Petersen labeling
+    G = disjoint_union([petersen(), bridged_cubic_16()])
+    res = search_labeling(G, 4, 0, kernel=kernel)
+    status, _, nodes = whole_graph_search(G, 4, 0, kernel)
+    assert res.status == status == "absent"
+    assert res.nodes < nodes
+
+
+def test_components_budget_applies_to_each(kernel):
+    # each K5 needs 50 nodes at k = 5, c = 1; the union's 100 fit a cap
+    # of 60 because the cap holds per component
+    G = disjoint_union([complete(5), complete(5)])
+    budget = SolverBudget(exhaustive_states=1, node_cap=60)
+    res = search_labeling(G, 5, 1, budget, kernel=kernel)
+    assert (res.status, res.nodes) == ("found", 100)
+    assert verify(G, res.labeling) == 1

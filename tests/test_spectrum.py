@@ -1,7 +1,7 @@
 """Sum spectra: exhaustive route, predicted route, and their structure.
 
-brute_force_spectrum is the oracle: it runs the exact solver for every
-candidate sum and shares no formulas with predict_spectrum.  Expected
+brute_force_spectrum is the oracle: it runs the exact solver for one
+candidate sum per unit orbit and shares no formulas with predict_spectrum.  Expected
 sets in this file were frozen from oracle runs.
 """
 
@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from kmagic import factors, solver
+from kmagic import factors, solver, spectrum
 from kmagic import (
     KmagicError,
     SolverBudget,
@@ -26,6 +26,7 @@ from kmagic import (
     predict_spectrum,
     zero_sum_4_magic,
 )
+from kmagic.solver import SearchResult
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -192,6 +193,37 @@ def test_disjoint_union_intersects_components():
     assert predict_spectrum(G, 3).residues == {1, 2}
     oracle = brute_force_spectrum(G, 3)
     assert oracle.residues == {1, 2}
+
+
+def test_oracle_searches_once_per_unit_orbit(monkeypatch):
+    # c and uc (u a unit mod k) stand or fall together; with every class
+    # decided the oracle searches once per divisor d of k: c = 0, then c = d
+    asked = []
+    search = spectrum.search_labeling
+    monkeypatch.setattr(
+        spectrum, "search_labeling", lambda G, k, c, budget=None: asked.append(c) or search(G, k, c, budget)
+    )
+    for G in (petersen(), complete(5), disjoint_union([cycle(3), cycle(4)])):
+        for k in range(2, 9):
+            asked.clear()
+            spec = brute_force_spectrum(G, k)
+            assert not spec.undecided
+            assert asked == [0] + [d for d in range(1, k) if k % d == 0]
+
+
+def test_oracle_tries_the_next_orbit_member_only_while_undecided(monkeypatch):
+    # k = 6: the units' class {1, 5} is undecided at 1 and found at 5; the
+    # class {2, 4} is undecided at both members, so only it stays undecided
+    answers = {0: "absent", 1: "undecided", 2: "undecided", 3: "found", 4: "undecided", 5: "found"}
+    asked = []
+    monkeypatch.setattr(
+        spectrum, "search_labeling",
+        lambda G, k, c, budget=None: asked.append(c) or SearchResult(answers[c], None, 1),
+    )
+    spec = brute_force_spectrum(petersen(), 6)
+    assert asked == [0, 1, 2, 3, 4, 5]
+    assert spec.residues == {1, 3, 5}
+    assert spec.undecided == {2, 4}
 
 
 def test_component_graphs_are_built_once(monkeypatch):
