@@ -11,11 +11,11 @@ two SHA-256 digests over the answers in that order:
 A change that must leave every answer unchanged leaves the full digest
 unchanged; one that may change which labeling is found, but no
 existence answer, leaves the status digest unchanged.  With
---expect-status HEX the script exits with status 1 when the status
-digest differs from HEX.  The full digest is printed only: a different
-networkx may find different matchings, and with them other labelings.
+--expect-full HEX or --expect-status HEX the script exits with status 1
+when that digest differs from HEX.  Every matching is kmagic's own, so
+the full digest depends on no third-party package.
 
-Usage: PYTHONPATH=src python3 benchmarks/digest.py [--expect-status HEX]
+Usage: PYTHONPATH=src python3 benchmarks/digest.py [--expect-full HEX] [--expect-status HEX]
 """
 
 from __future__ import annotations
@@ -121,6 +121,7 @@ def answers():
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--expect-full", metavar="HEX", help="fail unless the full digest is HEX")
     ap.add_argument("--expect-status", metavar="HEX", help="fail unless the status digest is HEX")
     args = ap.parse_args()
 
@@ -135,8 +136,12 @@ def main() -> None:
     print(f"calls   {calls}  ({elapsed:.2f} s)")
     print(f"full    {full.hexdigest()}")
     print(f"status  {status.hexdigest()}")
-    if args.expect_status is not None and status.hexdigest() != args.expect_status:
-        print(f"status digest differs from the expected {args.expect_status}", file=sys.stderr)
+    failed = False
+    for name, got, want in (("full", full, args.expect_full), ("status", status, args.expect_status)):
+        if want is not None and got.hexdigest() != want:
+            print(f"{name} digest differs from the expected {want}", file=sys.stderr)
+            failed = True
+    if failed:
         sys.exit(1)
 
 

@@ -23,7 +23,8 @@ one external edge between its two end nodes.  A perfect matching of
 the gadget must match every core to an end, leaving exactly f(v) ends
 per vertex matched through external edges, so external matched edges
 form an f-factor and conversely.  The gadget is about five times larger
-than G.  General-graph maximum matching is delegated to networkx.
+than G.  Every matching is a maximum-cardinality matching on integer
+vertex ids, found in-tree by Edmonds' blossom algorithm (``matching``).
 
 A mod-3 factor is a perfect matching when G has one; otherwise it is
 the set of label-2 edges of a 1-sum 3-magic labeling, which the
@@ -37,16 +38,31 @@ never reads that memo.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Iterable, Sequence
-
-import networkx as nx
 
 from .errors import BudgetError, FactorError, RegularityError
 from .factorization import extract_2h_factor
-from .graphs import MultiGraph, regularity, subgraph
+from .graphs import MultiGraph, component_graphs, regularity, subgraph
+from .matching import maximum_matching
 from .solver import SolverBudget, search_labeling
 
 EXHAUSTIVE_EDGE_LIMIT = 20
+
+
+class _Adjacency(list):
+    """Adjacency lists of a simple graph on the vertices 0..n-1, with the
+    size query the tracer's hook below reads."""
+
+    def number_of_nodes(self) -> int:
+        return len(self)
+
+
+# The one seam every matching in this module goes through: the benchmark's
+# tracer (perfbench/tracer.py) wraps nx.max_weight_matching here and reads
+# args[0].number_of_nodes().  It is not networkx, and it goes away once the
+# library has its own stats channel (ROADMAP.md, item E).
+nx = SimpleNamespace(max_weight_matching=maximum_matching)
 
 
 def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
@@ -120,39 +136,36 @@ def _matching_factor(G: MultiGraph, edge_ids: Iterable[int]) -> frozenset[int] |
     Maximum matching on G itself; of parallel edges only the lowest id
     is offered to the matching.
     """
-    H = nx.Graph()
-    H.add_nodes_from(range(G.n))
+    adj = _Adjacency([] for _ in range(G.n))
+    pair_id: dict[tuple[int, int], int] = {}
     for eid in sorted(edge_ids):
         e = G.edges[eid]
-        if not H.has_edge(e.u, e.v):
-            H.add_edge(e.u, e.v, id=eid)
-    matching = nx.max_weight_matching(H, maxcardinality=True)
-    if 2 * len(matching) != G.n:
+        pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        if pair not in pair_id:
+            pair_id[pair] = eid
+            adj[e.u].append(e.v)
+            adj[e.v].append(e.u)
+    mate = nx.max_weight_matching(adj)
+    if -1 in mate:
         return None
-    return frozenset(H.edges[pair]["id"] for pair in matching)
+    return frozenset(pair_id[v, w] for v, w in enumerate(mate) if v < w)
 
 
 def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
-    H = nx.Graph()
-    for e in G.edges:
-        H.add_edge(("end", e.id, 0), ("end", e.id, 1))
-    ends_at: list[list[tuple[str, int, int]]] = [[] for _ in range(G.n)]
-    for e in G.edges:
-        ends_at[e.u].append(("end", e.id, 0))
-        ends_at[e.v].append(("end", e.id, 1))
+    # edge e has its end at e.u as node 2e and its end at e.v as node 2e + 1;
+    # the core nodes follow, and each end lists its vertex's cores first
+    adj = _Adjacency([2 * e.id + 1 - side] for e in G.edges for side in (0, 1))
     for v in range(G.n):
-        for j in range(G.degrees[v] - targets[v]):
-            for end in ends_at[v]:
-                H.add_edge(("core", v, j), end)
-    matching = nx.max_weight_matching(H, maxcardinality=True)
-    if 2 * len(matching) != H.number_of_nodes():
+        ends = [2 * eid + (G.edges[eid].u != v) for eid in G.incident[v]]
+        for _ in range(G.degrees[v] - targets[v]):
+            core = len(adj)
+            adj.append(list(ends))
+            for end in ends:
+                adj[end].insert(-1, core)
+    mate = nx.max_weight_matching(adj)
+    if -1 in mate:
         return None
-    matched_pairs = {frozenset(pair) for pair in matching}
-    return frozenset(
-        e.id
-        for e in G.edges
-        if frozenset((("end", e.id, 0), ("end", e.id, 1))) in matched_pairs
-    )
+    return frozenset(e.id for e in G.edges if mate[2 * e.id] == 2 * e.id + 1)
 
 
 def exhaustive_factor_search(
@@ -210,8 +223,11 @@ def mod3_factor(G: MultiGraph, budget: SolverBudget | None = None) -> frozenset[
     r + deg_F(v), which is deg_F(v) mod 3, so the mod-3 factors are
     exactly the label-2 edges of the 1-sum 3-magic labelings, and the
     label search decides under budget.  Raises BudgetError when that
-    search is capped (the problem is NP-complete in general).  A decided
-    answer is computed once per graph.
+    search is capped (the problem is NP-complete in general).  A
+    disconnected G has one exactly when each component has one, and its
+    factor is the union of theirs, so each component is decided once on
+    its own; a capped component raises only when no other one is absent.
+    A decided answer is computed once per graph.
     """
     r = regularity(G)
     if r is None or r % 3 != 0 or r % 2 == 0:
@@ -220,6 +236,22 @@ def mod3_factor(G: MultiGraph, budget: SolverBudget | None = None) -> frozenset[
 
 
 def _mod3_search(G: MultiGraph, r: int, budget: SolverBudget | None) -> frozenset[int] | None:
+    parts = component_graphs(G)
+    if len(parts) > 1:
+        union: list[int] = []
+        capped = None
+        for C, edge_ids in parts:
+            try:
+                F = mod3_factor(C, budget)
+            except BudgetError as exc:
+                capped = exc
+                continue
+            if F is None:
+                return None
+            union.extend(edge_ids[j] for j in F)
+        if capped is not None:
+            raise capped
+        return frozenset(union)
     matching = _one_factor(G)
     if matching is not None or r == 3:
         return matching

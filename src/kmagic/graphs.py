@@ -192,17 +192,19 @@ def component_graphs(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
 
     Vertices and edges keep their relative order, so a breadth-first
     walk of a component visits its edges in the order a walk of G does.
-    A connected G is returned as itself with no memo entry; the
-    components of any other graph are built once per graph, so that
-    their own memos (factors, say) are found once too.
+    A connected G is returned as itself.  The split is found once per
+    graph, and the components of a disconnected graph are built once, so
+    that their own memos (factors, say) are found once too.
     """
-    built = G.__dict__.get("component_graphs")  # the entry G.memo keeps below
-    if built is not None:
-        return built
+    parts = G.memo("component_graphs", lambda: _split_components(G))
+    return parts or [(G, range(G.m))]
+
+
+def _split_components(G: MultiGraph) -> list[tuple[MultiGraph, tuple[int, ...]]]:
+    """The component graphs of a disconnected G, or [] for a connected
+    one, so that G's memo does not hold G itself."""
     comps = components(G)
-    if len(comps) <= 1:
-        return [(G, range(G.m))]
-    return G.memo("component_graphs", lambda: [_component_graph(G, comp) for comp in comps])
+    return [_component_graph(G, comp) for comp in comps] if len(comps) > 1 else []
 
 
 def _component_graph(G: MultiGraph, comp: frozenset[int]) -> tuple[MultiGraph, tuple[int, ...]]:

@@ -13,6 +13,7 @@ from kmagic import (
     FactorError,
     MultiGraph,
     RegularityError,
+    SearchResult,
     SolverBudget,
     build_graph,
     check_factor,
@@ -21,6 +22,7 @@ from kmagic import (
     construct,
     cycle,
     degree_constrained_factor,
+    disjoint_union,
     exhaustive_factor_search,
     f_factor,
     mod3_factor,
@@ -226,6 +228,42 @@ def test_mod3_factor_without_a_perfect_matching(monkeypatch):
     # prediction and oracle shared that search, and the provenance says so
     assert "oracle also runs" in predict_spectrum(G, 3).provenance[0]
     assert "oracle" not in predict_spectrum(petersen(), 3).provenance[0]
+
+
+def test_mod3_factor_of_a_union_is_decided_per_component(monkeypatch):
+    # the prediction decides each hub10 by one search; the rule's factor of
+    # the union is the union of those memoized answers, not two more searches
+    kernel_calls = []
+    search = solver._kernel.search
+    monkeypatch.setattr(
+        solver._kernel, "search", lambda *a: kernel_calls.append(a) or search(*a)
+    )
+    G = disjoint_union([hub10(), hub10()])
+    res = construct(G, 3, 1, SolverBudget(node_cap=5 * 10**5))
+    assert res.status == "found"
+    assert verify(G, res.labeling) == 1
+    assert len(kernel_calls) == 2
+    F = mod3_factor(G)
+    assert all(d % 3 == 1 for d in factor_degrees(G, F))
+    assert len(kernel_calls) == 2
+
+
+@pytest.mark.parametrize(
+    ("answers", "want"),
+    [(("undecided", "absent"), None), (("absent", "undecided"), None), (("undecided", "found"), BudgetError)],
+)
+def test_mod3_factor_of_a_union_absent_beats_capped(answers, want, monkeypatch):
+    # one component without a mod-3 factor decides the union, whichever
+    # component's search was capped; a capped one decides nothing on its own
+    G = disjoint_union([hub10(), hub10()])
+    found = factors.search_labeling(hub10(), 3, 1).labeling if "found" in answers else None
+    results = iter(SearchResult(status, found if status == "found" else None, 1) for status in answers)
+    monkeypatch.setattr(factors, "search_labeling", lambda *a: next(results))
+    if want is BudgetError:
+        with pytest.raises(BudgetError):
+            mod3_factor(G)
+    else:
+        assert mod3_factor(G) is want
 
 
 def test_mod3_factor_undecided_under_the_budget():

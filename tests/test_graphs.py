@@ -21,7 +21,8 @@ from kmagic import (
     subgraph,
     write_graph,
 )
-from kmagic.graphs import find_bridges, two_regular_profile
+from kmagic import graphs
+from kmagic.graphs import component_graphs, find_bridges, two_regular_profile
 
 
 def test_build_graph_rejects_loops_and_bad_indices():
@@ -93,6 +94,17 @@ def test_components_and_connectivity():
     G = disjoint_union([cycle(3), cycle(4)])
     comps = components(G)
     assert [len(c) for c in comps] == [3, 4]
+
+
+def test_component_graphs_split_once_per_graph(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graphs, "components", lambda G: calls.append(G) or components(G))
+    G = petersen()
+    assert component_graphs(G) == [(G, range(G.m))]
+    assert component_graphs(G) == [(G, range(G.m))]
+    U = disjoint_union([cycle(3), cycle(4)])
+    assert component_graphs(U) is component_graphs(U)
+    assert calls == [G, U]
 
 
 def test_subgraph_reindexes_and_maps_back():
