@@ -5,11 +5,13 @@ absent with the excluding rule in the trace.  Otherwise a fixed cascade
 of constructions is tried, cheapest first: constant labels, per-cycle
 labelings, 2-factorization assignments, the gcd/fold constructions for
 odd degree, the 4-regular and factor-extension routes for even degree,
-the mod-3 factor rule, parametric doubling searches, and finally the
-exact solver.  A rule whose formula goes illegal at a boundary (a label
-vanishing mod k) falls through to the next rule and the event is
-recorded in the trace.  Every labeling handed back has been re-verified
-against the requested sum.
+the mod-3 factor rule, h-factor splits, parametric doubling searches,
+and finally the exact solver.  For odd degree, the h-factor split
+settles the zero sums mod 3 and mod 4 whenever G has a perfect matching
+M: M, or a 2-factor of G - M, labeled against the other edges.  A rule
+whose formula goes illegal at a boundary (a label vanishing mod k) falls
+through to the next rule and the event is recorded in the trace.  Every
+labeling handed back has been re-verified against the requested sum.
 """
 
 from __future__ import annotations
@@ -576,6 +578,8 @@ def _rule_sequence(G, r, k, c):
         else:
             if r == 5 and k >= 5:
                 rules.append(("five-regular-doubling", _rule_five_regular))
+            if k in (3, 4):
+                rules.append(("factor-split", _rule_factor_split))
             if k not in (2, 4):
                 rules.append(("doubling-parameter-search", _rule_doubling_search))
     elif r % 2 == 1:

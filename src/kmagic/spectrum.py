@@ -3,13 +3,15 @@
 The sum spectrum of G mod k is the set of residues c admitting a c-sum
 k-magic labeling.  brute_force_spectrum decides membership by budgeted
 backtracking, one search per unit orbit; predict_spectrum applies the
-characterization of completely k-magic regular graphs, falling back to
-solver-backed predicates (zero-sum 4-magic status, mod-3 factor
-existence) where the characterization demands them.  At k = 2 the only label is 1, so the
-spectrum is {r mod 2} in closed form and the oracle there is
-independent of the prediction.  Disconnected graphs are handled
-component by component and the spectra intersected, since a magic
-labeling restricts to every component.
+characterization of completely k-magic regular graphs.  Where the
+characterization asks for a predicate, theory settles it first: the
+zero-sum 4-magic status of an odd-degree graph by a perfect matching,
+else by a vertex with only cut edges, and mod-3 factor existence by a
+perfect matching.  The budgeted solver decides only what is left.  At
+k = 2 the only label is 1, so the spectrum is {r mod 2} in closed form
+and the oracle there is independent of the prediction.  Disconnected
+graphs are handled component by component and the spectra intersected,
+since a magic labeling restricts to every component.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from math import gcd
 
 from .errors import BudgetError, KmagicError, RegularityError
-from .factors import mod3_factor
+from .factors import f_factor, mod3_factor
 from .graphs import (
     MultiGraph,
     component_graphs,
@@ -133,15 +135,24 @@ def brute_force_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = No
 def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple[bool | None, str]:
     """Does G admit a 0-sum 4-magic labeling?  (decision, reason).
 
-    Even degree settles it positively.  For odd degree, a vertex whose
-    incident edges are all cut edges settles it negatively; otherwise
-    the solver decides (None when the budget runs out).
+    Even degree settles it positively.  For odd degree, a perfect
+    matching M settles it positively: G - M is (r-1)-regular with r-1
+    even, so by Petersen's 2-factor theorem it has a 2-factor F, and F
+    labeled 1 with every other edge labeled 2 sums to 2(r-1) = 0 mod 4
+    at each vertex.  Without one, a vertex whose incident edges are all
+    cut edges settles it negatively; otherwise the solver decides (None
+    when the budget runs out).
     """
     r = _require_regular(G)
     if r < 3:
         raise RegularityError(f"zero-sum 4-magic test needs r >= 3, got {r}")
     if r % 2 == 0:
         return True, "even degree: pairs of 2-factors labeled to cancel mod 4"
+    if f_factor(G, 1) is not None:
+        return True, (
+            "odd degree with a perfect matching M: a 2-factor of G - M labeled 1,"
+            " the rest 2, sums to 2(r-1) = 0 mod 4"
+        )
     bridges = find_bridges(G)
     for v in range(G.n):
         if all(eid in bridges for eid in G.incident[v]):

@@ -61,6 +61,40 @@ def bridged16() -> MultiGraph:
     return bridged_cubic_16()
 
 
+def unmatched_cubic_28() -> MultiGraph:
+    """Cubic graph on 28 vertices without a perfect matching in which no
+    vertex has only cut edges: hubs 0, 1 and 2, each joined by a bridge to
+    the subdividing vertex of its own K4 with one edge subdivided, and two
+    5-vertex blocks on a, b, c, d, e (edges de, da, db, ec, ea, bc) whose
+    a, b and c are joined to hubs 0, 1 and 2.  Removing the hubs leaves
+    five odd components.  The label-2 edges of a zero sum mod 4 on a cubic
+    graph form a perfect matching, so there is none here; the matching
+    test and the cut-edge scan leave that to the solver to prove."""
+    pairs: list[tuple[int, int]] = []
+    base = 3
+    for hub in range(3):
+        a, b, x, y, w = range(base, base + 5)
+        pairs += [(a, w), (w, b), (a, x), (a, y), (b, x), (b, y), (x, y), (hub, w)]
+        base += 5
+    for _ in range(2):
+        a, b, c, d, e = range(base, base + 5)
+        pairs += [(d, e), (d, a), (d, b), (e, c), (e, a), (b, c), (a, 0), (b, 1), (c, 2)]
+        base += 5
+    return build_graph(28, pairs)
+
+
+def hub_quintic_16() -> MultiGraph:
+    """5-regular multigraph on 16 vertices without a perfect matching: a
+    hub joined to vertex a of each of five triangles a, b, c with edge
+    multiplicities ab 2, ac 2 and bc 3.  Its zero sum mod 3 has neither
+    an h-factor split nor doubling parameters, so the solver finds it."""
+    pairs: list[tuple[int, int]] = []
+    for a in (1, 4, 7, 10, 13):
+        b, c = a + 1, a + 2
+        pairs += [(0, a)] + [(a, b)] * 2 + [(a, c)] * 2 + [(b, c)] * 3
+    return build_graph(16, pairs)
+
+
 def hub10() -> MultiGraph:
     """9-regular multigraph on 10 vertices without a perfect matching:
     a hub joined by 3 parallel edges to one vertex of each of three

@@ -32,7 +32,7 @@ from kmagic import (
 )
 from kmagic.factorization import check_factor
 
-from conftest import CORPUS_BUILDERS
+from conftest import CORPUS_BUILDERS, hub_quintic_16
 
 CORPUS_NAMES = sorted(CORPUS_BUILDERS)
 
@@ -194,12 +194,15 @@ def test_criterion_6_five_regular_zero_sum():
     step = next(s for s in trace.steps if s.rule == "five-regular-doubling")
     if step.params["case"] != 2:
         failures.append(f"k=8: expected case 2, got {step.params['case']}")
-    res = construct(K6, 3, 0)
-    if res.status != "found" or verify(K6, res.labeling) != 0:
-        failures.append(f"k=3: construct status {res.status}")
-    elif "solver" not in res.trace.rules():
-        failures.append(f"k=3: expected the solver, trace {res.trace.rules()}")
-    report(6, "K6 zero sums: doubling cases and k=3 solver", failures)
+    # k = 3: K6's perfect matching gives a factor split; without one the
+    # zero sum falls to the solver
+    for G, rule in ((K6, "factor-split"), (hub_quintic_16(), "solver")):
+        res = construct(G, 3, 0)
+        if res.status != "found" or verify(G, res.labeling) != 0:
+            failures.append(f"k=3, n={G.n}: construct status {res.status}")
+        elif res.trace.rules()[-1] != rule:
+            failures.append(f"k=3, n={G.n}: expected {rule}, trace {res.trace.rules()}")
+    report(6, "5-regular zero sums: doubling cases, k=3 factor split and solver", failures)
 
 
 def test_criterion_7_invariants_and_transform_contracts(corpus):

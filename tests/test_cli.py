@@ -6,7 +6,7 @@ import pytest
 
 from kmagic import cycle, parse_graph, petersen, write_graph
 from kmagic.cli import main
-from conftest import hub10
+from conftest import hub10, unmatched_cubic_28
 
 
 @pytest.fixture()
@@ -208,12 +208,16 @@ def test_compare_over_corpus(tmp_path, capsys):
     assert run(capsys, "compare", "--corpus", str(d), "--k-range", "35")[0] == 2
 
 
-def test_budget_env_var(pete_file, capsys, monkeypatch):
+def test_budget_env_var(tmp_path, pete_file, capsys, monkeypatch):
     monkeypatch.setenv("MAGIC_SOLVER_BUDGET", "2")
     code, out, _ = run(capsys, "spectrum", pete_file, "--k", "4", "--method", "oracle")
     assert code == 3
     assert json.loads(out)["undecided"]
-    code, _, _ = run(capsys, "label", pete_file, "--k", "4", "--c", "0")
+    # Petersen's perfect matching settles its zero sum mod 4 without the
+    # solver; this graph has none, so the capped solver leaves it undecided
+    unmatched = tmp_path / "unmatched.txt"
+    unmatched.write_text(write_graph(unmatched_cubic_28()), encoding="ascii")
+    code, _, _ = run(capsys, "label", str(unmatched), "--k", "4", "--c", "0")
     assert code == 3
     monkeypatch.setenv("MAGIC_SOLVER_BUDGET", "bogus")
     assert run(capsys, "spectrum", pete_file, "--k", "4")[0] == 2

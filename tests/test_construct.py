@@ -8,17 +8,21 @@ from kmagic import (
     RegularityError,
     SolverBudget,
     build_graph,
+    circulant,
     complete,
     construct,
     cycle,
     disjoint_union,
+    f_factor,
     petersen,
     prism,
     replay_trace,
+    search_labeling,
     verify,
+    zero_sum_4_magic,
     zero_sum_five_regular,
 )
-from conftest import hub10
+from conftest import hub10, hub_quintic_16, unmatched_cubic_28
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -111,10 +115,12 @@ def test_zero_sum_five_regular_guard_rails():
         zero_sum_five_regular(petersen(), 5)
 
 
-def test_k6_zero_sum_small_modulus_falls_to_solver():
+def test_k6_zero_sum_small_modulus_by_factor_split():
+    # K6 has a perfect matching M: M labeled 1 and the rest 2 sums to
+    # 1 + 4 * 2 = 0 mod 3, so the zero sum no longer needs the solver
     res = construct(complete(6), 3, 0)
     assert res.status == "found"
-    assert "solver" in res.trace.rules()
+    assert res.trace.rules() == ["factor-split"]
     assert verify(complete(6), res.labeling) == 0
 
 
@@ -143,7 +149,9 @@ def test_integer_labelings_k1():
 
 
 def test_budget_undecided_status():
-    res = construct(petersen(), 4, 0, TINY)
+    # no perfect matching and no vertex with only cut edges: the zero sum
+    # mod 4 is left to the solver, which the budget caps
+    res = construct(unmatched_cubic_28(), 4, 0, TINY)
     assert res.status == "undecided"
     assert res.labeling is None
     rules = res.trace.rules()
@@ -174,9 +182,61 @@ def test_mod3_factor_rule_decides_a_union_per_component():
 
 
 def test_fallthrough_steps_record_misses():
-    # K6 mod 3 zero-sum: the doubling search misses (labels vanish mod 3)
+    # a 5-regular graph without a perfect matching, mod 3 zero-sum: the
+    # factor split and the doubling search miss (labels vanish mod 3)
     # before the solver succeeds, and the trace says so
-    res = construct(complete(6), 3, 0)
+    res = construct(hub_quintic_16(), 3, 0)
+    assert res.status == "found"
+    assert res.trace.rules()[-1] == "solver"
     fall = [s for s in res.trace.steps if s.rule == "fallthrough"]
-    assert fall, res.trace.rules()
+    assert [s.params["rule"] for s in fall] == ["factor-split", "doubling-parameter-search"]
     assert all(s.params["reason"] for s in fall)
+
+
+# odd degree: seven graphs with a perfect matching and one without
+ZERO_SUM_GRAPHS = {
+    "K4": lambda: complete(4),
+    "K6": lambda: complete(6),
+    "K8": lambda: complete(8),
+    "petersen": petersen,
+    "prism3": lambda: prism(3),
+    "circ10_5": lambda: circulant(10, (1, 2, 5)),
+    "circ10_7": lambda: circulant(10, (1, 2, 3, 5)),
+    "unmatched28": unmatched_cubic_28,
+}
+SOLVER_STEPS = {"spectrum-undecided", "solver", "solver-exhausted", "solver-budget-exceeded"}
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SUM_GRAPHS))
+def test_zero_sums_by_matching_agree_with_the_solver(name):
+    G = ZERO_SUM_GRAPHS[name]()
+    r = G.degrees[0]
+    uncapped = SolverBudget(exhaustive_states=10**30)
+    decision, why = zero_sum_4_magic(G)
+    assert decision is (search_labeling(G, 4, 0, uncapped).status == "found")
+    if f_factor(G, 1) is None:
+        return
+    assert "perfect matching" in why
+    for k in (3, 4):
+        if k == 3 and r % 3 == 0:
+            continue  # a constant label already sums to 0
+        res = construct(G, k, 0)
+        assert res.status == "found"
+        assert res.trace.rules() == ["factor-split"]
+        assert verify(G, res.labeling) == 0
+
+
+def test_odd_degree_zero_sums_skip_the_solver():
+    # a random regular graph has a perfect matching almost surely, so none
+    # of these zero sums needs the solver, which this cap often runs out on
+    nx = pytest.importorskip("networkx")
+    budget = SolverBudget(node_cap=10**5)
+    for r in (3, 5, 7, 9):
+        for n in (60, 80):
+            for seed in (1, 2):
+                g = nx.random_regular_graph(r, n, seed=seed)
+                G = build_graph(n, list(g.edges()))
+                for k in (4, 3) if r in (5, 7) else (4,):
+                    res = construct(G, k, 0, budget)
+                    assert res.status == "found", (r, n, seed, k)
+                    assert not SOLVER_STEPS & set(res.trace.rules()), (r, n, seed, k)

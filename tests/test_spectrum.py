@@ -27,6 +27,7 @@ from kmagic import (
     zero_sum_4_magic,
 )
 from kmagic.solver import SearchResult
+from conftest import unmatched_cubic_28
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -242,13 +243,16 @@ def test_component_graphs_are_built_once(monkeypatch):
 
 
 def test_budget_undecided_flows_through():
-    s = predict_spectrum(petersen(), 4, TINY)
+    # no perfect matching and no vertex with only cut edges: the solver
+    # decides the zero sum mod 4, and the budget caps it
+    G = unmatched_cubic_28()
+    s = predict_spectrum(G, 4, TINY)
     assert s.residues == {1, 2, 3}
     assert s.undecided == {0}
     assert s.contains(0) is None
     payload = json.loads(s.to_json())
     assert payload["undecided"] == [0]
-    ok, _ = is_completely_k_magic(petersen(), 4, TINY)
+    ok, _ = is_completely_k_magic(G, 4, TINY)
     assert ok is None
 
 
