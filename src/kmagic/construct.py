@@ -247,10 +247,13 @@ def _rule_factor_split(G, r, k, c, budget):
 
 
 def _two_factor_groups(G, labels):
-    """The doubled graph's i-th 2-factor labeled labels[i]; the last label
-    also covers every later 2-factor."""
-    parts = two_factorization(double_graph(G).doubled).parts
-    return [(part, labels[min(i, len(labels) - 1)]) for i, part in enumerate(parts)]
+    """The doubled graph's i-th 2-factor labeled labels[i] for all but the
+    last label, which covers every other edge: the later 2-factors are
+    never split, only their union is read."""
+    doubled = double_graph(G).doubled
+    parts = two_factorization(doubled, len(labels) - 1).parts
+    rest = frozenset(range(doubled.m)).difference(*parts)
+    return [*zip(parts, labels), (rest, labels[-1])]
 
 
 def _doubled_three_factor(G):

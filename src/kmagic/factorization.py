@@ -7,12 +7,18 @@ graph every walk closes, so every vertex gets out-degree r.  The out/in
 incidence graph is then an r-regular bipartite graph, which decomposes
 into r perfect matchings by repeated augmenting-path search.  Each
 matching pulls back to a spanning 2-regular subgraph.
+
+The rounds are split on demand and kept per graph: a caller that reads
+only the first few 2-factors pays only for those, and a later caller
+resumes where the last one stopped.  The last round needs no search,
+since the edges no earlier round took are its only perfect matching.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable
 
 from .errors import FactorError, RegularityError
@@ -71,27 +77,62 @@ def check_factor(G: MultiGraph, edge_ids: Iterable[int], h: int) -> None:
         raise FactorError(f"not {h}-regular at vertices {bad[:5]}")
 
 
-def two_factorization(G: MultiGraph) -> FactorDecomposition:
-    """Split an even-regular multigraph into r/2 spanning 2-factors.
+def two_factorization(G: MultiGraph, count: int | None = None) -> FactorDecomposition:
+    """The first count of the r/2 spanning 2-factors of an even-regular
+    multigraph, all of them when count is omitted.
 
-    Computed once per graph; later calls return the same object.
+    The split is kept per graph and run on demand: a call splits only
+    the rounds no earlier call has, in one fixed order, so the i-th
+    2-factor is the same edge set whatever counts are asked and in
+    whatever order.  The full decomposition is one object per graph.
     """
     r = regularity(G)
     if r is None or r < 2 or r % 2 != 0:
         raise RegularityError(f"need an even-regular graph with r >= 2, got r={r}")
-    return G.memo("two_factorization", lambda: _split_two_factors(G, r // 2))
+    rho = r // 2
+    if count is None:
+        count = rho
+    elif not 0 <= count <= rho:
+        raise FactorError(f"count must lie in 0..{rho}, got {count}")
+    return G.memo("two_factorization", lambda: _PetersenSplit(G.m, rho)).prefix(G, count)
 
 
-def _split_two_factors(G: MultiGraph, rho: int) -> FactorDecomposition:
-    out_arcs = _orient(G)
-    alive = bytearray([1]) * G.m
-    parts = []
-    for _ in range(rho):
-        matched = _bipartite_round(out_arcs, alive)
+class _PetersenSplit:
+    """The 2-factors of one graph split so far, and what the next round
+    needs: the orientation, found on the first round and dropped after
+    the last, and the mask of edges no part holds yet.  It keeps no
+    reference to the graph, whose memo holds it."""
+
+    def __init__(self, m: int, rho: int) -> None:
+        self.rho = rho
+        self.parts: list[frozenset[int]] = []
+        self.out_arcs: list[list[tuple[int, int]]] | None = None
+        self.alive: bytearray | None = bytearray([1]) * m
+        self.full: FactorDecomposition | None = None
+
+    def prefix(self, G: MultiGraph, count: int) -> FactorDecomposition:
+        while len(self.parts) < count:
+            self._split_next(G)
+        if count < self.rho:
+            return FactorDecomposition(tuple(self.parts[:count]), (2,) * count)
+        if self.full is None:
+            self.full = FactorDecomposition(tuple(self.parts), (2,) * self.rho)
+        return self.full
+
+    def _split_next(self, G: MultiGraph) -> None:
+        alive = self.alive
+        if len(self.parts) == self.rho - 1:
+            # each tail has one alive out-arc left and each head one alive
+            # in-arc, so the alive edges are the last round's only matching
+            self.parts.append(frozenset(compress(range(G.m), alive)))
+            self.out_arcs = self.alive = None
+            return
+        if self.out_arcs is None:
+            self.out_arcs = _orient(G)
+        matched = _bipartite_round(self.out_arcs, alive)
         for eid in matched:
             alive[eid] = 0
-        parts.append(frozenset(matched))
-    return FactorDecomposition(tuple(parts), tuple(2 for _ in parts))
+        self.parts.append(frozenset(matched))
 
 
 def _orient(G: MultiGraph) -> list[list[tuple[int, int]]]:
@@ -178,6 +219,6 @@ def extract_2h_factor(G: MultiGraph, h: int) -> FactorDecomposition:
     rho = r // 2
     if not 1 <= h <= rho:
         raise FactorError(f"h must lie in 1..{rho}, got {h}")
-    first = frozenset().union(*two_factorization(G).parts[:h])
+    first = frozenset().union(*two_factorization(G, h).parts)
     rest = frozenset(range(G.m)) - first
     return FactorDecomposition((first, rest), (2 * h, r - 2 * h))

@@ -32,8 +32,9 @@ budgeted label search decides.  An exhaustive subset search, which
 shares no code with any of these routes, is the small-instance oracle.
 
 The perfect matching of G, each h-factor and a decided mod-3 factor are
-computed once per graph (``MultiGraph.memo``); the exhaustive oracle
-never reads that memo.
+computed once per graph (``MultiGraph.memo``); a perfect matching and a
+mod-3 factor of a disconnected G are the unions of its components'
+memoized ones.  The exhaustive oracle never reads that memo.
 """
 
 from __future__ import annotations
@@ -126,8 +127,28 @@ def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 
 
 def _one_factor(G: MultiGraph) -> frozenset[int] | None:
-    """Perfect matching of G, computed once per graph."""
-    return G.memo("one_factor", lambda: _matching_factor(G, range(G.m)))
+    """Perfect matching of G, computed once per graph.
+
+    A disconnected G has one exactly when each component has one, and
+    the union of theirs is the matching the whole graph would give (the
+    greedy pass and every augmenting search stay in one component), so
+    each component is matched once on its own, and the first without a
+    perfect matching decides.
+    """
+    return G.memo("one_factor", lambda: _component_matchings(G))
+
+
+def _component_matchings(G: MultiGraph) -> frozenset[int] | None:
+    parts = component_graphs(G)
+    if len(parts) == 1:
+        return _matching_factor(G, range(G.m))
+    union: list[int] = []
+    for C, edge_ids in parts:
+        M = _one_factor(C)
+        if M is None:
+            return None
+        union.extend(edge_ids[j] for j in M)
+    return frozenset(union)
 
 
 def _matching_factor(G: MultiGraph, edge_ids: Iterable[int]) -> frozenset[int] | None:

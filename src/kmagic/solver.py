@@ -28,6 +28,9 @@ try:
 except ImportError:  # extension not built
     pass
 
+# the largest k the compiled kernel's C int arguments hold
+_C_INT_MAX = 2**31 - 1
+
 KERNEL = "compiled" if "compiled" in _KERNELS else "pure-python"
 _kernel = _KERNELS[KERNEL]
 
@@ -100,6 +103,9 @@ def search_labeling(
       absent one.  Node counts add up.  A found labeling is the one the
       whole-graph search returns, since the breadth-first order of G
       finishes each component before it starts the next.
+
+    The compiled kernel reads n, k and c as C ints, so a k past that
+    range goes to the pure twin whatever kernel was asked for.
     """
     if k < 2:
         raise KmagicError("label search needs k >= 2")
@@ -142,6 +148,8 @@ def _settled(G: MultiGraph, k: int, c: int) -> SearchResult | None:
 
 
 def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
+    if k > _C_INT_MAX:
+        impl = _backtrack_py
     order = assignment_order(G)
     us = [G.edges[eid].u for eid in order]
     vs = [G.edges[eid].v for eid in order]

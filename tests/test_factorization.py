@@ -8,6 +8,7 @@ import pytest
 
 from kmagic import (
     FactorError,
+    MultiGraph,
     RegularityError,
     check_factor,
     circulant,
@@ -22,6 +23,7 @@ from kmagic import (
     random_regular,
     two_factorization,
 )
+from kmagic import factorization
 
 
 def assert_partition(G, dec):
@@ -45,24 +47,86 @@ def test_double_graph_pairs_and_origins():
         assert {orig.u, orig.v} == {dup.u, dup.v} == set(G.endpoints(i))
 
 
-@pytest.mark.parametrize(
-    "G",
-    [
-        cycle(7),
-        complete(5),
-        circulant(8, (1, 2)),
-        circulant(9, (1, 2, 3)),
-        double_graph(complete(4)).doubled,
-        double_graph(petersen()).doubled,
-        disjoint_union([cycle(3), cycle(4)]),
-    ],
-    ids=["C7", "K5", "circ8", "circ9", "2K4", "2Pete", "C3+C4"],
-)
+SPLIT_GRAPHS = {
+    "C7": cycle(7),
+    "K5": complete(5),
+    "circ8": circulant(8, (1, 2)),
+    "circ9": circulant(9, (1, 2, 3)),
+    "2K4": double_graph(complete(4)).doubled,
+    "2Pete": double_graph(petersen()).doubled,
+    "C3+C4": disjoint_union([cycle(3), cycle(4)]),
+}
+
+# doubled circulants of degree 3..9, so 6- to 18-regular
+DOUBLED_CIRCULANTS = {
+    f"2circ-r{r}": double_graph(circulant(n, offsets)).doubled
+    for r, n, offsets in [
+        (3, 8, (1, 4)),
+        (4, 9, (1, 2)),
+        (5, 10, (1, 2, 5)),
+        (6, 11, (1, 2, 3)),
+        (7, 12, (1, 2, 3, 6)),
+        (8, 13, (1, 2, 3, 4)),
+        (9, 14, (1, 2, 3, 4, 7)),
+    ]
+}
+
+
+def fresh(G):
+    """A copy of G with nothing split yet."""
+    return MultiGraph(G.n, G.edges)
+
+
+@pytest.mark.parametrize("G", SPLIT_GRAPHS.values(), ids=SPLIT_GRAPHS.keys())
 def test_two_factorization_partitions(G):
     dec = two_factorization(G)
     assert len(dec.parts) == (G.degrees[0]) // 2
     assert all(h == 2 for h in dec.degrees)
     assert_partition(G, dec)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [*SPLIT_GRAPHS.values(), *DOUBLED_CIRCULANTS.values()],
+    ids=[*SPLIT_GRAPHS, *DOUBLED_CIRCULANTS],
+)
+def test_two_factorization_prefixes_are_the_full_split(G):
+    # the i-th 2-factor is one edge set whichever counts come first
+    full = two_factorization(fresh(G)).parts
+    rho = G.degrees[0] // 2
+    assert len(full) == rho
+    for t in range(1, rho + 1):
+        before = fresh(G)
+        assert two_factorization(before, t).parts == full[:t]
+        assert two_factorization(before).parts == full
+        after = fresh(G)
+        two_factorization(after)
+        assert two_factorization(after, t).parts == full[:t]
+    whole = fresh(G)
+    assert two_factorization(whole, rho) is two_factorization(whole)
+    with pytest.raises(FactorError):
+        two_factorization(whole, rho + 1)
+
+
+def test_two_factorization_splits_only_the_rounds_asked_for(monkeypatch):
+    rounds = []
+    split = factorization._bipartite_round
+    monkeypatch.setattr(
+        factorization, "_bipartite_round", lambda *a: rounds.append(1) or split(*a)
+    )
+    D = double_graph(circulant(12, (1, 2, 3, 6))).doubled  # 14-regular
+    two_factorization(D, 1)
+    assert len(rounds) == 1
+    two_factorization(D, 1)
+    assert len(rounds) == 1
+    # the later rounds resume where the first stopped; the last is the remainder
+    assert len(two_factorization(D).parts) == 7
+    assert len(rounds) == 6
+    for rho in (1, 2, 3, 4):
+        rounds.clear()
+        G = circulant(2 * rho + 3, range(1, rho + 1))  # 2rho-regular
+        assert len(two_factorization(G).parts) == rho
+        assert len(rounds) == rho - 1
 
 
 def test_two_factorization_rejects_odd_degree():

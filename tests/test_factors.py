@@ -248,6 +248,40 @@ def test_mod3_factor_of_a_union_is_decided_per_component(monkeypatch):
     assert len(kernel_calls) == 2
 
 
+def test_one_factor_of_a_union_is_matched_per_component(monkeypatch):
+    # the prediction matches Petersen and K4 on their own; the factor split
+    # reads the union of those memoized matchings, not a third one
+    sizes = []
+    matching = factors.nx.max_weight_matching
+    monkeypatch.setattr(
+        factors.nx, "max_weight_matching",
+        lambda adj: sizes.append(adj.number_of_nodes()) or matching(adj),
+    )
+    G = disjoint_union([petersen(), complete(4)])
+    res = construct(G, 4, 0)
+    assert res.trace.rules() == ["factor-split"]
+    assert verify(G, res.labeling) == 0
+    assert sizes == [10, 4]
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        (petersen(), complete(4)),
+        (prism(4), complete(6), cycle(6)),
+        (complete(4), bridged_cubic_16(), prism(3)),
+        (cycle(5), cycle(4)),
+    ],
+    ids=["petersen+K4", "cube+K6+C6", "K4+bridged16+prism3", "C5+C4"],
+)
+def test_one_factor_of_a_union_is_the_whole_graph_matching(parts):
+    G = disjoint_union(list(parts))
+    whole = factors._matching_factor(G, range(G.m))
+    assert f_factor(G, 1) == whole
+    if any(f_factor(P, 1) is None for P in parts):
+        assert whole is None
+
+
 @pytest.mark.parametrize(
     ("answers", "want"),
     [(("undecided", "absent"), None), (("absent", "undecided"), None), (("undecided", "found"), BudgetError)],

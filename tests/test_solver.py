@@ -128,6 +128,21 @@ def test_kernels_agree_everywhere(compiled_kernel):
             assert len(labs) <= 1  # same first labeling
 
 
+def test_a_modulus_past_the_c_int_range_runs_on_the_pure_twin():
+    # the compiled kernel parses k as a C int; every kernel asked for
+    # answers as the pure twin does
+    k = 2**31 + 1
+    results = {
+        name: search_labeling(complete(4), k, 3, kernel=impl)
+        for name, impl in available_kernels().items()
+    }
+    pure = results["pure-python"]
+    assert (pure.status, pure.nodes) == ("found", 6)
+    assert verify(complete(4), pure.labeling) == 3
+    for res in results.values():
+        assert (res.status, res.nodes, res.labeling) == (pure.status, pure.nodes, pure.labeling)
+
+
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
 def test_kernels_reject_bad_input_alike(twin, request):
     impl = _backtrack_py if twin == "pure-python" else request.getfixturevalue("compiled_kernel")
