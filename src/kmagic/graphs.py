@@ -214,6 +214,7 @@ def _component_graph(G: MultiGraph, comp: frozenset[int]) -> tuple[MultiGraph, t
         len(vmap),
         tuple(EdgeRecord(i, vmap[e.u], vmap[e.v]) for i, e in enumerate(edges)),
     )
+    C.memo("component_graphs", list)  # a component is connected: no split to find
     return C, tuple(e.id for e in edges)
 
 
