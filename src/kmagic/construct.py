@@ -249,10 +249,12 @@ def _rule_factor_split(G, r, k, c, budget):
 def _two_factor_groups(G, labels):
     """The doubled graph's i-th 2-factor labeled labels[i] for all but the
     last label, which covers every other edge: the later 2-factors are
-    never split, only their union is read."""
+    never split, only their union is read, once per graph and count."""
     doubled = double_graph(G).doubled
     parts = two_factorization(doubled, len(labels) - 1).parts
-    rest = frozenset(range(doubled.m)).difference(*parts)
+    rest = doubled.memo(
+        f"two-factor rest/{len(parts)}", lambda: frozenset(range(doubled.m)).difference(*parts)
+    )
     return [*zip(parts, labels), (rest, labels[-1])]
 
 

@@ -52,7 +52,8 @@ def _double(G: MultiGraph) -> DoublingMap:
 
 @dataclass(frozen=True)
 class FactorDecomposition:
-    """Edge-id sets partitioning E(G), one constant degree per part."""
+    """Disjoint edge-id sets, one constant degree per part, covering E(G)
+    unless they are the first few parts of a 2-factorization."""
 
     parts: tuple[frozenset[int], ...]
     degrees: tuple[int, ...]
@@ -84,7 +85,7 @@ def two_factorization(G: MultiGraph, count: int | None = None) -> FactorDecompos
     The split is kept per graph and run on demand: a call splits only
     the rounds no earlier call has, in one fixed order, so the i-th
     2-factor is the same edge set whatever counts are asked and in
-    whatever order.  The full decomposition is one object per graph.
+    whatever order.  Each count gets one object per graph.
     """
     r = regularity(G)
     if r is None or r < 2 or r % 2 != 0:
@@ -98,26 +99,26 @@ def two_factorization(G: MultiGraph, count: int | None = None) -> FactorDecompos
 
 
 class _PetersenSplit:
-    """The 2-factors of one graph split so far, and what the next round
-    needs: the orientation, found on the first round and dropped after
-    the last, and the mask of edges no part holds yet.  It keeps no
-    reference to the graph, whose memo holds it."""
+    """The 2-factors of one graph split so far, what the next round needs
+    (the orientation, found on the first round and dropped after the
+    last, and the mask of edges no part holds yet) and the decomposition
+    handed out for each count.  It keeps no reference to the graph,
+    whose memo holds it."""
 
     def __init__(self, m: int, rho: int) -> None:
         self.rho = rho
         self.parts: list[frozenset[int]] = []
         self.out_arcs: list[list[tuple[int, int]]] | None = None
         self.alive: bytearray | None = bytearray([1]) * m
-        self.full: FactorDecomposition | None = None
+        self.prefixes: dict[int, FactorDecomposition] = {}
 
     def prefix(self, G: MultiGraph, count: int) -> FactorDecomposition:
-        while len(self.parts) < count:
-            self._split_next(G)
-        if count < self.rho:
-            return FactorDecomposition(tuple(self.parts[:count]), (2,) * count)
-        if self.full is None:
-            self.full = FactorDecomposition(tuple(self.parts), (2,) * self.rho)
-        return self.full
+        dec = self.prefixes.get(count)
+        if dec is None:
+            while len(self.parts) < count:
+                self._split_next(G)
+            dec = self.prefixes[count] = FactorDecomposition(tuple(self.parts[:count]), (2,) * count)
+        return dec
 
     def _split_next(self, G: MultiGraph) -> None:
         alive = self.alive
