@@ -1,4 +1,4 @@
-"""Digest of every construct answer over a fixed 36-graph corpus.
+"""Digest of every construct answer over a fixed 38-graph corpus.
 
 Runs construct(G, k, c, SolverBudget(node_cap=2000)) for k = 1..12,
 every c in Z_k (c in -6..6 at k = 1), on each corpus graph, and prints
@@ -7,6 +7,10 @@ two SHA-256 digests over the answers in that order:
 - full: graph name, k, c, status, verified sum, sorted labels and the
   trace of every call;
 - status: graph name, k, c and status only.
+
+It also prints how many found calls each rule answered: the rule of
+the first trace step that is neither a fallthrough nor an inner step of
+a factor extension.
 
 A change that must leave every answer unchanged leaves the full digest
 unchanged; one that may change which labeling is found, but no
@@ -25,6 +29,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 
 from kmagic import (
     SolverBudget,
@@ -67,6 +72,18 @@ def bridged_cubic_10():
     return build_graph(10, pairs)
 
 
+def two_hub_even(r):
+    """r copies of K_{r+1} - e, the two ends of each removed edge joined
+    to hubs 0 and 1: r-regular for even r, of even order, and without a
+    perfect matching (removing the hubs leaves r odd components)."""
+    pairs = []
+    for base in range(2, 2 + r * (r + 1), r + 1):
+        block = range(base, base + r + 1)
+        pairs += [(u, v) for u in block for v in block if u < v and (u, v) != (base, base + 1)]
+        pairs += [(0, base), (1, base + 1)]
+    return build_graph(2 + r * (r + 1), pairs)
+
+
 def corpus() -> list[tuple[str, object]]:
     return [
         ("K4", complete(4)),
@@ -105,18 +122,28 @@ def corpus() -> list[tuple[str, object]]:
         ("2K4", double_graph(complete(4)).doubled),
         ("2petersen", double_graph(petersen()).doubled),
         ("2C5", double_graph(cycle(5)).doubled),
+        ("two_hub_even(4)", two_hub_even(4)),
+        ("two_hub_even(6)", two_hub_even(6)),
     ]
 
 
+def answering_rule(trace):
+    """The rule that answered a found call."""
+    return next(
+        s.rule for s in trace.steps
+        if s.rule not in ("fallthrough", "spectrum-undecided") and s.scope != "factor"
+    )
+
+
 def answers():
-    """(full record, status record) of every call, in corpus order."""
+    """(full record, status record, result) of every call, in corpus order."""
     for name, G in corpus():
         for k in MODULI:
             for c in INTEGER_SUMS if k == 1 else range(k):
                 res = construct(G, k, c, BUDGET)
                 labels = None if res.labeling is None else sorted(res.labeling.labels.items())
                 full = [name, k, c, res.status, res.c, labels, res.trace.to_jsonable()]
-                yield full, [name, k, c, res.status]
+                yield full, [name, k, c, res.status], res
 
 
 def main() -> None:
@@ -127,15 +154,20 @@ def main() -> None:
 
     full, status = hashlib.sha256(), hashlib.sha256()
     calls = 0
+    tally = Counter()
     t0 = time.perf_counter()
-    for f, s in answers():
+    for f, s, res in answers():
         full.update(json.dumps(f, sort_keys=True).encode() + b"\n")
         status.update(json.dumps(s, sort_keys=True).encode() + b"\n")
         calls += 1
+        if res.status == "found":
+            tally[answering_rule(res.trace)] += 1
     elapsed = time.perf_counter() - t0
     print(f"calls   {calls}  ({elapsed:.2f} s)")
     print(f"full    {full.hexdigest()}")
     print(f"status  {status.hexdigest()}")
+    for rule, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
+        print(f"found   {count:5d}  {rule}")
     failed = False
     for name, got, want in (("full", full, args.expect_full), ("status", status, args.expect_status)):
         if want is not None and got.hexdigest() != want:

@@ -7,7 +7,7 @@ regular graph admits, and cross-checks predictions against an exhaustive
 solver.
 """
 
-from .construct import ConstructResult, construct, zero_sum_five_regular
+from .construct import ConstructResult, construct
 from .errors import (
     BudgetError,
     FactorError,
@@ -138,5 +138,4 @@ __all__ = [
     "verify_subset",
     "write_graph",
     "zero_sum_4_magic",
-    "zero_sum_five_regular",
 ]

@@ -2,22 +2,29 @@
 
 construct() first predicts the spectrum; a c outside it is reported
 absent with the excluding rule in the trace.  Otherwise a fixed cascade
-of constructions is tried, cheapest first: constant labels, per-cycle
-labelings, 2-factorization assignments, the gcd/fold constructions for
-odd degree, the 4-regular and factor-extension routes for even degree,
-the mod-3 factor rule, h-factor splits, parametric doubling searches,
-and finally the exact solver.  For odd degree, the h-factor split
-settles the zero sums mod 3 and mod 4 whenever G has a perfect matching
-M: M, or a 2-factor of G - M, labeled against the other edges.  A rule
-whose formula goes illegal at a boundary (a label vanishing mod k) falls
-through to the next rule and the event is recorded in the trace.  Every
-labeling handed back has been re-verified against the requested sum.
+of constructions is tried, cheapest first, and the exact solver runs
+only when every rule misses: a constant label for r = 1, per-cycle
+labels for r = 2, and for larger r a constant label, then
+
+- even r: constants on the Petersen 2-factors, which miss only an odd c
+  at even k; the h-factor split, which reaches it on a perfect matching;
+  without one, the 4-regular folds and factor extensions; the doubling
+  search.
+- odd r, c = 0: at k = 3 and 4 the h-factor split on a perfect matching
+  M or a 2-factor of G - M; else the doubling search, 5-regular included.
+- odd r, c != 0: the mod-3 factor (k = 3, 3 | r); the doubling search,
+  whose h = 1 candidates are the gcd and even-k folds and their
+  complements; the h-factor split.
+
+_rule_sequence gives the argument for each class.  A rule whose formula
+goes illegal at a boundary (a label vanishing mod k) falls through to
+the next rule and the event is recorded in the trace.  Every labeling
+handed back has been re-verified against the requested sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import BudgetError, FactorError, KmagicError, LabelingError, RegularityError
 from .factorization import double_graph, two_factorization
@@ -27,7 +34,6 @@ from .labelings import (
     ConstructionTrace,
     EdgeLabeling,
     TraceStep,
-    complement,
     extend_by_factor,
     fold,
     verify,
@@ -93,9 +99,8 @@ def _rule_constant(G, r, k, c, budget):
     raise _NotApplicable("no constant label fits")
 
 
-def _cycle_labels(G, k, c):
-    """Labels for a 2-regular graph: alternate on even cycles, constant
-    on odd ones.  Raises when some cycle cannot meet the sum."""
+def _rule_cycles(G, r, k, c, budget):
+    """2-regular: alternate labels on even cycles, a constant on odd ones."""
     prof = two_regular_profile(G)
     labels: dict[int, int] = {}
     for verts, eids in prof.cycles:
@@ -133,11 +138,6 @@ def _cycle_labels(G, k, c):
                     raise _Miss("odd cycle: both half-sum labels vanish")
             for eid in eids:
                 labels[eid] = x
-    return labels
-
-
-def _rule_cycles(G, r, k, c, budget):
-    labels = _cycle_labels(G, k, c)
     return _accept(G, k, c, labels, "cycle-rule", {"c": _norm(c, k)})
 
 
@@ -180,33 +180,6 @@ def _rule_two_factor_constants(G, r, k, c, budget):
         for eid in part:
             labels[eid] = x
     return _accept(G, k, c, labels, "two-factor-constants", {"values": values})
-
-
-def _rule_two_factor_cycle_remainder(G, r, k, c, budget):
-    """All but one 2-factor constant, the last labeled by the cycle rule."""
-    parts = two_factorization(G).parts
-    rho = len(parts)
-    if rho < 2:
-        raise _NotApplicable("needs at least two 2-factors")
-    fillers = range(1, k) if k >= 2 else (1, 2)
-    for idx, part in enumerate(parts):
-        Hs, idmap = subgraph(G, part)
-        for a in fillers:
-            t = c - 2 * a * (rho - 1)
-            if k > 1:
-                t %= k
-            try:
-                sub_labels = _cycle_labels(Hs, k, t)
-            except _Skip:
-                continue
-            labels = {eid: a for eid in range(G.m) if eid not in part}
-            labels.update({idmap[j]: v for j, v in sub_labels.items()})
-            return _accept(
-                G, k, c, labels,
-                "two-factor-cycle-remainder",
-                {"cycle_part": idx, "filler": a, "part_sum": t},
-            )
-    raise _Miss("no 2-factor takes the remaining sum")
 
 
 def _label_pairs(k, c, t, s, divisors=(1,)):
@@ -283,15 +256,6 @@ def _fold_constant_parts(G, k, c, groups, divisor, rule, params):
     return _accept(G, k, c, folded.labels, "fold", {"divisor": divisor}, extra_steps=[step])
 
 
-def _complemented(G, k, cn, built):
-    """Turn a built (k - cn)-sum labeling into a cn-sum one by x -> k - x."""
-    lab, steps = built
-    return _accept(
-        G, k, cn, complement(G, lab).labels, "complement", {"source_sum": (k - cn) % k},
-        extra_steps=steps,
-    )
-
-
 def _rule_doubling_search(G, r, k, c, budget):
     """Parametric doubling: 2h-factor of the doubled graph labeled a, the
     complement b, folded with divisor 1 or 2.  Tries all (a, b) pairs."""
@@ -308,118 +272,6 @@ def _rule_doubling_search(G, r, k, c, budget):
             except _Skip:
                 continue
     raise _Miss("no doubling parameters reach the sum")
-
-
-def zero_sum_five_regular(G: MultiGraph, k: int) -> tuple[EdgeLabeling, ConstructionTrace]:
-    """Zero-sum labeling of a 5-regular graph by the doubling construction.
-
-    k != 8: the 2-factor of the doubled graph gets k-4, the 8-factor 1,
-    folded with divisor 1.  k = 8: the 4-factor gets 2, the 6-factor 4,
-    folded with divisor 2.  Requires k >= 5.
-    """
-    if regularity(G) != 5:
-        raise RegularityError("needs a 5-regular graph")
-    if k < 5:
-        raise LabelingError(f"doubling construction needs k >= 5, got {k}")
-    if k != 8:
-        labels, divisor, case = [k - 4, 1], 1, 1
-    else:
-        labels, divisor, case = [2, 2, 4], 2, 2
-    try:
-        lab, steps = _fold_constant_parts(
-            G, k, 0, _two_factor_groups(G, labels), divisor,
-            "five-regular-doubling",
-            {"case": case, "factor_label": labels[0], "rest_label": labels[-1]},
-        )
-    except _Skip as exc:
-        raise LabelingError(str(exc)) from None
-    return lab, ConstructionTrace(tuple(steps))
-
-
-def _rule_five_regular(G, r, k, c, budget):
-    try:
-        lab, trace = zero_sum_five_regular(G, k)
-    except (LabelingError, FactorError, RegularityError) as exc:
-        raise _Miss(f"five-regular doubling: {exc}") from None
-    return lab, list(trace.steps)
-
-
-def _sub21_main(G, r, k, target):
-    """Odd degree, odd k, d = gcd(r, k) >= 3: 2-factor of the doubled
-    graph labeled x, the rest (k+b)/2 with b = k/d, folded once."""
-    b = k // gcd(r, k)
-    x = (b + target) // 2 if (b + target) % 2 == 0 else (b + target + k) // 2
-    x %= k
-    y = ((k + b) // 2) % k
-    if x == 0 or y == 0:
-        raise _Miss(f"gcd-fold labels vanish (x={x}, y={y})")
-    return _fold_constant_parts(
-        G, k, target, _two_factor_groups(G, [x, y]), 1,
-        "odd-regular-gcd-fold", {"b": b, "x": x, "y": y},
-    )
-
-
-def _sub21_threeb(G, r, k):
-    """k = 3b boundary: 4-factor split into two 2-factors labeled
-    (b+1)/2 and (b-1)/2, the rest b; folds to a b-sum."""
-    b = k // gcd(r, k)
-    p, q = (b + 1) // 2, (b - 1) // 2
-    if q == 0:
-        raise _Miss("gcd-fold boundary needs b >= 3")
-    return _fold_constant_parts(
-        G, k, b % k, _two_factor_groups(G, [p, q, b]), 1,
-        "odd-regular-gcd-fold", {"b": b, "x": p, "y": q, "boundary": "k=3b"},
-    )
-
-
-def _rule_odd_gcd_fold(G, r, k, c, budget):
-    """Odd r >= 3, odd k >= 5, gcd(r, k) >= 3, c != 0."""
-    d = gcd(r, k)
-    b = k // d
-    cn = c % k
-    if cn not in ((k - b) % k, (k - 2 * b) % k):
-        return _sub21_main(G, r, k, cn)
-    if k != 3 * b:
-        return _complemented(G, k, cn, _sub21_main(G, r, k, (k - cn) % k))
-    # here k = 3b and cn is b or 2b: the boundary folds to b, complemented to 2b
-    built = _sub21_threeb(G, r, k)
-    if cn == b % k:
-        return built
-    return _complemented(G, k, cn, built)
-
-
-def _sub22_even_candidate(G, k, target, r0):
-    w = (target - 2 * r0) % k
-    for L in (w // 2, w // 2 + k // 2):
-        L %= k
-        if L == 0 or L == k - 1 or (2 * L) % k == 0:
-            continue
-        try:
-            return _fold_constant_parts(
-                G, k, target, _two_factor_groups(G, [L, 1]), 1,
-                "odd-regular-even-k-fold", {"L": L, "divisor": 1},
-            )
-        except _Skip:
-            continue
-    raise _Miss(f"no divisor-1 label for sum {target}")
-
-
-def _rule_even_modulus_fold(G, r, k, c, budget):
-    """Odd r >= 3, even k >= 6: 2-factor of the doubled graph against
-    all-ones, folded with divisor 2 (odd c) or 1 (even c)."""
-    cn = c % k
-    r0 = (r - 1) % k
-    if cn % 2 == 1:
-        L = (cn - r0) % k
-        return _fold_constant_parts(
-            G, k, cn, _two_factor_groups(G, [L, 1]), 2,
-            "odd-regular-even-k-fold", {"L": L, "divisor": 2},
-        )
-    try:
-        return _sub22_even_candidate(G, k, cn, r0)
-    except _Skip:
-        pass
-    return _complemented(G, k, cn, _sub22_even_candidate(G, k, (k - cn) % k, r0))
 
 
 def _factor_extension(G, r, k, c, factor_edges, rule, budget):
@@ -450,8 +302,8 @@ def _factor_extension(G, r, k, c, factor_edges, rule, budget):
 
 
 def _four_regular_even_order(G, k, c, budget):
-    """4-regular, even order, k >= 5: the doubled-graph 3-factor route
-    with labels 2c and k-c, plus the half-modulus specials."""
+    """4-regular: the doubled-graph 3-factor route with labels 2c and k-c,
+    and at c = k/2, whose half is odd as c is, the half-modulus fold."""
     cn = c % k
     if (2 * cn) % k != 0 and (4 * cn) % k != 0:
         F3, rest = _doubled_three_factor(G)
@@ -462,18 +314,9 @@ def _four_regular_even_order(G, k, c, budget):
         )
     if k % 2 == 0 and cn == k // 2:
         dd = k // 2
-        parts = two_factorization(G).parts
-        if dd % 2 == 0:
-            labels = {}
-            for eid in parts[0]:
-                labels[eid] = dd
-            for eid in parts[1]:
-                labels[eid] = dd // 2
-            return _accept(
-                G, k, cn, labels, "four-regular-half-modulus", {"labels": [dd, dd // 2]}
-            )
         F3, rest = _doubled_three_factor(G)
         if dd not in (3, 9):
+            parts = two_factorization(G).parts
             base, steps = _fold_constant_parts(
                 G, k, (k - 1) % k, [(F3, k - 2), (rest, 1)], 1,
                 "four-regular-half-modulus", {"part": "fold", "labels": [k - 2, 1]},
@@ -500,10 +343,9 @@ def _four_regular_even_order(G, k, c, budget):
 
 
 def _rule_even_regular(G, r, k, c, budget):
-    """Even r >= 4, k >= 5, even order: explicit 4-regular sub-cases or
+    """Even r >= 4, k >= 5, odd c at even k (so G has even order, or the
+    spectrum excludes c): explicit 4-regular sub-cases or
     factor-extension recursion per the half-degree's parity."""
-    if G.n % 2 != 0:
-        raise _NotApplicable("even-degree specials need even order")
     rho = r // 2
     if rho == 2:
         return _four_regular_even_order(G, k, c, budget)
@@ -532,11 +374,6 @@ def _rule_mod3_factor(G, r, k, c, budget):
     return _accept(
         G, 3, cn, flipped, "mod3-factor", {"factor_label": 1, "complemented": True}
     )
-
-
-def _rule_four_factor_extension(G, r, k, c, budget):
-    """k = 3, r = 0 mod 6: recurse on a 4-factor, pad with ones."""
-    return _factor_extension(G, r, k, c, f_factor(G, 4), "four-factor-extension", budget)
 
 
 # ---------------------------------------------------------------------------
@@ -570,43 +407,54 @@ def _solver_result(G, k, c, budget, pre_steps):
 
 
 def _rule_sequence(G, r, k, c):
-    """Dispatch order; first entry to succeed wins."""
+    """Dispatch order; first entry to succeed wins.
+
+    Why each class of (r, k, c) with r >= 3 needs no other rule:
+
+    - even r: with rho = r/2 >= 2 nonzero 2-factor constants, 2 times
+      their sum is any multiple of 2 mod k, so two-factor-constants
+      reaches every c at odd k and every even c at even k.  For an odd c
+      at even k, a perfect matching (which any 2-factor of even cycles
+      contains) lets factor-split at h = 1 solve a + (r - 1)b = c, as
+      gcd(r - 1, k) <= k/2 leaves a b with (r - 1)b != c.  So the
+      even-degree specials see only odd c at even k on graphs without
+      a perfect matching.
+    - odd r, c = 0: the 5-regular doublings are doubling candidates,
+      [k - 4, 1] with divisor 1 at h = 1 and [2, 2, 4] with divisor 2
+      at h = 2.
+    - odd r, c != 0: factor-split comes last, as on a graph without a
+      perfect matching it runs the factor gadget for every h.  The gcd
+      and even-k folds are h = 1 doubling candidates, and the complement
+      of a divisor-1 fold of [x, y] is the fold of [k - x, k - y].  At
+      odd k the h = 1, divisor-1 candidates miss for at most
+      gcd(r - 1, k) + gcd(r - 2, k) values of b.  At the k = 3b boundary
+      of 3 | r these two gcds are coprime and prime to 3, so they sum
+      to at most k/3 + 1 < k - 1 and some b is left.
+    """
     cn = _norm(c, k)
     if r == 1:
         return [("constant", _rule_constant)]
     if r == 2:
         return [("cycle-rule", _rule_cycles)]
     rules: list[tuple[str, object]] = [("constant", _rule_constant)]
-    if cn == 0:
-        if r % 2 == 0:
-            rules.append(("two-factor-constants", _rule_two_factor_constants))
-        else:
-            if r == 5 and k >= 5:
-                rules.append(("five-regular-doubling", _rule_five_regular))
-            if k in (3, 4):
-                rules.append(("factor-split", _rule_factor_split))
-            if k not in (2, 4):
-                rules.append(("doubling-parameter-search", _rule_doubling_search))
-    elif r % 2 == 1:
-        if k >= 5 and k % 2 == 1 and gcd(r, k) >= 3:
-            rules.append(("odd-regular-gcd-fold", _rule_odd_gcd_fold))
-        if k >= 5 and k % 2 == 0:
-            rules.append(("odd-regular-even-k-fold", _rule_even_modulus_fold))
-        if k == 3 and r % 6 == 3:
-            rules.append(("mod3-factor", _rule_mod3_factor))
+    if r % 2 == 0:
+        rules.append(("two-factor-constants", _rule_two_factor_constants))
         rules.append(("factor-split", _rule_factor_split))
-        if k != 2:
-            rules.append(("doubling-parameter-search", _rule_doubling_search))
-    else:
         if k >= 5:
             rules.append(("even-regular-specials", _rule_even_regular))
-        if k == 3 and r % 6 == 0:
-            rules.append(("four-factor-extension", _rule_four_factor_extension))
-        rules.append(("two-factor-constants", _rule_two_factor_constants))
-        rules.append(("two-factor-cycle-remainder", _rule_two_factor_cycle_remainder))
-        rules.append(("factor-split", _rule_factor_split))
         if k != 2:
             rules.append(("doubling-parameter-search", _rule_doubling_search))
+    elif cn == 0:
+        if k in (3, 4):
+            rules.append(("factor-split", _rule_factor_split))
+        if k not in (2, 4):
+            rules.append(("doubling-parameter-search", _rule_doubling_search))
+    else:
+        if k == 3 and r % 6 == 3:
+            rules.append(("mod3-factor", _rule_mod3_factor))
+        if k != 2:
+            rules.append(("doubling-parameter-search", _rule_doubling_search))
+        rules.append(("factor-split", _rule_factor_split))
     return rules
 
 

@@ -95,6 +95,23 @@ def hub_quintic_16() -> MultiGraph:
     return build_graph(16, pairs)
 
 
+def two_hub_even(r: int) -> MultiGraph:
+    """r copies of K_{r+1} minus an edge, the two ends of each removed
+    edge joined to hubs 0 and 1.  For even r it is r-regular, of even
+    order, and has no perfect matching: removing the hubs leaves r odd
+    components.  Odd sums at even k on it reach the even-degree specials."""
+    pairs: list[tuple[int, int]] = []
+    for base in range(2, 2 + r * (r + 1), r + 1):
+        pairs += [
+            (base + i, base + j)
+            for i in range(r + 1)
+            for j in range(i + 1, r + 1)
+            if (i, j) != (0, 1)
+        ]
+        pairs += [(0, base), (1, base + 1)]
+    return build_graph(2 + r * (r + 1), pairs)
+
+
 def hub10() -> MultiGraph:
     """9-regular multigraph on 10 vertices without a perfect matching:
     a hub joined by 3 parallel edges to one vertex of each of three

@@ -28,13 +28,13 @@ from kmagic import (
     random_regular,
     two_factorization,
     verify,
-    zero_sum_five_regular,
 )
 from kmagic.factorization import check_factor
 
 from conftest import CORPUS_BUILDERS, hub_quintic_16
 
 CORPUS_NAMES = sorted(CORPUS_BUILDERS)
+SOLVER_STEPS = {"spectrum-undecided", "solver", "solver-exhausted", "solver-budget-exceeded"}
 
 
 def report(num: int, title: str, failures: list[str], extra: str = "") -> None:
@@ -179,30 +179,26 @@ def test_criterion_5_factor_machinery(corpus):
 
 
 def test_criterion_6_five_regular_zero_sum():
-    K6 = complete(6)
     failures = []
-    for k in (5, 6, 7, 9):
-        lab, trace = zero_sum_five_regular(K6, k)
-        if verify(K6, lab) != 0:
-            failures.append(f"k={k}: not a zero-sum labeling")
-        step = next(s for s in trace.steps if s.rule == "five-regular-doubling")
-        if step.params["case"] != 1:
-            failures.append(f"k={k}: expected case 1, got {step.params['case']}")
-    lab, trace = zero_sum_five_regular(K6, 8)
-    if verify(K6, lab) != 0:
-        failures.append("k=8: not a zero-sum labeling")
-    step = next(s for s in trace.steps if s.rule == "five-regular-doubling")
-    if step.params["case"] != 2:
-        failures.append(f"k=8: expected case 2, got {step.params['case']}")
+    # k >= 5: the constant label or the doubling search, whose candidates
+    # include [k - 4, 1] with divisor 1 and, at k = 8, [2, 2, 4] with
+    # divisor 2; with or without a perfect matching, no solver step
+    for G in (complete(6), hub_quintic_16()):
+        for k in range(5, 13):
+            res = construct(G, k, 0)
+            if res.status != "found" or verify(G, res.labeling) != 0:
+                failures.append(f"k={k}, n={G.n}: construct status {res.status}")
+            elif SOLVER_STEPS & set(res.trace.rules()):
+                failures.append(f"k={k}, n={G.n}: solver step in {res.trace.rules()}")
     # k = 3: K6's perfect matching gives a factor split; without one the
     # zero sum falls to the solver
-    for G, rule in ((K6, "factor-split"), (hub_quintic_16(), "solver")):
+    for G, rule in ((complete(6), "factor-split"), (hub_quintic_16(), "solver")):
         res = construct(G, 3, 0)
         if res.status != "found" or verify(G, res.labeling) != 0:
             failures.append(f"k=3, n={G.n}: construct status {res.status}")
         elif res.trace.rules()[-1] != rule:
             failures.append(f"k=3, n={G.n}: expected {rule}, trace {res.trace.rules()}")
-    report(6, "5-regular zero sums: doubling cases, k=3 factor split and solver", failures)
+    report(6, "5-regular zero sums: doubling search, k=3 factor split and solver", failures)
 
 
 def test_criterion_7_invariants_and_transform_contracts(corpus):

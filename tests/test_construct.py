@@ -4,7 +4,6 @@ import pytest
 
 from kmagic import (
     KmagicError,
-    LabelingError,
     RegularityError,
     SolverBudget,
     build_graph,
@@ -20,9 +19,8 @@ from kmagic import (
     search_labeling,
     verify,
     zero_sum_4_magic,
-    zero_sum_five_regular,
 )
-from conftest import hub10, hub_quintic_16, unmatched_cubic_28
+from conftest import bridged_cubic_16, hub10, hub_quintic_16, two_hub_even, unmatched_cubic_28
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -34,8 +32,7 @@ def test_found_examples():
     res = construct(complete(6), 7, 0)
     assert res.status == "found"
     assert verify(complete(6), res.labeling) == 0
-    assert "five-regular-doubling" in res.trace.rules()
-    assert "fold" in res.trace.rules()
+    assert res.trace.rules() == ["doubling-parameter-search", "fold"]
 
 
 def test_absent_examples_cite_the_spectrum():
@@ -67,18 +64,18 @@ def test_constant_rule_comes_first_when_it_fits():
     assert set(res.labeling.labels.values()) == {1}
 
 
-def test_gcd_fold_boundary_and_its_complement():
-    # k = 3b with b = k / gcd(r, k) = 5: the boundary folds to the sum b,
-    # its complement gives 2b, and no constant label reaches either
-    G = petersen()
-    res = construct(G, 15, 5)
-    assert res.trace.rules() == ["odd-regular-gcd-fold", "fold"]
-    assert res.trace.steps[0].params["boundary"] == "k=3b"
-    assert verify(G, res.labeling) == 5
-    res = construct(G, 15, 10)
-    assert res.trace.rules() == ["odd-regular-gcd-fold", "fold", "complement"]
-    assert res.trace.steps[-1].params == {"source_sum": 5}
-    assert verify(G, res.labeling) == 10
+def test_gcd_fold_sums_come_from_the_doubling_search():
+    # at k = 3b with b = k / gcd(r, k) the sums b and 2b take no constant
+    # label; an h = 1, divisor-1 doubling candidate reaches both, also on
+    # a cubic graph without a perfect matching (at k = 9 the constant
+    # label already answers r = 3)
+    for G in (petersen(), bridged_cubic_16()):
+        for k, sums in ((15, (5, 10)), (21, (7, 14))):
+            for c in sums:
+                res = construct(G, k, c)
+                assert res.status == "found", (G.n, k, c)
+                assert res.trace.rules() == ["doubling-parameter-search", "fold"]
+                assert verify(G, res.labeling) == c
 
 
 def test_trace_replay_matches_labeling():
@@ -91,28 +88,6 @@ def test_trace_replay_matches_labeling():
         res = construct(G, k, c)
         assert res.status == "found", (k, c)
         assert replay_trace(res.trace) == res.labeling.labels
-
-
-def test_zero_sum_five_regular_both_cases():
-    K6 = complete(6)
-    for k in (5, 6, 7, 9):
-        lab, trace = zero_sum_five_regular(K6, k)
-        assert verify(K6, lab) == 0
-        step = next(s for s in trace.steps if s.rule == "five-regular-doubling")
-        assert step.params["case"] == 1
-        assert step.params["factor_label"] == k - 4
-    lab, trace = zero_sum_five_regular(K6, 8)
-    assert verify(K6, lab) == 0
-    step = next(s for s in trace.steps if s.rule == "five-regular-doubling")
-    assert step.params["case"] == 2
-    assert set(lab.labels.values()) <= {2, 3, 4}
-
-
-def test_zero_sum_five_regular_guard_rails():
-    with pytest.raises(LabelingError):
-        zero_sum_five_regular(complete(6), 4)
-    with pytest.raises(RegularityError):
-        zero_sum_five_regular(petersen(), 5)
 
 
 def test_k6_zero_sum_small_modulus_by_factor_split():
@@ -179,6 +154,29 @@ def test_mod3_factor_rule_decides_a_union_per_component():
         assert verify(G, res.labeling) == c
         assert res.trace.rules()[-1] == "mod3-factor"
         assert "fallthrough" not in res.trace.rules()
+
+
+def test_even_degree_specials_serve_graphs_without_a_perfect_matching():
+    # an odd c at even k is the one sum that 2-factor constants miss; with
+    # no perfect matching the factor split misses it too, and the
+    # even-degree specials answer
+    for r in (4, 6):
+        G = two_hub_even(r)
+        assert set(G.degrees) == {r} and G.n % 2 == 0
+        assert f_factor(G, 1) is None
+    G = two_hub_even(4)
+    for k in (6, 8, 10):
+        for c in range(1, k, 2):
+            res = construct(G, k, c)
+            assert res.status == "found", (k, c)
+            answered = [s for s in res.trace.rules() if s != "fallthrough"]
+            assert answered[0].startswith("four-regular-"), (k, c, res.trace.rules())
+            assert verify(G, res.labeling) == c
+    G = two_hub_even(6)
+    res = construct(G, 6, 1)
+    assert res.status == "found"
+    assert res.trace.rules()[-1] == "odd-half-factor-extension"
+    assert verify(G, res.labeling) == 1
 
 
 def test_fallthrough_steps_record_misses():
