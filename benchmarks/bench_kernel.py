@@ -2,10 +2,12 @@
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
-prints timings.  The heavy case is an absence proof on a connected graph
-that visits about 5M nodes; --quick caps every search at one million
-nodes instead.  Every case reaches the kernel: none is settled by the
-parity count or split into components first.
+prints timings.  The heavy case is a search on a bridgeless graph capped
+at 5M nodes, where the twins must stop on the same node; --quick caps
+every search at one million nodes instead.  Every case reaches the
+kernel: none is settled by the parity count or split into components
+first.  One case has bridges, so the solver splits it and drives the
+kernel's per-vertex targets and per-edge allowed labels.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -15,41 +17,20 @@ from __future__ import annotations
 import argparse
 import time
 
-from kmagic import (
-    MultiGraph,
-    SolverBudget,
-    build_graph,
-    circulant,
-    complete,
-    cycle,
-    petersen,
-    prism,
-    search_labeling,
-)
+from digest import hub10, unmatched_cubic_28
+from kmagic import SolverBudget, circulant, complete, cycle, petersen, search_labeling
 from kmagic.solver import available_kernels
 
+QUICK_CAP = 10**6
 
-def bridged_prisms() -> MultiGraph:
-    """Cubic graph on 34 vertices: a hub joined by bridges to three
-    copies of prism(5), each with one rim edge subdivided by the vertex
-    that takes the bridge.  The hub's edges are all bridges, so no 0-sum
-    4-magic labeling exists, and the search has to prove it."""
-    P = prism(5)
-    pairs: list[tuple[int, int]] = []
-    for base in (1, 12, 23):
-        w = base + 10
-        pairs.append((0, w))
-        pairs += [(base + P.edges[0].u, w), (w, base + P.edges[0].v)]
-        pairs += [(base + e.u, base + e.v) for e in P.edges[1:]]
-    return build_graph(34, pairs)
-
-
+# (label, graph, k, c, node cap or None for the default budget)
 CASES = [
-    ("K6 k=5 c=2 (found fast)", complete(6), 5, 2),
-    ("petersen k=4 c=0 (found)", petersen(), 4, 0),
-    ("C9 k=9 c=0 (absent, forced)", cycle(9), 9, 0),
-    ("circ8{1,2} k=6 c=3 (found)", circulant(8, (1, 2)), 6, 3),
-    ("bridged prisms k=4 c=0 (absent, 5.0M nodes)", bridged_prisms(), 4, 0),
+    ("K6 k=5 c=2 (found fast)", complete(6), 5, 2, None),
+    ("petersen k=4 c=0 (found)", petersen(), 4, 0, None),
+    ("C9 k=9 c=0 (absent, forced)", cycle(9), 9, 0, None),
+    ("circ8{1,2} k=6 c=3 (found)", circulant(8, (1, 2)), 6, 3, None),
+    ("unmatched28 k=6 c=0 (split, found)", unmatched_cubic_28(), 6, 0, None),
+    ("hub10 k=4 c=0 (capped at 5.0M nodes)", hub10(), 4, 0, 5 * 10**6),
 ]
 
 
@@ -58,7 +39,6 @@ def main() -> None:
     ap.add_argument("--quick", action="store_true", help="cap searches at 1e6 nodes")
     args = ap.parse_args()
 
-    budget = SolverBudget(exhaustive_states=1, node_cap=10**6) if args.quick else None
     kernels = available_kernels()
     print(f"kernels: {', '.join(kernels)}")
     header = f"{'case':<44} {'status':<10} {'nodes':>12}"
@@ -68,7 +48,10 @@ def main() -> None:
     print(header)
     print("-" * len(header))
 
-    for label, G, k, c in CASES:
+    for label, G, k, c, cap in CASES:
+        if args.quick:
+            cap = min(cap or QUICK_CAP, QUICK_CAP)
+        budget = None if cap is None else SolverBudget(exhaustive_states=1, node_cap=cap)
         results = {}
         times = {}
         for name, impl in kernels.items():

@@ -1,8 +1,9 @@
-"""Digest of every construct answer over a fixed 38-graph corpus.
+"""Digests of every construct answer and every exhaustive-oracle answer
+over two fixed corpora.
 
-Runs construct(G, k, c, SolverBudget(node_cap=2000)) for k = 1..12,
-every c in Z_k (c in -6..6 at k = 1), on each corpus graph, and prints
-two SHA-256 digests over the answers in that order:
+The construct part runs construct(G, k, c, SolverBudget(node_cap=2000))
+for k = 1..12, every c in Z_k (c in -6..6 at k = 1), on each of 38
+graphs, and prints two SHA-256 digests over the answers in that order:
 
 - full: graph name, k, c, status, verified sum, sorted labels and the
   trace of every call;
@@ -12,19 +13,35 @@ It also prints how many found calls each rule answered: the rule of
 the first trace step that is neither a fallthrough nor an inner step of
 a factor extension.
 
-A change that must leave every answer unchanged leaves the full digest
+The oracle part runs brute_force_spectrum(G, k, SolverBudget(node_cap=
+10**5)) for k = 2..7 on each of 8 graphs, most of them without a
+perfect matching, where the exhaustive search does the work.  Its two
+digests cover:
+
+- status: graph name, k and the answer per residue (y, n, or ? where
+  the oracle left it undecided);
+- full: the status record plus, for every c in Z_k, the status, node
+  count and sorted labels of search_labeling(G, k, c) at the same cap.
+
+A change that must leave every answer unchanged leaves the full digests
 unchanged; one that may change which labeling is found, but no
-existence answer, leaves the status digest unchanged.  With
---expect-full HEX or --expect-status HEX the script exits with status 1
-when that digest differs from HEX.  Every matching is kmagic's own, so
-the full digest depends on no third-party package.
+existence answer, leaves the status digests unchanged.  A change to the
+exhaustive search may move an oracle answer from ? to y or n, never
+from y to n or back.  With --expect-full, --expect-status,
+--expect-oracle-full or --expect-oracle-status HEX the script exits
+with status 1 when that digest differs from HEX.  --dump FILE writes
+the full record of every call as one JSON line, so that the dumps of two
+versions diff call by call.  Every matching is kmagic's own, so the
+digests depend on no third-party package.
 
 Usage: PYTHONPATH=src python3 benchmarks/digest.py [--expect-full HEX] [--expect-status HEX]
+           [--expect-oracle-full HEX] [--expect-oracle-status HEX] [--dump FILE]
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import sys
@@ -33,6 +50,7 @@ from collections import Counter
 
 from kmagic import (
     SolverBudget,
+    brute_force_spectrum,
     build_graph,
     circulant,
     complete,
@@ -44,11 +62,14 @@ from kmagic import (
     petersen,
     prism,
     random_regular,
+    search_labeling,
 )
 
 BUDGET = SolverBudget(node_cap=2000)
 MODULI = range(1, 13)
 INTEGER_SUMS = range(-6, 7)  # the c asked at k = 1
+ORACLE_BUDGET = SolverBudget(node_cap=10**5)
+ORACLE_MODULI = range(2, 8)
 
 
 def bridged_cubic_16():
@@ -82,6 +103,66 @@ def two_hub_even(r):
         pairs += [(u, v) for u in block for v in block if u < v and (u, v) != (base, base + 1)]
         pairs += [(0, base), (1, base + 1)]
     return build_graph(2 + r * (r + 1), pairs)
+
+
+def unmatched_cubic_28():
+    """Hubs 0, 1, 2, each joined by a bridge to the subdividing vertex of
+    its own K4 with one edge subdivided, and two 5-vertex blocks whose
+    a, b, c join hubs 0, 1, 2: cubic, no perfect matching."""
+    pairs = []
+    base = 3
+    for hub in range(3):
+        a, b, x, y, w = range(base, base + 5)
+        pairs += [(a, w), (w, b), (a, x), (a, y), (b, x), (b, y), (x, y), (hub, w)]
+        base += 5
+    for _ in range(2):
+        a, b, c, d, e = range(base, base + 5)
+        pairs += [(d, e), (d, a), (d, b), (e, c), (e, a), (b, c), (a, 0), (b, 1), (c, 2)]
+        base += 5
+    return build_graph(28, pairs)
+
+
+def hub_quintic_16():
+    """A hub joined to vertex a of five triangles a, b, c with edge
+    multiplicities ab 2, ac 2, bc 3: 5-regular, no perfect matching."""
+    pairs = []
+    for a in (1, 4, 7, 10, 13):
+        b, c = a + 1, a + 2
+        pairs += [(0, a)] + [(a, b)] * 2 + [(a, c)] * 2 + [(b, c)] * 3
+    return build_graph(16, pairs)
+
+
+def hub10():
+    """A hub joined by 3 parallel edges to one vertex of each of three
+    triangles with sides of multiplicity 3, 3, 6: 9-regular, bridgeless,
+    no perfect matching."""
+    pairs = []
+    for a in (1, 4, 7):
+        b, c = a + 1, a + 2
+        pairs += [(0, a)] * 3 + [(a, b)] * 3 + [(a, c)] * 3 + [(b, c)] * 6
+    return build_graph(10, pairs)
+
+
+def quintic38():
+    """Five copies of K7 minus the triangle 456 and the edges 01 and 23,
+    vertices 4, 5, 6 of each joined to hubs 0, 1, 2: 5-regular,
+    bridgeless, no perfect matching."""
+    missing = {(4, 5), (4, 6), (5, 6), (0, 1), (2, 3)}
+    pairs = []
+    for base in range(3, 38, 7):
+        pairs += [(base + i, base + j) for i in range(7) for j in range(i + 1, 7) if (i, j) not in missing]
+        pairs += [(base + 4, 0), (base + 5, 1), (base + 6, 2)]
+    return build_graph(38, pairs)
+
+
+# two random cubic graphs (random_regular(12, 3, seed=7) and
+# random_regular(16, 3, seed=8)), kept as edge lists so that a change to
+# the generator cannot change the corpus
+CUBIC12 = [(9, 6), (9, 3), (9, 10), (3, 5), (5, 7), (7, 11), (0, 2), (1, 3), (8, 6), (8, 1),
+           (10, 6), (4, 0), (1, 7), (4, 2), (0, 11), (2, 5), (4, 10), (11, 8)]
+CUBIC16 = [(13, 1), (3, 6), (15, 12), (12, 7), (5, 3), (3, 9), (15, 6), (11, 7), (1, 9), (11, 12),
+           (5, 13), (0, 2), (10, 14), (14, 8), (2, 6), (13, 15), (11, 10), (9, 0), (8, 4), (10, 5),
+           (14, 1), (0, 4), (2, 8), (7, 4)]
 
 
 def corpus() -> list[tuple[str, object]]:
@@ -127,6 +208,19 @@ def corpus() -> list[tuple[str, object]]:
     ]
 
 
+def oracle_corpus() -> list[tuple[str, object]]:
+    return [
+        ("bridged16", bridged_cubic_16()),
+        ("bridged10", bridged_cubic_10()),
+        ("unmatched_cubic_28", unmatched_cubic_28()),
+        ("hub_quintic_16", hub_quintic_16()),
+        ("hub10", hub10()),
+        ("quintic38", quintic38()),
+        ("cubic12", build_graph(12, CUBIC12)),
+        ("cubic16", build_graph(16, CUBIC16)),
+    ]
+
+
 def answering_rule(trace):
     """The rule that answered a found call."""
     return next(
@@ -146,31 +240,76 @@ def answers():
                 yield full, [name, k, c, res.status], res
 
 
+def oracle_answers():
+    """(full record, status record) of every oracle call, in corpus order."""
+    for name, G in oracle_corpus():
+        for k in ORACLE_MODULI:
+            spec = brute_force_spectrum(G, k, ORACLE_BUDGET)
+            answer = "".join(
+                "?" if spec.contains(c) is None else "yn"[not spec.contains(c)] for c in range(k)
+            )
+            searches = []
+            for c in range(k):
+                res = search_labeling(G, k, c, ORACLE_BUDGET)
+                labels = None if res.labeling is None else sorted(res.labeling.labels.items())
+                searches.append([res.status, res.nodes, labels])
+            yield [name, k, answer, searches], [name, k, answer]
+
+
+def digest(records, dump, section):
+    """(call count, full digest, status digest) over (full, status) records."""
+    full, status = hashlib.sha256(), hashlib.sha256()
+    calls = 0
+    for f, s in records:
+        line = json.dumps(f, sort_keys=True)
+        full.update(line.encode() + b"\n")
+        status.update(json.dumps(s, sort_keys=True).encode() + b"\n")
+        calls += 1
+        if dump is not None:
+            dump.write(f"{section} {line}\n")
+    return calls, full.hexdigest(), status.hexdigest()
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--expect-full", metavar="HEX", help="fail unless the full digest is HEX")
     ap.add_argument("--expect-status", metavar="HEX", help="fail unless the status digest is HEX")
+    ap.add_argument("--expect-oracle-full", metavar="HEX",
+                    help="fail unless the oracle's full digest is HEX")
+    ap.add_argument("--expect-oracle-status", metavar="HEX",
+                    help="fail unless the oracle's status digest is HEX")
+    ap.add_argument("--dump", metavar="FILE", help="write the full record of every call to FILE")
     args = ap.parse_args()
 
-    full, status = hashlib.sha256(), hashlib.sha256()
-    calls = 0
     tally = Counter()
-    t0 = time.perf_counter()
-    for f, s, res in answers():
-        full.update(json.dumps(f, sort_keys=True).encode() + b"\n")
-        status.update(json.dumps(s, sort_keys=True).encode() + b"\n")
-        calls += 1
-        if res.status == "found":
-            tally[answering_rule(res.trace)] += 1
-    elapsed = time.perf_counter() - t0
-    print(f"calls   {calls}  ({elapsed:.2f} s)")
-    print(f"full    {full.hexdigest()}")
-    print(f"status  {status.hexdigest()}")
-    for rule, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
-        print(f"found   {count:5d}  {rule}")
+
+    def construct_records():
+        for f, s, res in answers():
+            if res.status == "found":
+                tally[answering_rule(res.trace)] += 1
+            yield f, s
+
+    with open(args.dump, "w", encoding="utf-8") if args.dump else contextlib.nullcontext() as dump:
+        t0 = time.perf_counter()
+        calls, full, status = digest(construct_records(), dump, "construct")
+        print(f"calls   {calls}  ({time.perf_counter() - t0:.2f} s)")
+        print(f"full    {full}")
+        print(f"status  {status}")
+        for rule, count in sorted(tally.items(), key=lambda item: (-item[1], item[0])):
+            print(f"found   {count:5d}  {rule}")
+        t0 = time.perf_counter()
+        oracle_calls, oracle_full, oracle_status = digest(oracle_answers(), dump, "oracle")
+        print(f"oracle calls   {oracle_calls}  ({time.perf_counter() - t0:.2f} s)")
+        print(f"oracle full    {oracle_full}")
+        print(f"oracle status  {oracle_status}")
     failed = False
-    for name, got, want in (("full", full, args.expect_full), ("status", status, args.expect_status)):
-        if want is not None and got.hexdigest() != want:
+    for name, got, want in (
+        ("full", full, args.expect_full),
+        ("status", status, args.expect_status),
+        ("oracle full", oracle_full, args.expect_oracle_full),
+        ("oracle status", oracle_status, args.expect_oracle_status),
+    ):
+        if want is not None and got != want:
             print(f"{name} digest differs from the expected {want}", file=sys.stderr)
             failed = True
     if failed:

@@ -5,6 +5,11 @@
  * twins return the same (status, labels or None, nodes) and raise
  * ValueError on the same bad input.  n and k are C ints; residues are
  * unsigned, so c - s + k and s + x, all below 2k, cannot overflow.
+ * Per-vertex targets replace c in the forced-label rule; a free vertex
+ * (target None) carries one phantom edge that is never labeled, so no
+ * edge is ever its last.  An edge limited to a list of labels tries
+ * them in order, nxt holding 1 + the index of the next one, and takes
+ * a forced label only when it is on the list.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -12,32 +17,95 @@
 
 enum { UNDECIDED = -1, UNSAT = 0, SAT = 1 };
 
-/* Store the endpoint obj of edge i in *out; ValueError unless 0 <= obj < n. */
+/* Store obj, an int in lo..hi, in *out; otherwise raise ValueError with
+ * msg, formatted with the index i and the bound hi. */
 static int
-read_endpoint(PyObject *obj, int n, Py_ssize_t i, unsigned *out)
+read_bounded(PyObject *obj, long lo, long hi, const char *msg, Py_ssize_t i, unsigned *out)
 {
     int overflow;
     long x = PyLong_AsLongAndOverflow(obj, &overflow);
     if (x == -1 && PyErr_Occurred())
         return -1;
-    if (overflow || x < 0 || x >= n) {
-        PyErr_Format(PyExc_ValueError, "edge %zd has an endpoint outside 0..%d", i, n - 1);
+    if (overflow || x < lo || x > hi) {
+        PyErr_Format(PyExc_ValueError, msg, i, (int)hi);
         return -1;
     }
     *out = (unsigned)x;
     return 0;
 }
 
+/* Is f on the increasing list lo..hi (hi exclusive)? */
+static int
+listed(const unsigned *lo, const unsigned *hi, unsigned f)
+{
+    while (lo < hi) {
+        const unsigned *mid = lo + (hi - lo) / 2;
+        if (*mid < f)
+            lo = mid + 1;
+        else if (*mid > f)
+            hi = mid;
+        else
+            return 1;
+    }
+    return 0;
+}
+
+/* Read the allowed labels of every edge into *labs, a growing buffer, and
+ * their bounds into span: edge i may take (*labs)[span[2i]..span[2i+1]),
+ * or every label when span[2i] < 0. */
+static int
+read_allowed(PyObject *al, int k, Py_ssize_t m, Py_ssize_t *span, unsigned **labs)
+{
+    Py_ssize_t used = 0, cap = 0;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        PyObject *entry = PySequence_Fast_GET_ITEM(al, i);
+        span[2 * i] = span[2 * i + 1] = -1;
+        if (entry == Py_None)
+            continue;
+        PyObject *fast = PySequence_Fast(entry, "allowed labels must be a sequence");
+        if (fast == NULL)
+            return -1;
+        Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
+        if (used + len > cap) {
+            cap = 2 * (used + len);
+            unsigned *grown = PyMem_Realloc(*labs, (size_t)cap * sizeof(unsigned));
+            if (grown == NULL) {
+                Py_DECREF(fast);
+                PyErr_NoMemory();
+                return -1;
+            }
+            *labs = grown;
+        }
+        span[2 * i] = used;
+        long prev = 0;
+        for (Py_ssize_t j = 0; j < len; j++) {
+            unsigned *slot = *labs + used;
+            if (read_bounded(PySequence_Fast_GET_ITEM(fast, j), prev + 1, k - 1,
+                             "allowed labels of edge %zd must increase within 1..%d", i, slot) < 0) {
+                Py_DECREF(fast);
+                return -1;
+            }
+            prev = *slot;
+            used++;
+        }
+        span[2 * i + 1] = used;
+        Py_DECREF(fast);
+    }
+    return 0;
+}
+
 static PyObject *
 search(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "k", "c", "us", "vs", "node_cap", NULL};
+    static char *kwlist[] = {"n", "k", "c", "us", "vs", "node_cap", "targets", "allowed", NULL};
     int n, k_in, c_in, overflow;
-    PyObject *us_arg, *vs_arg, *cap_arg, *us = NULL, *vs = NULL, *result = NULL;
-    unsigned *block = NULL;
+    PyObject *us_arg, *vs_arg, *cap_arg, *tg_arg = Py_None, *al_arg = Py_None;
+    PyObject *us = NULL, *vs = NULL, *tg = NULL, *al = NULL, *result = NULL;
+    unsigned *block = NULL, *alab = NULL;
+    Py_ssize_t *span = NULL;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiOOO:search", kwlist, &n, &k_in,
-                                     &c_in, &us_arg, &vs_arg, &cap_arg))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiOOO|OO:search", kwlist, &n, &k_in,
+                                     &c_in, &us_arg, &vs_arg, &cap_arg, &tg_arg, &al_arg))
         return NULL;
     if (k_in < 2)
         return PyErr_Format(PyExc_ValueError, "search needs k >= 2, got %d", k_in);
@@ -58,17 +126,18 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         goto done;
     }
     size_t n_slots = n > 0 ? (size_t)n : 0;
-    block = PyMem_Calloc(4 * (size_t)m + 2 * n_slots, sizeof(unsigned));
+    block = PyMem_Calloc(4 * (size_t)m + 3 * n_slots, sizeof(unsigned));
     if (block == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     unsigned *eu = block, *ev = eu + m, *labels = ev + m, *nxt = labels + m;
-    unsigned *left = nxt + m, *sums = left + n_slots;
+    unsigned *left = nxt + m, *sums = left + n_slots, *tgt = sums + n_slots;
 
     for (Py_ssize_t i = 0; i < m; i++) {
-        if (read_endpoint(PySequence_Fast_GET_ITEM(us, i), n, i, &eu[i]) < 0 ||
-            read_endpoint(PySequence_Fast_GET_ITEM(vs, i), n, i, &ev[i]) < 0)
+        const char *msg = "edge %zd has an endpoint outside 0..%d";
+        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &eu[i]) < 0 ||
+            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &ev[i]) < 0)
             goto done;
         nxt[i] = 1;
         left[eu[i]] += 1;
@@ -77,6 +146,42 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
 
     int c_mod = c_in % k_in;
     unsigned k = (unsigned)k_in, c = (unsigned)(c_mod < 0 ? c_mod + k_in : c_mod);
+    for (size_t v = 0; v < n_slots; v++)
+        tgt[v] = c;
+    if (tg_arg != Py_None) {
+        tg = PySequence_Fast(tg_arg, "targets must be a sequence");
+        if (tg == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(tg) != (Py_ssize_t)n_slots) {
+            PyErr_SetString(PyExc_ValueError, "targets must hold one entry per vertex");
+            goto done;
+        }
+        for (Py_ssize_t v = 0; v < (Py_ssize_t)n_slots; v++) {
+            PyObject *t = PySequence_Fast_GET_ITEM(tg, v);
+            if (t == Py_None)
+                left[v] += 1;  /* a phantom edge that is never labeled */
+            else if (read_bounded(t, 0, k_in - 1, "target of vertex %zd lies outside 0..%d", v,
+                                  &tgt[v]) < 0)
+                goto done;
+        }
+    }
+    if (al_arg != Py_None) {
+        al = PySequence_Fast(al_arg, "allowed must be a sequence");
+        if (al == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(al) != m) {
+            PyErr_SetString(PyExc_ValueError, "allowed must hold one entry per edge");
+            goto done;
+        }
+        span = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(Py_ssize_t));
+        if (span == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if (read_allowed(al, k_in, m, span, &alab) < 0)
+            goto done;
+    }
+
     long long nodes = 0;
     Py_ssize_t pos = 0;
     int status;
@@ -86,26 +191,34 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
             break;
         }
         unsigned u = eu[pos], v = ev[pos], x = 0;
+        const Py_ssize_t *lim = span == NULL || span[2 * pos] < 0 ? NULL : span + 2 * pos;
         if (left[u] == 1 || left[v] == 1) {
             if (nxt[pos] == 1) {
                 unsigned f;
                 if (left[u] == 1) {
-                    f = (c - sums[u] + k) % k;
-                    if (left[v] == 1 && (c - sums[v] + k) % k != f)
+                    f = (tgt[u] - sums[u] + k) % k;
+                    if (left[v] == 1 && (tgt[v] - sums[v] + k) % k != f)
                         f = 0;
                 }
                 else
-                    f = (c - sums[v] + k) % k;
-                if (f != 0) {
+                    f = (tgt[v] - sums[v] + k) % k;
+                if (f != 0 && (lim == NULL || listed(alab + lim[0], alab + lim[1], f))) {
                     x = f;
                     nxt[pos] = k;
                 }
             }
         }
-        else {
+        else if (lim == NULL) {
             unsigned t = nxt[pos];
             if (t <= k - 1) {
                 x = t;
+                nxt[pos] = t + 1;
+            }
+        }
+        else {
+            unsigned t = nxt[pos];  /* 1 + the index of the next allowed label */
+            if ((Py_ssize_t)t <= lim[1] - lim[0]) {
+                x = alab[lim[0] + t - 1];
                 nxt[pos] = t + 1;
             }
         }
@@ -154,14 +267,18 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     result = Py_BuildValue("(iNL)", status, out, nodes);
 done:
     PyMem_Free(block);
+    PyMem_Free(span);
+    PyMem_Free(alab);
     Py_XDECREF(us);
     Py_XDECREF(vs);
+    Py_XDECREF(tg);
+    Py_XDECREF(al);
     return result;
 }
 
 static PyMethodDef methods[] = {
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
-     "search(n, k, c, us, vs, node_cap)\n--\n\n"
+     "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
      "Find an edge labeling with all vertex sums equal to c mod k; see\n"
      "kmagic._backtrack_py.search, whose semantics this twin shares."},
     {NULL, NULL, 0, NULL},

@@ -3,9 +3,9 @@
 Reference implementation of the label search; kmagic._backtrack is the
 compiled twin with identical semantics.  Edges are visited in the given
 order; when an edge is the last unlabeled edge at one of its endpoints
-its label is forced by the target sum, otherwise all of 1..k-1 are
-tried in increasing order.  Every attempted assignment counts as one
-node against the cap.
+its label is forced by the target sum, otherwise all of its allowed
+labels (1..k-1 unless restricted) are tried in increasing order.  Every
+attempted assignment counts as one node against the cap.
 """
 
 from __future__ import annotations
@@ -15,13 +15,21 @@ UNSAT = 0
 UNDECIDED = -1
 
 
-def search(n, k, c, us, vs, node_cap):
+def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):
     """Find an edge labeling with all vertex sums equal to c mod k.
 
     us/vs hold edge endpoints in assignment order; node_cap < 0 means
-    unbounded.  Returns (status, labels or None, nodes) with labels in
-    assignment order.  Raises ValueError when k < 2, when us and vs
-    differ in length or when an endpoint lies outside 0..n-1.
+    unbounded.  targets, when given, holds one entry per vertex and
+    replaces c: vertex v must sum to targets[v], a residue in 0..k-1, or
+    to anything when targets[v] is None.  allowed, when given, holds one
+    entry per edge in assignment order: None lets the edge take every
+    label 1..k-1, a sequence of increasing labels within 1..k-1 limits
+    it to those.  A vertex without edges is never checked: the solver
+    settles isolated vertices before it searches.  Returns (status,
+    labels or None, nodes) with labels in assignment order.  Raises
+    ValueError when k < 2, when us and vs differ in length, when an
+    endpoint lies outside 0..n-1, or when targets or allowed has the
+    wrong length or an entry out of range.
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
@@ -34,6 +42,28 @@ def search(n, k, c, us, vs, node_cap):
             raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
         left[us[i]] += 1
         left[vs[i]] += 1
+    tgt = [c] * n
+    if targets is not None:
+        if len(targets) != n:
+            raise ValueError("targets must hold one entry per vertex")
+        for v, t in enumerate(targets):
+            if t is None:
+                left[v] += 1  # a phantom edge that is never labeled: no edge is ever its last
+            elif not 0 <= t < k:
+                raise ValueError(f"target of vertex {v} lies outside 0..{k - 1}")
+            else:
+                tgt[v] = t
+    opts = [None] * m  # per edge: None, or its allowed labels and their set
+    if allowed is not None:
+        if len(allowed) != m:
+            raise ValueError("allowed must hold one entry per edge")
+        for i, labs in enumerate(allowed):
+            if labs is None:
+                continue
+            labs = list(labs)
+            if any(a >= b for a, b in zip([0] + labs, labs + [k])):
+                raise ValueError(f"allowed labels of edge {i} must increase within 1..{k - 1}")
+            opts[i] = (labs, set(labs))
     sums = [0] * n
     labels = [0] * m
     nxt = [1] * m
@@ -44,22 +74,28 @@ def search(n, k, c, us, vs, node_cap):
             return SAT, list(labels), nodes
         u = us[pos]
         v = vs[pos]
+        opt = opts[pos]
         x = 0
         if left[u] == 1 or left[v] == 1:
             if nxt[pos] == 1:
                 if left[u] == 1:
-                    f = (c - sums[u] + k) % k
-                    if left[v] == 1 and (c - sums[v] + k) % k != f:
+                    f = (tgt[u] - sums[u] + k) % k
+                    if left[v] == 1 and (tgt[v] - sums[v] + k) % k != f:
                         f = 0
                 else:
-                    f = (c - sums[v] + k) % k
-                if f != 0:
+                    f = (tgt[v] - sums[v] + k) % k
+                if f != 0 and (opt is None or f in opt[1]):
                     x = f
                     nxt[pos] = k
-        else:
+        elif opt is None:
             t = nxt[pos]
             if t <= k - 1:
                 x = t
+                nxt[pos] = t + 1
+        else:
+            t = nxt[pos]  # 1 + the index of the next allowed label
+            if t <= len(opt[0]):
+                x = opt[0][t - 1]
                 nxt[pos] = t + 1
         if x == 0:
             nxt[pos] = 1

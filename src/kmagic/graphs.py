@@ -269,8 +269,13 @@ def two_regular_profile(G: MultiGraph) -> TwoRegularProfile:
 def find_bridges(G: MultiGraph) -> frozenset[int]:
     """Edge ids whose removal disconnects their component.
 
-    A parallel edge is never a bridge.  Iterative lowpoint computation.
+    A parallel edge is never a bridge.  Found once per graph, by an
+    iterative lowpoint computation.
     """
+    return G.memo("bridges", lambda: _lowpoint_bridges(G))
+
+
+def _lowpoint_bridges(G: MultiGraph) -> frozenset[int]:
     disc = [-1] * G.n
     low = [0] * G.n
     bridges = []

@@ -6,7 +6,9 @@ prunes as soon as a vertex with no unlabeled edges misses the target
 sum; small instances (label space at most the exhaustive threshold) run
 uncapped, larger ones run under a node cap and report undecided instead
 of guessing.  Parity, isolated vertices and connected components settle
-part of each question before the kernel runs (see search_labeling).
+part of each question before the kernel runs, and a component with
+bridges is searched one 2-edge-connected piece at a time (see
+search_labeling).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from . import _backtrack_py
 from ._backtrack_py import SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
-from .graphs import MultiGraph, component_graphs
+from .graphs import MultiGraph, component_graphs, find_bridges
 from .labelings import EdgeLabeling
 
 _KERNELS: dict[str, object] = {"pure-python": _backtrack_py}
@@ -40,7 +42,11 @@ class SolverBudget:
     """Search limits: uncapped below exhaustive_states, else node_cap.
 
     Both apply to each connected component on its own, so a
-    disconnected graph may take up to node_cap nodes per component.
+    disconnected graph may take up to node_cap nodes per component.  A
+    component with bridges is searched piece by piece, and the cap it
+    would have had, cap_for(k, m) for its m edges, holds for the sum of
+    all its piece searches, each counting at least one node; when that
+    runs out the component is undecided.
     """
 
     exhaustive_states: int = 10**7
@@ -89,10 +95,9 @@ def search_labeling(
 ) -> SearchResult:
     """Search for a c-sum k-magic labeling of G.
 
-    Deterministic: the first labeling in the kernel's search order is
-    returned.  Never wrong: status "undecided" is reported when the node
-    cap is hit.  Three facts settle part of the search before the
-    kernel runs:
+    Deterministic: the same question always gets the same labeling.
+    Never wrong: status "undecided" is reported when the node cap is
+    hit.  Four facts settle part of the search before the kernel runs:
 
     - the vertex sums add up to twice the label sum, so when k is even
       and n*c is odd the answer is "absent" at 0 nodes;
@@ -100,9 +105,16 @@ def search_labeling(
     - a labeling of G is one labeling per connected component, so a
       disconnected G is searched one component at a time, in order of
       smallest vertex, each under its own budget, stopping at the first
-      absent one.  Node counts add up.  A found labeling is the one the
-      whole-graph search returns, since the breadth-first order of G
-      finishes each component before it starts the next.
+      absent one;
+    - a labeling of a component is one labeling per 2-edge-connected
+      piece, with each bridge's label counted at both of its ends, so a
+      component with bridges is split at them (see _split_search).
+
+    Node counts add up.  On a graph whose components have no bridges the
+    labeling and the node count are those of one kernel search over all
+    of G, since the breadth-first order of G finishes each component
+    before it starts the next; a split component has its own search
+    order, and may get another labeling.
 
     The compiled kernel reads n, k and c as C ints, so a k past that
     range goes to the pure twin whatever kernel was asked for.
@@ -111,18 +123,20 @@ def search_labeling(
         raise KmagicError("label search needs k >= 2")
     c %= k
     impl = kernel if kernel is not None else _kernel
+    if k > _C_INT_MAX:
+        impl = _backtrack_py
     budget = budget or DEFAULT_BUDGET
     settled = _settled(G, k, c)
     if settled is not None:
         return settled
     parts = component_graphs(G)
     if len(parts) == 1:
-        return _kernel_search(G, k, c, budget, impl)
+        return _component_search(G, k, c, budget, impl)
     labels: dict[int, int] = {}
     nodes = 0
     undecided = False
     for C, edge_ids in parts:
-        res = _settled(C, k, c) or _kernel_search(C, k, c, budget, impl)
+        res = _settled(C, k, c) or _component_search(C, k, c, budget, impl)
         nodes += res.nodes
         if res.status == "absent":
             return SearchResult("absent", None, nodes)
@@ -147,9 +161,14 @@ def _settled(G: MultiGraph, k: int, c: int) -> SearchResult | None:
     return None
 
 
+def _component_search(C: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
+    pieces = _bridge_tree(C)
+    if pieces is None:
+        return _kernel_search(C, k, c, budget, impl)
+    return _split_search(pieces, k, c, budget.cap_for(k, C.m), impl)
+
+
 def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
-    if k > _C_INT_MAX:
-        impl = _backtrack_py
     order = assignment_order(G)
     us = [G.edges[eid].u for eid in order]
     vs = [G.edges[eid].v for eid in order]
@@ -160,6 +179,167 @@ def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) ->
     if status == UNSAT:
         return SearchResult("absent", None, nodes)
     return SearchResult("undecided", None, nodes)
+
+
+@dataclass(frozen=True)
+class _Piece:
+    """A 2-edge-connected piece of a component, as the split searches it.
+
+    The piece's own vertices are numbered 0..n-1 in ascending order; a
+    piece with child bridges has one more vertex, a stub with no target
+    that stands for every child piece.  order holds the component's edge
+    ids labeled here, the piece's own edges and its child bridges, in
+    breadth-first order from entry, the vertex at the parent bridge (at
+    the root, the smallest vertex); us and vs are their local ends.
+    """
+
+    n: int  # local vertices, the stub included
+    entry: int
+    order: tuple[int, ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
+    children: tuple[tuple[int, int], ...]  # (position in order, child piece index)
+    edgeless: bool  # a single vertex: order holds only child bridges
+
+
+def _bridge_tree(C: MultiGraph) -> tuple[_Piece, ...] | None:
+    """The pieces of connected C, the root (the piece of vertex 0) first
+    and each piece after its parent, or None when C has no bridge.
+    Found once per graph."""
+    return C.memo("bridge_tree", lambda: _split_at_bridges(C))
+
+
+def _split_at_bridges(C: MultiGraph) -> tuple[_Piece, ...] | None:
+    bridges = find_bridges(C)
+    if not bridges:
+        return None
+    piece_of = [-1] * C.n
+    members: list[list[int]] = []
+    for s in range(C.n):
+        if piece_of[s] != -1:
+            continue
+        piece_of[s] = len(members)
+        comp = [s]
+        for u in comp:
+            for w, eid in C.adjacency[u]:
+                if piece_of[w] == -1 and eid not in bridges:
+                    piece_of[w] = piece_of[s]
+                    comp.append(w)
+        members.append(sorted(comp))
+    todo = [(0, -1, 0)]  # (piece, parent bridge, entry vertex), in top-down order
+    edge_seen = [False] * C.m
+    pieces = []
+    for p, parent_bridge, entry in todo:
+        local = {v: i for i, v in enumerate(members[p])}
+        stub = len(local)
+        order: list[int] = []
+        us: list[int] = []
+        vs: list[int] = []
+        children: list[tuple[int, int]] = []
+        visited = {entry}
+        queue = deque([entry])
+        while queue:
+            u = queue.popleft()
+            for w, eid in C.adjacency[u]:
+                if eid == parent_bridge or edge_seen[eid]:
+                    continue
+                edge_seen[eid] = True
+                order.append(eid)
+                us.append(local[u])
+                if eid in bridges:
+                    children.append((len(order) - 1, len(todo)))
+                    todo.append((piece_of[w], eid, w))
+                    vs.append(stub)
+                    continue
+                vs.append(local[w])
+                if w not in visited:
+                    visited.add(w)
+                    queue.append(w)
+        pieces.append(
+            _Piece(stub + bool(children), local[entry], tuple(order), tuple(us), tuple(vs),
+                   tuple(children), stub == 1)
+        )
+    return tuple(pieces)
+
+
+def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) -> SearchResult:
+    """Search a component piece by piece, bottom-up over its bridge tree.
+
+    For each piece below the root this finds the parent-bridge labels x
+    for which the piece and its subtree can be labeled: one kernel
+    search per x, with the entry's target c - x, every other vertex's
+    target c, and each child bridge limited to the labels found for its
+    child piece.  An edgeless piece needs no search: the sums of one
+    label per child bridge must reach its target.  The root is decided
+    the same way with target c everywhere, and a labeling is then read
+    off top-down.  A piece with no feasible label makes the component
+    absent.
+
+    All the searches share one cap (negative: none), each counting at
+    least one node, so a huge k runs out of budget instead of running
+    k - 1 searches per piece.  A capped search ends the split as
+    undecided: the budget is spent, so no later search could decide.
+    """
+    nodes = charged = 0
+    # per piece: its feasible parent labels (None at the root), each with
+    # the labels of the piece's order it was found with (None if edgeless)
+    feasible: list[dict | None] = [None] * len(pieces)
+    # per edgeless piece: the sums its child bridges j, j+1, ... can reach
+    reach: list[list[set[int]] | None] = [None] * len(pieces)
+    for p in reversed(range(len(pieces))):
+        piece = pieces[p]
+        allowed = [None] * len(piece.order)
+        for pos, q in piece.children:
+            allowed[pos] = list(feasible[q])
+        if piece.edgeless:
+            sets = [{0}]
+            for pos in reversed(range(len(allowed))):
+                sets.append({(y + r) % k for y in allowed[pos] for r in sets[-1]})
+            sets.reverse()
+            reach[p] = sets
+            if p == 0:
+                feasible[p] = {None: None} if c in sets[0] else {}
+            else:
+                feasible[p] = dict.fromkeys(sorted(x for x in ((c - r) % k for r in sets[0]) if x))
+        else:
+            targets = [c] * piece.n
+            if piece.children:
+                targets[-1] = None
+            found = feasible[p] = {}
+            for x in range(1, k) if p else (None,):
+                if x is not None:
+                    targets[piece.entry] = (c - x) % k
+                if 0 <= cap <= charged:
+                    return SearchResult("undecided", None, nodes)
+                status, labels, used = impl.search(
+                    piece.n, k, c, piece.us, piece.vs, cap - charged if cap >= 0 else -1,
+                    targets, allowed if piece.children else None,
+                )
+                nodes += used
+                charged += max(used, 1)
+                if status == UNDECIDED:
+                    return SearchResult("undecided", None, nodes)
+                if status == SAT:
+                    found[x] = labels
+        if not feasible[p]:
+            return SearchResult("absent", None, nodes)
+    mapping: dict[int, int] = {}
+    parent_label: list[int | None] = [None] * len(pieces)
+    for p, piece in enumerate(pieces):
+        x = parent_label[p]
+        if piece.edgeless:
+            t = (c - (x or 0)) % k
+            labels = []
+            for pos, q in piece.children:
+                y = next(y for y in feasible[q] if (t - y) % k in reach[p][pos + 1])
+                labels.append(y)
+                t = (t - y) % k
+        else:
+            labels = feasible[p][x]
+        mapping.update(zip(piece.order, labels))
+        for pos, q in piece.children:
+            parent_label[q] = labels[pos]
+    return SearchResult("found", EdgeLabeling(k, mapping), nodes)
 
 
 def available_kernels() -> dict[str, object]:

@@ -6,8 +6,9 @@ backtracking, one search per unit orbit; predict_spectrum applies the
 characterization of completely k-magic regular graphs.  Where the
 characterization asks for a predicate, theory settles it first: the
 zero-sum 4-magic status of an odd-degree graph by a perfect matching,
-else by a vertex with only cut edges, and mod-3 factor existence by a
-perfect matching.  The budgeted solver decides only what is left.  At
+whose absence also settles it for a cubic graph, and mod-3 factor
+existence by a perfect matching.  The budgeted solver decides only what
+is left, searching a graph one 2-edge-connected piece at a time.  At
 k = 2 the only label is 1, so the spectrum is {r mod 2} in closed form
 and the oracle there is independent of the prediction.  Disconnected
 graphs are handled component by component and the spectra intersected,
@@ -22,13 +23,7 @@ from math import gcd
 
 from .errors import BudgetError, KmagicError, RegularityError
 from .factors import f_factor, mod3_factor
-from .graphs import (
-    MultiGraph,
-    component_graphs,
-    find_bridges,
-    regularity,
-    two_regular_profile,
-)
+from .graphs import MultiGraph, component_graphs, regularity, two_regular_profile
 from .solver import SolverBudget, search_labeling
 
 SYMBOLIC_TAGS = ("Z", "Z*", "2Z", "2Z*")  # * marks "zero excluded"
@@ -139,9 +134,10 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
     matching M settles it positively: G - M is (r-1)-regular with r-1
     even, so by Petersen's 2-factor theorem it has a 2-factor F, and F
     labeled 1 with every other edge labeled 2 sums to 2(r-1) = 0 mod 4
-    at each vertex.  Without one, a vertex whose incident edges are all
-    cut edges settles it negatively; otherwise the solver decides (None
-    when the budget runs out).
+    at each vertex.  Without one, a cubic graph has none: a zero sum has
+    an odd number of label-2 edges at each vertex, and three 2s sum to
+    2 mod 4, so its label-2 edges would form a perfect matching.  For
+    r >= 5 the solver decides (None when the budget runs out).
     """
     r = _require_regular(G)
     if r < 3:
@@ -153,10 +149,8 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
             "odd degree with a perfect matching M: a 2-factor of G - M labeled 1,"
             " the rest 2, sums to 2(r-1) = 0 mod 4"
         )
-    bridges = find_bridges(G)
-    for v in range(G.n):
-        if all(eid in bridges for eid in G.incident[v]):
-            return False, f"vertex {v} has only cut edges, which blocks zero sums mod 4"
+    if r == 3:
+        return False, "cubic without a perfect matching: the label-2 edges of a zero sum mod 4 would form one"
     res = search_labeling(G, 4, 0, budget)
     if res.status == "found":
         return True, "solver found a zero-sum labeling"

@@ -6,7 +6,7 @@ import pytest
 
 from kmagic import cycle, parse_graph, petersen, write_graph
 from kmagic.cli import main
-from conftest import hub10, unmatched_cubic_28
+from conftest import hub10, quintic38
 
 
 @pytest.fixture()
@@ -214,9 +214,10 @@ def test_budget_env_var(tmp_path, pete_file, capsys, monkeypatch):
     assert code == 3
     assert json.loads(out)["undecided"]
     # Petersen's perfect matching settles its zero sum mod 4 without the
-    # solver; this graph has none, so the capped solver leaves it undecided
+    # solver; this 5-regular graph has none, so the capped solver leaves
+    # it undecided
     unmatched = tmp_path / "unmatched.txt"
-    unmatched.write_text(write_graph(unmatched_cubic_28()), encoding="ascii")
+    unmatched.write_text(write_graph(quintic38()), encoding="ascii")
     code, _, _ = run(capsys, "label", str(unmatched), "--k", "4", "--c", "0")
     assert code == 3
     monkeypatch.setenv("MAGIC_SOLVER_BUDGET", "bogus")

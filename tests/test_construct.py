@@ -20,7 +20,14 @@ from kmagic import (
     verify,
     zero_sum_4_magic,
 )
-from conftest import bridged_cubic_16, hub10, hub_quintic_16, two_hub_even, unmatched_cubic_28
+from conftest import (
+    bridged_cubic_16,
+    hub10,
+    hub_quintic_16,
+    quintic38,
+    two_hub_even,
+    unmatched_cubic_28,
+)
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -124,9 +131,9 @@ def test_integer_labelings_k1():
 
 
 def test_budget_undecided_status():
-    # no perfect matching and no vertex with only cut edges: the zero sum
-    # mod 4 is left to the solver, which the budget caps
-    res = construct(unmatched_cubic_28(), 4, 0, TINY)
+    # 5-regular, bridgeless, no perfect matching: the zero sum mod 4 is
+    # left to the solver, which the budget caps
+    res = construct(quintic38(), 4, 0, TINY)
     assert res.status == "undecided"
     assert res.labeling is None
     rules = res.trace.rules()

@@ -35,7 +35,7 @@ from kmagic import (
     verify,
 )
 from kmagic import factors, solver
-from conftest import CORPUS_BUILDERS, bridged_cubic_16, hub10, hub100
+from conftest import CORPUS_BUILDERS, bridged_cubic_16, hub10
 
 
 def bridged_cubic_10() -> MultiGraph:
@@ -301,7 +301,7 @@ def test_mod3_factor_of_a_union_absent_beats_capped(answers, want, monkeypatch):
 
 
 def test_mod3_factor_undecided_under_the_budget():
-    G = hub100()
+    G = hub10()
     assert f_factor(G, 1) is None
     budget = SolverBudget(node_cap=10**4)
     with pytest.raises(BudgetError):

@@ -1,8 +1,12 @@
 """Backtracking search driver and kernel agreement."""
 
-import pytest
+import random
+import time
 
-from conftest import bridged_cubic_16
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import bridged_cubic_16, hub_quintic_16
 from kmagic import (
     KmagicError,
     SolverBudget,
@@ -17,7 +21,8 @@ from kmagic import (
     search_labeling,
     verify,
 )
-from kmagic._backtrack_py import SAT, UNSAT
+from kmagic._backtrack_py import SAT, UNDECIDED, UNSAT
+from kmagic.graphs import find_bridges
 from kmagic.solver import assignment_order
 
 
@@ -109,6 +114,11 @@ def test_kernels_agree_everywhere(compiled_kernel):
         (complete(6), 7, SolverBudget(exhaustive_states=1, node_cap=3)),
         # a cap past 64 bits is never reached
         (cycle(5), 4, SolverBudget(exhaustive_states=1, node_cap=2**64)),
+        # split at bridges: per-vertex targets and per-edge allowed labels
+        (bridged_cubic_16(), 5, None),
+        (hub_quintic_16(), 4, None),
+        # a split capped inside its pool
+        (bridged_cubic_16(), 6, SolverBudget(exhaustive_states=1, node_cap=40)),
     ]
     for G, k, budget in cases:
         for c in range(k):
@@ -126,6 +136,24 @@ def test_kernels_agree_everywhere(compiled_kernel):
                 if r.labeling is not None
             }
             assert len(labs) <= 1  # same first labeling
+    # the new arguments, called directly: targets with free vertices and
+    # edges limited to some labels, capped and not
+    rng = random.Random(0)
+    for _ in range(300):
+        n, k = rng.randint(2, 6), rng.randint(2, 6)
+        us = [rng.randrange(n) for _ in range(rng.randint(1, 9))]
+        vs = [(u + rng.randrange(1, n)) % n for u in us]
+        targets = [None if rng.random() < 0.2 else rng.randrange(k) for _ in range(n)]
+        allowed = [
+            None if rng.random() < 0.5 else sorted(rng.sample(range(1, k), rng.randint(0, k - 1)))
+            for _ in us
+        ]
+        cap = rng.choice([-1, 3, 30])
+        args = (n, k, rng.randrange(k), us, vs, cap)
+        pure = _backtrack_py.search(*args, targets, allowed)
+        assert compiled_kernel.search(*args, targets=targets, allowed=allowed) == pure, args
+        assert compiled_kernel.search(*args, targets, None) == _backtrack_py.search(*args, targets)
+        assert compiled_kernel.search(*args, None, allowed) == _backtrack_py.search(*args, None, allowed)
 
 
 def test_a_modulus_past_the_c_int_range_runs_on_the_pure_twin():
@@ -152,6 +180,13 @@ def test_kernels_reject_bad_input_alike(twin, request):
     for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2]), ([0, 1], [1])]:
         with pytest.raises(ValueError):
             impl.search(3, 5, 0, us, vs, -1)
+    us, vs = [0, 1, 2], [1, 2, 0]
+    for targets in ([0, 0], [0, 0, 0, 0], [0, 5, 0], [0, -1, None]):
+        with pytest.raises(ValueError, match="target"):
+            impl.search(3, 5, 0, us, vs, -1, targets=targets)
+    for allowed in ([None, None], [None, [0], None], [None, [5], None], [[2, 2], None, None], [[3, 1], None, None]):
+        with pytest.raises(ValueError, match="allowed"):
+            impl.search(3, 5, 0, us, vs, -1, allowed=allowed)
 
 
 def test_parity_settles_at_zero_nodes(kernel):
@@ -178,12 +213,20 @@ def test_parity_settles_at_zero_nodes(kernel):
     ids=["petersen+K4", "bridged16+cube", "K5+K5"],
 )
 def test_components_answer_as_the_whole_graph_search(kernel, parts, moduli):
+    # bridgeless components are searched as the whole graph is; one with
+    # bridges is split at them in its own order, so there only the answer
+    # and a labeling that verifies carry over
     G = disjoint_union(list(parts))
+    bridgeless = not find_bridges(G)
     for k in moduli:
         for c in range(k):
             res = search_labeling(G, k, c, kernel=kernel)
             status, labels, nodes = whole_graph_search(G, k, c, kernel)
             assert res.status == status, (k, c)
+            if status == "found":
+                assert verify(G, res.labeling) == c, (k, c)
+            if not bridgeless:
+                continue
             assert (res.labeling and res.labeling.labels) == labels, (k, c)
             assert res.nodes <= nodes, (k, c)
             if status == "found":  # node counts add up to the joint search's
@@ -208,3 +251,108 @@ def test_components_budget_applies_to_each(kernel):
     res = search_labeling(G, 5, 1, budget, kernel=kernel)
     assert (res.status, res.nodes) == ("found", 100)
     assert verify(G, res.labeling) == 1
+
+
+@pytest.mark.parametrize(
+    "G, k, c, status",
+    [(bridged_cubic_16(), 6, 0, "found"), (hub_quintic_16(), 4, 0, "absent")],
+    ids=["bridged16", "hub_quintic_16"],
+)
+def test_split_decides_what_the_whole_search_leaves_to_its_cap(kernel, G, k, c, status):
+    # bridged16 at k = 6, c = 0 takes the whole-graph search 4.0M nodes;
+    # in a zero sum mod 4 on hub_quintic_16 every bridge at the hub can
+    # only take label 2, and five 2s sum to 2
+    budget = SolverBudget(exhaustive_states=1, node_cap=10**5)
+    res = search_labeling(G, k, c, budget, kernel=kernel)
+    assert res.status == status
+    assert res.nodes < 10**4
+    if status == "found":
+        assert verify(G, res.labeling) == c
+    order = assignment_order(G)
+    us = [G.edges[eid].u for eid in order]
+    vs = [G.edges[eid].v for eid in order]
+    assert kernel.search(G.n, k, c, us, vs, 10**5)[0] == UNDECIDED
+
+
+def test_split_under_a_huge_modulus_runs_out_of_budget(kernel):
+    # k - 1 searches per piece would not end; the pool of the component's
+    # cap, one node per search at least, ends them
+    budget = SolverBudget(node_cap=10**4)
+    t0 = time.perf_counter()
+    res = search_labeling(bridged_cubic_16(), 10**6, 1, budget, kernel=kernel)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status == "undecided"
+    assert res.nodes <= 10**4 + 1
+
+
+@st.composite
+def block_trees(draw):
+    """Blocks joined by bridges into a tree, once or twice side by side.
+    A block is a single vertex (a hub when bridges meet there), a doubled
+    edge, or a cycle on 3 or 4 vertices, plus up to one more edge inside
+    it, a parallel one among them."""
+    pairs: list[tuple[int, int]] = []
+    n = 0
+    for _ in range(draw(st.integers(1, 2))):
+        blocks: list[list[int]] = []
+        for _ in range(draw(st.integers(2, 4))):
+            size = draw(st.integers(1, 4))
+            block = list(range(n, n + size))
+            n += size
+            if size == 2:
+                pairs += [(block[0], block[1])] * 2
+            elif size > 2:
+                pairs += [(block[i], block[(i + 1) % size]) for i in range(size)]
+            if size > 1 and draw(st.booleans()):
+                u, v = draw(st.lists(st.sampled_from(block), min_size=2, max_size=2, unique=True))
+                pairs.append((u, v))
+            if blocks:
+                pairs.append((draw(st.sampled_from(draw(st.sampled_from(blocks)))), draw(st.sampled_from(block))))
+            blocks.append(block)
+    return build_graph(n, pairs)
+
+
+@st.composite
+def cubic_block_trees(draw):
+    """Cubic multigraphs that are trees of 2 to 5 blocks: a leaf block is
+    a triangle with one doubled side, a block with two bridges a doubled
+    edge, one with three a single vertex.  Most sums exist on them, where
+    few do on block_trees."""
+    parent, degree = [-1], [0]
+    for i in range(1, draw(st.integers(2, 5))):
+        p = draw(st.sampled_from([j for j in range(i) if degree[j] < 3]))
+        parent.append(p)
+        degree.append(1)
+        degree[p] += 1
+    pairs: list[tuple[int, int]] = []
+    ends: list[list[int]] = []  # per block: its vertices that still lack a bridge
+    n = 0
+    for d in degree:
+        if d == 1:
+            pairs += [(n, n + 1), (n, n + 2), (n + 1, n + 2), (n + 1, n + 2)]
+            ends.append([n])
+            n += 3
+        elif d == 2:
+            pairs += [(n, n + 1)] * 2
+            ends.append([n, n + 1])
+            n += 2
+        else:
+            ends.append([n] * 3)
+            n += 1
+    pairs += [(ends[p].pop(), ends[i].pop()) for i, p in enumerate(parent) if p >= 0]
+    return build_graph(n, pairs)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(block_trees(), cubic_block_trees()), st.integers(2, 6))
+def test_split_agrees_with_the_whole_graph_search(compiled_kernel, G, k):
+    assert find_bridges(G)
+    for c in range(k):
+        results = []
+        for impl in (_backtrack_py, compiled_kernel):
+            res = search_labeling(G, k, c, kernel=impl)
+            assert res.status == whole_graph_search(G, k, c, impl)[0], c
+            if res.status == "found":
+                assert verify(G, res.labeling) == c
+            results.append(res)
+        assert results[0] == results[1], c  # the twins split alike

@@ -27,7 +27,7 @@ from kmagic import (
     zero_sum_4_magic,
 )
 from kmagic.solver import SearchResult
-from conftest import unmatched_cubic_28
+from conftest import quintic38
 
 TINY = SolverBudget(exhaustive_states=1, node_cap=2)
 
@@ -140,7 +140,7 @@ def test_modulus_4_rules(bridged16):
     assert predict_spectrum(petersen(), 4).residues == {0, 1, 2, 3}
     flag, why = zero_sum_4_magic(bridged16)
     assert flag is False
-    assert "cut" in why
+    assert why.startswith("cubic without a perfect matching")
     assert predict_spectrum(bridged16, 4).residues == {1, 2, 3}
     assert brute_force_spectrum(bridged16, 4).residues == {1, 2, 3}
 
@@ -243,9 +243,9 @@ def test_component_graphs_are_built_once(monkeypatch):
 
 
 def test_budget_undecided_flows_through():
-    # no perfect matching and no vertex with only cut edges: the solver
-    # decides the zero sum mod 4, and the budget caps it
-    G = unmatched_cubic_28()
+    # 5-regular, bridgeless, no perfect matching: the solver decides the
+    # zero sum mod 4, and the budget caps it
+    G = quintic38()
     s = predict_spectrum(G, 4, TINY)
     assert s.residues == {1, 2, 3}
     assert s.undecided == {0}
