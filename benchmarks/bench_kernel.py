@@ -1,4 +1,5 @@
-"""Compare the compiled backtracking kernel against the pure Python twin.
+"""Compare the compiled twins, the backtracking kernel and the Petersen
+2-factor split, against their pure Python twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -7,7 +8,9 @@ at 5M nodes, where the twins must stop on the same node; --quick caps
 every search at one million nodes instead.  Every case reaches the
 kernel: none is settled by the parity count or split into components
 first.  One case has bridges, so the solver splits it and drives the
-kernel's per-vertex targets and per-edge allowed labels.
+kernel's per-vertex targets and per-edge allowed labels.  Then every
+2-factor split runs through both split twins, which must return the
+same 2-factors; its timings are the best of SPLIT_REPEATS runs.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -18,7 +21,19 @@ import argparse
 import time
 
 from digest import hub10, unmatched_cubic_28
-from kmagic import SolverBudget, circulant, complete, cycle, petersen, search_labeling
+from kmagic import (
+    SolverBudget,
+    circulant,
+    complete,
+    cycle,
+    disjoint_union,
+    double_graph,
+    petersen,
+    prism,
+    random_regular,
+    search_labeling,
+)
+from kmagic.factorization import _PetersenSplit
 from kmagic.solver import available_kernels
 
 QUICK_CAP = 10**6
@@ -32,6 +47,53 @@ CASES = [
     ("unmatched28 k=6 c=0 (split, found)", unmatched_cubic_28(), 6, 0, None),
     ("hub10 k=4 c=0 (capped at 5.0M nodes)", hub10(), 4, 0, 5 * 10**6),
 ]
+
+# (label, even-regular graph) for the 2-factor split
+SPLIT_CASES = [
+    ("2G of a random cubic n=60 (6-regular)", double_graph(random_regular(60, 3, seed=0)).doubled),
+    ("2G of circulant n=40 r=8 (16-regular)", double_graph(circulant(40, (1, 2, 3, 4))).doubled),
+    ("2G of circulant n=32 r=9 (18-regular)", double_graph(circulant(32, (1, 2, 3, 4, 16))).doubled),
+    ("2G of hub10 (18-regular, parallel edges)", double_graph(hub10()).doubled),
+    ("C5 + C3 + C4 (2-regular)", disjoint_union([cycle(5), cycle(3), cycle(4)])),
+    ("2G of K4 + circulant n=9 r=6 + 2G of prism", disjoint_union(
+        [double_graph(complete(4)).doubled, circulant(9, (1, 2, 3)), double_graph(prism(3)).doubled]
+    )),
+    ("random 4-regular n=1500 (long paths)", random_regular(1500, 4, seed=0)),
+]
+SPLIT_REPEATS = 5
+
+
+def pure_split(n, us, vs) -> list[list[int]]:
+    split = _PetersenSplit(n, us, vs)
+    return [sorted(part) for part in split.split(split.rho)]
+
+
+def compare_splits(kernels: dict) -> None:
+    twins = {"pure-python": pure_split}
+    if "compiled" in kernels:
+        twins["compiled"] = kernels["compiled"].petersen_split
+    header = f"{'2-factor split':<44} {'parts':>6} {'edges':>6}"
+    for name in twins:
+        header += f" {name + ' [ms]':>17}"
+    print(header)
+    print("-" * len(header))
+    for label, G in SPLIT_CASES:
+        results = {}
+        times = {}
+        for name, split in twins.items():
+            best = float("inf")
+            for _ in range(SPLIT_REPEATS):
+                t0 = time.perf_counter()
+                results[name] = split(G.n, *G.ends)
+                best = min(best, time.perf_counter() - t0)
+            times[name] = best
+        first = next(iter(results.values()))
+        for name, parts in results.items():
+            assert parts == first, f"{label}: {name} split differently"
+        row = f"{label:<44} {len(first):>6} {G.m:>6}"
+        for name in twins:
+            row += f" {1e3 * times[name]:>17.3f}"
+        print(row)
 
 
 def main() -> None:
@@ -76,6 +138,8 @@ def main() -> None:
             row += f" {times['pure-python'] / times['compiled']:>8.1f}x"
         print(row)
 
+    print()
+    compare_splits(kernels)
     print("all kernels returned identical results")
 
 

@@ -276,18 +276,199 @@ done:
     return result;
 }
 
+/* Petersen's split of an even-regular multigraph into 2-factors, the twin
+ * of kmagic.factorization._PetersenSplit run through every round.  The
+ * orienting walk and the augmenting paths live on explicit stacks: the
+ * walk's holds at most m + 1 vertices, a path at most n tails, since each
+ * tail after the root is matched into a head first reached on that path.
+ * Every round but the last finds a perfect matching of the out/in
+ * incidence graph over the edges no earlier round took, so each 2-factor
+ * holds n edges. */
+static PyObject *
+petersen_split(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *us = NULL, *vs = NULL, *parts = NULL, *result = NULL;
+    Py_ssize_t *block = NULL;
+
+    if (!PyArg_ParseTuple(args, "iOO:petersen_split", &n, &us_arg, &vs_arg))
+        return NULL;
+    us = PySequence_Fast(us_arg, "us must be a sequence");
+    if (us == NULL)
+        goto done;
+    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
+    if (vs == NULL)
+        goto done;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
+    if (PySequence_Fast_GET_SIZE(vs) != m) {
+        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
+        goto done;
+    }
+    if (n < 1 || m < n) {  /* a vertex would have no edges: checked before allocating per vertex */
+        PyErr_SetString(PyExc_ValueError, "need an even-regular graph with degree >= 2");
+        goto done;
+    }
+    /* per edge: ends, tail, arc (edge id, head) by tail, round; per vertex:
+     * degree, walk position, first arc, path state; the walk's stack */
+    Py_ssize_t nv = n;
+    block = PyMem_Calloc(9 * (size_t)m + 8 * (size_t)nv + 2, sizeof(Py_ssize_t));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *eu = block, *ev = eu + m, *tail = ev + m, *arc = tail + m, *head = arc + m;
+    Py_ssize_t *round = head + m, *adj = round + m, *deg = adj + 2 * m, *nxt = deg + nv;
+    Py_ssize_t *first = nxt + nv, *tail_of = first + nv + 1, *arc_of = tail_of + nv;
+    Py_ssize_t *seen = arc_of + nv, *tails = seen + nv, *pos = tails + nv, *stack = pos + nv;
+
+    for (Py_ssize_t i = 0; i < m; i++) {
+        const char *msg = "edge %zd has an endpoint outside 0..%d";
+        unsigned u, v;
+        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &u) < 0 ||
+            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &v) < 0)
+            goto done;
+        eu[i] = u;
+        ev[i] = v;
+        deg[u] += 1;
+        deg[v] += 1;
+    }
+    Py_ssize_t d = deg[0];
+    for (Py_ssize_t v = 0; v < nv; v++)
+        if (deg[v] != d)
+            d = 0;
+    if (d < 2 || d % 2 != 0) {
+        PyErr_SetString(PyExc_ValueError, "need an even-regular graph with degree >= 2");
+        goto done;
+    }
+    Py_ssize_t rho = d / 2;
+
+    /* the adjacency in edge-id order, vertex v's at adj[v * d .. (v + 1) * d) */
+    for (Py_ssize_t v = 0; v < nv; v++)
+        deg[v] = 0;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        adj[eu[e] * d + deg[eu[e]]++] = e;
+        adj[ev[e] * d + deg[ev[e]]++] = e;
+        tail[e] = -1;
+        round[e] = rho - 1;  /* the last round takes what no earlier one does */
+    }
+    if (rho > 1) {
+        /* orient: each edge leaves the vertex the walk first crossed it from */
+        for (Py_ssize_t start = 0; start < nv; start++) {
+            Py_ssize_t top = 0;
+            stack[0] = start;
+            while (top >= 0) {
+                Py_ssize_t u = stack[top], i = nxt[u];
+                while (i < d && tail[adj[u * d + i]] >= 0)
+                    i++;
+                nxt[u] = i;
+                if (i == d) {
+                    top--;
+                    continue;
+                }
+                Py_ssize_t e = adj[u * d + i];
+                tail[e] = u;
+                stack[++top] = eu[e] == u ? ev[e] : eu[e];
+            }
+        }
+        /* the out-arcs of tail u, by edge id, at arc[first[u] .. first[u + 1]) */
+        for (Py_ssize_t e = 0; e < m; e++)
+            first[tail[e] + 1] += 1;
+        for (Py_ssize_t v = 0; v < nv; v++)
+            first[v + 1] += first[v];
+        for (Py_ssize_t v = 0; v < nv; v++)
+            nxt[v] = first[v];
+        for (Py_ssize_t e = 0; e < m; e++) {
+            Py_ssize_t u = tail[e], j = nxt[u]++;
+            arc[j] = e;
+            head[j] = eu[e] == u ? ev[e] : eu[e];
+        }
+        for (Py_ssize_t v = 0; v < nv; v++)
+            seen[v] = -1;
+    }
+    for (Py_ssize_t r = 0; r < rho - 1; r++) {
+        for (Py_ssize_t v = 0; v < nv; v++)
+            tail_of[v] = -1;
+        for (Py_ssize_t root = 0; root < nv; root++) {
+            /* seen[h] == r * n + root: this round's search from root reached h */
+            Py_ssize_t mark = r * nv + root, depth = 1;
+            tails[0] = root;
+            pos[0] = first[root];
+            for (;;) {
+                Py_ssize_t u = tails[depth - 1], i = pos[depth - 1], end = first[u + 1];
+                while (i < end && (seen[head[i]] == mark || round[arc[i]] < r))
+                    i++;
+                pos[depth - 1] = i + 1;
+                if (i == end) {
+                    if (--depth == 0) {
+                        PyErr_SetString(PyExc_RuntimeError,
+                                        "out/in incidence graph lost regularity");
+                        goto done;
+                    }
+                    continue;
+                }
+                seen[head[i]] = mark;
+                if (tail_of[head[i]] < 0)
+                    break;
+                tails[depth] = tail_of[head[i]];
+                pos[depth] = first[tails[depth]];
+                depth++;
+            }
+            for (Py_ssize_t j = 0; j < depth; j++) {
+                Py_ssize_t a = pos[j] - 1;
+                tail_of[head[a]] = tails[j];
+                arc_of[head[a]] = arc[a];
+            }
+        }
+        for (Py_ssize_t v = 0; v < nv; v++)
+            round[arc_of[v]] = r;
+    }
+
+    parts = PyList_New(rho);
+    if (parts == NULL)
+        goto done;
+    for (Py_ssize_t r = 0; r < rho; r++) {
+        PyObject *part = PyList_New(0);
+        if (part == NULL)
+            goto done;
+        PyList_SET_ITEM(parts, r, part);
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        PyObject *eid = PyLong_FromSsize_t(e);
+        if (eid == NULL)
+            goto done;
+        int failed = PyList_Append(PyList_GET_ITEM(parts, round[e]), eid);
+        Py_DECREF(eid);
+        if (failed)
+            goto done;
+    }
+    result = parts;
+    parts = NULL;
+done:
+    PyMem_Free(block);
+    Py_XDECREF(us);
+    Py_XDECREF(vs);
+    Py_XDECREF(parts);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
      "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
      "Find an edge labeling with all vertex sums equal to c mod k; see\n"
      "kmagic._backtrack_py.search, whose semantics this twin shares."},
+    {"petersen_split", petersen_split, METH_VARARGS,
+     "petersen_split(n, us, vs)\n--\n\n"
+     "Split an even-regular multigraph, edge i joining us[i] and vs[i], into\n"
+     "its 2-factors, each a list of edge ids in increasing order; see\n"
+     "kmagic.factorization._PetersenSplit, whose semantics this twin shares."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
-    .m_doc = "Compiled backtracking kernel; semantics match kmagic._backtrack_py.",
+    .m_doc = "Compiled backtracking kernel and Petersen 2-factor split; semantics match\n"
+             "kmagic._backtrack_py.search and kmagic.factorization._PetersenSplit.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -8,10 +8,16 @@ incidence graph is then an r-regular bipartite graph, which decomposes
 into r perfect matchings by repeated augmenting-path search.  Each
 matching pulls back to a spanning 2-regular subgraph.
 
-The rounds are split on demand and kept per graph: a caller that reads
-only the first few 2-factors pays only for those, and a later caller
-resumes where the last one stopped.  The last round needs no search,
-since the edges no earlier round took are its only perfect matching.
+The split has two twins with one semantics, chosen as the solver
+chooses its kernel: the compiled kmagic._backtrack.petersen_split when
+the extension imports, else _PetersenSplit here, the pure reference.
+The compiled twin splits every round in one call the first time a graph
+is asked and keeps only the 2-factors.  The pure twin splits the rounds
+on demand: a caller that reads only the first few 2-factors pays only
+for those, and a later caller resumes where the last one stopped.
+Either way the split is kept per graph.  The last round needs no
+search, since the edges no earlier round took are its only perfect
+matching.
 """
 
 from __future__ import annotations
@@ -19,10 +25,17 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import FactorError, RegularityError
 from .graphs import EdgeRecord, MultiGraph, regularity
+
+try:
+    from ._backtrack import petersen_split as _compiled_split
+except ImportError:  # extension not built
+    _compiled_split = None
+
+SPLIT = "pure-python" if _compiled_split is None else "compiled"
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,8 @@ def _double(G: MultiGraph) -> DoublingMap:
     m = G.m
     copies = tuple(EdgeRecord(m + e.id, e.u, e.v) for e in G.edges)
     doubled = MultiGraph(G.n, G.edges + copies)
+    us, vs = G.ends
+    doubled.memo("ends", lambda: (us + us, vs + vs))  # from G's arrays, not from the records
     return DoublingMap(G, doubled, tuple((i, m + i) for i in range(m)))
 
 
@@ -82,10 +97,11 @@ def two_factorization(G: MultiGraph, count: int | None = None) -> FactorDecompos
     """The first count of the r/2 spanning 2-factors of an even-regular
     multigraph, all of them when count is omitted.
 
-    The split is kept per graph and run on demand: a call splits only
-    the rounds no earlier call has, in one fixed order, so the i-th
-    2-factor is the same edge set whatever counts are asked and in
-    whatever order.  Each count gets one object per graph.
+    The split is kept per graph: the compiled twin splits every round on
+    the first call, the pure one splits only the rounds no earlier call
+    has.  Both take the rounds in one fixed order, so the i-th 2-factor
+    is the same edge set whatever counts are asked and in whatever
+    order.  Each count gets one object per graph.
     """
     r = regularity(G)
     if r is None or r < 2 or r % 2 != 0:
@@ -95,48 +111,83 @@ def two_factorization(G: MultiGraph, count: int | None = None) -> FactorDecompos
         count = rho
     elif not 0 <= count <= rho:
         raise FactorError(f"count must lie in 0..{rho}, got {count}")
-    return G.memo("two_factorization", lambda: _PetersenSplit(G.m, rho)).prefix(G, count)
+    return G.memo("two_factorization", lambda: _Prefixes(G)).prefix(count)
+
+
+class _Prefixes:
+    """The decomposition handed out for each count of one graph's split.
+    It keeps no reference to the graph, whose memo holds it."""
+
+    def __init__(self, G: MultiGraph) -> None:
+        if _compiled_split is None:
+            self.split = _PetersenSplit(G.n, *G.ends).split
+        else:
+            parts = [frozenset(p) for p in _compiled_split(G.n, *G.ends)]
+            self.split = lambda count: parts[:count]
+        self.prefixes: dict[int, FactorDecomposition] = {}
+
+    def prefix(self, count: int) -> FactorDecomposition:
+        dec = self.prefixes.get(count)
+        if dec is None:
+            dec = self.prefixes[count] = FactorDecomposition(tuple(self.split(count)), (2,) * count)
+        return dec
 
 
 class _PetersenSplit:
-    """The 2-factors of one graph split so far, what the next round needs
-    (the orientation, found on the first round and dropped after the
-    last, and the mask of edges no part holds yet) and the decomposition
-    handed out for each count.  It keeps no reference to the graph,
-    whose memo holds it."""
+    """The pure twin of kmagic._backtrack.petersen_split: the 2-factors
+    of an even-regular multigraph, edge i joining us[i] and vs[i], split
+    round by round on demand.  It keeps the parts split so far and what
+    the next round needs: the orientation, found on the first round and
+    dropped after the last, and the mask of edges no part holds yet.
 
-    def __init__(self, m: int, rho: int) -> None:
-        self.rho = rho
+    Raises ValueError when us and vs differ in length, when an endpoint
+    lies outside 0..n-1, or when the graph is not regular of even degree
+    at least 2, as the compiled twin does.
+    """
+
+    def __init__(self, n: int, us: Sequence[int], vs: Sequence[int]) -> None:
+        m = len(us)
+        if len(vs) != m:
+            raise ValueError("us and vs differ in length")
+        if n < 1 or m < n:  # a vertex would have no edges: checked before allocating per vertex
+            raise ValueError("need an even-regular graph with degree >= 2")
+        deg = [0] * n
+        for i in range(m):
+            if not (0 <= us[i] < n and 0 <= vs[i] < n):
+                raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
+            deg[us[i]] += 1
+            deg[vs[i]] += 1
+        if deg[0] < 2 or deg[0] % 2 or deg.count(deg[0]) != n:
+            raise ValueError("need an even-regular graph with degree >= 2")
+        self.n, self.us, self.vs = n, us, vs
+        self.rho = deg[0] // 2
         self.parts: list[frozenset[int]] = []
         self.out_arcs: list[list[tuple[int, int]]] | None = None
         self.alive: bytearray | None = bytearray([1]) * m
-        self.prefixes: dict[int, FactorDecomposition] = {}
 
-    def prefix(self, G: MultiGraph, count: int) -> FactorDecomposition:
-        dec = self.prefixes.get(count)
-        if dec is None:
-            while len(self.parts) < count:
-                self._split_next(G)
-            dec = self.prefixes[count] = FactorDecomposition(tuple(self.parts[:count]), (2,) * count)
-        return dec
+    def split(self, count: int) -> list[frozenset[int]]:
+        """The first count 2-factors."""
+        while len(self.parts) < count:
+            self._split_next()
+        return self.parts[:count]
 
-    def _split_next(self, G: MultiGraph) -> None:
+    def _split_next(self) -> None:
         alive = self.alive
         if len(self.parts) == self.rho - 1:
             # each tail has one alive out-arc left and each head one alive
             # in-arc, so the alive edges are the last round's only matching
-            self.parts.append(frozenset(compress(range(G.m), alive)))
+            self.parts.append(frozenset(compress(range(len(alive)), alive)))
             self.out_arcs = self.alive = None
             return
         if self.out_arcs is None:
-            self.out_arcs = _orient(G)
+            self.out_arcs = _orient(self.n, self.us, self.vs)
         matched = _bipartite_round(self.out_arcs, alive)
         for eid in matched:
             alive[eid] = 0
         self.parts.append(frozenset(matched))
 
 
-def _orient(G: MultiGraph) -> list[list[tuple[int, int]]]:
+def _orient(n: int, us: Sequence[int], vs: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Per tail vertex, its out-arcs (head, edge id) in edge-id order.
 
     From each vertex in turn, walk along unused edges, smallest id first,
@@ -144,14 +195,18 @@ def _orient(G: MultiGraph) -> list[list[tuple[int, int]]]:
     it.  In an even graph a walk gets stuck only where it started, so
     every vertex is left by half of its edges.
     """
-    used = bytearray(G.m)
-    nxt = [0] * G.n
-    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(G.n)]
-    for start in range(G.n):
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    used = bytearray(len(us))
+    nxt = [0] * n
+    out_arcs: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for start in range(n):
         stack = [start]
         while stack:
             u = stack[-1]
-            adj = G.adjacency[u]
+            adj = adjacency[u]
             i = nxt[u]
             while i < len(adj) and used[adj[i][1]]:
                 i += 1
@@ -200,7 +255,7 @@ def _bipartite_round(out_arcs: list[list[tuple[int, int]]], alive: bytearray) ->
             tails.append(tail_of[head])
             pos.append(0)
         else:
-            raise FactorError("out/in incidence graph lost regularity")
+            raise RuntimeError("out/in incidence graph lost regularity")
         for u, p in zip(tails, pos):
             head, eid = out_arcs[u][p - 1]
             tail_of[head] = u

@@ -48,6 +48,11 @@ class MultiGraph:
         return tuple(deg)
 
     @cached_property
+    def ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(us, vs): the endpoints of every edge, in edge-id order."""
+        return tuple(e.u for e in self.edges), tuple(e.v for e in self.edges)
+
+    @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex: tuple of (neighbor, edge id), in edge-id order."""
         adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]

@@ -5,11 +5,13 @@ degree contract, independently of how it was found.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmagic import (
     FactorError,
     MultiGraph,
     RegularityError,
+    build_graph,
     check_factor,
     circulant,
     complete,
@@ -24,6 +26,7 @@ from kmagic import (
     two_factorization,
 )
 from kmagic import factorization
+from kmagic.factorization import FactorDecomposition
 
 
 def assert_partition(G, dec):
@@ -109,6 +112,8 @@ def test_two_factorization_prefixes_are_the_full_split(G):
 
 
 def test_two_factorization_splits_only_the_rounds_asked_for(monkeypatch):
+    # the pure twin resumes round by round; the compiled one splits all at once
+    monkeypatch.setattr(factorization, "_compiled_split", None)
     rounds = []
     split = factorization._bipartite_round
     monkeypatch.setattr(
@@ -129,6 +134,97 @@ def test_two_factorization_splits_only_the_rounds_asked_for(monkeypatch):
         assert len(rounds) == rho - 1
 
 
+def test_two_factorization_takes_one_compiled_call_per_graph(compiled_kernel, monkeypatch):
+    calls = []
+    split = compiled_kernel.petersen_split
+    monkeypatch.setattr(factorization, "_compiled_split", lambda *a: calls.append(a) or split(*a))
+    monkeypatch.setattr(factorization, "_bipartite_round", None)  # no pure round may run
+    D = double_graph(circulant(12, (1, 2, 3, 6))).doubled  # 14-regular
+    full = two_factorization(D).parts
+    for count in (1, 7, 0, 3, 1, 6):
+        assert two_factorization(D, count).parts == full[:count]
+    assert extract_2h_factor(D, 2).parts[0] == full[0] | full[1]
+    assert calls == [(D.n, *D.ends)]
+    # the doubled graph's endpoint arrays come from its source's
+    assert D.ends == tuple(a + a for a in circulant(12, (1, 2, 3, 6)).ends)
+
+
+def split_twins(compiled_kernel):
+    """Both twins of the Petersen split, each giving every 2-factor as a
+    frozenset of edge ids."""
+
+    def pure(n, us, vs):
+        split = factorization._PetersenSplit(n, us, vs)
+        return split.split(split.rho)
+
+    def compiled(n, us, vs):
+        parts = compiled_kernel.petersen_split(n, us, vs)
+        assert all(p == sorted(p) for p in parts)
+        return [frozenset(p) for p in parts]
+
+    return {"pure-python": pure, "compiled": compiled}
+
+
+@st.composite
+def even_regular_multigraphs(draw):
+    """Even-regular multigraphs of degree 2 to 18, edges in a shuffled
+    order: a union of Hamiltonian cycles, which may share edges, or the
+    doubled graph of such a union plus a perfect matching (odd-regular
+    before doubling), sometimes beside a union of cycles of its degree."""
+
+    def cycles(n, rho):
+        pairs = []
+        for _ in range(rho):
+            p = draw(st.permutations(range(n)))
+            pairs += [(p[i - 1], p[i]) for i in range(n)]
+        return pairs
+
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 14))
+        G = build_graph(n, cycles(n, draw(st.integers(1, 9))))
+    else:
+        n = 2 * draw(st.integers(1, 7))
+        p = draw(st.permutations(range(n)))
+        matching = [(p[i], p[i + 1]) for i in range(0, n, 2)]
+        G = double_graph(build_graph(n, cycles(n, draw(st.integers(0, 4))) + matching)).doubled
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 10))
+        G = disjoint_union([G, build_graph(n, cycles(n, G.degrees[0] // 2))])
+    pairs = [G.endpoints(i) for i in range(G.m)]
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    return build_graph(G.n, pairs)
+
+
+@given(even_regular_multigraphs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_split_twins_agree(compiled_kernel, G):
+    parts = {name: split(G.n, *G.ends) for name, split in split_twins(compiled_kernel).items()}
+    assert parts["pure-python"] == parts["compiled"]
+    assert_partition(G, FactorDecomposition(tuple(parts["compiled"]), (2,) * len(parts["compiled"])))
+
+
+@pytest.mark.parametrize("twin", ["pure-python", "compiled"])
+def test_split_twins_reject_bad_input_alike(twin, request):
+    split = split_twins(request.getfixturevalue("compiled_kernel"))[twin]
+    with pytest.raises(ValueError, match="differ in length"):
+        split(3, [0, 1, 2], [1, 2])
+    for n, us, vs in [(3, [0, 1, 2], [1, 2, 3]), (3, [0, 1, -1], [1, 2, 0])]:
+        with pytest.raises(ValueError, match="endpoint"):
+            split(n, us, vs)
+    for n, us, vs in [
+        (0, [], []),
+        (-2, [], []),
+        (3, [], []),
+        (4, [0, 1, 2], [1, 2, 3]),  # fewer edges than vertices
+        (4, [0, 1, 2, 3, 0], [1, 2, 3, 0, 2]),  # not regular
+        (4, [0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]),  # K4: odd degree
+    ]:
+        with pytest.raises(ValueError, match="even-regular"):
+            split(n, us, vs)
+    with pytest.raises(TypeError):
+        split(3, [0, 1, "2"], [1, 2, 0])
+
+
 def test_two_factorization_rejects_odd_degree():
     with pytest.raises(RegularityError):
         two_factorization(petersen())
@@ -141,13 +237,18 @@ def test_two_factorization_handles_parallel_edges():
     assert_partition(D, dec)
 
 
-def test_two_factorization_of_a_large_graph():
+def test_two_factorization_of_a_large_graph(compiled_kernel, monkeypatch):
     # augmenting paths here grow past the interpreter's recursion limit
-    G = random_regular(1500, 4, seed=0)
-    dec = two_factorization(G)
-    assert len(dec.parts) == 2
-    assert_partition(G, dec)
-    assert construct(random_regular(1500, 4, seed=0), 4, 1).status == "found"
+    parts = []
+    for twin in (None, compiled_kernel.petersen_split):
+        monkeypatch.setattr(factorization, "_compiled_split", twin)
+        G = random_regular(1500, 4, seed=0)
+        dec = two_factorization(G)
+        assert len(dec.parts) == 2
+        assert_partition(G, dec)
+        parts.append(dec.parts)
+        assert construct(random_regular(1500, 4, seed=0), 4, 1).status == "found"
+    assert parts[0] == parts[1]
 
 
 def test_extract_2h_factor_degrees():
