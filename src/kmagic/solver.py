@@ -169,9 +169,7 @@ def _component_search(C: MultiGraph, k: int, c: int, budget: SolverBudget, impl)
 
 
 def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
-    order = assignment_order(G)
-    us = [G.edges[eid].u for eid in order]
-    vs = [G.edges[eid].v for eid in order]
+    order, us, vs = G.memo("search_order", lambda: _search_order(G))
     status, labels, nodes = impl.search(G.n, k, c, us, vs, budget.cap_for(k, G.m))
     if status == SAT:
         mapping = {order[i]: labels[i] for i in range(G.m)}
@@ -179,6 +177,13 @@ def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) ->
     if status == UNSAT:
         return SearchResult("absent", None, nodes)
     return SearchResult("undecided", None, nodes)
+
+
+def _search_order(G: MultiGraph) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
+    """assignment_order(G) and the edges' endpoints in that order."""
+    order = assignment_order(G)
+    us, vs = G.ends
+    return order, tuple(us[eid] for eid in order), tuple(vs[eid] for eid in order)
 
 
 @dataclass(frozen=True)
@@ -275,6 +280,13 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
     off top-down.  A piece with no feasible label makes the component
     absent.
 
+    Two facts spare searches.  At even k the targets of a piece without
+    child bridges add up to twice its label sum, so its parent label x
+    must have the parity of n * c, n its vertex count; the other labels
+    are not searched.  Pieces alike in shape, entry and child label sets
+    (isomorphic siblings, say) are searched once: the first one's
+    feasible labels serve the rest.
+
     All the searches share one cap (negative: none), each counting at
     least one node, so a huge k runs out of budget instead of running
     k - 1 searches per piece.  A capped search ends the split as
@@ -284,6 +296,8 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
     # per piece: its feasible parent labels (None at the root), each with
     # the labels of the piece's order it was found with (None if edgeless)
     feasible: list[dict | None] = [None] * len(pieces)
+    # the feasible labels of each searched piece, by all its searches read
+    searched: dict[tuple, dict] = {}
     # per edgeless piece: the sums its child bridges j, j+1, ... can reach
     reach: list[list[set[int]] | None] = [None] * len(pieces)
     for p in reversed(range(len(pieces))):
@@ -291,6 +305,8 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
         allowed = [None] * len(piece.order)
         for pos, q in piece.children:
             allowed[pos] = list(feasible[q])
+        alike = (p == 0, piece.n, piece.entry, piece.us, piece.vs,
+                 *(tuple(feasible[q]) for _, q in piece.children))
         if piece.edgeless:
             sets = [{0}]
             for pos in reversed(range(len(allowed))):
@@ -301,12 +317,20 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
                 feasible[p] = {None: None} if c in sets[0] else {}
             else:
                 feasible[p] = dict.fromkeys(sorted(x for x in ((c - r) % k for r in sets[0]) if x))
+        elif alike in searched:
+            feasible[p] = searched[alike]
         else:
             targets = [c] * piece.n
             if piece.children:
                 targets[-1] = None
-            found = feasible[p] = {}
-            for x in range(1, k) if p else (None,):
+            if not p:
+                labels_to_try = (None,)
+            elif k % 2 == 0 and not piece.children:
+                labels_to_try = range(2 - piece.n * c % 2, k, 2)
+            else:
+                labels_to_try = range(1, k)
+            found = feasible[p] = searched[alike] = {}
+            for x in labels_to_try:
                 if x is not None:
                     targets[piece.entry] = (c - x) % k
                 if 0 <= cap <= charged:

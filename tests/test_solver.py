@@ -2,6 +2,7 @@
 
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -272,6 +273,27 @@ def test_split_decides_what_the_whole_search_leaves_to_its_cap(kernel, G, k, c, 
     us = [G.edges[eid].u for eid in order]
     vs = [G.edges[eid].v for eid in order]
     assert kernel.search(G.n, k, c, us, vs, 10**5)[0] == UNDECIDED
+
+
+def test_split_searches_alike_pieces_once_and_skips_what_parity_excludes(kernel):
+    # the five triangles of hub_quintic_16 are alike leaf pieces of three
+    # vertices: one search per parent label serves all five, and at even k
+    # only labels of the parity of 3c are searched
+    calls = []
+    counting = SimpleNamespace(search=lambda *a: calls.append(a) or kernel.search(*a))
+    G = hub_quintic_16()
+    for k, c, status, searches in [
+        (4, 0, "absent", 1),
+        (4, 1, "found", 2),
+        (4, 2, "found", 1),
+        (4, 3, "found", 2),
+        (5, 0, "found", 4),
+    ]:
+        calls.clear()
+        res = search_labeling(G, k, c, kernel=counting)
+        assert (res.status, len(calls)) == (status, searches)
+        if status == "found":
+            assert verify(G, res.labeling) == c
 
 
 def test_split_under_a_huge_modulus_runs_out_of_budget(kernel):
