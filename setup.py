@@ -1,9 +1,11 @@
-"""Build script for the optional compiled backtracking kernel.
+"""Build script for the optional compiled extension.
 
-The package is pure Python except for kmagic._backtrack, a hand-written
-C twin of the kernel in kmagic._backtrack_py.  It needs only a C
-compiler; if none is available the extension is skipped and the package
-falls back to the pure implementation at import time.
+The package is pure Python except for kmagic._backtrack, hand-written C
+that holds two compiled twins: the backtracking kernel of
+kmagic._backtrack_py.search and the Petersen 2-factor split of
+kmagic.factorization._PetersenSplit.  It needs only a C compiler; if
+none is available the extension is skipped and the package falls back
+to the pure twins at import time.
 """
 
 from setuptools import Extension, setup
