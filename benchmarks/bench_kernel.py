@@ -1,5 +1,5 @@
-"""Compare the compiled twins, the backtracking kernel and the Petersen
-2-factor split, against their pure Python twins.
+"""Compare the compiled twins, the backtracking kernel, the Petersen
+2-factor split and the magic-sum check, against their pure Python twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -10,7 +10,11 @@ kernel: none is settled by the parity count or split into components
 first.  One case has bridges, so the solver splits it and drives the
 kernel's per-vertex targets and per-edge allowed labels.  Then every
 2-factor split runs through both split twins, which must return the
-same 2-factors; its timings are the best of SPLIT_REPEATS runs.
+same 2-factors; its timings are the best of SPLIT_REPEATS runs.  Last,
+the magic-sum check behind verify runs through both sum twins on a
+magic and a non-magic labeling of each graph in SUM_CASES, which must
+get the same answers; its timings are microseconds per call, the best
+of SUM_REPEATS batches of SUM_CALLS calls.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -33,6 +37,7 @@ from kmagic import (
     random_regular,
     search_labeling,
 )
+from kmagic._backtrack_py import magic_sum
 from kmagic.factorization import _PetersenSplit
 from kmagic.solver import available_kernels
 
@@ -61,6 +66,16 @@ SPLIT_CASES = [
     ("random 4-regular n=1500 (long paths)", random_regular(1500, 4, seed=0)),
 ]
 SPLIT_REPEATS = 5
+
+# (label, graph, k) for the magic-sum check; the graphs are regular, so
+# all-ones labels are magic
+SUM_CASES = [
+    ("random cubic n=76 k=4", random_regular(76, 3, seed=0), 4),
+    ("circulant n=40 r=8 k=5", circulant(40, (1, 2, 3, 4)), 5),
+    ("2G of circulant n=16 r=9 k=7", double_graph(circulant(16, (1, 2, 3, 4, 8))).doubled, 7),
+]
+SUM_CALLS = 2000
+SUM_REPEATS = 5
 
 
 def pure_split(n, us, vs) -> list[list[int]]:
@@ -93,6 +108,39 @@ def compare_splits(kernels: dict) -> None:
         row = f"{label:<44} {len(first):>6} {G.m:>6}"
         for name in twins:
             row += f" {1e3 * times[name]:>17.3f}"
+        print(row)
+
+
+def compare_sums(kernels: dict) -> None:
+    twins = {"pure-python": magic_sum}
+    if "compiled" in kernels:
+        twins["compiled"] = kernels["compiled"].magic_sum
+    header = f"{'magic-sum check':<44} {'edges':>6} {'sums':>9}"
+    for name in twins:
+        header += f" {name + ' [us]':>17}"
+    print(header)
+    print("-" * len(header))
+    for label, G, k in SUM_CASES:
+        ones = {e: 1 for e in range(G.m)}
+        labelings = [ones, {**ones, 0: 2}]
+        answers = {}
+        times = {}
+        for name, twin in twins.items():
+            args = [(G.n, *G.ends, labels, k) for labels in labelings]
+            answers[name] = [twin(*a) for a in args]
+            best = float("inf")
+            for _ in range(SUM_REPEATS):
+                t0 = time.perf_counter()
+                for _ in range(SUM_CALLS):
+                    twin(*args[0])
+                best = min(best, time.perf_counter() - t0)
+            times[name] = best / SUM_CALLS
+        first = next(iter(answers.values()))
+        for name, got in answers.items():
+            assert got == first, f"{label}: {name} gave other sums"
+        row = f"{label:<44} {G.m:>6} {str(first):>9}"
+        for name in twins:
+            row += f" {1e6 * times[name]:>17.2f}"
         print(row)
 
 
@@ -140,6 +188,8 @@ def main() -> None:
 
     print()
     compare_splits(kernels)
+    print()
+    compare_sums(kernels)
     print("all kernels returned identical results")
 
 

@@ -1,8 +1,9 @@
 """Build script for the optional compiled extension.
 
 The package is pure Python except for kmagic._backtrack, hand-written C
-that holds two compiled twins: the backtracking kernel of
-kmagic._backtrack_py.search and the Petersen 2-factor split of
+that holds three compiled twins: the backtracking kernel of
+kmagic._backtrack_py.search, the magic-sum check of
+kmagic._backtrack_py.magic_sum and the Petersen 2-factor split of
 kmagic.factorization._PetersenSplit.  It needs only a C compiler; if
 none is available the extension is skipped and the package falls back
 to the pure twins at import time.

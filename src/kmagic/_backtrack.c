@@ -1,4 +1,6 @@
-/* Compiled backtracking kernel, the twin of kmagic._backtrack_py.
+/* Compiled twins of three pure references: the backtracking kernel and
+ * the magic-sum check of kmagic._backtrack_py, and the Petersen 2-factor
+ * split of kmagic.factorization._PetersenSplit.
  *
  * search() transcribes the pure reference line for line: the same edge
  * order, the same forced-label rule and the same node count, so both
@@ -16,6 +18,7 @@
 #include <Python.h>
 
 enum { UNDECIDED = -1, UNSAT = 0, SAT = 1 };
+enum { MALFORMED = -1 };  /* magic_sum's answer for labels that are not one legal label per edge */
 
 /* Store obj, an int in lo..hi, in *out; otherwise raise ValueError with
  * msg, formatted with the index i and the bound hi. */
@@ -276,6 +279,95 @@ done:
     return result;
 }
 
+/* The common vertex sum mod k of a labeling, the twin of
+ * kmagic._backtrack_py.magic_sum: MALFORMED unless the dict labels holds
+ * exactly the ids 0..m-1, each with an int label in 1..k-1, else the sum
+ * or None.  Each id is looked up as a Python int, so a key is matched by
+ * Python equality, as the reference matches it.  Labels lie below k, a
+ * C int, so the per-vertex sums, at most m labels each, fit unsigned
+ * long long. */
+static PyObject *
+magic_sum(PyObject *self, PyObject *args)
+{
+    int n, k;
+    PyObject *us_arg, *vs_arg, *labels, *us = NULL, *vs = NULL, *result = NULL;
+    unsigned *ends = NULL;
+    unsigned long long *sums = NULL;
+
+    if (!PyArg_ParseTuple(args, "iOOOi:magic_sum", &n, &us_arg, &vs_arg, &labels, &k))
+        return NULL;
+    if (k < 2)
+        return PyErr_Format(PyExc_ValueError, "magic_sum needs k >= 2, got %d", k);
+    us = PySequence_Fast(us_arg, "us must be a sequence");
+    if (us == NULL)
+        goto done;
+    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
+    if (vs == NULL)
+        goto done;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
+    if (PySequence_Fast_GET_SIZE(vs) != m) {
+        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
+        goto done;
+    }
+    size_t n_slots = n > 0 ? (size_t)n : 0;
+    ends = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(unsigned));
+    sums = PyMem_Calloc(n_slots + 1, sizeof(unsigned long long));
+    if (ends == NULL || sums == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < m; i++) {
+        const char *msg = "edge %zd has an endpoint outside 0..%d";
+        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &ends[2 * i]) < 0 ||
+            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &ends[2 * i + 1]) < 0)
+            goto done;
+    }
+    if (!PyDict_Check(labels)) {
+        PyErr_SetString(PyExc_TypeError, "labels must be a dict");
+        goto done;
+    }
+    if (PyDict_GET_SIZE(labels) != m) {
+        result = PyLong_FromLong(MALFORMED);
+        goto done;
+    }
+    for (Py_ssize_t i = 0; i < m; i++) {
+        PyObject *key = PyLong_FromSsize_t(i);
+        if (key == NULL)
+            goto done;
+        PyObject *val = PyDict_GetItemWithError(labels, key);  /* borrowed */
+        Py_DECREF(key);
+        if (val == NULL && PyErr_Occurred())
+            goto done;
+        int overflow = 0;
+        long x = val != NULL && PyLong_Check(val) ? PyLong_AsLongAndOverflow(val, &overflow) : 0;
+        if (x == -1 && PyErr_Occurred())
+            goto done;
+        if (overflow || x < 1 || x > k - 1) {
+            result = PyLong_FromLong(MALFORMED);
+            goto done;
+        }
+        sums[ends[2 * i]] += (unsigned long long)x;
+        sums[ends[2 * i + 1]] += (unsigned long long)x;
+    }
+    if (n_slots == 0) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    unsigned long long c = sums[0] % (unsigned)k;
+    for (size_t v = 1; v < n_slots; v++)
+        if (sums[v] % (unsigned)k != c) {
+            result = Py_NewRef(Py_None);
+            goto done;
+        }
+    result = PyLong_FromUnsignedLongLong(c);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(sums);
+    Py_XDECREF(us);
+    Py_XDECREF(vs);
+    return result;
+}
+
 /* Petersen's split of an even-regular multigraph into 2-factors, the twin
  * of kmagic.factorization._PetersenSplit run through every round.  The
  * orienting walk and the augmenting paths live on explicit stacks: the
@@ -456,6 +548,12 @@ static PyMethodDef methods[] = {
      "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
      "Find an edge labeling with all vertex sums equal to c mod k; see\n"
      "kmagic._backtrack_py.search, whose semantics this twin shares."},
+    {"magic_sum", magic_sum, METH_VARARGS,
+     "magic_sum(n, us, vs, labels, k)\n--\n\n"
+     "The common vertex sum mod k of the labeling labels (edge id -> label) of\n"
+     "the multigraph whose edge i joins us[i] and vs[i], None when the sums\n"
+     "differ, MALFORMED (-1) when labels is malformed; see kmagic._backtrack_py.magic_sum,\n"
+     "whose semantics this twin shares."},
     {"petersen_split", petersen_split, METH_VARARGS,
      "petersen_split(n, us, vs)\n--\n\n"
      "Split an even-regular multigraph, edge i joining us[i] and vs[i], into\n"
@@ -467,8 +565,9 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
-    .m_doc = "Compiled backtracking kernel and Petersen 2-factor split; semantics match\n"
-             "kmagic._backtrack_py.search and kmagic.factorization._PetersenSplit.",
+    .m_doc = "Compiled backtracking kernel, magic-sum check and Petersen 2-factor split;\n"
+             "semantics match kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum\n"
+             "and kmagic.factorization._PetersenSplit.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,11 +1,12 @@
-"""Pure-Python backtracking kernel.
+"""Pure-Python backtracking kernel and magic-sum check.
 
-Reference implementation of the label search; kmagic._backtrack is the
-compiled twin with identical semantics.  Edges are visited in the given
-order; when an edge is the last unlabeled edge at one of its endpoints
-its label is forced by the target sum, otherwise all of its allowed
-labels (1..k-1 unless restricted) are tried in increasing order.  Every
-attempted assignment counts as one node against the cap.
+Reference implementations of the label search and of the magic-sum
+check; kmagic._backtrack holds their compiled twins, with identical
+semantics.  The search visits edges in the given order; when an edge is
+the last unlabeled edge at one of its endpoints its label is forced by
+the target sum, otherwise all of its allowed labels (1..k-1 unless
+restricted) are tried in increasing order.  Every attempted assignment
+counts as one node against the cap.
 """
 
 from __future__ import annotations
@@ -13,6 +14,49 @@ from __future__ import annotations
 SAT = 1
 UNSAT = 0
 UNDECIDED = -1
+
+# magic_sum's answer for labels that are not one legal label per edge
+MALFORMED = -1
+
+# the largest n and k the compiled twins' C int arguments hold
+C_INT_MAX = 2**31 - 1
+
+
+def magic_sum(n, us, vs, labels, k):
+    """The common vertex sum mod k of a labeling, or None.
+
+    Edge i joins us[i] and vs[i].  labels is a dict from edge id to
+    label.  Returns MALFORMED unless its keys are exactly the ids
+    0..m-1 and every label is an int (a bool counts as one) in 1..k-1.
+    Otherwise returns the vertex sum mod k when every vertex has the
+    same one, and None when two differ or n is 0.  A vertex without
+    edges sums to 0.  Raises ValueError when k < 2, when us and vs
+    differ in length, or when an endpoint lies outside 0..n-1, and
+    TypeError when labels is not a dict.
+    """
+    if k < 2:
+        raise ValueError(f"magic_sum needs k >= 2, got {k}")
+    m = len(us)
+    if len(vs) != m:
+        raise ValueError("us and vs differ in length")
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
+    if not isinstance(labels, dict):
+        raise TypeError("labels must be a dict")
+    if len(labels) != m:
+        return MALFORMED
+    sums = [0] * n
+    for i, (u, v) in enumerate(zip(us, vs)):
+        x = labels.get(i)
+        if not isinstance(x, int) or not 0 < x < k:
+            return MALFORMED
+        sums[u] += x
+        sums[v] += x
+    if n == 0:
+        return None
+    c = sums[0] % k
+    return c if all(s % k == c for s in sums) else None
 
 
 def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):

@@ -256,12 +256,27 @@ def _fold_constant_parts(G, k, c, groups, divisor, rule, params):
     return _accept(G, k, c, folded.labels, "fold", {"divisor": divisor}, extra_steps=[step])
 
 
+def _pair_copy_counts(G, h):
+    """How many of its two copies a source edge has in the doubled graph's
+    first h 2-factors, as a set over all source edges: a subset of
+    {0, 1, 2}, found once per graph and h."""
+
+    def counts():
+        D = double_graph(G)
+        inside = frozenset().union(*two_factorization(D.doubled, h).parts)
+        return frozenset((orig in inside) + (dup in inside) for orig, dup in D.pairs)
+
+    return G.memo(f"pair copy counts/{h}", counts)
+
+
 def _rule_doubling_search(G, r, k, c, budget):
     """Parametric doubling: 2h-factor of the doubled graph labeled a, the
-    complement b, folded with divisor 1 or 2.  Tries all (a, b) pairs."""
+    complement b, folded with divisor 1 or 2.  Tries all (a, b) pairs
+    except those under which some source edge would fold to 0."""
     for h in range(1, r):
         for a, b, divisor in _label_pairs(k, c, 2 * h, 2 * (r - h), (1, 2)):
-            if a == -b:  # an edge with a copy on each side would fold to 0
+            counts = _pair_copy_counts(G, h)
+            if any(_norm((j * a + (2 - j) * b) // divisor, k) == 0 for j in counts):
                 continue
             try:
                 return _fold_constant_parts(

@@ -6,6 +6,17 @@ labels add up to c.  The transforms here are the building blocks of the
 constructions: complementation (label -> k - label), folding a labeling
 of a doubled graph back onto the source, and extending a labeled factor
 by all-ones on the remaining edges.
+
+verify, which every transform and every construction runs on its
+result, checks the labeling and its vertex sums in one pass of the
+magic-sum check.  That check has two twins with one semantics, chosen
+as the solver chooses its kernel: the compiled kmagic._backtrack.magic_sum
+when the extension imports, else kmagic._backtrack_py.magic_sum, the
+pure reference.  A k past the compiled twin's C int goes to the
+reference.  k = 1 (plain integer labels) and a k that is no int stay
+outside both twins, on validate_labels and plain sums.  A labeling
+either twin finds malformed goes to validate_labels too, which names
+the fault.
 """
 
 from __future__ import annotations
@@ -14,9 +25,16 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+from . import _backtrack_py
+from ._backtrack_py import C_INT_MAX, MALFORMED
 from .errors import LabelingError, RegularityError
 from .factorization import DoublingMap, check_factor
 from .graphs import MultiGraph, regularity
+
+try:
+    from ._backtrack import magic_sum as _magic_sum
+except ImportError:  # extension not built
+    _magic_sum = _backtrack_py.magic_sum
 
 
 @dataclass(frozen=True)
@@ -67,6 +85,12 @@ def verify(G: MultiGraph, lab: EdgeLabeling) -> int | None:
     out-of-range label); returns None for a legal labeling whose vertex
     sums are not constant.
     """
+    k = lab.k
+    if isinstance(k, int) and k >= 2:
+        twin = _magic_sum if k <= C_INT_MAX else _backtrack_py.magic_sum
+        c = twin(G.n, *G.ends, lab.labels, k)
+        if c != MALFORMED:
+            return c
     validate_labels(G, lab)
     sums = _sums(G, lab.labels, lab.k, range(G.m))
     if G.n == 0:
@@ -236,12 +260,20 @@ def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None 
 
 
 def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
+    """Read a labeling file.  Raises LabelingError unless it is an object
+    whose k and labels are JSON integers (a float or a boolean is not)."""
     try:
         payload = json.loads(text)
         labels = payload["labels"]
         if not isinstance(labels, dict):
             raise LabelingError("bad labeling file: labels is not an object")
-        lab = EdgeLabeling(payload["k"], {int(i): v for i, v in labels.items()})
+        k = payload["k"]
+        if type(k) is not int:
+            raise LabelingError(f"bad labeling file: modulus {k!r} is not an integer")
+        for i, v in labels.items():
+            if type(v) is not int:
+                raise LabelingError(f"bad labeling file: edge {i}: label {v!r} is not an integer")
+        lab = EdgeLabeling(k, {int(i): v for i, v in labels.items()})
         return lab, payload["c"], payload.get("trace", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise LabelingError(f"bad labeling file: {exc}") from None

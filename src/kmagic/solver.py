@@ -17,7 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import _backtrack_py
-from ._backtrack_py import SAT, UNDECIDED, UNSAT
+from ._backtrack_py import C_INT_MAX, SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
 from .graphs import MultiGraph, component_graphs, find_bridges
 from .labelings import EdgeLabeling
@@ -29,9 +29,6 @@ try:
     _KERNELS["compiled"] = _backtrack
 except ImportError:  # extension not built
     pass
-
-# the largest k the compiled kernel's C int arguments hold
-_C_INT_MAX = 2**31 - 1
 
 KERNEL = "compiled" if "compiled" in _KERNELS else "pure-python"
 _kernel = _KERNELS[KERNEL]
@@ -123,7 +120,7 @@ def search_labeling(
         raise KmagicError("label search needs k >= 2")
     c %= k
     impl = kernel if kernel is not None else _kernel
-    if k > _C_INT_MAX:
+    if k > C_INT_MAX:
         impl = _backtrack_py
     budget = budget or DEFAULT_BUDGET
     settled = _settled(G, k, c)

@@ -8,14 +8,17 @@ constant 2 makes alpha wrap to 0 and the result is a 1-sum, not 2-sum.
 """
 
 import json
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kmagic import (
     ConstructionTrace,
     EdgeLabeling,
     LabelingError,
     TraceStep,
+    build_graph,
     complement,
     complete,
     cycle,
@@ -29,6 +32,8 @@ from kmagic import (
     verify,
     verify_subset,
 )
+from kmagic import _backtrack_py, labelings
+from kmagic._backtrack_py import MALFORMED
 from kmagic.labelings import validate_labels
 
 
@@ -238,3 +243,133 @@ def test_labeling_json_roundtrip_and_shape():
         labeling_from_json("not json")
     with pytest.raises(LabelingError):
         labeling_from_json('{"k": 5, "c": 0, "labels": [1, 2]}')
+
+
+# ---------------------------------------------------------------------------
+# the magic-sum twins
+
+
+def sum_twins(compiled_kernel):
+    return {"pure-python": _backtrack_py.magic_sum, "compiled": compiled_kernel.magic_sum}
+
+
+def reference_verify(G, lab):
+    """verify as it reads without the twins: validate, then add up."""
+    validate_labels(G, lab)
+    sums = [0] * G.n
+    for eid, x in lab.labels.items():
+        u, v = G.endpoints(eid)
+        sums[u] += x
+        sums[v] += x
+    sums = {s % lab.k for s in sums}
+    return sums.pop() if len(sums) == 1 else None
+
+
+@st.composite
+def labeled_multigraphs(draw):
+    """A multigraph with parallel edges, sometimes doubled, a modulus and
+    labels: constant on a regular graph (so magic), random, or random
+    and then broken in one place."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+            max_size=14,
+        )
+    )
+    G = build_graph(n, pairs)
+    if draw(st.booleans()):
+        G = double_graph(G).doubled
+    k = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["constant", "random", "broken"]))
+    if kind == "constant":
+        x = draw(st.integers(1, k - 1))
+        labels = {e: x for e in range(G.m)}
+    else:
+        labels = {e: draw(st.integers(1, k - 1)) for e in range(G.m)}
+    if kind == "broken":
+        fault = draw(st.sampled_from(["drop", "extra", "zero", "k", "negative", "float", "str", "bool"]))
+        eid = draw(st.integers(0, G.m)) if G.m else 0
+        if fault == "drop":
+            labels.pop(eid, None)
+        elif fault == "extra":
+            labels[G.m] = 1
+        elif G.m:
+            labels[min(eid, G.m - 1)] = {
+                "zero": 0, "k": k, "negative": -1, "float": 1.0, "str": "1", "bool": True
+            }[fault]
+    return G, EdgeLabeling(k, labels)
+
+
+@given(labeled_multigraphs())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_sum_twins_and_verify_agree(compiled_kernel, case):
+    G, lab = case
+    answers = {name: twin(G.n, *G.ends, lab.labels, lab.k) for name, twin in sum_twins(compiled_kernel).items()}
+    assert answers["pure-python"] == answers["compiled"]
+    try:
+        want = reference_verify(G, lab)
+    except LabelingError as exc:
+        want = exc
+    assert (answers["compiled"] == MALFORMED) == isinstance(want, LabelingError)
+    for twin in sum_twins(compiled_kernel).values():
+        with mock.patch.object(labelings, "_magic_sum", twin):
+            if isinstance(want, LabelingError):
+                with pytest.raises(LabelingError) as raised:
+                    verify(G, lab)
+                assert str(raised.value) == str(want)
+            else:
+                assert verify(G, lab) == want
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ({0: 1, 1: 1, 2: 1}, "label domain mismatch: missing [3], extra []"),
+        ({0: 1, 1: 1, 2: 1, 3: 1, 4: 1}, "label domain mismatch: missing [], extra [4]"),
+        ({0: 0, 1: 1, 2: 1, 3: 1}, "edge 0: label 0 outside 1..4"),
+        ({0: 1, 1: 5, 2: 1, 3: 1}, "edge 1: label 5 outside 1..4"),
+        ({0: 1, 1: 1, 2: -1, 3: 1}, "edge 2: label -1 outside 1..4"),
+        ({0: 1, 1: 1, 2: 1, 3: 1.0}, "edge 3: label 1.0 is not an integer"),
+        ({0: "1", 1: 1, 2: 1, 3: 1}, "edge 0: label '1' is not an integer"),
+    ],
+    ids=["missing", "extra", "zero", "k", "negative", "float", "str"],
+)
+@pytest.mark.parametrize("twin", ["pure-python", "compiled"])
+def test_malformed_labels_keep_their_messages(twin, labels, message, request):
+    impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin]
+    G = cycle(4)
+    assert impl(G.n, *G.ends, labels, 5) == MALFORMED
+    with mock.patch.object(labelings, "_magic_sum", impl):
+        with pytest.raises(LabelingError) as raised:
+            verify(G, EdgeLabeling(5, labels))
+    assert str(raised.value) == message
+
+
+def test_k1_and_huge_k_stay_on_the_pure_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the compiled twin was asked")
+
+    monkeypatch.setattr(labelings, "_magic_sum", refuse)
+    G = cycle(4)
+    assert verify(G, EdgeLabeling(1, {0: 3, 1: -3, 2: 3, 3: -3})) == 0
+    k = 2**31 + 1
+    assert verify(G, EdgeLabeling(k, {e: 2**31 for e in range(4)})) == 2**32 % k
+    assert verify(G, EdgeLabeling(k, {0: 1, 1: 2, 2: 1, 3: 1})) is None
+    with pytest.raises(LabelingError, match="outside"):
+        verify(G, EdgeLabeling(k, {0: k, 1: 1, 2: 1, 3: 1}))
+
+
+@pytest.mark.parametrize("twin", ["pure-python", "compiled"])
+def test_sum_twins_reject_bad_input_alike(twin, request):
+    impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin]
+    with pytest.raises(ValueError, match="k >= 2"):
+        impl(2, [0], [1], {0: 1}, 1)
+    with pytest.raises(ValueError, match="differ in length"):
+        impl(3, [0, 1], [1], {0: 1, 1: 1}, 5)
+    with pytest.raises(ValueError, match="endpoint"):
+        impl(3, [0, 1, 2], [1, 2, 3], {0: 1, 1: 1, 2: 1}, 5)
+    with pytest.raises(TypeError, match="dict"):
+        impl(2, [0], [1], [1], 5)
+    assert impl(0, [], [], {}, 5) is None
+    assert impl(3, [0], [1], {0: 2}, 5) is None  # vertex 2 has no edges and sums to 0
