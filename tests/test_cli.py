@@ -121,26 +121,22 @@ def test_verify_not_magic_and_malformed(tmp_path, k5_file, capsys):
     assert run(capsys, "verify", k5_file, str(accented))[0] == 2
 
 
-ONES_K4 = {str(i): 1 for i in range(6)}
+ONES_K5 = {str(i): 1 for i in range(10)}
 
 
 @pytest.mark.parametrize(
     "payload",
     [
-        {"k": 5.0, "c": 3, "labels": ONES_K4},
-        {"k": True, "c": 3, "labels": ONES_K4},
-        {"k": 5, "c": 3, "labels": {**ONES_K4, "0": True}},
+        {"k": 5.0, "c": 4, "labels": ONES_K5},
+        {"k": True, "c": 4, "labels": ONES_K5},
+        {"k": 5, "c": 4, "labels": {**ONES_K5, "0": True}},
     ],
     ids=["float-k", "bool-k", "bool-label"],
 )
-def test_verify_rejects_non_integer_k_and_labels(tmp_path, capsys, payload):
-    from kmagic import complete
-
-    k4 = tmp_path / "k4.txt"
-    k4.write_text(write_graph(complete(4)), encoding="ascii")
+def test_verify_rejects_non_integer_k_and_labels(tmp_path, k5_file, capsys, payload):
     lab = tmp_path / "lab.json"
     lab.write_text(json.dumps(payload), encoding="ascii")
-    code, out, err = run(capsys, "verify", str(k4), str(lab))
+    code, out, err = run(capsys, "verify", k5_file, str(lab))
     assert (code, out) == (2, "")
     assert "is not an integer" in err
 
