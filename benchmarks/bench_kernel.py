@@ -37,8 +37,6 @@ from kmagic import (
     random_regular,
     search_labeling,
 )
-from kmagic._backtrack_py import magic_sum
-from kmagic.factorization import _PetersenSplit
 from kmagic.solver import available_kernels
 
 QUICK_CAP = 10**6
@@ -78,15 +76,8 @@ SUM_CALLS = 2000
 SUM_REPEATS = 5
 
 
-def pure_split(n, us, vs) -> list[list[int]]:
-    split = _PetersenSplit(n, us, vs)
-    return [sorted(part) for part in split.split(split.rho)]
-
-
 def compare_splits(kernels: dict) -> None:
-    twins = {"pure-python": pure_split}
-    if "compiled" in kernels:
-        twins["compiled"] = kernels["compiled"].petersen_split
+    twins = {name: kernel.petersen_split for name, kernel in kernels.items()}
     header = f"{'2-factor split':<44} {'parts':>6} {'edges':>6}"
     for name in twins:
         header += f" {name + ' [ms]':>17}"
@@ -112,9 +103,7 @@ def compare_splits(kernels: dict) -> None:
 
 
 def compare_sums(kernels: dict) -> None:
-    twins = {"pure-python": magic_sum}
-    if "compiled" in kernels:
-        twins["compiled"] = kernels["compiled"].magic_sum
+    twins = {name: kernel.magic_sum for name, kernel in kernels.items()}
     header = f"{'magic-sum check':<44} {'edges':>6} {'sums':>9}"
     for name in twins:
         header += f" {name + ' [us]':>17}"

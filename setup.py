@@ -4,8 +4,8 @@ The package is pure Python except for kmagic._backtrack, hand-written C
 that holds three compiled twins: the backtracking kernel of
 kmagic._backtrack_py.search, the magic-sum check of
 kmagic._backtrack_py.magic_sum and the Petersen 2-factor split of
-kmagic.factorization._PetersenSplit.  It needs only a C compiler; if
-none is available the extension is skipped and the package falls back
+kmagic._backtrack_py.petersen_split.  It needs only a C compiler; if
+none is available the extension is skipped and kmagic._twin falls back
 to the pure twins at import time.
 """
 

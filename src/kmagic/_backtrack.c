@@ -1,6 +1,6 @@
-/* Compiled twins of three pure references: the backtracking kernel and
- * the magic-sum check of kmagic._backtrack_py, and the Petersen 2-factor
- * split of kmagic.factorization._PetersenSplit.
+/* Compiled twins of the three pure references in kmagic._backtrack_py:
+ * the backtracking kernel, the magic-sum check and the Petersen 2-factor
+ * split.
  *
  * search() transcribes the pure reference line for line: the same edge
  * order, the same forced-label rule and the same node count, so both
@@ -369,13 +369,12 @@ done:
 }
 
 /* Petersen's split of an even-regular multigraph into 2-factors, the twin
- * of kmagic.factorization._PetersenSplit run through every round.  The
- * orienting walk and the augmenting paths live on explicit stacks: the
- * walk's holds at most m + 1 vertices, a path at most n tails, since each
- * tail after the root is matched into a head first reached on that path.
- * Every round but the last finds a perfect matching of the out/in
- * incidence graph over the edges no earlier round took, so each 2-factor
- * holds n edges. */
+ * of kmagic._backtrack_py.petersen_split.  The orienting walk and the
+ * augmenting paths live on explicit stacks: the walk's holds at most
+ * m + 1 vertices, a path at most n tails, since each tail after the root
+ * is matched into a head first reached on that path.  Every round but the
+ * last finds a perfect matching of the out/in incidence graph over the
+ * edges no earlier round took, so each 2-factor holds n edges. */
 static PyObject *
 petersen_split(PyObject *self, PyObject *args)
 {
@@ -558,7 +557,7 @@ static PyMethodDef methods[] = {
      "petersen_split(n, us, vs)\n--\n\n"
      "Split an even-regular multigraph, edge i joining us[i] and vs[i], into\n"
      "its 2-factors, each a list of edge ids in increasing order; see\n"
-     "kmagic.factorization._PetersenSplit, whose semantics this twin shares."},
+     "kmagic._backtrack_py.petersen_split, whose semantics this twin shares."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -567,7 +566,7 @@ static struct PyModuleDef module = {
     .m_name = "_backtrack",
     .m_doc = "Compiled backtracking kernel, magic-sum check and Petersen 2-factor split;\n"
              "semantics match kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum\n"
-             "and kmagic.factorization._PetersenSplit.",
+             "and kmagic._backtrack_py.petersen_split.",
     .m_size = -1,
     .m_methods = methods,
 };

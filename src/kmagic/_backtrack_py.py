@@ -1,15 +1,18 @@
-"""Pure-Python backtracking kernel and magic-sum check.
+"""Pure-Python backtracking kernel, magic-sum check and Petersen split.
 
-Reference implementations of the label search and of the magic-sum
-check; kmagic._backtrack holds their compiled twins, with identical
-semantics.  The search visits edges in the given order; when an edge is
-the last unlabeled edge at one of its endpoints its label is forced by
-the target sum, otherwise all of its allowed labels (1..k-1 unless
-restricted) are tried in increasing order.  Every attempted assignment
-counts as one node against the cap.
+Reference implementations of the label search, of the magic-sum check
+and of the Petersen 2-factor split; kmagic._backtrack holds their
+compiled twins, with identical semantics, and kmagic._twin picks one of
+the two modules for all three.  The search visits edges in the given
+order; when an edge is the last unlabeled edge at one of its endpoints
+its label is forced by the target sum, otherwise all of its allowed
+labels (1..k-1 unless restricted) are tried in increasing order.  Every
+attempted assignment counts as one node against the cap.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 SAT = 1
 UNSAT = 0
@@ -163,3 +166,118 @@ def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):
         left[u] -= 1
         left[v] -= 1
         pos += 1
+
+
+def petersen_split(n, us, vs):
+    """The 2-factors of an even-regular multigraph (Petersen, 1891).
+
+    Edge i joins us[i] and vs[i].  Returns one list of edge ids in
+    increasing order per 2-factor.  The graph is oriented once so that
+    every vertex is left by half of its edges; every round but the last
+    takes a perfect matching of the out/in incidence graph over the
+    edges no earlier round took, and the last round is the edges left,
+    that graph's only perfect matching by then.  Raises ValueError when
+    us and vs differ in length, when an endpoint lies outside 0..n-1,
+    or when the graph is not regular of even degree at least 2.
+    """
+    m = len(us)
+    if len(vs) != m:
+        raise ValueError("us and vs differ in length")
+    if n < 1 or m < n:  # a vertex would have no edges: checked before allocating per vertex
+        raise ValueError("need an even-regular graph with degree >= 2")
+    deg = [0] * n
+    for i in range(m):
+        if not (0 <= us[i] < n and 0 <= vs[i] < n):
+            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
+        deg[us[i]] += 1
+        deg[vs[i]] += 1
+    if deg[0] < 2 or deg[0] % 2 or deg.count(deg[0]) != n:
+        raise ValueError("need an even-regular graph with degree >= 2")
+    alive = bytearray([1]) * m
+    parts = []
+    if deg[0] > 2:
+        out_arcs = _orient(n, us, vs)
+        for _ in range(deg[0] // 2 - 1):
+            matched = _bipartite_round(out_arcs, alive)
+            for eid in matched:
+                alive[eid] = 0
+            parts.append(sorted(matched))
+    parts.append(list(compress(range(m), alive)))
+    return parts
+
+
+def _orient(n, us, vs):
+    """Per tail vertex, its out-arcs (head, edge id) in edge-id order.
+
+    From each vertex in turn, walk along unused edges, smallest id first,
+    backing up when stuck; an edge points the way the walk first crossed
+    it.  In an even graph a walk gets stuck only where it started, so
+    every vertex is left by half of its edges.
+    """
+    adjacency = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    used = bytearray(len(us))
+    nxt = [0] * n
+    out_arcs = [[] for _ in range(n)]
+    for start in range(n):
+        stack = [start]
+        while stack:
+            u = stack[-1]
+            adj = adjacency[u]
+            i = nxt[u]
+            while i < len(adj) and used[adj[i][1]]:
+                i += 1
+            nxt[u] = i
+            if i == len(adj):
+                stack.pop()
+                continue
+            head, eid = adj[i]
+            used[eid] = 1
+            out_arcs[u].append((head, eid))
+            stack.append(head)
+    for arcs in out_arcs:
+        arcs.sort(key=lambda arc: arc[1])
+    return out_arcs
+
+
+def _bipartite_round(out_arcs, alive):
+    """One perfect matching of the out/in incidence graph over alive
+    edges, as the matched edge id per head.
+
+    Tails are matched in vertex order by augmenting paths; at each tail
+    the arcs are tried by edge id and the first head not yet visited is
+    followed before later ones.  The path lives on an explicit stack,
+    tails[j] having last tried its arc pos[j] - 1, so its length is not
+    bounded by the interpreter's recursion limit.
+    """
+    n = len(out_arcs)
+    tail_of = [-1] * n  # head -> tail matched into it
+    arc_of = [-1] * n  # head -> edge id of that match
+    visited = [-1] * n  # head -> last root whose search reached it
+    for root in range(n):
+        tails, pos = [root], [0]
+        while tails:
+            arcs = out_arcs[tails[-1]]
+            i = pos[-1]
+            while i < len(arcs) and (visited[arcs[i][0]] == root or not alive[arcs[i][1]]):
+                i += 1
+            pos[-1] = i + 1
+            if i == len(arcs):
+                tails.pop()
+                pos.pop()
+                continue
+            head = arcs[i][0]
+            visited[head] = root
+            if tail_of[head] < 0:
+                break
+            tails.append(tail_of[head])
+            pos.append(0)
+        else:
+            raise RuntimeError("out/in incidence graph lost regularity")
+        for u, p in zip(tails, pos):
+            head, eid = out_arcs[u][p - 1]
+            tail_of[head] = u
+            arc_of[head] = eid
+    return arc_of

@@ -69,8 +69,11 @@ def _norm(c: int, k: int) -> int:
 
 
 def _accept(G, k, c, labels, rule, params, extra_steps=()):
-    """Re-verify a candidate assignment and close the trace with it."""
-    lab = EdgeLabeling(k, dict(labels))
+    """Re-verify a candidate assignment and close the trace with it.
+
+    labels is a dict no caller uses again, so the labeling takes it as
+    it is and only the trace step gets a copy."""
+    lab = EdgeLabeling(k, labels)
     try:
         got = verify(G, lab)
     except LabelingError as exc:
@@ -221,10 +224,10 @@ def _rule_factor_split(G, r, k, c, budget):
 
 def _two_factor_groups(G, labels):
     """The doubled graph's i-th 2-factor labeled labels[i] for all but the
-    last label, which covers every other edge: the later 2-factors are
-    never split, only their union is read, once per graph and count."""
+    last label, which covers every other edge: only the union of the
+    later 2-factors is read, once per graph and count."""
     doubled = double_graph(G).doubled
-    parts = two_factorization(doubled, len(labels) - 1).parts
+    parts = two_factorization(doubled).parts[: len(labels) - 1]
     rest = doubled.memo(
         f"two-factor rest/{len(parts)}", lambda: frozenset(range(doubled.m)).difference(*parts)
     )
@@ -263,7 +266,7 @@ def _pair_copy_counts(G, h):
 
     def counts():
         D = double_graph(G)
-        inside = frozenset().union(*two_factorization(D.doubled, h).parts)
+        inside = frozenset().union(*two_factorization(D.doubled).parts[:h])
         return frozenset((orig in inside) + (dup in inside) for orig, dup in D.pairs)
 
     return G.memo(f"pair copy counts/{h}", counts)

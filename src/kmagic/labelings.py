@@ -9,14 +9,12 @@ by all-ones on the remaining edges.
 
 verify, which every transform and every construction runs on its
 result, checks the labeling and its vertex sums in one pass of the
-magic-sum check.  That check has two twins with one semantics, chosen
-as the solver chooses its kernel: the compiled kmagic._backtrack.magic_sum
-when the extension imports, else kmagic._backtrack_py.magic_sum, the
-pure reference.  A k past the compiled twin's C int goes to the
-reference.  k = 1 (plain integer labels) and a k that is no int stay
-outside both twins, on validate_labels and plain sums.  A labeling
-either twin finds malformed goes to validate_labels too, which names
-the fault.
+magic-sum check: the magic_sum of the twin module kmagic._twin selects,
+the compiled one when the extension imports, else the pure reference.
+A k past the compiled twin's C int goes to the reference.  k = 1
+(plain integer labels) and a k that is no int stay outside both twins,
+on validate_labels and plain sums.  A labeling either twin finds
+malformed goes to validate_labels too, which names the fault.
 """
 
 from __future__ import annotations
@@ -25,16 +23,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from . import _backtrack_py
-from ._backtrack_py import C_INT_MAX, MALFORMED
+from . import _twin
+from ._backtrack_py import MALFORMED
 from .errors import LabelingError, RegularityError
 from .factorization import DoublingMap, check_factor
 from .graphs import MultiGraph, regularity
-
-try:
-    from ._backtrack import magic_sum as _magic_sum
-except ImportError:  # extension not built
-    _magic_sum = _backtrack_py.magic_sum
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,7 @@ def verify(G: MultiGraph, lab: EdgeLabeling) -> int | None:
     """
     k = lab.k
     if isinstance(k, int) and k >= 2:
-        twin = _magic_sum if k <= C_INT_MAX else _backtrack_py.magic_sum
-        c = twin(G.n, *G.ends, lab.labels, k)
+        c = _twin.for_modulus(k).magic_sum(G.n, *G.ends, lab.labels, k)
         if c != MALFORMED:
             return c
     validate_labels(G, lab)

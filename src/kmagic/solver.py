@@ -1,11 +1,12 @@
 """Budgeted driver around the backtracking kernel.
 
-Picks the compiled kernel when the extension built, otherwise the pure
-Python twin.  The search fixes labels in breadth-first edge order and
-prunes as soon as a vertex with no unlabeled edges misses the target
-sum; small instances (label space at most the exhaustive threshold) run
-uncapped, larger ones run under a node cap and report undecided instead
-of guessing.  Parity, isolated vertices and connected components settle
+The kernel is the search of the twin module kmagic._twin selects: the
+compiled one when the extension built, otherwise the pure Python twin.
+The search fixes labels in breadth-first edge order and prunes as soon
+as a vertex with no unlabeled edges misses the target sum; small
+instances (label space at most the exhaustive threshold) run uncapped,
+larger ones run under a node cap and report undecided instead of
+guessing.  Parity, isolated vertices and connected components settle
 part of each question before the kernel runs, and a component with
 bridges is searched one 2-edge-connected piece at a time (see
 search_labeling).
@@ -16,22 +17,16 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from . import _backtrack_py
-from ._backtrack_py import C_INT_MAX, SAT, UNDECIDED, UNSAT
+from . import _backtrack_py, _twin
+from ._backtrack_py import SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
 from .graphs import MultiGraph, component_graphs, find_bridges
 from .labelings import EdgeLabeling
 
-_KERNELS: dict[str, object] = {"pure-python": _backtrack_py}
-try:
-    from . import _backtrack
-
-    _KERNELS["compiled"] = _backtrack
-except ImportError:  # extension not built
-    pass
-
-KERNEL = "compiled" if "compiled" in _KERNELS else "pure-python"
-_kernel = _KERNELS[KERNEL]
+# the twin module selected at import, by name: it runs the search kernel,
+# the magic-sum check and the Petersen split
+_kernel = _twin.module
+KERNEL = "pure-python" if _kernel is _backtrack_py else "compiled"
 
 
 @dataclass(frozen=True)
@@ -119,9 +114,7 @@ def search_labeling(
     if k < 2:
         raise KmagicError("label search needs k >= 2")
     c %= k
-    impl = kernel if kernel is not None else _kernel
-    if k > C_INT_MAX:
-        impl = _backtrack_py
+    impl = _twin.for_modulus(k, kernel)
     budget = budget or DEFAULT_BUDGET
     settled = _settled(G, k, c)
     if settled is not None:
@@ -365,4 +358,4 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
 
 def available_kernels() -> dict[str, object]:
     """Importable kernels by name; always includes the pure one."""
-    return dict(_KERNELS)
+    return {"pure-python": _backtrack_py, KERNEL: _kernel}

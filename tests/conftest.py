@@ -18,6 +18,7 @@ from kmagic import (
     petersen,
     prism,
 )
+from kmagic import _backtrack_py, _twin
 
 # Named corpus used across module and acceptance tests.  Mix of odd and
 # even degree, odd and even order, bipartite and not, one disconnected.
@@ -141,6 +142,14 @@ def hub10() -> MultiGraph:
         b, c = a + 1, a + 2
         pairs += [(0, a)] * 3 + [(a, b)] * 3 + [(a, c)] * 3 + [(b, c)] * 6
     return build_graph(10, pairs)
+
+
+@pytest.fixture
+def pure_twin(monkeypatch):
+    """The pure twin module, run for the test's search kernel, magic-sum
+    check and Petersen split alike."""
+    monkeypatch.setattr(_twin, "module", _backtrack_py)
+    return _backtrack_py
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,8 @@ A claimed 2-factorization is re-verified part by part against the
 degree contract, independently of how it was found.
 """
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from kmagic import (
     random_regular,
     two_factorization,
 )
-from kmagic import factorization
+from kmagic import _backtrack_py, _twin
 from kmagic.factorization import FactorDecomposition
 
 
@@ -94,75 +96,42 @@ def test_two_factorization_partitions(G):
     ids=[*SPLIT_GRAPHS, *DOUBLED_CIRCULANTS],
 )
 def test_two_factorization_prefixes_are_the_full_split(G):
-    # the i-th 2-factor is one edge set whichever counts come first
+    # every graph object gets the same 2-factors, and the first h of them
+    # are what extract_2h_factor joins
     full = two_factorization(fresh(G)).parts
     rho = G.degrees[0] // 2
     assert len(full) == rho
-    for t in range(1, rho + 1):
+    for h in range(1, rho + 1):
         before = fresh(G)
-        assert two_factorization(before, t).parts == full[:t]
+        first, rest = extract_2h_factor(before, h).parts
+        assert first == frozenset().union(*full[:h])
+        assert rest == frozenset(range(G.m)) - first
         assert two_factorization(before).parts == full
-        after = fresh(G)
-        two_factorization(after)
-        assert two_factorization(after, t).parts == full[:t]
     whole = fresh(G)
-    assert two_factorization(whole, rho) is two_factorization(whole)
+    assert two_factorization(whole) is two_factorization(whole)
     with pytest.raises(FactorError):
-        two_factorization(whole, rho + 1)
-
-
-def test_two_factorization_splits_only_the_rounds_asked_for(monkeypatch):
-    # the pure twin resumes round by round; the compiled one splits all at once
-    monkeypatch.setattr(factorization, "_compiled_split", None)
-    rounds = []
-    split = factorization._bipartite_round
-    monkeypatch.setattr(
-        factorization, "_bipartite_round", lambda *a: rounds.append(1) or split(*a)
-    )
-    D = double_graph(circulant(12, (1, 2, 3, 6))).doubled  # 14-regular
-    two_factorization(D, 1)
-    assert len(rounds) == 1
-    two_factorization(D, 1)
-    assert len(rounds) == 1
-    # the later rounds resume where the first stopped; the last is the remainder
-    assert len(two_factorization(D).parts) == 7
-    assert len(rounds) == 6
-    for rho in (1, 2, 3, 4):
-        rounds.clear()
-        G = circulant(2 * rho + 3, range(1, rho + 1))  # 2rho-regular
-        assert len(two_factorization(G).parts) == rho
-        assert len(rounds) == rho - 1
+        extract_2h_factor(whole, rho + 1)
 
 
 def test_two_factorization_takes_one_compiled_call_per_graph(compiled_kernel, monkeypatch):
     calls = []
     split = compiled_kernel.petersen_split
-    monkeypatch.setattr(factorization, "_compiled_split", lambda *a: calls.append(a) or split(*a))
-    monkeypatch.setattr(factorization, "_bipartite_round", None)  # no pure round may run
+    twin = SimpleNamespace(petersen_split=lambda *a: calls.append(a) or split(*a))
+    monkeypatch.setattr(_twin, "module", twin)
+    monkeypatch.setattr(_backtrack_py, "_bipartite_round", None)  # no pure round may run
     D = double_graph(circulant(12, (1, 2, 3, 6))).doubled  # 14-regular
     full = two_factorization(D).parts
-    for count in (1, 7, 0, 3, 1, 6):
-        assert two_factorization(D, count).parts == full[:count]
-    assert extract_2h_factor(D, 2).parts[0] == full[0] | full[1]
+    for h in (1, 7, 3, 1, 6):
+        assert extract_2h_factor(D, h).parts[0] == frozenset().union(*full[:h])
+    assert two_factorization(D).parts == full
     assert calls == [(D.n, *D.ends)]
     # the doubled graph's endpoint arrays come from its source's
     assert D.ends == tuple(a + a for a in circulant(12, (1, 2, 3, 6)).ends)
 
 
 def split_twins(compiled_kernel):
-    """Both twins of the Petersen split, each giving every 2-factor as a
-    frozenset of edge ids."""
-
-    def pure(n, us, vs):
-        split = factorization._PetersenSplit(n, us, vs)
-        return split.split(split.rho)
-
-    def compiled(n, us, vs):
-        parts = compiled_kernel.petersen_split(n, us, vs)
-        assert all(p == sorted(p) for p in parts)
-        return [frozenset(p) for p in parts]
-
-    return {"pure-python": pure, "compiled": compiled}
+    """Both twins of the Petersen split."""
+    return {"pure-python": _backtrack_py.petersen_split, "compiled": compiled_kernel.petersen_split}
 
 
 @st.composite
@@ -200,7 +169,9 @@ def even_regular_multigraphs(draw):
 def test_split_twins_agree(compiled_kernel, G):
     parts = {name: split(G.n, *G.ends) for name, split in split_twins(compiled_kernel).items()}
     assert parts["pure-python"] == parts["compiled"]
-    assert_partition(G, FactorDecomposition(tuple(parts["compiled"]), (2,) * len(parts["compiled"])))
+    assert all(p == sorted(p) for p in parts["compiled"])
+    dec = FactorDecomposition(tuple(map(frozenset, parts["compiled"])), (2,) * len(parts["compiled"]))
+    assert_partition(G, dec)
 
 
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
@@ -237,11 +208,11 @@ def test_two_factorization_handles_parallel_edges():
     assert_partition(D, dec)
 
 
-def test_two_factorization_of_a_large_graph(compiled_kernel, monkeypatch):
+def test_two_factorization_of_a_large_graph(compiled_kernel, pure_twin, monkeypatch):
     # augmenting paths here grow past the interpreter's recursion limit
     parts = []
-    for twin in (None, compiled_kernel.petersen_split):
-        monkeypatch.setattr(factorization, "_compiled_split", twin)
+    for twin in (pure_twin, compiled_kernel):
+        monkeypatch.setattr(_twin, "module", twin)
         G = random_regular(1500, 4, seed=0)
         dec = two_factorization(G)
         assert len(dec.parts) == 2

@@ -8,6 +8,7 @@ constant 2 makes alpha wrap to 0 and the result is a 1-sum, not 2-sum.
 """
 
 import json
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -32,7 +33,7 @@ from kmagic import (
     verify,
     verify_subset,
 )
-from kmagic import _backtrack_py, labelings
+from kmagic import _backtrack_py, _twin
 from kmagic._backtrack_py import MALFORMED
 from kmagic.labelings import validate_labels
 
@@ -250,7 +251,8 @@ def test_labeling_json_roundtrip_and_shape():
 
 
 def sum_twins(compiled_kernel):
-    return {"pure-python": _backtrack_py.magic_sum, "compiled": compiled_kernel.magic_sum}
+    """Both twin modules, each holding a magic_sum."""
+    return {"pure-python": _backtrack_py, "compiled": compiled_kernel}
 
 
 def reference_verify(G, lab):
@@ -305,7 +307,10 @@ def labeled_multigraphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_sum_twins_and_verify_agree(compiled_kernel, case):
     G, lab = case
-    answers = {name: twin(G.n, *G.ends, lab.labels, lab.k) for name, twin in sum_twins(compiled_kernel).items()}
+    answers = {
+        name: twin.magic_sum(G.n, *G.ends, lab.labels, lab.k)
+        for name, twin in sum_twins(compiled_kernel).items()
+    }
     assert answers["pure-python"] == answers["compiled"]
     try:
         want = reference_verify(G, lab)
@@ -313,7 +318,7 @@ def test_sum_twins_and_verify_agree(compiled_kernel, case):
         want = exc
     assert (answers["compiled"] == MALFORMED) == isinstance(want, LabelingError)
     for twin in sum_twins(compiled_kernel).values():
-        with mock.patch.object(labelings, "_magic_sum", twin):
+        with mock.patch.object(_twin, "module", twin):
             if isinstance(want, LabelingError):
                 with pytest.raises(LabelingError) as raised:
                     verify(G, lab)
@@ -339,8 +344,8 @@ def test_sum_twins_and_verify_agree(compiled_kernel, case):
 def test_malformed_labels_keep_their_messages(twin, labels, message, request):
     impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin]
     G = cycle(4)
-    assert impl(G.n, *G.ends, labels, 5) == MALFORMED
-    with mock.patch.object(labelings, "_magic_sum", impl):
+    assert impl.magic_sum(G.n, *G.ends, labels, 5) == MALFORMED
+    with mock.patch.object(_twin, "module", impl):
         with pytest.raises(LabelingError) as raised:
             verify(G, EdgeLabeling(5, labels))
     assert str(raised.value) == message
@@ -350,7 +355,7 @@ def test_k1_and_huge_k_stay_on_the_pure_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the compiled twin was asked")
 
-    monkeypatch.setattr(labelings, "_magic_sum", refuse)
+    monkeypatch.setattr(_twin, "module", SimpleNamespace(magic_sum=refuse))
     G = cycle(4)
     assert verify(G, EdgeLabeling(1, {0: 3, 1: -3, 2: 3, 3: -3})) == 0
     k = 2**31 + 1
@@ -362,7 +367,7 @@ def test_k1_and_huge_k_stay_on_the_pure_path(monkeypatch):
 
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
 def test_sum_twins_reject_bad_input_alike(twin, request):
-    impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin]
+    impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin].magic_sum
     with pytest.raises(ValueError, match="k >= 2"):
         impl(2, [0], [1], {0: 1}, 1)
     with pytest.raises(ValueError, match="differ in length"):

@@ -20,8 +20,10 @@ from kmagic import (
     petersen,
     prism,
     search_labeling,
+    two_factorization,
     verify,
 )
+from kmagic import _twin
 from kmagic._backtrack_py import SAT, UNDECIDED, UNSAT
 from kmagic.graphs import find_bridges
 from kmagic.solver import assignment_order
@@ -170,6 +172,26 @@ def test_a_modulus_past_the_c_int_range_runs_on_the_pure_twin():
     assert verify(complete(4), pure.labeling) == 3
     for res in results.values():
         assert (res.status, res.nodes, res.labeling) == (pure.status, pure.nodes, pure.labeling)
+
+
+def test_search_verify_and_split_all_run_on_the_selected_twin(monkeypatch):
+    calls = []
+
+    def spy(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(_backtrack_py, name)(*args)
+
+        return call
+
+    names = ("search", "magic_sum", "petersen_split")
+    monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
+    G = complete(5)
+    res = search_labeling(G, 3, 1)
+    assert res.status == "found"
+    assert verify(G, res.labeling) == 1
+    assert len(two_factorization(G).parts) == 2
+    assert calls == list(names)
 
 
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
