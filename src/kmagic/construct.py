@@ -8,8 +8,7 @@ labels for r = 2, and for larger r a constant label, then
 
 - even r: constants on the Petersen 2-factors, which miss only an odd c
   at even k; the h-factor split, which reaches it on a perfect matching;
-  without one, the 4-regular folds and factor extensions; the doubling
-  search.
+  without one, the 4-regular folds and factor extensions.
 - odd r, c = 0: at k = 3 and 4 the h-factor split on a perfect matching
   M or a 2-factor of G - M; else the doubling search, 5-regular included.
 - odd r, c != 0: the mod-3 factor (k = 3, 3 | r); the doubling search,
@@ -436,7 +435,11 @@ def _rule_sequence(G, r, k, c):
       contains) lets factor-split at h = 1 solve a + (r - 1)b = c, as
       gcd(r - 1, k) <= k/2 leaves a b with (r - 1)b != c.  So the
       even-degree specials see only odd c at even k on graphs without
-      a perfect matching.
+      a perfect matching.  The doubling search has no entry here: it
+      could only ever be asked such an odd c, or an odd c at k = 1, and
+      its folds reach only even sums, as divisor 1 gives
+      2(ha + (r - h)b) and divisor 2 needs a = b (mod 2), so that
+      ha + (r - h)b = ra = 0 (mod 2).
     - odd r, c = 0: the 5-regular doublings are doubling candidates,
       [k - 4, 1] with divisor 1 at h = 1 and [2, 2, 4] with divisor 2
       at h = 2.
@@ -460,8 +463,6 @@ def _rule_sequence(G, r, k, c):
         rules.append(("factor-split", _rule_factor_split))
         if k >= 5:
             rules.append(("even-regular-specials", _rule_even_regular))
-        if k != 2:
-            rules.append(("doubling-parameter-search", _rule_doubling_search))
     elif cn == 0:
         if k in (3, 4):
             rules.append(("factor-split", _rule_factor_split))

@@ -20,6 +20,7 @@ from kmagic import (
     verify,
     zero_sum_4_magic,
 )
+from kmagic.construct import _label_pairs
 from conftest import (
     bridged_cubic_16,
     hub10,
@@ -184,6 +185,16 @@ def test_even_degree_specials_serve_graphs_without_a_perfect_matching():
     assert res.status == "found"
     assert res.trace.rules()[-1] == "odd-half-factor-extension"
     assert verify(G, res.labeling) == 1
+
+
+def test_doubling_folds_reach_no_odd_sum_at_even_degree():
+    # why even r has no doubling-search entry: an odd c at even k, or at
+    # k = 1, is no fold of a 2h-factor and its complement in the doubled graph
+    for r in (4, 6, 8):
+        for h in range(1, r):
+            for k in (1, 2, 4, 6, 8, 12):
+                for c in range(-7, 8, 2) if k == 1 else range(1, k, 2):
+                    assert not list(_label_pairs(k, c, 2 * h, 2 * (r - h), (1, 2))), (r, h, k, c)
 
 
 def test_fallthrough_steps_record_misses():
