@@ -253,9 +253,12 @@ def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None 
 
 def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
     """Read a labeling file.  Raises LabelingError unless it is an object
-    whose k and labels are JSON integers (a float or a boolean is not)."""
+    whose k and labels are JSON integers (a float or a boolean is not),
+    whose edge ids are written as canonical decimals ("5", not "05",
+    "+5" or "0_5") and in which no object repeats a key, so that every
+    edge has exactly one label."""
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_unique_keys)
         labels = payload["labels"]
         if not isinstance(labels, dict):
             raise LabelingError("bad labeling file: labels is not an object")
@@ -263,9 +266,18 @@ def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
         if type(k) is not int:
             raise LabelingError(f"bad labeling file: modulus {k!r} is not an integer")
         for i, v in labels.items():
+            if str(int(i)) != i:
+                raise LabelingError(f"bad labeling file: edge id {i!r} is not a canonical decimal")
             if type(v) is not int:
                 raise LabelingError(f"bad labeling file: edge {i}: label {v!r} is not an integer")
         lab = EdgeLabeling(k, {int(i): v for i, v in labels.items()})
         return lab, payload["c"], payload.get("trace", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise LabelingError(f"bad labeling file: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise ValueError("an object repeats a key")
+    return obj

@@ -141,6 +141,25 @@ def test_verify_rejects_non_integer_k_and_labels(tmp_path, k5_file, capsys, payl
     assert "is not an integer" in err
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        json.dumps({**ONES_K5, "05": 1}),
+        json.dumps({**ONES_K5, "5": 2})[:-1] + ', "5": 1}',
+        json.dumps({**{i: 1 for i in ONES_K5 if i != "5"}, "05": 1}),
+        json.dumps({**{i: 1 for i in ONES_K5 if i != "5"}, "0_5": 1}),
+    ],
+    ids=["duplicate-id", "repeated-key", "zero-padded-id", "underscore-id"],
+)
+def test_verify_rejects_edge_ids_that_are_not_canonical(tmp_path, k5_file, capsys, labels):
+    # each file would read as a 4-sum labeling of K5 if its ids went through int()
+    lab = tmp_path / "lab.json"
+    lab.write_text(f'{{"k": 5, "c": 4, "labels": {labels}}}', encoding="ascii")
+    code, out, err = run(capsys, "verify", k5_file, str(lab))
+    assert (code, out) == (2, "")
+    assert "bad labeling file" in err
+
+
 def test_spectrum_methods_agree_and_are_stable(k5_file, capsys):
     code, out1, _ = run(capsys, "spectrum", k5_file, "--k", "6", "--method", "predict")
     assert code == 0
