@@ -193,15 +193,14 @@ def petersen_split(n, us, vs):
         deg[vs[i]] += 1
     if deg[0] < 2 or deg[0] % 2 or deg.count(deg[0]) != n:
         raise ValueError("need an even-regular graph with degree >= 2")
+    out_arcs = _orient(n, us, vs)
     alive = bytearray([1]) * m
     parts = []
-    if deg[0] > 2:
-        out_arcs = _orient(n, us, vs)
-        for _ in range(deg[0] // 2 - 1):
-            matched = _bipartite_round(out_arcs, alive)
-            for eid in matched:
-                alive[eid] = 0
-            parts.append(sorted(matched))
+    for _ in range(deg[0] // 2 - 1):
+        matched = _bipartite_round(out_arcs, alive)
+        for eid in matched:
+            alive[eid] = 0
+        parts.append(sorted(matched))
     parts.append(list(compress(range(m), alive)))
     return parts
 
