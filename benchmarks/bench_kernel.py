@@ -1,5 +1,6 @@
 """Compare the compiled twins, the backtracking kernel, the Petersen
-2-factor split and the magic-sum check, against their pure Python twins.
+2-factor split, the magic-sum check and the bridge tree, against their
+pure Python twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -14,7 +15,14 @@ same 2-factors; its timings are the best of SPLIT_REPEATS runs.  Last,
 the magic-sum check behind verify runs through both sum twins on a
 magic and a non-magic labeling of each graph in SUM_CASES, which must
 get the same answers; its timings are microseconds per call, the best
-of SUM_REPEATS batches of SUM_CALLS calls.
+of SUM_REPEATS batches of SUM_CALLS calls.  Then the bridge tree, the
+plan of pieces the solver searches, runs through both bridge-tree twins
+on every connected component of every graph above and of three bridged
+graphs (bridged16 and hub_quintic_16 of the digest, and the 16-vertex
+cubic graph without a perfect matching of the spectrum-oracle
+benchmark), which must return the same plans; its timings are
+microseconds per call, the best of TREE_REPEATS batches of TREE_CALLS
+calls.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -22,11 +30,14 @@ Usage: python3 benchmarks/bench_kernel.py [--quick]
 from __future__ import annotations
 
 import argparse
+import sys
 import time
+from pathlib import Path
 
-from digest import hub10, unmatched_cubic_28
+from digest import bridged_cubic_16, hub10, hub_quintic_16, unmatched_cubic_28
 from kmagic import (
     SolverBudget,
+    build_graph,
     circulant,
     complete,
     cycle,
@@ -37,7 +48,11 @@ from kmagic import (
     random_regular,
     search_labeling,
 )
+from kmagic.graphs import component_graphs
 from kmagic.solver import available_kernels
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from corpus import _no_perfect_matching  # noqa: E402
 
 QUICK_CAP = 10**6
 
@@ -74,6 +89,15 @@ SUM_CASES = [
 ]
 SUM_CALLS = 2000
 SUM_REPEATS = 5
+
+# (label, graph) for the bridge tree, beside every graph above
+TREE_CASES = [
+    ("bridged16", bridged_cubic_16()),
+    ("hub_quintic_16", hub_quintic_16()),
+    ("cubic16 without a perfect matching", build_graph(*_no_perfect_matching())),
+]
+TREE_CALLS = 50
+TREE_REPEATS = 5
 
 
 def compare_splits(kernels: dict) -> None:
@@ -133,6 +157,37 @@ def compare_sums(kernels: dict) -> None:
         print(row)
 
 
+def compare_bridge_trees(kernels: dict) -> None:
+    twins = {name: kernel.bridge_tree for name, kernel in kernels.items()}
+    header = f"{'bridge tree':<44} {'edges':>6} {'pieces':>6}"
+    for name in twins:
+        header += f" {name + ' [us]':>17}"
+    print(header)
+    print("-" * len(header))
+    graphs = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + TREE_CASES
+    for label, G in graphs:
+        comps = [C for C, _ in component_graphs(G)]
+        plans = {}
+        times = {}
+        for name, twin in twins.items():
+            plans[name] = [twin(C.n, *C.ends) for C in comps]
+            best = float("inf")
+            for _ in range(TREE_REPEATS):
+                t0 = time.perf_counter()
+                for _ in range(TREE_CALLS):
+                    for C in comps:
+                        twin(C.n, *C.ends)
+                best = min(best, time.perf_counter() - t0)
+            times[name] = best / TREE_CALLS
+        first = next(iter(plans.values()))
+        for name, plan in plans.items():
+            assert plan == first, f"{label}: {name} planned differently"
+        row = f"{label:<44} {G.m:>6} {sum(map(len, first)):>6}"
+        for name in twins:
+            row += f" {1e6 * times[name]:>17.2f}"
+        print(row)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="cap searches at 1e6 nodes")
@@ -179,6 +234,8 @@ def main() -> None:
     compare_splits(kernels)
     print()
     compare_sums(kernels)
+    print()
+    compare_bridge_trees(kernels)
     print("all kernels returned identical results")
 
 

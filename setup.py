@@ -1,10 +1,11 @@
 """Build script for the optional compiled extension.
 
 The package is pure Python except for kmagic._backtrack, hand-written C
-that holds three compiled twins: the backtracking kernel of
+that holds four compiled twins: the backtracking kernel of
 kmagic._backtrack_py.search, the magic-sum check of
-kmagic._backtrack_py.magic_sum and the Petersen 2-factor split of
-kmagic._backtrack_py.petersen_split.  It needs only a C compiler; if
+kmagic._backtrack_py.magic_sum, the Petersen 2-factor split of
+kmagic._backtrack_py.petersen_split and the bridge tree of
+kmagic._backtrack_py.bridge_tree.  It needs only a C compiler; if
 none is available the extension is skipped and kmagic._twin falls back
 to the pure twins at import time.
 """

@@ -1,6 +1,6 @@
-/* Compiled twins of the three pure references in kmagic._backtrack_py:
- * the backtracking kernel, the magic-sum check and the Petersen 2-factor
- * split.
+/* Compiled twins of the four pure references in kmagic._backtrack_py:
+ * the backtracking kernel, the magic-sum check, the Petersen 2-factor
+ * split and the bridge tree (bridge_tree).
  *
  * search() transcribes the pure reference line for line: the same edge
  * order, the same forced-label rule and the same node count, so both
@@ -542,6 +542,265 @@ done:
     return result;
 }
 
+/* A new tuple of the ints a[0..len), or NULL with an exception set. */
+static PyObject *
+int_tuple(const Py_ssize_t *a, Py_ssize_t len)
+{
+    PyObject *t = PyTuple_New(len);
+    if (t == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *x = PyLong_FromSsize_t(a[i]);
+        if (x == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, x);
+    }
+    return t;
+}
+
+/* A new tuple of the pairs (pos[i], idx[i]) for i in 0..len, or NULL. */
+static PyObject *
+pair_tuple(const Py_ssize_t *pos, const Py_ssize_t *idx, Py_ssize_t len)
+{
+    PyObject *t = PyTuple_New(len);
+    if (t == NULL)
+        return NULL;
+    for (Py_ssize_t i = 0; i < len; i++) {
+        PyObject *pair = Py_BuildValue("(nn)", pos[i], idx[i]);
+        if (pair == NULL) {
+            Py_DECREF(t);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(t, i, pair);
+    }
+    return t;
+}
+
+/* The piece tuple (n_local, entry, order, us, vs, children, edgeless) of
+ * kmagic._backtrack_py.bridge_tree, or NULL.  Every field is built before
+ * the tuple, so no tuple with an empty slot is ever made. */
+static PyObject *
+piece_tuple(Py_ssize_t size, Py_ssize_t entry, const Py_ssize_t *order, const Py_ssize_t *pus,
+            const Py_ssize_t *pvs, Py_ssize_t len, const Py_ssize_t *cpos, const Py_ssize_t *cidx,
+            Py_ssize_t nch)
+{
+    PyObject *f[7] = {NULL};
+    PyObject *piece = NULL;
+    if ((f[0] = PyLong_FromSsize_t(size + (nch > 0))) != NULL &&
+        (f[1] = PyLong_FromSsize_t(entry)) != NULL &&
+        (f[2] = int_tuple(order, len)) != NULL &&
+        (f[3] = int_tuple(pus, len)) != NULL &&
+        (f[4] = int_tuple(pvs, len)) != NULL &&
+        (f[5] = pair_tuple(cpos, cidx, nch)) != NULL) {
+        f[6] = PyBool_FromLong(size == 1);
+        piece = PyTuple_Pack(7, f[0], f[1], f[2], f[3], f[4], f[5], f[6]);
+    }
+    for (int j = 0; j < 7; j++)
+        Py_XDECREF(f[j]);
+    return piece;
+}
+
+/* The 2-edge-connected pieces of a connected multigraph, the twin of
+ * kmagic._backtrack_py.bridge_tree.  One lowpoint walk from vertex 0
+ * marks the bridges and checks that the graph is connected; one scan
+ * numbers the pieces by smallest vertex and each vertex within its
+ * piece; one breadth-first walk per piece, top-down over the bridge
+ * tree, lists its edges, each edge once overall, so the per-piece lists
+ * are consecutive runs of shared arrays.  Every stack and queue holds at
+ * most n vertices, and a graph has at most n pieces and n - 1 bridges. */
+static PyObject *
+bridge_tree(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *us = NULL, *vs = NULL, *pieces = NULL, *result = NULL;
+    Py_ssize_t *block = NULL;
+
+    if (!PyArg_ParseTuple(args, "iOO:bridge_tree", &n, &us_arg, &vs_arg))
+        return NULL;
+    us = PySequence_Fast(us_arg, "us must be a sequence");
+    if (us == NULL)
+        goto done;
+    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
+    if (vs == NULL)
+        goto done;
+    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
+    if (PySequence_Fast_GET_SIZE(vs) != m) {
+        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
+        goto done;
+    }
+    if (n < 1) {
+        PyErr_Format(PyExc_ValueError, "bridge_tree needs n >= 1, got %d", n);
+        goto done;
+    }
+    if (m < (Py_ssize_t)n - 1) {  /* checked before allocating per vertex */
+        PyErr_SetString(PyExc_ValueError, "graph is not connected");
+        goto done;
+    }
+    /* per edge: ends, adjacency (two slots), bridge and seen flags, the
+     * pieces' order, us and vs; per vertex: first adjacency slot, walk
+     * position, discovery, lowpoint, tree edge, stack, piece, local
+     * number, queue, visited flag, piece size; per output piece: entry,
+     * order start, children start; per bridge: child position and index */
+    Py_ssize_t nv = n;
+    block = PyMem_Calloc(9 * (size_t)m + 16 * (size_t)nv + 3, sizeof(Py_ssize_t));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *eu = block, *ev = eu + m, *adj = ev + m, *bridge = adj + 2 * m;
+    Py_ssize_t *eseen = bridge + m, *order = eseen + m, *pus = order + m, *pvs = pus + m;
+    Py_ssize_t *first = pvs + m, *nxt = first + nv + 1, *disc = nxt + nv, *low = disc + nv;
+    Py_ssize_t *via = low + nv, *stack = via + nv, *piece_of = stack + nv, *local = piece_of + nv;
+    Py_ssize_t *queue = local + nv, *visited = queue + nv, *size = visited + nv;
+    Py_ssize_t *entry = size + nv, *ostart = entry + nv, *cstart = ostart + nv + 1;
+    Py_ssize_t *cpos = cstart + nv + 1, *cidx = cpos + nv;
+
+    for (Py_ssize_t i = 0; i < m; i++) {
+        const char *msg = "edge %zd has an endpoint outside 0..%d";
+        unsigned u, v;
+        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &u) < 0 ||
+            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &v) < 0)
+            goto done;
+        eu[i] = u;
+        ev[i] = v;
+        first[u + 1] += 1;
+        first[v + 1] += 1;
+    }
+    /* the adjacency in edge-id order, vertex v's at adj[first[v] .. first[v + 1]) */
+    for (Py_ssize_t v = 0; v < nv; v++)
+        first[v + 1] += first[v];
+    for (Py_ssize_t v = 0; v < nv; v++)
+        nxt[v] = first[v];
+    for (Py_ssize_t e = 0; e < m; e++) {
+        adj[nxt[eu[e]]++] = e;
+        adj[nxt[ev[e]]++] = e;
+    }
+
+    /* the lowpoint walk from vertex 0 */
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        nxt[v] = first[v];
+        disc[v] = -1;
+        via[v] = -1;
+    }
+    Py_ssize_t seen = 1, top = 0;
+    disc[0] = 0;
+    stack[0] = 0;
+    while (top >= 0) {
+        Py_ssize_t u = stack[top];
+        if (nxt[u] < first[u + 1]) {
+            Py_ssize_t e = adj[nxt[u]++];
+            if (e == via[u])
+                continue;
+            Py_ssize_t w = eu[e] == u ? ev[e] : eu[e];
+            if (disc[w] < 0) {
+                disc[w] = low[w] = seen++;
+                via[w] = e;
+                stack[++top] = w;
+            }
+            else if (disc[w] < low[u])
+                low[u] = disc[w];
+            continue;
+        }
+        if (--top >= 0) {
+            Py_ssize_t p = stack[top];
+            if (low[u] > disc[p])
+                bridge[via[u]] = 1;
+            if (low[u] < low[p])
+                low[p] = low[u];
+        }
+    }
+    if (seen < nv) {
+        PyErr_SetString(PyExc_ValueError, "graph is not connected");
+        goto done;
+    }
+
+    /* the pieces, numbered by smallest vertex, and each vertex's local number */
+    Py_ssize_t npieces = 0;
+    for (Py_ssize_t v = 0; v < nv; v++)
+        piece_of[v] = -1;
+    for (Py_ssize_t s = 0; s < nv; s++) {
+        if (piece_of[s] >= 0)
+            continue;
+        Py_ssize_t head = 0, tail = 0;
+        piece_of[s] = npieces;
+        queue[tail++] = s;
+        while (head < tail) {
+            Py_ssize_t u = queue[head++];
+            for (Py_ssize_t j = first[u]; j < first[u + 1]; j++) {
+                Py_ssize_t e = adj[j], w = eu[e] == u ? ev[e] : eu[e];
+                if (piece_of[w] < 0 && !bridge[e]) {
+                    piece_of[w] = npieces;
+                    queue[tail++] = w;
+                }
+            }
+        }
+        npieces++;
+    }
+    for (Py_ssize_t v = 0; v < nv; v++)
+        local[v] = size[piece_of[v]]++;
+
+    /* top-down over the bridge tree: piece i walked breadth-first from
+     * entry[i], its edges at order[ostart[i] .. ostart[i + 1]) and its
+     * children at cpos/cidx[cstart[i] .. cstart[i + 1]) */
+    Py_ssize_t ntodo = 1, len = 0, nch = 0;
+    entry[0] = 0;
+    for (Py_ssize_t i = 0; i < ntodo; i++) {
+        Py_ssize_t stub = size[piece_of[entry[i]]], head = 0, tail = 0;
+        ostart[i] = len;
+        cstart[i] = nch;
+        visited[entry[i]] = 1;
+        queue[tail++] = entry[i];
+        while (head < tail) {
+            Py_ssize_t u = queue[head++];
+            for (Py_ssize_t j = first[u]; j < first[u + 1]; j++) {
+                Py_ssize_t e = adj[j], w = eu[e] == u ? ev[e] : eu[e];
+                if (eseen[e])
+                    continue;
+                eseen[e] = 1;
+                order[len] = e;
+                pus[len] = local[u];
+                if (bridge[e]) {
+                    cpos[nch] = len - ostart[i];
+                    cidx[nch++] = ntodo;
+                    entry[ntodo++] = w;
+                    pvs[len++] = stub;
+                    continue;
+                }
+                pvs[len++] = local[w];
+                if (!visited[w]) {
+                    visited[w] = 1;
+                    queue[tail++] = w;
+                }
+            }
+        }
+    }
+    ostart[ntodo] = len;
+    cstart[ntodo] = nch;
+
+    pieces = PyList_New(ntodo);
+    if (pieces == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < ntodo; i++) {
+        Py_ssize_t lo = ostart[i], clo = cstart[i];
+        PyObject *piece = piece_tuple(size[piece_of[entry[i]]], local[entry[i]], order + lo,
+                                      pus + lo, pvs + lo, ostart[i + 1] - lo, cpos + clo,
+                                      cidx + clo, cstart[i + 1] - clo);
+        if (piece == NULL)
+            goto done;
+        PyList_SET_ITEM(pieces, i, piece);
+    }
+    result = pieces;
+    pieces = NULL;
+done:
+    PyMem_Free(block);
+    Py_XDECREF(us);
+    Py_XDECREF(vs);
+    Py_XDECREF(pieces);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
      "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
@@ -558,15 +817,22 @@ static PyMethodDef methods[] = {
      "Split an even-regular multigraph, edge i joining us[i] and vs[i], into\n"
      "its 2-factors, each a list of edge ids in increasing order; see\n"
      "kmagic._backtrack_py.petersen_split, whose semantics this twin shares."},
+    {"bridge_tree", bridge_tree, METH_VARARGS,
+     "bridge_tree(n, us, vs)\n--\n\n"
+     "The 2-edge-connected pieces of a connected multigraph, edge i joining\n"
+     "us[i] and vs[i], as (n_local, entry, order, us, vs, children, edgeless)\n"
+     "tuples, the piece of vertex 0 first and each piece after its parent; see\n"
+     "kmagic._backtrack_py.bridge_tree, whose semantics this twin shares."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
-    .m_doc = "Compiled backtracking kernel, magic-sum check and Petersen 2-factor split;\n"
-             "semantics match kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum\n"
-             "and kmagic._backtrack_py.petersen_split.",
+    .m_doc = "Compiled backtracking kernel, magic-sum check, Petersen 2-factor split and\n"
+             "bridge tree; semantics match kmagic._backtrack_py.search,\n"
+             "kmagic._backtrack_py.magic_sum, kmagic._backtrack_py.petersen_split and\n"
+             "kmagic._backtrack_py.bridge_tree.",
     .m_size = -1,
     .m_methods = methods,
 };

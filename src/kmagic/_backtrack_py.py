@@ -1,9 +1,11 @@
-"""Pure-Python backtracking kernel, magic-sum check and Petersen split.
+"""Pure-Python backtracking kernel, magic-sum check, Petersen split and
+bridge tree.
 
-Reference implementations of the label search, of the magic-sum check
-and of the Petersen 2-factor split; kmagic._backtrack holds their
-compiled twins, with identical semantics, and kmagic._twin picks one of
-the two modules for all three.  The search visits edges in the given
+Reference implementations of the label search, of the magic-sum check,
+of the Petersen 2-factor split and of the bridge tree (bridge_tree: the
+2-edge-connected pieces the solver searches); kmagic._backtrack holds
+their compiled twins, with identical semantics, and kmagic._twin picks
+one of the two modules for all four.  The search visits edges in the given
 order; when an edge is the last unlabeled edge at one of its endpoints
 its label is forced by the target sum, otherwise all of its allowed
 labels (1..k-1 unless restricted) are tried in increasing order.  Every
@@ -203,6 +205,123 @@ def petersen_split(n, us, vs):
         parts.append(sorted(matched))
     parts.append(list(compress(range(m), alive)))
     return parts
+
+
+def bridge_tree(n, us, vs):
+    """The 2-edge-connected pieces of a connected multigraph, as the
+    solver searches them.
+
+    Edge i joins us[i] and vs[i].  The bridges come from one lowpoint
+    walk (Tarjan, 1974); a parallel edge is never a bridge.  Returns one
+    tuple (n_local, entry, order, us, vs, children, edgeless) per piece,
+    the piece of vertex 0 first and each piece after its parent.  A
+    piece's vertices are numbered 0..size-1 in ascending order, and a
+    piece with child bridges has one more vertex, a stub standing for
+    every child piece; n_local counts the stub.  order holds the edge ids
+    labeled in the piece, its own edges and its child bridges, in
+    breadth-first order from entry, the local vertex at its parent
+    bridge (at the root, vertex 0); us and vs are their local ends, us
+    the end the walk reached first and vs the stub for a child bridge.
+    children holds (position in order, child piece index) per child
+    bridge; edgeless is True for a single vertex.  A bridgeless graph is
+    one piece whose order is the breadth-first edge order from vertex 0.
+    Raises ValueError when us and vs differ in length, when n < 1, when
+    an endpoint lies outside 0..n-1, or when the graph is not connected.
+    """
+    m = len(us)
+    if len(vs) != m:
+        raise ValueError("us and vs differ in length")
+    if n < 1:
+        raise ValueError(f"bridge_tree needs n >= 1, got {n}")
+    if m < n - 1:  # checked before allocating per vertex
+        raise ValueError("graph is not connected")
+    adjacency = [[] for _ in range(n)]
+    for i in range(m):
+        u, v = us[i], vs[i]
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
+        adjacency[u].append((v, i))
+        adjacency[v].append((u, i))
+    # the lowpoint walk from vertex 0, via[w] the tree edge that reached w
+    disc = [-1] * n
+    low = [0] * n
+    via = [-1] * n
+    nxt = [0] * n
+    bridge = bytearray(m)
+    disc[0] = 0
+    seen = 1
+    stack = [0]
+    while stack:
+        u = stack[-1]
+        if nxt[u] < len(adjacency[u]):
+            w, eid = adjacency[u][nxt[u]]
+            nxt[u] += 1
+            if eid == via[u]:
+                continue
+            if disc[w] < 0:
+                disc[w] = low[w] = seen
+                seen += 1
+                via[w] = eid
+                stack.append(w)
+            elif disc[w] < low[u]:
+                low[u] = disc[w]
+            continue
+        stack.pop()
+        if stack:
+            p = stack[-1]
+            if low[u] > disc[p]:
+                bridge[via[u]] = 1
+            low[p] = min(low[p], low[u])
+    if seen < n:
+        raise ValueError("graph is not connected")
+    # the pieces, numbered by smallest vertex, and each vertex's local number
+    piece_of = [-1] * n
+    size = []
+    for s in range(n):
+        if piece_of[s] >= 0:
+            continue
+        piece_of[s] = len(size)
+        comp = [s]
+        for u in comp:
+            for w, eid in adjacency[u]:
+                if piece_of[w] < 0 and not bridge[eid]:
+                    piece_of[w] = piece_of[s]
+                    comp.append(w)
+        size.append(0)
+    local = [0] * n
+    for v in range(n):
+        local[v] = size[piece_of[v]]
+        size[piece_of[v]] += 1
+    # top-down over the bridge tree: each piece walked breadth-first from
+    # its entry, each child bridge queuing its child piece
+    edge_seen = bytearray(m)
+    visited = bytearray(n)
+    todo = [0]  # entry vertex per piece, in output order
+    pieces = []
+    for entry in todo:
+        stub = size[piece_of[entry]]
+        order, pus, pvs, children = [], [], [], []
+        visited[entry] = 1
+        queue = [entry]
+        for u in queue:
+            for w, eid in adjacency[u]:
+                if edge_seen[eid]:
+                    continue
+                edge_seen[eid] = 1
+                order.append(eid)
+                pus.append(local[u])
+                if bridge[eid]:
+                    children.append((len(order) - 1, len(todo)))
+                    todo.append(w)
+                    pvs.append(stub)
+                    continue
+                pvs.append(local[w])
+                if not visited[w]:
+                    visited[w] = 1
+                    queue.append(w)
+        pieces.append((stub + bool(children), local[entry], tuple(order), tuple(pus),
+                       tuple(pvs), tuple(children), stub == 1))
+    return pieces
 
 
 def _orient(n, us, vs):

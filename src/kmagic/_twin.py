@@ -1,7 +1,7 @@
 """The one selection of the twin module behind the search kernel, the
-magic-sum check and the Petersen split: kmagic._backtrack when the
-extension imports, else the pure reference kmagic._backtrack_py.
-Callers read it at call time, so replacing module switches all three.
+magic-sum check, the Petersen split and the bridge tree: kmagic._backtrack
+when the extension imports, else the pure reference kmagic._backtrack_py.
+Callers read it at call time, so replacing module switches all four.
 """
 
 from . import _backtrack_py

@@ -163,9 +163,11 @@ def parse_graph(text: str) -> MultiGraph:
 
 
 def regularity(G: MultiGraph) -> int | None:
-    """Common degree r if G is regular, else None."""
-    if G.n == 0:
-        return None
+    """Common degree r if G is regular, else None.  Found once per graph."""
+    return G.memo("regularity", lambda: _common_degree(G))
+
+
+def _common_degree(G: MultiGraph) -> int | None:
     degs = set(G.degrees)
     return degs.pop() if len(degs) == 1 else None
 
@@ -274,47 +276,23 @@ def two_regular_profile(G: MultiGraph) -> TwoRegularProfile:
 def find_bridges(G: MultiGraph) -> frozenset[int]:
     """Edge ids whose removal disconnects their component.
 
-    A parallel edge is never a bridge.  Found once per graph, by an
-    iterative lowpoint computation.
+    A parallel edge is never a bridge.  Found once per graph, read off
+    the solver's plan of each component: its child-bridge edges.
     """
-    return G.memo("bridges", lambda: _lowpoint_bridges(G))
+    return G.memo("bridges", lambda: _plan_bridges(G))
 
 
-def _lowpoint_bridges(G: MultiGraph) -> frozenset[int]:
-    disc = [-1] * G.n
-    low = [0] * G.n
-    bridges = []
-    timer = 0
-    for s in range(G.n):
-        if disc[s] != -1:
-            continue
-        stack: list[tuple[int, int, int]] = [(s, -1, 0)]
-        while stack:
-            u, via, idx = stack.pop()
-            if idx == 0:
-                disc[u] = low[u] = timer
-                timer += 1
-            nbrs = G.adjacency[u]
-            advanced = False
-            while idx < len(nbrs):
-                w, eid = nbrs[idx]
-                idx += 1
-                if eid == via:
-                    continue
-                if disc[w] == -1:
-                    stack.append((u, via, idx))
-                    stack.append((w, eid, 0))
-                    advanced = True
-                    break
-                low[u] = min(low[u], disc[w])
-            if not advanced and via != -1:
-                # u finished; propagate lowpoint to its parent
-                pe = G.edges[via]
-                p = pe.u if pe.v == u else pe.v
-                if low[u] > disc[p]:
-                    bridges.append(via)
-                low[p] = min(low[p], low[u])
-    return frozenset(bridges)
+def _plan_bridges(G: MultiGraph) -> frozenset[int]:
+    from .solver import _bridge_tree  # the solver imports this module
+
+    if G.n == 0:
+        return frozenset()
+    return frozenset(
+        edge_ids[piece.order[pos]]
+        for C, edge_ids in component_graphs(G)
+        for piece in _bridge_tree(C)
+        for pos, _ in piece.children
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,11 @@ as a vertex with no unlabeled edges misses the target sum; small
 instances (label space at most the exhaustive threshold) run uncapped,
 larger ones run under a node cap and report undecided instead of
 guessing.  Parity, isolated vertices and connected components settle
-part of each question before the kernel runs, and a component with
-bridges is searched one 2-edge-connected piece at a time (see
-search_labeling).
+part of each question before the kernel runs.  The same twin module's
+bridge_tree plans each component once: its bridges, its 2-edge-connected
+pieces and their search order.  A bridgeless component is one piece and
+one kernel search; a component with bridges is searched one piece at a
+time (see search_labeling).
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ from dataclasses import dataclass
 from . import _backtrack_py, _twin
 from ._backtrack_py import SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
-from .graphs import MultiGraph, component_graphs, find_bridges
+from .graphs import MultiGraph, component_graphs
 from .labelings import EdgeLabeling
 
 # the twin module selected at import, by name: it runs the search kernel,
-# the magic-sum check and the Petersen split
+# the magic-sum check, the Petersen split and the bridge tree
 _kernel = _twin.module
 KERNEL = "pure-python" if _kernel is _backtrack_py else "compiled"
 
@@ -61,7 +63,8 @@ class SearchResult:
 
 
 def assignment_order(G: MultiGraph) -> list[int]:
-    """Edge ids in breadth-first order from the smallest vertex on."""
+    """Edge ids in breadth-first order from the smallest vertex on: on a
+    connected bridgeless G, the order of bridge_tree's one piece."""
     order: list[int] = []
     edge_seen = [False] * G.m
     visited = [False] * G.n
@@ -153,39 +156,24 @@ def _settled(G: MultiGraph, k: int, c: int) -> SearchResult | None:
 
 def _component_search(C: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
     pieces = _bridge_tree(C)
-    if pieces is None:
-        return _kernel_search(C, k, c, budget, impl)
-    return _split_search(pieces, k, c, budget.cap_for(k, C.m), impl)
-
-
-def _kernel_search(G: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
-    order, us, vs = G.memo("search_order", lambda: _search_order(G))
-    status, labels, nodes = impl.search(G.n, k, c, us, vs, budget.cap_for(k, G.m))
-    if status == SAT:
-        mapping = {order[i]: labels[i] for i in range(G.m)}
-        return SearchResult("found", EdgeLabeling(k, mapping), nodes)
-    if status == UNSAT:
-        return SearchResult("absent", None, nodes)
-    return SearchResult("undecided", None, nodes)
-
-
-def _search_order(G: MultiGraph) -> tuple[list[int], tuple[int, ...], tuple[int, ...]]:
-    """assignment_order(G) and the edges' endpoints in that order."""
-    order = assignment_order(G)
-    us, vs = G.ends
-    return order, tuple(us[eid] for eid in order), tuple(vs[eid] for eid in order)
+    cap = budget.cap_for(k, C.m)
+    if len(pieces) == 1:
+        return _kernel_search(pieces[0], k, c, cap, impl)
+    return _split_search(pieces, k, c, cap, impl)
 
 
 @dataclass(frozen=True)
 class _Piece:
-    """A 2-edge-connected piece of a component, as the split searches it.
+    """A 2-edge-connected piece of a component, as the kernel searches it.
 
     The piece's own vertices are numbered 0..n-1 in ascending order; a
     piece with child bridges has one more vertex, a stub with no target
     that stands for every child piece.  order holds the component's edge
     ids labeled here, the piece's own edges and its child bridges, in
     breadth-first order from entry, the vertex at the parent bridge (at
-    the root, the smallest vertex); us and vs are their local ends.
+    the root, the smallest vertex); us and vs are their local ends, us
+    the one the walk reached first.  The fields are those of one tuple
+    from the twins' bridge_tree.
     """
 
     n: int  # local vertices, the stub included
@@ -197,64 +185,21 @@ class _Piece:
     edgeless: bool  # a single vertex: order holds only child bridges
 
 
-def _bridge_tree(C: MultiGraph) -> tuple[_Piece, ...] | None:
+def _bridge_tree(C: MultiGraph) -> tuple[_Piece, ...]:
     """The pieces of connected C, the root (the piece of vertex 0) first
-    and each piece after its parent, or None when C has no bridge.
-    Found once per graph."""
-    return C.memo("bridge_tree", lambda: _split_at_bridges(C))
+    and each piece after its parent; a bridgeless C is one piece, in
+    assignment order.  Planned once per graph, by the selected twin."""
+    return C.memo("bridge_tree", lambda: tuple(_Piece(*t) for t in _twin.module.bridge_tree(C.n, *C.ends)))
 
 
-def _split_at_bridges(C: MultiGraph) -> tuple[_Piece, ...] | None:
-    bridges = find_bridges(C)
-    if not bridges:
-        return None
-    piece_of = [-1] * C.n
-    members: list[list[int]] = []
-    for s in range(C.n):
-        if piece_of[s] != -1:
-            continue
-        piece_of[s] = len(members)
-        comp = [s]
-        for u in comp:
-            for w, eid in C.adjacency[u]:
-                if piece_of[w] == -1 and eid not in bridges:
-                    piece_of[w] = piece_of[s]
-                    comp.append(w)
-        members.append(sorted(comp))
-    todo = [(0, -1, 0)]  # (piece, parent bridge, entry vertex), in top-down order
-    edge_seen = [False] * C.m
-    pieces = []
-    for p, parent_bridge, entry in todo:
-        local = {v: i for i, v in enumerate(members[p])}
-        stub = len(local)
-        order: list[int] = []
-        us: list[int] = []
-        vs: list[int] = []
-        children: list[tuple[int, int]] = []
-        visited = {entry}
-        queue = deque([entry])
-        while queue:
-            u = queue.popleft()
-            for w, eid in C.adjacency[u]:
-                if eid == parent_bridge or edge_seen[eid]:
-                    continue
-                edge_seen[eid] = True
-                order.append(eid)
-                us.append(local[u])
-                if eid in bridges:
-                    children.append((len(order) - 1, len(todo)))
-                    todo.append((piece_of[w], eid, w))
-                    vs.append(stub)
-                    continue
-                vs.append(local[w])
-                if w not in visited:
-                    visited.add(w)
-                    queue.append(w)
-        pieces.append(
-            _Piece(stub + bool(children), local[entry], tuple(order), tuple(us), tuple(vs),
-                   tuple(children), stub == 1)
-        )
-    return tuple(pieces)
+def _kernel_search(piece: _Piece, k: int, c: int, cap: int, impl) -> SearchResult:
+    """One kernel search over a bridgeless component, its only piece."""
+    status, labels, nodes = impl.search(piece.n, k, c, piece.us, piece.vs, cap)
+    if status == SAT:
+        return SearchResult("found", EdgeLabeling(k, dict(zip(piece.order, labels))), nodes)
+    if status == UNSAT:
+        return SearchResult("absent", None, nodes)
+    return SearchResult("undecided", None, nodes)
 
 
 def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) -> SearchResult:

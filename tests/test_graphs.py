@@ -134,6 +134,19 @@ def test_two_regular_profile_cycle_structure():
         two_regular_profile(complete(4))
 
 
+def test_regularity_is_found_once_per_graph(monkeypatch):
+    calls = []
+    common = graphs._common_degree
+    monkeypatch.setattr(graphs, "_common_degree", lambda G: calls.append(G) or common(G))
+    K4, path = complete(4), build_graph(3, [(0, 1), (1, 2)])
+    mixed = disjoint_union([cycle(3), complete(4)])
+    for _ in range(2):
+        assert regularity(K4) == 3
+        assert regularity(path) is None
+        assert regularity(mixed) is None
+    assert calls == [K4, path, mixed]
+
+
 def test_bridges_and_edge_connectivity(bridged16):
     assert find_bridges(cycle(5)) == frozenset()
     bridges = find_bridges(bridged16)

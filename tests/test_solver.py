@@ -15,11 +15,13 @@ from kmagic import (
     available_kernels,
     build_graph,
     complete,
+    components,
     cycle,
     disjoint_union,
     petersen,
     prism,
     search_labeling,
+    subgraph,
     two_factorization,
     verify,
 )
@@ -184,7 +186,7 @@ def test_search_verify_and_split_all_run_on_the_selected_twin(monkeypatch):
 
         return call
 
-    names = ("search", "magic_sum", "petersen_split")
+    names = ("bridge_tree", "search", "magic_sum", "petersen_split")
     monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
     G = complete(5)
     res = search_labeling(G, 3, 1)
@@ -210,6 +212,17 @@ def test_kernels_reject_bad_input_alike(twin, request):
     for allowed in ([None, None], [None, [0], None], [None, [5], None], [[2, 2], None, None], [[3, 1], None, None]):
         with pytest.raises(ValueError, match="allowed"):
             impl.search(3, 5, 0, us, vs, -1, allowed=allowed)
+    with pytest.raises(ValueError, match="differ in length"):
+        impl.bridge_tree(3, [0, 1], [1])
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            impl.bridge_tree(n, [], [])
+    for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2])]:
+        with pytest.raises(ValueError, match="endpoint"):
+            impl.bridge_tree(3, us, vs)
+    for n, us, vs in [(2, [], []), (4, [0, 2], [1, 3]), (4, [0, 0, 2], [1, 1, 3])]:
+        with pytest.raises(ValueError, match="not connected"):
+            impl.bridge_tree(n, us, vs)
 
 
 def test_parity_settles_at_zero_nodes(kernel):
@@ -400,3 +413,37 @@ def test_split_agrees_with_the_whole_graph_search(compiled_kernel, G, k):
                 assert verify(G, res.labeling) == c
             results.append(res)
         assert results[0] == results[1], c  # the twins split alike
+
+
+@st.composite
+def connected_multigraphs(draw):
+    """Connected multigraphs on 1 to 9 vertices: a random spanning tree,
+    whose edges stay bridges unless a cycle closes over them, up to 8
+    more edges and up to 3 parallel copies, with vertices, edge order and
+    edge ends shuffled."""
+    n = draw(st.integers(1, 9))
+    pairs = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    if n > 1:
+        vertex = st.integers(0, n - 1)
+        pairs += draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=8))
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=3))
+    name = draw(st.permutations(range(n)))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [(name[v], name[u]) if flip else (name[u], name[v]) for (u, v), flip in zip(pairs, flips)]
+    return build_graph(n, draw(st.permutations(pairs)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(connected_multigraphs())
+def test_bridge_tree_twins_agree_and_find_every_bridge(compiled_kernel, G):
+    plan = _backtrack_py.bridge_tree(G.n, *G.ends)
+    assert compiled_kernel.bridge_tree(G.n, *G.ends) == plan
+    assert sorted(eid for piece in plan for eid in piece[2]) == list(range(G.m))
+    child_bridges = {piece[2][pos] for piece in plan for pos, _ in piece[5]}
+    cut = {e for e in range(G.m) if len(components(subgraph(G, set(range(G.m)) - {e})[0])) > 1}
+    assert child_bridges == cut == find_bridges(G)
+    if not cut:
+        [(n, entry, order, us, vs, children, edgeless)] = plan
+        assert (n, entry, children, edgeless) == (G.n, 0, (), G.n == 1)
+        assert list(order) == assignment_order(G)
+        assert [{u, v} for u, v in zip(us, vs)] == [set(G.endpoints(eid)) for eid in order]
