@@ -205,7 +205,7 @@ def main() -> None:
     for label, G, k, c, cap in CASES:
         if args.quick:
             cap = min(cap or QUICK_CAP, QUICK_CAP)
-        budget = None if cap is None else SolverBudget(exhaustive_states=1, node_cap=cap)
+        budget = None if cap is None else SolverBudget(node_cap=cap)
         results = {}
         times = {}
         for name, impl in kernels.items():

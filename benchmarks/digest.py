@@ -73,8 +73,10 @@ ORACLE_MODULI = range(2, 8)
 
 
 def bridged_cubic_16():
-    """A hub joined by bridges to three K4s, each with one edge
-    subdivided: cubic, no perfect matching."""
+    """Cubic graph on 16 vertices: a hub joined by bridges to three
+    copies of K4 with one edge subdivided.  Has no perfect matching
+    (removing the hub leaves three odd components), so no spanning
+    subgraph with all degrees 1 mod 3 exists."""
     pairs = []
     for base in (1, 6, 11):
         a, b, x, y, w = range(base, base + 5)
@@ -94,9 +96,10 @@ def bridged_cubic_10():
 
 
 def two_hub_even(r):
-    """r copies of K_{r+1} - e, the two ends of each removed edge joined
-    to hubs 0 and 1: r-regular for even r, of even order, and without a
-    perfect matching (removing the hubs leaves r odd components)."""
+    """r copies of K_{r+1} minus an edge, the two ends of each removed
+    edge joined to hubs 0 and 1.  For even r it is r-regular, of even
+    order, and has no perfect matching: removing the hubs leaves r odd
+    components.  Odd sums at even k on it reach the even-degree specials."""
     pairs = []
     for base in range(2, 2 + r * (r + 1), r + 1):
         block = range(base, base + r + 1)
@@ -106,9 +109,13 @@ def two_hub_even(r):
 
 
 def unmatched_cubic_28():
-    """Hubs 0, 1, 2, each joined by a bridge to the subdividing vertex of
-    its own K4 with one edge subdivided, and two 5-vertex blocks whose
-    a, b, c join hubs 0, 1, 2: cubic, no perfect matching."""
+    """Cubic graph on 28 vertices without a perfect matching in which no
+    vertex has only cut edges: hubs 0, 1 and 2, each joined by a bridge to
+    the subdividing vertex of its own K4 with one edge subdivided, and two
+    5-vertex blocks on a, b, c, d, e (edges de, da, db, ec, ea, bc) whose
+    a, b and c are joined to hubs 0, 1 and 2.  Removing the hubs leaves
+    five odd components.  The label-2 edges of a zero sum mod 4 on a cubic
+    graph form a perfect matching, so there is none here."""
     pairs = []
     base = 3
     for hub in range(3):
@@ -123,8 +130,10 @@ def unmatched_cubic_28():
 
 
 def hub_quintic_16():
-    """A hub joined to vertex a of five triangles a, b, c with edge
-    multiplicities ab 2, ac 2, bc 3: 5-regular, no perfect matching."""
+    """5-regular multigraph on 16 vertices without a perfect matching: a
+    hub joined to vertex a of each of five triangles a, b, c with edge
+    multiplicities ab 2, ac 2 and bc 3.  Its zero sum mod 3 has neither
+    an h-factor split nor doubling parameters, so the solver finds it."""
     pairs = []
     for a in (1, 4, 7, 10, 13):
         b, c = a + 1, a + 2
@@ -133,9 +142,11 @@ def hub_quintic_16():
 
 
 def hub10():
-    """A hub joined by 3 parallel edges to one vertex of each of three
-    triangles with sides of multiplicity 3, 3, 6: 9-regular, bridgeless,
-    no perfect matching."""
+    """9-regular bridgeless multigraph on 10 vertices without a perfect
+    matching: a hub joined by 3 parallel edges to one vertex of each of
+    three triangles whose sides have multiplicities 3, 3 and 6.  Removing
+    the hub leaves three odd components, yet a factor with degrees in
+    {1, 4} exists."""
     pairs = []
     for a in (1, 4, 7):
         b, c = a + 1, a + 2
@@ -144,9 +155,11 @@ def hub10():
 
 
 def quintic38():
-    """Five copies of K7 minus the triangle 456 and the edges 01 and 23,
-    vertices 4, 5, 6 of each joined to hubs 0, 1, 2: 5-regular,
-    bridgeless, no perfect matching."""
+    """5-regular graph on 38 vertices, bridgeless and without a perfect
+    matching: five copies of K7 minus the triangle 456 and the edges 01
+    and 23, with vertices 4, 5 and 6 of each joined to hubs 0, 1 and 2.
+    Removing the hubs leaves five odd components.  Theory leaves its zero
+    sum mod 4 to the solver, whose search takes 64,414 nodes."""
     missing = {(4, 5), (4, 6), (5, 6), (0, 1), (2, 3)}
     pairs = []
     for base in range(3, 38, 7):

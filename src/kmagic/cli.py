@@ -35,12 +35,9 @@ def _budget() -> SolverBudget:
     if raw is None:
         return DEFAULT_BUDGET
     try:
-        cap = int(raw)
-        if cap <= 0:
-            raise ValueError
-    except ValueError:
+        return SolverBudget(node_cap=int(raw))
+    except (ValueError, KmagicError):
         raise KmagicError(f"MAGIC_SOLVER_BUDGET must be a positive integer, got {raw!r}") from None
-    return SolverBudget(node_cap=cap)
 
 
 def _read_input(path) -> str:

@@ -144,27 +144,23 @@ def _rule_cycles(G, r, k, c, budget):
 
 
 def _two_factor_values(rho: int, k: int, c: int) -> list[int] | None:
-    """Per-2-factor constants x_i with 2*sum(x_i) = c, all nonzero."""
+    """Per-2-factor constants x_i with 2*sum(x_i) = c, all nonzero.
+
+    rho >= 2, as r = 2*rho >= 4 here, and one constant on every 2-factor
+    is never tried: 2*rho*a = c is the constant rule, which runs first."""
     if k >= 2:
         cn = c % k
-        for a in range(1, k):
-            if (2 * a * rho) % k == cn:
-                return [a] * rho
-        if rho >= 2:
-            for b in range(1, k):
-                if (2 * (rho - 1) + 2 * b) % k == cn:
-                    return [1] * (rho - 1) + [b]
-            for b1 in range(1, k):
-                for b2 in range(b1, k):
-                    if (2 * (rho - 2) + 2 * b1 + 2 * b2) % k == cn:
-                        return [1] * (rho - 2) + [b1, b2]
+        for b in range(1, k):
+            if (2 * (rho - 1) + 2 * b) % k == cn:
+                return [1] * (rho - 1) + [b]
+        for b1 in range(1, k):
+            for b2 in range(b1, k):
+                if (2 * (rho - 2) + 2 * b1 + 2 * b2) % k == cn:
+                    return [1] * (rho - 2) + [b1, b2]
         return None
     if c % 2 != 0:
         return None
-    s = c // 2
-    if rho == 1:
-        return [s] if s != 0 else None
-    s2 = s - (rho - 2)
+    s2 = c // 2 - (rho - 2)
     u, v = (1, s2 - 1) if s2 != 1 else (2, -1)
     if u == 0 or v == 0:
         return None
@@ -221,36 +217,18 @@ def _rule_factor_split(G, r, k, c, budget):
     raise _Miss("no factor split reaches the sum")
 
 
-def _two_factor_groups(G, labels):
-    """The doubled graph's i-th 2-factor labeled labels[i] for all but the
-    last label, which covers every other edge: only the union of the
-    later 2-factors is read, once per graph and count."""
-    doubled = double_graph(G).doubled
-    parts = two_factorization(doubled).parts[: len(labels) - 1]
-    rest = doubled.memo(
-        f"two-factor rest/{len(parts)}", lambda: frozenset(range(doubled.m)).difference(*parts)
-    )
-    return [*zip(parts, labels), (rest, labels[-1])]
-
-
-def _doubled_three_factor(G):
-    """A 3-factor of the doubled graph and its complement."""
-    doubled = double_graph(G).doubled
-    F3 = f_factor(doubled, 3)
-    if F3 is None:
-        raise _Miss("doubled graph has no 3-factor")
-    return F3, frozenset(range(doubled.m)) - F3
-
-
-def _fold_constant_parts(G, k, c, groups, divisor, rule, params):
-    """Label edge groups of the doubled graph with constants and fold."""
-    lab2: dict[int, int] = {}
-    for edge_set, value in groups:
-        for eid in edge_set:
-            lab2[eid] = value
+def _fold_factor(G, k, c, h, a, b, divisor, rule, params):
+    """Label an h-factor of the doubled graph a, every other edge b, and
+    fold.  For even h it is the union of the doubled graph's first h/2
+    2-factors."""
+    D = double_graph(G)
+    F = f_factor(D.doubled, h)
+    if F is None:
+        raise _Miss(f"doubled graph has no {h}-factor")
+    lab2 = {e: a if e in F else b for e in range(D.doubled.m)}
     step = TraceStep(rule, dict(params), labels=dict(lab2), scope="doubled")
     try:
-        folded, got = fold(double_graph(G), EdgeLabeling(k, lab2), divisor)
+        folded, got = fold(D, EdgeLabeling(k, lab2), divisor)
     except LabelingError as exc:
         raise _Miss(f"{rule}: {exc}") from None
     if got != _norm(c, k):
@@ -265,7 +243,7 @@ def _pair_copy_counts(G, h):
 
     def counts():
         D = double_graph(G)
-        inside = frozenset().union(*two_factorization(D.doubled).parts[:h])
+        inside = f_factor(D.doubled, 2 * h)
         return frozenset((orig in inside) + (dup in inside) for orig, dup in D.pairs)
 
     return G.memo(f"pair copy counts/{h}", counts)
@@ -281,9 +259,8 @@ def _rule_doubling_search(G, r, k, c, budget):
             if any(_norm((j * a + (2 - j) * b) // divisor, k) == 0 for j in counts):
                 continue
             try:
-                return _fold_constant_parts(
-                    G, k, c, _two_factor_groups(G, [a] * h + [b]), divisor,
-                    "doubling-parameter-search",
+                return _fold_factor(
+                    G, k, c, 2 * h, a, b, divisor, "doubling-parameter-search",
                     {"h": h, "a": a, "b": b, "divisor": divisor},
                 )
             except _Skip:
@@ -323,19 +300,16 @@ def _four_regular_even_order(G, k, c, budget):
     and at c = k/2, whose half is odd as c is, the half-modulus fold."""
     cn = c % k
     if (2 * cn) % k != 0 and (4 * cn) % k != 0:
-        F3, rest = _doubled_three_factor(G)
         a, b = (2 * cn) % k, (k - cn) % k
-        return _fold_constant_parts(
-            G, k, cn, [(F3, a), (rest, b)], 1,
-            "four-regular-three-factor-fold", {"a": a, "b": b},
+        return _fold_factor(
+            G, k, cn, 3, a, b, 1, "four-regular-three-factor-fold", {"a": a, "b": b}
         )
     if k % 2 == 0 and cn == k // 2:
         dd = k // 2
-        F3, rest = _doubled_three_factor(G)
         if dd not in (3, 9):
             parts = two_factorization(G).parts
-            base, steps = _fold_constant_parts(
-                G, k, (k - 1) % k, [(F3, k - 2), (rest, 1)], 1,
+            base, steps = _fold_factor(
+                G, k, (k - 1) % k, 3, k - 2, 1, 1,
                 "four-regular-half-modulus", {"part": "fold", "labels": [k - 2, 1]},
             )
             combined = {}
@@ -347,8 +321,8 @@ def _four_regular_even_order(G, k, c, budget):
                 {"added": [dd + 1, (dd - 1) // 2]}, extra_steps=steps,
             )
         x = dd // 3
-        base, steps = _fold_constant_parts(
-            G, k, (6 * x + 5) % k, [(F3, 2 * x), (rest, 1)], 1,
+        base, steps = _fold_factor(
+            G, k, (6 * x + 5) % k, 3, 2 * x, 1, 1,
             "four-regular-half-modulus", {"part": "fold", "labels": [2 * x, 1]},
         )
         combined = {eid: (v + 1) % k for eid, v in base.labels.items()}

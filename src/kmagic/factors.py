@@ -189,16 +189,14 @@ def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | No
     return frozenset(e.id for e in G.edges if mate[2 * e.id] == 2 * e.id + 1)
 
 
-def exhaustive_factor_search(
-    G: MultiGraph, targets: Sequence[int], max_edges: int = EXHAUSTIVE_EDGE_LIMIT
-) -> frozenset[int] | None:
+def exhaustive_factor_search(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
     """Decide a degree-constrained factor by subset search with pruning.
 
     Independent of the matching route; intended for small instances and
-    as a cross-check.  Raises BudgetError above max_edges.
+    as a cross-check.  Raises BudgetError above EXHAUSTIVE_EDGE_LIMIT edges.
     """
-    if G.m > max_edges:
-        raise BudgetError(f"exhaustive search capped at {max_edges} edges, m={G.m}")
+    if G.m > EXHAUSTIVE_EDGE_LIMIT:
+        raise BudgetError(f"exhaustive search capped at {EXHAUSTIVE_EDGE_LIMIT} edges, m={G.m}")
     if len(targets) != G.n:
         raise FactorError(f"expected {G.n} degree targets, got {len(targets)}")
     for v, t in enumerate(targets):

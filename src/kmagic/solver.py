@@ -3,15 +3,14 @@
 The kernel is the search of the twin module kmagic._twin selects: the
 compiled one when the extension built, otherwise the pure Python twin.
 The search fixes labels in breadth-first edge order and prunes as soon
-as a vertex with no unlabeled edges misses the target sum; small
-instances (label space at most the exhaustive threshold) run uncapped,
-larger ones run under a node cap and report undecided instead of
-guessing.  Parity, isolated vertices and connected components settle
-part of each question before the kernel runs.  The same twin module's
-bridge_tree plans each component once: its bridges, its 2-edge-connected
-pieces and their search order.  A bridgeless component is one piece and
-one kernel search; a component with bridges is searched one piece at a
-time (see search_labeling).
+as a vertex with no unlabeled edges misses the target sum; every search
+runs under the budget's node cap and reports undecided instead of
+guessing when the cap runs out.  Parity, isolated vertices and connected
+components settle part of each question before the kernel runs.  The
+same twin module's bridge_tree plans each component once: its bridges,
+its 2-edge-connected pieces and their search order.  A bridgeless
+component is one piece and one kernel search; a component with bridges
+is searched one piece at a time (see search_labeling).
 """
 
 from __future__ import annotations
@@ -33,23 +32,20 @@ KERNEL = "pure-python" if _kernel is _backtrack_py else "compiled"
 
 @dataclass(frozen=True)
 class SolverBudget:
-    """Search limits: uncapped below exhaustive_states, else node_cap.
+    """The search limit: node_cap, an int of at least 1.
 
-    Both apply to each connected component on its own, so a
+    It applies to each connected component on its own, so a
     disconnected graph may take up to node_cap nodes per component.  A
-    component with bridges is searched piece by piece, and the cap it
-    would have had, cap_for(k, m) for its m edges, holds for the sum of
-    all its piece searches, each counting at least one node; when that
-    runs out the component is undecided.
+    component with bridges is searched piece by piece, and node_cap
+    holds for the sum of all its piece searches, each counting at least
+    one node; when that runs out the component is undecided.
     """
 
-    exhaustive_states: int = 10**7
     node_cap: int = 10**8
 
-    def cap_for(self, k: int, m: int) -> int:
-        if (k - 1) ** m <= self.exhaustive_states:
-            return -1
-        return self.node_cap
+    def __post_init__(self):
+        if type(self.node_cap) is not int or self.node_cap < 1:
+            raise KmagicError(f"node_cap must be an int >= 1, got {self.node_cap!r}")
 
 
 DEFAULT_BUDGET = SolverBudget()
@@ -156,10 +152,9 @@ def _settled(G: MultiGraph, k: int, c: int) -> SearchResult | None:
 
 def _component_search(C: MultiGraph, k: int, c: int, budget: SolverBudget, impl) -> SearchResult:
     pieces = _bridge_tree(C)
-    cap = budget.cap_for(k, C.m)
     if len(pieces) == 1:
-        return _kernel_search(pieces[0], k, c, cap, impl)
-    return _split_search(pieces, k, c, cap, impl)
+        return _kernel_search(pieces[0], k, c, budget.node_cap, impl)
+    return _split_search(pieces, k, c, budget.node_cap, impl)
 
 
 @dataclass(frozen=True)
@@ -222,10 +217,10 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
     (isomorphic siblings, say) are searched once: the first one's
     feasible labels serve the rest.
 
-    All the searches share one cap (negative: none), each counting at
-    least one node, so a huge k runs out of budget instead of running
-    k - 1 searches per piece.  A capped search ends the split as
-    undecided: the budget is spent, so no later search could decide.
+    All the searches share one cap, each counting at least one node, so
+    a huge k runs out of budget instead of running k - 1 searches per
+    piece.  A capped search ends the split as undecided: the budget is
+    spent, so no later search could decide.
     """
     nodes = charged = 0
     # per piece: its feasible parent labels (None at the root), each with
@@ -268,10 +263,10 @@ def _split_search(pieces: tuple[_Piece, ...], k: int, c: int, cap: int, impl) ->
             for x in labels_to_try:
                 if x is not None:
                     targets[piece.entry] = (c - x) % k
-                if 0 <= cap <= charged:
+                if charged >= cap:
                     return SearchResult("undecided", None, nodes)
                 status, labels, used = impl.search(
-                    piece.n, k, c, piece.us, piece.vs, cap - charged if cap >= 0 else -1,
+                    piece.n, k, c, piece.us, piece.vs, cap - charged,
                     targets, allowed if piece.children else None,
                 )
                 nodes += used

@@ -30,7 +30,7 @@ from conftest import (
     unmatched_cubic_28,
 )
 
-TINY = SolverBudget(exhaustive_states=1, node_cap=2)
+TINY = SolverBudget(node_cap=2)
 
 
 def test_found_examples():
@@ -227,9 +227,11 @@ SOLVER_STEPS = {"spectrum-undecided", "solver", "solver-exhausted", "solver-budg
 def test_zero_sums_by_matching_agree_with_the_solver(name):
     G = ZERO_SUM_GRAPHS[name]()
     r = G.degrees[0]
-    uncapped = SolverBudget(exhaustive_states=10**30)
+    # the largest of these searches takes 239 nodes
+    reference = search_labeling(G, 4, 0, SolverBudget(node_cap=10**6))
+    assert reference.status != "undecided"
     decision, why = zero_sum_4_magic(G)
-    assert decision is (search_labeling(G, 4, 0, uncapped).status == "found")
+    assert decision is (reference.status == "found")
     if f_factor(G, 1) is None:
         return
     assert "perfect matching" in why

@@ -62,7 +62,7 @@ def regular_unions(draw):
 @given(regular_unions(), st.integers(2, 8))
 def test_oracle_agrees_with_a_search_per_sum(G, k):
     # one search per unit orbit decides what a search of every c decides
-    budget = SolverBudget(exhaustive_states=10**4, node_cap=10**4)
+    budget = SolverBudget(node_cap=10**4)
     spec = brute_force_spectrum(G, k, budget)
     for c in range(k):
         status = search_labeling(G, k, c, budget).status
@@ -93,7 +93,7 @@ def test_odd_order_even_modulus_parity(G, k):
 @SETTINGS
 @given(regular_graphs(), st.integers(2, 7), st.integers(-3, 9))
 def test_solver_found_always_verifies(G, k, c):
-    res = search_labeling(G, k, c, SolverBudget(exhaustive_states=10**5, node_cap=10**5))
+    res = search_labeling(G, k, c, SolverBudget(node_cap=10**5))
     if res.status == "found":
         assert verify(G, res.labeling) == c % k
 

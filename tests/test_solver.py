@@ -79,16 +79,20 @@ def test_deterministic():
 
 def test_budget_undecided_on_tiny_cap():
     G = complete(6)
-    tight = SolverBudget(exhaustive_states=1, node_cap=3)
+    tight = SolverBudget(node_cap=3)
     res = search_labeling(G, 7, 1, tight)
     assert res.status == "undecided"
     assert res.nodes <= 4  # cap detection counts the node it stops on
 
 
-def test_budget_uncapped_below_threshold():
-    # (k-1)^m = 2^10 under the default exhaustive threshold: cap = -1
-    assert SolverBudget().cap_for(3, 10) == -1
-    assert SolverBudget(exhaustive_states=10).cap_for(3, 10) == 10**8
+def test_budget_node_cap_is_a_positive_int():
+    # a negative cap would run unbounded, a fractional one differs
+    # between the twins
+    for cap in (-1, 0, 2.5, True, "3"):
+        with pytest.raises(KmagicError):
+            SolverBudget(node_cap=cap)
+    assert SolverBudget().node_cap == 10**8
+    assert SolverBudget(node_cap=2**64).node_cap == 2**64
 
 
 def test_k_below_2_rejected():
@@ -116,14 +120,14 @@ def test_kernels_agree_everywhere(compiled_kernel):
         (complete(5), 3, None),
         (petersen(), 3, None),
         # capped: the twins must also stop on the same node
-        (complete(6), 7, SolverBudget(exhaustive_states=1, node_cap=3)),
+        (complete(6), 7, SolverBudget(node_cap=3)),
         # a cap past 64 bits is never reached
-        (cycle(5), 4, SolverBudget(exhaustive_states=1, node_cap=2**64)),
+        (cycle(5), 4, SolverBudget(node_cap=2**64)),
         # split at bridges: per-vertex targets and per-edge allowed labels
         (bridged_cubic_16(), 5, None),
         (hub_quintic_16(), 4, None),
         # a split capped inside its pool
-        (bridged_cubic_16(), 6, SolverBudget(exhaustive_states=1, node_cap=40)),
+        (bridged_cubic_16(), 6, SolverBudget(node_cap=40)),
     ]
     for G, k, budget in cases:
         for c in range(k):
@@ -283,7 +287,7 @@ def test_components_budget_applies_to_each(kernel):
     # each K5 needs 50 nodes at k = 5, c = 1; the union's 100 fit a cap
     # of 60 because the cap holds per component
     G = disjoint_union([complete(5), complete(5)])
-    budget = SolverBudget(exhaustive_states=1, node_cap=60)
+    budget = SolverBudget(node_cap=60)
     res = search_labeling(G, 5, 1, budget, kernel=kernel)
     assert (res.status, res.nodes) == ("found", 100)
     assert verify(G, res.labeling) == 1
@@ -298,7 +302,7 @@ def test_split_decides_what_the_whole_search_leaves_to_its_cap(kernel, G, k, c, 
     # bridged16 at k = 6, c = 0 takes the whole-graph search 4.0M nodes;
     # in a zero sum mod 4 on hub_quintic_16 every bridge at the hub can
     # only take label 2, and five 2s sum to 2
-    budget = SolverBudget(exhaustive_states=1, node_cap=10**5)
+    budget = SolverBudget(node_cap=10**5)
     res = search_labeling(G, k, c, budget, kernel=kernel)
     assert res.status == status
     assert res.nodes < 10**4

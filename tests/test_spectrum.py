@@ -29,7 +29,7 @@ from kmagic import (
 from kmagic.solver import SearchResult
 from conftest import quintic38
 
-TINY = SolverBudget(exhaustive_states=1, node_cap=2)
+TINY = SolverBudget(node_cap=2)
 
 
 # ---------------------------------------------------------------------------
