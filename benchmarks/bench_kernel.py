@@ -100,92 +100,76 @@ TREE_CALLS = 50
 TREE_REPEATS = 5
 
 
-def compare_splits(kernels: dict) -> None:
-    twins = {name: kernel.petersen_split for name, kernel in kernels.items()}
-    header = f"{'2-factor split':<44} {'parts':>6} {'edges':>6}"
-    for name in twins:
-        header += f" {name + ' [ms]':>17}"
-    print(header)
-    print("-" * len(header))
-    for label, G in SPLIT_CASES:
-        results = {}
-        times = {}
-        for name, split in twins.items():
-            best = float("inf")
-            for _ in range(SPLIT_REPEATS):
-                t0 = time.perf_counter()
-                results[name] = split(G.n, *G.ends)
-                best = min(best, time.perf_counter() - t0)
-            times[name] = best
-        first = next(iter(results.values()))
-        for name, parts in results.items():
-            assert parts == first, f"{label}: {name} split differently"
-        row = f"{label:<44} {len(first):>6} {G.m:>6}"
-        for name in twins:
-            row += f" {1e3 * times[name]:>17.3f}"
-        print(row)
+# the edge count of a case's graph, a column of every twin table
+EDGES = ("edges", 6, lambda G, answers: G.m)
 
 
-def compare_sums(kernels: dict) -> None:
-    twins = {name: kernel.magic_sum for name, kernel in kernels.items()}
-    header = f"{'magic-sum check':<44} {'edges':>6} {'sums':>9}"
-    for name in twins:
-        header += f" {name + ' [us]':>17}"
+def compare_twins(kernels: dict, fn: str, title: str, columns, unit: str, calls: int,
+                  repeats: int, cases) -> None:
+    """Run the twin fn of every kernel on each case, assert that all twins
+    answer alike, and print one row per case: its columns, then each
+    twin's time per batch in unit ("ms" or "us"), the best of repeats
+    timings of calls batches.
+
+    cases holds (label, G, args, timed): the answers are fn(*a) for each
+    a in args, and a batch calls fn(*a) for each a in timed.  columns
+    holds (heading, width, cell) per column after the label, cell(G,
+    answers) giving its value.
+    """
+    scale, digits = {"ms": (1e3, 3), "us": (1e6, 2)}[unit]
+    twins = {name: getattr(kernel, fn) for name, kernel in kernels.items()}
+    header = f"{title:<44}" + "".join(f" {heading:>{width}}" for heading, width, _ in columns)
+    header += "".join(f" {name + f' [{unit}]':>17}" for name in twins)
     print(header)
     print("-" * len(header))
-    for label, G, k in SUM_CASES:
-        ones = {e: 1 for e in range(G.m)}
-        labelings = [ones, {**ones, 0: 2}]
+    for label, G, args, timed in cases:
         answers = {}
         times = {}
         for name, twin in twins.items():
-            args = [(G.n, *G.ends, labels, k) for labels in labelings]
             answers[name] = [twin(*a) for a in args]
             best = float("inf")
-            for _ in range(SUM_REPEATS):
+            for _ in range(repeats):
                 t0 = time.perf_counter()
-                for _ in range(SUM_CALLS):
-                    twin(*args[0])
+                for _ in range(calls):
+                    for a in timed:
+                        twin(*a)
                 best = min(best, time.perf_counter() - t0)
-            times[name] = best / SUM_CALLS
+            times[name] = best / calls
         first = next(iter(answers.values()))
         for name, got in answers.items():
-            assert got == first, f"{label}: {name} gave other sums"
-        row = f"{label:<44} {G.m:>6} {str(first):>9}"
-        for name in twins:
-            row += f" {1e6 * times[name]:>17.2f}"
+            assert got == first, f"{label}: {name} answered otherwise ({fn})"
+        row = f"{label:<44}" + "".join(f" {str(cell(G, first)):>{width}}" for _, width, cell in columns)
+        row += "".join(f" {scale * times[name]:>17.{digits}f}" for name in twins)
         print(row)
+
+
+def compare_splits(kernels: dict) -> None:
+    cases = [(label, G, [(G.n, *G.ends)], [(G.n, *G.ends)]) for label, G in SPLIT_CASES]
+    parts = ("parts", 6, lambda G, answers: len(answers[0]))
+    compare_twins(kernels, "petersen_split", "2-factor split", [parts, EDGES], "ms", 1,
+                  SPLIT_REPEATS, cases)
+
+
+def compare_sums(kernels: dict) -> None:
+    cases = []
+    for label, G, k in SUM_CASES:
+        ones = {e: 1 for e in range(G.m)}
+        args = [(G.n, *G.ends, labels, k) for labels in (ones, {**ones, 0: 2})]
+        cases.append((label, G, args, args[:1]))
+    sums = ("sums", 9, lambda G, answers: answers)
+    compare_twins(kernels, "magic_sum", "magic-sum check", [EDGES, sums], "us", SUM_CALLS,
+                  SUM_REPEATS, cases)
 
 
 def compare_bridge_trees(kernels: dict) -> None:
-    twins = {name: kernel.bridge_tree for name, kernel in kernels.items()}
-    header = f"{'bridge tree':<44} {'edges':>6} {'pieces':>6}"
-    for name in twins:
-        header += f" {name + ' [us]':>17}"
-    print(header)
-    print("-" * len(header))
     graphs = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + TREE_CASES
+    cases = []
     for label, G in graphs:
-        comps = [C for C, _ in component_graphs(G)]
-        plans = {}
-        times = {}
-        for name, twin in twins.items():
-            plans[name] = [twin(C.n, *C.ends) for C in comps]
-            best = float("inf")
-            for _ in range(TREE_REPEATS):
-                t0 = time.perf_counter()
-                for _ in range(TREE_CALLS):
-                    for C in comps:
-                        twin(C.n, *C.ends)
-                best = min(best, time.perf_counter() - t0)
-            times[name] = best / TREE_CALLS
-        first = next(iter(plans.values()))
-        for name, plan in plans.items():
-            assert plan == first, f"{label}: {name} planned differently"
-        row = f"{label:<44} {G.m:>6} {sum(map(len, first)):>6}"
-        for name in twins:
-            row += f" {1e6 * times[name]:>17.2f}"
-        print(row)
+        args = [(C.n, *C.ends) for C, _ in component_graphs(G)]
+        cases.append((label, G, args, args))
+    pieces = ("pieces", 6, lambda G, answers: sum(map(len, answers)))
+    compare_twins(kernels, "bridge_tree", "bridge tree", [EDGES, pieces], "us", TREE_CALLS,
+                  TREE_REPEATS, cases)
 
 
 def main() -> None:

@@ -5,9 +5,11 @@ that holds four compiled twins: the backtracking kernel of
 kmagic._backtrack_py.search, the magic-sum check of
 kmagic._backtrack_py.magic_sum, the Petersen 2-factor split of
 kmagic._backtrack_py.petersen_split and the bridge tree of
-kmagic._backtrack_py.bridge_tree.  It needs only a C compiler; if
-none is available the extension is skipped and kmagic._twin falls back
-to the pure twins at import time.
+kmagic._backtrack_py.bridge_tree.  Like the pure twins, the four read
+their graph argument (n, us, vs) through one reader, read_edges, which
+holds them to the input contract stated in the header of both modules.
+It needs only a C compiler; if none is available the extension is
+skipped and kmagic._twin falls back to the pure twins at import time.
 """
 
 from setuptools import Extension, setup

@@ -12,6 +12,16 @@
  * edge is ever its last.  An edge limited to a list of labels tries
  * them in order, nxt holding 1 + the index of the next one, and takes
  * a forced label only when it is on the list.
+ *
+ * Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge
+ * i joining us[i] and vs[i].  One reader, read_edges, is the only code
+ * that reads us and vs, and it holds all four twins to one contract:
+ * n < 0 raises ValueError; us and vs may be any iterables, each read
+ * once; a non-int end raises TypeError, as operator.index does, the
+ * ends of us first; then unequal lengths raise ValueError ("differ in
+ * length"), and an end outside 0..n-1 raises ValueError ("endpoint"),
+ * at the first such edge.  A twin's own rules on n alone come before
+ * the reader, its rules on the edges after it.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -19,6 +29,7 @@
 
 enum { UNDECIDED = -1, UNSAT = 0, SAT = 1 };
 enum { MALFORMED = -1 };  /* magic_sum's answer for labels that are not one legal label per edge */
+#define NOT_EVEN_REGULAR "need an even-regular graph with degree >= 2"
 
 /* Store obj, an int in lo..hi, in *out; otherwise raise ValueError with
  * msg, formatted with the index i and the bound hi. */
@@ -35,6 +46,60 @@ read_bounded(PyObject *obj, long lo, long hi, const char *msg, Py_ssize_t i, uns
     }
     *out = (unsigned)x;
     return 0;
+}
+
+/* The graph argument of every twin, read and checked as the header
+ * states: the ends in one new PyMem block of 2 * *m slots, us's first,
+ * then vs's; or NULL with an exception set. */
+static Py_ssize_t *
+read_edges(int n, PyObject *us_arg, PyObject *vs_arg, Py_ssize_t *m)
+{
+    PyObject *seq[2] = {NULL, NULL};
+    Py_ssize_t *ends = NULL;
+
+    if (n < 0) {
+        PyErr_Format(PyExc_ValueError, "need n >= 0, got %d", n);
+        return NULL;
+    }
+    if ((seq[0] = PySequence_Fast(us_arg, "us must be iterable")) == NULL ||
+        (seq[1] = PySequence_Fast(vs_arg, "vs must be iterable")) == NULL)
+        goto fail;
+    Py_ssize_t len[2] = {PySequence_Fast_GET_SIZE(seq[0]), PySequence_Fast_GET_SIZE(seq[1])};
+    ends = PyMem_Malloc(((size_t)len[0] + (size_t)len[1] + 1) * sizeof(Py_ssize_t));
+    if (ends == NULL) {
+        PyErr_NoMemory();
+        goto fail;
+    }
+    Py_ssize_t bad = PY_SSIZE_T_MAX;  /* the first edge with an end outside 0..n-1 */
+    for (int s = 0; s < 2; s++) {
+        Py_ssize_t *out = ends + (s ? len[0] : 0);
+        for (Py_ssize_t i = 0; i < len[s]; i++) {
+            int overflow;
+            long x = PyLong_AsLongAndOverflow(PySequence_Fast_GET_ITEM(seq[s], i), &overflow);
+            if (x == -1 && PyErr_Occurred())
+                goto fail;
+            if ((overflow || x < 0 || x >= n) && i < bad)
+                bad = i;
+            out[i] = x;
+        }
+    }
+    if (len[0] != len[1]) {
+        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
+        goto fail;
+    }
+    if (bad < len[0]) {
+        PyErr_Format(PyExc_ValueError, "edge %zd has an endpoint outside 0..%d", bad, n - 1);
+        goto fail;
+    }
+    *m = len[0];
+    Py_DECREF(seq[0]);
+    Py_DECREF(seq[1]);
+    return ends;
+fail:
+    Py_XDECREF(seq[0]);
+    Py_XDECREF(seq[1]);
+    PyMem_Free(ends);
+    return NULL;
 }
 
 /* Is f on the increasing list lo..hi (hi exclusive)? */
@@ -103,9 +168,9 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     static char *kwlist[] = {"n", "k", "c", "us", "vs", "node_cap", "targets", "allowed", NULL};
     int n, k_in, c_in, overflow;
     PyObject *us_arg, *vs_arg, *cap_arg, *tg_arg = Py_None, *al_arg = Py_None;
-    PyObject *us = NULL, *vs = NULL, *tg = NULL, *al = NULL, *result = NULL;
+    PyObject *tg = NULL, *al = NULL, *result = NULL;
     unsigned *block = NULL, *alab = NULL;
-    Py_ssize_t *span = NULL;
+    Py_ssize_t *ends = NULL, *span = NULL, m;
 
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiOOO|OO:search", kwlist, &n, &k_in,
                                      &c_in, &us_arg, &vs_arg, &cap_arg, &tg_arg, &al_arg))
@@ -117,31 +182,17 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     if (overflow)  /* a cap past long long is never reached, a negative one never applies */
         node_cap = overflow > 0 ? LLONG_MAX : -1;
-    us = PySequence_Fast(us_arg, "us must be a sequence");
-    if (us == NULL)
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
         goto done;
-    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
-    if (vs == NULL)
-        goto done;
-    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
-    if (PySequence_Fast_GET_SIZE(vs) != m) {
-        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
-        goto done;
-    }
-    size_t n_slots = n > 0 ? (size_t)n : 0;
-    block = PyMem_Calloc(4 * (size_t)m + 3 * n_slots, sizeof(unsigned));
+    block = PyMem_Calloc(2 * (size_t)m + 3 * (size_t)n, sizeof(unsigned));
     if (block == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    unsigned *eu = block, *ev = eu + m, *labels = ev + m, *nxt = labels + m;
-    unsigned *left = nxt + m, *sums = left + n_slots, *tgt = sums + n_slots;
-
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    unsigned *labels = block, *nxt = labels + m, *left = nxt + m, *sums = left + n, *tgt = sums + n;
     for (Py_ssize_t i = 0; i < m; i++) {
-        const char *msg = "edge %zd has an endpoint outside 0..%d";
-        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &eu[i]) < 0 ||
-            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &ev[i]) < 0)
-            goto done;
         nxt[i] = 1;
         left[eu[i]] += 1;
         left[ev[i]] += 1;
@@ -149,17 +200,17 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
 
     int c_mod = c_in % k_in;
     unsigned k = (unsigned)k_in, c = (unsigned)(c_mod < 0 ? c_mod + k_in : c_mod);
-    for (size_t v = 0; v < n_slots; v++)
+    for (int v = 0; v < n; v++)
         tgt[v] = c;
     if (tg_arg != Py_None) {
         tg = PySequence_Fast(tg_arg, "targets must be a sequence");
         if (tg == NULL)
             goto done;
-        if (PySequence_Fast_GET_SIZE(tg) != (Py_ssize_t)n_slots) {
+        if (PySequence_Fast_GET_SIZE(tg) != n) {
             PyErr_SetString(PyExc_ValueError, "targets must hold one entry per vertex");
             goto done;
         }
-        for (Py_ssize_t v = 0; v < (Py_ssize_t)n_slots; v++) {
+        for (Py_ssize_t v = 0; v < n; v++) {
             PyObject *t = PySequence_Fast_GET_ITEM(tg, v);
             if (t == Py_None)
                 left[v] += 1;  /* a phantom edge that is never labeled */
@@ -193,7 +244,8 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
             status = SAT;
             break;
         }
-        unsigned u = eu[pos], v = ev[pos], x = 0;
+        Py_ssize_t u = eu[pos], v = ev[pos];
+        unsigned x = 0;
         const Py_ssize_t *lim = span == NULL || span[2 * pos] < 0 ? NULL : span + 2 * pos;
         if (left[u] == 1 || left[v] == 1) {
             if (nxt[pos] == 1) {
@@ -232,7 +284,8 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
                 status = UNSAT;
                 break;
             }
-            unsigned y = labels[pos], pu = eu[pos], pv = ev[pos];
+            unsigned y = labels[pos];
+            Py_ssize_t pu = eu[pos], pv = ev[pos];
             sums[pu] = (sums[pu] - y + k) % k;
             sums[pv] = (sums[pv] - y + k) % k;
             left[pu] += 1;
@@ -269,11 +322,10 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     result = Py_BuildValue("(iNL)", status, out, nodes);
 done:
+    PyMem_Free(ends);
     PyMem_Free(block);
     PyMem_Free(span);
     PyMem_Free(alab);
-    Py_XDECREF(us);
-    Py_XDECREF(vs);
     Py_XDECREF(tg);
     Py_XDECREF(al);
     return result;
@@ -290,44 +342,28 @@ static PyObject *
 magic_sum(PyObject *self, PyObject *args)
 {
     int n, k;
-    PyObject *us_arg, *vs_arg, *labels, *us = NULL, *vs = NULL, *result = NULL;
-    unsigned *ends = NULL;
+    PyObject *us_arg, *vs_arg, *labels, *result = NULL;
+    Py_ssize_t *ends = NULL, m;
     unsigned long long *sums = NULL;
 
     if (!PyArg_ParseTuple(args, "iOOOi:magic_sum", &n, &us_arg, &vs_arg, &labels, &k))
         return NULL;
     if (k < 2)
         return PyErr_Format(PyExc_ValueError, "magic_sum needs k >= 2, got %d", k);
-    us = PySequence_Fast(us_arg, "us must be a sequence");
-    if (us == NULL)
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
         goto done;
-    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
-    if (vs == NULL)
-        goto done;
-    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
-    if (PySequence_Fast_GET_SIZE(vs) != m) {
-        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
-        goto done;
-    }
-    size_t n_slots = n > 0 ? (size_t)n : 0;
-    ends = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(unsigned));
-    sums = PyMem_Calloc(n_slots + 1, sizeof(unsigned long long));
-    if (ends == NULL || sums == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    for (Py_ssize_t i = 0; i < m; i++) {
-        const char *msg = "edge %zd has an endpoint outside 0..%d";
-        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &ends[2 * i]) < 0 ||
-            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &ends[2 * i + 1]) < 0)
-            goto done;
-    }
     if (!PyDict_Check(labels)) {
         PyErr_SetString(PyExc_TypeError, "labels must be a dict");
         goto done;
     }
     if (PyDict_GET_SIZE(labels) != m) {
         result = PyLong_FromLong(MALFORMED);
+        goto done;
+    }
+    sums = PyMem_Calloc((size_t)n + 1, sizeof(unsigned long long));
+    if (sums == NULL) {
+        PyErr_NoMemory();
         goto done;
     }
     for (Py_ssize_t i = 0; i < m; i++) {
@@ -346,15 +382,15 @@ magic_sum(PyObject *self, PyObject *args)
             result = PyLong_FromLong(MALFORMED);
             goto done;
         }
-        sums[ends[2 * i]] += (unsigned long long)x;
-        sums[ends[2 * i + 1]] += (unsigned long long)x;
+        sums[ends[i]] += (unsigned long long)x;
+        sums[ends[m + i]] += (unsigned long long)x;
     }
-    if (n_slots == 0) {
+    if (n == 0) {
         result = Py_NewRef(Py_None);
         goto done;
     }
     unsigned long long c = sums[0] % (unsigned)k;
-    for (size_t v = 1; v < n_slots; v++)
+    for (int v = 1; v < n; v++)
         if (sums[v] % (unsigned)k != c) {
             result = Py_NewRef(Py_None);
             goto done;
@@ -363,8 +399,6 @@ magic_sum(PyObject *self, PyObject *args)
 done:
     PyMem_Free(ends);
     PyMem_Free(sums);
-    Py_XDECREF(us);
-    Py_XDECREF(vs);
     return result;
 }
 
@@ -379,56 +413,44 @@ static PyObject *
 petersen_split(PyObject *self, PyObject *args)
 {
     int n;
-    PyObject *us_arg, *vs_arg, *us = NULL, *vs = NULL, *parts = NULL, *result = NULL;
-    Py_ssize_t *block = NULL;
+    PyObject *us_arg, *vs_arg, *parts = NULL, *result = NULL;
+    Py_ssize_t *ends = NULL, *block = NULL, m;
 
     if (!PyArg_ParseTuple(args, "iOO:petersen_split", &n, &us_arg, &vs_arg))
         return NULL;
-    us = PySequence_Fast(us_arg, "us must be a sequence");
-    if (us == NULL)
+    if (n < 1)
+        return PyErr_Format(PyExc_ValueError, NOT_EVEN_REGULAR);
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
         goto done;
-    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
-    if (vs == NULL)
-        goto done;
-    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
-    if (PySequence_Fast_GET_SIZE(vs) != m) {
-        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
+    if (m < n) {  /* a vertex would have no edges: checked before allocating per vertex */
+        PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
         goto done;
     }
-    if (n < 1 || m < n) {  /* a vertex would have no edges: checked before allocating per vertex */
-        PyErr_SetString(PyExc_ValueError, "need an even-regular graph with degree >= 2");
-        goto done;
-    }
-    /* per edge: ends, tail, arc (edge id, head) by tail, round; per vertex:
+    /* per edge: tail, arc (edge id, head) by tail, round; per vertex:
      * degree, walk position, first arc, path state; the walk's stack */
     Py_ssize_t nv = n;
-    block = PyMem_Calloc(9 * (size_t)m + 8 * (size_t)nv + 2, sizeof(Py_ssize_t));
+    block = PyMem_Calloc(7 * (size_t)m + 8 * (size_t)nv + 2, sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    Py_ssize_t *eu = block, *ev = eu + m, *tail = ev + m, *arc = tail + m, *head = arc + m;
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    Py_ssize_t *tail = block, *arc = tail + m, *head = arc + m;
     Py_ssize_t *round = head + m, *adj = round + m, *deg = adj + 2 * m, *nxt = deg + nv;
     Py_ssize_t *first = nxt + nv, *tail_of = first + nv + 1, *arc_of = tail_of + nv;
     Py_ssize_t *seen = arc_of + nv, *tails = seen + nv, *pos = tails + nv, *stack = pos + nv;
 
     for (Py_ssize_t i = 0; i < m; i++) {
-        const char *msg = "edge %zd has an endpoint outside 0..%d";
-        unsigned u, v;
-        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &u) < 0 ||
-            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &v) < 0)
-            goto done;
-        eu[i] = u;
-        ev[i] = v;
-        deg[u] += 1;
-        deg[v] += 1;
+        deg[eu[i]] += 1;
+        deg[ev[i]] += 1;
     }
     Py_ssize_t d = deg[0];
     for (Py_ssize_t v = 0; v < nv; v++)
         if (deg[v] != d)
             d = 0;
     if (d < 2 || d % 2 != 0) {
-        PyErr_SetString(PyExc_ValueError, "need an even-regular graph with degree >= 2");
+        PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
         goto done;
     }
     Py_ssize_t rho = d / 2;
@@ -535,9 +557,8 @@ petersen_split(PyObject *self, PyObject *args)
     result = parts;
     parts = NULL;
 done:
+    PyMem_Free(ends);
     PyMem_Free(block);
-    Py_XDECREF(us);
-    Py_XDECREF(vs);
     Py_XDECREF(parts);
     return result;
 }
@@ -614,42 +635,33 @@ static PyObject *
 bridge_tree(PyObject *self, PyObject *args)
 {
     int n;
-    PyObject *us_arg, *vs_arg, *us = NULL, *vs = NULL, *pieces = NULL, *result = NULL;
-    Py_ssize_t *block = NULL;
+    PyObject *us_arg, *vs_arg, *pieces = NULL, *result = NULL;
+    Py_ssize_t *ends = NULL, *block = NULL, m;
 
     if (!PyArg_ParseTuple(args, "iOO:bridge_tree", &n, &us_arg, &vs_arg))
         return NULL;
-    us = PySequence_Fast(us_arg, "us must be a sequence");
-    if (us == NULL)
+    if (n < 1)
+        return PyErr_Format(PyExc_ValueError, "bridge_tree needs n >= 1, got %d", n);
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
         goto done;
-    vs = PySequence_Fast(vs_arg, "vs must be a sequence");
-    if (vs == NULL)
-        goto done;
-    Py_ssize_t m = PySequence_Fast_GET_SIZE(us);
-    if (PySequence_Fast_GET_SIZE(vs) != m) {
-        PyErr_SetString(PyExc_ValueError, "us and vs differ in length");
-        goto done;
-    }
-    if (n < 1) {
-        PyErr_Format(PyExc_ValueError, "bridge_tree needs n >= 1, got %d", n);
-        goto done;
-    }
     if (m < (Py_ssize_t)n - 1) {  /* checked before allocating per vertex */
         PyErr_SetString(PyExc_ValueError, "graph is not connected");
         goto done;
     }
-    /* per edge: ends, adjacency (two slots), bridge and seen flags, the
-     * pieces' order, us and vs; per vertex: first adjacency slot, walk
-     * position, discovery, lowpoint, tree edge, stack, piece, local
-     * number, queue, visited flag, piece size; per output piece: entry,
-     * order start, children start; per bridge: child position and index */
+    /* per edge: adjacency (two slots), bridge and seen flags, the pieces'
+     * order, us and vs; per vertex: first adjacency slot, walk position,
+     * discovery, lowpoint, tree edge, stack, piece, local number, queue,
+     * visited flag, piece size; per output piece: entry, order start,
+     * children start; per bridge: child position and index */
     Py_ssize_t nv = n;
-    block = PyMem_Calloc(9 * (size_t)m + 16 * (size_t)nv + 3, sizeof(Py_ssize_t));
+    block = PyMem_Calloc(7 * (size_t)m + 16 * (size_t)nv + 3, sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    Py_ssize_t *eu = block, *ev = eu + m, *adj = ev + m, *bridge = adj + 2 * m;
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    Py_ssize_t *adj = block, *bridge = adj + 2 * m;
     Py_ssize_t *eseen = bridge + m, *order = eseen + m, *pus = order + m, *pvs = pus + m;
     Py_ssize_t *first = pvs + m, *nxt = first + nv + 1, *disc = nxt + nv, *low = disc + nv;
     Py_ssize_t *via = low + nv, *stack = via + nv, *piece_of = stack + nv, *local = piece_of + nv;
@@ -658,15 +670,8 @@ bridge_tree(PyObject *self, PyObject *args)
     Py_ssize_t *cpos = cstart + nv + 1, *cidx = cpos + nv;
 
     for (Py_ssize_t i = 0; i < m; i++) {
-        const char *msg = "edge %zd has an endpoint outside 0..%d";
-        unsigned u, v;
-        if (read_bounded(PySequence_Fast_GET_ITEM(us, i), 0, n - 1, msg, i, &u) < 0 ||
-            read_bounded(PySequence_Fast_GET_ITEM(vs, i), 0, n - 1, msg, i, &v) < 0)
-            goto done;
-        eu[i] = u;
-        ev[i] = v;
-        first[u + 1] += 1;
-        first[v + 1] += 1;
+        first[eu[i] + 1] += 1;
+        first[ev[i] + 1] += 1;
     }
     /* the adjacency in edge-id order, vertex v's at adj[first[v] .. first[v + 1]) */
     for (Py_ssize_t v = 0; v < nv; v++)
@@ -794,9 +799,8 @@ bridge_tree(PyObject *self, PyObject *args)
     result = pieces;
     pieces = NULL;
 done:
+    PyMem_Free(ends);
     PyMem_Free(block);
-    Py_XDECREF(us);
-    Py_XDECREF(vs);
     Py_XDECREF(pieces);
     return result;
 }

@@ -10,11 +10,27 @@ order; when an edge is the last unlabeled edge at one of its endpoints
 its label is forced by the target sum, otherwise all of its allowed
 labels (1..k-1 unless restricted) are tried in increasing order.  Every
 attempted assignment counts as one node against the cap.
+
+Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge i
+joining us[i] and vs[i].  One reader, _read_edges, is the only code that
+reads us and vs, and it holds all four twins to one contract:
+
+- n < 0 raises ValueError;
+- us and vs may be any iterables, each read once;
+- a non-int end raises TypeError, as operator.index does, the ends of
+  us first;
+- then unequal lengths raise ValueError ("differ in length"),
+- and an end outside 0..n-1 raises ValueError ("endpoint"), at the
+  first such edge.
+
+A twin's own rules on n alone come before the reader, its rules on the
+edges after it.
 """
 
 from __future__ import annotations
 
 from itertools import compress
+from operator import index
 
 SAT = 1
 UNSAT = 0
@@ -26,30 +42,50 @@ MALFORMED = -1
 # the largest n and k the compiled twins' C int arguments hold
 C_INT_MAX = 2**31 - 1
 
+_NOT_EVEN_REGULAR = "need an even-regular graph with degree >= 2"
 
-def magic_sum(n, us, vs, labels, k):
-    """The common vertex sum mod k of a labeling, or None.
 
-    Edge i joins us[i] and vs[i].  labels is a dict from edge id to
-    label.  Returns MALFORMED unless its keys are exactly the ids
-    0..m-1 and every label is an int (a bool counts as one) in 1..k-1.
-    Otherwise returns the vertex sum mod k when every vertex has the
-    same one, and None when two differ or n is 0.  A vertex without
-    edges sums to 0.  Raises ValueError when k < 2, when us and vs
-    differ in length, or when an endpoint lies outside 0..n-1, and
-    TypeError when labels is not a dict.
-    """
-    if k < 2:
-        raise ValueError(f"magic_sum needs k >= 2, got {k}")
-    m = len(us)
-    if len(vs) != m:
+def _read_edges(n, us, vs):
+    """The graph argument of every twin: us and vs as lists of ints,
+    read and checked as the module header states."""
+    if n < 0:
+        raise ValueError(f"need n >= 0, got {n}")
+    us, vs = list(map(index, us)), list(map(index, vs))
+    if len(us) != len(vs):
         raise ValueError("us and vs differ in length")
     for i, (u, v) in enumerate(zip(us, vs)):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
+    return us, vs
+
+
+def _adjacency(n, us, vs):
+    """Per vertex, its (other end, edge id) pairs in edge-id order; a
+    loop is listed twice at its vertex."""
+    adjacency = [[] for _ in range(n)]
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        adjacency[u].append((v, eid))
+        adjacency[v].append((u, eid))
+    return adjacency
+
+
+def magic_sum(n, us, vs, labels, k):
+    """The common vertex sum mod k of a labeling, or None.
+
+    (n, us, vs) is the graph, as the module header states.  labels is a
+    dict from edge id to label.  Returns MALFORMED unless its keys are
+    exactly the ids 0..m-1 and every label is an int (a bool counts as
+    one) in 1..k-1.  Otherwise returns the vertex sum mod k when every
+    vertex has the same one, and None when two differ or n is 0.  A
+    vertex without edges sums to 0.  Raises ValueError when k < 2,
+    checked before the graph, and TypeError when labels is not a dict.
+    """
+    if k < 2:
+        raise ValueError(f"magic_sum needs k >= 2, got {k}")
+    us, vs = _read_edges(n, us, vs)
     if not isinstance(labels, dict):
         raise TypeError("labels must be a dict")
-    if len(labels) != m:
+    if len(labels) != len(us):
         return MALFORMED
     sums = [0] * n
     for i, (u, v) in enumerate(zip(us, vs)):
@@ -67,30 +103,27 @@ def magic_sum(n, us, vs, labels, k):
 def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):
     """Find an edge labeling with all vertex sums equal to c mod k.
 
-    us/vs hold edge endpoints in assignment order; node_cap < 0 means
-    unbounded.  targets, when given, holds one entry per vertex and
-    replaces c: vertex v must sum to targets[v], a residue in 0..k-1, or
-    to anything when targets[v] is None.  allowed, when given, holds one
-    entry per edge in assignment order: None lets the edge take every
-    label 1..k-1, a sequence of increasing labels within 1..k-1 limits
-    it to those.  A vertex without edges is never checked: the solver
-    settles isolated vertices before it searches.  Returns (status,
-    labels or None, nodes) with labels in assignment order.  Raises
-    ValueError when k < 2, when us and vs differ in length, when an
-    endpoint lies outside 0..n-1, or when targets or allowed has the
+    (n, us, vs) is the graph, as the module header states, its edges in
+    assignment order; node_cap < 0 means unbounded.  targets, when
+    given, holds one entry per vertex and replaces c: vertex v must sum
+    to targets[v], a residue in 0..k-1, or to anything when targets[v]
+    is None.  allowed, when given, holds one entry per edge in
+    assignment order: None lets the edge take every label 1..k-1, a
+    sequence of increasing labels within 1..k-1 limits it to those.  A
+    vertex without edges is never checked: the solver settles isolated
+    vertices before it searches.  Returns (status, labels or None,
+    nodes) with labels in assignment order.  Raises ValueError when
+    k < 2, checked before the graph, or when targets or allowed has the
     wrong length or an entry out of range.
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
+    us, vs = _read_edges(n, us, vs)
     m = len(us)
-    if len(vs) != m:
-        raise ValueError("us and vs differ in length")
     left = [0] * n
-    for i in range(m):
-        if not (0 <= us[i] < n and 0 <= vs[i] < n):
-            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
-        left[us[i]] += 1
-        left[vs[i]] += 1
+    for u, v in zip(us, vs):
+        left[u] += 1
+        left[v] += 1
     tgt = [c] * n
     if targets is not None:
         if len(targets) != n:
@@ -173,32 +206,29 @@ def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):
 def petersen_split(n, us, vs):
     """The 2-factors of an even-regular multigraph (Petersen, 1891).
 
-    Edge i joins us[i] and vs[i].  Returns one list of edge ids in
-    increasing order per 2-factor.  The graph is oriented once so that
-    every vertex is left by half of its edges; every round but the last
-    takes a perfect matching of the out/in incidence graph over the
-    edges no earlier round took, and the last round is the edges left,
-    that graph's only perfect matching by then.  Raises ValueError when
-    us and vs differ in length, when an endpoint lies outside 0..n-1,
-    or when the graph is not regular of even degree at least 2.
+    (n, us, vs) is the graph, as the module header states.  Returns one
+    list of edge ids in increasing order per 2-factor.  The graph is
+    oriented once so that every vertex is left by half of its edges;
+    every round but the last takes a perfect matching of the out/in
+    incidence graph over the edges no earlier round took, and the last
+    round is the edges left, that graph's only perfect matching by then.
+    Raises ValueError when the graph is not regular of even degree at
+    least 2; n < 1 is refused before the graph is read.
     """
+    if n < 1:
+        raise ValueError(_NOT_EVEN_REGULAR)
+    us, vs = _read_edges(n, us, vs)
     m = len(us)
-    if len(vs) != m:
-        raise ValueError("us and vs differ in length")
-    if n < 1 or m < n:  # a vertex would have no edges: checked before allocating per vertex
-        raise ValueError("need an even-regular graph with degree >= 2")
-    deg = [0] * n
-    for i in range(m):
-        if not (0 <= us[i] < n and 0 <= vs[i] < n):
-            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
-        deg[us[i]] += 1
-        deg[vs[i]] += 1
-    if deg[0] < 2 or deg[0] % 2 or deg.count(deg[0]) != n:
-        raise ValueError("need an even-regular graph with degree >= 2")
-    out_arcs = _orient(n, us, vs)
+    if m < n:  # a vertex would have no edges: checked before allocating per vertex
+        raise ValueError(_NOT_EVEN_REGULAR)
+    adjacency = _adjacency(n, us, vs)
+    d = len(adjacency[0])
+    if d < 2 or d % 2 or any(len(adj) != d for adj in adjacency):
+        raise ValueError(_NOT_EVEN_REGULAR)
+    out_arcs = _orient(adjacency, m)
     alive = bytearray([1]) * m
     parts = []
-    for _ in range(deg[0] // 2 - 1):
+    for _ in range(d // 2 - 1):
         matched = _bipartite_round(out_arcs, alive)
         for eid in matched:
             alive[eid] = 0
@@ -211,37 +241,30 @@ def bridge_tree(n, us, vs):
     """The 2-edge-connected pieces of a connected multigraph, as the
     solver searches them.
 
-    Edge i joins us[i] and vs[i].  The bridges come from one lowpoint
-    walk (Tarjan, 1974); a parallel edge is never a bridge.  Returns one
-    tuple (n_local, entry, order, us, vs, children, edgeless) per piece,
-    the piece of vertex 0 first and each piece after its parent.  A
-    piece's vertices are numbered 0..size-1 in ascending order, and a
-    piece with child bridges has one more vertex, a stub standing for
-    every child piece; n_local counts the stub.  order holds the edge ids
-    labeled in the piece, its own edges and its child bridges, in
-    breadth-first order from entry, the local vertex at its parent
-    bridge (at the root, vertex 0); us and vs are their local ends, us
-    the end the walk reached first and vs the stub for a child bridge.
-    children holds (position in order, child piece index) per child
-    bridge; edgeless is True for a single vertex.  A bridgeless graph is
-    one piece whose order is the breadth-first edge order from vertex 0.
-    Raises ValueError when us and vs differ in length, when n < 1, when
-    an endpoint lies outside 0..n-1, or when the graph is not connected.
+    (n, us, vs) is the graph, as the module header states.  The
+    bridges come from one lowpoint walk (Tarjan, 1974); a parallel edge
+    is never a bridge.  Returns one tuple (n_local, entry, order, us,
+    vs, children, edgeless) per piece, the piece of vertex 0 first and
+    each piece after its parent.  A piece's vertices are numbered
+    0..size-1 in ascending order, and a piece with child bridges has one
+    more vertex, a stub standing for every child piece; n_local counts
+    the stub.  order holds the edge ids labeled in the piece, its own
+    edges and its child bridges, in breadth-first order from entry, the
+    local vertex at its parent bridge (at the root, vertex 0); us and vs
+    are their local ends, us the end the walk reached first and vs the
+    stub for a child bridge.  children holds (position in order, child
+    piece index) per child bridge; edgeless is True for a single vertex.
+    A bridgeless graph is one piece whose order is the breadth-first
+    edge order from vertex 0.  Raises ValueError when n < 1, checked
+    before the graph is read, or when the graph is not connected.
     """
-    m = len(us)
-    if len(vs) != m:
-        raise ValueError("us and vs differ in length")
     if n < 1:
         raise ValueError(f"bridge_tree needs n >= 1, got {n}")
+    us, vs = _read_edges(n, us, vs)
+    m = len(us)
     if m < n - 1:  # checked before allocating per vertex
         raise ValueError("graph is not connected")
-    adjacency = [[] for _ in range(n)]
-    for i in range(m):
-        u, v = us[i], vs[i]
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
-        adjacency[u].append((v, i))
-        adjacency[v].append((u, i))
+    adjacency = _adjacency(n, us, vs)
     # the lowpoint walk from vertex 0, via[w] the tree edge that reached w
     disc = [-1] * n
     low = [0] * n
@@ -324,19 +347,17 @@ def bridge_tree(n, us, vs):
     return pieces
 
 
-def _orient(n, us, vs):
-    """Per tail vertex, its out-arcs (head, edge id) in edge-id order.
+def _orient(adjacency, m):
+    """Per tail vertex, its out-arcs (head, edge id) in edge-id order,
+    given the _adjacency of a graph with m edges.
 
     From each vertex in turn, walk along unused edges, smallest id first,
     backing up when stuck; an edge points the way the walk first crossed
     it.  In an even graph a walk gets stuck only where it started, so
     every vertex is left by half of its edges.
     """
-    adjacency = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(zip(us, vs)):
-        adjacency[u].append((v, eid))
-        adjacency[v].append((u, eid))
-    used = bytearray(len(us))
+    n = len(adjacency)
+    used = bytearray(m)
     nxt = [0] * n
     out_arcs = [[] for _ in range(n)]
     for start in range(n):

@@ -103,11 +103,7 @@ def _cmd_label(args) -> int:
     chain = " > ".join(s.rule for s in res.trace.steps) or "(empty)"
     print(f"label: {res.status} c={args.c % args.k if args.k > 1 else args.c} via {chain}")
     if res.status == "found":
-        text = labeling_to_json(res.labeling, res.c, res.trace)
-        if args.output is not None:
-            _emit(text, args.output)
-        else:
-            sys.stdout.write(text)
+        _emit(labeling_to_json(res.labeling, res.c, res.trace), args.output)
         return EXIT_OK
     return EXIT_UNDECIDED if res.status == "undecided" else EXIT_NEGATIVE
 
@@ -209,9 +205,12 @@ def _parse_k_range(text: str) -> range:
     if not sep:
         raise KmagicError(f"--k-range wants A..B, got {text!r}")
     try:
-        return range(int(lo), int(hi) + 1)
+        ks = range(int(lo), int(hi) + 1)
     except ValueError:
         raise KmagicError(f"--k-range wants A..B, got {text!r}") from None
+    if not ks:
+        raise KmagicError(f"--k-range {text!r} is empty")
+    return ks
 
 
 def _cmd_compare(args) -> int:

@@ -73,11 +73,7 @@ def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozense
     a target is outside 0..deg(v); returns None when no such subgraph
     exists (in particular when the target sum is odd).
     """
-    if len(targets) != G.n:
-        raise FactorError(f"expected {G.n} degree targets, got {len(targets)}")
-    for v, t in enumerate(targets):
-        if not 0 <= t <= G.degrees[v]:
-            raise FactorError(f"target {t} at vertex {v} outside 0..{G.degrees[v]}")
+    _check_targets(G, targets)
     if sum(targets) % 2 != 0:
         return None
     if all(t == 0 for t in targets):
@@ -85,6 +81,15 @@ def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozense
     if all(t == 1 for t in targets):
         return _one_factor(G)
     return _gadget_factor(G, targets)
+
+
+def _check_targets(G: MultiGraph, targets: Sequence[int]) -> None:
+    """Raise FactorError unless targets holds one degree in 0..deg(v) per vertex v."""
+    if len(targets) != G.n:
+        raise FactorError(f"expected {G.n} degree targets, got {len(targets)}")
+    for v, t in enumerate(targets):
+        if not 0 <= t <= G.degrees[v]:
+            raise FactorError(f"target {t} at vertex {v} outside 0..{G.degrees[v]}")
 
 
 def f_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
@@ -197,11 +202,7 @@ def exhaustive_factor_search(G: MultiGraph, targets: Sequence[int]) -> frozenset
     """
     if G.m > EXHAUSTIVE_EDGE_LIMIT:
         raise BudgetError(f"exhaustive search capped at {EXHAUSTIVE_EDGE_LIMIT} edges, m={G.m}")
-    if len(targets) != G.n:
-        raise FactorError(f"expected {G.n} degree targets, got {len(targets)}")
-    for v, t in enumerate(targets):
-        if not 0 <= t <= G.degrees[v]:
-            raise FactorError(f"target {t} at vertex {v} outside 0..{G.degrees[v]}")
+    _check_targets(G, targets)
     if sum(targets) % 2 != 0:
         return None
     # avail[v] counts incident edges not yet decided

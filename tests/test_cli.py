@@ -245,6 +245,7 @@ def test_compare_over_corpus(tmp_path, capsys):
     empty.mkdir()
     assert run(capsys, "compare", "--corpus", str(empty), "--k-range", "3..4")[0] == 2
     assert run(capsys, "compare", "--corpus", str(d), "--k-range", "35")[0] == 2
+    assert run(capsys, "compare", "--corpus", str(d), "--k-range", "5..3")[0] == 2
 
 
 def test_budget_env_var(tmp_path, pete_file, capsys, monkeypatch):

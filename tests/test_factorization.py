@@ -194,6 +194,10 @@ def test_split_twins_reject_bad_input_alike(twin, request):
             split(n, us, vs)
     with pytest.raises(TypeError):
         split(3, [0, 1, "2"], [1, 2, 0])
+    # the graph's ends may come from one-shot iterators; a float end is no int
+    assert split(3, iter([0, 1, 2]), (v for v in [1, 2, 0])) == [[0, 1, 2]]
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        split(3, [0, 1, 2], [1, 2.0, 0])
 
 
 def test_two_factorization_rejects_odd_degree():

@@ -377,4 +377,10 @@ def test_sum_twins_reject_bad_input_alike(twin, request):
     with pytest.raises(TypeError, match="dict"):
         impl(2, [0], [1], [1], 5)
     assert impl(0, [], [], {}, 5) is None
+    with pytest.raises(ValueError, match="n >= 0"):
+        impl(-1, [], [], {}, 5)
+    # the graph's ends may come from one-shot iterators; a float end is no int
+    assert impl(3, iter([0, 1, 2]), (v for v in [1, 2, 0]), {0: 1, 1: 1, 2: 1}, 5) == 2
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        impl(2, [0.0], [1], {0: 1}, 5)
     assert impl(3, [0], [1], {0: 2}, 5) is None  # vertex 2 has no edges and sums to 0

@@ -227,6 +227,16 @@ def test_kernels_reject_bad_input_alike(twin, request):
     for n, us, vs in [(2, [], []), (4, [0, 2], [1, 3]), (4, [0, 0, 2], [1, 1, 3])]:
         with pytest.raises(ValueError, match="not connected"):
             impl.bridge_tree(n, us, vs)
+    with pytest.raises(ValueError, match="n >= 0"):
+        impl.search(-2, 5, 0, [], [], 10, targets=[])
+    # the graph's ends may come from one-shot iterators; a float end is no int
+    us, vs = [0, 1, 2, 2], [1, 2, 0, 3]
+    assert impl.search(4, 5, 1, iter(us), (v for v in vs), -1) == impl.search(4, 5, 1, us, vs, -1)
+    assert impl.bridge_tree(4, iter(us), (v for v in vs)) == impl.bridge_tree(4, us, vs)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        impl.search(4, 5, 1, us, [1, 2, 0, 3.0], -1)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        impl.bridge_tree(4, [0, 1.0, 2, 2], vs)
 
 
 def test_parity_settles_at_zero_nodes(kernel):
