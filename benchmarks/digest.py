@@ -2,7 +2,7 @@
 over two fixed corpora.
 
 The construct part runs construct(G, k, c, SolverBudget(node_cap=2000))
-for k = 1..12, every c in Z_k (c in -6..6 at k = 1), on each of 38
+for k = 1..12, every c in Z_k (c in -6..6 at k = 1), on each of 39
 graphs, and prints two SHA-256 digests over the answers in that order:
 
 - full: graph name, k, c, status, verified sum, sorted labels and the
@@ -10,8 +10,7 @@ graphs, and prints two SHA-256 digests over the answers in that order:
 - status: graph name, k, c and status only.
 
 It also prints how many found calls each rule answered: the rule of
-the first trace step that is neither a fallthrough nor an inner step of
-a factor extension.
+the first trace step that is not a fallthrough.
 
 The oracle part runs brute_force_spectrum(G, k, SolverBudget(node_cap=
 10**5)) for k = 2..7 on each of 8 graphs, most of them without a
@@ -99,7 +98,8 @@ def two_hub_even(r):
     """r copies of K_{r+1} minus an edge, the two ends of each removed
     edge joined to hubs 0 and 1.  For even r it is r-regular, of even
     order, and has no perfect matching: removing the hubs leaves r odd
-    components.  Odd sums at even k on it reach the even-degree specials."""
+    components.  The doubling search answers its odd sums at even k, by
+    folding a factor of odd degree of the doubled graph."""
     pairs = []
     for base in range(2, 2 + r * (r + 1), r + 1):
         block = range(base, base + r + 1)
@@ -218,6 +218,7 @@ def corpus() -> list[tuple[str, object]]:
         ("2C5", double_graph(cycle(5)).doubled),
         ("two_hub_even(4)", two_hub_even(4)),
         ("two_hub_even(6)", two_hub_even(6)),
+        ("two_hub_even(8)", two_hub_even(8)),
     ]
 
 
@@ -238,7 +239,7 @@ def answering_rule(trace):
     """The rule that answered a found call."""
     return next(
         s.rule for s in trace.steps
-        if s.rule not in ("fallthrough", "spectrum-undecided") and s.scope != "factor"
+        if s.rule not in ("fallthrough", "spectrum-undecided")
     )
 
 

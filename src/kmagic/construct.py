@@ -7,12 +7,13 @@ only when every rule misses: a constant label for r = 1, per-cycle
 labels for r = 2, and for larger r a constant label, then
 
 - even r: constants on the Petersen 2-factors, which miss only an odd c
-  at even k; the h-factor split, which reaches it on a perfect matching;
-  without one, the 4-regular folds and factor extensions.
+  at even k or at k = 1; the h-factor split, which reaches it on a
+  perfect matching; without one, the doubling search, which folds
+  factors of odd degree of the doubled graph.
 - odd r, c = 0: at k = 3 and 4 the h-factor split on a perfect matching
   M or a 2-factor of G - M; else the doubling search, 5-regular included.
 - odd r, c != 0: the mod-3 factor (k = 3, 3 | r); the doubling search,
-  whose h = 1 candidates are the gcd and even-k folds and their
+  whose h = 2 candidates are the gcd and even-k folds and their
   complements; the h-factor split.
 
 _rule_sequence gives the argument for each class.  A rule whose formula
@@ -28,12 +29,11 @@ from dataclasses import dataclass
 from .errors import BudgetError, FactorError, KmagicError, LabelingError, RegularityError
 from .factorization import double_graph, two_factorization
 from .factors import f_factor, mod3_factor
-from .graphs import MultiGraph, regularity, subgraph, two_regular_profile
+from .graphs import MultiGraph, regularity, two_regular_profile
 from .labelings import (
     ConstructionTrace,
     EdgeLabeling,
     TraceStep,
-    extend_by_factor,
     fold,
     verify,
 )
@@ -217,135 +217,58 @@ def _rule_factor_split(G, r, k, c, budget):
     raise _Miss("no factor split reaches the sum")
 
 
-def _fold_factor(G, k, c, h, a, b, divisor, rule, params):
+def _fold_factor(G, k, c, h, a, b, divisor):
     """Label an h-factor of the doubled graph a, every other edge b, and
-    fold.  For even h it is the union of the doubled graph's first h/2
-    2-factors."""
+    fold with the divisor.  The doubled graph has an h-factor: the
+    caller has found its _pair_copy_counts."""
     D = double_graph(G)
     F = f_factor(D.doubled, h)
-    if F is None:
-        raise _Miss(f"doubled graph has no {h}-factor")
     lab2 = {e: a if e in F else b for e in range(D.doubled.m)}
-    step = TraceStep(rule, dict(params), labels=dict(lab2), scope="doubled")
+    params = {"h": h, "a": a, "b": b, "divisor": divisor}
+    step = TraceStep("doubling-parameter-search", params, labels=dict(lab2), scope="doubled")
     try:
         folded, got = fold(D, EdgeLabeling(k, lab2), divisor)
     except LabelingError as exc:
-        raise _Miss(f"{rule}: {exc}") from None
+        raise _Miss(f"fold: {exc}") from None
     if got != _norm(c, k):
-        raise _Miss(f"{rule}: folded sum {got}, wanted {_norm(c, k)}")
+        raise _Miss(f"fold: folded sum {got}, wanted {_norm(c, k)}")
     return _accept(G, k, c, folded.labels, "fold", {"divisor": divisor}, extra_steps=[step])
 
 
 def _pair_copy_counts(G, h):
     """How many of its two copies a source edge has in the doubled graph's
-    first h 2-factors, as a set over all source edges: a subset of
-    {0, 1, 2}, found once per graph and h."""
+    h-factor, as a set over all source edges: a subset of {0, 1, 2}, or
+    None when the doubled graph has no h-factor.  Found once per graph
+    and h."""
 
     def counts():
         D = double_graph(G)
-        inside = f_factor(D.doubled, 2 * h)
+        inside = f_factor(D.doubled, h)
+        if inside is None:
+            return None
         return frozenset((orig in inside) + (dup in inside) for orig, dup in D.pairs)
 
     return G.memo(f"pair copy counts/{h}", counts)
 
 
 def _rule_doubling_search(G, r, k, c, budget):
-    """Parametric doubling: 2h-factor of the doubled graph labeled a, the
-    complement b, folded with divisor 1 or 2.  Tries all (a, b) pairs
-    except those under which some source edge would fold to 0."""
-    for h in range(1, r):
-        for a, b, divisor in _label_pairs(k, c, 2 * h, 2 * (r - h), (1, 2)):
+    """Parametric doubling: an h-factor of the 2r-regular doubled graph
+    labeled a, the complement b, folded with divisor 1 or 2.  h runs over
+    the degrees of the parity of r + 1 (see _rule_sequence).  Tries all
+    (a, b) pairs except those under which some source edge would fold
+    to 0."""
+    for h in range(1 + r % 2, 2 * r, 2):
+        for a, b, divisor in _label_pairs(k, c, h, 2 * r - h, (1, 2)):
             counts = _pair_copy_counts(G, h)
+            if counts is None:
+                break
             if any(_norm((j * a + (2 - j) * b) // divisor, k) == 0 for j in counts):
                 continue
             try:
-                return _fold_factor(
-                    G, k, c, 2 * h, a, b, divisor, "doubling-parameter-search",
-                    {"h": h, "a": a, "b": b, "divisor": divisor},
-                )
+                return _fold_factor(G, k, c, h, a, b, divisor)
             except _Skip:
                 continue
     raise _Miss("no doubling parameters reach the sum")
-
-
-def _factor_extension(G, r, k, c, factor_edges, rule, budget):
-    """Recurse on a spanning factor, then pad the rest with ones."""
-    # Each rule picks its factor as a function of G alone, so the factor
-    # graph, and with it the memo of its own factors, is built once per rule.
-    Hs, idmap = G.memo(f"{rule} graph", lambda: subgraph(G, sorted(factor_edges)))
-    h = regularity(Hs)
-    if h is None or not 2 <= h <= r:
-        raise _Miss(f"{rule}: factor is not usable")
-    alpha = _norm(c - (r - h), k)
-    sub = construct(Hs, k, alpha, budget)
-    if sub.status != "found":
-        raise _Miss(f"{rule}: inner sum {alpha} not constructed ({sub.status})")
-    inner_steps = [
-        TraceStep(s.rule, s.params, s.labels, scope="factor") for s in sub.trace.steps
-    ]
-    lab_H = {idmap[j]: v for j, v in sub.labeling.labels.items()}
-    try:
-        out, got = extend_by_factor(G, factor_edges, lab_H, k)
-    except LabelingError as exc:
-        raise _Miss(f"{rule}: {exc}") from None
-    if got != _norm(c, k):
-        raise _Miss(f"{rule}: extension sum {got}, wanted {_norm(c, k)}")
-    return _accept(
-        G, k, c, out.labels, rule, {"h": h, "inner_sum": alpha}, extra_steps=inner_steps
-    )
-
-
-def _four_regular_even_order(G, k, c, budget):
-    """4-regular: the doubled-graph 3-factor route with labels 2c and k-c,
-    and at c = k/2, whose half is odd as c is, the half-modulus fold."""
-    cn = c % k
-    if (2 * cn) % k != 0 and (4 * cn) % k != 0:
-        a, b = (2 * cn) % k, (k - cn) % k
-        return _fold_factor(
-            G, k, cn, 3, a, b, 1, "four-regular-three-factor-fold", {"a": a, "b": b}
-        )
-    if k % 2 == 0 and cn == k // 2:
-        dd = k // 2
-        if dd not in (3, 9):
-            parts = two_factorization(G).parts
-            base, steps = _fold_factor(
-                G, k, (k - 1) % k, 3, k - 2, 1, 1,
-                "four-regular-half-modulus", {"part": "fold", "labels": [k - 2, 1]},
-            )
-            combined = {}
-            for eid in range(G.m):
-                add = dd + 1 if eid in parts[0] else (dd - 1) // 2
-                combined[eid] = (base.labels[eid] + add) % k
-            return _accept(
-                G, k, cn, combined, "four-regular-half-modulus",
-                {"added": [dd + 1, (dd - 1) // 2]}, extra_steps=steps,
-            )
-        x = dd // 3
-        base, steps = _fold_factor(
-            G, k, (6 * x + 5) % k, 3, 2 * x, 1, 1,
-            "four-regular-half-modulus", {"part": "fold", "labels": [2 * x, 1]},
-        )
-        combined = {eid: (v + 1) % k for eid, v in base.labels.items()}
-        return _accept(
-            G, k, cn, combined, "four-regular-half-modulus", {"added": 1},
-            extra_steps=steps,
-        )
-    raise _Miss("no 4-regular special applies")
-
-
-def _rule_even_regular(G, r, k, c, budget):
-    """Even r >= 4, k >= 5, odd c at even k (so G has even order, or the
-    spectrum excludes c): explicit 4-regular sub-cases or
-    factor-extension recursion per the half-degree's parity."""
-    rho = r // 2
-    if rho == 2:
-        return _four_regular_even_order(G, k, c, budget)
-    if rho % 2 == 1:
-        F = f_factor(G, rho)
-        if F is None:
-            raise _Miss(f"no {rho}-factor for the extension")
-        return _factor_extension(G, r, k, c, F, "odd-half-factor-extension", budget)
-    return _factor_extension(G, r, k, c, f_factor(G, 6), "six-factor-extension", budget)
 
 
 def _rule_mod3_factor(G, r, k, c, budget):
@@ -404,24 +327,26 @@ def _rule_sequence(G, r, k, c):
 
     - even r: with rho = r/2 >= 2 nonzero 2-factor constants, 2 times
       their sum is any multiple of 2 mod k, so two-factor-constants
-      reaches every c at odd k and every even c at even k.  For an odd c
-      at even k, a perfect matching (which any 2-factor of even cycles
-      contains) lets factor-split at h = 1 solve a + (r - 1)b = c, as
-      gcd(r - 1, k) <= k/2 leaves a b with (r - 1)b != c.  So the
-      even-degree specials see only odd c at even k on graphs without
-      a perfect matching.  The doubling search has no entry here: it
-      could only ever be asked such an odd c, or an odd c at k = 1, and
-      its folds reach only even sums, as divisor 1 gives
-      2(ha + (r - h)b) and divisor 2 needs a = b (mod 2), so that
-      ha + (r - h)b = ra = 0 (mod 2).
+      reaches every c at odd k and every even c at even k or at k = 1.
+      For an odd c, a perfect matching (which any 2-factor of even
+      cycles contains) lets factor-split at h = 1 solve
+      a + (r - 1)b = c: at even k, gcd(r - 1, k) <= k/2 leaves a b with
+      (r - 1)b != c, and at k = 1, b = 1 or 2 does.  So the doubling
+      search sees only an odd c on a graph without a perfect matching.
+      It folds factors of odd degree h of the doubled graph: h and
+      2r - h are then odd, so that ha + (2r - h)b has the parity of
+      a + b and divisor 1 reaches odd sums.  A factor of even degree h
+      folds only to even sums, as divisor 1 gives ha + (2r - h)b, which
+      is even, and divisor 2 needs a = b (mod 2), so that
+      (ha + (2r - h)b)/2 = rb + h(a - b)/2 is even.
     - odd r, c = 0: the 5-regular doublings are doubling candidates,
-      [k - 4, 1] with divisor 1 at h = 1 and [2, 2, 4] with divisor 2
-      at h = 2.
+      [k - 4, 1] with divisor 1 at h = 2 and [2, 2, 4] with divisor 2
+      at h = 4.
     - odd r, c != 0: factor-split comes last, as on a graph without a
       perfect matching it runs the factor gadget for every h.  The gcd
-      and even-k folds are h = 1 doubling candidates, and the complement
+      and even-k folds are h = 2 doubling candidates, and the complement
       of a divisor-1 fold of [x, y] is the fold of [k - x, k - y].  At
-      odd k the h = 1, divisor-1 candidates miss for at most
+      odd k the h = 2, divisor-1 candidates miss for at most
       gcd(r - 1, k) + gcd(r - 2, k) values of b.  At the k = 3b boundary
       of 3 | r these two gcds are coprime and prime to 3, so they sum
       to at most k/3 + 1 < k - 1 and some b is left.
@@ -435,8 +360,7 @@ def _rule_sequence(G, r, k, c):
     if r % 2 == 0:
         rules.append(("two-factor-constants", _rule_two_factor_constants))
         rules.append(("factor-split", _rule_factor_split))
-        if k >= 5:
-            rules.append(("even-regular-specials", _rule_even_regular))
+        rules.append(("doubling-parameter-search", _rule_doubling_search))
     elif cn == 0:
         if k in (3, 4):
             rules.append(("factor-split", _rule_factor_split))

@@ -9,7 +9,6 @@ deterministic.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -53,18 +52,14 @@ class MultiGraph:
         return tuple(e.u for e in self.edges), tuple(e.v for e in self.edges)
 
     @cached_property
-    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """Per vertex: tuple of (neighbor, edge id), in edge-id order."""
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n)]
-        for e in self.edges:
-            adj[e.u].append((e.v, e.id))
-            adj[e.v].append((e.u, e.id))
-        return tuple(tuple(a) for a in adj)
-
-    @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex: tuple of incident edge ids, ascending."""
-        return tuple(tuple(eid for _, eid in nbrs) for nbrs in self.adjacency)
+        inc: list[list[int]] = [[] for _ in range(self.n)]
+        us, vs = self.ends
+        for eid, (u, v) in enumerate(zip(us, vs)):
+            inc[u].append(eid)
+            inc[v].append(eid)
+        return tuple(map(tuple, inc))
 
     def endpoints(self, eid: int) -> tuple[int, int]:
         e = self.edges[eid]
@@ -174,21 +169,22 @@ def _common_degree(G: MultiGraph) -> int | None:
 
 def components(G: MultiGraph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest vertex."""
+    nbrs: list[list[int]] = [[] for _ in range(G.n)]
+    for u, v in zip(*G.ends):
+        nbrs[u].append(v)
+        nbrs[v].append(u)
     seen = [False] * G.n
     out = []
     for s in range(G.n):
         if seen[s]:
             continue
-        comp = []
-        queue = deque([s])
         seen[s] = True
-        while queue:
-            u = queue.popleft()
-            comp.append(u)
-            for w, _ in G.adjacency[u]:
+        comp = [s]
+        for u in comp:  # the list is the breadth-first queue: appends join the walk
+            for w in nbrs[u]:
                 if not seen[w]:
                     seen[w] = True
-                    queue.append(w)
+                    comp.append(w)
         out.append(frozenset(comp))
     return out
 
@@ -351,12 +347,15 @@ def prism(n: int = 3) -> MultiGraph:
     return build_graph(2 * n, pairs)
 
 
-def random_regular(n: int, r: int, seed: int, retries: int = 1000) -> MultiGraph:
+PAIRING_ATTEMPTS = 1000  # pairings random_regular draws before it gives up
+
+
+def random_regular(n: int, r: int, seed: int) -> MultiGraph:
     """Random simple r-regular graph by the pairing model.
 
     Draws a uniform pairing of n*r cells, rejects pairings with loops or
-    parallel edges, and retries up to `retries` times.  Deterministic for
-    a fixed seed.
+    parallel edges, and draws again, up to PAIRING_ATTEMPTS times.
+    Deterministic for a fixed seed.
     """
     if n < 1 or r < 0:
         raise GraphError("need n >= 1 and r >= 0")
@@ -368,7 +367,7 @@ def random_regular(n: int, r: int, seed: int, retries: int = 1000) -> MultiGraph
         raise GraphError("random_regular requires a seed")
     rng = random.Random(seed)
     cells = [v for v in range(n) for _ in range(r)]
-    for _ in range(retries):
+    for _ in range(PAIRING_ATTEMPTS):
         rng.shuffle(cells)
         pairs = [(cells[i], cells[i + 1]) for i in range(0, len(cells), 2)]
         seen = set()
@@ -381,7 +380,7 @@ def random_regular(n: int, r: int, seed: int, retries: int = 1000) -> MultiGraph
             seen.add(key)
         if ok:
             return build_graph(n, pairs)
-    raise GraphError(f"no simple pairing found in {retries} attempts")
+    raise GraphError(f"no simple pairing found in {PAIRING_ATTEMPTS} attempts")
 
 
 def disjoint_union(parts: Sequence[MultiGraph]) -> MultiGraph:

@@ -61,6 +61,7 @@ class SearchResult:
 def assignment_order(G: MultiGraph) -> list[int]:
     """Edge ids in breadth-first order from the smallest vertex on: on a
     connected bridgeless G, the order of bridge_tree's one piece."""
+    us, vs = G.ends
     order: list[int] = []
     edge_seen = [False] * G.m
     visited = [False] * G.n
@@ -71,10 +72,11 @@ def assignment_order(G: MultiGraph) -> list[int]:
         queue = deque([s])
         while queue:
             u = queue.popleft()
-            for w, eid in G.adjacency[u]:
+            for eid in G.incident[u]:
                 if not edge_seen[eid]:
                     edge_seen[eid] = True
                     order.append(eid)
+                w = us[eid] + vs[eid] - u
                 if not visited[w]:
                     visited[w] = True
                     queue.append(w)
