@@ -3,12 +3,13 @@
 construct() first predicts the spectrum; a c outside it is reported
 absent with the excluding rule in the trace.  Otherwise a fixed cascade
 of constructions is tried, cheapest first, and the exact solver runs
-only when every rule misses: a constant label for r = 1, per-cycle
-labels for r = 2, and for larger r a constant label, then
+only when every rule misses: a constant label, then
 
-- even r: constants on the Petersen 2-factors, which miss only an odd c
-  at even k or at k = 1; the h-factor split, which reaches it on a
-  perfect matching; without one, the doubling search, which folds
+- r <= 2: the h-factor split on a perfect matching, which reaches the
+  sums a constant misses on a union of even cycles.
+- even r >= 4: constants on the Petersen 2-factors, which miss only an
+  odd c at even k or at k = 1; the h-factor split, which reaches it on
+  a perfect matching; without one, the doubling search, which folds
   factors of odd degree of the doubled graph.
 - odd r, c = 0: at k = 3 and 4 the h-factor split on a perfect matching
   M or a 2-factor of G - M; else the doubling search, 5-regular included.
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .errors import BudgetError, FactorError, KmagicError, LabelingError, RegularityError
 from .factorization import double_graph, two_factorization
 from .factors import f_factor, mod3_factor
-from .graphs import MultiGraph, regularity, two_regular_profile
+from .graphs import MultiGraph, regularity
 from .labelings import (
     ConstructionTrace,
     EdgeLabeling,
@@ -101,58 +102,14 @@ def _rule_constant(G, r, k, c, budget):
     raise _NotApplicable("no constant label fits")
 
 
-def _rule_cycles(G, r, k, c, budget):
-    """2-regular: alternate labels on even cycles, a constant on odd ones."""
-    prof = two_regular_profile(G)
-    labels: dict[int, int] = {}
-    for verts, eids in prof.cycles:
-        if len(eids) % 2 == 0:
-            if k == 1:
-                x = 1 if c != 1 else 2
-                y = c - x
-            else:
-                cn = c % k
-                for x in (1, 2):
-                    if x <= k - 1 and (cn - x) % k != 0:
-                        break
-                else:
-                    raise _Miss(f"even cycle: no alternating pair for c={cn} mod {k}")
-                y = (cn - x) % k
-            for i, eid in enumerate(eids):
-                labels[eid] = x if i % 2 == 0 else y
-        else:
-            if k == 1:
-                if c == 0 or c % 2 != 0:
-                    raise _Miss(f"odd cycle needs an even nonzero sum, got {c}")
-                x = c // 2
-            elif k % 2 == 1:
-                x = (c * pow(2, -1, k)) % k
-                if x == 0:
-                    raise _Miss("odd cycle, odd k: zero sum has no nonzero label")
-            else:
-                if c % 2 != 0:
-                    raise _Miss(f"odd cycle, even k: sum {c % k} is odd")
-                cn = c % k
-                x = (cn // 2) % k
-                if x == 0:
-                    x = (cn // 2 + k // 2) % k
-                if x == 0:
-                    raise _Miss("odd cycle: both half-sum labels vanish")
-            for eid in eids:
-                labels[eid] = x
-    return _accept(G, k, c, labels, "cycle-rule", {"c": _norm(c, k)})
-
-
 def _two_factor_values(rho: int, k: int, c: int) -> list[int] | None:
-    """Per-2-factor constants x_i with 2*sum(x_i) = c, all nonzero.
+    """Per-2-factor constants x_i with 2*sum(x_i) = c, all nonzero: rho - 2
+    ones and a pair b1 <= b2, the smallest b1 first.
 
     rho >= 2, as r = 2*rho >= 4 here, and one constant on every 2-factor
     is never tried: 2*rho*a = c is the constant rule, which runs first."""
     if k >= 2:
         cn = c % k
-        for b in range(1, k):
-            if (2 * (rho - 1) + 2 * b) % k == cn:
-                return [1] * (rho - 1) + [b]
         for b1 in range(1, k):
             for b2 in range(b1, k):
                 if (2 * (rho - 2) + 2 * b1 + 2 * b2) % k == cn:
@@ -323,10 +280,19 @@ def _solver_result(G, k, c, budget, pre_steps):
 def _rule_sequence(G, r, k, c):
     """Dispatch order; first entry to succeed wins.
 
-    Why each class of (r, k, c) with r >= 3 needs no other rule:
+    Why each class of (r, k, c) needs no other rule.  At k = 2 the
+    spectrum is {r mod 2}, which the constant label 1 reaches, so no
+    later rule runs there.
 
-    - even r: with rho = r/2 >= 2 nonzero 2-factor constants, 2 times
-      their sum is any multiple of 2 mod k, so two-factor-constants
+    - r <= 2: at r = 1 the constant label c reaches every sum but 0,
+      which the spectrum excludes.  At r = 2 a constant a with 2a = c
+      exists unless c is odd at even k, 0 at odd k, or odd or 0 at
+      k = 1.  The spectrum admits those sums only on a graph whose
+      cycles are all even.  Such a graph has a perfect matching M, and
+      factor-split at h = 1 labels M a and the rest b with a + b = c,
+      a and b nonzero.
+    - even r >= 4: with rho = r/2 >= 2 nonzero 2-factor constants, 2
+      times their sum is any multiple of 2 mod k, so two-factor-constants
       reaches every c at odd k and every even c at even k or at k = 1.
       For an odd c, a perfect matching (which any 2-factor of even
       cycles contains) lets factor-split at h = 1 solve
@@ -352,25 +318,22 @@ def _rule_sequence(G, r, k, c):
       to at most k/3 + 1 < k - 1 and some b is left.
     """
     cn = _norm(c, k)
-    if r == 1:
-        return [("constant", _rule_constant)]
-    if r == 2:
-        return [("cycle-rule", _rule_cycles)]
     rules: list[tuple[str, object]] = [("constant", _rule_constant)]
-    if r % 2 == 0:
+    if r <= 2:
+        rules.append(("factor-split", _rule_factor_split))
+    elif r % 2 == 0:
         rules.append(("two-factor-constants", _rule_two_factor_constants))
         rules.append(("factor-split", _rule_factor_split))
         rules.append(("doubling-parameter-search", _rule_doubling_search))
     elif cn == 0:
         if k in (3, 4):
             rules.append(("factor-split", _rule_factor_split))
-        if k not in (2, 4):
+        if k != 4:
             rules.append(("doubling-parameter-search", _rule_doubling_search))
     else:
         if k == 3 and r % 6 == 3:
             rules.append(("mod3-factor", _rule_mod3_factor))
-        if k != 2:
-            rules.append(("doubling-parameter-search", _rule_doubling_search))
+        rules.append(("doubling-parameter-search", _rule_doubling_search))
         rules.append(("factor-split", _rule_factor_split))
     return rules
 

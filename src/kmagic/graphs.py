@@ -9,11 +9,11 @@ deterministic.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .errors import GraphError, RegularityError
+from .errors import GraphError
 
 T = TypeVar("T")
 
@@ -219,54 +219,6 @@ def _component_graph(G: MultiGraph, comp: frozenset[int]) -> tuple[MultiGraph, t
     )
     C.memo("component_graphs", list)  # a component is connected: no split to find
     return C, tuple(e.id for e in edges)
-
-
-@dataclass(frozen=True)
-class TwoRegularProfile:
-    """Cycle decomposition of a 2-regular graph.
-
-    cycles holds one (vertex sequence, edge id sequence) pair per cycle;
-    edge i of a cycle joins vertex i and vertex i+1 (indices mod length).
-    """
-
-    cycles: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-    lengths: tuple[int, ...] = field(init=False)
-    all_even: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        lengths = tuple(len(vs) for vs, _ in self.cycles)
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "all_even", all(l % 2 == 0 for l in lengths))
-
-
-def two_regular_profile(G: MultiGraph) -> TwoRegularProfile:
-    """Decompose a 2-regular graph into its cycles.
-
-    Raises RegularityError if any vertex degree differs from 2.
-    """
-    if regularity(G) != 2:
-        raise RegularityError("graph is not 2-regular")
-    used = [False] * G.m
-    cycles = []
-    for start in range(G.n):
-        first = [eid for eid in G.incident[start] if not used[eid]]
-        if not first:
-            continue
-        verts = [start]
-        eids = []
-        u = start
-        eid = first[0]
-        while True:
-            used[eid] = True
-            eids.append(eid)
-            a, b = G.endpoints(eid)
-            u = b if a == u else a
-            if u == start:
-                break
-            verts.append(u)
-            eid = next(i for i in G.incident[u] if not used[i])
-        cycles.append((tuple(verts), tuple(eids)))
-    return TwoRegularProfile(tuple(cycles))
 
 
 def find_bridges(G: MultiGraph) -> frozenset[int]:

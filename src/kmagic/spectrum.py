@@ -23,7 +23,7 @@ from math import gcd
 
 from .errors import BudgetError, KmagicError, RegularityError
 from .factors import f_factor, mod3_factor
-from .graphs import MultiGraph, component_graphs, regularity, two_regular_profile
+from .graphs import MultiGraph, component_graphs, regularity
 from .solver import SolverBudget, search_labeling
 
 SYMBOLIC_TAGS = ("Z", "Z*", "2Z", "2Z*")  # * marks "zero excluded"
@@ -165,7 +165,8 @@ def _symbolic_for_component(C: MultiGraph) -> tuple[str, str]:
     if r == 1:
         return "Z*", "1-regular: each vertex sum is its single label"
     if r == 2:
-        if two_regular_profile(C).all_even:
+        # C is connected, so it is one cycle, of length n
+        if C.n % 2 == 0:
             return "Z", "2-regular, even cycles: alternating integer labels x and c - x"
         return "2Z*", "odd cycle forces a constant label x with sum 2x"
     if C.n % 2 == 0:
@@ -190,7 +191,8 @@ def _component_spectrum(
     if r == 1:
         return full - {0}, set(), ["1-regular: spectrum is the nonzero residues"]
     if r == 2:
-        if two_regular_profile(C).all_even:
+        # C is connected, so it is one cycle, of length n
+        if n % 2 == 0:
             return full, set(), [CONDITIONS[1]]
         if k % 2 == 1:
             return full - {0}, set(), ["odd cycle, odd k: constant labels reach every nonzero residue"]

@@ -4,7 +4,6 @@ import pytest
 
 from kmagic import (
     GraphError,
-    RegularityError,
     build_graph,
     circulant,
     complete,
@@ -22,7 +21,7 @@ from kmagic import (
     write_graph,
 )
 from kmagic import graphs
-from kmagic.graphs import component_graphs, find_bridges, two_regular_profile
+from kmagic.graphs import component_graphs, find_bridges
 
 
 def test_build_graph_rejects_loops_and_bad_indices():
@@ -118,20 +117,6 @@ def test_subgraph_reindexes_and_maps_back():
             G.edges[old_id].u,
             G.edges[old_id].v,
         }
-
-
-def test_two_regular_profile_cycle_structure():
-    G = disjoint_union([cycle(3), cycle(6)])
-    prof = two_regular_profile(G)
-    assert sorted(prof.lengths) == [3, 6]
-    assert not prof.all_even
-    for verts, eids in prof.cycles:
-        assert len(verts) == len(eids)
-        for i, eid in enumerate(eids):
-            a, b = G.endpoints(eid)
-            assert {a, b} == {verts[i], verts[(i + 1) % len(verts)]}
-    with pytest.raises(RegularityError):
-        two_regular_profile(complete(4))
 
 
 def test_regularity_is_found_once_per_graph(monkeypatch):

@@ -229,7 +229,8 @@ def test_replay_trace_returns_last_graph_scope_labels():
 def test_labeling_json_roundtrip_and_shape():
     G = cycle(4)
     lab = EdgeLabeling(5, {0: 1, 1: 4, 2: 1, 3: 4})
-    trace = ConstructionTrace((TraceStep("cycle-rule", {"c": 0}, labels=dict(lab.labels)),))
+    step = TraceStep("factor-split", {"h": 1, "a": 1, "b": 4}, labels=dict(lab.labels))
+    trace = ConstructionTrace((step,))
     text = labeling_to_json(lab, 0, trace)
     assert text.endswith("\n")
     payload = json.loads(text)
@@ -237,7 +238,7 @@ def test_labeling_json_roundtrip_and_shape():
     lab2, c2, steps = labeling_from_json(text)
     assert lab2 == lab
     assert c2 == 0
-    assert steps[0]["rule"] == "cycle-rule"
+    assert steps[0]["rule"] == "factor-split"
     with pytest.raises(LabelingError):
         labeling_from_json("{}")
     with pytest.raises(LabelingError):

@@ -14,6 +14,7 @@ from kmagic import (
     brute_force_spectrum,
     build_graph,
     complement,
+    complete,
     construct,
     cycle,
     disjoint_union,
@@ -109,18 +110,44 @@ def test_construct_found_verifies_and_complements(G, k, c):
     assert verify(G, comp) == (k - c) % k
 
 
-@SETTINGS
-@given(st.integers(3, 12), st.integers(3, 9), st.integers(0, 8))
-def test_cycle_construction_matches_parity_formula(n, k, c):
-    res = construct(cycle(n), k, c)
-    cn = c % k
-    if n % 2 == 0:
-        expect = True
-    elif k % 2 == 1:
-        expect = cn != 0
-    else:
-        expect = cn % 2 == 0
+@st.composite
+def low_degree_unions(draw):
+    """(G, lengths): a union of K2s, written as length 1, or of cycles of
+    length 3..12 and perhaps a digon, written as length 2."""
+    if draw(st.booleans()):
+        lengths = [1] * draw(st.integers(1, 3))
+        return disjoint_union([complete(2)] * len(lengths)), lengths
+    lengths = draw(st.lists(st.integers(3, 12), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        lengths.append(2)
+    parts = [build_graph(2, [(0, 1), (0, 1)]) if n == 2 else cycle(n) for n in lengths]
+    return disjoint_union(parts), lengths
+
+
+def _piece_admits(length, k, c):
+    """The parity formula: K2's one label is c; an even cycle alternates
+    x and c - x; an odd cycle takes one constant x with 2x = c."""
+    if length == 1:
+        return c % k != 0 if k > 1 else c != 0
+    if length % 2 == 0:
+        return k != 2 or c % 2 == 0
+    if k == 1:
+        return c != 0 and c % 2 == 0
+    return c % 2 == 0 if k % 2 == 0 else c % k != 0
+
+
+@settings(SETTINGS, max_examples=200)
+@given(low_degree_unions(), st.integers(1, 12), st.data())
+def test_cycle_construction_matches_parity_formula(graph, k, data):
+    G, lengths = graph
+    c = data.draw(st.integers(-6, 6) if k == 1 else st.integers(0, k - 1))
+    res = construct(G, k, c)
+    expect = all(_piece_admits(n, k, c) for n in lengths)
     assert res.status == ("found" if expect else "absent")
+    if expect:
+        assert verify(G, res.labeling) == (c if k == 1 else c % k)
+    off_rule = {"fallthrough", "solver", "solver-exhausted", "solver-budget-exceeded", "undecided"}
+    assert not off_rule & set(res.trace.rules())
 
 
 @SETTINGS
