@@ -1,6 +1,6 @@
 """Compare the compiled twins, the backtracking kernel, the Petersen
-2-factor split, the magic-sum check and the bridge tree, against their
-pure Python twins.
+2-factor split, the magic-sum check, the bridge tree and the vertex
+profile, against their pure Python twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -22,7 +22,11 @@ graphs (bridged16 and hub_quintic_16 of the digest, and the 16-vertex
 cubic graph without a perfect matching of the spectrum-oracle
 benchmark), which must return the same plans; its timings are
 microseconds per call, the best of TREE_REPEATS batches of TREE_CALLS
-calls.
+calls.  Last, the vertex profile, each vertex's degree and component,
+runs through both profile twins on every graph above, whole, and on
+three disjoint unions in PROFILE_CASES, which must return the same
+profiles; its timings are microseconds per call, the best of
+PROFILE_REPEATS batches of PROFILE_CALLS calls.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -99,6 +103,19 @@ TREE_CASES = [
 TREE_CALLS = 50
 TREE_REPEATS = 5
 
+# (label, graph) for every graph above
+ALL_GRAPHS = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + TREE_CASES
+
+# (label, graph) for the vertex profile, beside every graph above
+PROFILE_CASES = [
+    ("C5 + K4 + petersen + C3", disjoint_union([cycle(5), complete(4), petersen(), cycle(3)])),
+    ("3 random cubic n=60", disjoint_union([random_regular(60, 3, seed=s) for s in range(3)])),
+    ("circulant n=80 r=8 + K2 + K1", disjoint_union([circulant(80, (1, 2, 3, 4)), complete(2),
+                                                      build_graph(1, [])])),
+]
+PROFILE_CALLS = 200
+PROFILE_REPEATS = 5
+
 
 # the edge count of a case's graph, a column of every twin table
 EDGES = ("edges", 6, lambda G, answers: G.m)
@@ -144,7 +161,7 @@ def compare_twins(kernels: dict, fn: str, title: str, columns, unit: str, calls:
 
 
 def compare_splits(kernels: dict) -> None:
-    cases = [(label, G, [(G.n, *G.ends)], [(G.n, *G.ends)]) for label, G in SPLIT_CASES]
+    cases = [(label, G, [(G.n, G.us, G.vs)], [(G.n, G.us, G.vs)]) for label, G in SPLIT_CASES]
     parts = ("parts", 6, lambda G, answers: len(answers[0]))
     compare_twins(kernels, "petersen_split", "2-factor split", [parts, EDGES], "ms", 1,
                   SPLIT_REPEATS, cases)
@@ -154,7 +171,7 @@ def compare_sums(kernels: dict) -> None:
     cases = []
     for label, G, k in SUM_CASES:
         ones = {e: 1 for e in range(G.m)}
-        args = [(G.n, *G.ends, labels, k) for labels in (ones, {**ones, 0: 2})]
+        args = [(G.n, G.us, G.vs, labels, k) for labels in (ones, {**ones, 0: 2})]
         cases.append((label, G, args, args[:1]))
     sums = ("sums", 9, lambda G, answers: answers)
     compare_twins(kernels, "magic_sum", "magic-sum check", [EDGES, sums], "us", SUM_CALLS,
@@ -162,14 +179,20 @@ def compare_sums(kernels: dict) -> None:
 
 
 def compare_bridge_trees(kernels: dict) -> None:
-    graphs = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + TREE_CASES
     cases = []
-    for label, G in graphs:
-        args = [(C.n, *C.ends) for C, _ in component_graphs(G)]
+    for label, G in ALL_GRAPHS:
+        args = [(C.n, C.us, C.vs) for C, _ in component_graphs(G)]
         cases.append((label, G, args, args))
     pieces = ("pieces", 6, lambda G, answers: sum(map(len, answers)))
     compare_twins(kernels, "bridge_tree", "bridge tree", [EDGES, pieces], "us", TREE_CALLS,
                   TREE_REPEATS, cases)
+
+
+def compare_profiles(kernels: dict) -> None:
+    cases = [(label, G, [(G.n, G.us, G.vs)], [(G.n, G.us, G.vs)]) for label, G in ALL_GRAPHS + PROFILE_CASES]
+    parts = ("parts", 6, lambda G, answers: max(answers[0][1]) + 1)
+    compare_twins(kernels, "vertex_profile", "vertex profile", [EDGES, parts], "us", PROFILE_CALLS,
+                  PROFILE_REPEATS, cases)
 
 
 def main() -> None:
@@ -220,6 +243,8 @@ def main() -> None:
     compare_sums(kernels)
     print()
     compare_bridge_trees(kernels)
+    print()
+    compare_profiles(kernels)
     print("all kernels returned identical results")
 
 

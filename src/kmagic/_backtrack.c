@@ -1,6 +1,7 @@
-/* Compiled twins of the four pure references in kmagic._backtrack_py:
+/* Compiled twins of the five pure references in kmagic._backtrack_py:
  * the backtracking kernel, the magic-sum check, the Petersen 2-factor
- * split and the bridge tree (bridge_tree).
+ * split, the bridge tree (bridge_tree) and the vertex profile
+ * (vertex_profile: each vertex's degree and component).
  *
  * search() transcribes the pure reference line for line: the same edge
  * order, the same forced-label rule and the same node count, so both
@@ -15,7 +16,7 @@
  *
  * Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge
  * i joining us[i] and vs[i].  One reader, read_edges, is the only code
- * that reads us and vs, and it holds all four twins to one contract:
+ * that reads us and vs, and it holds all five twins to one contract:
  * n < 0 raises ValueError; us and vs may be any iterables, each read
  * once; a non-int end raises TypeError, as operator.index does, the
  * ends of us first; then unequal lengths raise ValueError ("differ in
@@ -805,6 +806,66 @@ done:
     return result;
 }
 
+/* Each vertex's degree and component index, the twin of
+ * kmagic._backtrack_py.vertex_profile.  One pass over the edges counts
+ * the degrees and joins the trees of each edge's ends, the larger root
+ * under the smaller one, with path halving; so every root is the smallest
+ * vertex of its tree, and one pass over the vertices in order numbers the
+ * components by smallest vertex, each vertex after its root. */
+static PyObject *
+vertex_profile(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *degrees = NULL, *component = NULL, *result = NULL;
+    Py_ssize_t *ends = NULL, *block = NULL, m;
+
+    if (!PyArg_ParseTuple(args, "iOO:vertex_profile", &n, &us_arg, &vs_arg))
+        return NULL;
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
+        goto done;
+    /* per vertex: degree, tree parent, component */
+    Py_ssize_t nv = n;
+    block = PyMem_Calloc(3 * (size_t)nv + 1, sizeof(Py_ssize_t));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    Py_ssize_t *deg = block, *parent = deg + nv, *comp = parent + nv;
+
+    for (Py_ssize_t v = 0; v < nv; v++)
+        parent[v] = v;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        Py_ssize_t a = eu[e], b = ev[e];
+        deg[a] += 1;
+        deg[b] += 1;
+        while (parent[a] != a)
+            a = parent[a] = parent[parent[a]];
+        while (parent[b] != b)
+            b = parent[b] = parent[parent[b]];
+        if (a < b)
+            parent[b] = a;
+        else
+            parent[a] = b;
+    }
+    Py_ssize_t count = 0;
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        Py_ssize_t r = v;
+        while (parent[r] != r)
+            r = parent[r] = parent[parent[r]];
+        comp[v] = r == v ? count++ : comp[r];
+    }
+    if ((degrees = int_tuple(deg, nv)) != NULL && (component = int_tuple(comp, nv)) != NULL)
+        result = PyTuple_Pack(2, degrees, component);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(block);
+    Py_XDECREF(degrees);
+    Py_XDECREF(component);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
      "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
@@ -827,16 +888,22 @@ static PyMethodDef methods[] = {
      "us[i] and vs[i], as (n_local, entry, order, us, vs, children, edgeless)\n"
      "tuples, the piece of vertex 0 first and each piece after its parent; see\n"
      "kmagic._backtrack_py.bridge_tree, whose semantics this twin shares."},
+    {"vertex_profile", vertex_profile, METH_VARARGS,
+     "vertex_profile(n, us, vs)\n--\n\n"
+     "(degrees, component): each vertex's degree and the index of its connected\n"
+     "component, numbered by smallest vertex, in the multigraph whose edge i\n"
+     "joins us[i] and vs[i]; see kmagic._backtrack_py.vertex_profile, whose\n"
+     "semantics this twin shares."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
-    .m_doc = "Compiled backtracking kernel, magic-sum check, Petersen 2-factor split and\n"
-             "bridge tree; semantics match kmagic._backtrack_py.search,\n"
-             "kmagic._backtrack_py.magic_sum, kmagic._backtrack_py.petersen_split and\n"
-             "kmagic._backtrack_py.bridge_tree.",
+    .m_doc = "Compiled backtracking kernel, magic-sum check, Petersen 2-factor split,\n"
+             "bridge tree and vertex profile; semantics match kmagic._backtrack_py.search,\n"
+             "kmagic._backtrack_py.magic_sum, kmagic._backtrack_py.petersen_split,\n"
+             "kmagic._backtrack_py.bridge_tree and kmagic._backtrack_py.vertex_profile.",
     .m_size = -1,
     .m_methods = methods,
 };

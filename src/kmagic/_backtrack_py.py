@@ -1,11 +1,12 @@
-"""Pure-Python backtracking kernel, magic-sum check, Petersen split and
-bridge tree.
+"""Pure-Python backtracking kernel, magic-sum check, Petersen split,
+bridge tree and vertex profile.
 
 Reference implementations of the label search, of the magic-sum check,
-of the Petersen 2-factor split and of the bridge tree (bridge_tree: the
-2-edge-connected pieces the solver searches); kmagic._backtrack holds
-their compiled twins, with identical semantics, and kmagic._twin picks
-one of the two modules for all four.  The search visits edges in the given
+of the Petersen 2-factor split, of the bridge tree (bridge_tree: the
+2-edge-connected pieces the solver searches) and of the vertex profile
+(vertex_profile: each vertex's degree and component); kmagic._backtrack
+holds their compiled twins, with identical semantics, and kmagic._twin
+picks one of the two modules for all five.  The search visits edges in the given
 order; when an edge is the last unlabeled edge at one of its endpoints
 its label is forced by the target sum, otherwise all of its allowed
 labels (1..k-1 unless restricted) are tried in increasing order.  Every
@@ -13,7 +14,7 @@ attempted assignment counts as one node against the cap.
 
 Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge i
 joining us[i] and vs[i].  One reader, _read_edges, is the only code that
-reads us and vs, and it holds all four twins to one contract:
+reads us and vs, and it holds all five twins to one contract:
 
 - n < 0 raises ValueError;
 - us and vs may be any iterables, each read once;
@@ -345,6 +346,33 @@ def bridge_tree(n, us, vs):
         pieces.append((stub + bool(children), local[entry], tuple(order), tuple(pus),
                        tuple(pvs), tuple(children), stub == 1))
     return pieces
+
+
+def vertex_profile(n, us, vs):
+    """Each vertex's degree and the index of its connected component.
+
+    (n, us, vs) is the graph, as the module header states.  Returns
+    (degrees, component), two tuples of n ints: component[v] numbers
+    the components 0, 1, ... in the order of their smallest vertices.
+    A loop counts twice toward its vertex's degree.  One breadth-first
+    walk from each vertex no earlier walk reached, in vertex order.
+    """
+    us, vs = _read_edges(n, us, vs)
+    adjacency = _adjacency(n, us, vs)
+    component = [-1] * n
+    count = 0
+    for s in range(n):
+        if component[s] >= 0:
+            continue
+        component[s] = count
+        queue = [s]
+        for u in queue:  # the list is the breadth-first queue: appends join the walk
+            for w, _ in adjacency[u]:
+                if component[w] < 0:
+                    component[w] = count
+                    queue.append(w)
+        count += 1
+    return tuple(map(len, adjacency)), tuple(component)
 
 
 def _orient(adjacency, m):

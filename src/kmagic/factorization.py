@@ -23,7 +23,7 @@ from typing import Iterable
 
 from . import _twin
 from .errors import FactorError, RegularityError
-from .graphs import EdgeRecord, MultiGraph, regularity
+from .graphs import MultiGraph, regularity
 
 
 @dataclass(frozen=True)
@@ -46,11 +46,8 @@ def double_graph(G: MultiGraph) -> DoublingMap:
 
 def _double(G: MultiGraph) -> DoublingMap:
     m = G.m
-    copies = tuple(EdgeRecord(m + e.id, e.u, e.v) for e in G.edges)
-    doubled = MultiGraph(G.n, G.edges + copies)
-    us, vs = G.ends
-    doubled.memo("ends", lambda: (us + us, vs + vs))  # from G's arrays, not from the records
-    return DoublingMap(G, doubled, tuple((i, m + i) for i in range(m)))
+    doubled = MultiGraph(G.n, G.us + G.us, G.vs + G.vs)
+    return DoublingMap(G, doubled, tuple(zip(range(m), range(m, 2 * m))))
 
 
 @dataclass(frozen=True)
@@ -71,10 +68,10 @@ class FactorDecomposition:
 def check_factor(G: MultiGraph, edge_ids: Iterable[int], h: int) -> None:
     """Raise FactorError unless edge_ids induce a spanning h-regular subgraph."""
     deg = [0] * G.n
+    us, vs = G.us, G.vs
     for eid in edge_ids:
-        e = G.edges[eid]
-        deg[e.u] += 1
-        deg[e.v] += 1
+        deg[us[eid]] += 1
+        deg[vs[eid]] += 1
     bad = [v for v in range(G.n) if deg[v] != h]
     if bad:
         raise FactorError(f"not {h}-regular at vertices {bad[:5]}")
@@ -90,7 +87,7 @@ def two_factorization(G: MultiGraph) -> FactorDecomposition:
 
 
 def _split(G: MultiGraph) -> FactorDecomposition:
-    parts = tuple(frozenset(p) for p in _twin.module.petersen_split(G.n, *G.ends))
+    parts = tuple(frozenset(p) for p in _twin.module.petersen_split(G.n, G.us, G.vs))
     return FactorDecomposition(parts, (2,) * len(parts))
 
 

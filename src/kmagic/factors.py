@@ -164,13 +164,14 @@ def _matching_factor(G: MultiGraph, edge_ids: Iterable[int]) -> frozenset[int] |
     """
     adj = _Adjacency([] for _ in range(G.n))
     pair_id: dict[tuple[int, int], int] = {}
+    us, vs = G.us, G.vs
     for eid in sorted(edge_ids):
-        e = G.edges[eid]
-        pair = (e.u, e.v) if e.u < e.v else (e.v, e.u)
+        u, v = us[eid], vs[eid]
+        pair = (u, v) if u < v else (v, u)
         if pair not in pair_id:
             pair_id[pair] = eid
-            adj[e.u].append(e.v)
-            adj[e.v].append(e.u)
+            adj[u].append(v)
+            adj[v].append(u)
     mate = nx.max_weight_matching(adj)
     if -1 in mate:
         return None
@@ -178,11 +179,12 @@ def _matching_factor(G: MultiGraph, edge_ids: Iterable[int]) -> frozenset[int] |
 
 
 def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
-    # edge e has its end at e.u as node 2e and its end at e.v as node 2e + 1;
-    # the core nodes follow, and each end lists its vertex's cores first
-    adj = _Adjacency([2 * e.id + 1 - side] for e in G.edges for side in (0, 1))
+    # edge e has its end at us[e] as node 2e and its end at vs[e] as node
+    # 2e + 1; the core nodes follow, and each end lists its vertex's cores first
+    adj = _Adjacency([2 * e + 1 - side] for e in range(G.m) for side in (0, 1))
+    us = G.us
     for v in range(G.n):
-        ends = [2 * eid + (G.edges[eid].u != v) for eid in G.incident[v]]
+        ends = [2 * eid + (us[eid] != v) for eid in G.incident[v]]
         for _ in range(G.degrees[v] - targets[v]):
             core = len(adj)
             adj.append(list(ends))
@@ -191,7 +193,7 @@ def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | No
     mate = nx.max_weight_matching(adj)
     if -1 in mate:
         return None
-    return frozenset(e.id for e in G.edges if mate[2 * e.id] == 2 * e.id + 1)
+    return frozenset(e for e in range(G.m) if mate[2 * e] == 2 * e + 1)
 
 
 def exhaustive_factor_search(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
@@ -209,26 +211,27 @@ def exhaustive_factor_search(G: MultiGraph, targets: Sequence[int]) -> frozenset
     avail = list(G.degrees)
     need = list(targets)
     chosen: list[int] = []
+    us, vs = G.us, G.vs
 
     def dfs(i: int) -> bool:
         if i == G.m:
             return all(x == 0 for x in need)
-        e = G.edges[i]
-        avail[e.u] -= 1
-        avail[e.v] -= 1
-        if need[e.u] > 0 and need[e.v] > 0:
-            need[e.u] -= 1
-            need[e.v] -= 1
+        u, v = us[i], vs[i]
+        avail[u] -= 1
+        avail[v] -= 1
+        if need[u] > 0 and need[v] > 0:
+            need[u] -= 1
+            need[v] -= 1
             chosen.append(i)
-            if need[e.u] <= avail[e.u] and need[e.v] <= avail[e.v] and dfs(i + 1):
+            if need[u] <= avail[u] and need[v] <= avail[v] and dfs(i + 1):
                 return True
             chosen.pop()
-            need[e.u] += 1
-            need[e.v] += 1
-        if need[e.u] <= avail[e.u] and need[e.v] <= avail[e.v] and dfs(i + 1):
+            need[u] += 1
+            need[v] += 1
+        if need[u] <= avail[u] and need[v] <= avail[v] and dfs(i + 1):
             return True
-        avail[e.u] += 1
-        avail[e.v] += 1
+        avail[u] += 1
+        avail[v] += 1
         return False
 
     return frozenset(chosen) if dfs(0) else None

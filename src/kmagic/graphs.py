@@ -1,9 +1,15 @@
 """Loopless multigraphs, structural queries, and graph generators.
 
 Vertices are integers 0..n-1.  Edges carry stable integer ids 0..m-1 in
-insertion order; parallel edges are allowed, loops are not.  All graph
-values are immutable after construction and every operation here is
-deterministic.
+insertion order; parallel edges are allowed, loops are not.  A graph
+stores its edges as two tuples of plain ints, us and vs, edge i joining
+us[i] and vs[i]: the parser and build_graph check their input while
+they fill the two arrays, and subgraphs, components, unions and doubled
+graphs slice or concatenate them.  Each vertex's degree and component
+come from one walk of the selected twin (vertex_profile, kmagic._twin),
+once per graph; the degrees, regularity and the component split all
+read that one result.  All graph values are immutable after
+construction and every operation here is deterministic.
 """
 
 from __future__ import annotations
@@ -11,8 +17,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import eq, index
 from typing import Callable, Iterable, Sequence, TypeVar
 
+from . import _twin
 from .errors import GraphError
 
 T = TypeVar("T")
@@ -29,41 +38,38 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class MultiGraph:
-    """Immutable loopless multigraph with stable edge ids."""
+    """Immutable loopless multigraph with stable edge ids: edge i joins
+    us[i] and vs[i]."""
 
     n: int
-    edges: tuple[EdgeRecord, ...]
+    us: tuple[int, ...]
+    vs: tuple[int, ...]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.us)
+
+    @cached_property
+    def edges(self) -> tuple[EdgeRecord, ...]:
+        """The edges as records, built on first use, for readers outside
+        the package; the package itself reads us and vs."""
+        return tuple(map(EdgeRecord, range(self.m), self.us, self.vs))
 
     @cached_property
     def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.n
-        for e in self.edges:
-            deg[e.u] += 1
-            deg[e.v] += 1
-        return tuple(deg)
-
-    @cached_property
-    def ends(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(us, vs): the endpoints of every edge, in edge-id order."""
-        return tuple(e.u for e in self.edges), tuple(e.v for e in self.edges)
+        return _vertex_profile(self)[0]
 
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex: tuple of incident edge ids, ascending."""
         inc: list[list[int]] = [[] for _ in range(self.n)]
-        us, vs = self.ends
-        for eid, (u, v) in enumerate(zip(us, vs)):
+        for eid, (u, v) in enumerate(zip(self.us, self.vs)):
             inc[u].append(eid)
             inc[v].append(eid)
         return tuple(map(tuple, inc))
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        e = self.edges[eid]
-        return e.u, e.v
+        return self.us[eid], self.vs[eid]
 
     def memo(self, key: str, compute: Callable[[], T]) -> T:
         """compute(), run once per graph and key; later calls return that object.
@@ -78,37 +84,58 @@ class MultiGraph:
             return value
 
 
+def _vertex_profile(G: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(degrees, component) of G, by one call of the selected twin's
+    vertex_profile, once per graph."""
+    return G.memo("vertex_profile", lambda: _twin.module.vertex_profile(G.n, G.us, G.vs))
+
+
 def build_graph(n: int, pairs: Iterable[tuple[int, int]]) -> MultiGraph:
     """Build a multigraph from an explicit edge list.
 
-    Raises GraphError on a vertex index out of range or a loop edge.
+    Ends are read as operator.index reads them and stored as plain ints.
+    Raises GraphError on an end that is no integer, a vertex index out
+    of range or a loop edge.
     """
+    us: list[int] = []
+    vs: list[int] = []
+    for i, (u, v) in enumerate(pairs):
+        try:
+            us.append(index(u))
+            vs.append(index(v))
+        except TypeError:
+            raise GraphError(f"edge {i}: endpoints must be integers, got ({u!r}, {v!r})") from None
+    return _checked_graph(n, us, vs)
+
+
+def _checked_graph(n: int, us: list[int], vs: list[int]) -> MultiGraph:
+    """The graph on n vertices with the int ends us and vs.  Raises
+    GraphError unless n is a positive int, and then at the first edge
+    with an end outside 0..n-1 or a loop."""
     if not isinstance(n, int) or n < 1:
         raise GraphError(f"vertex count must be a positive integer, got {n!r}")
-    records = []
-    for i, (u, v) in enumerate(pairs):
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge {i}: endpoint out of range: ({u}, {v})")
-        if u == v:
-            raise GraphError(f"edge {i}: loop at vertex {u} not allowed")
-        records.append(EdgeRecord(i, u, v))
-    return MultiGraph(n, tuple(records))
+    if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n or any(map(eq, us, vs))):
+        for i, (u, v) in enumerate(zip(us, vs)):
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge {i}: endpoint out of range: ({u}, {v})")
+            if u == v:
+                raise GraphError(f"edge {i}: loop at vertex {u} not allowed")
+    return MultiGraph(n, tuple(us), tuple(vs))
 
 
 def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, dict[int, int]]:
     """Spanning subgraph on the given edge ids.
 
     Returns the subgraph (same vertex set, edges reindexed from 0) and
-    the map new id -> parent id.
+    the map new id -> parent id.  Raises GraphError on an id outside
+    0..m-1.
     """
     ids = sorted(set(edge_ids))
-    records = []
-    id_map = {}
-    for new_id, old_id in enumerate(ids):
-        e = G.edges[old_id]
-        records.append(EdgeRecord(new_id, e.u, e.v))
-        id_map[new_id] = old_id
-    return MultiGraph(G.n, tuple(records)), id_map
+    if ids and not (0 <= ids[0] and ids[-1] < G.m):
+        raise GraphError(f"edge id outside 0..{G.m - 1}: {ids[0] if ids[0] < 0 else ids[-1]}")
+    us, vs = G.us, G.vs
+    H = MultiGraph(G.n, tuple(us[i] for i in ids), tuple(vs[i] for i in ids))
+    return H, dict(enumerate(ids))
 
 
 # ---------------------------------------------------------------------------
@@ -118,39 +145,38 @@ def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, dict[i
 def write_graph(G: MultiGraph) -> str:
     """Serialize to the line-based text format (ASCII, LF line endings)."""
     lines = [f"p {G.n} {G.m}"]
-    lines.extend(f"{e.u} {e.v}" for e in G.edges)
+    lines.extend(f"{u} {v}" for u, v in zip(G.us, G.vs))
     return "\n".join(lines) + "\n"
+
+
+def _digits(token: str) -> bool:
+    """Is token a run of ASCII decimal digits, as write_graph writes?"""
+    return token.isascii() and token.isdigit()
 
 
 def parse_graph(text: str) -> MultiGraph:
     """Parse the text format: 'p <n> <m>' then m lines '<u> <v>'.
 
-    Lines starting with '#' are comments.  Raises GraphError on any
-    deviation: bad header, wrong edge count, loops, bad indices.
+    Lines starting with '#' are comments.  Every number is a run of
+    ASCII decimal digits.  Raises GraphError on any deviation: bad
+    header, wrong edge count, loops, bad indices.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise GraphError("empty graph file")
     head = lines[0].split()
-    if len(head) != 3 or head[0] != "p":
+    if len(head) != 3 or head[0] != "p" or not (_digits(head[1]) and _digits(head[2])):
         raise GraphError(f"bad header line: {lines[0]!r}")
-    try:
-        n, m = int(head[1]), int(head[2])
-    except ValueError:
-        raise GraphError(f"bad header line: {lines[0]!r}") from None
+    n, m = int(head[1]), int(head[2])
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
-    pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphError(f"bad edge line: {ln!r}")
-        try:
-            pairs.append((int(parts[0]), int(parts[1])))
-        except ValueError:
-            raise GraphError(f"bad edge line: {ln!r}") from None
-    return build_graph(n, pairs)
+    rows = list(map(str.split, lines[1:]))
+    tokens = list(chain.from_iterable(rows))
+    if set(map(len, rows)) - {2} or (m and not _digits("".join(tokens))):
+        bad = next(ln for ln, row in zip(lines[1:], rows) if len(row) != 2 or not all(map(_digits, row)))
+        raise GraphError(f"bad edge line: {bad!r}")
+    ends = list(map(int, tokens))
+    return _checked_graph(n, ends[0::2], ends[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +195,11 @@ def _common_degree(G: MultiGraph) -> int | None:
 
 def components(G: MultiGraph) -> list[frozenset[int]]:
     """Connected components as vertex sets, ordered by smallest vertex."""
-    nbrs: list[list[int]] = [[] for _ in range(G.n)]
-    for u, v in zip(*G.ends):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    seen = [False] * G.n
-    out = []
-    for s in range(G.n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        comp = [s]
-        for u in comp:  # the list is the breadth-first queue: appends join the walk
-            for w in nbrs[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        out.append(frozenset(comp))
-    return out
+    comp = _vertex_profile(G)[1]
+    groups: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for v, c in enumerate(comp):
+        groups[c].append(v)
+    return list(map(frozenset, groups))
 
 
 def component_graphs(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
@@ -205,20 +218,31 @@ def component_graphs(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
 
 def _split_components(G: MultiGraph) -> list[tuple[MultiGraph, tuple[int, ...]]]:
     """The component graphs of a disconnected G, or [] for a connected
-    one, so that G's memo does not hold G itself."""
-    comps = components(G)
-    return [_component_graph(G, comp) for comp in comps] if len(comps) > 1 else []
+    one, so that G's memo does not hold G itself.
 
-
-def _component_graph(G: MultiGraph, comp: frozenset[int]) -> tuple[MultiGraph, tuple[int, ...]]:
-    vmap = {v: i for i, v in enumerate(sorted(comp))}
-    edges = [e for e in G.edges if e.u in comp]
-    C = MultiGraph(
-        len(vmap),
-        tuple(EdgeRecord(i, vmap[e.u], vmap[e.v]) for i, e in enumerate(edges)),
-    )
-    C.memo("component_graphs", list)  # a component is connected: no split to find
-    return C, tuple(e.id for e in edges)
+    Each component's vertices are renumbered in ascending order, and its
+    profile, read off G's, is stored with it.
+    """
+    degrees, comp = _vertex_profile(G)
+    count = max(comp, default=-1) + 1
+    if count <= 1:
+        return []
+    local = [0] * G.n
+    part_degrees: list[list[int]] = [[] for _ in range(count)]
+    for v, c in enumerate(comp):
+        local[v] = len(part_degrees[c])
+        part_degrees[c].append(degrees[v])
+    edge_ids: list[list[int]] = [[] for _ in range(count)]
+    for eid, u in enumerate(G.us):
+        edge_ids[comp[u]].append(eid)
+    us, vs = G.us, G.vs
+    out = []
+    for ids, degs in zip(edge_ids, part_degrees):
+        C = MultiGraph(len(degs), tuple(local[us[e]] for e in ids), tuple(local[vs[e]] for e in ids))
+        profile = (tuple(degs), (0,) * len(degs))  # a component is connected
+        C.memo("vertex_profile", lambda: profile)
+        out.append((C, tuple(ids)))
+    return out
 
 
 def find_bridges(G: MultiGraph) -> frozenset[int]:
@@ -339,12 +363,14 @@ def disjoint_union(parts: Sequence[MultiGraph]) -> MultiGraph:
     """Disjoint union; vertices of later parts are shifted upward."""
     if not parts:
         raise GraphError("disjoint union of nothing")
-    pairs = []
+    us: list[int] = []
+    vs: list[int] = []
     offset = 0
     for P in parts:
-        pairs.extend((P.edges[i].u + offset, P.edges[i].v + offset) for i in range(P.m))
+        us.extend(u + offset for u in P.us)
+        vs.extend(v + offset for v in P.vs)
         offset += P.n
-    return build_graph(offset, pairs)
+    return MultiGraph(offset, tuple(us), tuple(vs))
 
 
 FAMILIES = (

@@ -62,10 +62,10 @@ def validate_labels(G: MultiGraph, lab: EdgeLabeling) -> None:
 
 def _sums(G: MultiGraph, labels: Mapping[int, int], k: int, edge_ids: Iterable[int]) -> list[int]:
     sums = [0] * G.n
+    us, vs = G.us, G.vs
     for eid in edge_ids:
-        e = G.edges[eid]
-        sums[e.u] += labels[eid]
-        sums[e.v] += labels[eid]
+        sums[us[eid]] += labels[eid]
+        sums[vs[eid]] += labels[eid]
     if k > 1:
         sums = [s % k for s in sums]
     return sums
@@ -80,7 +80,7 @@ def verify(G: MultiGraph, lab: EdgeLabeling) -> int | None:
     """
     k = lab.k
     if isinstance(k, int) and k >= 2:
-        c = _twin.for_modulus(k).magic_sum(G.n, *G.ends, lab.labels, k)
+        c = _twin.for_modulus(k).magic_sum(G.n, G.us, G.vs, lab.labels, k)
         if c != MALFORMED:
             return c
     validate_labels(G, lab)
@@ -167,10 +167,10 @@ def extend_by_factor(
         raise RegularityError("extension needs a regular graph")
     factor = sorted(set(factor_edges))
     degs = [0] * G.n
+    us, vs = G.us, G.vs
     for eid in factor:
-        e = G.edges[eid]
-        degs[e.u] += 1
-        degs[e.v] += 1
+        degs[us[eid]] += 1
+        degs[vs[eid]] += 1
     h = degs[0] if G.n else 0
     check_factor(G, factor, h)
     if not 2 <= h <= r:

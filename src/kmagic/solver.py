@@ -25,7 +25,8 @@ from .graphs import MultiGraph, component_graphs
 from .labelings import EdgeLabeling
 
 # the twin module selected at import, by name: it runs the search kernel,
-# the magic-sum check, the Petersen split and the bridge tree
+# the magic-sum check, the Petersen split, the bridge tree and the vertex
+# profile
 _kernel = _twin.module
 KERNEL = "pure-python" if _kernel is _backtrack_py else "compiled"
 
@@ -61,7 +62,7 @@ class SearchResult:
 def assignment_order(G: MultiGraph) -> list[int]:
     """Edge ids in breadth-first order from the smallest vertex on: on a
     connected bridgeless G, the order of bridge_tree's one piece."""
-    us, vs = G.ends
+    us, vs = G.us, G.vs
     order: list[int] = []
     edge_seen = [False] * G.m
     visited = [False] * G.n
@@ -186,7 +187,7 @@ def _bridge_tree(C: MultiGraph) -> tuple[_Piece, ...]:
     """The pieces of connected C, the root (the piece of vertex 0) first
     and each piece after its parent; a bridgeless C is one piece, in
     assignment order.  Planned once per graph, by the selected twin."""
-    return C.memo("bridge_tree", lambda: tuple(_Piece(*t) for t in _twin.module.bridge_tree(C.n, *C.ends)))
+    return C.memo("bridge_tree", lambda: tuple(_Piece(*t) for t in _twin.module.bridge_tree(C.n, C.us, C.vs)))
 
 
 def _kernel_search(piece: _Piece, k: int, c: int, cap: int, impl) -> SearchResult:

@@ -79,7 +79,7 @@ DOUBLED_CIRCULANTS = {
 
 def fresh(G):
     """A copy of G with nothing split yet."""
-    return MultiGraph(G.n, G.edges)
+    return MultiGraph(G.n, G.us, G.vs)
 
 
 @pytest.mark.parametrize("G", SPLIT_GRAPHS.values(), ids=SPLIT_GRAPHS.keys())
@@ -116,7 +116,10 @@ def test_two_factorization_prefixes_are_the_full_split(G):
 def test_two_factorization_takes_one_compiled_call_per_graph(compiled_kernel, monkeypatch):
     calls = []
     split = compiled_kernel.petersen_split
-    twin = SimpleNamespace(petersen_split=lambda *a: calls.append(a) or split(*a))
+    twin = SimpleNamespace(
+        petersen_split=lambda *a: calls.append(a) or split(*a),
+        vertex_profile=compiled_kernel.vertex_profile,
+    )
     monkeypatch.setattr(_twin, "module", twin)
     monkeypatch.setattr(_backtrack_py, "_bipartite_round", None)  # no pure round may run
     D = double_graph(circulant(12, (1, 2, 3, 6))).doubled  # 14-regular
@@ -124,9 +127,10 @@ def test_two_factorization_takes_one_compiled_call_per_graph(compiled_kernel, mo
     for h in (1, 7, 3, 1, 6):
         assert extract_2h_factor(D, h).parts[0] == frozenset().union(*full[:h])
     assert two_factorization(D).parts == full
-    assert calls == [(D.n, *D.ends)]
-    # the doubled graph's endpoint arrays come from its source's
-    assert D.ends == tuple(a + a for a in circulant(12, (1, 2, 3, 6)).ends)
+    assert calls == [(D.n, D.us, D.vs)]
+    # the doubled graph's endpoint arrays are its source's, twice over
+    C = circulant(12, (1, 2, 3, 6))
+    assert (D.us, D.vs) == (C.us + C.us, C.vs + C.vs)
 
 
 def split_twins(compiled_kernel):
@@ -167,7 +171,7 @@ def even_regular_multigraphs(draw):
 @given(even_regular_multigraphs())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_split_twins_agree(compiled_kernel, G):
-    parts = {name: split(G.n, *G.ends) for name, split in split_twins(compiled_kernel).items()}
+    parts = {name: split(G.n, G.us, G.vs) for name, split in split_twins(compiled_kernel).items()}
     assert parts["pure-python"] == parts["compiled"]
     assert all(p == sorted(p) for p in parts["compiled"])
     dec = FactorDecomposition(tuple(map(frozenset, parts["compiled"])), (2,) * len(parts["compiled"]))

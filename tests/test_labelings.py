@@ -309,7 +309,7 @@ def labeled_multigraphs(draw):
 def test_sum_twins_and_verify_agree(compiled_kernel, case):
     G, lab = case
     answers = {
-        name: twin.magic_sum(G.n, *G.ends, lab.labels, lab.k)
+        name: twin.magic_sum(G.n, G.us, G.vs, lab.labels, lab.k)
         for name, twin in sum_twins(compiled_kernel).items()
     }
     assert answers["pure-python"] == answers["compiled"]
@@ -345,7 +345,7 @@ def test_sum_twins_and_verify_agree(compiled_kernel, case):
 def test_malformed_labels_keep_their_messages(twin, labels, message, request):
     impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin]
     G = cycle(4)
-    assert impl.magic_sum(G.n, *G.ends, labels, 5) == MALFORMED
+    assert impl.magic_sum(G.n, G.us, G.vs, labels, 5) == MALFORMED
     with mock.patch.object(_twin, "module", impl):
         with pytest.raises(LabelingError) as raised:
             verify(G, EdgeLabeling(5, labels))

@@ -190,7 +190,7 @@ def test_search_verify_and_split_all_run_on_the_selected_twin(monkeypatch):
 
         return call
 
-    names = ("bridge_tree", "search", "magic_sum", "petersen_split")
+    names = ("vertex_profile", "bridge_tree", "search", "magic_sum", "petersen_split")
     monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
     G = complete(5)
     res = search_labeling(G, 3, 1)
@@ -450,8 +450,8 @@ def connected_multigraphs(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(connected_multigraphs())
 def test_bridge_tree_twins_agree_and_find_every_bridge(compiled_kernel, G):
-    plan = _backtrack_py.bridge_tree(G.n, *G.ends)
-    assert compiled_kernel.bridge_tree(G.n, *G.ends) == plan
+    plan = _backtrack_py.bridge_tree(G.n, G.us, G.vs)
+    assert compiled_kernel.bridge_tree(G.n, G.us, G.vs) == plan
     assert sorted(eid for piece in plan for eid in piece[2]) == list(range(G.m))
     child_bridges = {piece[2][pos] for piece in plan for pos, _ in piece[5]}
     cut = {e for e in range(G.m) if len(components(subgraph(G, set(range(G.m)) - {e})[0])) > 1}
