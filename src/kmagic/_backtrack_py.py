@@ -6,11 +6,11 @@ of the Petersen 2-factor split, of the bridge tree (bridge_tree: the
 2-edge-connected pieces the solver searches) and of the vertex profile
 (vertex_profile: each vertex's degree and component); kmagic._backtrack
 holds their compiled twins, with identical semantics, and kmagic._twin
-picks one of the two modules for all five.  The search visits edges in the given
-order; when an edge is the last unlabeled edge at one of its endpoints
-its label is forced by the target sum, otherwise all of its allowed
-labels (1..k-1 unless restricted) are tried in increasing order.  Every
-attempted assignment counts as one node against the cap.
+picks one of the two modules for all five.  The search visits edges in
+the given order; when an edge is the last unlabeled edge at one of its
+endpoints its label is forced by the target sum, otherwise all of its
+allowed labels (1..k-1 unless restricted) are tried in increasing
+order.  Every attempted assignment counts as one node against the cap.
 
 Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge i
 joining us[i] and vs[i].  One reader, _read_edges, is the only code that

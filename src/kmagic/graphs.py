@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import eq, index
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
 from . import _twin
 from .errors import GraphError
@@ -27,8 +27,7 @@ from .errors import GraphError
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
-class EdgeRecord:
+class EdgeRecord(NamedTuple):
     """One edge: its id and its endpoints (u < v is not required)."""
 
     id: int
@@ -127,10 +126,13 @@ def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, dict[i
     """Spanning subgraph on the given edge ids.
 
     Returns the subgraph (same vertex set, edges reindexed from 0) and
-    the map new id -> parent id.  Raises GraphError on an id outside
-    0..m-1.
+    the map new id -> parent id.  Ids are read as operator.index reads
+    them; raises GraphError on any other id or one outside 0..m-1.
     """
-    ids = sorted(set(edge_ids))
+    try:
+        ids = sorted(set(map(index, edge_ids)))
+    except TypeError:
+        raise GraphError("edge ids must be integers") from None
     if ids and not (0 <= ids[0] and ids[-1] < G.m):
         raise GraphError(f"edge id outside 0..{G.m - 1}: {ids[0] if ids[0] < 0 else ids[-1]}")
     us, vs = G.us, G.vs

@@ -136,7 +136,7 @@ def test_component_graphs_split_once_per_graph(monkeypatch):
 
 def test_subgraph_rejects_edge_ids_outside_the_graph():
     G = complete(4)
-    for ids in ([-1], [0, G.m], [2, -7, 3]):
+    for ids in ([-1], [0, G.m], [2, -7, 3], [1.0], [0, "2"]):
         with pytest.raises(GraphError, match="edge id"):
             subgraph(G, ids)
     H, idmap = subgraph(G, [G.m - 1, 0])
