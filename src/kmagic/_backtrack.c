@@ -1,7 +1,11 @@
-/* Compiled twins of the five pure references in kmagic._backtrack_py:
+/* Compiled twins of the six pure references in kmagic._backtrack_py:
  * the backtracking kernel, the magic-sum check, the Petersen 2-factor
- * split, the bridge tree (bridge_tree) and the vertex profile
- * (vertex_profile: each vertex's degree and component).
+ * split, the bridge tree (bridge_tree), the split search (split_search:
+ * the label search of a connected graph over its bridge tree) and the
+ * vertex profile (vertex_profile: each vertex's degree and component).
+ * search() and split_search() run one kernel loop, kernel(), and
+ * bridge_tree() and split_search() one planner, plan_tree(), both over
+ * plain arrays, so split_search makes no Python call per piece search.
  *
  * search() transcribes the pure reference line for line: the same edge
  * order, the same forced-label rule and the same node count, so both
@@ -16,7 +20,7 @@
  *
  * Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge
  * i joining us[i] and vs[i].  One reader, read_edges, is the only code
- * that reads us and vs, and it holds all five twins to one contract:
+ * that reads us and vs, and it holds all six twins to one contract:
  * n < 0 raises ValueError; us and vs may be any iterables, each read
  * once; a non-int end raises TypeError, as operator.index does, the
  * ends of us first; then unequal lengths raise ValueError ("differ in
@@ -119,13 +123,38 @@ listed(const unsigned *lo, const unsigned *hi, unsigned f)
     return 0;
 }
 
-/* Read the allowed labels of every edge into *labs, a growing buffer, and
- * their bounds into span: edge i may take (*labs)[span[2i]..span[2i+1]),
- * or every label when span[2i] < 0. */
+/* A growing array of unsigned ints: len in use, room for cap. */
+typedef struct {
+    unsigned *a;
+    Py_ssize_t len, cap;
+} Pool;
+
+/* Make room for extra more items in pool, or raise MemoryError. */
 static int
-read_allowed(PyObject *al, int k, Py_ssize_t m, Py_ssize_t *span, unsigned **labs)
+pool_grow(Pool *pool, Py_ssize_t extra)
 {
-    Py_ssize_t used = 0, cap = 0;
+    if (extra <= pool->cap - pool->len)
+        return 0;
+    if (extra > PY_SSIZE_T_MAX / (Py_ssize_t)(2 * sizeof(unsigned)) - pool->len) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    Py_ssize_t cap = 2 * (pool->len + extra);
+    unsigned *a = PyMem_Realloc(pool->a, (size_t)cap * sizeof(unsigned));
+    if (a == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    pool->a = a;
+    pool->cap = cap;
+    return 0;
+}
+
+/* Read the allowed labels of every edge into labs: edge i may take
+ * labs->a[span[2i] .. span[2i+1]), or every label when span[2i] < 0. */
+static int
+read_allowed(PyObject *al, int k, Py_ssize_t m, Py_ssize_t *span, Pool *labs)
+{
     for (Py_ssize_t i = 0; i < m; i++) {
         PyObject *entry = PySequence_Fast_GET_ITEM(al, i);
         span[2 * i] = span[2 * i + 1] = -1;
@@ -135,108 +164,53 @@ read_allowed(PyObject *al, int k, Py_ssize_t m, Py_ssize_t *span, unsigned **lab
         if (fast == NULL)
             return -1;
         Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
-        if (used + len > cap) {
-            cap = 2 * (used + len);
-            unsigned *grown = PyMem_Realloc(*labs, (size_t)cap * sizeof(unsigned));
-            if (grown == NULL) {
-                Py_DECREF(fast);
-                PyErr_NoMemory();
-                return -1;
-            }
-            *labs = grown;
+        if (pool_grow(labs, len) < 0) {
+            Py_DECREF(fast);
+            return -1;
         }
-        span[2 * i] = used;
+        span[2 * i] = labs->len;
         long prev = 0;
         for (Py_ssize_t j = 0; j < len; j++) {
-            unsigned *slot = *labs + used;
+            unsigned *slot = labs->a + labs->len;
             if (read_bounded(PySequence_Fast_GET_ITEM(fast, j), prev + 1, k - 1,
                              "allowed labels of edge %zd must increase within 1..%d", i, slot) < 0) {
                 Py_DECREF(fast);
                 return -1;
             }
             prev = *slot;
-            used++;
+            labs->len++;
         }
-        span[2 * i + 1] = used;
+        span[2 * i + 1] = labs->len;
         Py_DECREF(fast);
     }
     return 0;
 }
 
-static PyObject *
-search(PyObject *self, PyObject *args, PyObject *kwargs)
+/* Read node_cap into *out: a cap past long long is never reached, a
+ * negative one never applies. */
+static int
+read_cap(PyObject *cap_arg, long long *out)
 {
-    static char *kwlist[] = {"n", "k", "c", "us", "vs", "node_cap", "targets", "allowed", NULL};
-    int n, k_in, c_in, overflow;
-    PyObject *us_arg, *vs_arg, *cap_arg, *tg_arg = Py_None, *al_arg = Py_None;
-    PyObject *tg = NULL, *al = NULL, *result = NULL;
-    unsigned *block = NULL, *alab = NULL;
-    Py_ssize_t *ends = NULL, *span = NULL, m;
+    int overflow;
+    long long cap = PyLong_AsLongLongAndOverflow(cap_arg, &overflow);
+    if (cap == -1 && PyErr_Occurred())
+        return -1;
+    *out = overflow ? (overflow > 0 ? LLONG_MAX : -1) : cap;
+    return 0;
+}
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiOOO|OO:search", kwlist, &n, &k_in,
-                                     &c_in, &us_arg, &vs_arg, &cap_arg, &tg_arg, &al_arg))
-        return NULL;
-    if (k_in < 2)
-        return PyErr_Format(PyExc_ValueError, "search needs k >= 2, got %d", k_in);
-    long long node_cap = PyLong_AsLongLongAndOverflow(cap_arg, &overflow);
-    if (node_cap == -1 && PyErr_Occurred())
-        return NULL;
-    if (overflow)  /* a cap past long long is never reached, a negative one never applies */
-        node_cap = overflow > 0 ? LLONG_MAX : -1;
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL)
-        goto done;
-    block = PyMem_Calloc(2 * (size_t)m + 3 * (size_t)n, sizeof(unsigned));
-    if (block == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    const Py_ssize_t *eu = ends, *ev = ends + m;
-    unsigned *labels = block, *nxt = labels + m, *left = nxt + m, *sums = left + n, *tgt = sums + n;
-    for (Py_ssize_t i = 0; i < m; i++) {
-        nxt[i] = 1;
-        left[eu[i]] += 1;
-        left[ev[i]] += 1;
-    }
-
-    int c_mod = c_in % k_in;
-    unsigned k = (unsigned)k_in, c = (unsigned)(c_mod < 0 ? c_mod + k_in : c_mod);
-    for (int v = 0; v < n; v++)
-        tgt[v] = c;
-    if (tg_arg != Py_None) {
-        tg = PySequence_Fast(tg_arg, "targets must be a sequence");
-        if (tg == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(tg) != n) {
-            PyErr_SetString(PyExc_ValueError, "targets must hold one entry per vertex");
-            goto done;
-        }
-        for (Py_ssize_t v = 0; v < n; v++) {
-            PyObject *t = PySequence_Fast_GET_ITEM(tg, v);
-            if (t == Py_None)
-                left[v] += 1;  /* a phantom edge that is never labeled */
-            else if (read_bounded(t, 0, k_in - 1, "target of vertex %zd lies outside 0..%d", v,
-                                  &tgt[v]) < 0)
-                goto done;
-        }
-    }
-    if (al_arg != Py_None) {
-        al = PySequence_Fast(al_arg, "allowed must be a sequence");
-        if (al == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(al) != m) {
-            PyErr_SetString(PyExc_ValueError, "allowed must hold one entry per edge");
-            goto done;
-        }
-        span = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(Py_ssize_t));
-        if (span == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        if (read_allowed(al, k_in, m, span, &alab) < 0)
-            goto done;
-    }
-
+/* The search loop, over plain arrays, of search and of every piece search
+ * of split_search.  Edge i joins eu[i] and ev[i] and may take the labels
+ * alab[span[2i] .. span[2i+1]), or every label 1..k-1 when span is NULL
+ * or span[2i] < 0.  Vertex v must sum to tgt[v] and has left[v]
+ * unlabeled edges, one more when it is free.  sums must start at 0 and
+ * nxt at 1; labels receives the labeling.  Returns the status and stores
+ * the nodes tried in *nodes_out; node_cap < 0 means unbounded. */
+static int
+kernel(Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, unsigned k, const unsigned *tgt,
+       unsigned *left, unsigned *sums, unsigned *labels, unsigned *nxt, const Py_ssize_t *span,
+       const unsigned *alab, long long node_cap, long long *nodes_out)
+{
     long long nodes = 0;
     Py_ssize_t pos = 0;
     int status;
@@ -305,28 +279,119 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         left[v] -= 1;
         pos += 1;
     }
+    *nodes_out = nodes;
+    return status;
+}
 
-    if (status != SAT) {
-        result = Py_BuildValue("(iOL)", status, Py_None, nodes);
-        goto done;
-    }
+/* The answer (status, labels or None, nodes) of search and split_search,
+ * labels a list of labels[0..m) when status is SAT; or NULL. */
+static PyObject *
+answer(int status, const unsigned *labels, Py_ssize_t m, long long nodes)
+{
+    if (status != SAT)
+        return Py_BuildValue("(iOL)", status, Py_None, nodes);
     PyObject *out = PyList_New(m);
     if (out == NULL)
-        goto done;
+        return NULL;
     for (Py_ssize_t i = 0; i < m; i++) {
         PyObject *label = PyLong_FromUnsignedLong(labels[i]);
         if (label == NULL) {
             Py_DECREF(out);
-            goto done;
+            return NULL;
         }
         PyList_SET_ITEM(out, i, label);
     }
-    result = Py_BuildValue("(iNL)", status, out, nodes);
+    return Py_BuildValue("(iNL)", status, out, nodes);
+}
+
+/* The residue of c mod k, k >= 2, in 0..k-1. */
+static unsigned
+residue(int c, int k)
+{
+    int r = c % k;
+    return (unsigned)(r < 0 ? r + k : r);
+}
+
+static PyObject *
+search(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"n", "k", "c", "us", "vs", "node_cap", "targets", "allowed", NULL};
+    int n, k_in, c_in;
+    long long node_cap;
+    PyObject *us_arg, *vs_arg, *cap_arg, *tg_arg = Py_None, *al_arg = Py_None;
+    PyObject *tg = NULL, *al = NULL, *result = NULL;
+    unsigned *block = NULL;
+    Pool alab = {NULL, 0, 0};
+    Py_ssize_t *ends = NULL, *span = NULL, m;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiOOO|OO:search", kwlist, &n, &k_in,
+                                     &c_in, &us_arg, &vs_arg, &cap_arg, &tg_arg, &al_arg))
+        return NULL;
+    if (k_in < 2)
+        return PyErr_Format(PyExc_ValueError, "search needs k >= 2, got %d", k_in);
+    if (read_cap(cap_arg, &node_cap) < 0)
+        return NULL;
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
+        goto done;
+    block = PyMem_Calloc(2 * (size_t)m + 3 * (size_t)n, sizeof(unsigned));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    unsigned *labels = block, *nxt = labels + m, *left = nxt + m, *sums = left + n, *tgt = sums + n;
+    for (Py_ssize_t i = 0; i < m; i++) {
+        nxt[i] = 1;
+        left[eu[i]] += 1;
+        left[ev[i]] += 1;
+    }
+
+    unsigned k = (unsigned)k_in, c = residue(c_in, k_in);
+    for (int v = 0; v < n; v++)
+        tgt[v] = c;
+    if (tg_arg != Py_None) {
+        tg = PySequence_Fast(tg_arg, "targets must be a sequence");
+        if (tg == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(tg) != n) {
+            PyErr_SetString(PyExc_ValueError, "targets must hold one entry per vertex");
+            goto done;
+        }
+        for (Py_ssize_t v = 0; v < n; v++) {
+            PyObject *t = PySequence_Fast_GET_ITEM(tg, v);
+            if (t == Py_None)
+                left[v] += 1;  /* a phantom edge that is never labeled */
+            else if (read_bounded(t, 0, k_in - 1, "target of vertex %zd lies outside 0..%d", v,
+                                  &tgt[v]) < 0)
+                goto done;
+        }
+    }
+    if (al_arg != Py_None) {
+        al = PySequence_Fast(al_arg, "allowed must be a sequence");
+        if (al == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(al) != m) {
+            PyErr_SetString(PyExc_ValueError, "allowed must hold one entry per edge");
+            goto done;
+        }
+        span = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(Py_ssize_t));
+        if (span == NULL) {
+            PyErr_NoMemory();
+            goto done;
+        }
+        if (read_allowed(al, k_in, m, span, &alab) < 0)
+            goto done;
+    }
+
+    long long nodes;
+    int status = kernel(m, eu, ev, k, tgt, left, sums, labels, nxt, span, alab.a, node_cap, &nodes);
+    result = answer(status, labels, m, nodes);
 done:
     PyMem_Free(ends);
     PyMem_Free(block);
     PyMem_Free(span);
-    PyMem_Free(alab);
+    PyMem_Free(alab.a);
     Py_XDECREF(tg);
     Py_XDECREF(al);
     return result;
@@ -606,17 +671,17 @@ pair_tuple(const Py_ssize_t *pos, const Py_ssize_t *idx, Py_ssize_t len)
 static PyObject *
 piece_tuple(Py_ssize_t size, Py_ssize_t entry, const Py_ssize_t *order, const Py_ssize_t *pus,
             const Py_ssize_t *pvs, Py_ssize_t len, const Py_ssize_t *cpos, const Py_ssize_t *cidx,
-            Py_ssize_t nch)
+            Py_ssize_t nch, int edgeless)
 {
     PyObject *f[7] = {NULL};
     PyObject *piece = NULL;
-    if ((f[0] = PyLong_FromSsize_t(size + (nch > 0))) != NULL &&
+    if ((f[0] = PyLong_FromSsize_t(size)) != NULL &&
         (f[1] = PyLong_FromSsize_t(entry)) != NULL &&
         (f[2] = int_tuple(order, len)) != NULL &&
         (f[3] = int_tuple(pus, len)) != NULL &&
         (f[4] = int_tuple(pvs, len)) != NULL &&
         (f[5] = pair_tuple(cpos, cidx, nch)) != NULL) {
-        f[6] = PyBool_FromLong(size == 1);
+        f[6] = PyBool_FromLong(edgeless);
         piece = PyTuple_Pack(7, f[0], f[1], f[2], f[3], f[4], f[5], f[6]);
     }
     for (int j = 0; j < 7; j++)
@@ -624,51 +689,57 @@ piece_tuple(Py_ssize_t size, Py_ssize_t entry, const Py_ssize_t *order, const Py
     return piece;
 }
 
-/* The 2-edge-connected pieces of a connected multigraph, the twin of
- * kmagic._backtrack_py.bridge_tree.  One lowpoint walk from vertex 0
- * marks the bridges and checks that the graph is connected; one scan
- * numbers the pieces by smallest vertex and each vertex within its
- * piece; one breadth-first walk per piece, top-down over the bridge
- * tree, lists its edges, each edge once overall, so the per-piece lists
- * are consecutive runs of shared arrays.  Every stack and queue holds at
- * most n vertices, and a graph has at most n pieces and n - 1 bridges. */
-static PyObject *
-bridge_tree(PyObject *self, PyObject *args)
-{
-    int n;
-    PyObject *us_arg, *vs_arg, *pieces = NULL, *result = NULL;
-    Py_ssize_t *ends = NULL, *block = NULL, m;
+/* The plan of bridge_tree over plain arrays, its pieces in bridge_tree's
+ * order: piece i has size[i] local vertices, its stub included, entry[i]
+ * is the local entry and edgeless[i] is set for a single vertex; its edges
+ * are order[ostart[i] .. ostart[i + 1]), with local ends pus and pvs at
+ * the same slots; its child bridges sit at positions cpos[cstart[i] ..
+ * cstart[i + 1]) of that run, leading to the pieces cidx at the same
+ * slots.  Every array lives in block. */
+typedef struct {
+    Py_ssize_t npieces;
+    Py_ssize_t *size, *entry, *edgeless, *ostart, *cstart, *order, *pus, *pvs, *cpos, *cidx;
+    Py_ssize_t *block;
+} Plan;
 
-    if (!PyArg_ParseTuple(args, "iOO:bridge_tree", &n, &us_arg, &vs_arg))
-        return NULL;
-    if (n < 1)
-        return PyErr_Format(PyExc_ValueError, "bridge_tree needs n >= 1, got %d", n);
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL)
-        goto done;
+/* Plan the 2-edge-connected pieces of the connected multigraph on n >= 1
+ * vertices whose edge i joins eu[i] and ev[i], as kmagic._backtrack_py.
+ * bridge_tree does; or raise ValueError when it is not connected.  One
+ * lowpoint walk from vertex 0 marks the bridges and checks that the graph
+ * is connected; one scan numbers the pieces by smallest vertex and each
+ * vertex within its piece; one breadth-first walk per piece, top-down
+ * over the bridge tree, lists its edges, each edge once overall, so the
+ * per-piece lists are consecutive runs of shared arrays.  Every stack and
+ * queue holds at most n vertices, and a graph has at most n pieces and
+ * n - 1 bridges.  The caller frees plan->block, also on failure. */
+static int
+plan_tree(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Plan *plan)
+{
     if (m < (Py_ssize_t)n - 1) {  /* checked before allocating per vertex */
         PyErr_SetString(PyExc_ValueError, "graph is not connected");
-        goto done;
+        return -1;
     }
     /* per edge: adjacency (two slots), bridge and seen flags, the pieces'
      * order, us and vs; per vertex: first adjacency slot, walk position,
      * discovery, lowpoint, tree edge, stack, piece, local number, queue,
-     * visited flag, piece size; per output piece: entry, order start,
-     * children start; per bridge: child position and index */
+     * visited flag, piece size; per output piece: entry vertex, order
+     * start, children start, size, local entry, edgeless flag; per
+     * bridge: child position and index */
     Py_ssize_t nv = n;
-    block = PyMem_Calloc(7 * (size_t)m + 16 * (size_t)nv + 3, sizeof(Py_ssize_t));
+    Py_ssize_t *block = plan->block = PyMem_Calloc(7 * (size_t)m + 19 * (size_t)nv + 3,
+                                                   sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    const Py_ssize_t *eu = ends, *ev = ends + m;
     Py_ssize_t *adj = block, *bridge = adj + 2 * m;
     Py_ssize_t *eseen = bridge + m, *order = eseen + m, *pus = order + m, *pvs = pus + m;
     Py_ssize_t *first = pvs + m, *nxt = first + nv + 1, *disc = nxt + nv, *low = disc + nv;
     Py_ssize_t *via = low + nv, *stack = via + nv, *piece_of = stack + nv, *local = piece_of + nv;
     Py_ssize_t *queue = local + nv, *visited = queue + nv, *size = visited + nv;
     Py_ssize_t *entry = size + nv, *ostart = entry + nv, *cstart = ostart + nv + 1;
-    Py_ssize_t *cpos = cstart + nv + 1, *cidx = cpos + nv;
+    Py_ssize_t *psize = cstart + nv + 1, *pentry = psize + nv, *pedgeless = pentry + nv;
+    Py_ssize_t *cpos = pedgeless + nv, *cidx = cpos + nv;
 
     for (Py_ssize_t i = 0; i < m; i++) {
         first[eu[i] + 1] += 1;
@@ -719,7 +790,7 @@ bridge_tree(PyObject *self, PyObject *args)
     }
     if (seen < nv) {
         PyErr_SetString(PyExc_ValueError, "graph is not connected");
-        goto done;
+        return -1;
     }
 
     /* the pieces, numbered by smallest vertex, and each vertex's local number */
@@ -781,18 +852,43 @@ bridge_tree(PyObject *self, PyObject *args)
                 }
             }
         }
+        psize[i] = stub + (nch > cstart[i]);
+        pentry[i] = local[entry[i]];
+        pedgeless[i] = stub == 1;
     }
     ostart[ntodo] = len;
     cstart[ntodo] = nch;
+    *plan = (Plan){ntodo, psize, pentry, pedgeless, ostart, cstart, order, pus, pvs, cpos, cidx,
+                   block};
+    return 0;
+}
 
-    pieces = PyList_New(ntodo);
+/* The 2-edge-connected pieces of a connected multigraph, the twin of
+ * kmagic._backtrack_py.bridge_tree: plan_tree's plan as tuples. */
+static PyObject *
+bridge_tree(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *pieces = NULL, *result = NULL;
+    Py_ssize_t *ends = NULL, m;
+    Plan plan = {0};
+
+    if (!PyArg_ParseTuple(args, "iOO:bridge_tree", &n, &us_arg, &vs_arg))
+        return NULL;
+    if (n < 1)
+        return PyErr_Format(PyExc_ValueError, "bridge_tree needs n >= 1, got %d", n);
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL || plan_tree(n, m, ends, ends + m, &plan) < 0)
+        goto done;
+    pieces = PyList_New(plan.npieces);
     if (pieces == NULL)
         goto done;
-    for (Py_ssize_t i = 0; i < ntodo; i++) {
-        Py_ssize_t lo = ostart[i], clo = cstart[i];
-        PyObject *piece = piece_tuple(size[piece_of[entry[i]]], local[entry[i]], order + lo,
-                                      pus + lo, pvs + lo, ostart[i + 1] - lo, cpos + clo,
-                                      cidx + clo, cstart[i + 1] - clo);
+    for (Py_ssize_t i = 0; i < plan.npieces; i++) {
+        Py_ssize_t lo = plan.ostart[i], clo = plan.cstart[i];
+        PyObject *piece = piece_tuple(plan.size[i], plan.entry[i], plan.order + lo, plan.pus + lo,
+                                      plan.pvs + lo, plan.ostart[i + 1] - lo, plan.cpos + clo,
+                                      plan.cidx + clo, plan.cstart[i + 1] - clo,
+                                      (int)plan.edgeless[i]);
         if (piece == NULL)
             goto done;
         PyList_SET_ITEM(pieces, i, piece);
@@ -801,8 +897,277 @@ bridge_tree(PyObject *self, PyObject *args)
     pieces = NULL;
 done:
     PyMem_Free(ends);
-    PyMem_Free(block);
+    PyMem_Free(plan.block);
     Py_XDECREF(pieces);
+    return result;
+}
+
+static int
+compare_unsigned(const void *a, const void *b)
+{
+    unsigned x = *(const unsigned *)a, y = *(const unsigned *)b;
+    return (x > y) - (x < y);
+}
+
+/* Sort a[0..len) and drop its repeats; returns the count left. */
+static Py_ssize_t
+sort_unique(unsigned *a, Py_ssize_t len)
+{
+    if (len == 0)
+        return 0;
+    qsort(a, (size_t)len, sizeof(unsigned), compare_unsigned);
+    Py_ssize_t out = 1;
+    for (Py_ssize_t i = 1; i < len; i++)
+        if (a[i] != a[out - 1])
+            a[out++] = a[i];
+    return out;
+}
+
+/* Are pieces p and s of plan alike to the split search: both the root or
+ * both not, of one size and entry, with the same local edges and with
+ * each child bridge limited to the same labels?  Child piece q's feasible
+ * labels are flab[fstart[q] .. fstart[q] + fcount[q]). */
+static int
+alike(const Plan *plan, Py_ssize_t p, Py_ssize_t s, const unsigned *flab, const Py_ssize_t *fstart,
+      const Py_ssize_t *fcount)
+{
+    Py_ssize_t lo = plan->ostart[p], so = plan->ostart[s], len = plan->ostart[p + 1] - lo;
+    if ((p == 0) != (s == 0) || plan->size[p] != plan->size[s] ||
+        plan->entry[p] != plan->entry[s] || plan->ostart[s + 1] - so != len ||
+        memcmp(plan->pus + lo, plan->pus + so, (size_t)len * sizeof(Py_ssize_t)) != 0 ||
+        memcmp(plan->pvs + lo, plan->pvs + so, (size_t)len * sizeof(Py_ssize_t)) != 0)
+        return 0;
+    /* equal pvs put the child bridges, the edges to the stub, at equal positions */
+    for (Py_ssize_t j = plan->cstart[p], t = plan->cstart[s]; j < plan->cstart[p + 1]; j++, t++) {
+        Py_ssize_t q = plan->cidx[j], r = plan->cidx[t];
+        if (fcount[q] != fcount[r] ||
+            memcmp(flab + fstart[q], flab + fstart[r], (size_t)fcount[q] * sizeof(unsigned)) != 0)
+            return 0;
+    }
+    return 1;
+}
+
+/* The split search of a connected multigraph, the twin of
+ * kmagic._backtrack_py.split_search: one plan_tree plan, then one kernel
+ * run per piece and parent-bridge label, bottom-up, and the labeling read
+ * off top-down, with no Python call in between.  The feasible parent
+ * labels of piece p are flab[fstart[p] .. fstart[p] + fcount[p]), in
+ * increasing order (the root's one entry, 0, stands for None); those of a
+ * searched piece were found with the labels of its order at lpool[lbase[p]
+ * + j * len] for the j-th, len its edge count, and a piece alike to one
+ * searched before shares that one's entries.  The sums the child bridges
+ * j, j + 1, ... of an edgeless piece p can reach are rpool[rspan[2i] ..
+ * rspan[2i + 1]), sorted, at i = ostart[p] + p + j. */
+static PyObject *
+split_search(PyObject *self, PyObject *args)
+{
+    int n, k_in, c_in;
+    long long node_cap;
+    PyObject *us_arg, *vs_arg, *cap_arg, *result = NULL;
+    Py_ssize_t *ends = NULL, *work = NULL, m;
+    unsigned *uwork = NULL;
+    Pool flab = {NULL, 0, 0}, lpool = {NULL, 0, 0}, rpool = {NULL, 0, 0};
+    Plan plan = {0};
+
+    if (!PyArg_ParseTuple(args, "iiiOOO:split_search", &n, &k_in, &c_in, &us_arg, &vs_arg,
+                          &cap_arg))
+        return NULL;
+    if (k_in < 2)
+        return PyErr_Format(PyExc_ValueError, "split_search needs k >= 2, got %d", k_in);
+    if (n < 1)
+        return PyErr_Format(PyExc_ValueError, "split_search needs n >= 1, got %d", n);
+    if (read_cap(cap_arg, &node_cap) < 0)
+        return NULL;
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < m; i++)
+        if (ends[i] == ends[m + i]) {
+            PyErr_Format(PyExc_ValueError, "edge %zd is a loop", i);
+            goto done;
+        }
+    if (plan_tree(n, m, ends, ends + m, &plan) < 0)
+        goto done;
+    /* per edge: the allowed spans; per piece: fstart, fcount, lbase, the
+     * searched list; per edge and piece: reach spans.  Per vertex, the
+     * stub included: left, sums, targets; per edge: labels, nxt, answer;
+     * per piece: parent label */
+    Py_ssize_t np = plan.npieces;
+    work = PyMem_Calloc(4 * (size_t)m + 6 * (size_t)np + 1, sizeof(Py_ssize_t));
+    uwork = PyMem_Calloc(3 * (size_t)n + 3 * (size_t)m + (size_t)np + 3, sizeof(unsigned));
+    if (work == NULL || uwork == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    Py_ssize_t *span = work, *fstart = span + 2 * m, *fcount = fstart + np;
+    Py_ssize_t *lbase = fcount + np, *searched = lbase + np, *rspan = searched + np;
+    unsigned *left = uwork, *sums = left + n + 1, *tgt = sums + n + 1, *labels = tgt + n + 1;
+    unsigned *nxt = labels + m, *out = nxt + m, *plab = out + m;
+    unsigned k = (unsigned)k_in, c = residue(c_in, k_in);
+    long long nodes = 0, charged = 0;
+    Py_ssize_t nsearched = 0;
+    int status = SAT;
+
+    for (Py_ssize_t p = np - 1; p >= 0; p--) {
+        Py_ssize_t lo = plan.ostart[p], len = plan.ostart[p + 1] - lo;
+        Py_ssize_t clo = plan.cstart[p], nch = plan.cstart[p + 1] - clo, size = plan.size[p];
+        const Py_ssize_t *pus = plan.pus + lo, *pvs = plan.pvs + lo;
+        if (plan.edgeless[p]) {
+            /* every edge of the piece is a child bridge: child j at position j */
+            Py_ssize_t *rs = rspan + 2 * (lo + p);
+            if (pool_grow(&rpool, 1) < 0)
+                goto done;
+            rs[2 * len] = rpool.len;
+            rpool.a[rpool.len++] = 0;
+            rs[2 * len + 1] = rpool.len;
+            for (Py_ssize_t j = len - 1; j >= 0; j--) {
+                Py_ssize_t q = plan.cidx[clo + j], ny = fcount[q];
+                Py_ssize_t r0 = rs[2 * j + 2], nr = rs[2 * j + 3] - r0;
+                if ((nr > 0 && ny > PY_SSIZE_T_MAX / nr) || pool_grow(&rpool, ny * nr) < 0) {
+                    if (!PyErr_Occurred())
+                        PyErr_NoMemory();
+                    goto done;
+                }
+                unsigned *sum = rpool.a + rpool.len;
+                const unsigned *ys = flab.a + fstart[q], *rr = rpool.a + r0;
+                for (Py_ssize_t a = 0; a < ny; a++)
+                    for (Py_ssize_t b = 0; b < nr; b++)
+                        *sum++ = (ys[a] + rr[b]) % k;
+                rs[2 * j] = rpool.len;
+                rpool.len += sort_unique(rpool.a + rpool.len, ny * nr);
+                rs[2 * j + 1] = rpool.len;
+            }
+            Py_ssize_t nr = rs[1] - rs[0];
+            if (pool_grow(&flab, nr) < 0)
+                goto done;
+            const unsigned *r = rpool.a + rs[0];
+            fstart[p] = flab.len;
+            if (p == 0) {
+                if (listed(r, r + nr, c))
+                    flab.a[flab.len++] = 0;
+            }
+            else {
+                for (Py_ssize_t i = 0; i < nr; i++)
+                    if ((c + k - r[i]) % k != 0)
+                        flab.a[flab.len++] = (c + k - r[i]) % k;
+                qsort(flab.a + fstart[p], (size_t)(flab.len - fstart[p]), sizeof(unsigned),
+                      compare_unsigned);
+            }
+            fcount[p] = flab.len - fstart[p];
+        }
+        else {
+            Py_ssize_t s = 0;
+            while (s < nsearched && !alike(&plan, p, searched[s], flab.a, fstart, fcount))
+                s++;
+            if (s < nsearched) {
+                Py_ssize_t t = searched[s];
+                fstart[p] = fstart[t];
+                fcount[p] = fcount[t];
+                lbase[p] = lbase[t];
+            }
+            else {
+                searched[nsearched++] = p;
+                for (Py_ssize_t j = 0; j < len; j++)
+                    span[2 * j] = span[2 * j + 1] = -1;
+                for (Py_ssize_t j = clo; j < clo + nch; j++) {
+                    Py_ssize_t q = plan.cidx[j], pos = plan.cpos[j];
+                    span[2 * pos] = fstart[q];
+                    span[2 * pos + 1] = fstart[q] + fcount[q];
+                }
+                /* the root tries only x = 0 (None); at even k a piece without
+                 * child bridges only the x of the parity of size * c */
+                int parity = k % 2 == 0 && nch == 0;
+                unsigned x = p == 0 ? 0 : parity ? 2 - ((unsigned)size & c & 1) : 1;
+                unsigned step = p == 0 ? k : parity ? 2 : 1;
+                fstart[p] = flab.len;
+                lbase[p] = lpool.len;
+                for (; x < k; x += step) {
+                    if (node_cap >= 0 && charged >= node_cap) {
+                        status = UNDECIDED;
+                        break;
+                    }
+                    for (Py_ssize_t v = 0; v < size; v++) {
+                        left[v] = sums[v] = 0;
+                        tgt[v] = c;
+                    }
+                    if (nch > 0)
+                        left[size - 1] = 1;  /* the stub's phantom edge: it is free */
+                    if (p > 0)
+                        tgt[plan.entry[p]] = (c + k - x) % k;
+                    for (Py_ssize_t j = 0; j < len; j++) {
+                        left[pus[j]] += 1;
+                        left[pvs[j]] += 1;
+                        nxt[j] = 1;
+                    }
+                    long long used;
+                    int found = kernel(len, pus, pvs, k, tgt, left, sums, labels, nxt,
+                                       nch > 0 ? span : NULL, flab.a,
+                                       node_cap < 0 ? -1 : node_cap - charged, &used);
+                    nodes += used;
+                    charged += used > 1 ? used : 1;
+                    if (found == UNDECIDED) {
+                        status = UNDECIDED;
+                        break;
+                    }
+                    if (found == SAT) {
+                        if (pool_grow(&flab, 1) < 0 || pool_grow(&lpool, len) < 0)
+                            goto done;
+                        flab.a[flab.len++] = x;
+                        memcpy(lpool.a + lpool.len, labels, (size_t)len * sizeof(unsigned));
+                        lpool.len += len;
+                    }
+                }
+                fcount[p] = flab.len - fstart[p];
+                if (status == UNDECIDED)
+                    break;
+            }
+        }
+        if (fcount[p] == 0) {
+            status = UNSAT;
+            break;
+        }
+    }
+
+    if (status == SAT) {
+        plab[0] = 0;
+        for (Py_ssize_t p = 0; p < np; p++) {
+            Py_ssize_t lo = plan.ostart[p], len = plan.ostart[p + 1] - lo;
+            Py_ssize_t clo = plan.cstart[p], nch = plan.cstart[p + 1] - clo;
+            const unsigned *f = flab.a + fstart[p];
+            if (plan.edgeless[p]) {
+                /* each child bridge takes its first label that leaves a sum
+                 * the later ones reach */
+                unsigned t = (c + k - plab[p]) % k;
+                for (Py_ssize_t j = 0; j < nch; j++) {
+                    Py_ssize_t q = plan.cidx[clo + j];
+                    const Py_ssize_t *rs = rspan + 2 * (lo + p + j + 1);
+                    const unsigned *ys = flab.a + fstart[q];
+                    while (!listed(rpool.a + rs[0], rpool.a + rs[1], (t + k - *ys) % k))
+                        ys++;
+                    out[plan.order[lo + j]] = plab[q] = *ys;
+                    t = (t + k - *ys) % k;
+                }
+                continue;
+            }
+            Py_ssize_t i = 0;
+            while (f[i] != plab[p])
+                i++;
+            const unsigned *lab = lpool.a + lbase[p] + i * len;
+            for (Py_ssize_t j = 0; j < len; j++)
+                out[plan.order[lo + j]] = lab[j];
+            for (Py_ssize_t j = clo; j < clo + nch; j++)
+                plab[plan.cidx[j]] = lab[plan.cpos[j]];
+        }
+    }
+    result = answer(status, out, m, nodes);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(plan.block);
+    PyMem_Free(work);
+    PyMem_Free(uwork);
+    PyMem_Free(flab.a);
+    PyMem_Free(lpool.a);
+    PyMem_Free(rpool.a);
     return result;
 }
 
@@ -888,6 +1253,12 @@ static PyMethodDef methods[] = {
      "us[i] and vs[i], as (n_local, entry, order, us, vs, children, edgeless)\n"
      "tuples, the piece of vertex 0 first and each piece after its parent; see\n"
      "kmagic._backtrack_py.bridge_tree, whose semantics this twin shares."},
+    {"split_search", split_search, METH_VARARGS,
+     "split_search(n, k, c, us, vs, node_cap)\n--\n\n"
+     "Find an edge labeling of a connected multigraph, edge i joining us[i] and\n"
+     "vs[i], with all vertex sums equal to c mod k, one search per piece and\n"
+     "parent-bridge label over its bridge tree; see\n"
+     "kmagic._backtrack_py.split_search, whose semantics this twin shares."},
     {"vertex_profile", vertex_profile, METH_VARARGS,
      "vertex_profile(n, us, vs)\n--\n\n"
      "(degrees, component): each vertex's degree and the index of its connected\n"
@@ -901,9 +1272,10 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
     .m_doc = "Compiled backtracking kernel, magic-sum check, Petersen 2-factor split,\n"
-             "bridge tree and vertex profile; semantics match kmagic._backtrack_py.search,\n"
-             "kmagic._backtrack_py.magic_sum, kmagic._backtrack_py.petersen_split,\n"
-             "kmagic._backtrack_py.bridge_tree and kmagic._backtrack_py.vertex_profile.",
+             "bridge tree, split search and vertex profile; semantics match\n"
+             "kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum,\n"
+             "kmagic._backtrack_py.petersen_split, kmagic._backtrack_py.bridge_tree,\n"
+             "kmagic._backtrack_py.split_search and kmagic._backtrack_py.vertex_profile.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,20 +1,24 @@
 """Pure-Python backtracking kernel, magic-sum check, Petersen split,
-bridge tree and vertex profile.
+bridge tree, split search and vertex profile.
 
 Reference implementations of the label search, of the magic-sum check,
 of the Petersen 2-factor split, of the bridge tree (bridge_tree: the
-2-edge-connected pieces the solver searches) and of the vertex profile
-(vertex_profile: each vertex's degree and component); kmagic._backtrack
-holds their compiled twins, with identical semantics, and kmagic._twin
-picks one of the two modules for all five.  The search visits edges in
-the given order; when an edge is the last unlabeled edge at one of its
-endpoints its label is forced by the target sum, otherwise all of its
-allowed labels (1..k-1 unless restricted) are tried in increasing
-order.  Every attempted assignment counts as one node against the cap.
+2-edge-connected pieces the solver searches), of the split search
+(split_search: the label search of a connected graph, one search per
+piece and parent-bridge label over its bridge tree) and of the vertex
+profile (vertex_profile: each vertex's degree and component);
+kmagic._backtrack holds their compiled twins, with identical semantics,
+and kmagic._twin picks one of the two modules for all six.  The search
+visits edges in the given order; when an edge is the last unlabeled
+edge at one of its endpoints its label is forced by the target sum,
+otherwise all of its allowed labels (1..k-1 unless restricted) are tried
+in increasing order.  Every attempted assignment counts as one node
+against the cap; node_cap < 0 means unbounded, in search and
+split_search alike, and split_search's searches share one cap.
 
 Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge i
 joining us[i] and vs[i].  One reader, _read_edges, is the only code that
-reads us and vs, and it holds all five twins to one contract:
+reads us and vs, and it holds all six twins to one contract:
 
 - n < 0 raises ValueError;
 - us and vs may be any iterables, each read once;
@@ -346,6 +350,124 @@ def bridge_tree(n, us, vs):
         pieces.append((stub + bool(children), local[entry], tuple(order), tuple(pus),
                        tuple(pvs), tuple(children), stub == 1))
     return pieces
+
+
+def split_search(n, k, c, us, vs, node_cap):
+    """Find an edge labeling of a connected multigraph with all vertex
+    sums equal to c mod k, searched piece by piece over its bridge tree.
+
+    (n, us, vs) is the graph, as the module header states; node_cap < 0
+    means unbounded.  A labeling is one labeling per 2-edge-connected
+    piece, each bridge's label counted at both of its ends.  Bottom-up
+    over bridge_tree's pieces, each piece below the root gets the parent
+    bridge labels x for which it and its subtree can be labeled: one
+    search per x, with the entry's target c - x, every other vertex's
+    target c, the stub free and each child bridge limited to the labels
+    found for its child piece.  An edgeless piece needs no search: the
+    sums of one label per child bridge must reach its target.  The root
+    is decided the same way with target c everywhere, and a labeling is
+    then read off top-down, each piece with the labels it was found
+    with.  A piece with no feasible label makes the graph absent.
+
+    Two facts spare searches.  At even k the targets of a piece without
+    child bridges add up to twice its label sum, so its parent label x
+    must have the parity of n * c, n its vertex count; the other labels
+    are not searched.  Pieces alike in shape, entry and child label sets
+    (isomorphic siblings, say) are searched once: the first one's
+    feasible labels serve the rest.
+
+    All the searches share the one node_cap, each counting at least one
+    node, so a huge k runs out of budget instead of running k - 1
+    searches per piece.  A capped search ends the split as undecided:
+    the budget is spent, so no later search could decide.  A bridgeless
+    graph is one piece and one search, in breadth-first edge order from
+    vertex 0.  Returns (status, labels or None, nodes) with labels
+    indexed by edge id.  Raises ValueError when k < 2 or n < 1, checked
+    in that order before the graph, or when an edge is a loop or the
+    graph is not connected, checked after it.
+    """
+    if k < 2:
+        raise ValueError(f"split_search needs k >= 2, got {k}")
+    if n < 1:
+        raise ValueError(f"split_search needs n >= 1, got {n}")
+    us, vs = _read_edges(n, us, vs)
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if u == v:
+            raise ValueError(f"edge {i} is a loop")
+    pieces = bridge_tree(n, us, vs)
+    c %= k
+    nodes = charged = 0
+    # per piece: its feasible parent labels (None at the root), each with
+    # the labels of the piece's order it was found with (None if edgeless)
+    feasible: list[dict | None] = [None] * len(pieces)
+    # the feasible labels of each searched piece, by all its searches read
+    searched: dict[tuple, dict] = {}
+    # per edgeless piece: the sums its child bridges j, j+1, ... can reach
+    reach: list[list[set[int]] | None] = [None] * len(pieces)
+    for p in reversed(range(len(pieces))):
+        size, entry, order, pus, pvs, children, edgeless = pieces[p]
+        allowed = [None] * len(order)
+        for pos, q in children:
+            allowed[pos] = list(feasible[q])
+        alike = (p == 0, size, entry, pus, pvs, *(tuple(feasible[q]) for _, q in children))
+        if edgeless:
+            sets = [{0}]
+            for pos in reversed(range(len(allowed))):
+                sets.append({(y + r) % k for y in allowed[pos] for r in sets[-1]})
+            sets.reverse()
+            reach[p] = sets
+            if p == 0:
+                feasible[p] = {None: None} if c in sets[0] else {}
+            else:
+                feasible[p] = dict.fromkeys(sorted(x for x in ((c - r) % k for r in sets[0]) if x))
+        elif alike in searched:
+            feasible[p] = searched[alike]
+        else:
+            targets = [c] * size
+            if children:
+                targets[-1] = None
+            if not p:
+                labels_to_try = (None,)
+            elif k % 2 == 0 and not children:
+                labels_to_try = range(2 - size * c % 2, k, 2)
+            else:
+                labels_to_try = range(1, k)
+            found = feasible[p] = searched[alike] = {}
+            for x in labels_to_try:
+                if x is not None:
+                    targets[entry] = (c - x) % k
+                if 0 <= node_cap <= charged:
+                    return UNDECIDED, None, nodes
+                status, labels, used = search(
+                    size, k, c, pus, pvs, -1 if node_cap < 0 else node_cap - charged,
+                    targets, allowed if children else None,
+                )
+                nodes += used
+                charged += max(used, 1)
+                if status == UNDECIDED:
+                    return UNDECIDED, None, nodes
+                if status == SAT:
+                    found[x] = labels
+        if not feasible[p]:
+            return UNSAT, None, nodes
+    out = [0] * len(us)
+    parent_label: list[int | None] = [None] * len(pieces)
+    for p, (_, _, order, _, _, children, edgeless) in enumerate(pieces):
+        x = parent_label[p]
+        if edgeless:
+            t = (c - (x or 0)) % k
+            labels = []
+            for pos, q in children:
+                y = next(y for y in feasible[q] if (t - y) % k in reach[p][pos + 1])
+                labels.append(y)
+                t = (t - y) % k
+        else:
+            labels = feasible[p][x]
+        for eid, y in zip(order, labels):
+            out[eid] = y
+        for pos, q in children:
+            parent_label[q] = labels[pos]
+    return SAT, out, nodes
 
 
 def vertex_profile(n, us, vs):

@@ -1,8 +1,8 @@
 """The one selection of the twin module behind the search kernel, the
-magic-sum check, the Petersen split, the bridge tree and the vertex
-profile: kmagic._backtrack when the extension imports, else the pure
-reference kmagic._backtrack_py.  Callers read it at call time, so
-replacing module switches all five.
+magic-sum check, the Petersen split, the bridge tree, the split search
+and the vertex profile: kmagic._backtrack when the extension imports,
+else the pure reference kmagic._backtrack_py.  Callers read it at call
+time, so replacing module switches all six.
 """
 
 from . import _backtrack_py

@@ -251,21 +251,20 @@ def find_bridges(G: MultiGraph) -> frozenset[int]:
     """Edge ids whose removal disconnects their component.
 
     A parallel edge is never a bridge.  Found once per graph, read off
-    the solver's plan of each component: its child-bridge edges.
+    the selected twin's bridge_tree plan of each component: its
+    child-bridge edges.
     """
     return G.memo("bridges", lambda: _plan_bridges(G))
 
 
 def _plan_bridges(G: MultiGraph) -> frozenset[int]:
-    from .solver import _bridge_tree  # the solver imports this module
-
     if G.n == 0:
         return frozenset()
     return frozenset(
-        edge_ids[piece.order[pos]]
+        edge_ids[order[pos]]
         for C, edge_ids in component_graphs(G)
-        for piece in _bridge_tree(C)
-        for pos, _ in piece.children
+        for _, _, order, _, _, children, _ in _twin.module.bridge_tree(C.n, C.us, C.vs)
+        for pos, _ in children
     )
 
 

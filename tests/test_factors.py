@@ -173,9 +173,9 @@ def test_mod3_factor_on_cubic_graphs(monkeypatch):
     assert F is not None
     assert factor_degrees(petersen(), F) == [1] * 10
     kernel_calls = []
-    search = solver._kernel.search
+    split_search = solver._kernel.split_search
     monkeypatch.setattr(
-        solver._kernel, "search", lambda *a: kernel_calls.append(a) or search(*a)
+        solver._kernel, "split_search", lambda *a: kernel_calls.append(a) or split_search(*a)
     )
     # at r = 3 a missing perfect matching settles it, with no label search
     bridged16 = bridged_cubic_16()
@@ -234,9 +234,9 @@ def test_mod3_factor_of_a_union_is_decided_per_component(monkeypatch):
     # the prediction decides each hub10 by one search; the rule's factor of
     # the union is the union of those memoized answers, not two more searches
     kernel_calls = []
-    search = solver._kernel.search
+    split_search = solver._kernel.split_search
     monkeypatch.setattr(
-        solver._kernel, "search", lambda *a: kernel_calls.append(a) or search(*a)
+        solver._kernel, "split_search", lambda *a: kernel_calls.append(a) or split_search(*a)
     )
     G = disjoint_union([hub10(), hub10()])
     res = construct(G, 3, 1, SolverBudget(node_cap=5 * 10**5))

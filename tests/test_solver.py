@@ -5,10 +5,11 @@ import time
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import bridged_cubic_16, hub_quintic_16
 from kmagic import (
+    EdgeLabeling,
     KmagicError,
     SolverBudget,
     _backtrack_py,
@@ -27,7 +28,7 @@ from kmagic import (
 )
 from kmagic import _twin
 from kmagic._backtrack_py import SAT, UNDECIDED, UNSAT
-from kmagic.graphs import find_bridges
+from kmagic.graphs import component_graphs, find_bridges
 from kmagic.solver import assignment_order
 
 
@@ -42,8 +43,8 @@ def whole_graph_search(G, k, c, impl):
     """(status, labels, nodes) of one uncapped kernel run over all of G
     in assignment order, with none of the driver's shortcuts."""
     order = assignment_order(G)
-    us = [G.edges[eid].u for eid in order]
-    vs = [G.edges[eid].v for eid in order]
+    us = [G.us[eid] for eid in order]
+    vs = [G.vs[eid] for eid in order]
     status, labels, nodes = impl.search(G.n, k, c, us, vs, -1)
     name = {SAT: "found", UNSAT: "absent"}.get(status, "undecided")
     return name, dict(zip(order, labels)) if status == SAT else None, nodes
@@ -190,13 +191,14 @@ def test_search_verify_and_split_all_run_on_the_selected_twin(monkeypatch):
 
         return call
 
-    names = ("vertex_profile", "bridge_tree", "search", "magic_sum", "petersen_split")
+    names = ("vertex_profile", "split_search", "magic_sum", "petersen_split", "bridge_tree")
     monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
     G = complete(5)
     res = search_labeling(G, 3, 1)
     assert res.status == "found"
     assert verify(G, res.labeling) == 1
     assert len(two_factorization(G).parts) == 2
+    assert find_bridges(G) == frozenset()
     assert calls == list(names)
 
 
@@ -237,6 +239,27 @@ def test_kernels_reject_bad_input_alike(twin, request):
         impl.search(4, 5, 1, us, [1, 2, 0, 3.0], -1)
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         impl.bridge_tree(4, [0, 1.0, 2, 2], vs)
+    # the split search: its own rules on k and n, then the reader's, then
+    # loops and connectivity
+    for k in (0, 1):
+        with pytest.raises(ValueError, match="k >= 2"):
+            impl.split_search(0, k, 0, [0, 1, 2], [1, 2, 0], -1)
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            impl.split_search(n, 5, 0, [], [], -1)
+    for n, us2, vs2 in [(2, [], []), (4, [0, 2], [1, 3]), (4, [0, 0, 2], [1, 1, 3])]:
+        with pytest.raises(ValueError, match="not connected"):
+            impl.split_search(n, 5, 0, us2, vs2, -1)
+    for us2, vs2 in [([0, 1], [1, 3]), ([0, -1], [1, 2])]:
+        with pytest.raises(ValueError, match="endpoint"):
+            impl.split_search(3, 5, 0, us2, vs2, -1)
+    with pytest.raises(ValueError, match="differ in length"):
+        impl.split_search(3, 5, 0, [0, 1], [1], -1)
+    with pytest.raises(ValueError, match="^edge 1 is a loop$"):
+        impl.split_search(3, 5, 0, [0, 1, 1], [1, 1, 2], -1)
+    assert impl.split_search(4, 5, 1, iter(us), (v for v in vs), -1) == impl.split_search(4, 5, 1, us, vs, -1)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        impl.split_search(4, 5, 1, us, [1, 2, 0, 3.0], -1)
 
 
 def test_parity_settles_at_zero_nodes(kernel):
@@ -319,18 +342,22 @@ def test_split_decides_what_the_whole_search_leaves_to_its_cap(kernel, G, k, c, 
     if status == "found":
         assert verify(G, res.labeling) == c
     order = assignment_order(G)
-    us = [G.edges[eid].u for eid in order]
-    vs = [G.edges[eid].v for eid in order]
+    us = [G.us[eid] for eid in order]
+    vs = [G.vs[eid] for eid in order]
     assert kernel.search(G.n, k, c, us, vs, 10**5)[0] == UNDECIDED
 
 
 def test_split_searches_alike_pieces_once_and_skips_what_parity_excludes(kernel):
     # the five triangles of hub_quintic_16 are alike leaf pieces of three
-    # vertices: one search per parent label serves all five, and at even k
-    # only labels of the parity of 3c are searched
-    calls = []
-    counting = SimpleNamespace(search=lambda *a: calls.append(a) or kernel.search(*a))
+    # vertices under an edgeless hub: one search per parent label serves all
+    # five, and at even k only labels of the parity of 3c are searched, so
+    # the split takes the nodes of those direct searches of one triangle
     G = hub_quintic_16()
+    hub, triangle, *others = kernel.bridge_tree(G.n, G.us, G.vs)
+    size, entry, _, us, vs, children, edgeless = triangle
+    assert hub[6] and (size, children, edgeless) == (3, (), False)
+    assert all(piece[:2] + piece[3:] == triangle[:2] + triangle[3:] for piece in others)
+    assert len(others) == 4
     for k, c, status, searches in [
         (4, 0, "absent", 1),
         (4, 1, "found", 2),
@@ -338,9 +365,15 @@ def test_split_searches_alike_pieces_once_and_skips_what_parity_excludes(kernel)
         (4, 3, "found", 2),
         (5, 0, "found", 4),
     ]:
-        calls.clear()
-        res = search_labeling(G, k, c, kernel=counting)
-        assert (res.status, len(calls)) == (status, searches)
+        labels = [x for x in range(1, k) if k % 2 or (x - size * c) % 2 == 0]
+        assert len(labels) == searches
+        targets = [c] * size
+        nodes = 0
+        for x in labels:
+            targets[entry] = (c - x) % k
+            nodes += kernel.search(size, k, c, us, vs, -1, targets)[2]
+        res = search_labeling(G, k, c, kernel=kernel)
+        assert (res.status, res.nodes) == (status, nodes)
         if status == "found":
             assert verify(G, res.labeling) == c
 
@@ -395,6 +428,13 @@ def cubic_block_trees(draw):
         parent.append(p)
         degree.append(1)
         degree[p] += 1
+    return cubic_block_tree(parent)
+
+
+def cubic_block_tree(parent):
+    """The cubic block tree of cubic_block_trees whose block i hangs from
+    block parent[i], block 0 the root, each block at most three bridges."""
+    degree = [sum(p == i for p in parent) + (p >= 0) for i, p in enumerate(parent)]
     pairs: list[tuple[int, int]] = []
     ends: list[list[int]] = []  # per block: its vertices that still lack a bridge
     n = 0
@@ -461,3 +501,28 @@ def test_bridge_tree_twins_agree_and_find_every_bridge(compiled_kernel, G):
         assert (n, entry, children, edgeless) == (G.n, 0, (), G.n == 1)
         assert list(order) == assignment_order(G)
         assert [{u, v} for u, v in zip(us, vs)] == [set(G.endpoints(eid)) for eid in order]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(block_trees(), cubic_block_trees(), connected_multigraphs()), st.integers(2, 6))
+@example(cubic_block_tree([-1, 0, 0, 0, 1, 2, 5, 5]), 5)
+@example(cubic_block_tree([-1, 0, 0, 0, 1, 2, 5, 5]), 7)
+def test_split_search_twins_agree(compiled_kernel, G, k):
+    # the unbounded caps are run only where a bounded compiled search
+    # decides, so the pure twin's share stays small; the caps 1 and 40 stop
+    # inside the split's pool.  In the examples, two alike doubled edges
+    # hang from a hub, one above a triangle and one above a hub of two
+    # triangles, so their child bridges are limited to different labels
+    for C, _ in component_graphs(G):
+        for c in range(k):
+            decided = compiled_kernel.split_search(C.n, k, c, C.us, C.vs, 10**4)[0] != UNDECIDED
+            for cap in (-1, 1, 40, 2**64):
+                if cap in (-1, 2**64) and not decided:
+                    continue
+                pure = _backtrack_py.split_search(C.n, k, c, C.us, C.vs, cap)
+                assert compiled_kernel.split_search(C.n, k, c, C.us, C.vs, cap) == pure, (c, cap)
+                status, labels, nodes = pure
+                if status == SAT:
+                    assert verify(C, EdgeLabeling(k, dict(enumerate(labels)))) == c
+                if cap > 0:
+                    assert nodes <= cap + 1

@@ -160,9 +160,9 @@ def test_modulus_2_by_solver(monkeypatch):
     # the only legal label is 1, so the spectrum is the degree parity;
     # the prediction says so in closed form, without the kernel
     kernel_calls = []
-    search = solver._kernel.search
+    split_search = solver._kernel.split_search
     monkeypatch.setattr(
-        solver._kernel, "search", lambda *a: kernel_calls.append(a) or search(*a)
+        solver._kernel, "split_search", lambda *a: kernel_calls.append(a) or split_search(*a)
     )
     assert predict_spectrum(complete(4), 2).residues == {1}
     assert predict_spectrum(complete(5), 2).residues == {0}
