@@ -1,6 +1,6 @@
 """Compare the compiled twins, the backtracking kernel, the Petersen
-2-factor split, the magic-sum check, the bridge tree and the vertex
-profile, against their pure Python twins.
+2-factor split, the magic-sum check, the bridge tree, the split search
+and the vertex profile, against their pure Python twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -22,7 +22,15 @@ graphs (bridged16 and hub_quintic_16 of the digest, and the 16-vertex
 cubic graph without a perfect matching of the spectrum-oracle
 benchmark), which must return the same plans; its timings are
 microseconds per call, the best of TREE_REPEATS batches of TREE_CALLS
-calls.  Last, the vertex profile, each vertex's degree and component,
+calls.  Then the split search, the solver's one call per connected
+component, runs through both split-search twins on the three bridged
+graphs at every sum of SPLIT_SEARCH_CASES' moduli, which must return the
+same status, labeling and node count; its timings are microseconds per
+call, the best of SPLIT_SEARCH_REPEATS batches of SPLIT_SEARCH_CALLS
+calls.  The rows of the cubic graph without a perfect matching at k = 4,
+where the spectrum-oracle benchmark spends its searches, and of
+bridged16 at k = 6 measure the solver's driver layer.  Last, the vertex
+profile, each vertex's degree and component,
 runs through both profile twins on every graph above, whole, and on
 three disjoint unions in PROFILE_CASES, which must return the same
 profiles; its timings are microseconds per call, the best of
@@ -40,6 +48,7 @@ from pathlib import Path
 
 from digest import bridged_cubic_16, hub10, hub_quintic_16, unmatched_cubic_28
 from kmagic import (
+    DEFAULT_BUDGET,
     SolverBudget,
     build_graph,
     circulant,
@@ -102,6 +111,11 @@ TREE_CASES = [
 ]
 TREE_CALLS = 50
 TREE_REPEATS = 5
+
+# (index into TREE_CASES, modulus) for the split search, every sum each
+SPLIT_SEARCH_CASES = [(2, 4), (0, 6), (1, 4)]
+SPLIT_SEARCH_CALLS = 20
+SPLIT_SEARCH_REPEATS = 5
 
 # (label, graph) for every graph above
 ALL_GRAPHS = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + TREE_CASES
@@ -188,6 +202,19 @@ def compare_bridge_trees(kernels: dict) -> None:
                   TREE_REPEATS, cases)
 
 
+def compare_split_searches(kernels: dict) -> None:
+    cases = []
+    for index, k in SPLIT_SEARCH_CASES:
+        label, G = TREE_CASES[index]
+        for c in range(k):
+            args = [(G.n, k, c, G.us, G.vs, DEFAULT_BUDGET.node_cap)]
+            cases.append((f"{label} k={k} c={c}", G, args, args))
+    status = ("status", 6, lambda G, answers: {1: "found", 0: "absent"}.get(answers[0][0], "undec."))
+    nodes = ("nodes", 7, lambda G, answers: answers[0][2])
+    compare_twins(kernels, "split_search", "split search", [status, nodes], "us",
+                  SPLIT_SEARCH_CALLS, SPLIT_SEARCH_REPEATS, cases)
+
+
 def compare_profiles(kernels: dict) -> None:
     cases = [(label, G, [(G.n, G.us, G.vs)], [(G.n, G.us, G.vs)]) for label, G in ALL_GRAPHS + PROFILE_CASES]
     parts = ("parts", 6, lambda G, answers: max(answers[0][1]) + 1)
@@ -243,6 +270,8 @@ def main() -> None:
     compare_sums(kernels)
     print()
     compare_bridge_trees(kernels)
+    print()
+    compare_split_searches(kernels)
     print()
     compare_profiles(kernels)
     print("all kernels returned identical results")
