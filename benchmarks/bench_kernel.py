@@ -29,7 +29,7 @@ same status, labeling and node count; its timings are microseconds per
 call, the best of SPLIT_SEARCH_REPEATS batches of SPLIT_SEARCH_CALLS
 calls.  The rows of the cubic graph without a perfect matching at k = 4,
 where the spectrum-oracle benchmark spends its searches, and of
-bridged16 at k = 6 measure the solver's driver layer.  Last, the vertex
+bridged16 at k = 6 measure the solver's cost per component.  Last, the vertex
 profile, each vertex's degree and component,
 runs through both profile twins on every graph above, whole, and on
 three disjoint unions in PROFILE_CASES, which must return the same
