@@ -924,8 +924,10 @@ sort_unique(unsigned *a, Py_ssize_t len)
 }
 
 /* Are pieces p and s of plan alike to the split search: both the root or
- * both not, of one size and entry, with the same local edges and with
- * each child bridge limited to the same labels?  Child piece q's feasible
+ * both not, of one size and entry, with the same local edges, as many
+ * child bridges and each child bridge limited to the same labels?  The
+ * count matters: size counts the stub, so equal edges can join a stub in
+ * one piece and a real vertex in a childless one.  Child piece q's feasible
  * labels are flab[fstart[q] .. fstart[q] + fcount[q]). */
 static int
 alike(const Plan *plan, Py_ssize_t p, Py_ssize_t s, const unsigned *flab, const Py_ssize_t *fstart,
@@ -934,6 +936,7 @@ alike(const Plan *plan, Py_ssize_t p, Py_ssize_t s, const unsigned *flab, const 
     Py_ssize_t lo = plan->ostart[p], so = plan->ostart[s], len = plan->ostart[p + 1] - lo;
     if ((p == 0) != (s == 0) || plan->size[p] != plan->size[s] ||
         plan->entry[p] != plan->entry[s] || plan->ostart[s + 1] - so != len ||
+        plan->cstart[p + 1] - plan->cstart[p] != plan->cstart[s + 1] - plan->cstart[s] ||
         memcmp(plan->pus + lo, plan->pus + so, (size_t)len * sizeof(Py_ssize_t)) != 0 ||
         memcmp(plan->pvs + lo, plan->pvs + so, (size_t)len * sizeof(Py_ssize_t)) != 0)
         return 0;

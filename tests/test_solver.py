@@ -503,16 +503,33 @@ def test_bridge_tree_twins_agree_and_find_every_bridge(compiled_kernel, G):
         assert [{u, v} for u, v in zip(us, vs)] == [set(G.endpoints(eid)) for eid in order]
 
 
+# A hub 0 with two bridges: to a chain of two doubled edges 1=2=3, and to
+# a doubled edge 4=5 whose far end has two pendant vertices.  The second
+# piece's stub, its local vertex 2, stands where the chain's last real
+# vertex stands, so the two pieces have the same local edges and differ
+# only in their number of child bridges.
+CHAIN_BESIDE_FORK = [(0, 1), (1, 2), (1, 2), (2, 3), (2, 3), (0, 4), (4, 5), (4, 5), (5, 6), (5, 7)]
+# The same with a diamond (K4 less an edge) 1..4 beside a triangle 5, 6, 7
+# whose two far corners each carry a pendant vertex.
+DIAMOND_BESIDE_FORK = [(0, 1), (1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (0, 5), (5, 6), (5, 7), (6, 7), (6, 8), (7, 9)]
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(block_trees(), cubic_block_trees(), connected_multigraphs()), st.integers(2, 6))
 @example(cubic_block_tree([-1, 0, 0, 0, 1, 2, 5, 5]), 5)
 @example(cubic_block_tree([-1, 0, 0, 0, 1, 2, 5, 5]), 7)
+@example(build_graph(8, CHAIN_BESIDE_FORK), 3)
+@example(build_graph(8, CHAIN_BESIDE_FORK), 4)
+@example(build_graph(10, DIAMOND_BESIDE_FORK), 3)
+@example(build_graph(10, DIAMOND_BESIDE_FORK), 4)
 def test_split_search_twins_agree(compiled_kernel, G, k):
     # the unbounded caps are run only where a bounded compiled search
     # decides, so the pure twin's share stays small; the caps 1 and 40 stop
-    # inside the split's pool.  In the examples, two alike doubled edges
-    # hang from a hub, one above a triangle and one above a hub of two
-    # triangles, so their child bridges are limited to different labels
+    # inside the split's pool.  In the cubic examples, two alike doubled
+    # edges hang from a hub, one above a triangle and one above a hub of
+    # two triangles, so their child bridges are limited to different
+    # labels; in the other four, a childless piece and a piece with two
+    # child bridges have the same local edges (see CHAIN_BESIDE_FORK)
     for C, _ in component_graphs(G):
         for c in range(k):
             decided = compiled_kernel.split_search(C.n, k, c, C.us, C.vs, 10**4)[0] != UNDECIDED
