@@ -1,11 +1,13 @@
-/* Compiled twins of the six pure references in kmagic._backtrack_py:
+/* Compiled twins of the seven pure references in kmagic._backtrack_py:
  * the backtracking kernel, the magic-sum check, the Petersen 2-factor
  * split, the bridge tree (bridge_tree), the split search (split_search:
- * the label search of a connected graph over its bridge tree) and the
- * vertex profile (vertex_profile: each vertex's degree and component).
+ * the label search of a connected graph over its bridge tree), the
+ * vertex profile (vertex_profile: each vertex's degree and component)
+ * and the maximum matching (maximum_matching: Edmonds' blossom search).
  * search() and split_search() run one kernel loop, kernel(), and
  * bridge_tree() and split_search() one planner, plan_tree(), both over
- * plain arrays, so split_search makes no Python call per piece search.
+ * plain arrays, so split_search makes no Python call per piece search,
+ * and maximum_matching() none inside its search.
  *
  * search() transcribes the pure reference line for line: the same edge
  * order, the same forced-label rule and the same node count, so both
@@ -20,7 +22,7 @@
  *
  * Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge
  * i joining us[i] and vs[i].  One reader, read_edges, is the only code
- * that reads us and vs, and it holds all six twins to one contract:
+ * that reads us and vs, and it holds all seven twins to one contract:
  * n < 0 raises ValueError; us and vs may be any iterables, each read
  * once; a non-int end raises TypeError, as operator.index does, the
  * ends of us first; then unequal lengths raise ValueError ("differ in
@@ -105,6 +107,19 @@ fail:
     Py_XDECREF(seq[1]);
     PyMem_Free(ends);
     return NULL;
+}
+
+/* Raise ValueError at the first of the m edges in ends, as read_edges
+ * returns them, that is a loop. */
+static int
+refuse_loops(const Py_ssize_t *ends, Py_ssize_t m)
+{
+    for (Py_ssize_t i = 0; i < m; i++)
+        if (ends[i] == ends[m + i]) {
+            PyErr_Format(PyExc_ValueError, "edge %zd is a loop", i);
+            return -1;
+        }
+    return 0;
 }
 
 /* Is f on the increasing list lo..hi (hi exclusive)? */
@@ -332,7 +347,7 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
     if (read_cap(cap_arg, &node_cap) < 0)
         return NULL;
     ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL)
+    if (ends == NULL || refuse_loops(ends, m) < 0)
         goto done;
     block = PyMem_Calloc(2 * (size_t)m + 3 * (size_t)n, sizeof(unsigned));
     if (block == NULL) {
@@ -982,14 +997,7 @@ split_search(PyObject *self, PyObject *args)
     if (read_cap(cap_arg, &node_cap) < 0)
         return NULL;
     ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < m; i++)
-        if (ends[i] == ends[m + i]) {
-            PyErr_Format(PyExc_ValueError, "edge %zd is a loop", i);
-            goto done;
-        }
-    if (plan_tree(n, m, ends, ends + m, &plan) < 0)
+    if (ends == NULL || refuse_loops(ends, m) < 0 || plan_tree(n, m, ends, ends + m, &plan) < 0)
         goto done;
     /* per edge: the allowed spans; per piece: fstart, fcount, lbase, the
      * searched list; per edge and piece: reach spans.  Per vertex, the
@@ -1234,6 +1242,209 @@ done:
     return result;
 }
 
+/* The state of maximum_matching's search over its n vertices: vertex v's
+ * neighbours, each parallel class once, are nb[first[v] .. last[v]), the
+ * edge to nb[j] being eid[j]; the rest are the reference's lists, with its
+ * sets as stamp arrays (x is in a set when its slot holds the set's
+ * stamp, and each new set takes a fresh stamp).  tree and queue hold at
+ * most n vertices: a vertex joins the tree once, as the root, as an odd
+ * vertex when it first gets a parent or as the mate of one, and the queue
+ * once, when it turns even. */
+typedef struct {
+    const Py_ssize_t *nb, *first, *last;
+    Py_ssize_t *mate, *base, *parent, *even, *tree, *queue, *seen, *in_blossom;
+    Py_ssize_t ntree, stamp;
+} Matching;
+
+/* Base of the blossom closed by the edge between even vertices a, b. */
+static Py_ssize_t
+common_base(Matching *s, Py_ssize_t a, Py_ssize_t b)
+{
+    Py_ssize_t stamp = ++s->stamp;
+    for (;;) {
+        a = s->base[a];
+        s->seen[a] = stamp;
+        if (s->mate[a] < 0)
+            break;
+        a = s->parent[s->mate[a]];
+    }
+    for (;;) {
+        b = s->base[b];
+        if (s->seen[b] == stamp)
+            return b;
+        b = s->parent[s->mate[b]];
+    }
+}
+
+/* Walk from v up to the blossom base top, stamping the bases passed and
+ * pointing each odd vertex's parent across the closing edge. */
+static void
+mark_path(Matching *s, Py_ssize_t v, Py_ssize_t top, Py_ssize_t child, Py_ssize_t stamp)
+{
+    while (s->base[v] != top) {
+        s->in_blossom[s->base[v]] = stamp;
+        s->in_blossom[s->base[s->mate[v]]] = stamp;
+        s->parent[v] = child;
+        child = s->mate[v];
+        v = s->parent[s->mate[v]];
+    }
+}
+
+/* Exposed end of an augmenting path from root, traced back by s->parent,
+ * or -1 when there is none; s->tree lists the vertices the tree holds. */
+static Py_ssize_t
+augmenting_path(Matching *s, Py_ssize_t root)
+{
+    Py_ssize_t *base = s->base, *parent = s->parent, *mate = s->mate;
+    Py_ssize_t head = 0, tail = 0;
+    s->even[root] = 1;
+    s->ntree = 0;
+    s->tree[s->ntree++] = root;
+    s->queue[tail++] = root;
+    while (head < tail) {
+        Py_ssize_t v = s->queue[head++];
+        for (Py_ssize_t j = s->first[v]; j < s->last[v]; j++) {
+            Py_ssize_t w = s->nb[j];
+            if (base[v] == base[w] || mate[v] == w)
+                continue;
+            if (w == root || (mate[w] >= 0 && parent[mate[w]] >= 0)) {
+                /* v and w are both even: contract the blossom they close */
+                Py_ssize_t top = common_base(s, v, w), stamp = ++s->stamp;
+                mark_path(s, v, top, w, stamp);
+                mark_path(s, w, top, v, stamp);
+                for (Py_ssize_t i = 0; i < s->ntree; i++) {
+                    Py_ssize_t u = s->tree[i];
+                    if (s->in_blossom[base[u]] == stamp) {
+                        base[u] = top;
+                        if (!s->even[u]) {
+                            s->even[u] = 1;
+                            s->queue[tail++] = u;
+                        }
+                    }
+                }
+            }
+            else if (parent[w] < 0) {
+                parent[w] = v;
+                s->tree[s->ntree++] = w;
+                if (mate[w] < 0)
+                    return w;
+                Py_ssize_t x = mate[w];
+                s->even[x] = 1;
+                s->tree[s->ntree++] = x;
+                s->queue[tail++] = x;
+            }
+        }
+    }
+    return -1;
+}
+
+/* A maximum-cardinality matching of a loopless multigraph, the twin of
+ * kmagic._backtrack_py.maximum_matching, transcribed line for line: the
+ * same neighbour lists, the same greedy pass and the same alternating
+ * trees, so both twins return the same mates.  The reference starts base,
+ * parent and even afresh for each root; here the vertices of the last
+ * tree, the only ones its search changed, are reset instead. */
+static PyObject *
+maximum_matching(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *result = NULL;
+    Py_ssize_t *ends = NULL, *block = NULL, m;
+
+    if (!PyArg_ParseTuple(args, "iOO:maximum_matching", &n, &us_arg, &vs_arg))
+        return NULL;
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL || refuse_loops(ends, m) < 0)
+        goto done;
+    /* per edge end: neighbour and edge id; per vertex: first and last
+     * neighbour slot, owner, mate, base, parent, even, tree, queue, seen
+     * and in_blossom stamps */
+    Py_ssize_t nv = n;
+    block = PyMem_Calloc(4 * (size_t)m + 12 * (size_t)nv + 1, sizeof(Py_ssize_t));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    Py_ssize_t *nb = block, *eid = nb + 2 * m, *first = eid + 2 * m, *last = first + nv + 1;
+    Py_ssize_t *owner = last + nv, *mate = owner + nv, *base = mate + nv, *parent = base + nv;
+    Py_ssize_t *even = parent + nv, *tree = even + nv, *queue = tree + nv, *seen = queue + nv;
+    Py_ssize_t *in_blossom = seen + nv;
+
+    /* the adjacency in edge-id order, then each vertex's list cut to the
+     * first edge to each neighbour */
+    for (Py_ssize_t e = 0; e < m; e++) {
+        first[eu[e] + 1] += 1;
+        first[ev[e] + 1] += 1;
+    }
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        first[v + 1] += first[v];
+        last[v] = first[v];
+        owner[v] = -1;
+        mate[v] = -1;
+        base[v] = v;
+        parent[v] = -1;
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        Py_ssize_t a = last[eu[e]]++, b = last[ev[e]]++;
+        nb[a] = ev[e];
+        eid[a] = e;
+        nb[b] = eu[e];
+        eid[b] = e;
+    }
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        Py_ssize_t out = first[v];
+        for (Py_ssize_t j = first[v]; j < last[v]; j++)
+            if (owner[nb[j]] != v) {
+                owner[nb[j]] = v;
+                nb[out] = nb[j];
+                eid[out++] = eid[j];
+            }
+        last[v] = out;
+    }
+
+    for (Py_ssize_t v = 0; v < nv; v++)
+        if (mate[v] < 0)
+            for (Py_ssize_t j = first[v]; j < last[v]; j++)
+                if (mate[nb[j]] < 0) {
+                    mate[v] = nb[j];
+                    mate[nb[j]] = v;
+                    break;
+                }
+    Matching s = {nb, first, last, mate, base, parent, even, tree, queue, seen, in_blossom, 0, 0};
+    for (Py_ssize_t root = 0; root < nv; root++) {
+        if (mate[root] >= 0)
+            continue;
+        Py_ssize_t end = augmenting_path(&s, root);
+        while (end >= 0) {
+            Py_ssize_t v = parent[end], after = mate[v];
+            mate[end] = v;
+            mate[v] = end;
+            end = after;
+        }
+        for (Py_ssize_t i = 0; i < s.ntree; i++) {
+            Py_ssize_t u = tree[i];
+            base[u] = u;
+            parent[u] = -1;
+            even[u] = 0;
+        }
+    }
+
+    /* each vertex's matched edge id, in owner's slots */
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        Py_ssize_t j = first[v];
+        if (mate[v] >= 0)
+            while (nb[j] != mate[v])
+                j++;
+        owner[v] = mate[v] < 0 ? -1 : eid[j];
+    }
+    result = int_tuple(owner, nv);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(block);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
      "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
@@ -1268,6 +1479,12 @@ static PyMethodDef methods[] = {
      "component, numbered by smallest vertex, in the multigraph whose edge i\n"
      "joins us[i] and vs[i]; see kmagic._backtrack_py.vertex_profile, whose\n"
      "semantics this twin shares."},
+    {"maximum_matching", maximum_matching, METH_VARARGS,
+     "maximum_matching(n, us, vs)\n--\n\n"
+     "Each vertex's matched edge id in a maximum-cardinality matching of a\n"
+     "loopless multigraph, edge i joining us[i] and vs[i], or -1 where the\n"
+     "vertex is exposed; see kmagic._backtrack_py.maximum_matching, whose\n"
+     "semantics this twin shares."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1275,10 +1492,11 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
     .m_doc = "Compiled backtracking kernel, magic-sum check, Petersen 2-factor split,\n"
-             "bridge tree, split search and vertex profile; semantics match\n"
-             "kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum,\n"
+             "bridge tree, split search, vertex profile and maximum matching; semantics\n"
+             "match kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum,\n"
              "kmagic._backtrack_py.petersen_split, kmagic._backtrack_py.bridge_tree,\n"
-             "kmagic._backtrack_py.split_search and kmagic._backtrack_py.vertex_profile.",
+             "kmagic._backtrack_py.split_search, kmagic._backtrack_py.vertex_profile\n"
+             "and kmagic._backtrack_py.maximum_matching.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,14 +1,16 @@
 """Pure-Python backtracking kernel, magic-sum check, Petersen split,
-bridge tree, split search and vertex profile.
+bridge tree, split search, vertex profile and maximum matching.
 
 Reference implementations of the label search, of the magic-sum check,
 of the Petersen 2-factor split, of the bridge tree (bridge_tree: the
 2-edge-connected pieces the solver searches), of the split search
 (split_search: the label search of a connected graph, one search per
-piece and parent-bridge label over its bridge tree) and of the vertex
-profile (vertex_profile: each vertex's degree and component);
-kmagic._backtrack holds their compiled twins, with identical semantics,
-and kmagic._twin picks one of the two modules for all six.  The search
+piece and parent-bridge label over its bridge tree), of the vertex
+profile (vertex_profile: each vertex's degree and component) and of the
+maximum matching (maximum_matching: Edmonds' blossom search, behind
+every perfect matching and f-factor of kmagic.factors); kmagic._backtrack
+holds their compiled twins, with identical semantics, and kmagic._twin
+picks one of the two modules for all seven.  The search
 visits edges in the given order; when an edge is the last unlabeled
 edge at one of its endpoints its label is forced by the target sum,
 otherwise all of its allowed labels (1..k-1 unless restricted) are tried
@@ -18,7 +20,7 @@ split_search alike, and split_search's searches share one cap.
 
 Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge i
 joining us[i] and vs[i].  One reader, _read_edges, is the only code that
-reads us and vs, and it holds all six twins to one contract:
+reads us and vs, and it holds all seven twins to one contract:
 
 - n < 0 raises ValueError;
 - us and vs may be any iterables, each read once;
@@ -62,6 +64,13 @@ def _read_edges(n, us, vs):
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {i} has an endpoint outside 0..{n - 1}")
     return us, vs
+
+
+def _refuse_loops(us, vs):
+    """Raise ValueError at the first edge that is a loop."""
+    for i, (u, v) in enumerate(zip(us, vs)):
+        if u == v:
+            raise ValueError(f"edge {i} is a loop")
 
 
 def _adjacency(n, us, vs):
@@ -118,12 +127,14 @@ def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):
     vertex without edges is never checked: the solver settles isolated
     vertices before it searches.  Returns (status, labels or None,
     nodes) with labels in assignment order.  Raises ValueError when
-    k < 2, checked before the graph, or when targets or allowed has the
-    wrong length or an entry out of range.
+    k < 2, checked before the graph, when an edge is a loop, checked
+    after it, or when targets or allowed has the wrong length or an
+    entry out of range.
     """
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
     us, vs = _read_edges(n, us, vs)
+    _refuse_loops(us, vs)
     m = len(us)
     left = [0] * n
     for u, v in zip(us, vs):
@@ -391,9 +402,7 @@ def split_search(n, k, c, us, vs, node_cap):
     if n < 1:
         raise ValueError(f"split_search needs n >= 1, got {n}")
     us, vs = _read_edges(n, us, vs)
-    for i, (u, v) in enumerate(zip(us, vs)):
-        if u == v:
-            raise ValueError(f"edge {i} is a loop")
+    _refuse_loops(us, vs)
     pieces = bridge_tree(n, us, vs)
     c %= k
     nodes = charged = 0
@@ -497,6 +506,58 @@ def vertex_profile(n, us, vs):
     return tuple(map(len, adjacency)), tuple(component)
 
 
+def maximum_matching(n, us, vs):
+    """A maximum-cardinality matching of a loopless multigraph (Edmonds,
+    "Paths, trees, and flowers", 1965).
+
+    (n, us, vs) is the graph, as the module header states.  Returns a
+    tuple of n ints: each vertex's matched edge id, or -1 where the
+    vertex is exposed.  Each vertex lists its neighbours in edge-id
+    order, and an edge parallel to an earlier one is not offered, so the
+    lowest id of each parallel class stands for it.  A greedy pass
+    matches what it can; then, from each vertex still exposed, a
+    breadth-first search grows an alternating tree.  An edge between two
+    even vertices of the tree closes an odd cycle, a blossom, which is
+    contracted by pointing the base of each of its vertices at the base
+    of the cycle (their lowest common ancestor in the tree), after which
+    the odd vertices of the cycle are searched from as even ones.  An
+    exposed odd vertex ends an augmenting path, which is flipped along
+    the parent and mate links.  A vertex from which no augmenting path
+    starts never gets one later (Edmonds), so one pass over the vertices
+    suffices.  Everything runs in loops; nothing recurses.  Raises
+    ValueError when an edge is a loop, checked after the graph is read.
+    """
+    us, vs = _read_edges(n, us, vs)
+    _refuse_loops(us, vs)
+    adj, ids = [], []  # per vertex: its neighbours, and the edge id to each
+    owner = [-1] * n  # owner[w] == v once v lists w
+    for v, pairs in enumerate(_adjacency(n, us, vs)):
+        nbrs, eids = [], []
+        for w, eid in pairs:
+            if owner[w] != v:
+                owner[w] = v
+                nbrs.append(w)
+                eids.append(eid)
+        adj.append(nbrs)
+        ids.append(eids)
+    mate = [-1] * n
+    for v in range(n):
+        if mate[v] < 0:
+            for w in adj[v]:
+                if mate[w] < 0:
+                    mate[v], mate[w] = w, v
+                    break
+    for root in range(n):
+        if mate[root] < 0:
+            end, parent = _augmenting_path(adj, mate, root)
+            while end >= 0:
+                v = parent[end]
+                after = mate[v]
+                mate[end], mate[v] = v, end
+                end = after
+    return tuple(-1 if w < 0 else ids[v][adj[v].index(w)] for v, w in enumerate(mate))
+
+
 def _orient(adjacency, m):
     """Per tail vertex, its out-arcs (head, edge id) in edge-id order,
     given the _adjacency of a graph with m edges.
@@ -570,3 +631,68 @@ def _bipartite_round(out_arcs, alive):
             tail_of[head] = u
             arc_of[head] = eid
     return arc_of
+
+
+def _augmenting_path(adj, mate, root):
+    """Exposed end of an augmenting path from root and the parent links
+    that trace it back, or (-1, parent) when there is none."""
+    n = len(adj)
+    base = list(range(n))
+    parent = [-1] * n  # the even vertex an odd vertex was reached from
+    even = [False] * n
+    even[root] = True
+    tree = [root]  # every vertex the tree holds; only they have base[v] != v
+    queue = [root]
+    for v in queue:
+        for w in adj[v]:
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or (mate[w] >= 0 and parent[mate[w]] >= 0):
+                # v and w are both even: contract the blossom they close
+                top = _common_base(base, mate, parent, v, w)
+                in_blossom = set()
+                _mark_path(base, mate, parent, in_blossom, v, top, w)
+                _mark_path(base, mate, parent, in_blossom, w, top, v)
+                for u in tree:
+                    if base[u] in in_blossom:
+                        base[u] = top
+                        if not even[u]:
+                            even[u] = True
+                            queue.append(u)
+            elif parent[w] < 0:
+                parent[w] = v
+                tree.append(w)
+                if mate[w] < 0:
+                    return w, parent
+                x = mate[w]
+                even[x] = True
+                tree.append(x)
+                queue.append(x)
+    return -1, parent
+
+
+def _common_base(base, mate, parent, a, b):
+    """Base of the blossom closed by the edge between even vertices a, b."""
+    seen = set()
+    while True:
+        a = base[a]
+        seen.add(a)
+        if mate[a] < 0:
+            break
+        a = parent[mate[a]]
+    while True:
+        b = base[b]
+        if b in seen:
+            return b
+        b = parent[mate[b]]
+
+
+def _mark_path(base, mate, parent, in_blossom, v, top, child):
+    """Walk from v up to the blossom base top, recording the bases passed
+    and pointing each odd vertex's parent across the closing edge."""
+    while base[v] != top:
+        in_blossom.add(base[v])
+        in_blossom.add(base[mate[v]])
+        parent[v] = child
+        child = mate[v]
+        v = parent[mate[v]]

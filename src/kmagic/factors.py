@@ -23,8 +23,9 @@ one external edge between its two end nodes.  A perfect matching of
 the gadget must match every core to an end, leaving exactly f(v) ends
 per vertex matched through external edges, so external matched edges
 form an f-factor and conversely.  The gadget is about five times larger
-than G.  Every matching is a maximum-cardinality matching on integer
-vertex ids, found in-tree by Edmonds' blossom algorithm (``matching``).
+than G.  Every matching, of G or of a gadget, is one call of
+``maximum_matching`` (Edmonds' blossom search) of the twin module
+kmagic._twin selects, on the graph as (n, us, vs) edge arrays.
 
 A mod-3 factor is a perfect matching when G has one; otherwise it is
 the set of label-2 edges of a 1-sum 3-magic labeling, which the
@@ -40,30 +41,40 @@ memoized ones.  The exhaustive oracle never reads that memo.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from typing import Iterable, Sequence
+from typing import Collection, NamedTuple, Sequence
 
+from . import _twin
 from .errors import BudgetError, FactorError, RegularityError
 from .factorization import extract_2h_factor
 from .graphs import MultiGraph, component_graphs, regularity, subgraph
-from .matching import maximum_matching
 from .solver import SolverBudget, search_labeling
 
 EXHAUSTIVE_EDGE_LIMIT = 20
 
 
-class _Adjacency(list):
-    """Adjacency lists of a simple graph on the vertices 0..n-1, with the
-    size query the tracer's hook below reads."""
+class _Graph(NamedTuple):
+    """The graph argument of a matching, with the size query the tracer's
+    hook below reads."""
+
+    n: int
+    us: Sequence[int]
+    vs: Sequence[int]
 
     def number_of_nodes(self) -> int:
-        return len(self)
+        return self.n
 
 
-# The one seam every matching in this module goes through: the benchmark's
-# tracer (perfbench/tracer.py) wraps nx.max_weight_matching here and reads
-# args[0].number_of_nodes().  It is not networkx, and it goes away once the
-# library has its own stats channel (ROADMAP.md, item E).
-nx = SimpleNamespace(max_weight_matching=maximum_matching)
+def _maximum_matching(graph: _Graph) -> tuple[int, ...]:
+    """Each vertex's matched edge id, or -1: one call of the selected twin."""
+    return _twin.module.maximum_matching(graph.n, graph.us, graph.vs)
+
+
+# The one seam every matching in this module goes through, one twin call
+# each: the benchmark's tracer (perfbench/tracer.py) wraps
+# nx.max_weight_matching here and reads args[0].number_of_nodes().  It is
+# not networkx, and it goes away once the library has its own stats
+# channel (ROADMAP.md, item E).
+nx = SimpleNamespace(max_weight_matching=_maximum_matching)
 
 
 def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
@@ -156,44 +167,44 @@ def _component_matchings(G: MultiGraph) -> frozenset[int] | None:
     return frozenset(union)
 
 
-def _matching_factor(G: MultiGraph, edge_ids: Iterable[int]) -> frozenset[int] | None:
+def _matching_factor(G: MultiGraph, edge_ids: Collection[int]) -> frozenset[int] | None:
     """Perfect matching of G using only edge_ids, or None if there is none.
 
-    Maximum matching on G itself; of parallel edges only the lowest id
-    is offered to the matching.
+    One maximum matching on G itself, or on its edges edge_ids in
+    increasing order; the matching offers only the lowest id of each
+    class of parallel edges.
     """
-    adj = _Adjacency([] for _ in range(G.n))
-    pair_id: dict[tuple[int, int], int] = {}
+    if len(edge_ids) == G.m:
+        mates = nx.max_weight_matching(_Graph(G.n, G.us, G.vs))
+        return None if -1 in mates else frozenset(mates)
+    ids = sorted(edge_ids)
     us, vs = G.us, G.vs
-    for eid in sorted(edge_ids):
-        u, v = us[eid], vs[eid]
-        pair = (u, v) if u < v else (v, u)
-        if pair not in pair_id:
-            pair_id[pair] = eid
-            adj[u].append(v)
-            adj[v].append(u)
-    mate = nx.max_weight_matching(adj)
-    if -1 in mate:
-        return None
-    return frozenset(pair_id[v, w] for v, w in enumerate(mate) if v < w)
+    mates = nx.max_weight_matching(_Graph(G.n, [us[e] for e in ids], [vs[e] for e in ids]))
+    return None if -1 in mates else frozenset(ids[j] for j in mates)
 
 
 def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
     # edge e has its end at us[e] as node 2e and its end at vs[e] as node
-    # 2e + 1; the core nodes follow, and each end lists its vertex's cores first
-    adj = _Adjacency([2 * e + 1 - side] for e in range(G.m) for side in (0, 1))
+    # 2e + 1; the core nodes follow.  The gadget's edges are each core's to
+    # its vertex's ends, core after core, then edge e's external edge as
+    # gadget edge external + e, so each end lists its vertex's cores first
+    gus: list[int] = []
+    gvs: list[int] = []
+    core = 2 * G.m
     us = G.us
     for v in range(G.n):
         ends = [2 * eid + (us[eid] != v) for eid in G.incident[v]]
         for _ in range(G.degrees[v] - targets[v]):
-            core = len(adj)
-            adj.append(list(ends))
-            for end in ends:
-                adj[end].insert(-1, core)
-    mate = nx.max_weight_matching(adj)
-    if -1 in mate:
+            gus.extend([core] * len(ends))
+            gvs.extend(ends)
+            core += 1
+    external = len(gus)
+    gus.extend(range(0, 2 * G.m, 2))
+    gvs.extend(range(1, 2 * G.m, 2))
+    mates = nx.max_weight_matching(_Graph(core, gus, gvs))
+    if -1 in mates:
         return None
-    return frozenset(e for e in range(G.m) if mate[2 * e] == 2 * e + 1)
+    return frozenset(e for e in range(G.m) if mates[2 * e] == external + e)
 
 
 def exhaustive_factor_search(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:

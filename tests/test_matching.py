@@ -1,36 +1,44 @@
-"""Edmonds' maximum-cardinality matching against brute force.
+"""Edmonds' maximum-cardinality matching, both twins, against brute force.
 
 The brute-force maximum and the augmenting-path search below share no
 code with the blossom algorithm: they enumerate matchings and
 alternating paths outright, which is exact on the small graphs used
-here.
+here.  Every test runs on the pure twin and on the compiled one, which
+must also return identical mates.
 """
 
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kmagic import check_factor, petersen, random_regular
+from kmagic import _backtrack_py, build_graph, check_factor, petersen, random_regular
 from kmagic import factors
-from kmagic.matching import maximum_matching
 from conftest import hub10
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
-def adjacency(n, pairs):
-    adj = [[] for _ in range(n)]
-    for u, v in pairs:
-        adj[u].append(v)
-        adj[v].append(u)
+@pytest.fixture(scope="module")
+def twins(compiled_kernel):
+    """The pure twin and the compiled one: each test runs on both."""
+    return (_backtrack_py, compiled_kernel)
+
+
+def ends(pairs):
+    """The (us, vs) edge arrays of a list of vertex pairs."""
+    return [u for u, _ in pairs], [v for _, v in pairs]
+
+
+def skeleton(n, us, vs):
+    """Neighbour sets of the graph, parallel edges collapsed."""
+    adj = [set() for _ in range(n)]
+    for u, v in zip(us, vs):
+        adj[u].add(v)
+        adj[v].add(u)
     return adj
-
-
-def simple_skeleton(G):
-    """Adjacency lists of G with parallel edges collapsed."""
-    return adjacency(G.n, {tuple(sorted(G.endpoints(e))) for e in range(G.m)})
 
 
 def brute_force_size(adj):
@@ -45,6 +53,11 @@ def brute_force_size(adj):
         return max([best(rest)] + [1 + best(rest - {w}) for w in adj[v] if w in rest])
 
     return best(frozenset(range(len(adj))))
+
+
+def vertex_mates(us, vs, mates):
+    """The matched neighbour of each vertex, -1 where exposed."""
+    return [-1 if e < 0 else us[e] + vs[e] - v for v, e in enumerate(mates)]
 
 
 def has_augmenting_path(adj, mate):
@@ -65,77 +78,98 @@ def has_augmenting_path(adj, mate):
     return any(extend([v], False) for v in range(len(adj)) if mate[v] < 0)
 
 
-def check_matching(adj, mate):
-    assert len(mate) == len(adj)
-    for v, w in enumerate(mate):
-        if w >= 0:
-            assert w in adj[v]
-            assert mate[w] == v
+def check_matching(n, us, vs, mates):
+    """mates is a matching by edge ids, each the lowest id of its class of
+    parallel edges."""
+    assert isinstance(mates, tuple) and len(mates) == n
+    for v, e in enumerate(mates):
+        if e >= 0:
+            assert v in (us[e], vs[e])
+            w = us[e] + vs[e] - v
+            assert mates[w] == e
+            assert e == min(i for i, (a, b) in enumerate(zip(us, vs)) if {a, b} == {v, w})
 
 
 # A blossom inside a blossom: from the root 10 the search first closes
 # the blossom 1-2-3-5-4 (base 1) by the edge 3-5, then the edge 3-9 closes
 # one around it and the root, which lets the odd vertex 6 reach the
-# exposed 11.  The lists are ordered so that the greedy start matches
+# exposed 11.  The edges are ordered so that the greedy start matches
 # 0-1, 2-3, 4-5, 6-7 and 8-9 and leaves 10 and 11 exposed.
 NESTED = [
-    [1, 10], [0, 2, 4], [3, 1], [2, 5, 9], [5, 1], [4, 3],
-    [7, 10, 11], [6, 8], [9, 7], [8, 3], [0, 6], [6],
+    (0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (0, 10), (1, 2),
+    (3, 5), (7, 8), (6, 10), (1, 4), (3, 9), (6, 11),
 ]
 
 # The one augmenting path runs 10-0=1-2=3-4=5-7=6-9=8-11, and a search
 # from either end first reaches a triangle at the vertex the path leaves
 # it by (3 from 1, 7 from 9), so each side needs the blossom to go on.
 BLOSSOM_AT_BOTH_ENDS = [
-    [1, 10], [3, 2, 0], [3, 1], [2, 1, 4], [5, 3], [4, 7],
-    [7, 9], [6, 5, 9], [9, 11], [7, 6, 8], [0], [8],
+    (2, 3), (4, 5), (6, 7), (1, 3), (5, 7), (1, 2), (3, 4),
+    (7, 9), (0, 1), (6, 9), (0, 10), (8, 9), (8, 11),
 ]
 
+
+def cycle_pairs(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def graph_pairs(G):
+    return [G.endpoints(e) for e in range(G.m)]
+
+
 CASES = {
-    "edge": ([[1], [0]], 1),
-    "C3": (adjacency(3, [(0, 1), (1, 2), (2, 0)]), 1),
-    "C5": (adjacency(5, [(i, (i + 1) % 5) for i in range(5)]), 2),
-    "C7": (adjacency(7, [(i, (i + 1) % 7) for i in range(7)]), 3),
-    "C9": (adjacency(9, [(i, (i + 1) % 9) for i in range(9)]), 4),
-    "two triangles": (adjacency(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]), 2),
-    "petersen": (simple_skeleton(petersen()), 5),
-    "hub10 skeleton": (simple_skeleton(hub10()), 4),
-    "nested blossoms": (NESTED, 6),
-    "blossom at both ends": (BLOSSOM_AT_BOTH_ENDS, 6),
-    "isolated vertices": ([[], [], []], 0),
+    "edge": (2, [(0, 1)], 1),
+    "C3": (3, cycle_pairs(3), 1),
+    "C5": (5, cycle_pairs(5), 2),
+    "C7": (7, cycle_pairs(7), 3),
+    "C9": (9, cycle_pairs(9), 4),
+    "two triangles": (6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 2),
+    "petersen": (10, graph_pairs(petersen()), 5),
+    "hub10 skeleton": (10, graph_pairs(hub10()), 4),
+    "nested blossoms": (12, NESTED, 6),
+    "blossom at both ends": (12, BLOSSOM_AT_BOTH_ENDS, 6),
+    "isolated vertices": (3, [], 0),
 }
 
 
 @pytest.mark.parametrize("name", CASES)
-def test_matching_is_maximum(name):
-    adj, size = CASES[name]
-    assert brute_force_size(adj) == size
-    mate = maximum_matching(adj)
-    check_matching(adj, mate)
-    assert sum(w >= 0 for w in mate) == 2 * size
+def test_matching_is_maximum(name, twins):
+    n, pairs, size = CASES[name]
+    us, vs = ends(pairs)
+    assert brute_force_size(skeleton(n, us, vs)) == size
+    for twin in twins:
+        mates = twin.maximum_matching(n, us, vs)
+        check_matching(n, us, vs, mates)
+        assert sum(e >= 0 for e in mates) == 2 * size
 
 
 @st.composite
-def simple_graphs(draw, max_n=10):
+def multigraphs(draw, max_n=10, max_copies=3):
+    """(n, us, vs): a simple graph, each edge up to max_copies times, the
+    edges in shuffled order and orientation."""
     n = draw(st.integers(1, max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    adj = adjacency(n, [p for p, k in zip(pairs, keep) if k])
+    pairs = [p for p, k in zip(pairs, keep) if k]
+    copies = draw(st.lists(st.integers(1, max_copies), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, c in zip(pairs, copies) for _ in range(c)]
     rng = draw(st.randoms(use_true_random=False))
-    for nbrs in adj:
-        rng.shuffle(nbrs)  # vary the greedy start
-    return adj
+    rng.shuffle(edges)  # vary the greedy start and which copy is lowest
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+    return (n, *ends(edges))
 
 
 @SETTINGS
-@given(simple_graphs())
-def test_no_augmenting_path_remains(adj):
-    mate = maximum_matching(adj)
-    check_matching(adj, mate)
-    assert not has_augmenting_path(adj, mate)
+@given(multigraphs())
+def test_no_augmenting_path_remains(twins, graph):
+    n, us, vs = graph
+    for twin in twins:
+        mates = twin.maximum_matching(n, us, vs)
+        check_matching(n, us, vs, mates)
+        assert not has_augmenting_path(skeleton(n, us, vs), vertex_mates(us, vs, mates))
 
 
-def test_sizes_agree_with_networkx():
+def test_sizes_agree_with_networkx(twins):
     nx = pytest.importorskip("networkx")
     rng = random.Random(8)
     graphs = []
@@ -145,10 +179,45 @@ def test_sizes_agree_with_networkx():
         n = rng.randrange(20, 301)
         graphs.append(nx.gnm_random_graph(n, rng.randrange(n // 2, 2 * n), seed=rng.randrange(2**32)))
     for g in graphs:
-        adj = [list(g.neighbors(v)) for v in range(g.number_of_nodes())]
-        mate = maximum_matching(adj)
-        check_matching(adj, mate)
-        assert sum(w >= 0 for w in mate) == 2 * len(nx.max_weight_matching(g, maxcardinality=True))
+        n, (us, vs) = g.number_of_nodes(), ends(list(g.edges()))
+        size = len(nx.max_weight_matching(g, maxcardinality=True))
+        for twin in twins:
+            mates = twin.maximum_matching(n, us, vs)
+            check_matching(n, us, vs, mates)
+            assert sum(e >= 0 for e in mates) == 2 * size
+
+
+@st.composite
+def gadgets(draw):
+    """The gadget graph factors._gadget_factor matches for a drawn
+    multigraph and drawn degree targets, as the matching seam receives it."""
+    n, us, vs = draw(multigraphs(max_n=7))
+    G = build_graph(n, zip(us, vs))
+    targets = [draw(st.integers(0, d)) for d in G.degrees]
+    seen = []
+    with mock.patch.object(factors.nx, "max_weight_matching", lambda g: seen.append(g) or (-1,)):
+        factors._gadget_factor(G, targets)
+    return seen[0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(multigraphs(max_copies=1), multigraphs(), gadgets()))
+def test_twins_return_identical_mates(compiled_kernel, graph):
+    n, us, vs = graph
+    mates = _backtrack_py.maximum_matching(n, us, vs)
+    assert compiled_kernel.maximum_matching(n, us, vs) == mates
+    check_matching(n, us, vs, mates)
+
+
+def test_matching_factor_takes_the_lowest_id_of_each_parallel_class(twins, monkeypatch):
+    # the square 0-1-2-3, each side doubled, the copies in mixed order: the
+    # sides 01, 23, 12 and 03 are edges 0 and 3, 1 and 5, 2 and 6, 4 and 7
+    G = build_graph(4, [(1, 0), (2, 3), (1, 2), (0, 1), (3, 0), (3, 2), (2, 1), (0, 3)])
+    for twin in twins:
+        monkeypatch.setattr(factors._twin, "module", twin)
+        assert factors._matching_factor(G, range(G.m)) == {0, 1}
+        # without edges 0 and 1, sides 01 and 23 are left as edges 3 and 5
+        assert factors._matching_factor(G, frozenset(range(2, 8))) == {3, 5}
 
 
 def test_gadget_one_factor_of_a_large_cubic_graph():

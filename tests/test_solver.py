@@ -231,6 +231,11 @@ def test_kernels_reject_bad_input_alike(twin, request):
             impl.bridge_tree(n, us, vs)
     with pytest.raises(ValueError, match="n >= 0"):
         impl.search(-2, 5, 0, [], [], 10, targets=[])
+    # a loop's vertex would never have a last edge, so no sum of it is checked
+    with pytest.raises(ValueError, match="^edge 0 is a loop$"):
+        impl.search(1, 5, 1, [0], [0], -1)
+    with pytest.raises(ValueError, match="^edge 1 is a loop$"):
+        impl.search(2, 5, 1, [0, 1], [1, 1], -1)
     # the graph's ends may come from one-shot iterators; a float end is no int
     us, vs = [0, 1, 2, 2], [1, 2, 0, 3]
     assert impl.search(4, 5, 1, iter(us), (v for v in vs), -1) == impl.search(4, 5, 1, us, vs, -1)
@@ -260,6 +265,19 @@ def test_kernels_reject_bad_input_alike(twin, request):
     assert impl.split_search(4, 5, 1, iter(us), (v for v in vs), -1) == impl.split_search(4, 5, 1, us, vs, -1)
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         impl.split_search(4, 5, 1, us, [1, 2, 0, 3.0], -1)
+    # the maximum matching: the reader's rules, then loops
+    with pytest.raises(ValueError, match="n >= 0"):
+        impl.maximum_matching(-1, [], [])
+    for us2, vs2 in [([0, 1], [1, 3]), ([0, -1], [1, 2])]:
+        with pytest.raises(ValueError, match="endpoint"):
+            impl.maximum_matching(3, us2, vs2)
+    with pytest.raises(ValueError, match="differ in length"):
+        impl.maximum_matching(3, [0, 1], [1])
+    with pytest.raises(ValueError, match="^edge 1 is a loop$"):
+        impl.maximum_matching(3, [0, 2, 1], [1, 2, 2])
+    assert impl.maximum_matching(4, iter(us), (v for v in vs)) == impl.maximum_matching(4, us, vs) == (0, 0, 3, 3)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        impl.maximum_matching(4, us, [1, 2, 0, 3.0])
 
 
 def test_parity_settles_at_zero_nodes(kernel):
