@@ -1,6 +1,7 @@
 """Compare the compiled twins, the backtracking kernel, the Petersen
-2-factor split, the magic-sum check, the bridge tree, the split search
-and the vertex profile, against their pure Python twins.
+2-factor split, the magic-sum check, the bridge tree, the split search,
+the vertex profile and the maximum matching, against their pure Python
+twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -29,12 +30,17 @@ same status, labeling and node count; its timings are microseconds per
 call, the best of SPLIT_SEARCH_REPEATS batches of SPLIT_SEARCH_CALLS
 calls.  The rows of the cubic graph without a perfect matching at k = 4,
 where the spectrum-oracle benchmark spends its searches, and of
-bridged16 at k = 6 measure the solver's cost per component.  Last, the vertex
-profile, each vertex's degree and component,
-runs through both profile twins on every graph above, whole, and on
-three disjoint unions in PROFILE_CASES, which must return the same
-profiles; its timings are microseconds per call, the best of
-PROFILE_REPEATS batches of PROFILE_CALLS calls.
+bridged16 at k = 6 measure the solver's cost per component.  Then the
+vertex profile, each vertex's degree and component, runs through both
+profile twins on every graph above, whole, and on three disjoint unions
+in PROFILE_CASES, which must return the same profiles; its timings are
+microseconds per call, the best of PROFILE_REPEATS batches of
+PROFILE_CALLS calls.  Last, the maximum matching behind every factor
+runs through both matching twins on the cubic graph without a perfect
+matching, on bridged16 and on the gadget of a 1-factor of a random
+cubic graph on 600 vertices, which must return the same mates; its
+timings are microseconds per call, the best of MATCH_REPEATS batches of
+MATCH_CALLS calls.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -61,6 +67,7 @@ from kmagic import (
     random_regular,
     search_labeling,
 )
+from kmagic.factors import _gadget
 from kmagic.graphs import component_graphs
 from kmagic.solver import available_kernels
 
@@ -129,6 +136,17 @@ PROFILE_CASES = [
 ]
 PROFILE_CALLS = 200
 PROFILE_REPEATS = 5
+
+# (label, graph) for the maximum matching: graphs the factor layer
+# matches, G itself on the 1-factor route and a gadget
+MATCH_CASES = [
+    (TREE_CASES[2][0], TREE_CASES[2][1]),
+    (TREE_CASES[0][0], TREE_CASES[0][1]),
+    ("gadget of random cubic n=600, 1-factor",
+     _gadget(random_regular(600, 3, seed=0), [1] * 600)[0]),
+]
+MATCH_CALLS = 10
+MATCH_REPEATS = 5
 
 
 # the edge count of a case's graph, a column of every twin table
@@ -222,6 +240,15 @@ def compare_profiles(kernels: dict) -> None:
                   PROFILE_REPEATS, cases)
 
 
+def compare_matchings(kernels: dict) -> None:
+    cases = [(label, g, [(g.n, g.us, g.vs)], [(g.n, g.us, g.vs)]) for label, g in MATCH_CASES]
+    nodes = ("nodes", 6, lambda g, answers: g.n)
+    edges = ("edges", 6, lambda g, answers: len(g.us))
+    exposed = ("exposed", 7, lambda g, answers: answers[0].count(-1))
+    compare_twins(kernels, "maximum_matching", "maximum matching", [nodes, edges, exposed], "us",
+                  MATCH_CALLS, MATCH_REPEATS, cases)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="cap searches at 1e6 nodes")
@@ -274,6 +301,8 @@ def main() -> None:
     compare_split_searches(kernels)
     print()
     compare_profiles(kernels)
+    print()
+    compare_matchings(kernels)
     print("all kernels returned identical results")
 
 

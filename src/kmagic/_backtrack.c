@@ -1341,9 +1341,12 @@ augmenting_path(Matching *s, Py_ssize_t root)
 /* A maximum-cardinality matching of a loopless multigraph, the twin of
  * kmagic._backtrack_py.maximum_matching, transcribed line for line: the
  * same neighbour lists, the same greedy pass and the same alternating
- * trees, so both twins return the same mates.  The reference starts base,
- * parent and even afresh for each root; here the vertices of the last
- * tree, the only ones its search changed, are reset instead. */
+ * trees, so both twins return the same mates.  Where the reference keys
+ * the lowest id of each class of parallel edges by its vertex pair, each
+ * vertex here keeps its first edge to each neighbour, in edge-id order,
+ * marking the neighbour in owner.  The reference starts base, parent and
+ * even afresh for each root; here the vertices of the last tree, the
+ * only ones its search changed, are reset instead. */
 static PyObject *
 maximum_matching(PyObject *self, PyObject *args)
 {
@@ -1371,8 +1374,8 @@ maximum_matching(PyObject *self, PyObject *args)
     Py_ssize_t *even = parent + nv, *tree = even + nv, *queue = tree + nv, *seen = queue + nv;
     Py_ssize_t *in_blossom = seen + nv;
 
-    /* the adjacency in edge-id order, then each vertex's list cut to the
-     * first edge to each neighbour */
+    /* the adjacency in edge-id order, then each vertex's list cut to its
+     * first edge to each neighbour, owner[w] == v once v keeps one to w */
     for (Py_ssize_t e = 0; e < m; e++) {
         first[eu[e] + 1] += 1;
         first[ev[e] + 1] += 1;

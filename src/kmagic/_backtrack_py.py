@@ -529,17 +529,14 @@ def maximum_matching(n, us, vs):
     """
     us, vs = _read_edges(n, us, vs)
     _refuse_loops(us, vs)
-    adj, ids = [], []  # per vertex: its neighbours, and the edge id to each
-    owner = [-1] * n  # owner[w] == v once v lists w
-    for v, pairs in enumerate(_adjacency(n, us, vs)):
-        nbrs, eids = [], []
-        for w, eid in pairs:
-            if owner[w] != v:
-                owner[w] = v
-                nbrs.append(w)
-                eids.append(eid)
-        adj.append(nbrs)
-        ids.append(eids)
+    adj = [[] for _ in range(n)]
+    pair_id = {}  # the lowest id of each class of parallel edges
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        pair = (u, v) if u < v else (v, u)
+        if pair not in pair_id:
+            pair_id[pair] = eid
+            adj[u].append(v)
+            adj[v].append(u)
     mate = [-1] * n
     for v in range(n):
         if mate[v] < 0:
@@ -555,7 +552,7 @@ def maximum_matching(n, us, vs):
                 after = mate[v]
                 mate[end], mate[v] = v, end
                 end = after
-    return tuple(-1 if w < 0 else ids[v][adj[v].index(w)] for v, w in enumerate(mate))
+    return tuple(-1 if w < 0 else pair_id[(v, w) if v < w else (w, v)] for v, w in enumerate(mate))
 
 
 def _orient(adjacency, m):

@@ -1,8 +1,8 @@
 """The one selection of the twin module behind the search kernel, the
-magic-sum check, the Petersen split, the bridge tree, the split search
-and the vertex profile: kmagic._backtrack when the extension imports,
-else the pure reference kmagic._backtrack_py.  Callers read it at call
-time, so replacing module switches all six.
+magic-sum check, the Petersen split, the bridge tree, the split search,
+the vertex profile and the maximum matching: kmagic._backtrack when the
+extension imports, else the pure reference kmagic._backtrack_py.
+Callers read it at call time, so replacing module switches all seven.
 """
 
 from . import _backtrack_py

@@ -184,10 +184,22 @@ def _matching_factor(G: MultiGraph, edge_ids: Collection[int]) -> frozenset[int]
 
 
 def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
-    # edge e has its end at us[e] as node 2e and its end at vs[e] as node
-    # 2e + 1; the core nodes follow.  The gadget's edges are each core's to
-    # its vertex's ends, core after core, then edge e's external edge as
-    # gadget edge external + e, so each end lists its vertex's cores first
+    gadget, external = _gadget(G, targets)
+    mates = nx.max_weight_matching(gadget)
+    if -1 in mates:
+        return None
+    return frozenset(e for e in range(G.m) if mates[2 * e] == external + e)
+
+
+def _gadget(G: MultiGraph, targets: Sequence[int]) -> tuple[_Graph, int]:
+    """The gadget graph of G for targets, and the id of its first external
+    edge: edge e of G is gadget edge external + e.
+
+    Edge e has its end at us[e] as node 2e and its end at vs[e] as node
+    2e + 1; the core nodes follow.  The gadget's edges are each core's to
+    its vertex's ends, core after core, then the external edges, so each
+    end lists its vertex's cores before its external edge.
+    """
     gus: list[int] = []
     gvs: list[int] = []
     core = 2 * G.m
@@ -201,10 +213,7 @@ def _gadget_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | No
     external = len(gus)
     gus.extend(range(0, 2 * G.m, 2))
     gvs.extend(range(1, 2 * G.m, 2))
-    mates = nx.max_weight_matching(_Graph(core, gus, gvs))
-    if -1 in mates:
-        return None
-    return frozenset(e for e in range(G.m) if mates[2 * e] == external + e)
+    return _Graph(core, gus, gvs), external
 
 
 def exhaustive_factor_search(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:

@@ -9,7 +9,6 @@ must also return identical mates.
 
 import random
 import time
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -190,14 +189,10 @@ def test_sizes_agree_with_networkx(twins):
 @st.composite
 def gadgets(draw):
     """The gadget graph factors._gadget_factor matches for a drawn
-    multigraph and drawn degree targets, as the matching seam receives it."""
+    multigraph and drawn degree targets."""
     n, us, vs = draw(multigraphs(max_n=7))
     G = build_graph(n, zip(us, vs))
-    targets = [draw(st.integers(0, d)) for d in G.degrees]
-    seen = []
-    with mock.patch.object(factors.nx, "max_weight_matching", lambda g: seen.append(g) or (-1,)):
-        factors._gadget_factor(G, targets)
-    return seen[0]
+    return factors._gadget(G, [draw(st.integers(0, d)) for d in G.degrees])[0]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
