@@ -1,7 +1,6 @@
-"""Compare the compiled twins, the backtracking kernel, the Petersen
-2-factor split, the magic-sum check, the bridge tree, the split search,
-the vertex profile and the maximum matching, against their pure Python
-twins.
+"""Compare the six compiled twins, the backtracking kernel, the Petersen
+2-factor split, the magic-sum check, the split search, the vertex
+profile and the maximum matching, against their pure Python twins.
 
 Runs the same searches through every available kernel, asserts the
 results are identical (status, node count, and the labeling found), and
@@ -9,26 +8,22 @@ prints timings.  The heavy case is a search on a bridgeless graph capped
 at 5M nodes, where the twins must stop on the same node; --quick caps
 every search at one million nodes instead.  Every case reaches the
 kernel: none is settled by the parity count or split into components
-first.  One case has bridges, so the solver splits it and drives the
-kernel's per-vertex targets and per-edge allowed labels.  Then every
-2-factor split runs through both split twins, which must return the
-same 2-factors; its timings are the best of SPLIT_REPEATS runs.  Last,
-the magic-sum check behind verify runs through both sum twins on a
-magic and a non-magic labeling of each graph in SUM_CASES, which must
-get the same answers; its timings are microseconds per call, the best
-of SUM_REPEATS batches of SUM_CALLS calls.  Then the bridge tree, the
-plan of pieces the solver searches, runs through both bridge-tree twins
-on every connected component of every graph above and of three bridged
-graphs (bridged16 and hub_quintic_16 of the digest, and the 16-vertex
-cubic graph without a perfect matching of the spectrum-oracle
-benchmark), which must return the same plans; its timings are
-microseconds per call, the best of TREE_REPEATS batches of TREE_CALLS
-calls.  Then the split search, the solver's one call per connected
-component, runs through both split-search twins on the three bridged
-graphs at every sum of SPLIT_SEARCH_CASES' moduli, which must return the
-same status, labeling and node count; its timings are microseconds per
-call, the best of SPLIT_SEARCH_REPEATS batches of SPLIT_SEARCH_CALLS
-calls.  The rows of the cubic graph without a perfect matching at k = 4,
+first.  One case has bridges, so the solver splits it and searches it
+piece by piece, each piece with its own vertex targets and its child
+bridges limited to their feasible labels.  Then every 2-factor split
+runs through both split twins, which must return the same 2-factors;
+its timings are the best of SPLIT_REPEATS runs.  Then the magic-sum
+check behind verify runs through both sum twins on a magic and a
+non-magic labeling of each graph in SUM_CASES, which must get the same
+answers; its timings are microseconds per call, the best of SUM_REPEATS
+batches of SUM_CALLS calls.  Then the split search, the solver's one
+call per connected component, runs through both split-search twins on
+three bridged graphs (bridged16 and hub_quintic_16 of the digest, and
+the 16-vertex cubic graph without a perfect matching of the
+spectrum-oracle benchmark) at every sum of SPLIT_SEARCH_CASES' moduli,
+which must return the same status, labeling and node count; its
+timings are microseconds per call, the best of SPLIT_SEARCH_REPEATS
+batches of SPLIT_SEARCH_CALLS calls.  The rows of the cubic graph without a perfect matching at k = 4,
 where the spectrum-oracle benchmark spends its searches, and of
 bridged16 at k = 6 measure the solver's cost per component.  Then the
 vertex profile, each vertex's degree and component, runs through both
@@ -68,7 +63,6 @@ from kmagic import (
     search_labeling,
 )
 from kmagic.factors import _gadget
-from kmagic.graphs import component_graphs
 from kmagic.solver import available_kernels
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -110,22 +104,20 @@ SUM_CASES = [
 SUM_CALLS = 2000
 SUM_REPEATS = 5
 
-# (label, graph) for the bridge tree, beside every graph above
-TREE_CASES = [
+# (label, graph) with bridges, for the split search and the matching
+BRIDGED_CASES = [
     ("bridged16", bridged_cubic_16()),
     ("hub_quintic_16", hub_quintic_16()),
     ("cubic16 without a perfect matching", build_graph(*_no_perfect_matching())),
 ]
-TREE_CALLS = 50
-TREE_REPEATS = 5
 
-# (index into TREE_CASES, modulus) for the split search, every sum each
+# (index into BRIDGED_CASES, modulus) for the split search, every sum each
 SPLIT_SEARCH_CASES = [(2, 4), (0, 6), (1, 4)]
 SPLIT_SEARCH_CALLS = 20
 SPLIT_SEARCH_REPEATS = 5
 
 # (label, graph) for every graph above
-ALL_GRAPHS = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + TREE_CASES
+ALL_GRAPHS = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + BRIDGED_CASES
 
 # (label, graph) for the vertex profile, beside every graph above
 PROFILE_CASES = [
@@ -140,8 +132,8 @@ PROFILE_REPEATS = 5
 # (label, graph) for the maximum matching: graphs the factor layer
 # matches, G itself on the 1-factor route and a gadget
 MATCH_CASES = [
-    (TREE_CASES[2][0], TREE_CASES[2][1]),
-    (TREE_CASES[0][0], TREE_CASES[0][1]),
+    BRIDGED_CASES[2],
+    BRIDGED_CASES[0],
     ("gadget of random cubic n=600, 1-factor",
      _gadget(random_regular(600, 3, seed=0), [1] * 600)[0]),
 ]
@@ -210,20 +202,10 @@ def compare_sums(kernels: dict) -> None:
                   SUM_REPEATS, cases)
 
 
-def compare_bridge_trees(kernels: dict) -> None:
-    cases = []
-    for label, G in ALL_GRAPHS:
-        args = [(C.n, C.us, C.vs) for C, _ in component_graphs(G)]
-        cases.append((label, G, args, args))
-    pieces = ("pieces", 6, lambda G, answers: sum(map(len, answers)))
-    compare_twins(kernels, "bridge_tree", "bridge tree", [EDGES, pieces], "us", TREE_CALLS,
-                  TREE_REPEATS, cases)
-
-
 def compare_split_searches(kernels: dict) -> None:
     cases = []
     for index, k in SPLIT_SEARCH_CASES:
-        label, G = TREE_CASES[index]
+        label, G = BRIDGED_CASES[index]
         for c in range(k):
             args = [(G.n, k, c, G.us, G.vs, DEFAULT_BUDGET.node_cap)]
             cases.append((f"{label} k={k} c={c}", G, args, args))
@@ -295,8 +277,6 @@ def main() -> None:
     compare_splits(kernels)
     print()
     compare_sums(kernels)
-    print()
-    compare_bridge_trees(kernels)
     print()
     compare_split_searches(kernels)
     print()

@@ -1,28 +1,32 @@
-/* Compiled twins of the seven pure references in kmagic._backtrack_py:
- * the backtracking kernel, the magic-sum check, the Petersen 2-factor
- * split, the bridge tree (bridge_tree), the split search (split_search:
- * the label search of a connected graph over its bridge tree), the
- * vertex profile (vertex_profile: each vertex's degree and component)
- * and the maximum matching (maximum_matching: Edmonds' blossom search).
- * search() and split_search() run one kernel loop, kernel(), and
- * bridge_tree() and split_search() one planner, plan_tree(), both over
- * plain arrays, so split_search makes no Python call per piece search,
- * and maximum_matching() none inside its search.
+/* Compiled twins of the six pure references in kmagic._backtrack_py:
+ * the backtracking kernel (search), the magic-sum check (magic_sum), the
+ * Petersen 2-factor split (petersen_split), the split search
+ * (split_search: the label search of a connected graph over its bridge
+ * tree), the vertex profile (vertex_profile: each vertex's degree and
+ * component) and the maximum matching (maximum_matching: Edmonds' blossom
+ * search).  search() and split_search() run one kernel loop, kernel(),
+ * over plain arrays, and split_search() plans its pieces with plan_tree(),
+ * the transcription of kmagic._backtrack_py.bridge_tree, so split_search
+ * makes no Python call per piece search, and maximum_matching() none
+ * inside its search.
  *
- * search() transcribes the pure reference line for line: the same edge
- * order, the same forced-label rule and the same node count, so both
- * twins return the same (status, labels or None, nodes) and raise
- * ValueError on the same bad input.  n and k are C ints; residues are
- * unsigned, so c - s + k and s + x, all below 2k, cannot overflow.
- * Per-vertex targets replace c in the forced-label rule; a free vertex
- * (target None) carries one phantom edge that is never labeled, so no
- * edge is ever its last.  An edge limited to a list of labels tries
- * them in order, nxt holding 1 + the index of the next one, and takes
- * a forced label only when it is on the list.
+ * kernel() transcribes the pure reference's _kernel line for line: the
+ * same edge order, the same forced-label rule and the same node count,
+ * so both twins return the same (status, labels or None, nodes) and
+ * raise ValueError on the same bad input.  n and k are C ints; residues
+ * are unsigned, so c - s + k and s + x, all below 2k, cannot overflow.
+ * The piece searches of split_search give each vertex its own target in
+ * place of c; a free vertex (the stub) carries one phantom edge that is
+ * never labeled, so no edge is ever its last.  An edge limited to a list
+ * of labels (a child bridge) tries them in order, nxt holding 1 + the
+ * index of the next one, and takes a forced label only when it is on the
+ * list.
  *
+ * The scalar arguments n, k, c and node_cap must be ints: any other type
+ * raises TypeError, as operator.index does, before any other check.
  * Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge
  * i joining us[i] and vs[i].  One reader, read_edges, is the only code
- * that reads us and vs, and it holds all seven twins to one contract:
+ * that reads us and vs, and it holds all six twins to one contract:
  * n < 0 raises ValueError; us and vs may be any iterables, each read
  * once; a non-int end raises TypeError, as operator.index does, the
  * ends of us first; then unequal lengths raise ValueError ("differ in
@@ -37,23 +41,6 @@
 enum { UNDECIDED = -1, UNSAT = 0, SAT = 1 };
 enum { MALFORMED = -1 };  /* magic_sum's answer for labels that are not one legal label per edge */
 #define NOT_EVEN_REGULAR "need an even-regular graph with degree >= 2"
-
-/* Store obj, an int in lo..hi, in *out; otherwise raise ValueError with
- * msg, formatted with the index i and the bound hi. */
-static int
-read_bounded(PyObject *obj, long lo, long hi, const char *msg, Py_ssize_t i, unsigned *out)
-{
-    int overflow;
-    long x = PyLong_AsLongAndOverflow(obj, &overflow);
-    if (x == -1 && PyErr_Occurred())
-        return -1;
-    if (overflow || x < lo || x > hi) {
-        PyErr_Format(PyExc_ValueError, msg, i, (int)hi);
-        return -1;
-    }
-    *out = (unsigned)x;
-    return 0;
-}
 
 /* The graph argument of every twin, read and checked as the header
  * states: the ends in one new PyMem block of 2 * *m slots, us's first,
@@ -162,42 +149,6 @@ pool_grow(Pool *pool, Py_ssize_t extra)
     }
     pool->a = a;
     pool->cap = cap;
-    return 0;
-}
-
-/* Read the allowed labels of every edge into labs: edge i may take
- * labs->a[span[2i] .. span[2i+1]), or every label when span[2i] < 0. */
-static int
-read_allowed(PyObject *al, int k, Py_ssize_t m, Py_ssize_t *span, Pool *labs)
-{
-    for (Py_ssize_t i = 0; i < m; i++) {
-        PyObject *entry = PySequence_Fast_GET_ITEM(al, i);
-        span[2 * i] = span[2 * i + 1] = -1;
-        if (entry == Py_None)
-            continue;
-        PyObject *fast = PySequence_Fast(entry, "allowed labels must be a sequence");
-        if (fast == NULL)
-            return -1;
-        Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
-        if (pool_grow(labs, len) < 0) {
-            Py_DECREF(fast);
-            return -1;
-        }
-        span[2 * i] = labs->len;
-        long prev = 0;
-        for (Py_ssize_t j = 0; j < len; j++) {
-            unsigned *slot = labs->a + labs->len;
-            if (read_bounded(PySequence_Fast_GET_ITEM(fast, j), prev + 1, k - 1,
-                             "allowed labels of edge %zd must increase within 1..%d", i, slot) < 0) {
-                Py_DECREF(fast);
-                return -1;
-            }
-            prev = *slot;
-            labs->len++;
-        }
-        span[2 * i + 1] = labs->len;
-        Py_DECREF(fast);
-    }
     return 0;
 }
 
@@ -327,25 +278,23 @@ residue(int c, int k)
     return (unsigned)(r < 0 ? r + k : r);
 }
 
+/* The label search of a multigraph, the twin of
+ * kmagic._backtrack_py.search: one kernel run, every vertex's target c
+ * and every edge free to take every label. */
 static PyObject *
-search(PyObject *self, PyObject *args, PyObject *kwargs)
+search(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"n", "k", "c", "us", "vs", "node_cap", "targets", "allowed", NULL};
     int n, k_in, c_in;
     long long node_cap;
-    PyObject *us_arg, *vs_arg, *cap_arg, *tg_arg = Py_None, *al_arg = Py_None;
-    PyObject *tg = NULL, *al = NULL, *result = NULL;
+    PyObject *us_arg, *vs_arg, *cap_arg, *result = NULL;
     unsigned *block = NULL;
-    Pool alab = {NULL, 0, 0};
-    Py_ssize_t *ends = NULL, *span = NULL, m;
+    Py_ssize_t *ends = NULL, m;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "iiiOOO|OO:search", kwlist, &n, &k_in,
-                                     &c_in, &us_arg, &vs_arg, &cap_arg, &tg_arg, &al_arg))
+    if (!PyArg_ParseTuple(args, "iiiOOO:search", &n, &k_in, &c_in, &us_arg, &vs_arg, &cap_arg) ||
+        read_cap(cap_arg, &node_cap) < 0)
         return NULL;
     if (k_in < 2)
         return PyErr_Format(PyExc_ValueError, "search needs k >= 2, got %d", k_in);
-    if (read_cap(cap_arg, &node_cap) < 0)
-        return NULL;
     ends = read_edges(n, us_arg, vs_arg, &m);
     if (ends == NULL || refuse_loops(ends, m) < 0)
         goto done;
@@ -361,54 +310,16 @@ search(PyObject *self, PyObject *args, PyObject *kwargs)
         left[eu[i]] += 1;
         left[ev[i]] += 1;
     }
-
     unsigned k = (unsigned)k_in, c = residue(c_in, k_in);
     for (int v = 0; v < n; v++)
         tgt[v] = c;
-    if (tg_arg != Py_None) {
-        tg = PySequence_Fast(tg_arg, "targets must be a sequence");
-        if (tg == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(tg) != n) {
-            PyErr_SetString(PyExc_ValueError, "targets must hold one entry per vertex");
-            goto done;
-        }
-        for (Py_ssize_t v = 0; v < n; v++) {
-            PyObject *t = PySequence_Fast_GET_ITEM(tg, v);
-            if (t == Py_None)
-                left[v] += 1;  /* a phantom edge that is never labeled */
-            else if (read_bounded(t, 0, k_in - 1, "target of vertex %zd lies outside 0..%d", v,
-                                  &tgt[v]) < 0)
-                goto done;
-        }
-    }
-    if (al_arg != Py_None) {
-        al = PySequence_Fast(al_arg, "allowed must be a sequence");
-        if (al == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(al) != m) {
-            PyErr_SetString(PyExc_ValueError, "allowed must hold one entry per edge");
-            goto done;
-        }
-        span = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(Py_ssize_t));
-        if (span == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-        if (read_allowed(al, k_in, m, span, &alab) < 0)
-            goto done;
-    }
 
     long long nodes;
-    int status = kernel(m, eu, ev, k, tgt, left, sums, labels, nxt, span, alab.a, node_cap, &nodes);
+    int status = kernel(m, eu, ev, k, tgt, left, sums, labels, nxt, NULL, NULL, node_cap, &nodes);
     result = answer(status, labels, m, nodes);
 done:
     PyMem_Free(ends);
     PyMem_Free(block);
-    PyMem_Free(span);
-    PyMem_Free(alab.a);
-    Py_XDECREF(tg);
-    Py_XDECREF(al);
     return result;
 }
 
@@ -662,55 +573,13 @@ int_tuple(const Py_ssize_t *a, Py_ssize_t len)
     return t;
 }
 
-/* A new tuple of the pairs (pos[i], idx[i]) for i in 0..len, or NULL. */
-static PyObject *
-pair_tuple(const Py_ssize_t *pos, const Py_ssize_t *idx, Py_ssize_t len)
-{
-    PyObject *t = PyTuple_New(len);
-    if (t == NULL)
-        return NULL;
-    for (Py_ssize_t i = 0; i < len; i++) {
-        PyObject *pair = Py_BuildValue("(nn)", pos[i], idx[i]);
-        if (pair == NULL) {
-            Py_DECREF(t);
-            return NULL;
-        }
-        PyTuple_SET_ITEM(t, i, pair);
-    }
-    return t;
-}
-
-/* The piece tuple (n_local, entry, order, us, vs, children, edgeless) of
- * kmagic._backtrack_py.bridge_tree, or NULL.  Every field is built before
- * the tuple, so no tuple with an empty slot is ever made. */
-static PyObject *
-piece_tuple(Py_ssize_t size, Py_ssize_t entry, const Py_ssize_t *order, const Py_ssize_t *pus,
-            const Py_ssize_t *pvs, Py_ssize_t len, const Py_ssize_t *cpos, const Py_ssize_t *cidx,
-            Py_ssize_t nch, int edgeless)
-{
-    PyObject *f[7] = {NULL};
-    PyObject *piece = NULL;
-    if ((f[0] = PyLong_FromSsize_t(size)) != NULL &&
-        (f[1] = PyLong_FromSsize_t(entry)) != NULL &&
-        (f[2] = int_tuple(order, len)) != NULL &&
-        (f[3] = int_tuple(pus, len)) != NULL &&
-        (f[4] = int_tuple(pvs, len)) != NULL &&
-        (f[5] = pair_tuple(cpos, cidx, nch)) != NULL) {
-        f[6] = PyBool_FromLong(edgeless);
-        piece = PyTuple_Pack(7, f[0], f[1], f[2], f[3], f[4], f[5], f[6]);
-    }
-    for (int j = 0; j < 7; j++)
-        Py_XDECREF(f[j]);
-    return piece;
-}
-
-/* The plan of bridge_tree over plain arrays, its pieces in bridge_tree's
- * order: piece i has size[i] local vertices, its stub included, entry[i]
- * is the local entry and edgeless[i] is set for a single vertex; its edges
- * are order[ostart[i] .. ostart[i + 1]), with local ends pus and pvs at
- * the same slots; its child bridges sit at positions cpos[cstart[i] ..
- * cstart[i + 1]) of that run, leading to the pieces cidx at the same
- * slots.  Every array lives in block. */
+/* The plan of kmagic._backtrack_py.bridge_tree over plain arrays, its
+ * pieces in bridge_tree's order: piece i has size[i] local vertices, its
+ * stub included, entry[i] is the local entry and edgeless[i] is set for a
+ * single vertex; its edges are order[ostart[i] .. ostart[i + 1]), with
+ * local ends pus and pvs at the same slots; its child bridges sit at
+ * positions cpos[cstart[i] .. cstart[i + 1]) of that run, leading to the
+ * pieces cidx at the same slots.  Every array lives in block. */
 typedef struct {
     Py_ssize_t npieces;
     Py_ssize_t *size, *entry, *edgeless, *ostart, *cstart, *order, *pus, *pvs, *cpos, *cidx;
@@ -878,45 +747,6 @@ plan_tree(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Plan 
     return 0;
 }
 
-/* The 2-edge-connected pieces of a connected multigraph, the twin of
- * kmagic._backtrack_py.bridge_tree: plan_tree's plan as tuples. */
-static PyObject *
-bridge_tree(PyObject *self, PyObject *args)
-{
-    int n;
-    PyObject *us_arg, *vs_arg, *pieces = NULL, *result = NULL;
-    Py_ssize_t *ends = NULL, m;
-    Plan plan = {0};
-
-    if (!PyArg_ParseTuple(args, "iOO:bridge_tree", &n, &us_arg, &vs_arg))
-        return NULL;
-    if (n < 1)
-        return PyErr_Format(PyExc_ValueError, "bridge_tree needs n >= 1, got %d", n);
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL || plan_tree(n, m, ends, ends + m, &plan) < 0)
-        goto done;
-    pieces = PyList_New(plan.npieces);
-    if (pieces == NULL)
-        goto done;
-    for (Py_ssize_t i = 0; i < plan.npieces; i++) {
-        Py_ssize_t lo = plan.ostart[i], clo = plan.cstart[i];
-        PyObject *piece = piece_tuple(plan.size[i], plan.entry[i], plan.order + lo, plan.pus + lo,
-                                      plan.pvs + lo, plan.ostart[i + 1] - lo, plan.cpos + clo,
-                                      plan.cidx + clo, plan.cstart[i + 1] - clo,
-                                      (int)plan.edgeless[i]);
-        if (piece == NULL)
-            goto done;
-        PyList_SET_ITEM(pieces, i, piece);
-    }
-    result = pieces;
-    pieces = NULL;
-done:
-    PyMem_Free(ends);
-    PyMem_Free(plan.block);
-    Py_XDECREF(pieces);
-    return result;
-}
-
 static int
 compare_unsigned(const void *a, const void *b)
 {
@@ -988,14 +818,13 @@ split_search(PyObject *self, PyObject *args)
     Plan plan = {0};
 
     if (!PyArg_ParseTuple(args, "iiiOOO:split_search", &n, &k_in, &c_in, &us_arg, &vs_arg,
-                          &cap_arg))
+                          &cap_arg) ||
+        read_cap(cap_arg, &node_cap) < 0)
         return NULL;
     if (k_in < 2)
         return PyErr_Format(PyExc_ValueError, "split_search needs k >= 2, got %d", k_in);
     if (n < 1)
         return PyErr_Format(PyExc_ValueError, "split_search needs n >= 1, got %d", n);
-    if (read_cap(cap_arg, &node_cap) < 0)
-        return NULL;
     ends = read_edges(n, us_arg, vs_arg, &m);
     if (ends == NULL || refuse_loops(ends, m) < 0 || plan_tree(n, m, ends, ends + m, &plan) < 0)
         goto done;
@@ -1449,8 +1278,8 @@ done:
 }
 
 static PyMethodDef methods[] = {
-    {"search", (PyCFunction)(void (*)(void))search, METH_VARARGS | METH_KEYWORDS,
-     "search(n, k, c, us, vs, node_cap, targets=None, allowed=None)\n--\n\n"
+    {"search", search, METH_VARARGS,
+     "search(n, k, c, us, vs, node_cap)\n--\n\n"
      "Find an edge labeling with all vertex sums equal to c mod k; see\n"
      "kmagic._backtrack_py.search, whose semantics this twin shares."},
     {"magic_sum", magic_sum, METH_VARARGS,
@@ -1464,12 +1293,6 @@ static PyMethodDef methods[] = {
      "Split an even-regular multigraph, edge i joining us[i] and vs[i], into\n"
      "its 2-factors, each a list of edge ids in increasing order; see\n"
      "kmagic._backtrack_py.petersen_split, whose semantics this twin shares."},
-    {"bridge_tree", bridge_tree, METH_VARARGS,
-     "bridge_tree(n, us, vs)\n--\n\n"
-     "The 2-edge-connected pieces of a connected multigraph, edge i joining\n"
-     "us[i] and vs[i], as (n_local, entry, order, us, vs, children, edgeless)\n"
-     "tuples, the piece of vertex 0 first and each piece after its parent; see\n"
-     "kmagic._backtrack_py.bridge_tree, whose semantics this twin shares."},
     {"split_search", split_search, METH_VARARGS,
      "split_search(n, k, c, us, vs, node_cap)\n--\n\n"
      "Find an edge labeling of a connected multigraph, edge i joining us[i] and\n"
@@ -1495,11 +1318,11 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_backtrack",
     .m_doc = "Compiled backtracking kernel, magic-sum check, Petersen 2-factor split,\n"
-             "bridge tree, split search, vertex profile and maximum matching; semantics\n"
-             "match kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum,\n"
-             "kmagic._backtrack_py.petersen_split, kmagic._backtrack_py.bridge_tree,\n"
-             "kmagic._backtrack_py.split_search, kmagic._backtrack_py.vertex_profile\n"
-             "and kmagic._backtrack_py.maximum_matching.",
+             "split search, vertex profile and maximum matching; semantics match\n"
+             "kmagic._backtrack_py.search, kmagic._backtrack_py.magic_sum,\n"
+             "kmagic._backtrack_py.petersen_split, kmagic._backtrack_py.split_search,\n"
+             "kmagic._backtrack_py.vertex_profile and\n"
+             "kmagic._backtrack_py.maximum_matching.",
     .m_size = -1,
     .m_methods = methods,
 };

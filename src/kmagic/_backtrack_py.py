@@ -1,26 +1,30 @@
 """Pure-Python backtracking kernel, magic-sum check, Petersen split,
-bridge tree, split search, vertex profile and maximum matching.
+split search, vertex profile and maximum matching.
 
 Reference implementations of the label search, of the magic-sum check,
-of the Petersen 2-factor split, of the bridge tree (bridge_tree: the
-2-edge-connected pieces the solver searches), of the split search
-(split_search: the label search of a connected graph, one search per
-piece and parent-bridge label over its bridge tree), of the vertex
-profile (vertex_profile: each vertex's degree and component) and of the
-maximum matching (maximum_matching: Edmonds' blossom search, behind
-every perfect matching and f-factor of kmagic.factors); kmagic._backtrack
-holds their compiled twins, with identical semantics, and kmagic._twin
-picks one of the two modules for all seven.  The search
-visits edges in the given order; when an edge is the last unlabeled
-edge at one of its endpoints its label is forced by the target sum,
-otherwise all of its allowed labels (1..k-1 unless restricted) are tried
-in increasing order.  Every attempted assignment counts as one node
-against the cap; node_cap < 0 means unbounded, in search and
-split_search alike, and split_search's searches share one cap.
+of the Petersen 2-factor split, of the split search (split_search: the
+label search of a connected graph, one search per piece and
+parent-bridge label over its bridge tree, which bridge_tree plans), of
+the vertex profile (vertex_profile: each vertex's degree and component)
+and of the maximum matching (maximum_matching: Edmonds' blossom search,
+behind every perfect matching and f-factor of kmagic.factors);
+kmagic._backtrack holds their compiled twins, with identical semantics,
+and kmagic._twin picks one of the two modules for all six.  search and
+every piece search of split_search run one loop, _kernel, which visits
+edges in the given order; when an edge is the last unlabeled edge at
+one of its endpoints its label is forced by the target sum, otherwise
+all of its allowed labels (1..k-1, or a child bridge's feasible labels
+in a piece search) are tried in increasing order.  Every attempted
+assignment counts as one node against the cap; node_cap < 0 means
+unbounded, in search and split_search alike, and split_search's
+searches share one cap.
 
-Every twin takes its multigraph as (n, us, vs): vertices 0..n-1, edge i
-joining us[i] and vs[i].  One reader, _read_edges, is the only code that
-reads us and vs, and it holds all seven twins to one contract:
+The scalar arguments n, k, c and node_cap are read through
+operator.index, as the compiled twins read their C ints: any other type
+raises TypeError before any other check.  Every twin takes its
+multigraph as (n, us, vs): vertices 0..n-1, edge i joining us[i] and
+vs[i].  One reader, _read_edges, is the only code that reads us and vs,
+and it holds all six twins to one contract:
 
 - n < 0 raises ValueError;
 - us and vs may be any iterables, each read once;
@@ -94,6 +98,7 @@ def magic_sum(n, us, vs, labels, k):
     vertex without edges sums to 0.  Raises ValueError when k < 2,
     checked before the graph, and TypeError when labels is not a dict.
     """
+    n, k = index(n), index(k)
     if k < 2:
         raise ValueError(f"magic_sum needs k >= 2, got {k}")
     us, vs = _read_edges(n, us, vs)
@@ -114,54 +119,43 @@ def magic_sum(n, us, vs, labels, k):
     return c if all(s % k == c for s in sums) else None
 
 
-def search(n, k, c, us, vs, node_cap, targets=None, allowed=None):
+def search(n, k, c, us, vs, node_cap):
     """Find an edge labeling with all vertex sums equal to c mod k.
 
     (n, us, vs) is the graph, as the module header states, its edges in
-    assignment order; node_cap < 0 means unbounded.  targets, when
-    given, holds one entry per vertex and replaces c: vertex v must sum
-    to targets[v], a residue in 0..k-1, or to anything when targets[v]
-    is None.  allowed, when given, holds one entry per edge in
-    assignment order: None lets the edge take every label 1..k-1, a
-    sequence of increasing labels within 1..k-1 limits it to those.  A
-    vertex without edges is never checked: the solver settles isolated
-    vertices before it searches.  Returns (status, labels or None,
-    nodes) with labels in assignment order.  Raises ValueError when
-    k < 2, checked before the graph, when an edge is a loop, checked
-    after it, or when targets or allowed has the wrong length or an
-    entry out of range.
+    assignment order; node_cap < 0 means unbounded.  A vertex without
+    edges is never checked: the solver settles isolated vertices before
+    it searches.  Returns (status, labels or None, nodes) with labels in
+    assignment order.  Raises ValueError when k < 2, checked before the
+    graph, or when an edge is a loop, checked after it.
     """
+    n, k, c, node_cap = index(n), index(k), index(c), index(node_cap)
     if k < 2:
         raise ValueError(f"search needs k >= 2, got {k}")
     us, vs = _read_edges(n, us, vs)
     _refuse_loops(us, vs)
-    m = len(us)
-    left = [0] * n
+    return _kernel(us, vs, k, [c % k] * n, [None] * len(us), node_cap)
+
+
+def _kernel(us, vs, k, targets, allowed, node_cap):
+    """The search loop of search and of every piece search of
+    split_search.
+
+    Edge i joins us[i] and vs[i] and may take the labels allowed[i], an
+    increasing list within 1..k-1, or every label 1..k-1 when allowed[i]
+    is None.  Vertex v must sum to targets[v], a residue in 0..k-1, or to
+    anything when targets[v] is None.  Returns (status, labels or None,
+    nodes); node_cap < 0 means unbounded.
+    """
+    n, m = len(targets), len(us)
+    # a free vertex has a phantom edge that is never labeled: no edge is ever its last
+    left = [int(t is None) for t in targets]
     for u, v in zip(us, vs):
         left[u] += 1
         left[v] += 1
-    tgt = [c] * n
-    if targets is not None:
-        if len(targets) != n:
-            raise ValueError("targets must hold one entry per vertex")
-        for v, t in enumerate(targets):
-            if t is None:
-                left[v] += 1  # a phantom edge that is never labeled: no edge is ever its last
-            elif not 0 <= t < k:
-                raise ValueError(f"target of vertex {v} lies outside 0..{k - 1}")
-            else:
-                tgt[v] = t
-    opts = [None] * m  # per edge: None, or its allowed labels and their set
-    if allowed is not None:
-        if len(allowed) != m:
-            raise ValueError("allowed must hold one entry per edge")
-        for i, labs in enumerate(allowed):
-            if labs is None:
-                continue
-            labs = list(labs)
-            if any(a >= b for a, b in zip([0] + labs, labs + [k])):
-                raise ValueError(f"allowed labels of edge {i} must increase within 1..{k - 1}")
-            opts[i] = (labs, set(labs))
+    tgt = [0 if t is None else t for t in targets]
+    # per edge: None, or its allowed labels and their set
+    opts = [None if labs is None else (labs, set(labs)) for labs in allowed]
     sums = [0] * n
     labels = [0] * m
     nxt = [1] * m
@@ -231,6 +225,7 @@ def petersen_split(n, us, vs):
     Raises ValueError when the graph is not regular of even degree at
     least 2; n < 1 is refused before the graph is read.
     """
+    n = index(n)
     if n < 1:
         raise ValueError(_NOT_EVEN_REGULAR)
     us, vs = _read_edges(n, us, vs)
@@ -397,6 +392,7 @@ def split_search(n, k, c, us, vs, node_cap):
     in that order before the graph, or when an edge is a loop or the
     graph is not connected, checked after it.
     """
+    n, k, c, node_cap = index(n), index(k), index(c), index(node_cap)
     if k < 2:
         raise ValueError(f"split_search needs k >= 2, got {k}")
     if n < 1:
@@ -447,9 +443,8 @@ def split_search(n, k, c, us, vs, node_cap):
                     targets[entry] = (c - x) % k
                 if 0 <= node_cap <= charged:
                     return UNDECIDED, None, nodes
-                status, labels, used = search(
-                    size, k, c, pus, pvs, -1 if node_cap < 0 else node_cap - charged,
-                    targets, allowed if children else None,
+                status, labels, used = _kernel(
+                    pus, pvs, k, targets, allowed, -1 if node_cap < 0 else node_cap - charged
                 )
                 nodes += used
                 charged += max(used, 1)
@@ -488,6 +483,7 @@ def vertex_profile(n, us, vs):
     A loop counts twice toward its vertex's degree.  One breadth-first
     walk from each vertex no earlier walk reached, in vertex order.
     """
+    n = index(n)
     us, vs = _read_edges(n, us, vs)
     adjacency = _adjacency(n, us, vs)
     component = [-1] * n
@@ -527,6 +523,7 @@ def maximum_matching(n, us, vs):
     suffices.  Everything runs in loops; nothing recurses.  Raises
     ValueError when an edge is a loop, checked after the graph is read.
     """
+    n = index(n)
     us, vs = _read_edges(n, us, vs)
     _refuse_loops(us, vs)
     adj = [[] for _ in range(n)]

@@ -1,8 +1,8 @@
-"""The one selection of the twin module behind the search kernel, the
-magic-sum check, the Petersen split, the bridge tree, the split search,
-the vertex profile and the maximum matching: kmagic._backtrack when the
-extension imports, else the pure reference kmagic._backtrack_py.
-Callers read it at call time, so replacing module switches all seven.
+"""The one selection of the twin module behind the six twins: search,
+magic_sum, petersen_split, split_search, vertex_profile and
+maximum_matching.  kmagic._backtrack when the extension imports, else
+the pure reference kmagic._backtrack_py.  Callers read it at call time,
+so replacing module switches all six.
 """
 
 from . import _backtrack_py

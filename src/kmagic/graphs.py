@@ -21,7 +21,7 @@ from itertools import chain
 from operator import eq, index
 from typing import Callable, Iterable, NamedTuple, Sequence, TypeVar
 
-from . import _twin
+from . import _backtrack_py, _twin
 from .errors import GraphError
 
 T = TypeVar("T")
@@ -251,8 +251,8 @@ def find_bridges(G: MultiGraph) -> frozenset[int]:
     """Edge ids whose removal disconnects their component.
 
     A parallel edge is never a bridge.  Found once per graph, read off
-    the selected twin's bridge_tree plan of each component: its
-    child-bridge edges.
+    the bridge_tree plan of each component, the planner of the pure
+    split search: its child-bridge edges.
     """
     return G.memo("bridges", lambda: _plan_bridges(G))
 
@@ -263,7 +263,7 @@ def _plan_bridges(G: MultiGraph) -> frozenset[int]:
     return frozenset(
         edge_ids[order[pos]]
         for C, edge_ids in component_graphs(G)
-        for _, _, order, _, _, children, _ in _twin.module.bridge_tree(C.n, C.us, C.vs)
+        for _, _, order, _, _, children, _ in _backtrack_py.bridge_tree(C.n, C.us, C.vs)
         for pos, _ in children
     )
 

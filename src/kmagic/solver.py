@@ -26,8 +26,8 @@ from .graphs import MultiGraph, component_graphs
 from .labelings import EdgeLabeling
 
 # the twin module selected at import, by name: it runs the search kernel,
-# the magic-sum check, the Petersen split, the bridge tree, the split
-# search and the vertex profile
+# the magic-sum check, the Petersen split, the split search, the vertex
+# profile and the maximum matching
 _kernel = _twin.module
 KERNEL = "pure-python" if _kernel is _backtrack_py else "compiled"
 

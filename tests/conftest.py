@@ -58,8 +58,9 @@ def bridged16() -> MultiGraph:
 
 @pytest.fixture
 def pure_twin(monkeypatch):
-    """The pure twin module, run for the test's search kernel, magic-sum
-    check and Petersen split alike."""
+    """The pure twin module, run for all six twins of the test: search,
+    magic_sum, petersen_split, split_search, vertex_profile and
+    maximum_matching."""
     monkeypatch.setattr(_twin, "module", _backtrack_py)
     return _backtrack_py
 

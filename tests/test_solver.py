@@ -1,6 +1,5 @@
 """Backtracking search driver and kernel agreement."""
 
-import random
 import time
 from types import SimpleNamespace
 
@@ -15,10 +14,12 @@ from kmagic import (
     _backtrack_py,
     available_kernels,
     build_graph,
+    circulant,
     complete,
     components,
     cycle,
     disjoint_union,
+    f_factor,
     petersen,
     prism,
     search_labeling,
@@ -124,7 +125,8 @@ def test_kernels_agree_everywhere(compiled_kernel):
         (complete(6), 7, SolverBudget(node_cap=3)),
         # a cap past 64 bits is never reached
         (cycle(5), 4, SolverBudget(node_cap=2**64)),
-        # split at bridges: per-vertex targets and per-edge allowed labels
+        # split at bridges: piece searches with per-vertex targets and
+        # child bridges limited to their feasible labels
         (bridged_cubic_16(), 5, None),
         (hub_quintic_16(), 4, None),
         # a split capped inside its pool
@@ -146,24 +148,6 @@ def test_kernels_agree_everywhere(compiled_kernel):
                 if r.labeling is not None
             }
             assert len(labs) <= 1  # same first labeling
-    # the new arguments, called directly: targets with free vertices and
-    # edges limited to some labels, capped and not
-    rng = random.Random(0)
-    for _ in range(300):
-        n, k = rng.randint(2, 6), rng.randint(2, 6)
-        us = [rng.randrange(n) for _ in range(rng.randint(1, 9))]
-        vs = [(u + rng.randrange(1, n)) % n for u in us]
-        targets = [None if rng.random() < 0.2 else rng.randrange(k) for _ in range(n)]
-        allowed = [
-            None if rng.random() < 0.5 else sorted(rng.sample(range(1, k), rng.randint(0, k - 1)))
-            for _ in us
-        ]
-        cap = rng.choice([-1, 3, 30])
-        args = (n, k, rng.randrange(k), us, vs, cap)
-        pure = _backtrack_py.search(*args, targets, allowed)
-        assert compiled_kernel.search(*args, targets=targets, allowed=allowed) == pure, args
-        assert compiled_kernel.search(*args, targets, None) == _backtrack_py.search(*args, targets)
-        assert compiled_kernel.search(*args, None, allowed) == _backtrack_py.search(*args, None, allowed)
 
 
 def test_a_modulus_past_the_c_int_range_runs_on_the_pure_twin():
@@ -191,15 +175,24 @@ def test_search_verify_and_split_all_run_on_the_selected_twin(monkeypatch):
 
         return call
 
-    names = ("vertex_profile", "split_search", "magic_sum", "petersen_split", "bridge_tree")
+    names = ("vertex_profile", "split_search", "magic_sum", "petersen_split", "maximum_matching")
     monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
     G = complete(5)
     res = search_labeling(G, 3, 1)
     assert res.status == "found"
     assert verify(G, res.labeling) == 1
     assert len(two_factorization(G).parts) == 2
+    # the bridges come from the pure planner, whatever twin is selected
     assert find_bridges(G) == frozenset()
-    assert calls == list(names)
+    assert len(f_factor(circulant(8, (1, 2)), 1)) == 4  # the new graph's degrees first
+    assert calls == [*names[:4], "vertex_profile", "maximum_matching"]
+
+
+def test_the_compiled_module_holds_exactly_the_six_twins(compiled_kernel):
+    twins = {"search", "magic_sum", "petersen_split", "split_search", "vertex_profile", "maximum_matching"}
+    public = {name for name in dir(compiled_kernel) if not name.startswith("_")}
+    assert {name for name in public if callable(getattr(compiled_kernel, name))} == twins
+    assert all(callable(getattr(_backtrack_py, name)) for name in twins)
 
 
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
@@ -211,26 +204,43 @@ def test_kernels_reject_bad_input_alike(twin, request):
     for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2]), ([0, 1], [1])]:
         with pytest.raises(ValueError):
             impl.search(3, 5, 0, us, vs, -1)
-    us, vs = [0, 1, 2], [1, 2, 0]
-    for targets in ([0, 0], [0, 0, 0, 0], [0, 5, 0], [0, -1, None]):
-        with pytest.raises(ValueError, match="target"):
-            impl.search(3, 5, 0, us, vs, -1, targets=targets)
-    for allowed in ([None, None], [None, [0], None], [None, [5], None], [[2, 2], None, None], [[3, 1], None, None]):
-        with pytest.raises(ValueError, match="allowed"):
-            impl.search(3, 5, 0, us, vs, -1, allowed=allowed)
-    with pytest.raises(ValueError, match="differ in length"):
-        impl.bridge_tree(3, [0, 1], [1])
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="n >= 1"):
-            impl.bridge_tree(n, [], [])
-    for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2])]:
-        with pytest.raises(ValueError, match="endpoint"):
-            impl.bridge_tree(3, us, vs)
-    for n, us, vs in [(2, [], []), (4, [0, 2], [1, 3]), (4, [0, 0, 2], [1, 1, 3])]:
-        with pytest.raises(ValueError, match="not connected"):
-            impl.bridge_tree(n, us, vs)
+    # the scalars n, k, c and node_cap are ints, read before any other check
+    for bad, name in [(2.5, "float"), ("3", "str"), (None, "NoneType")]:
+        message = f"^'{name}' object cannot be interpreted as an integer$"
+        for i in (0, 1, 2, 5):
+            args = [3, 5, 1, [0, 1, 2], [1, 2, 0], -1]
+            args[i] = bad
+            with pytest.raises(TypeError, match=message):
+                impl.search(*args)
+            with pytest.raises(TypeError, match=message):
+                impl.split_search(*args)
+        for i in (0, 4):
+            args = [3, [0, 1, 2], [1, 2, 0], {0: 1, 1: 1, 2: 1}, 5]
+            args[i] = bad
+            with pytest.raises(TypeError, match=message):
+                impl.magic_sum(*args)
+    for fn in (impl.search, impl.split_search):
+        with pytest.raises(TypeError, match="^'float' object"):
+            fn(3, 1, 0, [0, 1, 2], [1, 2, 0], 2.5)
+    if twin == "pure-python":
+        # bridge_tree, the planner of the pure split search, has no twin
+        with pytest.raises(ValueError, match="differ in length"):
+            impl.bridge_tree(3, [0, 1], [1])
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n >= 1"):
+                impl.bridge_tree(n, [], [])
+        for us, vs in [([0, 1], [1, 3]), ([0, -1], [1, 2])]:
+            with pytest.raises(ValueError, match="endpoint"):
+                impl.bridge_tree(3, us, vs)
+        for n, us, vs in [(2, [], []), (4, [0, 2], [1, 3]), (4, [0, 0, 2], [1, 1, 3])]:
+            with pytest.raises(ValueError, match="not connected"):
+                impl.bridge_tree(n, us, vs)
+        us, vs = [0, 1, 2, 2], [1, 2, 0, 3]
+        assert impl.bridge_tree(4, iter(us), (v for v in vs)) == impl.bridge_tree(4, us, vs)
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            impl.bridge_tree(4, [0, 1.0, 2, 2], vs)
     with pytest.raises(ValueError, match="n >= 0"):
-        impl.search(-2, 5, 0, [], [], 10, targets=[])
+        impl.search(-2, 5, 0, [], [], 10)
     # a loop's vertex would never have a last edge, so no sum of it is checked
     with pytest.raises(ValueError, match="^edge 0 is a loop$"):
         impl.search(1, 5, 1, [0], [0], -1)
@@ -239,11 +249,8 @@ def test_kernels_reject_bad_input_alike(twin, request):
     # the graph's ends may come from one-shot iterators; a float end is no int
     us, vs = [0, 1, 2, 2], [1, 2, 0, 3]
     assert impl.search(4, 5, 1, iter(us), (v for v in vs), -1) == impl.search(4, 5, 1, us, vs, -1)
-    assert impl.bridge_tree(4, iter(us), (v for v in vs)) == impl.bridge_tree(4, us, vs)
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         impl.search(4, 5, 1, us, [1, 2, 0, 3.0], -1)
-    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
-        impl.bridge_tree(4, [0, 1.0, 2, 2], vs)
     # the split search: its own rules on k and n, then the reader's, then
     # loops and connectivity
     for k in (0, 1):
@@ -371,7 +378,7 @@ def test_split_searches_alike_pieces_once_and_skips_what_parity_excludes(kernel)
     # five, and at even k only labels of the parity of 3c are searched, so
     # the split takes the nodes of those direct searches of one triangle
     G = hub_quintic_16()
-    hub, triangle, *others = kernel.bridge_tree(G.n, G.us, G.vs)
+    hub, triangle, *others = _backtrack_py.bridge_tree(G.n, G.us, G.vs)
     size, entry, _, us, vs, children, edgeless = triangle
     assert hub[6] and (size, children, edgeless) == (3, (), False)
     assert all(piece[:2] + piece[3:] == triangle[:2] + triangle[3:] for piece in others)
@@ -389,7 +396,7 @@ def test_split_searches_alike_pieces_once_and_skips_what_parity_excludes(kernel)
         nodes = 0
         for x in labels:
             targets[entry] = (c - x) % k
-            nodes += kernel.search(size, k, c, us, vs, -1, targets)[2]
+            nodes += _backtrack_py._kernel(us, vs, k, targets, [None] * len(us), -1)[2]
         res = search_labeling(G, k, c, kernel=kernel)
         assert (res.status, res.nodes) == (status, nodes)
         if status == "found":
@@ -507,9 +514,8 @@ def connected_multigraphs(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(connected_multigraphs())
-def test_bridge_tree_twins_agree_and_find_every_bridge(compiled_kernel, G):
+def test_bridge_tree_finds_every_bridge(G):
     plan = _backtrack_py.bridge_tree(G.n, G.us, G.vs)
-    assert compiled_kernel.bridge_tree(G.n, G.us, G.vs) == plan
     assert sorted(eid for piece in plan for eid in piece[2]) == list(range(G.m))
     child_bridges = {piece[2][pos] for piece in plan for pos, _ in piece[5]}
     cut = {e for e in range(G.m) if len(components(subgraph(G, set(range(G.m)) - {e})[0])) > 1}
