@@ -17,25 +17,28 @@ check behind verify runs through both sum twins on a magic and a
 non-magic labeling of each graph in SUM_CASES, which must get the same
 answers; its timings are microseconds per call, the best of SUM_REPEATS
 batches of SUM_CALLS calls.  Then the split search, the solver's one
-call per connected component, runs through both split-search twins on
-three bridged graphs (bridged16 and hub_quintic_16 of the digest, and
-the 16-vertex cubic graph without a perfect matching of the
-spectrum-oracle benchmark) at every sum of SPLIT_SEARCH_CASES' moduli,
-which must return the same status, labeling and node count; its
-timings are microseconds per call, the best of SPLIT_SEARCH_REPEATS
-batches of SPLIT_SEARCH_CALLS calls.  The rows of the cubic graph without a perfect matching at k = 4,
-where the spectrum-oracle benchmark spends its searches, and of
-bridged16 at k = 6 measure the solver's cost per component.  Then the
-vertex profile, each vertex's degree and component, runs through both
-profile twins on every graph above, whole, and on three disjoint unions
-in PROFILE_CASES, which must return the same profiles; its timings are
-microseconds per call, the best of PROFILE_REPEATS batches of
-PROFILE_CALLS calls.  Last, the maximum matching behind every factor
-runs through both matching twins on the cubic graph without a perfect
-matching, on bridged16 and on the gadget of a 1-factor of a random
-cubic graph on 600 vertices, which must return the same mates; its
-timings are microseconds per call, the best of MATCH_REPEATS batches of
-MATCH_CALLS calls.
+call per search, runs through both split-search twins on three bridged
+graphs (bridged16 and hub_quintic_16 of the digest, and the 16-vertex
+cubic graph without a perfect matching of the spectrum-oracle
+benchmark) and on two disconnected graphs (Petersen's graph beside that
+cubic graph, and K4, an isolated vertex and that cubic graph), at every
+sum of SPLIT_SEARCH_CASES' moduli, which must return the same status,
+labeling and node count; its timings are microseconds per call, the
+best of SPLIT_SEARCH_REPEATS batches of SPLIT_SEARCH_CALLS calls.  The
+rows of the cubic graph without a perfect matching at k = 4, where the
+spectrum-oracle benchmark spends its searches, and of bridged16 at
+k = 6 measure the solver's cost per search, and the disconnected rows
+its cost per search of a union.  Then the vertex profile, each vertex's
+degree and component and the components of a disconnected graph, runs
+through both profile twins on every graph above, whole, and on three
+more disjoint unions in PROFILE_CASES, which must return the same
+profiles; its timings are microseconds per call, the best of
+PROFILE_REPEATS batches of PROFILE_CALLS calls.  Last, the maximum
+matching behind every factor runs through both matching twins on the
+cubic graph without a perfect matching, on bridged16 and on the gadget
+of a 1-factor of a random cubic graph on 600 vertices, which must
+return the same mates; its timings are microseconds per call, the best
+of MATCH_REPEATS batches of MATCH_CALLS calls.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -111,13 +114,26 @@ BRIDGED_CASES = [
     ("cubic16 without a perfect matching", build_graph(*_no_perfect_matching())),
 ]
 
-# (index into BRIDGED_CASES, modulus) for the split search, every sum each
-SPLIT_SEARCH_CASES = [(2, 4), (0, 6), (1, 4)]
+# (label, graph) with several components, for the split search and the
+# profile; nopm cubic16 is the cubic graph without a perfect matching above
+DISCONNECTED_CASES = [
+    ("petersen + nopm cubic16", disjoint_union([petersen(), BRIDGED_CASES[2][1]])),
+    ("K4 + K1 + nopm cubic16", disjoint_union([complete(4), build_graph(1, []), BRIDGED_CASES[2][1]])),
+]
+
+# (label, graph, modulus) for the split search, every sum each
+SPLIT_SEARCH_CASES = [
+    (*BRIDGED_CASES[2], 4),
+    (*BRIDGED_CASES[0], 6),
+    (*BRIDGED_CASES[1], 4),
+    (*DISCONNECTED_CASES[0], 4),
+    (*DISCONNECTED_CASES[1], 4),
+]
 SPLIT_SEARCH_CALLS = 20
 SPLIT_SEARCH_REPEATS = 5
 
 # (label, graph) for every graph above
-ALL_GRAPHS = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + BRIDGED_CASES
+ALL_GRAPHS = [(label, G) for label, G, *_ in CASES + SPLIT_CASES + SUM_CASES] + BRIDGED_CASES + DISCONNECTED_CASES
 
 # (label, graph) for the vertex profile, beside every graph above
 PROFILE_CASES = [
@@ -204,8 +220,7 @@ def compare_sums(kernels: dict) -> None:
 
 def compare_split_searches(kernels: dict) -> None:
     cases = []
-    for index, k in SPLIT_SEARCH_CASES:
-        label, G = BRIDGED_CASES[index]
+    for label, G, k in SPLIT_SEARCH_CASES:
         for c in range(k):
             args = [(G.n, k, c, G.us, G.vs, DEFAULT_BUDGET.node_cap)]
             cases.append((f"{label} k={k} c={c}", G, args, args))

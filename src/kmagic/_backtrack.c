@@ -1,14 +1,17 @@
 /* Compiled twins of the six pure references in kmagic._backtrack_py:
  * the backtracking kernel (search), the magic-sum check (magic_sum), the
  * Petersen 2-factor split (petersen_split), the split search
- * (split_search: the label search of a connected graph over its bridge
- * tree), the vertex profile (vertex_profile: each vertex's degree and
- * component) and the maximum matching (maximum_matching: Edmonds' blossom
- * search).  search() and split_search() run one kernel loop, kernel(),
- * over plain arrays, and split_search() plans its pieces with plan_tree(),
- * the transcription of kmagic._backtrack_py.bridge_tree, so split_search
- * makes no Python call per piece search, and maximum_matching() none
- * inside its search.
+ * (split_search: the solver's label search of any graph, one component
+ * at a time, each over its bridge tree), the vertex profile
+ * (vertex_profile: each vertex's degree and component, and the components
+ * of a disconnected graph) and the maximum matching (maximum_matching:
+ * Edmonds' blossom search).  search() and split_search() run one kernel
+ * loop, kernel(), over plain arrays; split_search() and vertex_profile()
+ * split the components with one walk, split_components(), and
+ * split_search() plans each component's pieces with plan_tree(), the
+ * transcription of kmagic._backtrack_py.bridge_tree, so split_search
+ * makes no Python call per component or piece search, and
+ * maximum_matching() none inside its search.
  *
  * kernel() transcribes the pure reference's _kernel line for line: the
  * same edge order, the same forced-label rule and the same node count,
@@ -39,6 +42,7 @@
 #include <Python.h>
 
 enum { UNDECIDED = -1, UNSAT = 0, SAT = 1 };
+enum { RAISED = -2 };  /* split_connected's answer when it raised */
 enum { MALFORMED = -1 };  /* magic_sum's answer for labels that are not one legal label per edge */
 #define NOT_EVEN_REGULAR "need an even-regular graph with degree >= 2"
 
@@ -588,21 +592,17 @@ typedef struct {
 
 /* Plan the 2-edge-connected pieces of the connected multigraph on n >= 1
  * vertices whose edge i joins eu[i] and ev[i], as kmagic._backtrack_py.
- * bridge_tree does; or raise ValueError when it is not connected.  One
- * lowpoint walk from vertex 0 marks the bridges and checks that the graph
- * is connected; one scan numbers the pieces by smallest vertex and each
- * vertex within its piece; one breadth-first walk per piece, top-down
- * over the bridge tree, lists its edges, each edge once overall, so the
- * per-piece lists are consecutive runs of shared arrays.  Every stack and
- * queue holds at most n vertices, and a graph has at most n pieces and
- * n - 1 bridges.  The caller frees plan->block, also on failure. */
+ * bridge_tree does; the caller passes one component of split_components.
+ * One lowpoint walk from vertex 0 marks the bridges; one scan numbers the
+ * pieces by smallest vertex and each vertex within its piece; one
+ * breadth-first walk per piece, top-down over the bridge tree, lists its
+ * edges, each edge once overall, so the per-piece lists are consecutive
+ * runs of shared arrays.  Every stack and queue holds at most n vertices,
+ * and a graph has at most n pieces and n - 1 bridges.  The caller frees
+ * plan->block, also on failure. */
 static int
 plan_tree(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Plan *plan)
 {
-    if (m < (Py_ssize_t)n - 1) {  /* checked before allocating per vertex */
-        PyErr_SetString(PyExc_ValueError, "graph is not connected");
-        return -1;
-    }
     /* per edge: adjacency (two slots), bridge and seen flags, the pieces'
      * order, us and vs; per vertex: first adjacency slot, walk position,
      * discovery, lowpoint, tree edge, stack, piece, local number, queue,
@@ -671,10 +671,6 @@ plan_tree(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Plan 
             if (low[u] < low[p])
                 low[p] = low[u];
         }
-    }
-    if (seen < nv) {
-        PyErr_SetString(PyExc_ValueError, "graph is not connected");
-        return -1;
     }
 
     /* the pieces, numbered by smallest vertex, and each vertex's local number */
@@ -795,46 +791,40 @@ alike(const Plan *plan, Py_ssize_t p, Py_ssize_t s, const unsigned *flab, const 
     return 1;
 }
 
-/* The split search of a connected multigraph, the twin of
- * kmagic._backtrack_py.split_search: one plan_tree plan, then one kernel
- * run per piece and parent-bridge label, bottom-up, and the labeling read
- * off top-down, with no Python call in between.  The feasible parent
+/* The split search of one connected component with at least one edge,
+ * the twin of kmagic._backtrack_py._split_connected, over plain arrays:
+ * its n vertices, its m edges, edge i joining eu[i] and ev[i], and c a
+ * residue mod k.  One plan_tree plan, then one kernel run per piece and
+ * parent-bridge label, bottom-up, and the labeling read off top-down into
+ * out[0..m), with no Python call in between.  The feasible parent
  * labels of piece p are flab[fstart[p] .. fstart[p] + fcount[p]), in
  * increasing order (the root's one entry, 0, stands for None); those of a
  * searched piece were found with the labels of its order at lpool[lbase[p]
  * + j * len] for the j-th, len its edge count, and a piece alike to one
  * searched before shares that one's entries.  The sums the child bridges
  * j, j + 1, ... of an edgeless piece p can reach are rpool[rspan[2i] ..
- * rspan[2i + 1]), sorted, at i = ostart[p] + p + j. */
-static PyObject *
-split_search(PyObject *self, PyObject *args)
+ * rspan[2i + 1]), sorted, at i = ostart[p] + p + j.  Returns the status
+ * and stores the nodes in *nodes_out, or returns RAISED with an exception
+ * set. */
+static int
+split_connected(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, unsigned k,
+                unsigned c, long long node_cap, unsigned *out, long long *nodes_out)
 {
-    int n, k_in, c_in;
-    long long node_cap;
-    PyObject *us_arg, *vs_arg, *cap_arg, *result = NULL;
-    Py_ssize_t *ends = NULL, *work = NULL, m;
+    Py_ssize_t *work = NULL;
     unsigned *uwork = NULL;
     Pool flab = {NULL, 0, 0}, lpool = {NULL, 0, 0}, rpool = {NULL, 0, 0};
     Plan plan = {0};
+    int result = RAISED;
 
-    if (!PyArg_ParseTuple(args, "iiiOOO:split_search", &n, &k_in, &c_in, &us_arg, &vs_arg,
-                          &cap_arg) ||
-        read_cap(cap_arg, &node_cap) < 0)
-        return NULL;
-    if (k_in < 2)
-        return PyErr_Format(PyExc_ValueError, "split_search needs k >= 2, got %d", k_in);
-    if (n < 1)
-        return PyErr_Format(PyExc_ValueError, "split_search needs n >= 1, got %d", n);
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL || refuse_loops(ends, m) < 0 || plan_tree(n, m, ends, ends + m, &plan) < 0)
+    if (plan_tree(n, m, eu, ev, &plan) < 0)
         goto done;
     /* per edge: the allowed spans; per piece: fstart, fcount, lbase, the
      * searched list; per edge and piece: reach spans.  Per vertex, the
-     * stub included: left, sums, targets; per edge: labels, nxt, answer;
-     * per piece: parent label */
+     * stub included: left, sums, targets; per edge: labels, nxt; per
+     * piece: parent label */
     Py_ssize_t np = plan.npieces;
     work = PyMem_Calloc(4 * (size_t)m + 6 * (size_t)np + 1, sizeof(Py_ssize_t));
-    uwork = PyMem_Calloc(3 * (size_t)n + 3 * (size_t)m + (size_t)np + 3, sizeof(unsigned));
+    uwork = PyMem_Calloc(3 * (size_t)n + 2 * (size_t)m + (size_t)np + 3, sizeof(unsigned));
     if (work == NULL || uwork == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -842,8 +832,7 @@ split_search(PyObject *self, PyObject *args)
     Py_ssize_t *span = work, *fstart = span + 2 * m, *fcount = fstart + np;
     Py_ssize_t *lbase = fcount + np, *searched = lbase + np, *rspan = searched + np;
     unsigned *left = uwork, *sums = left + n + 1, *tgt = sums + n + 1, *labels = tgt + n + 1;
-    unsigned *nxt = labels + m, *out = nxt + m, *plab = out + m;
-    unsigned k = (unsigned)k_in, c = residue(c_in, k_in);
+    unsigned *nxt = labels + m, *plab = nxt + m;
     long long nodes = 0, charged = 0;
     Py_ssize_t nsearched = 0;
     int status = SAT;
@@ -999,9 +988,9 @@ split_search(PyObject *self, PyObject *args)
                 plab[plan.cidx[j]] = lab[plan.cpos[j]];
         }
     }
-    result = answer(status, out, m, nodes);
+    *nodes_out = nodes;
+    result = status;
 done:
-    PyMem_Free(ends);
     PyMem_Free(plan.block);
     PyMem_Free(work);
     PyMem_Free(uwork);
@@ -1011,36 +1000,49 @@ done:
     return result;
 }
 
-/* Each vertex's degree and component index, the twin of
- * kmagic._backtrack_py.vertex_profile.  One pass over the edges counts
- * the degrees and joins the trees of each edge's ends, the larger root
- * under the smaller one, with path halving; so every root is the smallest
- * vertex of its tree, and one pass over the vertices in order numbers the
- * components by smallest vertex, each vertex after its root. */
-static PyObject *
-vertex_profile(PyObject *self, PyObject *args)
-{
-    int n;
-    PyObject *us_arg, *vs_arg, *degrees = NULL, *component = NULL, *result = NULL;
-    Py_ssize_t *ends = NULL, *block = NULL, m;
+/* The connected components of the multigraph on n vertices whose edge i
+ * joins eu[i] and ev[i], as kmagic._backtrack_py.vertex_profile splits
+ * them, for vertex_profile and split_search alike: count components,
+ * numbered by smallest vertex; per vertex, its degree deg, its
+ * component comp and its number local within the component, in ascending
+ * order; component i's vertices, ascending, at verts[vstart[i] ..
+ * vstart[i + 1]) and its edges, by id, at eids[estart[i] ..
+ * estart[i + 1]).  Every array lives in block. */
+typedef struct {
+    Py_ssize_t count;
+    Py_ssize_t *deg, *comp, *local, *verts, *vstart, *estart, *eids;
+    Py_ssize_t *block;
+} Parts;
 
-    if (!PyArg_ParseTuple(args, "iOO:vertex_profile", &n, &us_arg, &vs_arg))
-        return NULL;
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL)
-        goto done;
-    /* per vertex: degree, tree parent, component */
+/* Fill parts for the graph, or raise MemoryError.  One pass over the
+ * edges counts the degrees and joins the trees of each edge's ends, the
+ * larger root under the smaller one, with path halving; so every root is
+ * the smallest vertex of its tree, and one pass over the vertices in
+ * order numbers the components by smallest vertex, each vertex after its
+ * root.  Then one counting pass over the vertices and one over the edges
+ * group them by component, each in increasing order.  The caller frees
+ * parts->block, also on failure. */
+static int
+split_components(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Parts *parts)
+{
+    /* per vertex: degree, component, local number, vertex list (first the
+     * tree parents), fill cursor; per component, at most n, and one more
+     * for a run's end: vertex and edge starts; per edge: the edge list */
     Py_ssize_t nv = n;
-    block = PyMem_Calloc(3 * (size_t)nv + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *block = parts->block = PyMem_Malloc((7 * (size_t)nv + (size_t)m + 4) *
+                                                    sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    const Py_ssize_t *eu = ends, *ev = ends + m;
-    Py_ssize_t *deg = block, *parent = deg + nv, *comp = parent + nv;
+    Py_ssize_t *deg = block, *comp = deg + nv, *local = comp + nv, *verts = local + nv;
+    Py_ssize_t *fill = verts + nv, *vstart = fill + nv, *estart = vstart + nv + 2;
+    Py_ssize_t *eids = estart + nv + 2, *parent = verts;
 
-    for (Py_ssize_t v = 0; v < nv; v++)
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        deg[v] = 0;
         parent[v] = v;
+    }
     for (Py_ssize_t e = 0; e < m; e++) {
         Py_ssize_t a = eu[e], b = ev[e];
         deg[a] += 1;
@@ -1061,13 +1063,187 @@ vertex_profile(PyObject *self, PyObject *args)
             r = parent[r] = parent[parent[r]];
         comp[v] = r == v ? count++ : comp[r];
     }
-    if ((degrees = int_tuple(deg, nv)) != NULL && (component = int_tuple(comp, nv)) != NULL)
-        result = PyTuple_Pack(2, degrees, component);
+    *parts = (Parts){count, deg, comp, local, verts, vstart, estart, eids, block};
+    for (Py_ssize_t i = 0; i <= count; i++)
+        vstart[i] = estart[i] = 0;
+    for (Py_ssize_t v = 0; v < nv; v++)
+        vstart[comp[v] + 1] += 1;
+    for (Py_ssize_t e = 0; e < m; e++)
+        estart[comp[eu[e]] + 1] += 1;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        vstart[i + 1] += vstart[i];
+        estart[i + 1] += estart[i];
+    }
+    for (Py_ssize_t i = 0; i < count; i++)
+        fill[i] = vstart[i];
+    for (Py_ssize_t v = 0; v < nv; v++) {  /* the tree parents are spent: verts takes their slots */
+        local[v] = fill[comp[v]] - vstart[comp[v]];
+        verts[fill[comp[v]]++] = v;
+    }
+    for (Py_ssize_t i = 0; i < count; i++)
+        fill[i] = estart[i];
+    for (Py_ssize_t e = 0; e < m; e++)
+        eids[fill[comp[eu[e]]]++] = e;
+    return 0;
+}
+
+/* Component i of parts as local arrays: its edge j joins lu[j] and lv[j],
+ * for j < estart[i + 1] - estart[i]. */
+static void
+local_edges(const Parts *parts, Py_ssize_t i, const Py_ssize_t *eu, const Py_ssize_t *ev,
+            Py_ssize_t *lu, Py_ssize_t *lv)
+{
+    for (Py_ssize_t j = parts->estart[i]; j < parts->estart[i + 1]; j++) {
+        Py_ssize_t e = parts->eids[j];
+        *lu++ = parts->local[eu[e]];
+        *lv++ = parts->local[ev[e]];
+    }
+}
+
+/* The split search of a multigraph, the twin of
+ * kmagic._backtrack_py.split_search: the counting settles, then one
+ * split_connected run per component of split_components with edges, each
+ * under its own node_cap, over local arrays whose labels are written back
+ * by the graph's edge ids. */
+static PyObject *
+split_search(PyObject *self, PyObject *args)
+{
+    int n, k_in, c_in;
+    long long node_cap;
+    PyObject *us_arg, *vs_arg, *cap_arg, *result = NULL;
+    Py_ssize_t *ends = NULL, *lends = NULL, m;
+    unsigned *ulabels = NULL;
+    Parts parts = {0};
+
+    if (!PyArg_ParseTuple(args, "iiiOOO:split_search", &n, &k_in, &c_in, &us_arg, &vs_arg,
+                          &cap_arg) ||
+        read_cap(cap_arg, &node_cap) < 0)
+        return NULL;
+    if (k_in < 2)
+        return PyErr_Format(PyExc_ValueError, "split_search needs k >= 2, got %d", k_in);
+    if (n < 1)
+        return PyErr_Format(PyExc_ValueError, "split_search needs n >= 1, got %d", n);
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL || refuse_loops(ends, m) < 0 || split_components(n, m, ends, ends + m, &parts) < 0)
+        goto done;
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    unsigned k = (unsigned)k_in, c = residue(c_in, k_in);
+    int even = k % 2 == 0, status = SAT, undecided = 0;
+    long long nodes = 0;
+
+    /* per edge: the local ends and labels of its component, the graph's labels */
+    lends = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(Py_ssize_t));
+    ulabels = PyMem_Malloc((2 * (size_t)m + 1) * sizeof(unsigned));
+    if (lends == NULL || ulabels == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    unsigned *labels = ulabels, *out = ulabels + m;
+    if (even && (n & c & 1))
+        status = UNSAT;
+    for (Py_ssize_t v = 0; v < n && c != 0 && status == SAT; v++)
+        if (parts.deg[v] == 0)
+            status = UNSAT;
+    for (Py_ssize_t i = 0; i < parts.count && status == SAT; i++) {
+        Py_ssize_t size = parts.vstart[i + 1] - parts.vstart[i];
+        Py_ssize_t lo = parts.estart[i], len = parts.estart[i + 1] - lo;
+        if (even && (size & c & 1)) {
+            status = UNSAT;
+            break;
+        }
+        if (len == 0)  /* a lone vertex, at c = 0 */
+            continue;
+        local_edges(&parts, i, eu, ev, lends, lends + len);
+        long long used;
+        int found = split_connected((int)size, len, lends, lends + len, k, c, node_cap, labels, &used);
+        if (found == RAISED)
+            goto done;
+        nodes += used;
+        if (found == UNSAT)
+            status = UNSAT;
+        else if (found == UNDECIDED)
+            undecided = 1;
+        else
+            for (Py_ssize_t j = 0; j < len; j++)
+                out[parts.eids[lo + j]] = labels[j];
+    }
+    result = answer(status == SAT && undecided ? UNDECIDED : status, out, m, nodes);
 done:
     PyMem_Free(ends);
-    PyMem_Free(block);
+    PyMem_Free(lends);
+    PyMem_Free(ulabels);
+    PyMem_Free(parts.block);
+    return result;
+}
+
+/* vertex_profile's parts for the components of parts, two or more: per
+ * component, the tuple (us, vs, edge_ids, degrees) of its local edge
+ * ends, its edges' ids in the graph and its vertices' degrees; or NULL
+ * with an exception set. */
+static PyObject *
+component_tuples(const Parts *parts, const Py_ssize_t *eu, const Py_ssize_t *ev, Py_ssize_t m)
+{
+    Py_ssize_t nv = parts->vstart[parts->count];
+    Py_ssize_t *buf = PyMem_Malloc((2 * (size_t)m + (size_t)nv + 1) * sizeof(Py_ssize_t));
+    PyObject *out = buf == NULL ? PyErr_NoMemory() : PyTuple_New(parts->count);
+    if (out == NULL)
+        goto done;
+    Py_ssize_t *lu = buf, *lv = lu + m, *degs = lv + m;
+    for (Py_ssize_t i = 0; i < parts->count; i++) {
+        Py_ssize_t lo = parts->estart[i], len = parts->estart[i + 1] - lo;
+        Py_ssize_t vlo = parts->vstart[i], size = parts->vstart[i + 1] - vlo;
+        local_edges(parts, i, eu, ev, lu, lv);
+        for (Py_ssize_t j = 0; j < size; j++)
+            degs[j] = parts->deg[parts->verts[vlo + j]];
+        const Py_ssize_t *arrays[4] = {lu, lv, parts->eids + lo, degs};
+        Py_ssize_t lens[4] = {len, len, len, size};
+        PyObject *part = PyTuple_New(4);
+        if (part == NULL)
+            goto fail;
+        PyTuple_SET_ITEM(out, i, part);
+        for (int t = 0; t < 4; t++) {
+            PyObject *items = int_tuple(arrays[t], lens[t]);
+            if (items == NULL)
+                goto fail;
+            PyTuple_SET_ITEM(part, t, items);
+        }
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    PyMem_Free(buf);
+    return out;
+}
+
+/* Each vertex's degree and component index, and the components of a
+ * disconnected graph, the twin of kmagic._backtrack_py.vertex_profile:
+ * one split_components walk, whose parts only a graph of two components
+ * or more turns into tuples. */
+static PyObject *
+vertex_profile(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *degrees = NULL, *component = NULL, *split = NULL, *result = NULL;
+    Py_ssize_t *ends = NULL, m;
+    Parts parts = {0};
+
+    if (!PyArg_ParseTuple(args, "iOO:vertex_profile", &n, &us_arg, &vs_arg))
+        return NULL;
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL || split_components(n, m, ends, ends + m, &parts) < 0)
+        goto done;
+    if ((degrees = int_tuple(parts.deg, n)) == NULL || (component = int_tuple(parts.comp, n)) == NULL)
+        goto done;
+    split = parts.count < 2 ? PyTuple_New(0) : component_tuples(&parts, ends, ends + m, m);
+    if (split != NULL)
+        result = PyTuple_Pack(3, degrees, component, split);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(parts.block);
     Py_XDECREF(degrees);
     Py_XDECREF(component);
+    Py_XDECREF(split);
     return result;
 }
 
@@ -1295,16 +1471,18 @@ static PyMethodDef methods[] = {
      "kmagic._backtrack_py.petersen_split, whose semantics this twin shares."},
     {"split_search", split_search, METH_VARARGS,
      "split_search(n, k, c, us, vs, node_cap)\n--\n\n"
-     "Find an edge labeling of a connected multigraph, edge i joining us[i] and\n"
-     "vs[i], with all vertex sums equal to c mod k, one search per piece and\n"
-     "parent-bridge label over its bridge tree; see\n"
-     "kmagic._backtrack_py.split_search, whose semantics this twin shares."},
+     "Find an edge labeling of a multigraph, edge i joining us[i] and vs[i],\n"
+     "with all vertex sums equal to c mod k, one connected component at a time\n"
+     "under its own node_cap, one search per piece and parent-bridge label over\n"
+     "its bridge tree; see kmagic._backtrack_py.split_search, whose semantics\n"
+     "this twin shares."},
     {"vertex_profile", vertex_profile, METH_VARARGS,
      "vertex_profile(n, us, vs)\n--\n\n"
-     "(degrees, component): each vertex's degree and the index of its connected\n"
-     "component, numbered by smallest vertex, in the multigraph whose edge i\n"
-     "joins us[i] and vs[i]; see kmagic._backtrack_py.vertex_profile, whose\n"
-     "semantics this twin shares."},
+     "(degrees, component, parts): each vertex's degree and the index of its\n"
+     "connected component, numbered by smallest vertex, in the multigraph whose\n"
+     "edge i joins us[i] and vs[i], and for two components or more each one's\n"
+     "(us, vs, edge_ids, degrees); see kmagic._backtrack_py.vertex_profile,\n"
+     "whose semantics this twin shares."},
     {"maximum_matching", maximum_matching, METH_VARARGS,
      "maximum_matching(n, us, vs)\n--\n\n"
      "Each vertex's matched edge id in a maximum-cardinality matching of a\n"

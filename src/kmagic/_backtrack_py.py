@@ -3,21 +3,23 @@ split search, vertex profile and maximum matching.
 
 Reference implementations of the label search, of the magic-sum check,
 of the Petersen 2-factor split, of the split search (split_search: the
-label search of a connected graph, one search per piece and
+solver's label search of any graph, settled by counting where it can,
+then one component at a time, each with one search per piece and
 parent-bridge label over its bridge tree, which bridge_tree plans), of
-the vertex profile (vertex_profile: each vertex's degree and component)
-and of the maximum matching (maximum_matching: Edmonds' blossom search,
-behind every perfect matching and f-factor of kmagic.factors);
-kmagic._backtrack holds their compiled twins, with identical semantics,
-and kmagic._twin picks one of the two modules for all six.  search and
-every piece search of split_search run one loop, _kernel, which visits
-edges in the given order; when an edge is the last unlabeled edge at
-one of its endpoints its label is forced by the target sum, otherwise
-all of its allowed labels (1..k-1, or a child bridge's feasible labels
-in a piece search) are tried in increasing order.  Every attempted
-assignment counts as one node against the cap; node_cap < 0 means
-unbounded, in search and split_search alike, and split_search's
-searches share one cap.
+the vertex profile (vertex_profile: each vertex's degree and component,
+and the components of a disconnected graph) and of the maximum matching
+(maximum_matching: Edmonds' blossom search, behind every perfect
+matching and f-factor of kmagic.factors); kmagic._backtrack holds their
+compiled twins, with identical semantics, and kmagic._twin picks one of
+the two modules for all six.  search and every piece search of
+split_search run one loop, _kernel, which visits edges in the given
+order; when an edge is the last unlabeled edge at one of its endpoints
+its label is forced by the target sum, otherwise all of its allowed
+labels (1..k-1, or a child bridge's feasible labels in a piece search)
+are tried in increasing order.  Every attempted assignment counts as
+one node against the cap; node_cap < 0 means unbounded, in search and
+split_search alike, and the searches of one component in split_search
+share one cap.
 
 The scalar arguments n, k, c and node_cap are read through
 operator.index, as the compiled twins read their C ints: any other type
@@ -359,21 +361,77 @@ def bridge_tree(n, us, vs):
 
 
 def split_search(n, k, c, us, vs, node_cap):
-    """Find an edge labeling of a connected multigraph with all vertex
-    sums equal to c mod k, searched piece by piece over its bridge tree.
+    """Find an edge labeling of a multigraph with all vertex sums equal
+    to c mod k, one connected component at a time, each searched piece
+    by piece over its bridge tree.
 
     (n, us, vs) is the graph, as the module header states; node_cap < 0
-    means unbounded.  A labeling is one labeling per 2-edge-connected
-    piece, each bridge's label counted at both of its ends.  Bottom-up
-    over bridge_tree's pieces, each piece below the root gets the parent
-    bridge labels x for which it and its subtree can be labeled: one
-    search per x, with the entry's target c - x, every other vertex's
-    target c, the stub free and each child bridge limited to the labels
-    found for its child piece.  An edgeless piece needs no search: the
-    sums of one label per child bridge must reach its target.  The root
-    is decided the same way with target c everywhere, and a labeling is
-    then read off top-down, each piece with the labels it was found
-    with.  A piece with no feasible label makes the graph absent.
+    means unbounded.  Counting settles part of the question at 0 nodes:
+    the vertex sums add up to twice the label sum, so at even k an odd
+    n * c is absent, and a vertex without edges sums to 0, so it rules
+    out every c != 0 mod k.  A labeling of the graph is one labeling per
+    component, so the components, as vertex_profile splits them (in
+    order of smallest vertex, vertices renumbered in ascending order,
+    edges in the graph's id order), are then searched in turn: at even
+    k a component on n_C vertices with n_C * c odd is absent at 0
+    nodes, a lone vertex is found at 0 nodes, and any other component
+    is one _split_connected search under its own node_cap.  The first absent
+    component ends the search; an undecided one does not, since a later
+    one may still be absent, and the answer is then undecided.  Node
+    counts add up.  Returns (status, labels or None, nodes) with labels
+    indexed by the graph's edge ids.  Raises ValueError when k < 2 or
+    n < 1, checked in that order before the graph, or when an edge is a
+    loop, checked after it.
+    """
+    n, k, c, node_cap = index(n), index(k), index(c), index(node_cap)
+    if k < 2:
+        raise ValueError(f"split_search needs k >= 2, got {k}")
+    if n < 1:
+        raise ValueError(f"split_search needs n >= 1, got {n}")
+    us, vs = _read_edges(n, us, vs)
+    _refuse_loops(us, vs)
+    c %= k
+    degrees, _, parts = _profile(n, us, vs)
+    if k % 2 == 0 and n * c % 2 or c and 0 in degrees:
+        return UNSAT, None, 0
+    out = [0] * len(us)
+    nodes = 0
+    undecided = False
+    for cus, cvs, edge_ids, cdegrees in parts or [(us, vs, range(len(us)), degrees)]:
+        if k % 2 == 0 and len(cdegrees) * c % 2:
+            return UNSAT, None, nodes
+        if not edge_ids:  # a lone vertex, at c = 0
+            continue
+        status, labels, used = _split_connected(len(cdegrees), k, c, cus, cvs, node_cap)
+        nodes += used
+        if status == UNSAT:
+            return UNSAT, None, nodes
+        if status == UNDECIDED:
+            undecided = True
+            continue
+        for eid, y in zip(edge_ids, labels):
+            out[eid] = y
+    if undecided:
+        return UNDECIDED, None, nodes
+    return SAT, out, nodes
+
+
+def _split_connected(n, k, c, us, vs, node_cap):
+    """The split search of a connected loopless multigraph with at least
+    one edge, its vertex sums all c, a residue mod k, searched piece by
+    piece over its bridge tree.
+
+    A labeling is one labeling per 2-edge-connected piece, each bridge's
+    label counted at both of its ends.  Bottom-up over bridge_tree's
+    pieces, each piece below the root gets the parent bridge labels x
+    for which it and its subtree can be labeled: one search per x, with
+    the entry's target c - x, every other vertex's target c, the stub
+    free and each child bridge limited to the labels found for its child
+    piece.  An edgeless piece needs no search: the sums of one label per
+    child bridge must reach its target.  The root is decided the same
+    way with target c everywhere, and a labeling is then read off
+    top-down, each piece with the labels it was found with.  A piece
+    with no feasible label makes the graph absent.
 
     Two facts spare searches.  At even k the targets of a piece without
     child bridges add up to twice its label sum, so its parent label x
@@ -388,19 +446,9 @@ def split_search(n, k, c, us, vs, node_cap):
     the budget is spent, so no later search could decide.  A bridgeless
     graph is one piece and one search, in breadth-first edge order from
     vertex 0.  Returns (status, labels or None, nodes) with labels
-    indexed by edge id.  Raises ValueError when k < 2 or n < 1, checked
-    in that order before the graph, or when an edge is a loop or the
-    graph is not connected, checked after it.
+    indexed by edge id.
     """
-    n, k, c, node_cap = index(n), index(k), index(c), index(node_cap)
-    if k < 2:
-        raise ValueError(f"split_search needs k >= 2, got {k}")
-    if n < 1:
-        raise ValueError(f"split_search needs n >= 1, got {n}")
-    us, vs = _read_edges(n, us, vs)
-    _refuse_loops(us, vs)
     pieces = bridge_tree(n, us, vs)
-    c %= k
     nodes = charged = 0
     # per piece: its feasible parent labels (None at the root), each with
     # the labels of the piece's order it was found with (None if edgeless)
@@ -475,16 +523,29 @@ def split_search(n, k, c, us, vs, node_cap):
 
 
 def vertex_profile(n, us, vs):
-    """Each vertex's degree and the index of its connected component.
+    """Each vertex's degree and the index of its connected component,
+    and the components of a disconnected graph.
 
     (n, us, vs) is the graph, as the module header states.  Returns
-    (degrees, component), two tuples of n ints: component[v] numbers
-    the components 0, 1, ... in the order of their smallest vertices.
-    A loop counts twice toward its vertex's degree.  One breadth-first
-    walk from each vertex no earlier walk reached, in vertex order.
+    (degrees, component, parts): degrees and component are two tuples
+    of n ints, component[v] numbering the components 0, 1, ... in the
+    order of their smallest vertices.  A loop counts twice toward its
+    vertex's degree.  parts is () when there are fewer than two
+    components; otherwise it holds one tuple (us, vs, edge_ids,
+    degrees) per component, in that order: the component with its
+    vertices renumbered 0, 1, ... in ascending order, its edges in the
+    graph's id order and edge_ids[i] the graph's id of its edge i.
     """
     n = index(n)
     us, vs = _read_edges(n, us, vs)
+    return _profile(n, us, vs)
+
+
+def _profile(n, us, vs):
+    """vertex_profile over the lists _read_edges returns: one
+    breadth-first walk from each vertex no earlier walk reached, in
+    vertex order, then, for two components or more, one pass over the
+    vertices and one over the edges."""
     adjacency = _adjacency(n, us, vs)
     component = [-1] * n
     count = 0
@@ -499,7 +560,23 @@ def vertex_profile(n, us, vs):
                     component[w] = count
                     queue.append(w)
         count += 1
-    return tuple(map(len, adjacency)), tuple(component)
+    degrees = tuple(map(len, adjacency))
+    if count < 2:
+        return degrees, tuple(component), ()
+    local = [0] * n
+    part_degrees: list[list[int]] = [[] for _ in range(count)]
+    for v, i in enumerate(component):
+        local[v] = len(part_degrees[i])
+        part_degrees[i].append(degrees[v])
+    edge_ids: list[list[int]] = [[] for _ in range(count)]
+    for eid, u in enumerate(us):
+        edge_ids[component[u]].append(eid)
+    parts = tuple(
+        (tuple(local[us[e]] for e in ids), tuple(local[vs[e]] for e in ids), tuple(ids),
+         tuple(degs))
+        for ids, degs in zip(edge_ids, part_degrees)
+    )
+    return degrees, tuple(component), parts
 
 
 def maximum_matching(n, us, vs):

@@ -117,6 +117,10 @@ def f_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
     """h-factor by the matching and 2-factor routes, else by the gadget."""
     r = regularity(G)
+    if h == 1 and r:
+        # on a regular G every target 1 lies in 0..r: a 1-factor is a
+        # perfect matching, which odd order rules out
+        return None if G.n % 2 else _one_factor(G)
     targets = [h] * G.n
     if r is None or h < 2 or (h * G.n) % 2 != 0:
         return degree_constrained_factor(G, targets)

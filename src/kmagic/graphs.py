@@ -4,12 +4,14 @@ Vertices are integers 0..n-1.  Edges carry stable integer ids 0..m-1 in
 insertion order; parallel edges are allowed, loops are not.  A graph
 stores its edges as two tuples of plain ints, us and vs, edge i joining
 us[i] and vs[i]: the parser and build_graph check their input while
-they fill the two arrays, and subgraphs, components, unions and doubled
-graphs slice or concatenate them.  Each vertex's degree and component
-come from one walk of the selected twin (vertex_profile, kmagic._twin),
-once per graph; the degrees, regularity and the component split all
-read that one result.  All graph values are immutable after
-construction and every operation here is deterministic.
+they fill the two arrays, subgraphs, unions and doubled graphs slice or
+concatenate them, and component graphs take the arrays the twin
+returns.  Each vertex's degree and component come from one walk of the
+selected twin (vertex_profile, kmagic._twin), once per graph, which
+also splits a disconnected graph into its components' edge arrays; the
+degrees, regularity and the component graphs all read that one result.
+All graph values are immutable after construction and every operation
+here is deterministic.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class MultiGraph:
             return value
 
 
-def _vertex_profile(G: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(degrees, component) of G, by one call of the selected twin's
-    vertex_profile, once per graph."""
+def _vertex_profile(G: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """(degrees, component, parts) of G, by one call of the selected
+    twin's vertex_profile, once per graph; parts is () unless G is
+    disconnected."""
     return G.memo("vertex_profile", lambda: _twin.module.vertex_profile(G.n, G.us, G.vs))
 
 
@@ -222,28 +225,16 @@ def _split_components(G: MultiGraph) -> list[tuple[MultiGraph, tuple[int, ...]]]
     """The component graphs of a disconnected G, or [] for a connected
     one, so that G's memo does not hold G itself.
 
-    Each component's vertices are renumbered in ascending order, and its
-    profile, read off G's, is stored with it.
+    vertex_profile returns each component's edge arrays, edge ids and
+    degrees with G's own profile; each component graph stores its
+    profile, that of a connected graph, with it.
     """
-    degrees, comp = _vertex_profile(G)
-    count = max(comp, default=-1) + 1
-    if count <= 1:
-        return []
-    local = [0] * G.n
-    part_degrees: list[list[int]] = [[] for _ in range(count)]
-    for v, c in enumerate(comp):
-        local[v] = len(part_degrees[c])
-        part_degrees[c].append(degrees[v])
-    edge_ids: list[list[int]] = [[] for _ in range(count)]
-    for eid, u in enumerate(G.us):
-        edge_ids[comp[u]].append(eid)
-    us, vs = G.us, G.vs
     out = []
-    for ids, degs in zip(edge_ids, part_degrees):
-        C = MultiGraph(len(degs), tuple(local[us[e]] for e in ids), tuple(local[vs[e]] for e in ids))
-        profile = (tuple(degs), (0,) * len(degs))  # a component is connected
+    for us, vs, edge_ids, degrees in _vertex_profile(G)[2]:
+        C = MultiGraph(len(degrees), us, vs)
+        profile = (degrees, (0,) * len(degrees), ())
         C.memo("vertex_profile", lambda: profile)
-        out.append((C, tuple(ids)))
+        out.append((C, edge_ids))
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,33 @@ CORPUS_BUILDERS = {
     "C3+C4": lambda: disjoint_union([cycle(3), cycle(4)]),
     "circ8_12": lambda: circulant(8, (1, 2)),
 }
+
+
+def assignment_order(G: MultiGraph) -> list[int]:
+    """Edge ids in breadth-first order from the smallest vertex on: on a
+    connected bridgeless G, the order of bridge_tree's one piece, and the
+    order of one search over a whole graph whose components have no
+    bridges."""
+    us, vs = G.us, G.vs
+    order: list[int] = []
+    edge_seen = [False] * G.m
+    visited = [False] * G.n
+    for s in range(G.n):
+        if visited[s]:
+            continue
+        visited[s] = True
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for eid in G.incident[u]:
+                if not edge_seen[eid]:
+                    edge_seen[eid] = True
+                    order.append(eid)
+                w = us[eid] + vs[eid] - u
+                if not visited[w]:
+                    visited[w] = True
+                    queue.append(w)
+    return order
 
 
 @pytest.fixture(scope="session")

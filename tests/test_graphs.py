@@ -228,6 +228,23 @@ def reference_profile(n, us, vs):
     return tuple(map((list(us) + list(vs)).count, range(n))), tuple(number[x] for x in low)
 
 
+def reference_split(us, vs, degrees, comp):
+    """The parts of a graph with the given profile: () for fewer than two
+    components, else per component its edge ends renumbered in ascending
+    vertex order, its edge ids in order and its degrees."""
+    count = max(comp, default=-1) + 1
+    if count < 2:
+        return ()
+    parts = []
+    for i in range(count):
+        vertices = [v for v in range(len(comp)) if comp[v] == i]
+        local = {v: j for j, v in enumerate(vertices)}
+        ids = [e for e in range(len(us)) if comp[us[e]] == i]
+        parts.append((tuple(local[us[e]] for e in ids), tuple(local[vs[e]] for e in ids), tuple(ids),
+                      tuple(degrees[v] for v in vertices)))
+    return tuple(parts)
+
+
 @st.composite
 def loopless_multigraphs(draw, max_n=8):
     """(n, us, vs): 0 to max_n vertices and up to 12 random edges, parallel
@@ -281,11 +298,12 @@ def test_vertex_profile_twins_agree(compiled_kernel, case):
     assert outcome(compiled_kernel.vertex_profile, n, iter(us), (v for v in vs)) == got
     if isinstance(got[0], type):  # a fault: both twins raised alike
         return
-    assert got == reference_profile(n, us, vs)
+    degrees, comp, split = got
+    assert (degrees, comp) == reference_profile(n, us, vs)
+    assert split == reference_split(us, vs, degrees, comp)
     if n == 0:
         return
     G = build_graph(n, list(zip(us, vs)))
-    degrees, comp = got
     assert G.degrees == degrees
     assert [sorted(c) for c in components(G)] == [
         [v for v in range(n) if comp[v] == i] for i in range(max(comp) + 1)
@@ -293,6 +311,8 @@ def test_vertex_profile_twins_agree(compiled_kernel, case):
     parts = component_graphs(G)
     assert [C.n for C, _ in parts] == [comp.count(i) for i in range(max(comp) + 1)]
     assert sorted(e for _, edge_ids in parts for e in edge_ids) == list(range(G.m))
+    if split:  # the component graphs wrap the twin's parts
+        assert [(C.us, C.vs, edge_ids, C.degrees) for C, edge_ids in parts] == list(split)
     for C, _ in parts:
         # the profile each component graph keeps is the one a walk finds
-        assert (C.degrees, (0,) * C.n) == _backtrack_py.vertex_profile(C.n, C.us, C.vs)
+        assert (C.degrees, (0,) * C.n, ()) == _backtrack_py.vertex_profile(C.n, C.us, C.vs)

@@ -6,13 +6,14 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import bridged_cubic_16, hub_quintic_16
+from conftest import assignment_order, bridged_cubic_16, hub_quintic_16
 from kmagic import (
     EdgeLabeling,
     KmagicError,
     SolverBudget,
     _backtrack_py,
     available_kernels,
+    brute_force_spectrum,
     build_graph,
     circulant,
     complete,
@@ -27,10 +28,9 @@ from kmagic import (
     two_factorization,
     verify,
 )
-from kmagic import _twin
+from kmagic import _twin, graphs
 from kmagic._backtrack_py import SAT, UNDECIDED, UNSAT
 from kmagic.graphs import component_graphs, find_bridges
-from kmagic.solver import assignment_order
 
 
 @pytest.fixture(params=["pure-python", "compiled"])
@@ -185,7 +185,11 @@ def test_search_verify_and_split_all_run_on_the_selected_twin(monkeypatch):
     # the bridges come from the pure planner, whatever twin is selected
     assert find_bridges(G) == frozenset()
     assert len(f_factor(circulant(8, (1, 2)), 1)) == 4  # the new graph's degrees first
-    assert calls == [*names[:4], "vertex_profile", "maximum_matching"]
+    # the search settles by the twin's own counts, so G's profile is first
+    # read by the 2-factor split's regularity test
+    assert calls == [
+        "split_search", "magic_sum", "vertex_profile", "petersen_split", "vertex_profile", "maximum_matching"
+    ]
 
 
 def test_the_compiled_module_holds_exactly_the_six_twins(compiled_kernel):
@@ -252,16 +256,16 @@ def test_kernels_reject_bad_input_alike(twin, request):
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
         impl.search(4, 5, 1, us, [1, 2, 0, 3.0], -1)
     # the split search: its own rules on k and n, then the reader's, then
-    # loops and connectivity
+    # loops; a graph of several components is no fault
     for k in (0, 1):
         with pytest.raises(ValueError, match="k >= 2"):
             impl.split_search(0, k, 0, [0, 1, 2], [1, 2, 0], -1)
     for n in (0, -1):
         with pytest.raises(ValueError, match="n >= 1"):
             impl.split_search(n, 5, 0, [], [], -1)
-    for n, us2, vs2 in [(2, [], []), (4, [0, 2], [1, 3]), (4, [0, 0, 2], [1, 1, 3])]:
-        with pytest.raises(ValueError, match="not connected"):
-            impl.split_search(n, 5, 0, us2, vs2, -1)
+    assert impl.split_search(2, 5, 0, [], [], -1) == (SAT, [], 0)
+    assert impl.split_search(4, 5, 1, [0, 0, 2], [1, 1, 3], -1) == (SAT, [2, 4, 1], 3)
+    assert impl.split_search(4, 5, 0, [0, 0, 2], [1, 1, 3], -1) == (UNSAT, None, 2)
     for us2, vs2 in [([0, 1], [1, 3]), ([0, -1], [1, 2])]:
         with pytest.raises(ValueError, match="endpoint"):
             impl.split_search(3, 5, 0, us2, vs2, -1)
@@ -567,3 +571,123 @@ def test_split_search_twins_agree(compiled_kernel, G, k):
                     assert verify(C, EdgeLabeling(k, dict(enumerate(labels)))) == c
                 if cap > 0:
                     assert nodes <= cap + 1
+
+
+def settled(G, k, c):
+    """The answer at 0 nodes where counting gives it, as the solver found
+    it before the twins split components: (status, labels, nodes) or None."""
+    if k % 2 == 0 and G.n * c % 2 == 1:
+        return UNSAT, None, 0
+    if 0 in G.degrees:
+        if c != 0:
+            return UNSAT, None, 0
+        if G.m == 0:
+            return SAT, [], 0
+    return None
+
+
+def composed_split_search(impl, G, k, c, cap):
+    """The reference for split_search over a whole graph: the settles of
+    G, then per component, in order of smallest vertex, its settles or one
+    split_search call of impl on the component graph, stopping at the
+    first absent one; labels merged by G's edge ids, node counts added."""
+    c %= k
+    answer = settled(G, k, c)
+    if answer is not None:
+        return answer
+    labels = [0] * G.m
+    nodes = 0
+    undecided = False
+    for C, edge_ids in component_graphs(G):
+        status, part, used = settled(C, k, c) or impl.split_search(C.n, k, c, C.us, C.vs, cap)
+        nodes += used
+        if status == UNSAT:
+            return UNSAT, None, nodes
+        if status == UNDECIDED:
+            undecided = True  # a later component may still be absent
+        else:
+            for eid, label in zip(edge_ids, part):
+                labels[eid] = label
+    if undecided:
+        return UNDECIDED, None, nodes
+    return SAT, labels, nodes
+
+
+# K6 is capped at 3 nodes at k = 7, c = 1; the path on three vertices
+# after it has no 1-sum labeling, since its leaves force both edges to 1
+CAPPED_THEN_ABSENT = disjoint_union([complete(6), build_graph(3, [(0, 1), (1, 2)])])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(block_trees(), cubic_block_trees(), connected_multigraphs()),
+             min_size=1, max_size=3).map(disjoint_union),
+    st.integers(2, 6),
+)
+@example(disjoint_union([complete(4), build_graph(1, [])]), 3)
+@example(disjoint_union([build_graph(1, []), cycle(3), build_graph(1, [])]), 2)
+@example(disjoint_union([cycle(3), cycle(3)]), 4)
+@example(CAPPED_THEN_ABSENT, 7)
+def test_whole_graph_split_search_composes_its_components(compiled_kernel, G, k):
+    # the caps apply per component; an unbounded search is run only where
+    # every component is decided at a bounded one
+    decided = all(
+        compiled_kernel.split_search(C.n, k, c, C.us, C.vs, 10**4)[0] != UNDECIDED
+        for C, _ in component_graphs(G)
+        for c in range(k)
+    )
+    for c in range(k):
+        for cap in (-1, 1, 40):
+            if cap < 0 and not decided:
+                continue
+            answers = []
+            for impl in (_backtrack_py, compiled_kernel):
+                whole = impl.split_search(G.n, k, c, G.us, G.vs, cap)
+                assert whole == composed_split_search(impl, G, k, c, cap), (c, cap)
+                answers.append(whole)
+            assert answers[0] == answers[1], (c, cap)
+
+
+def test_split_search_settles_by_counting_and_walks_past_a_capped_component(kernel):
+    lone = disjoint_union([complete(4), build_graph(1, [])])
+    assert kernel.split_search(lone.n, 3, 0, lone.us, lone.vs, -1)[0] == SAT
+    for c in (1, 2):  # the isolated vertex sums to 0
+        assert kernel.split_search(lone.n, 3, c, lone.us, lone.vs, -1) == (UNSAT, None, 0)
+    # an even order, but each triangle has an odd one: 3 * 1 is odd at k = 4
+    G = disjoint_union([cycle(3), cycle(3)])
+    assert kernel.split_search(G.n, 4, 1, G.us, G.vs, -1) == (UNSAT, None, 0)
+    # a capped component does not end the search: the absent one after it does
+    G = CAPPED_THEN_ABSENT
+    capped = kernel.split_search(6, 7, 1, complete(6).us, complete(6).vs, 3)
+    assert capped[0] == UNDECIDED
+    absent = kernel.split_search(3, 7, 1, [0, 1], [1, 2], 3)
+    assert absent[0] == UNSAT
+    assert kernel.split_search(G.n, 7, 1, G.us, G.vs, 3) == (UNSAT, None, capped[2] + absent[2])
+
+
+def test_a_search_is_one_twin_call_and_the_oracle_builds_no_component_graphs(monkeypatch):
+    twin = _twin.module
+    calls = []
+
+    def spy(name):
+        def call(*args):
+            calls.append(name)
+            return getattr(twin, name)(*args)
+
+        return call
+
+    monkeypatch.setattr(_twin, "module", SimpleNamespace(split_search=spy("split_search"),
+                                                         vertex_profile=spy("vertex_profile")))
+    splits = []
+    split_components = graphs._split_components
+    monkeypatch.setattr(graphs, "_split_components",
+                        lambda G: splits.append(G) or split_components(G))
+    G = disjoint_union([complete(4), petersen(), complete(4)])
+    res = search_labeling(G, 5, 1)
+    assert res.status == "found"
+    assert calls == ["split_search"]
+    calls.clear()
+    brute_force_spectrum(disjoint_union([complete(4), prism(3), complete(4)]), 4)
+    # the degrees first, then one search per class of gcd(c, 4)
+    assert calls == ["vertex_profile"] + ["split_search"] * 3
+    assert splits == []
