@@ -38,7 +38,15 @@ matching behind every factor runs through both matching twins on the
 cubic graph without a perfect matching, on bridged16 and on the gadget
 of a 1-factor of a random cubic graph on 600 vertices, which must
 return the same mates; its timings are microseconds per call, the best
-of MATCH_REPEATS batches of MATCH_CALLS calls.
+of MATCH_REPEATS batches of MATCH_CALLS calls.  Then the solver driver:
+the spectrum-oracle job's two calls, predict_spectrum and
+brute_force_spectrum, and the three bare split_search calls the latter
+makes, at k = 4 on the benchmark's medium union (the cubic graph without
+a perfect matching beside a random cubic graph on 8 vertices), with each
+twin module selected in turn; each call gets a fresh copy of the graph,
+so no per-graph memo helps, and both twins must give the same answers.
+Its timings are microseconds per call, the best of DRIVER_REPEATS
+batches of DRIVER_CALLS calls (fewer with --quick).
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -53,7 +61,10 @@ from pathlib import Path
 from digest import bridged_cubic_16, hub10, hub_quintic_16, unmatched_cubic_28
 from kmagic import (
     DEFAULT_BUDGET,
+    MultiGraph,
     SolverBudget,
+    _twin,
+    brute_force_spectrum,
     build_graph,
     circulant,
     complete,
@@ -61,6 +72,7 @@ from kmagic import (
     disjoint_union,
     double_graph,
     petersen,
+    predict_spectrum,
     prism,
     random_regular,
     search_labeling,
@@ -156,6 +168,12 @@ MATCH_CASES = [
 MATCH_CALLS = 10
 MATCH_REPEATS = 5
 
+# the spectrum-oracle benchmark's medium job: this union at k = 4
+DRIVER_GRAPH = disjoint_union([BRIDGED_CASES[2][1], random_regular(8, 3, seed=0)])
+DRIVER_K = 4
+DRIVER_CALLS, DRIVER_REPEATS = 200, 7
+QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS = 20, 3
+
 
 # the edge count of a case's graph, a column of every twin table
 EDGES = ("edges", 6, lambda G, answers: G.m)
@@ -246,6 +264,44 @@ def compare_matchings(kernels: dict) -> None:
                   MATCH_CALLS, MATCH_REPEATS, cases)
 
 
+def compare_driver(kernels: dict, calls: int, repeats: int) -> None:
+    """One row per driver call: each twin module's microseconds per call
+    on fresh copies of DRIVER_GRAPH, the best of repeats batches."""
+    G, k = DRIVER_GRAPH, DRIVER_K
+    rows = [
+        ("predict_spectrum", lambda H: predict_spectrum(H, k)),
+        ("brute_force_spectrum", lambda H: brute_force_spectrum(H, k)),
+        ("3 split_search calls (c = 0, 1, 2)",
+         lambda H: [_twin.module.split_search(H.n, k, c, H.us, H.vs, DEFAULT_BUDGET.node_cap)
+                    for c in range(3)]),
+    ]
+    title = f"solver driver, k={k}, {G.n}-vertex medium union"
+    header = f"{title:<44}" + "".join(f" {name + ' [us]':>17}" for name in kernels)
+    print(header)
+    print("-" * len(header))
+    selected = _twin.module
+    try:
+        for label, call in rows:
+            answers, times = {}, {}
+            for name, kernel in kernels.items():
+                _twin.module = kernel
+                answers[name] = call(MultiGraph(G.n, G.us, G.vs))
+                best = float("inf")
+                for _ in range(repeats):
+                    copies = [MultiGraph(G.n, G.us, G.vs) for _ in range(calls)]
+                    t0 = time.perf_counter()
+                    for H in copies:
+                        call(H)
+                    best = min(best, time.perf_counter() - t0)
+                times[name] = best / calls
+            first = next(iter(answers.values()))
+            for name, got in answers.items():
+                assert got == first, f"{label}: {name} answered otherwise"
+            print(f"{label:<44}" + "".join(f" {1e6 * times[name]:>17.2f}" for name in kernels))
+    finally:
+        _twin.module = selected
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="cap searches at 1e6 nodes")
@@ -298,6 +354,11 @@ def main() -> None:
     compare_profiles(kernels)
     print()
     compare_matchings(kernels)
+    print()
+    if args.quick:
+        compare_driver(kernels, QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS)
+    else:
+        compare_driver(kernels, DRIVER_CALLS, DRIVER_REPEATS)
     print("all kernels returned identical results")
 
 

@@ -32,21 +32,31 @@ the set of label-2 edges of a 1-sum 3-magic labeling, which the
 budgeted label search decides.  An exhaustive subset search, which
 shares no code with any of these routes, is the small-instance oracle.
 
-The perfect matching of G, each h-factor and a decided mod-3 factor are
-computed once per graph (``MultiGraph.memo``); a perfect matching and a
-mod-3 factor of a disconnected G are the unions of its components'
-memoized ones.  The exhaustive oracle never reads that memo.
+Each graph has one fact sheet (``fact_sheet``), built from its
+``vertex_profile``: its common degree and the order of each component,
+and, from the first perfect-matching question on, one maximum matching
+of the whole graph.  A maximum matching of G restricted to a component
+is a maximum matching of that component, so the sheet tells for every
+component at once whether it has a perfect matching, and G's perfect
+matching, the one route to a 1-factor, is that matching when no vertex
+is exposed.  Each h-factor and a decided mod-3 factor are computed once
+per graph (``MultiGraph.memo``).  A mod-3 factor of a disconnected G is
+the union of its components' ones: a matched component's part of G's
+matching, and for each other component the search on that component's
+own graph, memoized there.  The exhaustive oracle never reads either.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from operator import gt
 from types import SimpleNamespace
 from typing import Collection, NamedTuple, Sequence
 
 from . import _twin
 from .errors import BudgetError, FactorError, RegularityError
 from .factorization import extract_2h_factor
-from .graphs import MultiGraph, component_graphs, regularity, subgraph
+from .graphs import MultiGraph, _vertex_profile, component_graph, regularity, subgraph
 from .solver import SolverBudget, search_labeling
 
 EXHAUSTIVE_EDGE_LIMIT = 20
@@ -77,6 +87,55 @@ def _maximum_matching(graph: _Graph) -> tuple[int, ...]:
 nx = SimpleNamespace(max_weight_matching=_maximum_matching)
 
 
+class FactSheet:
+    """What the characterization of completely k-magic regular graphs
+    reads of one graph, found once per graph (fact_sheet).
+
+    r is the common degree, or None when the graph is irregular, and
+    orders the order of each connected component, in order of smallest
+    vertex; component[v] is the index of v's component.  All three come
+    from the graph's one vertex_profile call.  The matching half is
+    filled on the first perfect-matching question: mates, each vertex's
+    matched edge id or -1 in one maximum matching of the whole graph,
+    one call through the seam below.  A maximum matching of G restricted
+    to a component is a maximum matching of that component, so component
+    i has a perfect matching (has_pm(i)) exactly when none of its
+    vertices is exposed, and G has one exactly when no vertex is.
+    """
+
+    __slots__ = ("r", "orders", "component", "_graph", "_mates", "_exposed")
+
+    def __init__(self, G: MultiGraph) -> None:
+        _, self.component, parts = _vertex_profile(G)
+        self.r = regularity(G)
+        self.orders = tuple([len(part[3]) for part in parts]) or (G.n,)
+        self._graph = _Graph(G.n, G.us, G.vs)
+        self._mates = None
+
+    def _match(self) -> None:
+        mates = self._mates = nx.max_weight_matching(self._graph)
+        # the components with an exposed vertex
+        self._exposed = set(compress(self.component, map((-1).__eq__, mates))) if -1 in mates else ()
+
+    @property
+    def mates(self) -> tuple[int, ...]:
+        if self._mates is None:
+            self._match()
+        return self._mates
+
+    def has_pm(self, i: int | None = None) -> bool:
+        """Does component i, or the whole graph when i is None, have a
+        perfect matching?"""
+        if self._mates is None:
+            self._match()
+        return not self._exposed if i is None else i not in self._exposed
+
+
+def fact_sheet(G: MultiGraph) -> FactSheet:
+    """G's fact sheet, built once per graph."""
+    return G.memo("fact_sheet", lambda: FactSheet(G))
+
+
 def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
     """Spanning subgraph with prescribed degree at every vertex, or None.
 
@@ -87,9 +146,9 @@ def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozense
     _check_targets(G, targets)
     if sum(targets) % 2 != 0:
         return None
-    if all(t == 0 for t in targets):
+    if not any(targets):
         return frozenset()
-    if all(t == 1 for t in targets):
+    if min(targets) == 1 == max(targets):
         return _one_factor(G)
     return _gadget_factor(G, targets)
 
@@ -98,9 +157,10 @@ def _check_targets(G: MultiGraph, targets: Sequence[int]) -> None:
     """Raise FactorError unless targets holds one degree in 0..deg(v) per vertex v."""
     if len(targets) != G.n:
         raise FactorError(f"expected {G.n} degree targets, got {len(targets)}")
-    for v, t in enumerate(targets):
-        if not 0 <= t <= G.degrees[v]:
-            raise FactorError(f"target {t} at vertex {v} outside 0..{G.degrees[v]}")
+    degrees = _vertex_profile(G)[0]
+    if min(targets, default=0) < 0 or any(map(gt, targets, degrees)):
+        v = next(v for v, t in enumerate(targets) if not 0 <= t <= degrees[v])
+        raise FactorError(f"target {targets[v]} at vertex {v} outside 0..{degrees[v]}")
 
 
 def f_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
@@ -117,10 +177,6 @@ def f_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
     """h-factor by the matching and 2-factor routes, else by the gadget."""
     r = regularity(G)
-    if h == 1 and r:
-        # on a regular G every target 1 lies in 0..r: a 1-factor is a
-        # perfect matching, which odd order rules out
-        return None if G.n % 2 else _one_factor(G)
     targets = [h] * G.n
     if r is None or h < 2 or (h * G.n) % 2 != 0:
         return degree_constrained_factor(G, targets)
@@ -147,40 +203,24 @@ def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 
 
 def _one_factor(G: MultiGraph) -> frozenset[int] | None:
-    """Perfect matching of G, computed once per graph.
-
-    A disconnected G has one exactly when each component has one, and
-    the union of theirs is the matching the whole graph would give (the
-    greedy pass and every augmenting search stay in one component), so
-    each component is matched once on its own, and the first without a
-    perfect matching decides.
-    """
-    return G.memo("one_factor", lambda: _component_matchings(G))
+    """Perfect matching of G, read off its fact sheet, once per graph: the
+    one route to a 1-factor, for f_factor(G, 1) (through
+    degree_constrained_factor), the odd-degree factors and mod3_factor
+    alike."""
+    return G.memo("one_factor", lambda: _perfect_matching(fact_sheet(G)))
 
 
-def _component_matchings(G: MultiGraph) -> frozenset[int] | None:
-    parts = component_graphs(G)
-    if len(parts) == 1:
-        return _matching_factor(G, range(G.m))
-    union: list[int] = []
-    for C, edge_ids in parts:
-        M = _one_factor(C)
-        if M is None:
-            return None
-        union.extend(edge_ids[j] for j in M)
-    return frozenset(union)
+def _perfect_matching(sheet: FactSheet) -> frozenset[int] | None:
+    return frozenset(sheet.mates) if sheet.has_pm() else None
 
 
 def _matching_factor(G: MultiGraph, edge_ids: Collection[int]) -> frozenset[int] | None:
     """Perfect matching of G using only edge_ids, or None if there is none.
 
-    One maximum matching on G itself, or on its edges edge_ids in
-    increasing order; the matching offers only the lowest id of each
-    class of parallel edges.
+    One maximum matching on the edges edge_ids of G in increasing order;
+    the matching offers only the lowest id of each class of parallel
+    edges.
     """
-    if len(edge_ids) == G.m:
-        mates = nx.max_weight_matching(_Graph(G.n, G.us, G.vs))
-        return None if -1 in mates else frozenset(mates)
     ids = sorted(edge_ids)
     us, vs = G.us, G.vs
     mates = nx.max_weight_matching(_Graph(G.n, [us[e] for e in ids], [vs[e] for e in ids]))
@@ -272,36 +312,52 @@ def mod3_factor(G: MultiGraph, budget: SolverBudget | None = None) -> frozenset[
     label search decides under budget.  Raises BudgetError when that
     search is capped (the problem is NP-complete in general).  A
     disconnected G has one exactly when each component has one, and its
-    factor is the union of theirs, so each component is decided once on
-    its own; a capped component raises only when no other one is absent.
-    A decided answer is computed once per graph.
+    factor is the union of theirs: a component with a perfect matching
+    gives its part of the fact sheet's matching, and each other one is
+    searched once on its own graph (unmatched_mod3_factor); a capped
+    component raises only when no other one is absent.  A decided answer
+    is computed once per graph.
     """
-    r = regularity(G)
+    r = fact_sheet(G).r
     if r is None or r % 3 != 0 or r % 2 == 0:
         raise RegularityError(f"need r-regular with r odd and 3 | r, got r={r}")
-    return G.memo("mod3_factor", lambda: _mod3_search(G, r, budget))
+    return G.memo("mod3_factor", lambda: _mod3_union(G, r, budget))
 
 
-def _mod3_search(G: MultiGraph, r: int, budget: SolverBudget | None) -> frozenset[int] | None:
-    parts = component_graphs(G)
-    if len(parts) > 1:
-        union: list[int] = []
-        capped = None
-        for C, edge_ids in parts:
-            try:
-                F = mod3_factor(C, budget)
-            except BudgetError as exc:
-                capped = exc
-                continue
-            if F is None:
-                return None
-            union.extend(edge_ids[j] for j in F)
-        if capped is not None:
-            raise capped
-        return frozenset(union)
-    matching = _one_factor(G)
-    if matching is not None or r == 3:
-        return matching
+def _mod3_union(G: MultiGraph, r: int, budget: SolverBudget | None) -> frozenset[int] | None:
+    sheet = fact_sheet(G)
+    if sheet.has_pm() or r == 3:
+        return _one_factor(G)
+    if len(sheet.orders) == 1:
+        return _mod3_search(G, budget)
+    matched = [sheet.has_pm(i) for i in range(len(sheet.orders))]
+    union = [e for e, i in zip(sheet.mates, sheet.component) if matched[i]]
+    capped = None
+    for i, has_pm in enumerate(matched):
+        if has_pm:
+            continue
+        C, edge_ids = component_graph(G, i)
+        try:
+            F = unmatched_mod3_factor(C, budget)
+        except BudgetError as exc:
+            capped = exc
+            continue
+        if F is None:
+            return None
+        union.extend(edge_ids[j] for j in F)
+    if capped is not None:
+        raise capped
+    return frozenset(union)
+
+
+def unmatched_mod3_factor(C: MultiGraph, budget: SolverBudget | None = None) -> frozenset[int] | None:
+    """mod3_factor of a connected r-regular C, r > 3 odd and divisible by
+    3, that has no perfect matching: the label search, whose decided
+    answer is kept as C's mod3_factor."""
+    return C.memo("mod3_factor", lambda: _mod3_search(C, budget))
+
+
+def _mod3_search(G: MultiGraph, budget: SolverBudget | None) -> frozenset[int] | None:
     res = search_labeling(G, 3, 1, budget)
     if res.status == "undecided":
         raise BudgetError(f"mod-3 factor search hit the node cap after {res.nodes} nodes")

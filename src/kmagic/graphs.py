@@ -78,11 +78,11 @@ class MultiGraph:
         Kept in the instance __dict__ beside the cached properties, which
         is sound because a graph never changes after construction.
         """
-        try:
-            return self.__dict__[key]
-        except KeyError:
-            value = self.__dict__[key] = compute()
-            return value
+        memos = self.__dict__
+        value = memos.get(key, memos)  # the dict itself stands for "not yet"
+        if value is memos:
+            value = memos[key] = compute()
+        return value
 
 
 def _vertex_profile(G: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
@@ -194,7 +194,7 @@ def regularity(G: MultiGraph) -> int | None:
 
 
 def _common_degree(G: MultiGraph) -> int | None:
-    degs = set(G.degrees)
+    degs = set(_vertex_profile(G)[0])
     return degs.pop() if len(degs) == 1 else None
 
 
@@ -214,28 +214,42 @@ def component_graphs(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
     Vertices and edges keep their relative order, so a breadth-first
     walk of a component visits its edges in the order a walk of G does.
     A connected G is returned as itself.  The split is found once per
-    graph, and the components of a disconnected graph are built once, so
-    that their own memos (factors, say) are found once too.
+    graph, and each component graph is built once (component_graph), so
+    that its own memos (factors, say) are found once too.  The package
+    itself builds a component graph only where that component still
+    needs the solver; everything else it reads off the fact sheet
+    (kmagic.factors.fact_sheet).
     """
     parts = G.memo("component_graphs", lambda: _split_components(G))
     return parts or [(G, range(G.m))]
 
 
-def _split_components(G: MultiGraph) -> list[tuple[MultiGraph, tuple[int, ...]]]:
+def _split_components(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
     """The component graphs of a disconnected G, or [] for a connected
-    one, so that G's memo does not hold G itself.
+    one, so that G's memo does not hold G itself."""
+    return [component_graph(G, i) for i in range(len(_vertex_profile(G)[2]))]
+
+
+def component_graph(G: MultiGraph, i: int) -> tuple[MultiGraph, Sequence[int]]:
+    """Component i of G, in order of smallest vertex, as a graph of its
+    own, with the map from its edge ids to G's; G itself when G is
+    connected.  Built once per graph and component.
 
     vertex_profile returns each component's edge arrays, edge ids and
-    degrees with G's own profile; each component graph stores its
+    degrees with G's own profile; the component graph stores its
     profile, that of a connected graph, with it.
     """
-    out = []
-    for us, vs, edge_ids, degrees in _vertex_profile(G)[2]:
-        C = MultiGraph(len(degrees), us, vs)
-        profile = (degrees, (0,) * len(degrees), ())
-        C.memo("vertex_profile", lambda: profile)
-        out.append((C, edge_ids))
-    return out
+    parts = _vertex_profile(G)[2]
+    if not parts:
+        return G, range(G.m)
+    return G.memo(f"component/{i}", lambda: _component(*parts[i]))
+
+
+def _component(us, vs, edge_ids, degrees) -> tuple[MultiGraph, tuple[int, ...]]:
+    C = MultiGraph(len(degrees), us, vs)
+    profile = (degrees, (0,) * len(degrees), ())
+    C.memo("vertex_profile", lambda: profile)
+    return C, edge_ids
 
 
 def find_bridges(G: MultiGraph) -> frozenset[int]:

@@ -11,7 +11,10 @@ by counting, splits the graph into its connected components and plans
 each component's bridge tree (its bridges, its 2-edge-connected pieces
 and their search order) and searches it: a bridgeless component is one
 piece and one kernel search, a component with bridges is searched one
-piece at a time (see search_labeling).
+piece at a time (see search_labeling).  search_labeling wraps a found
+labeling in an EdgeLabeling; callers that read only whether one exists
+(the spectrum oracle, the zero-sum test) take the bare status from
+_search_status, the same call without the wrapper.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import _backtrack_py, _twin
-from ._backtrack_py import SAT, UNSAT
+from ._backtrack_py import SAT, UNDECIDED, UNSAT
 from .errors import KmagicError
 from .graphs import MultiGraph
 from .labelings import EdgeLabeling
@@ -51,6 +54,8 @@ class SolverBudget:
 
 
 DEFAULT_BUDGET = SolverBudget()
+
+_STATUS = {SAT: "found", UNSAT: "absent", UNDECIDED: "undecided"}
 
 
 @dataclass(frozen=True)
@@ -90,17 +95,25 @@ def search_labeling(
     The compiled kernel reads n, k and c as C ints, so a k past that
     range goes to the pure twin whatever kernel was asked for.
     """
+    status, labels, nodes = _split_search(G, k, c, budget, kernel)
+    labeling = None if labels is None else EdgeLabeling(k, dict(enumerate(labels)))
+    return SearchResult(status, labeling, nodes)
+
+
+def _search_status(G: MultiGraph, k: int, c: int, budget: SolverBudget | None = None) -> str:
+    """The status search_labeling(G, k, c, budget) reports, without the
+    labeling: for callers that read only whether a labeling exists."""
+    return _split_search(G, k, c, budget)[0]
+
+
+def _split_search(G: MultiGraph, k: int, c: int, budget: SolverBudget | None, kernel=None):
+    """(status, labels by edge id or None, nodes) of one split_search call."""
     if k < 2:
         raise KmagicError("label search needs k >= 2")
-    c %= k
     impl = _twin.for_modulus(k, kernel)
     node_cap = (budget or DEFAULT_BUDGET).node_cap
-    status, labels, nodes = impl.split_search(G.n, k, c, G.us, G.vs, node_cap)
-    if status == SAT:
-        return SearchResult("found", EdgeLabeling(k, dict(enumerate(labels))), nodes)
-    if status == UNSAT:
-        return SearchResult("absent", None, nodes)
-    return SearchResult("undecided", None, nodes)
+    status, labels, nodes = impl.split_search(G.n, k, c % k, G.us, G.vs, node_cap)
+    return _STATUS[status], labels, nodes
 
 
 def available_kernels() -> dict[str, object]:

@@ -13,18 +13,30 @@ k = 2 the only label is 1, so the spectrum is {r mod 2} in closed form
 and the oracle there is independent of the prediction.  Disconnected
 graphs are handled component by component and the spectra intersected,
 since a magic labeling restricts to every component.
+
+The prediction reads what it needs of each component off the graph's
+fact sheet (kmagic.factors.fact_sheet): the degree, the order and, only
+at k = 3 and 4 with odd degree, whether it has a perfect matching, all
+components answered by one maximum matching of the whole graph.  A
+component is built as a graph of its own only where the solver still
+decides: a zero sum mod 4 at odd r >= 5, or a mod-3 factor at
+r = 3 mod 6, r > 3, without a perfect matching.  The oracle reads only
+whether each search found a labeling, so it takes the status of one
+split_search call and builds no labeling.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
+from typing import Callable
 
 from .errors import BudgetError, KmagicError, RegularityError
-from .factors import f_factor, mod3_factor
-from .graphs import MultiGraph, component_graphs, regularity
-from .solver import SolverBudget, search_labeling
+from .factors import FactSheet, fact_sheet, unmatched_mod3_factor
+from .graphs import MultiGraph, component_graph
+from .solver import SolverBudget, _search_status
 
 SYMBOLIC_TAGS = ("Z", "Z*", "2Z", "2Z*")  # * marks "zero excluded"
 
@@ -92,11 +104,12 @@ class SpectrumSet:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _require_regular(G: MultiGraph) -> int:
-    r = regularity(G)
-    if r is None or r < 1:
-        raise RegularityError(f"need a regular graph with r >= 1, got r={r}")
-    return r
+def _regular_sheet(G: MultiGraph) -> FactSheet:
+    """G's fact sheet; raises RegularityError unless G is r-regular, r >= 1."""
+    sheet = fact_sheet(G)
+    if sheet.r is None or sheet.r < 1:
+        raise RegularityError(f"need a regular graph with r >= 1, got r={sheet.r}")
+    return sheet
 
 
 def brute_force_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) -> SpectrumSet:
@@ -111,14 +124,14 @@ def brute_force_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = No
     """
     if k < 2:
         raise RegularityError("brute force needs k >= 2")
-    _require_regular(G)
+    _regular_sheet(G)
     verdict: dict[int, bool] = {}  # gcd(c, k) -> whether that class is in the spectrum
     for c in range(k):
         d = gcd(c, k)
         if d not in verdict:
-            res = search_labeling(G, k, c, budget)
-            if res.status != "undecided":
-                verdict[d] = res.status == "found"
+            status = _search_status(G, k, c, budget)
+            if status != "undecided":
+                verdict[d] = status == "found"
     return SpectrumSet(
         k,
         residues=frozenset(c for c in range(k) if verdict.get(gcd(c, k))),
@@ -139,37 +152,46 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
     2 mod 4, so its label-2 edges would form a perfect matching.  For
     r >= 5 the solver decides (None when the budget runs out).
     """
-    r = _require_regular(G)
+    sheet = _regular_sheet(G)
+    r = sheet.r
     if r < 3:
         raise RegularityError(f"zero-sum 4-magic test needs r >= 3, got {r}")
+    return _zero_sum_4(r, sheet.has_pm, lambda: _search_status(G, 4, 0, budget))
+
+
+def _zero_sum_4(
+    r: int, has_pm: Callable[[], bool], search: Callable[[], str]
+) -> tuple[bool | None, str]:
+    """zero_sum_4_magic for degree r >= 3, where has_pm() tells whether
+    the graph has a perfect matching and search() is the status of its
+    0-sum 4-magic label search; each is called only when needed."""
     if r % 2 == 0:
         return True, "even degree: pairs of 2-factors labeled to cancel mod 4"
-    if f_factor(G, 1) is not None:
+    if has_pm():
         return True, (
             "odd degree with a perfect matching M: a 2-factor of G - M labeled 1,"
             " the rest 2, sums to 2(r-1) = 0 mod 4"
         )
     if r == 3:
         return False, "cubic without a perfect matching: the label-2 edges of a zero sum mod 4 would form one"
-    res = search_labeling(G, 4, 0, budget)
-    if res.status == "found":
+    status = search()
+    if status == "found":
         return True, "solver found a zero-sum labeling"
-    if res.status == "absent":
+    if status == "absent":
         return False, "solver exhausted the search space"
     return None, "solver budget exceeded"
 
 
-def _symbolic_for_component(C: MultiGraph) -> tuple[str, str]:
-    """Integer-labeling spectrum tag of a connected regular graph."""
-    r = _require_regular(C)
+def _symbolic_for_component(r: int, n: int) -> tuple[str, str]:
+    """Integer-labeling spectrum tag of a connected r-regular graph of order n."""
     if r == 1:
         return "Z*", "1-regular: each vertex sum is its single label"
     if r == 2:
-        # C is connected, so it is one cycle, of length n
-        if C.n % 2 == 0:
+        # the component is connected, so it is one cycle, of length n
+        if n % 2 == 0:
             return "Z", "2-regular, even cycles: alternating integer labels x and c - x"
         return "2Z*", "odd cycle forces a constant label x with sum 2x"
-    if C.n % 2 == 0:
+    if n % 2 == 0:
         return "Z", f"degree {r} >= 3 and even order admit every integer sum"
     return "2Z", "odd order admits exactly the even integer sums"
 
@@ -181,17 +203,23 @@ def _intersect_symbolic(tags: list[str]) -> str:
 
 
 def _component_spectrum(
-    C: MultiGraph, k: int, budget: SolverBudget | None
+    r: int,
+    n: int,
+    has_pm: Callable[[], bool],
+    graph: Callable[[], MultiGraph],
+    k: int,
+    budget: SolverBudget | None,
 ) -> tuple[set[int], set[int], list[str]]:
-    """(residues, undecided, provenance) for one connected component, k >= 3."""
-    r = _require_regular(C)
-    n = C.n
+    """(residues, undecided, provenance) for one connected r-regular
+    component of order n, k >= 3.  has_pm() tells whether it has a
+    perfect matching and graph() builds it as a graph of its own, for
+    the solver; each is called only where the answer needs it."""
     full = set(range(k))
     evens = set(range(0, k, 2))
     if r == 1:
         return full - {0}, set(), ["1-regular: spectrum is the nonzero residues"]
     if r == 2:
-        # C is connected, so it is one cycle, of length n
+        # the component is connected, so it is one cycle, of length n
         if n % 2 == 0:
             return full, set(), [CONDITIONS[1]]
         if k % 2 == 1:
@@ -215,7 +243,7 @@ def _component_spectrum(
             ]
         if r % 2 == 0:
             return full, set(), [CONDITIONS[5] + "; zero-sum automatic for even degree"]
-        decision, reason = zero_sum_4_magic(C, budget)
+        decision, reason = _zero_sum_4(r, has_pm, lambda: _search_status(graph(), 4, 0, budget))
         if decision is True:
             return full, set(), [CONDITIONS[5] + f"; {reason}"]
         if decision is False:
@@ -226,15 +254,17 @@ def _component_spectrum(
     if k == 3:
         if r % 3 != 0 or r % 6 == 0:
             return full, set(), [CONDITIONS[6]]
-        try:
-            factor = mod3_factor(C, budget)
-        except BudgetError as exc:
-            return {0}, {1, 2}, [f"k = 3, r % 6 == 3: mod-3 factor undecided ({exc})"]
-        # a mod-3 factor with n/2 edges is a perfect matching; for r > 3 any
-        # other answer came from the 1-sum label search the oracle also runs
-        searched = r > 3 and (factor is None or 2 * len(factor) > C.n)
-        shared = "; decided by the 1-sum 3-magic search the oracle also runs" if searched else ""
-        if factor is not None:
+        # a perfect matching is a mod-3 factor, and at r = 3 the only kind;
+        # otherwise the 1-sum label search decides, the one the oracle runs
+        found = has_pm()
+        shared = ""
+        if not found and r > 3:
+            try:
+                found = unmatched_mod3_factor(graph(), budget) is not None
+            except BudgetError as exc:
+                return {0}, {1, 2}, [f"k = 3, r % 6 == 3: mod-3 factor undecided ({exc})"]
+            shared = "; decided by the 1-sum 3-magic search the oracle also runs"
+        if found:
             return full, set(), [CONDITIONS[6] + "; mod-3 factor found" + shared]
         return {0}, set(), [
             "k = 3, r % 6 == 3, no mod-3 factor: only the zero sum survives" + shared
@@ -251,27 +281,30 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
     """
     if k < 1:
         raise KmagicError(f"modulus must be >= 1, got {k}")
-    r = _require_regular(G)
+    sheet = _regular_sheet(G)
+    r = sheet.r
     if k == 2:
         why = f"k = 2: every label is 1, so every vertex sums to r = {r}, which is {r % 2} mod 2"
         return SpectrumSet(2, residues=frozenset({r % 2}), provenance=(why,))
-    comps = [C for C, _ in component_graphs(G)]
+    orders = sheet.orders
     if k == 1:
         tags = []
         prov = []
-        for i, C in enumerate(comps):
-            tag, why = _symbolic_for_component(C)
+        for i, n in enumerate(orders):
+            tag, why = _symbolic_for_component(r, n)
             tags.append(tag)
-            prov.append(why if len(comps) == 1 else f"component {i}: {why}")
+            prov.append(why if len(orders) == 1 else f"component {i}: {why}")
         return SpectrumSet(1, symbolic=_intersect_symbolic(tags), provenance=tuple(prov))
     residue_sets = []
     undecided_sets = []
     prov: list[str] = []
-    for i, C in enumerate(comps):
-        res, und, why = _component_spectrum(C, k, budget)
+    for i, n in enumerate(orders):
+        res, und, why = _component_spectrum(
+            r, n, partial(sheet.has_pm, i), lambda i=i: component_graph(G, i)[0], k, budget
+        )
         residue_sets.append(res)
         undecided_sets.append(und)
-        prov.extend(w if len(comps) == 1 else f"component {i}: {w}" for w in why)
+        prov.extend(w if len(orders) == 1 else f"component {i}: {w}" for w in why)
     definite = set.intersection(*(rs | us for rs, us in zip(residue_sets, undecided_sets)))
     certain = set.intersection(*residue_sets)
     undecided = definite - certain
@@ -308,7 +341,7 @@ def null_set(G: MultiGraph, kmax: int, budget: SolverBudget | None = None) -> di
     """
     if kmax < 1:
         raise RegularityError("kmax must be >= 1")
-    _require_regular(G)
+    _regular_sheet(G)
     out: dict[int, bool | None] = {}
     for k in range(1, kmax + 1):
         out[k] = predict_spectrum(G, k, budget).contains(0)

@@ -248,9 +248,9 @@ def test_mod3_factor_of_a_union_is_decided_per_component(monkeypatch):
     assert len(kernel_calls) == 2
 
 
-def test_one_factor_of_a_union_is_matched_per_component(monkeypatch):
-    # the prediction matches Petersen and K4 on their own; the factor split
-    # reads the union of those memoized matchings, not a third one
+def test_one_factor_of_a_union_is_one_matching(monkeypatch):
+    # the prediction matches Petersen and K4 together, in one matching of
+    # the union; the factor split reads that memoized matching, not another
     sizes = []
     matching = factors.nx.max_weight_matching
     monkeypatch.setattr(
@@ -261,7 +261,7 @@ def test_one_factor_of_a_union_is_matched_per_component(monkeypatch):
     res = construct(G, 4, 0)
     assert res.trace.rules() == ["factor-split"]
     assert verify(G, res.labeling) == 0
-    assert sizes == [10, 4]
+    assert sizes == [14]
 
 
 @pytest.mark.parametrize(
@@ -280,6 +280,22 @@ def test_one_factor_of_a_union_is_the_whole_graph_matching(parts):
     assert f_factor(G, 1) == whole
     if any(f_factor(P, 1) is None for P in parts):
         assert whole is None
+
+
+def test_mod3_factor_of_a_union_keeps_the_matched_part_of_one_matching(monkeypatch):
+    # K10 has a perfect matching and hub10 none: the factor is K10's part
+    # of the union's one matching plus hub10's factor, searched on hub10's
+    # own graph and on nothing else
+    searched = []
+    search = factors.search_labeling
+    monkeypatch.setattr(factors, "search_labeling", lambda G, *a: searched.append(G.n) or search(G, *a))
+    G = disjoint_union([complete(10), hub10()])
+    F = mod3_factor(G)
+    assert searched == [10]
+    assert all(d % 3 == 1 for d in factor_degrees(G, F))
+    K10 = complete(10)
+    assert {e for e in F if e < K10.m} == f_factor(K10, 1)
+    assert {e - K10.m for e in F if e >= K10.m} == mod3_factor(hub10())
 
 
 @pytest.mark.parametrize(

@@ -7,14 +7,18 @@ exhaustive checks honest but quick.
 
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import bridged_cubic_16, hub10, hub_quintic_16
 from kmagic import (
     EdgeLabeling,
     GraphError,
+    MultiGraph,
     SolverBudget,
     brute_force_spectrum,
     build_graph,
+    circulant,
     complement,
     complete,
+    complete_bipartite,
     construct,
     cycle,
     disjoint_union,
@@ -24,11 +28,16 @@ from kmagic import (
     extract_2h_factor,
     f_factor,
     fold,
+    petersen,
+    predict_spectrum,
+    prism,
     random_regular,
     search_labeling,
     two_factorization,
     verify,
 )
+from kmagic.factors import fact_sheet
+from kmagic.graphs import component_graphs
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -230,3 +239,77 @@ def test_union_spectrum_is_component_intersection(ns, k):
     for p in parts:
         expect &= p.residues
     assert whole.residues == expect
+
+
+# Connected parts of one degree each, for unions the fact sheet reads:
+# simple graphs and multigraphs, odd and even order, with and without a
+# perfect matching (a 2-vertex multigraph stands for every parallel class)
+SHEET_PARTS = {
+    2: [lambda: cycle(3), lambda: cycle(4), lambda: cycle(5), lambda: build_graph(2, [(0, 1)] * 2)],
+    3: [lambda: complete(4), lambda: prism(3), petersen, bridged_cubic_16,
+        lambda: build_graph(2, [(0, 1)] * 3)],
+    4: [lambda: complete(5), lambda: circulant(8, (1, 2)), lambda: complete_bipartite(4, 4),
+        lambda: build_graph(5, [(i, (i + 1) % 5) for i in range(5)] * 2)],
+    5: [lambda: complete(6), hub_quintic_16, lambda: build_graph(2, [(0, 1)] * 5)],
+    9: [lambda: complete(10), hub10],
+}
+SHEET_BUDGET = SolverBudget(node_cap=2000)
+
+
+@st.composite
+def sheet_unions(draw):
+    """(G, r): the disjoint union of one to three parts of degree r."""
+    r = draw(st.sampled_from(sorted(SHEET_PARTS)))
+    builders = draw(st.lists(st.sampled_from(SHEET_PARTS[r]), min_size=1, max_size=3))
+    return disjoint_union([build() for build in builders]), r
+
+
+def fresh_components(G):
+    """G's components as new graphs, from a copy of G that has no memo."""
+    return [C for C, _ in component_graphs(MultiGraph(G.n, G.us, G.vs))]
+
+
+@SETTINGS
+@given(sheet_unions())
+def test_fact_sheet_matches_each_component(graph):
+    G, r = graph
+    sheet = fact_sheet(G)
+    comps = fresh_components(G)
+    assert sheet.r == r
+    assert [(n, sheet.has_pm(i)) for i, n in enumerate(sheet.orders)] == [
+        (C.n, f_factor(C, 1) is not None) for C in comps
+    ]
+    # the whole graph's perfect matching is the union of the components'
+    whole = f_factor(G, 1)
+    assert (whole is None) == (not all(sheet.has_pm(i) for i in range(len(comps))))
+    if whole is not None:
+        parts = [(C, ids) for C, ids in component_graphs(MultiGraph(G.n, G.us, G.vs))]
+        assert whole == {ids[e] for C, ids in parts for e in f_factor(C, 1)}
+
+
+def _intersect(spectra, k):
+    """The union's prediction from its components' own predictions."""
+    tag = len(spectra) > 1
+    prov = tuple(f"component {i}: {w}" if tag else w for i, s in enumerate(spectra) for w in s.provenance)
+    if k == 1:
+        tags = [s.symbolic for s in spectra]
+        symbolic = ("2" if any(t[0] == "2" for t in tags) else "") + "Z"
+        return symbolic + ("*" if any(t[-1] == "*" for t in tags) else ""), prov
+    certain = set.intersection(*(set(s.residues) for s in spectra))
+    definite = set.intersection(*(set(s.residues) | s.undecided for s in spectra))
+    return certain, definite - certain, prov
+
+
+@settings(SETTINGS, max_examples=60)
+@given(sheet_unions())
+def test_prediction_from_the_sheet_equals_the_per_component_one(graph):
+    G, _ = graph
+    for k in range(1, 7):
+        got = predict_spectrum(G, k, SHEET_BUDGET)
+        spectra = [predict_spectrum(C, k, SHEET_BUDGET) for C in fresh_components(G)]
+        if k == 2:  # the closed form {r mod 2}, read off the whole graph
+            assert (got.residues, got.provenance) == (spectra[0].residues, spectra[0].provenance)
+        elif k == 1:
+            assert (got.symbolic, got.provenance) == _intersect(spectra, k)
+        else:
+            assert (set(got.residues), set(got.undecided), got.provenance) == _intersect(spectra, k)

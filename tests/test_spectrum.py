@@ -6,10 +6,11 @@ sets in this file were frozen from oracle runs.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from kmagic import factors, solver, spectrum
+from kmagic import _twin, factors, graphs, solver, spectrum
 from kmagic import (
     KmagicError,
     SolverBudget,
@@ -24,9 +25,9 @@ from kmagic import (
     null_set,
     petersen,
     predict_spectrum,
+    prism,
     zero_sum_4_magic,
 )
-from kmagic.solver import SearchResult
 from conftest import quintic38
 
 TINY = SolverBudget(node_cap=2)
@@ -200,9 +201,9 @@ def test_oracle_searches_once_per_unit_orbit(monkeypatch):
     # c and uc (u a unit mod k) stand or fall together; with every class
     # decided the oracle searches once per divisor d of k: c = 0, then c = d
     asked = []
-    search = spectrum.search_labeling
+    search = spectrum._search_status
     monkeypatch.setattr(
-        spectrum, "search_labeling", lambda G, k, c, budget=None: asked.append(c) or search(G, k, c, budget)
+        spectrum, "_search_status", lambda G, k, c, budget=None: asked.append(c) or search(G, k, c, budget)
     )
     for G in (petersen(), complete(5), disjoint_union([cycle(3), cycle(4)])):
         for k in range(2, 9):
@@ -218,8 +219,7 @@ def test_oracle_tries_the_next_orbit_member_only_while_undecided(monkeypatch):
     answers = {0: "absent", 1: "undecided", 2: "undecided", 3: "found", 4: "undecided", 5: "found"}
     asked = []
     monkeypatch.setattr(
-        spectrum, "search_labeling",
-        lambda G, k, c, budget=None: asked.append(c) or SearchResult(answers[c], None, 1),
+        spectrum, "_search_status", lambda G, k, c, budget=None: asked.append(c) or answers[c]
     )
     spec = brute_force_spectrum(petersen(), 6)
     assert asked == [0, 1, 2, 3, 4, 5]
@@ -227,9 +227,9 @@ def test_oracle_tries_the_next_orbit_member_only_while_undecided(monkeypatch):
     assert spec.undecided == {2, 4}
 
 
-def test_component_graphs_are_built_once(monkeypatch):
-    # each component's mod-3 factor is a perfect matching, found once per
-    # component however often the union is asked
+def test_a_union_is_matched_once(monkeypatch):
+    # each component's mod-3 factor is a perfect matching, read off one
+    # matching of the union however often the union is asked
     calls = []
     matching = factors.nx.max_weight_matching
     monkeypatch.setattr(
@@ -239,7 +239,80 @@ def test_component_graphs_are_built_once(monkeypatch):
     G = disjoint_union([circulant(12, (1, 2, 3, 4, 6))] * 2)
     for _ in range(3):
         assert predict_spectrum(G, 3).residues == {0, 1, 2}
-    assert len(calls) == 2
+    assert len(calls) == 1
+
+
+def twin_spy(monkeypatch, *names):
+    """Replace the twin module by one that offers only the twins names,
+    each recording its calls as (name, n) in the returned list."""
+    twin = _twin.module
+    calls = []
+
+    def spy(name):
+        def call(n, *args):
+            calls.append((name, n))
+            return getattr(twin, name)(n, *args)
+
+        return call
+
+    monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
+    return calls
+
+
+def test_prediction_reads_one_profile_and_one_matching(monkeypatch):
+    # every component of the union has a perfect matching: the sheet answers
+    # all three from one matching of the whole graph, and no component is
+    # built as a graph of its own
+    calls = twin_spy(monkeypatch, "vertex_profile", "maximum_matching", "split_search")
+    splits = []
+    split_components = graphs._split_components
+    monkeypatch.setattr(graphs, "_split_components", lambda G: splits.append(G) or split_components(G))
+    G = disjoint_union([petersen(), complete(4), prism(3)])
+    assert predict_spectrum(G, 4).is_complete()
+    assert calls == [("vertex_profile", 20), ("maximum_matching", 20)]
+    assert splits == []
+    assert not [key for key in vars(G) if key.startswith("component")]
+
+
+def test_only_the_unmatched_component_is_built_and_searched(monkeypatch):
+    # quintic38 has no perfect matching, K6 has one: only quintic38 goes to
+    # the solver, on its own graph, and K6's graph is never built
+    calls = twin_spy(monkeypatch, "vertex_profile", "maximum_matching", "split_search")
+    G = disjoint_union([quintic38(), complete(6)])
+    spec = predict_spectrum(G, 4, TINY)
+    assert spec.residues == {1, 2, 3} and spec.undecided == {0}
+    assert calls == [("vertex_profile", 44), ("maximum_matching", 44), ("split_search", 38)]
+    assert [key for key in vars(G) if key.startswith("component")] == ["component/0"]
+
+
+def test_oracle_builds_no_labeling(monkeypatch):
+    built = []
+    labeling = solver.EdgeLabeling
+    monkeypatch.setattr(solver, "EdgeLabeling", lambda *a: built.append(a) or labeling(*a))
+    G = disjoint_union([petersen(), complete(4)])
+    assert brute_force_spectrum(G, 5).is_complete()
+    assert built == []
+    # the search that returns the labeling still builds it
+    assert solver.search_labeling(G, 5, 1).labeling is not None
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize(
+    ("G", "ks"),
+    [
+        (complete(5), range(1, 9)),  # even degree, odd order
+        (circulant(8, (1, 2)), range(1, 9)),  # even degree, even order
+        (disjoint_union([cycle(3), cycle(4)]), range(1, 9)),
+        (petersen(), (1, 2, 5, 6, 7, 8)),  # odd degree, k not in {3, 4}
+        (complete(6), (1, 2, 3, 5, 6)),  # r = 5: k = 3 needs no mod-3 factor
+    ],
+    ids=["K5", "circ8", "C3+C4", "petersen", "K6"],
+)
+def test_no_matching_where_the_prediction_needs_none(G, ks, monkeypatch):
+    calls = twin_spy(monkeypatch, "vertex_profile", "maximum_matching", "split_search")
+    for k in ks:
+        predict_spectrum(G, k)
+    assert calls == [("vertex_profile", G.n)]
 
 
 def test_budget_undecided_flows_through():
