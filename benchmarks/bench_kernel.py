@@ -46,7 +46,12 @@ a perfect matching beside a random cubic graph on 8 vertices), with each
 twin module selected in turn; each call gets a fresh copy of the graph,
 so no per-graph memo helps, and both twins must give the same answers.
 Its timings are microseconds per call, the best of DRIVER_REPEATS
-batches of DRIVER_CALLS calls (fewer with --quick).
+batches of DRIVER_CALLS calls (fewer with --quick).  Last, the
+prediction: predict_spectrum on that union at each k of PREDICT_KS, on
+fresh copies and asked again of one copy, which reads the graph's memo
+of its class of k, and null_set(G, 2000) on fresh copies of a 6-regular
+circulant on 100 vertices, with each twin module selected in turn, in
+microseconds per call as above.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -71,6 +76,7 @@ from kmagic import (
     cycle,
     disjoint_union,
     double_graph,
+    null_set,
     petersen,
     predict_spectrum,
     prism,
@@ -174,6 +180,13 @@ DRIVER_K = 4
 DRIVER_CALLS, DRIVER_REPEATS = 200, 7
 QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS = 20, 3
 
+# the moduli of the prediction table: the two the graph's matching
+# decides, then one of each class of k >= 5
+PREDICT_KS = (3, 4, 6, 7)
+NULL_SET_GRAPH = circulant(100, (1, 2, 3))
+NULL_SET_KMAX = 2000
+NULL_SET_REPEATS, QUICK_NULL_SET_REPEATS = 5, 2
+
 
 # the edge count of a case's graph, a column of every twin table
 EDGES = ("edges", 6, lambda G, answers: G.m)
@@ -264,31 +277,29 @@ def compare_matchings(kernels: dict) -> None:
                   MATCH_CALLS, MATCH_REPEATS, cases)
 
 
-def compare_driver(kernels: dict, calls: int, repeats: int) -> None:
-    """One row per driver call: each twin module's microseconds per call
-    on fresh copies of DRIVER_GRAPH, the best of repeats batches."""
-    G, k = DRIVER_GRAPH, DRIVER_K
-    rows = [
-        ("predict_spectrum", lambda H: predict_spectrum(H, k)),
-        ("brute_force_spectrum", lambda H: brute_force_spectrum(H, k)),
-        ("3 split_search calls (c = 0, 1, 2)",
-         lambda H: [_twin.module.split_search(H.n, k, c, H.us, H.vs, DEFAULT_BUDGET.node_cap)
-                    for c in range(3)]),
-    ]
-    title = f"solver driver, k={k}, {G.n}-vertex medium union"
+def time_calls(kernels: dict, title: str, rows) -> None:
+    """Print each twin module's microseconds per call for every row, and
+    assert that the twins give the same answers.
+
+    rows holds (label, G, call, fresh, calls, repeats): the time is the
+    best of repeats batches of calls calls call(H), where H is a fresh
+    copy of G for every call when fresh, so no per-graph memo helps, and
+    otherwise one copy asked once before the batches.
+    """
     header = f"{title:<44}" + "".join(f" {name + ' [us]':>17}" for name in kernels)
     print(header)
     print("-" * len(header))
     selected = _twin.module
     try:
-        for label, call in rows:
+        for label, G, call, fresh, calls, repeats in rows:
             answers, times = {}, {}
             for name, kernel in kernels.items():
                 _twin.module = kernel
-                answers[name] = call(MultiGraph(G.n, G.us, G.vs))
+                asked = MultiGraph(G.n, G.us, G.vs)
+                answers[name] = call(asked)
                 best = float("inf")
                 for _ in range(repeats):
-                    copies = [MultiGraph(G.n, G.us, G.vs) for _ in range(calls)]
+                    copies = [MultiGraph(G.n, G.us, G.vs) if fresh else asked for _ in range(calls)]
                     t0 = time.perf_counter()
                     for H in copies:
                         call(H)
@@ -300,6 +311,34 @@ def compare_driver(kernels: dict, calls: int, repeats: int) -> None:
             print(f"{label:<44}" + "".join(f" {1e6 * times[name]:>17.2f}" for name in kernels))
     finally:
         _twin.module = selected
+
+
+def compare_driver(kernels: dict, calls: int, repeats: int) -> None:
+    """One row per driver call, on fresh copies of DRIVER_GRAPH."""
+    G, k = DRIVER_GRAPH, DRIVER_K
+    rows = [
+        ("predict_spectrum", lambda H: predict_spectrum(H, k)),
+        ("brute_force_spectrum", lambda H: brute_force_spectrum(H, k)),
+        ("3 split_search calls (c = 0, 1, 2)",
+         lambda H: [_twin.module.split_search(H.n, k, c, H.us, H.vs, DEFAULT_BUDGET.node_cap)
+                    for c in range(3)]),
+    ]
+    time_calls(kernels, f"solver driver, k={k}, {G.n}-vertex medium union",
+               [(label, G, call, True, calls, repeats) for label, call in rows])
+
+
+def compare_predictions(kernels: dict, calls: int, repeats: int, null_repeats: int) -> None:
+    """predict_spectrum on DRIVER_GRAPH at each k of PREDICT_KS, on a
+    fresh graph and asked again of one graph, then null_set up to
+    NULL_SET_KMAX on fresh copies of NULL_SET_GRAPH, one call a batch."""
+    rows = []
+    for k in PREDICT_KS:
+        for fresh in (True, False):
+            label = f"predict_spectrum k={k}, {'fresh' if fresh else 'repeat'}"
+            rows.append((label, DRIVER_GRAPH, lambda H, k=k: predict_spectrum(H, k), fresh, calls, repeats))
+    rows.append((f"null_set(circulant n=100 r=6, {NULL_SET_KMAX}), fresh", NULL_SET_GRAPH,
+                 lambda H: null_set(H, NULL_SET_KMAX), True, 1, null_repeats))
+    time_calls(kernels, f"prediction, {DRIVER_GRAPH.n}-vertex medium union", rows)
 
 
 def main() -> None:
@@ -357,8 +396,12 @@ def main() -> None:
     print()
     if args.quick:
         compare_driver(kernels, QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS)
+        print()
+        compare_predictions(kernels, QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS, QUICK_NULL_SET_REPEATS)
     else:
         compare_driver(kernels, DRIVER_CALLS, DRIVER_REPEATS)
+        print()
+        compare_predictions(kernels, DRIVER_CALLS, DRIVER_REPEATS, NULL_SET_REPEATS)
     print("all kernels returned identical results")
 
 

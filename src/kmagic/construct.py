@@ -94,11 +94,11 @@ def _rule_constant(G, r, k, c, budget):
     if k >= 2:
         for a in range(1, k):
             if (r * a) % k == c % k:
-                return _accept(G, k, c, {e: a for e in range(G.m)}, "constant", {"a": a})
+                return _accept(G, k, c, dict.fromkeys(range(G.m), a), "constant", {"a": a})
         raise _NotApplicable("no constant label fits")
     if c != 0 and c % r == 0:
         a = c // r
-        return _accept(G, k, c, {e: a for e in range(G.m)}, "constant", {"a": a})
+        return _accept(G, k, c, dict.fromkeys(range(G.m), a), "constant", {"a": a})
     raise _NotApplicable("no constant label fits")
 
 

@@ -177,6 +177,9 @@ def f_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
     """h-factor by the matching and 2-factor routes, else by the gadget."""
     r = regularity(G)
+    if h == 1 and r is not None:
+        # a 1-factor is a perfect matching, and an odd order has none
+        return None if G.n % 2 else _one_factor(G)
     targets = [h] * G.n
     if r is None or h < 2 or (h * G.n) % 2 != 0:
         return degree_constrained_factor(G, targets)
@@ -204,8 +207,8 @@ def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 
 def _one_factor(G: MultiGraph) -> frozenset[int] | None:
     """Perfect matching of G, read off its fact sheet, once per graph: the
-    one route to a 1-factor, for f_factor(G, 1) (through
-    degree_constrained_factor), the odd-degree factors and mod3_factor
+    one route to a 1-factor, for f_factor(G, 1), all-ones targets of
+    degree_constrained_factor, the odd-degree factors and mod3_factor
     alike."""
     return G.memo("one_factor", lambda: _perfect_matching(fact_sheet(G)))
 

@@ -23,6 +23,18 @@ decides: a zero sum mod 4 at odd r >= 5, or a mod-3 factor at
 r = 3 mod 6, r > 3, without a perfect matching.  The oracle reads only
 whether each search found a labeling, so it takes the status of one
 split_search call and builds no labeling.
+
+The prediction depends on k only through k in {1, 2, 3, 4} and, for
+k >= 5, the parity of k: conditions (2)-(4) and every answer at r <= 2
+read only r, the order and k mod 2.  So each graph keeps one prediction
+per class (MultiGraph.memo).  At k = 1, odd k >= 5 and even k >= 5 that
+is a symbolic tag (Z, Z*, 2Z or 2Z*) with its provenance, from which
+each call builds its own k's residues, under "spectrum/1",
+"spectrum/odd" and "spectrum/even"; no solver is asked there, so the
+key holds no budget.  At k = 3 and 4, where the solver may be asked,
+it is the SpectrumSet itself under "spectrum/<k>/<node_cap>", so an
+answer left undecided under a small cap never stands for a larger one.
+k = 2 is the closed form, computed on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +48,7 @@ from typing import Callable
 from .errors import BudgetError, KmagicError, RegularityError
 from .factors import FactSheet, fact_sheet, unmatched_mod3_factor
 from .graphs import MultiGraph, component_graph
-from .solver import SolverBudget, _search_status
+from .solver import DEFAULT_BUDGET, SolverBudget, _search_status
 
 SYMBOLIC_TAGS = ("Z", "Z*", "2Z", "2Z*")  # * marks "zero excluded"
 
@@ -182,24 +194,63 @@ def _zero_sum_4(
     return None, "solver budget exceeded"
 
 
-def _symbolic_for_component(r: int, n: int) -> tuple[str, str]:
-    """Integer-labeling spectrum tag of a connected r-regular graph of order n."""
+def _component_tag(r: int, n: int, k: int) -> tuple[str, str]:
+    """Spectrum tag of a connected r-regular component of order n, with
+    its reason, at k = 1 (over the integers) or in k's class: k >= 5, or
+    k >= 3 when r <= 2.  There the answer reads only r, n and k mod 2,
+    and at k >= 3 the tag names residues (_tag_residues)."""
     if r == 1:
-        return "Z*", "1-regular: each vertex sum is its single label"
+        if k == 1:
+            return "Z*", "1-regular: each vertex sum is its single label"
+        return "Z*", "1-regular: spectrum is the nonzero residues"
     if r == 2:
         # the component is connected, so it is one cycle, of length n
         if n % 2 == 0:
-            return "Z", "2-regular, even cycles: alternating integer labels x and c - x"
-        return "2Z*", "odd cycle forces a constant label x with sum 2x"
+            if k == 1:
+                return "Z", "2-regular, even cycles: alternating integer labels x and c - x"
+            return "Z", CONDITIONS[1]
+        if k == 1:
+            return "2Z*", "odd cycle forces a constant label x with sum 2x"
+        if k % 2 == 1:
+            return "Z*", "odd cycle, odd k: constant labels reach every nonzero residue"
+        return "2Z", "odd cycle, even k: sums 2x cover exactly the even residues"
+    if k == 1:
+        if n % 2 == 0:
+            return "Z", f"degree {r} >= 3 and even order admit every integer sum"
+        return "2Z", "odd order admits exactly the even integer sums"
+    if r % 2 == 1:
+        return "Z", CONDITIONS[2]
     if n % 2 == 0:
-        return "Z", f"degree {r} >= 3 and even order admit every integer sum"
-    return "2Z", "odd order admits exactly the even integer sums"
+        return "Z", CONDITIONS[3]
+    if k % 2 == 1:
+        return "Z", CONDITIONS[4]
+    return "2Z", "even k >= 6, even degree, odd order: only even sums are possible and all occur"
 
 
 def _intersect_symbolic(tags: list[str]) -> str:
     even_only = any(t.startswith("2") for t in tags)
     no_zero = any(t.endswith("*") for t in tags)
     return ("2" if even_only else "") + "Z" + ("*" if no_zero else "")
+
+
+def _tag_residues(tag: str, k: int) -> range:
+    """The residues mod k >= 3 that tag names: 2Z the even ones, a *
+    without zero."""
+    step = 2 if tag[0] == "2" else 1
+    return range(step if tag[-1] == "*" else 0, k, step)
+
+
+def _class_spectrum(sheet: FactSheet, k: int) -> tuple[str, tuple[str, ...]]:
+    """(tag, provenance) of the whole graph at k = 1 or in the class of
+    k >= 5: its components' tags, intersected."""
+    orders = sheet.orders
+    tags = []
+    prov = []
+    for i, n in enumerate(orders):
+        tag, why = _component_tag(sheet.r, n, k)
+        tags.append(tag)
+        prov.append(why if len(orders) == 1 else f"component {i}: {why}")
+    return _intersect_symbolic(tags), tuple(prov)
 
 
 def _component_spectrum(
@@ -211,31 +262,13 @@ def _component_spectrum(
     budget: SolverBudget | None,
 ) -> tuple[set[int], set[int], list[str]]:
     """(residues, undecided, provenance) for one connected r-regular
-    component of order n, k >= 3.  has_pm() tells whether it has a
+    component of order n, k = 3 or 4.  has_pm() tells whether it has a
     perfect matching and graph() builds it as a graph of its own, for
     the solver; each is called only where the answer needs it."""
     full = set(range(k))
-    evens = set(range(0, k, 2))
-    if r == 1:
-        return full - {0}, set(), ["1-regular: spectrum is the nonzero residues"]
-    if r == 2:
-        # the component is connected, so it is one cycle, of length n
-        if n % 2 == 0:
-            return full, set(), [CONDITIONS[1]]
-        if k % 2 == 1:
-            return full - {0}, set(), ["odd cycle, odd k: constant labels reach every nonzero residue"]
-        return evens, set(), ["odd cycle, even k: sums 2x cover exactly the even residues"]
-    # r >= 3
-    if k >= 5:
-        if r % 2 == 1:
-            return full, set(), [CONDITIONS[2]]
-        if n % 2 == 0:
-            return full, set(), [CONDITIONS[3]]
-        if k % 2 == 1:
-            return full, set(), [CONDITIONS[4]]
-        return evens, set(), [
-            "even k >= 6, even degree, odd order: only even sums are possible and all occur"
-        ]
+    if r <= 2:
+        tag, why = _component_tag(r, n, k)
+        return set(_tag_residues(tag, k)), set(), [why]
     if k == 4:
         if n % 2 == 1:
             return {0, 2}, set(), [
@@ -251,25 +284,48 @@ def _component_spectrum(
                 f"k = 4, odd degree, not zero-sum ({reason}); nonzero residues via constant labels"
             ]
         return {1, 2, 3}, {0}, [f"k = 4: zero-sum status undecided ({reason})"]
-    if k == 3:
-        if r % 3 != 0 or r % 6 == 0:
-            return full, set(), [CONDITIONS[6]]
-        # a perfect matching is a mod-3 factor, and at r = 3 the only kind;
-        # otherwise the 1-sum label search decides, the one the oracle runs
-        found = has_pm()
-        shared = ""
-        if not found and r > 3:
-            try:
-                found = unmatched_mod3_factor(graph(), budget) is not None
-            except BudgetError as exc:
-                return {0}, {1, 2}, [f"k = 3, r % 6 == 3: mod-3 factor undecided ({exc})"]
-            shared = "; decided by the 1-sum 3-magic search the oracle also runs"
-        if found:
-            return full, set(), [CONDITIONS[6] + "; mod-3 factor found" + shared]
-        return {0}, set(), [
-            "k = 3, r % 6 == 3, no mod-3 factor: only the zero sum survives" + shared
-        ]
-    raise RegularityError(f"no closed-form prediction for k={k}")
+    if r % 3 != 0 or r % 6 == 0:
+        return full, set(), [CONDITIONS[6]]
+    # a perfect matching is a mod-3 factor, and at r = 3 the only kind;
+    # otherwise the 1-sum label search decides, the one the oracle runs
+    found = has_pm()
+    shared = ""
+    if not found and r > 3:
+        try:
+            found = unmatched_mod3_factor(graph(), budget) is not None
+        except BudgetError as exc:
+            return {0}, {1, 2}, [f"k = 3, r % 6 == 3: mod-3 factor undecided ({exc})"]
+        shared = "; decided by the 1-sum 3-magic search the oracle also runs"
+    if found:
+        return full, set(), [CONDITIONS[6] + "; mod-3 factor found" + shared]
+    return {0}, set(), [
+        "k = 3, r % 6 == 3, no mod-3 factor: only the zero sum survives" + shared
+    ]
+
+
+def _small_modulus_spectrum(
+    G: MultiGraph, sheet: FactSheet, k: int, budget: SolverBudget | None
+) -> SpectrumSet:
+    """The prediction at k = 3 or 4: each component's spectrum, intersected."""
+    orders = sheet.orders
+    residue_sets = []
+    undecided_sets = []
+    prov: list[str] = []
+    for i, n in enumerate(orders):
+        res, und, why = _component_spectrum(
+            sheet.r, n, partial(sheet.has_pm, i), lambda i=i: component_graph(G, i)[0], k, budget
+        )
+        residue_sets.append(res)
+        undecided_sets.append(und)
+        prov.extend(w if len(orders) == 1 else f"component {i}: {w}" for w in why)
+    definite = set.intersection(*(rs | us for rs, us in zip(residue_sets, undecided_sets)))
+    certain = set.intersection(*residue_sets)
+    return SpectrumSet(
+        k,
+        residues=frozenset(certain),
+        provenance=tuple(prov),
+        undecided=frozenset(definite - certain),
+    )
 
 
 def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) -> SpectrumSet:
@@ -278,42 +334,35 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
     k = 1 yields a symbolic set over the integers; k = 2 the closed form
     {r mod 2}, the all-ones labeling being the only one; k >= 3 uses the
     completeness conditions plus the bordering exact spectra.
+
+    The answer depends on k only through k in {1, 2, 3, 4} and, for
+    k >= 5, the parity of k, so it is computed once per graph and class
+    (MultiGraph.memo).  At k = 1, at odd k >= 5 and at even k >= 5 the
+    graph keeps one tag (Z, Z*, 2Z or 2Z*) with its provenance, under
+    "spectrum/1", "spectrum/odd" and "spectrum/even", and each call
+    builds its own k's residues from it; the solver is never asked
+    there.  At k = 3 and 4, where it can be, the graph keeps the
+    SpectrumSet under "spectrum/<k>/<node_cap>", so an answer left
+    undecided under a small cap is never returned for a larger one.
+    k = 2 is computed on every call.
     """
     if k < 1:
         raise KmagicError(f"modulus must be >= 1, got {k}")
     sheet = _regular_sheet(G)
-    r = sheet.r
     if k == 2:
+        r = sheet.r
         why = f"k = 2: every label is 1, so every vertex sums to r = {r}, which is {r % 2} mod 2"
         return SpectrumSet(2, residues=frozenset({r % 2}), provenance=(why,))
-    orders = sheet.orders
-    if k == 1:
-        tags = []
-        prov = []
-        for i, n in enumerate(orders):
-            tag, why = _symbolic_for_component(r, n)
-            tags.append(tag)
-            prov.append(why if len(orders) == 1 else f"component {i}: {why}")
-        return SpectrumSet(1, symbolic=_intersect_symbolic(tags), provenance=tuple(prov))
-    residue_sets = []
-    undecided_sets = []
-    prov: list[str] = []
-    for i, n in enumerate(orders):
-        res, und, why = _component_spectrum(
-            r, n, partial(sheet.has_pm, i), lambda i=i: component_graph(G, i)[0], k, budget
+    if k == 3 or k == 4:
+        node_cap = (budget or DEFAULT_BUDGET).node_cap
+        return G.memo(
+            f"spectrum/{k}/{node_cap}", lambda: _small_modulus_spectrum(G, sheet, k, budget)
         )
-        residue_sets.append(res)
-        undecided_sets.append(und)
-        prov.extend(w if len(orders) == 1 else f"component {i}: {w}" for w in why)
-    definite = set.intersection(*(rs | us for rs, us in zip(residue_sets, undecided_sets)))
-    certain = set.intersection(*residue_sets)
-    undecided = definite - certain
-    return SpectrumSet(
-        k,
-        residues=frozenset(certain),
-        provenance=tuple(prov),
-        undecided=frozenset(undecided),
-    )
+    key = "spectrum/1" if k == 1 else ("spectrum/even", "spectrum/odd")[k % 2]
+    tag, provenance = G.memo(key, lambda: _class_spectrum(sheet, k))
+    if k == 1:
+        return SpectrumSet(1, symbolic=tag, provenance=provenance)
+    return SpectrumSet(k, residues=frozenset(_tag_residues(tag, k)), provenance=provenance)
 
 
 def is_completely_k_magic(
@@ -337,12 +386,12 @@ def null_set(G: MultiGraph, kmax: int, budget: SolverBudget | None = None) -> di
     """For k = 1..kmax: does G admit a zero-sum k-magic labeling?
 
     Values are True/False, or None where the predicted k = 4 status ran
-    out of budget.
+    out of budget.  One predict_spectrum call per k, each read off the
+    graph's memo of its class (see predict_spectrum): after the first
+    call per class, a k >= 5 costs only the building of its residue set,
+    and the graph keeps at most five prediction entries however large
+    kmax is.  An irregular G raises RegularityError at k = 1.
     """
     if kmax < 1:
         raise RegularityError("kmax must be >= 1")
-    _regular_sheet(G)
-    out: dict[int, bool | None] = {}
-    for k in range(1, kmax + 1):
-        out[k] = predict_spectrum(G, k, budget).contains(0)
-    return out
+    return {k: predict_spectrum(G, k, budget).contains(0) for k in range(1, kmax + 1)}

@@ -282,6 +282,33 @@ def test_one_factor_of_a_union_is_the_whole_graph_matching(parts):
         assert whole is None
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_regular(12, 3, seed=0),
+        lambda: circulant(9, (1, 2)),
+        lambda: disjoint_union([petersen(), complete(4)]),
+        lambda: disjoint_union([cycle(3), cycle(5)]),
+        bridged_cubic_16,
+    ],
+    ids=["cubic12", "circ9-quartic", "petersen+K4", "C3+C5", "bridged16"],
+)
+def test_a_regular_one_factor_builds_no_targets(make, monkeypatch):
+    # f_factor(G, 1) of a regular G is the fact sheet's perfect matching,
+    # or None at odd order; only explicit targets are checked
+    checked = []
+    check = factors._check_targets
+    monkeypatch.setattr(factors, "_check_targets", lambda *a: checked.append(a) or check(*a))
+    G = make()
+    F = f_factor(G, 1)
+    assert checked == []
+    H = MultiGraph(G.n, G.us, G.vs)
+    assert F == degree_constrained_factor(H, [1] * H.n)
+    assert len(checked) == 1
+    if G.n % 2:
+        assert F is None
+
+
 def test_mod3_factor_of_a_union_keeps_the_matched_part_of_one_matching(monkeypatch):
     # K10 has a perfect matching and hub10 none: the factor is K10's part
     # of the union's one matching plus hub10's factor, searched on hub10's

@@ -5,6 +5,7 @@ budgets stay small and graphs stay under ten vertices to keep the
 exhaustive checks honest but quick.
 """
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import bridged_cubic_16, hub10, hub_quintic_16
@@ -36,6 +37,7 @@ from kmagic import (
     two_factorization,
     verify,
 )
+from kmagic import _backtrack_py, _twin
 from kmagic.factors import fact_sheet
 from kmagic.graphs import component_graphs
 
@@ -313,3 +315,23 @@ def test_prediction_from_the_sheet_equals_the_per_component_one(graph):
             assert (got.symbolic, got.provenance) == _intersect(spectra, k)
         else:
             assert (set(got.residues), set(got.undecided), got.provenance) == _intersect(spectra, k)
+
+
+@pytest.mark.parametrize("twin", ["pure-python", "compiled"])
+@SETTINGS
+@given(
+    st.one_of(sheet_unions().map(lambda graph: graph[0]), regular_graphs(), regular_unions()),
+    st.permutations(range(1, 31)),
+)
+def test_a_memoized_prediction_equals_a_fresh_one(twin, compiled_kernel, G, ks):
+    # asked in any order, each k's answer read off the graph's memo of its
+    # class is the one a graph without memo gives: tag or residues,
+    # undecided and provenance alike
+    selected = _twin.module
+    _twin.module = _backtrack_py if twin == "pure-python" else compiled_kernel
+    try:
+        for k in ks:
+            fresh = predict_spectrum(MultiGraph(G.n, G.us, G.vs), k, SHEET_BUDGET)
+            assert predict_spectrum(G, k, SHEET_BUDGET) == fresh, k
+    finally:
+        _twin.module = selected

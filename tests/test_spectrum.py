@@ -20,6 +20,7 @@ from kmagic import (
     circulant,
     cycle,
     complete,
+    construct,
     disjoint_union,
     is_completely_k_magic,
     null_set,
@@ -28,7 +29,7 @@ from kmagic import (
     prism,
     zero_sum_4_magic,
 )
-from conftest import quintic38
+from conftest import hub_quintic_16, quintic38
 
 TINY = SolverBudget(node_cap=2)
 
@@ -313,6 +314,73 @@ def test_no_matching_where_the_prediction_needs_none(G, ks, monkeypatch):
     for k in ks:
         predict_spectrum(G, k)
     assert calls == [("vertex_profile", G.n)]
+
+
+class TwinSpy:
+    """The selected twin module, recording each call of the twins in
+    names made on G's own edge arrays."""
+
+    def __init__(self, twin, G, names):
+        self.twin, self.G, self.names, self.calls = twin, G, names, []
+
+    def __getattr__(self, name):
+        fn = getattr(self.twin, name)
+        if name not in self.names:
+            return fn
+
+        def call(n, us, *args):
+            if us is self.G.us:
+                self.calls.append(name)
+            return fn(n, us, *args)
+
+        return call
+
+
+def test_each_class_of_moduli_is_predicted_once(monkeypatch):
+    # cubic, two components, both with a perfect matching: k = 3 and 4 ask
+    # the sheet's matching, and every k >= 5 reads only r, n and k mod 2
+    G = disjoint_union([petersen(), complete(4)])
+    spy = TwinSpy(_twin.module, G, ("vertex_profile", "maximum_matching"))
+    monkeypatch.setattr(_twin, "module", spy)
+    tags, spectra = [], []
+    component_tag = spectrum._component_tag
+    component_spectrum = spectrum._component_spectrum
+    monkeypatch.setattr(spectrum, "_component_tag", lambda *a: tags.append(a[2]) or component_tag(*a))
+    monkeypatch.setattr(
+        spectrum, "_component_spectrum", lambda *a: spectra.append(a[4]) or component_spectrum(*a)
+    )
+    first = {k: predict_spectrum(G, k) for k in range(1, 13)}
+    for k in range(1, 13):
+        for c in (0, 1):
+            construct(G, k, c)
+    assert null_set(G, 12) == {k: first[k].contains(0) for k in range(1, 13)}
+    for k in range(2, 13):
+        assert is_completely_k_magic(G, k)[0] is first[k].is_complete()
+    assert sorted(spy.calls) == ["maximum_matching", "vertex_profile"]
+    # one tag per component at k = 1, at odd k >= 5 and at even k >= 5
+    assert tags == [1, 1, 5, 5, 6, 6]
+    assert spectra == [3, 3, 4, 4]
+    assert {k: predict_spectrum(G, k) for k in range(1, 13)} == first
+
+
+@pytest.mark.parametrize("caps", [(2, 10**5), (10**5, 2)], ids=["small-first", "large-first"])
+def test_an_undecided_prediction_is_kept_under_its_own_cap(caps):
+    # hub_quintic_16: 5-regular without a perfect matching, whose zero sum
+    # mod 4 the solver proves absent, but not within 2 nodes
+    G = hub_quintic_16()
+    for _ in range(2):
+        for cap in caps:
+            spec = predict_spectrum(G, 4, SolverBudget(node_cap=cap))
+            assert spec.residues == {1, 2, 3}
+            assert spec.undecided == ({0} if cap == 2 else set())
+
+
+def test_null_set_keeps_one_prediction_per_class():
+    # k = 1, odd k >= 5, even k >= 5, and k = 3 and 4 under the one cap;
+    # k = 2 is not kept, and no entry per k
+    G = circulant(100, (1, 2, 3))
+    assert null_set(G, 2000) == dict.fromkeys(range(1, 2001), True)
+    assert len([key for key in vars(G) if key.startswith("spectrum")]) <= 5
 
 
 def test_budget_undecided_flows_through():
