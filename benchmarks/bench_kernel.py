@@ -395,13 +395,12 @@ def main() -> None:
     compare_matchings(kernels)
     print()
     if args.quick:
-        compare_driver(kernels, QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS)
-        print()
-        compare_predictions(kernels, QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS, QUICK_NULL_SET_REPEATS)
+        calls, repeats, null_repeats = QUICK_DRIVER_CALLS, QUICK_DRIVER_REPEATS, QUICK_NULL_SET_REPEATS
     else:
-        compare_driver(kernels, DRIVER_CALLS, DRIVER_REPEATS)
-        print()
-        compare_predictions(kernels, DRIVER_CALLS, DRIVER_REPEATS, NULL_SET_REPEATS)
+        calls, repeats, null_repeats = DRIVER_CALLS, DRIVER_REPEATS, NULL_SET_REPEATS
+    compare_driver(kernels, calls, repeats)
+    print()
+    compare_predictions(kernels, calls, repeats, null_repeats)
     print("all kernels returned identical results")
 
 
