@@ -29,10 +29,10 @@ rows of the cubic graph without a perfect matching at k = 4, where the
 spectrum-oracle benchmark spends its searches, and of bridged16 at
 k = 6 measure the solver's cost per search, and the disconnected rows
 its cost per search of a union.  Then the vertex profile, each vertex's
-degree and component and the components of a disconnected graph, runs
-through both profile twins on every graph above, whole, and on three
-more disjoint unions in PROFILE_CASES, which must return the same
-profiles; its timings are microseconds per call, the best of
+degree and component and each component's order, runs through both
+profile twins on every graph above, whole, and on three more disjoint
+unions in PROFILE_CASES, which must return the same profiles; its
+timings are microseconds per call, the best of
 PROFILE_REPEATS batches of PROFILE_CALLS calls.  Last, the maximum
 matching behind every factor runs through both matching twins on the
 cubic graph without a perfect matching, on bridged16 and on the gadget
@@ -263,7 +263,7 @@ def compare_split_searches(kernels: dict) -> None:
 
 def compare_profiles(kernels: dict) -> None:
     cases = [(label, G, [(G.n, G.us, G.vs)], [(G.n, G.us, G.vs)]) for label, G in ALL_GRAPHS + PROFILE_CASES]
-    parts = ("parts", 6, lambda G, answers: max(answers[0][1]) + 1)
+    parts = ("parts", 6, lambda G, answers: len(answers[0][2]))
     compare_twins(kernels, "vertex_profile", "vertex profile", [EDGES, parts], "us", PROFILE_CALLS,
                   PROFILE_REPEATS, cases)
 

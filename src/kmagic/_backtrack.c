@@ -3,11 +3,11 @@
  * Petersen 2-factor split (petersen_split), the split search
  * (split_search: the solver's label search of any graph, one component
  * at a time, each over its bridge tree), the vertex profile
- * (vertex_profile: each vertex's degree and component, and the components
- * of a disconnected graph) and the maximum matching (maximum_matching:
+ * (vertex_profile: each vertex's degree and component, and each
+ * component's order) and the maximum matching (maximum_matching:
  * Edmonds' blossom search).  search() and split_search() run one kernel
  * loop, kernel(), over plain arrays; split_search() and vertex_profile()
- * split the components with one walk, split_components(), and
+ * find the components with one walk, split_components(), and
  * split_search() plans each component's pieces with plan_tree(), the
  * transcription of kmagic._backtrack_py.bridge_tree, so split_search
  * makes no Python call per component or piece search, and
@@ -1001,16 +1001,16 @@ done:
 }
 
 /* The connected components of the multigraph on n vertices whose edge i
- * joins eu[i] and ev[i], as kmagic._backtrack_py.vertex_profile splits
+ * joins eu[i] and ev[i], as kmagic._backtrack_py.vertex_profile numbers
  * them, for vertex_profile and split_search alike: count components,
  * numbered by smallest vertex; per vertex, its degree deg, its
  * component comp and its number local within the component, in ascending
- * order; component i's vertices, ascending, at verts[vstart[i] ..
- * vstart[i + 1]) and its edges, by id, at eids[estart[i] ..
- * estart[i + 1]).  Every array lives in block. */
+ * order; component i holds vstart[i + 1] - vstart[i] vertices and its
+ * edges, by id, at eids[estart[i] .. estart[i + 1]).  Every array lives
+ * in block. */
 typedef struct {
     Py_ssize_t count;
-    Py_ssize_t *deg, *comp, *local, *verts, *vstart, *estart, *eids;
+    Py_ssize_t *deg, *comp, *local, *vstart, *estart, *eids;
     Py_ssize_t *block;
 } Parts;
 
@@ -1019,15 +1019,15 @@ typedef struct {
  * larger root under the smaller one, with path halving; so every root is
  * the smallest vertex of its tree, and one pass over the vertices in
  * order numbers the components by smallest vertex, each vertex after its
- * root.  Then one counting pass over the vertices and one over the edges
- * group them by component, each in increasing order.  The caller frees
- * parts->block, also on failure. */
+ * root.  Then one counting pass over the vertices numbers each within its
+ * component, and one over the edges groups them by component, each in
+ * increasing order.  The caller frees parts->block, also on failure. */
 static int
 split_components(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Parts *parts)
 {
-    /* per vertex: degree, component, local number, vertex list (first the
-     * tree parents), fill cursor; per component, at most n, and one more
-     * for a run's end: vertex and edge starts; per edge: the edge list */
+    /* per vertex: degree, component, local number, tree parent, fill
+     * cursor; per component, at most n, and one more for a run's end:
+     * vertex and edge starts; per edge: the edge list */
     Py_ssize_t nv = n;
     Py_ssize_t *block = parts->block = PyMem_Malloc((7 * (size_t)nv + (size_t)m + 4) *
                                                     sizeof(Py_ssize_t));
@@ -1035,9 +1035,9 @@ split_components(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev
         PyErr_NoMemory();
         return -1;
     }
-    Py_ssize_t *deg = block, *comp = deg + nv, *local = comp + nv, *verts = local + nv;
-    Py_ssize_t *fill = verts + nv, *vstart = fill + nv, *estart = vstart + nv + 2;
-    Py_ssize_t *eids = estart + nv + 2, *parent = verts;
+    Py_ssize_t *deg = block, *comp = deg + nv, *local = comp + nv, *parent = local + nv;
+    Py_ssize_t *fill = parent + nv, *vstart = fill + nv, *estart = vstart + nv + 2;
+    Py_ssize_t *eids = estart + nv + 2;
 
     for (Py_ssize_t v = 0; v < nv; v++) {
         deg[v] = 0;
@@ -1063,22 +1063,16 @@ split_components(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev
             r = parent[r] = parent[parent[r]];
         comp[v] = r == v ? count++ : comp[r];
     }
-    *parts = (Parts){count, deg, comp, local, verts, vstart, estart, eids, block};
+    *parts = (Parts){count, deg, comp, local, vstart, estart, eids, block};
     for (Py_ssize_t i = 0; i <= count; i++)
         vstart[i] = estart[i] = 0;
     for (Py_ssize_t v = 0; v < nv; v++)
-        vstart[comp[v] + 1] += 1;
+        local[v] = vstart[comp[v] + 1]++;
     for (Py_ssize_t e = 0; e < m; e++)
         estart[comp[eu[e]] + 1] += 1;
     for (Py_ssize_t i = 0; i < count; i++) {
         vstart[i + 1] += vstart[i];
         estart[i + 1] += estart[i];
-    }
-    for (Py_ssize_t i = 0; i < count; i++)
-        fill[i] = vstart[i];
-    for (Py_ssize_t v = 0; v < nv; v++) {  /* the tree parents are spent: verts takes their slots */
-        local[v] = fill[comp[v]] - vstart[comp[v]];
-        verts[fill[comp[v]]++] = v;
     }
     for (Py_ssize_t i = 0; i < count; i++)
         fill[i] = estart[i];
@@ -1176,55 +1170,14 @@ done:
     return result;
 }
 
-/* vertex_profile's parts for the components of parts, two or more: per
- * component, the tuple (us, vs, edge_ids, degrees) of its local edge
- * ends, its edges' ids in the graph and its vertices' degrees; or NULL
- * with an exception set. */
-static PyObject *
-component_tuples(const Parts *parts, const Py_ssize_t *eu, const Py_ssize_t *ev, Py_ssize_t m)
-{
-    Py_ssize_t nv = parts->vstart[parts->count];
-    Py_ssize_t *buf = PyMem_Malloc((2 * (size_t)m + (size_t)nv + 1) * sizeof(Py_ssize_t));
-    PyObject *out = buf == NULL ? PyErr_NoMemory() : PyTuple_New(parts->count);
-    if (out == NULL)
-        goto done;
-    Py_ssize_t *lu = buf, *lv = lu + m, *degs = lv + m;
-    for (Py_ssize_t i = 0; i < parts->count; i++) {
-        Py_ssize_t lo = parts->estart[i], len = parts->estart[i + 1] - lo;
-        Py_ssize_t vlo = parts->vstart[i], size = parts->vstart[i + 1] - vlo;
-        local_edges(parts, i, eu, ev, lu, lv);
-        for (Py_ssize_t j = 0; j < size; j++)
-            degs[j] = parts->deg[parts->verts[vlo + j]];
-        const Py_ssize_t *arrays[4] = {lu, lv, parts->eids + lo, degs};
-        Py_ssize_t lens[4] = {len, len, len, size};
-        PyObject *part = PyTuple_New(4);
-        if (part == NULL)
-            goto fail;
-        PyTuple_SET_ITEM(out, i, part);
-        for (int t = 0; t < 4; t++) {
-            PyObject *items = int_tuple(arrays[t], lens[t]);
-            if (items == NULL)
-                goto fail;
-            PyTuple_SET_ITEM(part, t, items);
-        }
-    }
-    goto done;
-fail:
-    Py_CLEAR(out);
-done:
-    PyMem_Free(buf);
-    return out;
-}
-
-/* Each vertex's degree and component index, and the components of a
- * disconnected graph, the twin of kmagic._backtrack_py.vertex_profile:
- * one split_components walk, whose parts only a graph of two components
- * or more turns into tuples. */
+/* Each vertex's degree and component index, and each component's order,
+ * the twin of kmagic._backtrack_py.vertex_profile: one split_components
+ * walk, whose vertex starts give the orders. */
 static PyObject *
 vertex_profile(PyObject *self, PyObject *args)
 {
     int n;
-    PyObject *us_arg, *vs_arg, *degrees = NULL, *component = NULL, *split = NULL, *result = NULL;
+    PyObject *us_arg, *vs_arg, *degrees = NULL, *component = NULL, *orders = NULL, *result = NULL;
     Py_ssize_t *ends = NULL, m;
     Parts parts = {0};
 
@@ -1233,17 +1186,17 @@ vertex_profile(PyObject *self, PyObject *args)
     ends = read_edges(n, us_arg, vs_arg, &m);
     if (ends == NULL || split_components(n, m, ends, ends + m, &parts) < 0)
         goto done;
-    if ((degrees = int_tuple(parts.deg, n)) == NULL || (component = int_tuple(parts.comp, n)) == NULL)
-        goto done;
-    split = parts.count < 2 ? PyTuple_New(0) : component_tuples(&parts, ends, ends + m, m);
-    if (split != NULL)
-        result = PyTuple_Pack(3, degrees, component, split);
+    for (Py_ssize_t i = parts.count; i > 0; i--)  /* the starts turn into orders, in place */
+        parts.vstart[i] -= parts.vstart[i - 1];
+    if ((degrees = int_tuple(parts.deg, n)) != NULL && (component = int_tuple(parts.comp, n)) != NULL &&
+        (orders = int_tuple(parts.vstart + 1, parts.count)) != NULL)
+        result = PyTuple_Pack(3, degrees, component, orders);
 done:
     PyMem_Free(ends);
     PyMem_Free(parts.block);
     Py_XDECREF(degrees);
     Py_XDECREF(component);
-    Py_XDECREF(split);
+    Py_XDECREF(orders);
     return result;
 }
 

@@ -7,7 +7,7 @@ solver's label search of any graph, settled by counting where it can,
 then one component at a time, each with one search per piece and
 parent-bridge label over its bridge tree, which bridge_tree plans), of
 the vertex profile (vertex_profile: each vertex's degree and component,
-and the components of a disconnected graph) and of the maximum matching
+and each component's order) and of the maximum matching
 (maximum_matching: Edmonds' blossom search, behind every perfect
 matching and f-factor of kmagic.factors); kmagic._backtrack holds their
 compiled twins, with identical semantics, and kmagic._twin picks one of
@@ -370,15 +370,13 @@ def split_search(n, k, c, us, vs, node_cap):
     the vertex sums add up to twice the label sum, so at even k an odd
     n * c is absent, and a vertex without edges sums to 0, so it rules
     out every c != 0 mod k.  A labeling of the graph is one labeling per
-    component, so the components, as vertex_profile splits them (in
-    order of smallest vertex, vertices renumbered in ascending order,
-    edges in the graph's id order), are then searched in turn: at even
-    k a component on n_C vertices with n_C * c odd is absent at 0
-    nodes, a lone vertex is found at 0 nodes, and any other component
-    is one _split_connected search under its own node_cap.  The first absent
-    component ends the search; an undecided one does not, since a later
-    one may still be absent, and the answer is then undecided.  Node
-    counts add up.  Returns (status, labels or None, nodes) with labels
+    component, so the components, as _split lays them out, are then
+    searched in turn: at even k a component on n_C vertices with n_C * c
+    odd is absent at 0 nodes, a lone vertex is found at 0 nodes, and any
+    other component is one _split_connected search under its own
+    node_cap.  The first absent component ends the search; an undecided
+    one does not, since a later one may still be absent, and the answer
+    is then undecided.  Node counts add up.  Returns (status, labels or None, nodes) with labels
     indexed by the graph's edge ids.  Raises ValueError when k < 2 or
     n < 1, checked in that order before the graph, or when an edge is a
     loop, checked after it.
@@ -391,18 +389,18 @@ def split_search(n, k, c, us, vs, node_cap):
     us, vs = _read_edges(n, us, vs)
     _refuse_loops(us, vs)
     c %= k
-    degrees, _, parts = _profile(n, us, vs)
+    degrees, component, orders = _profile(n, us, vs)
     if k % 2 == 0 and n * c % 2 or c and 0 in degrees:
         return UNSAT, None, 0
     out = [0] * len(us)
     nodes = 0
     undecided = False
-    for cus, cvs, edge_ids, cdegrees in parts or [(us, vs, range(len(us)), degrees)]:
-        if k % 2 == 0 and len(cdegrees) * c % 2:
+    for cus, cvs, edge_ids, order in _split(us, vs, component, orders):
+        if k % 2 == 0 and order * c % 2:
             return UNSAT, None, nodes
         if not edge_ids:  # a lone vertex, at c = 0
             continue
-        status, labels, used = _split_connected(len(cdegrees), k, c, cus, cvs, node_cap)
+        status, labels, used = _split_connected(order, k, c, cus, cvs, node_cap)
         nodes += used
         if status == UNSAT:
             return UNSAT, None, nodes
@@ -414,6 +412,26 @@ def split_search(n, k, c, us, vs, node_cap):
     if undecided:
         return UNDECIDED, None, nodes
     return SAT, out, nodes
+
+
+def _split(us, vs, component, orders):
+    """Each component of the graph with edge ends us and vs and profile
+    (component, orders), in order of smallest vertex, as (us, vs,
+    edge_ids, order): its vertices renumbered 0, 1, ... in ascending
+    order, its edges in the graph's id order and edge_ids[i] the graph's
+    id of its edge i.  A connected graph is its own one component."""
+    if len(orders) < 2:
+        return [(us, vs, range(len(us)), len(component))]
+    local = []
+    seen = [0] * len(orders)
+    for i in component:
+        local.append(seen[i])
+        seen[i] += 1
+    edge_ids: list[list[int]] = [[] for _ in orders]
+    for eid, u in enumerate(us):
+        edge_ids[component[u]].append(eid)
+    return [([local[us[e]] for e in ids], [local[vs[e]] for e in ids], ids, order)
+            for ids, order in zip(edge_ids, orders)]
 
 
 def _split_connected(n, k, c, us, vs, node_cap):
@@ -524,17 +542,15 @@ def _split_connected(n, k, c, us, vs, node_cap):
 
 def vertex_profile(n, us, vs):
     """Each vertex's degree and the index of its connected component,
-    and the components of a disconnected graph.
+    and each component's order.
 
     (n, us, vs) is the graph, as the module header states.  Returns
-    (degrees, component, parts): degrees and component are two tuples
-    of n ints, component[v] numbering the components 0, 1, ... in the
-    order of their smallest vertices.  A loop counts twice toward its
-    vertex's degree.  parts is () when there are fewer than two
-    components; otherwise it holds one tuple (us, vs, edge_ids,
-    degrees) per component, in that order: the component with its
-    vertices renumbered 0, 1, ... in ascending order, its edges in the
-    graph's id order and edge_ids[i] the graph's id of its edge i.
+    (degrees, component, orders), three tuples of ints: degrees and
+    component hold n each, component[v] numbering the components 0, 1,
+    ... in the order of their smallest vertices, and orders[i] is the
+    vertex count of component i, so orders is () when n = 0 and (n,)
+    for a connected graph.  A loop counts twice toward its vertex's
+    degree.
     """
     n = index(n)
     us, vs = _read_edges(n, us, vs)
@@ -544,14 +560,14 @@ def vertex_profile(n, us, vs):
 def _profile(n, us, vs):
     """vertex_profile over the lists _read_edges returns: one
     breadth-first walk from each vertex no earlier walk reached, in
-    vertex order, then, for two components or more, one pass over the
-    vertices and one over the edges."""
+    vertex order, each walk's queue holding its component."""
     adjacency = _adjacency(n, us, vs)
     component = [-1] * n
-    count = 0
+    orders = []
     for s in range(n):
         if component[s] >= 0:
             continue
+        count = len(orders)
         component[s] = count
         queue = [s]
         for u in queue:  # the list is the breadth-first queue: appends join the walk
@@ -559,24 +575,8 @@ def _profile(n, us, vs):
                 if component[w] < 0:
                     component[w] = count
                     queue.append(w)
-        count += 1
-    degrees = tuple(map(len, adjacency))
-    if count < 2:
-        return degrees, tuple(component), ()
-    local = [0] * n
-    part_degrees: list[list[int]] = [[] for _ in range(count)]
-    for v, i in enumerate(component):
-        local[v] = len(part_degrees[i])
-        part_degrees[i].append(degrees[v])
-    edge_ids: list[list[int]] = [[] for _ in range(count)]
-    for eid, u in enumerate(us):
-        edge_ids[component[u]].append(eid)
-    parts = tuple(
-        (tuple(local[us[e]] for e in ids), tuple(local[vs[e]] for e in ids), tuple(ids),
-         tuple(degs))
-        for ids, degs in zip(edge_ids, part_degrees)
-    )
-    return degrees, tuple(component), parts
+        orders.append(len(queue))
+    return tuple(map(len, adjacency)), tuple(component), tuple(orders)
 
 
 def maximum_matching(n, us, vs):

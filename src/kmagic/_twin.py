@@ -4,7 +4,7 @@ maximum_matching.  kmagic._backtrack when the extension imports, else
 the pure reference kmagic._backtrack_py.  Callers read it at call time,
 so replacing module switches all six.  Each label search of the solver
 is one split_search call, components included, and each graph's
-degrees, components and component split are one vertex_profile call.
+degrees, components and component orders are one vertex_profile call.
 """
 
 from . import _backtrack_py

@@ -91,10 +91,11 @@ class FactSheet:
     """What the characterization of completely k-magic regular graphs
     reads of one graph, found once per graph (fact_sheet).
 
-    r is the common degree, or None when the graph is irregular, and
-    orders the order of each connected component, in order of smallest
-    vertex; component[v] is the index of v's component.  All three come
-    from the graph's one vertex_profile call.  The matching half is
+    r is the common degree, or None when the graph is irregular;
+    component[v] is the index of v's connected component, in order of
+    smallest vertex, and orders[i] the order of component i.  component
+    and orders are those of the graph's one vertex_profile call, and r
+    is read off its degrees.  The matching half is
     filled on the first perfect-matching question: mates, each vertex's
     matched edge id or -1 in one maximum matching of the whole graph,
     one call through the seam below.  A maximum matching of G restricted
@@ -106,9 +107,8 @@ class FactSheet:
     __slots__ = ("r", "orders", "component", "_graph", "_mates", "_exposed")
 
     def __init__(self, G: MultiGraph) -> None:
-        _, self.component, parts = _vertex_profile(G)
+        _, self.component, self.orders = _vertex_profile(G)
         self.r = regularity(G)
-        self.orders = tuple([len(part[3]) for part in parts]) or (G.n,)
         self._graph = _Graph(G.n, G.us, G.vs)
         self._mates = None
 

@@ -5,11 +5,11 @@ insertion order; parallel edges are allowed, loops are not.  A graph
 stores its edges as two tuples of plain ints, us and vs, edge i joining
 us[i] and vs[i]: the parser and build_graph check their input while
 they fill the two arrays, subgraphs, unions and doubled graphs slice or
-concatenate them, and component graphs take the arrays the twin
-returns.  Each vertex's degree and component come from one walk of the
-selected twin (vertex_profile, kmagic._twin), once per graph, which
-also splits a disconnected graph into its components' edge arrays; the
-degrees, regularity and the component graphs all read that one result.
+concatenate them, and a component graph slices them by component.
+Each vertex's degree and component and each component's order come
+from one walk of the selected twin (vertex_profile, kmagic._twin), once
+per graph; the degrees, regularity, the components and the component
+graphs all read that one result.
 All graph values are immutable after construction and every operation
 here is deterministic.
 """
@@ -85,10 +85,9 @@ class MultiGraph:
         return value
 
 
-def _vertex_profile(G: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
-    """(degrees, component, parts) of G, by one call of the selected
-    twin's vertex_profile, once per graph; parts is () unless G is
-    disconnected."""
+def _vertex_profile(G: MultiGraph) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(degrees, component, orders) of G, by one call of the selected
+    twin's vertex_profile, once per graph."""
     return G.memo("vertex_profile", lambda: _twin.module.vertex_profile(G.n, G.us, G.vs))
 
 
@@ -209,45 +208,38 @@ def components(G: MultiGraph) -> list[frozenset[int]]:
 
 def component_graphs(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
     """Each connected component as a graph of its own, with the map from
-    its edge ids to G's, ordered by smallest vertex.
-
-    Vertices and edges keep their relative order, so a breadth-first
-    walk of a component visits its edges in the order a walk of G does.
-    A connected G is returned as itself.  The split is found once per
-    graph, and each component graph is built once (component_graph), so
-    that its own memos (factors, say) are found once too.  The package
-    itself builds a component graph only where that component still
-    needs the solver; everything else it reads off the fact sheet
-    (kmagic.factors.fact_sheet).
-    """
-    parts = G.memo("component_graphs", lambda: _split_components(G))
-    return parts or [(G, range(G.m))]
-
-
-def _split_components(G: MultiGraph) -> list[tuple[MultiGraph, Sequence[int]]]:
-    """The component graphs of a disconnected G, or [] for a connected
-    one, so that G's memo does not hold G itself."""
+    its edge ids to G's, ordered by smallest vertex (component_graph)."""
     return [component_graph(G, i) for i in range(len(_vertex_profile(G)[2]))]
 
 
 def component_graph(G: MultiGraph, i: int) -> tuple[MultiGraph, Sequence[int]]:
     """Component i of G, in order of smallest vertex, as a graph of its
     own, with the map from its edge ids to G's; G itself when G is
-    connected.  Built once per graph and component.
+    connected.
 
-    vertex_profile returns each component's edge arrays, edge ids and
-    degrees with G's own profile; the component graph stores its
-    profile, that of a connected graph, with it.
+    Vertices are renumbered in ascending order and edges keep G's id
+    order, so a breadth-first walk of a component visits its edges in
+    the order a walk of G does.  Each component graph is built once per
+    graph and index, so that its own memos (factors, say) are found once
+    too, and it stores its profile, that of a connected graph, with it.
+    The package builds one only where that component still needs the
+    solver; everything else it reads off the fact sheet
+    (kmagic.factors.fact_sheet).
     """
-    parts = _vertex_profile(G)[2]
-    if not parts:
+    if len(_vertex_profile(G)[2]) < 2:
         return G, range(G.m)
-    return G.memo(f"component/{i}", lambda: _component(*parts[i]))
+    return G.memo(f"component/{i}", lambda: _component(G, i))
 
 
-def _component(us, vs, edge_ids, degrees) -> tuple[MultiGraph, tuple[int, ...]]:
-    C = MultiGraph(len(degrees), us, vs)
-    profile = (degrees, (0,) * len(degrees), ())
+def _component(G: MultiGraph, i: int) -> tuple[MultiGraph, tuple[int, ...]]:
+    """Component i of G, sliced from G's edge arrays and profile."""
+    degrees, component, orders = _vertex_profile(G)
+    vertices = [v for v, c in enumerate(component) if c == i]
+    local = {v: j for j, v in enumerate(vertices)}
+    edge_ids = tuple(e for e, u in enumerate(G.us) if component[u] == i)
+    us, vs = (tuple(local[ends[e]] for e in edge_ids) for ends in (G.us, G.vs))
+    C = MultiGraph(orders[i], us, vs)
+    profile = (tuple(degrees[v] for v in vertices), (0,) * C.n, (C.n,))
     C.memo("vertex_profile", lambda: profile)
     return C, edge_ids
 
@@ -263,8 +255,6 @@ def find_bridges(G: MultiGraph) -> frozenset[int]:
 
 
 def _plan_bridges(G: MultiGraph) -> frozenset[int]:
-    if G.n == 0:
-        return frozenset()
     return frozenset(
         edge_ids[order[pos]]
         for C, edge_ids in component_graphs(G)

@@ -25,7 +25,7 @@ from kmagic import (
     write_graph,
 )
 from kmagic import _backtrack_py, graphs
-from kmagic.graphs import EdgeRecord, component_graphs, find_bridges
+from kmagic.graphs import EdgeRecord, component_graph, component_graphs, find_bridges
 
 
 def test_build_graph_rejects_loops_and_bad_indices():
@@ -124,14 +124,16 @@ def test_components_and_connectivity():
 
 def test_component_graphs_split_once_per_graph(monkeypatch):
     calls = []
-    split = graphs._split_components
-    monkeypatch.setattr(graphs, "_split_components", lambda G: calls.append(G) or split(G))
+    build = graphs._component
+    monkeypatch.setattr(graphs, "_component", lambda G, i: calls.append((G, i)) or build(G, i))
     G = petersen()
     assert component_graphs(G) == [(G, range(G.m))]
-    assert component_graphs(G) == [(G, range(G.m))]
+    assert component_graph(G, 0) == (G, range(G.m))
     U = disjoint_union([cycle(3), cycle(4)])
-    assert component_graphs(U) is component_graphs(U)
-    assert calls == [G, U]
+    first = component_graphs(U)
+    assert all(a is b for a, b in zip(component_graphs(U), first, strict=True))
+    assert component_graph(U, 1) is first[1]
+    assert calls == [(U, 0), (U, 1)]
 
 
 def test_subgraph_rejects_edge_ids_outside_the_graph():
@@ -298,9 +300,9 @@ def test_vertex_profile_twins_agree(compiled_kernel, case):
     assert outcome(compiled_kernel.vertex_profile, n, iter(us), (v for v in vs)) == got
     if isinstance(got[0], type):  # a fault: both twins raised alike
         return
-    degrees, comp, split = got
+    degrees, comp, orders = got
     assert (degrees, comp) == reference_profile(n, us, vs)
-    assert split == reference_split(us, vs, degrees, comp)
+    assert orders == tuple(map(comp.count, range(max(comp, default=-1) + 1)))
     if n == 0:
         return
     G = build_graph(n, list(zip(us, vs)))
@@ -311,8 +313,22 @@ def test_vertex_profile_twins_agree(compiled_kernel, case):
     parts = component_graphs(G)
     assert [C.n for C, _ in parts] == [comp.count(i) for i in range(max(comp) + 1)]
     assert sorted(e for _, edge_ids in parts for e in edge_ids) == list(range(G.m))
-    if split:  # the component graphs wrap the twin's parts
+    split = reference_split(us, vs, degrees, comp)
+    if split:  # the component graphs are the reference's parts
         assert [(C.us, C.vs, edge_ids, C.degrees) for C, edge_ids in parts] == list(split)
+    else:
+        assert parts == [(G, range(G.m))]
     for C, _ in parts:
         # the profile each component graph keeps is the one a walk finds
-        assert (C.degrees, (0,) * C.n, ()) == _backtrack_py.vertex_profile(C.n, C.us, C.vs)
+        assert graphs._vertex_profile(C) == (C.degrees, (0,) * C.n, (C.n,))
+        assert graphs._vertex_profile(C) == _backtrack_py.vertex_profile(C.n, C.us, C.vs)
+
+
+def test_vertex_profile_returns_each_components_order(compiled_kernel):
+    G = disjoint_union([complete(4), build_graph(1, []), cycle(5)])
+    degrees, comp = (3,) * 4 + (0,) + (2,) * 5, (0,) * 4 + (1,) + (2,) * 5
+    P = petersen()
+    for twin in (_backtrack_py, compiled_kernel):
+        assert twin.vertex_profile(G.n, G.us, G.vs) == (degrees, comp, (4, 1, 5))
+        assert twin.vertex_profile(0, [], []) == ((), (), ())
+        assert twin.vertex_profile(P.n, P.us, P.vs) == ((3,) * 10, (0,) * 10, (10,))

@@ -678,10 +678,9 @@ def test_a_search_is_one_twin_call_and_the_oracle_builds_no_component_graphs(mon
 
     monkeypatch.setattr(_twin, "module", SimpleNamespace(split_search=spy("split_search"),
                                                          vertex_profile=spy("vertex_profile")))
-    splits = []
-    split_components = graphs._split_components
-    monkeypatch.setattr(graphs, "_split_components",
-                        lambda G: splits.append(G) or split_components(G))
+    built = []
+    build = graphs._component
+    monkeypatch.setattr(graphs, "_component", lambda G, i: built.append((G, i)) or build(G, i))
     G = disjoint_union([complete(4), petersen(), complete(4)])
     res = search_labeling(G, 5, 1)
     assert res.status == "found"
@@ -690,4 +689,4 @@ def test_a_search_is_one_twin_call_and_the_oracle_builds_no_component_graphs(mon
     brute_force_spectrum(disjoint_union([complete(4), prism(3), complete(4)]), 4)
     # the degrees first, then one search per class of gcd(c, 4)
     assert calls == ["vertex_profile"] + ["split_search"] * 3
-    assert splits == []
+    assert built == []

@@ -265,13 +265,13 @@ def test_prediction_reads_one_profile_and_one_matching(monkeypatch):
     # all three from one matching of the whole graph, and no component is
     # built as a graph of its own
     calls = twin_spy(monkeypatch, "vertex_profile", "maximum_matching", "split_search")
-    splits = []
-    split_components = graphs._split_components
-    monkeypatch.setattr(graphs, "_split_components", lambda G: splits.append(G) or split_components(G))
+    built = []
+    build = graphs._component
+    monkeypatch.setattr(graphs, "_component", lambda G, i: built.append((G, i)) or build(G, i))
     G = disjoint_union([petersen(), complete(4), prism(3)])
     assert predict_spectrum(G, 4).is_complete()
     assert calls == [("vertex_profile", 20), ("maximum_matching", 20)]
-    assert splits == []
+    assert built == []
     assert not [key for key in vars(G) if key.startswith("component")]
 
 
