@@ -1431,11 +1431,11 @@ static PyMethodDef methods[] = {
      "this twin shares."},
     {"vertex_profile", vertex_profile, METH_VARARGS,
      "vertex_profile(n, us, vs)\n--\n\n"
-     "(degrees, component, parts): each vertex's degree and the index of its\n"
+     "(degrees, component, orders): each vertex's degree and the index of its\n"
      "connected component, numbered by smallest vertex, in the multigraph whose\n"
-     "edge i joins us[i] and vs[i], and for two components or more each one's\n"
-     "(us, vs, edge_ids, degrees); see kmagic._backtrack_py.vertex_profile,\n"
-     "whose semantics this twin shares."},
+     "edge i joins us[i] and vs[i], and each component's vertex count, three\n"
+     "flat tuples of ints; see kmagic._backtrack_py.vertex_profile, whose\n"
+     "semantics this twin shares."},
     {"maximum_matching", maximum_matching, METH_VARARGS,
      "maximum_matching(n, us, vs)\n--\n\n"
      "Each vertex's matched edge id in a maximum-cardinality matching of a\n"

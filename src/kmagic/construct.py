@@ -1,23 +1,24 @@
 """Rule-driven construction of c-sum k-magic labelings.
 
 construct() first predicts the spectrum; a c outside it is reported
-absent with the excluding rule in the trace.  Otherwise a fixed cascade
-of constructions is tried, cheapest first, and the exact solver runs
-only when every rule misses: a constant label, then
+absent with the excluding rule in the trace.  Otherwise every graph runs
+one fixed cascade, cheapest first, in which each rule decides for
+itself whether it applies: a constant label, the mod-3 factor, the
+h-factor split, the doubling search.  The exact solver runs only when
+every rule misses.  Why the cascade is complete on a graph with a
+perfect matching (at k = 2 the constant label 1 reaches the spectrum
+{r mod 2}):
 
-- r <= 2: the h-factor split on a perfect matching, which reaches the
-  sums a constant misses on a union of even cycles.
-- even r >= 4: constants on the Petersen 2-factors, which miss only an
-  odd c at even k or at k = 1; the h-factor split, which reaches it on
-  a perfect matching; without one, the doubling search, which folds
-  factors of odd degree of the doubled graph.
-- odd r, c = 0: at k = 3 and 4 the h-factor split on a perfect matching
-  M or a 2-factor of G - M; else the doubling search, 5-regular included.
-- odd r, c != 0: the mod-3 factor (k = 3, 3 | r); the doubling search,
-  whose h = 2 candidates are the gcd and even-k folds and their
-  complements; the h-factor split.
+- r <= 2: a constant or the split on a perfect matching answers.
+- even r: the split on the first Petersen 2-factor, 2a + (r - 2)b,
+  reaches every sum that constants on the r/2 2-factors reach (every c
+  at odd k, every even c at even k or k = 1), except c = 0 at odd k
+  when r/2 = 1 (mod k), which h = 4 reaches.  An odd c at even k or at
+  k = 1 needs a factor of odd degree, such as a perfect matching.
+- odd r: the split at h = 1 or h = 2 reaches every sum a constant
+  misses.
 
-_rule_sequence gives the argument for each class.  A rule whose formula
+The doubling search serves graphs without one.  A rule whose formula
 goes illegal at a boundary (a label vanishing mod k) falls through to
 the next rule and the event is recorded in the trace.  Every labeling
 handed back has been re-verified against the requested sum.
@@ -28,16 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError, FactorError, KmagicError, LabelingError, RegularityError
-from .factorization import double_graph, two_factorization
+from .factorization import double_graph
 from .factors import f_factor, mod3_factor
 from .graphs import MultiGraph, regularity
-from .labelings import (
-    ConstructionTrace,
-    EdgeLabeling,
-    TraceStep,
-    fold,
-    verify,
-)
+from .labelings import ConstructionTrace, EdgeLabeling, TraceStep, fold, verify
 from .solver import SolverBudget, search_labeling
 from .spectrum import predict_spectrum
 
@@ -85,10 +80,6 @@ def _accept(G, k, c, labels, rule, params, extra_steps=()):
     return lab, steps
 
 
-# ---------------------------------------------------------------------------
-# individual rules
-
-
 def _rule_constant(G, r, k, c, budget):
     """All edges get one label a with r*a = c; rule (gcd) and friends."""
     if k >= 2:
@@ -102,39 +93,22 @@ def _rule_constant(G, r, k, c, budget):
     raise _NotApplicable("no constant label fits")
 
 
-def _two_factor_values(rho: int, k: int, c: int) -> list[int] | None:
-    """Per-2-factor constants x_i with 2*sum(x_i) = c, all nonzero: rho - 2
-    ones and a pair b1 <= b2, the smallest b1 first.
-
-    rho >= 2, as r = 2*rho >= 4 here, and one constant on every 2-factor
-    is never tried: 2*rho*a = c is the constant rule, which runs first."""
-    if k >= 2:
-        cn = c % k
-        for b1 in range(1, k):
-            for b2 in range(b1, k):
-                if (2 * (rho - 2) + 2 * b1 + 2 * b2) % k == cn:
-                    return [1] * (rho - 2) + [b1, b2]
-        return None
-    if c % 2 != 0:
-        return None
-    s2 = c // 2 - (rho - 2)
-    u, v = (1, s2 - 1) if s2 != 1 else (2, -1)
-    if u == 0 or v == 0:
-        return None
-    return [1] * (rho - 2) + [u, v]
-
-
-def _rule_two_factor_constants(G, r, k, c, budget):
-    """Zero-sum and even-sum workhorse for even degree."""
-    parts = two_factorization(G).parts
-    values = _two_factor_values(len(parts), k, c)
-    if values is None:
-        raise _NotApplicable("no 2-factor constants reach the sum")
-    labels: dict[int, int] = {}
-    for part, x in zip(parts, values):
-        for eid in part:
-            labels[eid] = x
-    return _accept(G, k, c, labels, "two-factor-constants", {"values": values})
+def _rule_mod3_factor(G, r, k, c, budget):
+    """k = 3, r = 3 mod 6, c != 0: a factor with degrees 1 mod 3 labeled 2
+    against ones gives the 1-sum; its complement the 2-sum.  There no
+    constant fits, as r*a = 0 mod 3 for every a."""
+    if k != 3 or r % 6 != 3 or c == 0:
+        raise _NotApplicable("the mod-3 factor serves only nonzero sums mod 3 at r = 3 mod 6")
+    try:
+        H = mod3_factor(G, budget)
+    except BudgetError as exc:
+        raise _Miss(f"mod-3 factor undecided: {exc}") from None
+    if H is None:
+        raise _Miss("no mod-3 factor")
+    x = 2 if c == 1 else 1
+    labels = {e: x if e in H else 3 - x for e in range(G.m)}
+    params = {"factor_label": 2} if c == 1 else {"factor_label": 1, "complemented": True}
+    return _accept(G, 3, c, labels, "mod3-factor", params)
 
 
 def _label_pairs(k, c, t, s, divisors=(1,)):
@@ -161,7 +135,17 @@ def _label_pairs(k, c, t, s, divisors=(1,)):
 
 
 def _rule_factor_split(G, r, k, c, budget):
-    """An h-factor labeled a against its complement labeled b."""
+    """An h-factor labeled a against its complement labeled b, at the
+    first h = 1, 2, ... where G has an h-factor and some pair fits.
+
+    At r = 1 the constant c reaches every sum but 0, which the spectrum
+    excludes.  At r = 2 a constant a with 2a = c exists unless c is odd
+    at even k, 0 at odd k, or odd or 0 at k = 1; the spectrum admits
+    those sums only on a graph whose cycles are all even, whose perfect
+    matching M labeled a and the rest b gives a + b = c.  At even r >= 4
+    an odd c at even k or at k = 1 is reached on a perfect matching too:
+    a + (r - 1)b = c, since at even k gcd(r - 1, k) <= k/2 leaves a b
+    with (r - 1)b != c, and at k = 1, b = 1 or 2 does."""
     for t in range(1, r):
         if (t * G.n) % 2 != 0:
             continue
@@ -210,10 +194,27 @@ def _pair_copy_counts(G, h):
 
 def _rule_doubling_search(G, r, k, c, budget):
     """Parametric doubling: an h-factor of the 2r-regular doubled graph
-    labeled a, the complement b, folded with divisor 1 or 2.  h runs over
-    the degrees of the parity of r + 1 (see _rule_sequence).  Tries all
+    labeled a, the complement b, folded with divisor 1 or 2.  Tries all
     (a, b) pairs except those under which some source edge would fold
-    to 0."""
+    to 0.  It answers what the factor split misses on graphs without a
+    perfect matching.
+
+    h runs over the degrees of the parity of r + 1.  At even r it sees
+    only an odd c, and folds factors of odd degree h: h and 2r - h are
+    then odd, so that ha + (2r - h)b has the parity of a + b and divisor
+    1 reaches odd sums.  A factor of even degree h folds only to even
+    sums, as divisor 1 gives ha + (2r - h)b, which is even, and divisor
+    2 needs a = b (mod 2), so that (ha + (2r - h)b)/2 = rb + h(a - b)/2
+    is even.
+
+    At odd r the gcd and even-k folds are h = 2 candidates, and the
+    complement of a divisor-1 fold of [x, y] is the fold of
+    [k - x, k - y].  At odd k the h = 2, divisor-1 candidates miss for
+    at most gcd(r - 1, k) + gcd(r - 2, k) values of b.  At the k = 3b
+    boundary of 3 | r these two gcds are coprime and prime to 3, so
+    they sum to at most k/3 + 1 < k - 1 and some b is left.  For c = 0
+    the 5-regular doublings are candidates too, [k - 4, 1] with divisor
+    1 at h = 2 and [2, 2, 4] with divisor 2 at h = 4."""
     for h in range(1 + r % 2, 2 * r, 2):
         for a, b, divisor in _label_pairs(k, c, h, 2 * r - h, (1, 2)):
             counts = _pair_copy_counts(G, h)
@@ -228,27 +229,13 @@ def _rule_doubling_search(G, r, k, c, budget):
     raise _Miss("no doubling parameters reach the sum")
 
 
-def _rule_mod3_factor(G, r, k, c, budget):
-    """k = 3, r = 3 mod 6: factor with degrees 1 mod 3 labeled 2 against
-    ones gives the 1-sum; its complement the 2-sum."""
-    try:
-        H = mod3_factor(G, budget)
-    except BudgetError as exc:
-        raise _Miss(f"mod-3 factor undecided: {exc}") from None
-    if H is None:
-        raise _Miss("no mod-3 factor")
-    cn = c % 3
-    labels = {e: 2 if e in H else 1 for e in range(G.m)}
-    if cn == 1:
-        return _accept(G, 3, cn, labels, "mod3-factor", {"factor_label": 2})
-    flipped = {e: 3 - v for e, v in labels.items()}
-    return _accept(
-        G, 3, cn, flipped, "mod3-factor", {"factor_label": 1, "complemented": True}
-    )
-
-
-# ---------------------------------------------------------------------------
-# dispatcher
+# every graph runs these in order, cheapest first; the first to succeed wins
+_CASCADE = (
+    ("constant", _rule_constant),
+    ("mod3-factor", _rule_mod3_factor),
+    ("factor-split", _rule_factor_split),
+    ("doubling-parameter-search", _rule_doubling_search),
+)
 
 
 # closing trace step of a solver answer, by its status
@@ -277,67 +264,6 @@ def _solver_result(G, k, c, budget, pre_steps):
     )
 
 
-def _rule_sequence(G, r, k, c):
-    """Dispatch order; first entry to succeed wins.
-
-    Why each class of (r, k, c) needs no other rule.  At k = 2 the
-    spectrum is {r mod 2}, which the constant label 1 reaches, so no
-    later rule runs there.
-
-    - r <= 2: at r = 1 the constant label c reaches every sum but 0,
-      which the spectrum excludes.  At r = 2 a constant a with 2a = c
-      exists unless c is odd at even k, 0 at odd k, or odd or 0 at
-      k = 1.  The spectrum admits those sums only on a graph whose
-      cycles are all even.  Such a graph has a perfect matching M, and
-      factor-split at h = 1 labels M a and the rest b with a + b = c,
-      a and b nonzero.
-    - even r >= 4: with rho = r/2 >= 2 nonzero 2-factor constants, 2
-      times their sum is any multiple of 2 mod k, so two-factor-constants
-      reaches every c at odd k and every even c at even k or at k = 1.
-      For an odd c, a perfect matching (which any 2-factor of even
-      cycles contains) lets factor-split at h = 1 solve
-      a + (r - 1)b = c: at even k, gcd(r - 1, k) <= k/2 leaves a b with
-      (r - 1)b != c, and at k = 1, b = 1 or 2 does.  So the doubling
-      search sees only an odd c on a graph without a perfect matching.
-      It folds factors of odd degree h of the doubled graph: h and
-      2r - h are then odd, so that ha + (2r - h)b has the parity of
-      a + b and divisor 1 reaches odd sums.  A factor of even degree h
-      folds only to even sums, as divisor 1 gives ha + (2r - h)b, which
-      is even, and divisor 2 needs a = b (mod 2), so that
-      (ha + (2r - h)b)/2 = rb + h(a - b)/2 is even.
-    - odd r, c = 0: the 5-regular doublings are doubling candidates,
-      [k - 4, 1] with divisor 1 at h = 2 and [2, 2, 4] with divisor 2
-      at h = 4.
-    - odd r, c != 0: factor-split comes last, as on a graph without a
-      perfect matching it runs the factor gadget for every h.  The gcd
-      and even-k folds are h = 2 doubling candidates, and the complement
-      of a divisor-1 fold of [x, y] is the fold of [k - x, k - y].  At
-      odd k the h = 2, divisor-1 candidates miss for at most
-      gcd(r - 1, k) + gcd(r - 2, k) values of b.  At the k = 3b boundary
-      of 3 | r these two gcds are coprime and prime to 3, so they sum
-      to at most k/3 + 1 < k - 1 and some b is left.
-    """
-    cn = _norm(c, k)
-    rules: list[tuple[str, object]] = [("constant", _rule_constant)]
-    if r <= 2:
-        rules.append(("factor-split", _rule_factor_split))
-    elif r % 2 == 0:
-        rules.append(("two-factor-constants", _rule_two_factor_constants))
-        rules.append(("factor-split", _rule_factor_split))
-        rules.append(("doubling-parameter-search", _rule_doubling_search))
-    elif cn == 0:
-        if k in (3, 4):
-            rules.append(("factor-split", _rule_factor_split))
-        if k != 4:
-            rules.append(("doubling-parameter-search", _rule_doubling_search))
-    else:
-        if k == 3 and r % 6 == 3:
-            rules.append(("mod3-factor", _rule_mod3_factor))
-        rules.append(("doubling-parameter-search", _rule_doubling_search))
-        rules.append(("factor-split", _rule_factor_split))
-    return rules
-
-
 def construct(
     G: MultiGraph, k: int, c: int, budget: SolverBudget | None = None
 ) -> ConstructResult:
@@ -355,15 +281,13 @@ def construct(
     spec = predict_spectrum(G, k, budget)
     member = spec.contains(cn)
     if member is False:
-        step = TraceStep(
-            "spectrum-excluded", {"c": cn, "k": k, "why": list(spec.provenance)}
-        )
+        step = TraceStep("spectrum-excluded", {"c": cn, "k": k, "why": list(spec.provenance)})
         return ConstructResult("absent", None, None, ConstructionTrace((step,)))
     pre: list[TraceStep] = []
     if member is None:
         pre.append(TraceStep("spectrum-undecided", {"c": cn, "k": k}))
         return _solver_result(G, k, cn, budget, pre)
-    for name, fn in _rule_sequence(G, r, k, cn):
+    for name, fn in _CASCADE:
         try:
             lab, steps = fn(G, r, k, cn, budget)
         except _NotApplicable:
@@ -371,7 +295,5 @@ def construct(
         except (_Miss, FactorError) as exc:
             pre.append(TraceStep("fallthrough", {"rule": name, "reason": str(exc)}))
             continue
-        return ConstructResult(
-            "found", lab, cn, ConstructionTrace(tuple(pre + steps))
-        )
+        return ConstructResult("found", lab, cn, ConstructionTrace(tuple(pre + steps)))
     return _solver_result(G, k, cn, budget, pre)

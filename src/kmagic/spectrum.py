@@ -240,6 +240,13 @@ def _tag_residues(tag: str, k: int) -> range:
     return range(step if tag[-1] == "*" else 0, k, step)
 
 
+def _class_entry(G: MultiGraph, sheet: FactSheet, k: int) -> tuple[str, tuple[str, ...]]:
+    """(tag, provenance) of G at k = 1 or in the class of k >= 5, kept in
+    G.memo under "spectrum/1", "spectrum/odd" or "spectrum/even"."""
+    key = "spectrum/1" if k == 1 else ("spectrum/even", "spectrum/odd")[k % 2]
+    return G.memo(key, lambda: _class_spectrum(sheet, k))
+
+
 def _class_spectrum(sheet: FactSheet, k: int) -> tuple[str, tuple[str, ...]]:
     """(tag, provenance) of the whole graph at k = 1 or in the class of
     k >= 5: its components' tags, intersected."""
@@ -358,8 +365,7 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
         return G.memo(
             f"spectrum/{k}/{node_cap}", lambda: _small_modulus_spectrum(G, sheet, k, budget)
         )
-    key = "spectrum/1" if k == 1 else ("spectrum/even", "spectrum/odd")[k % 2]
-    tag, provenance = G.memo(key, lambda: _class_spectrum(sheet, k))
+    tag, provenance = _class_entry(G, sheet, k)
     if k == 1:
         return SpectrumSet(1, symbolic=tag, provenance=provenance)
     return SpectrumSet(k, residues=frozenset(_tag_residues(tag, k)), provenance=provenance)
@@ -386,12 +392,19 @@ def null_set(G: MultiGraph, kmax: int, budget: SolverBudget | None = None) -> di
     """For k = 1..kmax: does G admit a zero-sum k-magic labeling?
 
     Values are True/False, or None where the predicted k = 4 status ran
-    out of budget.  One predict_spectrum call per k, each read off the
-    graph's memo of its class (see predict_spectrum): after the first
-    call per class, a k >= 5 costs only the building of its residue set,
-    and the graph keeps at most five prediction entries however large
-    kmax is.  An irregular G raises RegularityError at k = 1.
+    out of budget.  k = 2, 3 and 4 ask predict_spectrum.  At k = 1 and
+    k >= 5 the answer is read off the class tag in the graph's memo (see
+    predict_spectrum), which holds zero exactly when it has no *, so no
+    residue set is built and the graph keeps at most five prediction
+    entries however large kmax is.  An irregular G raises
+    RegularityError.
     """
     if kmax < 1:
         raise RegularityError("kmax must be >= 1")
-    return {k: predict_spectrum(G, k, budget).contains(0) for k in range(1, kmax + 1)}
+    sheet = _regular_sheet(G)
+    return {
+        k: predict_spectrum(G, k, budget).contains(0)
+        if 2 <= k <= 4
+        else not _class_entry(G, sheet, k)[0].endswith("*")
+        for k in range(1, kmax + 1)
+    }

@@ -180,7 +180,8 @@ def test_criterion_5_factor_machinery(corpus):
 
 def test_criterion_6_five_regular_zero_sum():
     failures = []
-    # k >= 5: the constant label or the doubling search, whose candidates
+    # k >= 5: the constant label, else the factor split on K6's perfect
+    # matching, or without one the doubling search, whose candidates
     # include [k - 4, 1] with divisor 1 and, at k = 8, [2, 2, 4] with
     # divisor 2; with or without a perfect matching, no solver step
     for G in (complete(6), hub_quintic_16()):
@@ -198,7 +199,7 @@ def test_criterion_6_five_regular_zero_sum():
             failures.append(f"k=3, n={G.n}: construct status {res.status}")
         elif res.trace.rules()[-1] != rule:
             failures.append(f"k=3, n={G.n}: expected {rule}, trace {res.trace.rules()}")
-    report(6, "5-regular zero sums: doubling search, k=3 factor split and solver", failures)
+    report(6, "5-regular zero sums: factor split, doubling search and solver", failures)
 
 
 def test_criterion_7_invariants_and_transform_contracts(corpus):

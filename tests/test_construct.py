@@ -16,6 +16,7 @@ from kmagic import (
     disjoint_union,
     f_factor,
     petersen,
+    predict_spectrum,
     prism,
     replay_trace,
     search_labeling,
@@ -42,7 +43,14 @@ def test_found_examples():
     res = construct(complete(6), 7, 0)
     assert res.status == "found"
     assert verify(complete(6), res.labeling) == 0
-    assert res.trace.rules() == ["doubling-parameter-search", "fold"]
+    assert res.trace.rules() == ["factor-split"]
+    # an odd-degree zero sum without a perfect matching: the factor split
+    # misses and the doubling search folds
+    G = unmatched_cubic_28()
+    res = construct(G, 7, 0)
+    assert res.status == "found"
+    assert verify(G, res.labeling) == 0
+    assert res.trace.rules() == ["fallthrough", "doubling-parameter-search", "fold"]
 
 
 def test_absent_examples_cite_the_spectrum():
@@ -76,15 +84,19 @@ def test_constant_rule_comes_first_when_it_fits():
 
 def test_gcd_fold_sums_come_from_the_doubling_search():
     # at k = 3b with b = k / gcd(r, k) the sums b and 2b take no constant
-    # label; an h = 1, divisor-1 doubling candidate reaches both, also on
-    # a cubic graph without a perfect matching (at k = 9 the constant
-    # label already answers r = 3)
-    for G in (petersen(), bridged_cubic_16()):
+    # label; the factor split reaches both on Petersen's perfect matching,
+    # and on a cubic graph without one it misses and an h = 2, divisor-1
+    # doubling candidate reaches both (at k = 9 the constant label already
+    # answers r = 3)
+    for G, rules in (
+        (petersen(), ["factor-split"]),
+        (bridged_cubic_16(), ["fallthrough", "doubling-parameter-search", "fold"]),
+    ):
         for k, sums in ((15, (5, 10)), (21, (7, 14))):
             for c in sums:
                 res = construct(G, k, c)
                 assert res.status == "found", (G.n, k, c)
-                assert res.trace.rules() == ["doubling-parameter-search", "fold"]
+                assert res.trace.rules() == rules, (G.n, k, c)
                 assert verify(G, res.labeling) == c
 
 
@@ -94,6 +106,7 @@ def test_trace_replay_matches_labeling():
         (complete(6), 7, 0),
         (complete(4), 5, 1),
         (petersen(), 6, 4),
+        (unmatched_cubic_28(), 7, 0),  # a doubled trace, replayed through its fold
     ]:
         res = construct(G, k, c)
         assert res.status == "found", (k, c)
@@ -167,10 +180,10 @@ def test_mod3_factor_rule_decides_a_union_per_component():
 
 
 def test_doubling_search_serves_even_degree_graphs_without_a_perfect_matching():
-    # an odd c at even k is the one sum that 2-factor constants miss; with
-    # no perfect matching the factor split reaches it only on a factor of
-    # odd degree, and the doubling search answers the rest by folding a
-    # factor of odd degree of the doubled graph
+    # an odd c at even k is the one sum that the split on a 2-factor
+    # misses; with no perfect matching the factor split reaches it only on
+    # a factor of odd degree, and the doubling search answers the rest by
+    # folding a factor of odd degree of the doubled graph
     for r in (4, 6, 8):
         G = two_hub_even(r)
         assert set(G.degrees) == {r} and G.n % 2 == 0
@@ -200,6 +213,64 @@ def test_doubling_folds_reach_no_odd_sum_at_even_degree():
             for k in (1, 2, 4, 6, 8, 12):
                 for c in range(-7, 8, 2) if k == 1 else range(1, k, 2):
                     assert not list(_label_pairs(k, c, 2 * h, 2 * (r - h), (1, 2))), (r, h, k, c)
+
+
+def _constant_fits(r, k, c):
+    if k == 1:
+        return c != 0 and c % r == 0
+    return any((r * a - c) % k == 0 for a in range(1, k))
+
+
+def test_factor_splits_reach_every_sum_no_constant_reaches():
+    # the completeness argument of the cascade on a graph with a perfect
+    # matching.  At even r the split on the first 2-factor reaches every
+    # sum that constants on the r/2 Petersen 2-factors reach (each even c,
+    # every c at odd k), except c = 0 at odd k with r/2 = 1 (mod k), where
+    # the split on a 4-factor does; an odd c at even k or at k = 1 takes
+    # the split on a perfect matching.  At odd r the split on a perfect
+    # matching or a 2-factor reaches every sum a constant misses
+    for r in range(3, 21):
+        for k in [1, *range(3, 31)]:
+            for c in range(-12, 13) if k == 1 else range(k):
+                if _constant_fits(r, k, c):
+                    continue
+                split = {h: any(_label_pairs(k, c, h, r - h)) for h in (1, 2, 4) if h < r}
+                if r % 2 == 1:
+                    assert split[1] or split[2], (r, k, c)
+                elif c % 2 == 1 and (k == 1 or k % 2 == 0):
+                    assert split[1], (r, k, c)
+                elif k % 2 == 1 and k > 1 and c == 0 and (r // 2) % k == 1:
+                    assert not split[2] and split[4], (r, k, c)
+                else:
+                    assert split[2], (r, k, c)
+
+
+def test_even_degree_sums_need_no_solver():
+    # every c the 2-factor's split reaches (each even c, every c at odd k)
+    # is found by the cascade without a solver step, on graphs of odd order
+    # and on graphs without a perfect matching
+    graphs = [
+        circulant(9, (1, 2)),
+        circulant(11, (1, 2, 3)),
+        complete(9),
+        complete(11),
+        circulant(13, (1, 2, 3, 4)),
+        two_hub_even(4),
+        two_hub_even(6),
+        two_hub_even(8),
+    ]
+    calls = 0
+    for G in graphs:
+        for k in range(3, 13):
+            for c in range(k):
+                if (c % 2 and k % 2 == 0) or not predict_spectrum(G, k).contains(c):
+                    continue
+                res = construct(G, k, c)
+                assert res.status == "found", (G.n, k, c)
+                assert not SOLVER_STEPS & set(res.trace.rules()), (G.n, k, c)
+                assert verify(G, res.labeling) == c
+                calls += 1
+    assert calls == 440
 
 
 def test_fallthrough_steps_record_misses():

@@ -29,6 +29,7 @@ from kmagic import (
     extract_2h_factor,
     f_factor,
     fold,
+    null_set,
     petersen,
     predict_spectrum,
     prism,
@@ -159,6 +160,14 @@ def test_cycle_construction_matches_parity_formula(graph, k, data):
         assert verify(G, res.labeling) == (c if k == 1 else c % k)
     off_rule = {"fallthrough", "solver", "solver-exhausted", "solver-budget-exceeded", "undecided"}
     assert not off_rule & set(res.trace.rules())
+
+
+@SETTINGS
+@given(st.one_of(regular_graphs(), regular_unions(), low_degree_unions().map(lambda g: g[0])))
+def test_null_set_is_the_predicted_zero_sum(G):
+    # predicted on a fresh copy, so that neither call reads the other's memo
+    fresh = MultiGraph(G.n, G.us, G.vs)
+    assert null_set(G, 40) == {k: predict_spectrum(fresh, k).contains(0) for k in range(1, 41)}
 
 
 @SETTINGS

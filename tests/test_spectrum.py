@@ -383,6 +383,33 @@ def test_null_set_keeps_one_prediction_per_class():
     assert len([key for key in vars(G) if key.startswith("spectrum")]) <= 5
 
 
+def test_null_set_reads_the_class_tag_past_k4(monkeypatch):
+    # at k >= 5 zero is in the spectrum exactly when the class tag has no
+    # *, so null_set builds no residue set there
+    built = []
+
+    class Spy(SpectrumSet):
+        def __post_init__(self):
+            built.append(self.k)
+            super().__post_init__()
+
+    monkeypatch.setattr(spectrum, "SpectrumSet", Spy)
+    graphs = [
+        cycle(3),  # Z* at odd k, 2Z at even k
+        cycle(9),
+        complete(6),
+        circulant(9, (1, 2)),  # odd order, even degree: 2Z at even k
+        disjoint_union([cycle(3), cycle(4)]),
+        disjoint_union([complete(2), complete(2)]),  # Z*
+        petersen(),
+    ]
+    for G in graphs:
+        built.clear()
+        flags = null_set(G, 40)
+        assert [k for k in built if k >= 5] == [], G.n
+        assert flags == {k: predict_spectrum(G, k).contains(0) for k in range(1, 41)}, G.n
+
+
 def test_budget_undecided_flows_through():
     # 5-regular, bridgeless, no perfect matching: the solver decides the
     # zero sum mod 4, and the budget caps it
