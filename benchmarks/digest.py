@@ -99,7 +99,8 @@ def two_hub_even(r):
     edge joined to hubs 0 and 1.  For even r it is r-regular, of even
     order, and has no perfect matching: removing the hubs leaves r odd
     components.  The doubling search answers its odd sums at even k, by
-    folding a factor of odd degree of the doubled graph."""
+    the split over the copies of its edges in a factor of odd degree of
+    the doubled graph."""
     pairs = []
     for base in range(2, 2 + r * (r + 1), r + 1):
         block = range(base, base + r + 1)
@@ -133,7 +134,7 @@ def hub_quintic_16():
     """5-regular multigraph on 16 vertices without a perfect matching: a
     hub joined to vertex a of each of five triangles a, b, c with edge
     multiplicities ab 2, ac 2 and bc 3.  Its zero sum mod 3 has neither
-    an h-factor split nor doubling parameters, so the solver finds it."""
+    an h-factor split nor a doubling split, so the solver finds it."""
     pairs = []
     for a in (1, 4, 7, 10, 13):
         b, c = a + 1, a + 2

@@ -18,10 +18,15 @@ perfect matching (at k = 2 the constant label 1 reaches the spectrum
 - odd r: the split at h = 1 or h = 2 reaches every sum a constant
   misses.
 
-The doubling search serves graphs without one.  A rule whose formula
-goes illegal at a boundary (a label vanishing mod k) falls through to
-the next rule and the event is recorded in the trace.  Every labeling
-handed back has been re-verified against the requested sum.
+The doubling search serves graphs without one.  Both factor rules
+label through one split over a weighting: edge e weighs j(e), the
+weights at each vertex add up to h, and e gets b + j(e)(a - b), so every
+vertex sums to h*a + (r - h)*b.  The factor split weighs an h-factor of
+G 1, the doubling search each edge by how many of its two copies lie in
+an h-factor of the doubled graph 2G.  A rule whose formula goes illegal
+at a boundary (a label vanishing mod k) falls through to the next rule
+and the event is recorded in the trace.  Every labeling handed back has
+been re-verified against the requested sum.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .errors import BudgetError, FactorError, KmagicError, LabelingError, Regula
 from .factorization import double_graph
 from .factors import f_factor, mod3_factor
 from .graphs import MultiGraph, regularity
-from .labelings import ConstructionTrace, EdgeLabeling, TraceStep, fold, verify
+from .labelings import ConstructionTrace, EdgeLabeling, TraceStep, verify
 from .solver import SolverBudget, search_labeling
 from .spectrum import predict_spectrum
 
@@ -47,15 +52,11 @@ class ConstructResult:
     trace: ConstructionTrace
 
 
-class _Skip(Exception):
-    """Rule did not produce a labeling."""
-
-
-class _NotApplicable(_Skip):
+class _NotApplicable(Exception):
     """Guard failed; not worth a trace entry."""
 
 
-class _Miss(_Skip):
+class _Miss(Exception):
     """Rule applied but its formula went illegal; recorded in the trace."""
 
 
@@ -63,7 +64,7 @@ def _norm(c: int, k: int) -> int:
     return c % k if k > 1 else c
 
 
-def _accept(G, k, c, labels, rule, params, extra_steps=()):
+def _accept(G, k, c, labels, rule, params):
     """Re-verify a candidate assignment and close the trace with it.
 
     labels is a dict no caller uses again, so the labeling takes it as
@@ -75,9 +76,7 @@ def _accept(G, k, c, labels, rule, params, extra_steps=()):
         raise _Miss(f"{rule}: {exc}") from None
     if got != _norm(c, k):
         raise _Miss(f"{rule}: verified sum {got}, wanted {_norm(c, k)}")
-    steps = list(extra_steps)
-    steps.append(TraceStep(rule, dict(params), labels=dict(labels)))
-    return lab, steps
+    return lab, [TraceStep(rule, params, labels=dict(labels))]
 
 
 def _rule_constant(G, r, k, c, budget):
@@ -111,27 +110,38 @@ def _rule_mod3_factor(G, r, k, c, budget):
     return _accept(G, 3, c, labels, "mod3-factor", params)
 
 
-def _label_pairs(k, c, t, s, divisors=(1,)):
-    """(a, b, divisor) with (t*a + s*b) / divisor = c and a, b nonzero, a
-    and b of one parity under divisor 2: every pair of residues mod k for
-    k >= 2, else a solved exactly for b in 1, 2, -1, -2."""
-    for divisor in divisors:
-        if k >= 2:
-            for a in range(1, k):
-                for b in range(1, k):
-                    if divisor == 2 and (a - b) % 2 != 0:
-                        continue
-                    if ((t * a + s * b) // divisor) % k == c % k:
-                        yield a, b, divisor
-        else:
-            for b in (1, 2, -1, -2):
-                num = c * divisor - s * b
-                if num % t != 0:
-                    continue
-                a = num // t
-                if a == 0 or (divisor == 2 and (a - b) % 2 != 0):
-                    continue
-                yield a, b, divisor
+def _label_pairs(k, c, r, h, weights):
+    """(a, b) with h*a + (r - h)*b = c whose labels b + j(a - b) are
+    nonzero for each weight j in weights: b at 0, a at 1, 2a - b at 2.
+    Every pair of residues mod k for k >= 2, a outer, else a solved
+    exactly for b in 1, 2, -1, -2, 4, -4."""
+    s = r - h
+    if k >= 2:
+        c %= k
+        for a in range(1 if 1 in weights else 0, k):
+            for b in range(1 if 0 in weights else 0, k):
+                if (h * a + s * b) % k == c and not (2 in weights and (2 * a - b) % k == 0):
+                    yield a, b
+    else:
+        for b in (1, 2, -1, -2, 4, -4):
+            a, rest = divmod(c - s * b, h)
+            if rest == 0 and (a or 1 not in weights) and not (2 in weights and 2 * a == b):
+                yield a, b
+
+
+def _split(G, r, k, c, h, classes, rule):
+    """Label each edge of weight j with b + j(a - b) under the first pair
+    that fits, or None.  classes maps each weight j >= 1 to its edges and
+    every other edge has weight 0; a vertex's weights add up to h, so
+    its labels add up to h*a + (r - h)*b."""
+    weights = set(classes)
+    if sum(map(len, classes.values())) < G.m:
+        weights.add(0)
+    for a, b in _label_pairs(k, c, r, h, weights):
+        labels = dict.fromkeys(range(G.m), b)
+        for j, edges in classes.items():
+            labels.update(dict.fromkeys(edges, _norm(b + j * (a - b), k)))
+        return _accept(G, k, c, labels, rule, {"h": h, "a": a, "b": b})
 
 
 def _rule_factor_split(G, r, k, c, budget):
@@ -146,86 +156,51 @@ def _rule_factor_split(G, r, k, c, budget):
     an odd c at even k or at k = 1 is reached on a perfect matching too:
     a + (r - 1)b = c, since at even k gcd(r - 1, k) <= k/2 leaves a b
     with (r - 1)b != c, and at k = 1, b = 1 or 2 does."""
-    for t in range(1, r):
-        if (t * G.n) % 2 != 0:
+    for h in range(1, r):
+        if (h * G.n) % 2 != 0:
             continue
-        F = f_factor(G, t)
-        if F is None:
-            continue
-        for a, b, _ in _label_pairs(k, c, t, r - t):
-            labels = {e: a if e in F else b for e in range(G.m)}
-            return _accept(G, k, c, labels, "factor-split", {"h": t, "a": a, "b": b})
+        F = f_factor(G, h)
+        if F is not None:
+            found = _split(G, r, k, c, h, {1: F}, "factor-split")
+            if found:
+                return found
     raise _Miss("no factor split reaches the sum")
 
 
-def _fold_factor(G, k, c, h, a, b, divisor):
-    """Label an h-factor of the doubled graph a, every other edge b, and
-    fold with the divisor.  The doubled graph has an h-factor: the
-    caller has found its _pair_copy_counts."""
-    D = double_graph(G)
-    F = f_factor(D.doubled, h)
-    lab2 = {e: a if e in F else b for e in range(D.doubled.m)}
-    params = {"h": h, "a": a, "b": b, "divisor": divisor}
-    step = TraceStep("doubling-parameter-search", params, labels=dict(lab2), scope="doubled")
-    try:
-        folded, got = fold(D, EdgeLabeling(k, lab2), divisor)
-    except LabelingError as exc:
-        raise _Miss(f"fold: {exc}") from None
-    if got != _norm(c, k):
-        raise _Miss(f"fold: folded sum {got}, wanted {_norm(c, k)}")
-    return _accept(G, k, c, folded.labels, "fold", {"divisor": divisor}, extra_steps=[step])
-
-
-def _pair_copy_counts(G, h):
-    """How many of its two copies a source edge has in the doubled graph's
-    h-factor, as a set over all source edges: a subset of {0, 1, 2}, or
+def _copy_classes(G, h):
+    """The source edges with one copy and with both copies in the doubled
+    graph's h-factor, as {1: edges, 2: edges} without an empty class, or
     None when the doubled graph has no h-factor.  Found once per graph
     and h."""
 
-    def counts():
+    def classes():
         D = double_graph(G)
         inside = f_factor(D.doubled, h)
         if inside is None:
             return None
-        return frozenset((orig in inside) + (dup in inside) for orig, dup in D.pairs)
+        copies = [(orig in inside) + (dup in inside) for orig, dup in D.pairs]
+        return {j: [e for e, n in enumerate(copies) if n == j] for j in (1, 2) if j in copies}
 
-    return G.memo(f"pair copy counts/{h}", counts)
+    return G.memo(f"copy classes/{h}", classes)
 
 
 def _rule_doubling_search(G, r, k, c, budget):
-    """Parametric doubling: an h-factor of the 2r-regular doubled graph
-    labeled a, the complement b, folded with divisor 1 or 2.  Tries all
-    (a, b) pairs except those under which some source edge would fold
-    to 0.  It answers what the factor split misses on graphs without a
-    perfect matching.
+    """The split over the weighting an h-factor of the 2r-regular doubled
+    graph 2G gives G: each edge weighs the number of its copies inside
+    the factor, 0, 1 or 2.  It answers what the factor split misses on
+    graphs without a perfect matching.
 
     h runs over the degrees of the parity of r + 1.  At even r it sees
-    only an odd c, and folds factors of odd degree h: h and 2r - h are
-    then odd, so that ha + (2r - h)b has the parity of a + b and divisor
-    1 reaches odd sums.  A factor of even degree h folds only to even
-    sums, as divisor 1 gives ha + (2r - h)b, which is even, and divisor
-    2 needs a = b (mod 2), so that (ha + (2r - h)b)/2 = rb + h(a - b)/2
-    is even.
-
-    At odd r the gcd and even-k folds are h = 2 candidates, and the
-    complement of a divisor-1 fold of [x, y] is the fold of
-    [k - x, k - y].  At odd k the h = 2, divisor-1 candidates miss for
-    at most gcd(r - 1, k) + gcd(r - 2, k) values of b.  At the k = 3b
-    boundary of 3 | r these two gcds are coprime and prime to 3, so
-    they sum to at most k/3 + 1 < k - 1 and some b is left.  For c = 0
-    the 5-regular doublings are candidates too, [k - 4, 1] with divisor
-    1 at h = 2 and [2, 2, 4] with divisor 2 at h = 4."""
+    only an odd c, and an even-h weighting only ever sums to an even c,
+    as h*a + (r - h)*b is then even."""
     for h in range(1 + r % 2, 2 * r, 2):
-        for a, b, divisor in _label_pairs(k, c, h, 2 * r - h, (1, 2)):
-            counts = _pair_copy_counts(G, h)
-            if counts is None:
-                break
-            if any(_norm((j * a + (2 - j) * b) // divisor, k) == 0 for j in counts):
-                continue
-            try:
-                return _fold_factor(G, k, c, h, a, b, divisor)
-            except _Skip:
-                continue
+        if not any(_label_pairs(k, c, r, h, ())):
+            continue
+        classes = _copy_classes(G, h)
+        if classes is not None:
+            found = _split(G, r, k, c, h, classes, "doubling-parameter-search")
+            if found:
+                return found
     raise _Miss("no doubling parameters reach the sum")
 
 

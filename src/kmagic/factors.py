@@ -6,13 +6,16 @@ graphs no larger than G:
 - all-ones targets (a 1-factor) ask for a perfect matching, found
   exactly by maximum matching on G itself, parallel edges collapsed to
   their lowest id;
+- an h-factor with h > r/2 is the complement of an (r-h)-factor when
+  h or r is odd, so at odd r an (r-1)-factor exists exactly when a
+  perfect matching does;
 - for even r, Petersen's 2-factor theorem splits G into r/2 two-factors
   (``two_factorization``): an h-factor for even h is the union of h/2
-  of them, one for odd h < r/2 takes (h-1)/2 of them plus a perfect
-  matching of the remaining edges, and one for odd h > r/2 is the
-  complement of an (r-h)-factor;
+  of them, and one for odd h < r/2 takes (h-1)/2 of them plus a perfect
+  matching of the remaining edges;
 - for odd r, a perfect matching M of G leaves the even-regular G - M:
-  an h-factor is h//2 two-factors of G - M, plus M when h is odd.
+  an h-factor for h < r/2 is h//2 two-factors of G - M, plus M when h
+  is odd.
 
 The gadget reduction decides only what these routes leave: targets
 that are not one degree everywhere, and a route that finds nothing
@@ -183,13 +186,14 @@ def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
     targets = [h] * G.n
     if r is None or h < 2 or (h * G.n) % 2 != 0:
         return degree_constrained_factor(G, targets)
+    if (h % 2 or r % 2) and 2 * h > r:
+        # F is an h-factor exactly when E - F is an (r - h)-factor, so the
+        # thick side is found as a complement: at even r the remainder after
+        # (h - 1)/2 two-factors is often too thin to hold a perfect matching,
+        # and at odd r the thin side of h = r - 1 is a 1-factor
+        thin = f_factor(G, r - h)
+        return None if thin is None else frozenset(range(G.m)) - thin
     if r % 2 == 0:
-        if h % 2 and 2 * h > r:
-            # F is an h-factor exactly when E - F is an (r - h)-factor; the
-            # remainder after (h - 1)/2 two-factors is often too thin to hold
-            # a perfect matching, so the thick side is found as a complement
-            thin = f_factor(G, r - h)
-            return None if thin is None else frozenset(range(G.m)) - thin
         first, rest = extract_2h_factor(G, h // 2).parts
         if h % 2 == 0:
             return first

@@ -2,10 +2,11 @@
 
 A labeling assigns every edge a nonzero residue mod k (any nonzero
 integer when k = 1).  It is c-sum magic when every vertex's incident
-labels add up to c.  The transforms here are the building blocks of the
-constructions: complementation (label -> k - label), folding a labeling
-of a doubled graph back onto the source, and extending a labeled factor
-by all-ones on the remaining edges.
+labels add up to c.  The transforms here build one labeling from
+another: complementation (label -> k - label), folding a labeling of a
+doubled graph back onto the source, and extending a labeled factor by
+all-ones on the remaining edges.  construct calls none of them; it
+labels G directly and keeps only verify and the trace types.
 
 verify, which every transform and every construction runs on its
 result, checks the labeling and its vertex sums in one pass of the

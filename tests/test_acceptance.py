@@ -181,9 +181,9 @@ def test_criterion_5_factor_machinery(corpus):
 def test_criterion_6_five_regular_zero_sum():
     failures = []
     # k >= 5: the constant label, else the factor split on K6's perfect
-    # matching, or without one the doubling search, whose candidates
-    # include [k - 4, 1] with divisor 1 and, at k = 8, [2, 2, 4] with
-    # divisor 2; with or without a perfect matching, no solver step
+    # matching, or without one the doubling search, which splits a
+    # weighting of degree h = 2 (2a + 3b = 0) or, at k = 8, of degree
+    # h = 4 (4a + b = 0); with or without a perfect matching, no solver step
     for G in (complete(6), hub_quintic_16()):
         for k in range(5, 13):
             res = construct(G, k, 0)

@@ -1,5 +1,7 @@
 """Rule-driven construction: dispatch, statuses, traces, replay."""
 
+import importlib
+import itertools
 import math
 
 import pytest
@@ -23,7 +25,8 @@ from kmagic import (
     verify,
     zero_sum_4_magic,
 )
-from kmagic.construct import _label_pairs
+from kmagic import labelings
+from kmagic.construct import _label_pairs, _norm
 from conftest import (
     bridged_cubic_16,
     hub10,
@@ -34,6 +37,8 @@ from conftest import (
 )
 
 TINY = SolverBudget(node_cap=2)
+# every nonempty set of edge weights a doubled graph's factor can give
+WEIGHT_SETS = [w for n in (1, 2, 3) for w in itertools.combinations((0, 1, 2), n)]
 
 
 def test_found_examples():
@@ -45,12 +50,12 @@ def test_found_examples():
     assert verify(complete(6), res.labeling) == 0
     assert res.trace.rules() == ["factor-split"]
     # an odd-degree zero sum without a perfect matching: the factor split
-    # misses and the doubling search folds
+    # misses and the doubling search answers
     G = unmatched_cubic_28()
     res = construct(G, 7, 0)
     assert res.status == "found"
     assert verify(G, res.labeling) == 0
-    assert res.trace.rules() == ["fallthrough", "doubling-parameter-search", "fold"]
+    assert res.trace.rules() == ["fallthrough", "doubling-parameter-search"]
 
 
 def test_absent_examples_cite_the_spectrum():
@@ -85,12 +90,12 @@ def test_constant_rule_comes_first_when_it_fits():
 def test_gcd_fold_sums_come_from_the_doubling_search():
     # at k = 3b with b = k / gcd(r, k) the sums b and 2b take no constant
     # label; the factor split reaches both on Petersen's perfect matching,
-    # and on a cubic graph without one it misses and an h = 2, divisor-1
-    # doubling candidate reaches both (at k = 9 the constant label already
+    # and on a cubic graph without one it misses and a doubling weighting
+    # of degree h = 2 reaches both (at k = 9 the constant label already
     # answers r = 3)
     for G, rules in (
         (petersen(), ["factor-split"]),
-        (bridged_cubic_16(), ["fallthrough", "doubling-parameter-search", "fold"]),
+        (bridged_cubic_16(), ["fallthrough", "doubling-parameter-search"]),
     ):
         for k, sums in ((15, (5, 10)), (21, (7, 14))):
             for c in sums:
@@ -106,7 +111,7 @@ def test_trace_replay_matches_labeling():
         (complete(6), 7, 0),
         (complete(4), 5, 1),
         (petersen(), 6, 4),
-        (unmatched_cubic_28(), 7, 0),  # a doubled trace, replayed through its fold
+        (unmatched_cubic_28(), 7, 0),  # a doubling answer, one step on G
     ]:
         res = construct(G, k, c)
         assert res.status == "found", (k, c)
@@ -205,14 +210,57 @@ def test_doubling_search_serves_even_degree_graphs_without_a_perfect_matching():
 
 
 def test_doubling_folds_reach_no_odd_sum_at_even_degree():
-    # why the doubling search folds factors of odd degree at even r: an
-    # odd c at even k, or at k = 1, is no fold of a 2h-factor and its
-    # complement in the doubled graph, whose sums are all even
+    # why the doubling search takes factors of odd degree at even r: an
+    # odd c at even k, or at k = 1, is no sum of a weighting of even degree
+    # 2h, whose sums 2h*a + (r - 2h)*b are all even
     for r in (4, 6, 8):
         for h in range(1, r):
             for k in (1, 2, 4, 6, 8, 12):
                 for c in range(-7, 8, 2) if k == 1 else range(1, k, 2):
-                    assert not list(_label_pairs(k, c, 2 * h, 2 * (r - h), (1, 2))), (r, h, k, c)
+                    assert not list(_label_pairs(k, c, r, 2 * h, {0, 1, 2})), (r, h, k, c)
+
+
+def _fold_labels(k, c, r, h, weights):
+    # the labels of the fold the doubling search used to take: an h-factor
+    # of the doubled graph labeled a and the rest b, the source edge with j
+    # copies inside labeled (ja + (2 - j)b)/d, d = 1 or 2 and a = b (mod 2)
+    # under d = 2, every label of a weight in weights nonzero
+    for d in (1, 2):
+        if k >= 2:
+            pairs = [(a, b) for a in range(1, k) for b in range(1, k)]
+        else:
+            pairs = [((c * d - (2 * r - h) * b) // h, b) for b in (1, 2, -1, -2)]
+        for a, b in pairs:
+            if a == 0 or (d == 2 and (a - b) % 2):
+                continue
+            total = h * a + (2 * r - h) * b
+            if k == 1 and total != c * d:
+                continue
+            if k >= 2 and (total // d - c) % k:
+                continue
+            labels = tuple(_norm((j * a + (2 - j) * b) // d, k) for j in weights)
+            if all(labels):
+                yield labels
+
+
+def test_weighted_split_reaches_every_fold():
+    # a fold labels the source edge with j copies inside (ja + (2 - j)b)/d,
+    # affine in j: it is the split of the weighting by copies, with its
+    # labels at j = 1 and j = 0 as the split's a and b.  Every label tuple a
+    # fold reached over the weights present, the split reaches too
+    for r in range(1, 10):
+        for h in range(1 + r % 2, 2 * r, 2):
+            for k in [1, *range(2, 13)]:
+                for c in range(-8, 9) if k == 1 else range(k):
+                    for weights in WEIGHT_SETS:
+                        split = set()
+                        for a, b in _label_pairs(k, c, r, h, set(weights)):
+                            assert _norm(h * a + (r - h) * b, k) == _norm(c, k)
+                            labels = tuple(_norm(b + j * (a - b), k) for j in weights)
+                            assert all(labels), (r, h, k, c, weights, a, b)
+                            split.add(labels)
+                        missing = set(_fold_labels(k, c, r, h, weights)) - split
+                        assert not missing, (r, h, k, c, weights, missing)
 
 
 def _constant_fits(r, k, c):
@@ -234,7 +282,7 @@ def test_factor_splits_reach_every_sum_no_constant_reaches():
             for c in range(-12, 13) if k == 1 else range(k):
                 if _constant_fits(r, k, c):
                     continue
-                split = {h: any(_label_pairs(k, c, h, r - h)) for h in (1, 2, 4) if h < r}
+                split = {h: any(_label_pairs(k, c, r, h, {0, 1})) for h in (1, 2, 4) if h < r}
                 if r % 2 == 1:
                     assert split[1] or split[2], (r, k, c)
                 elif c % 2 == 1 and (k == 1 or k % 2 == 0):
@@ -271,6 +319,30 @@ def test_even_degree_sums_need_no_solver():
                 assert verify(G, res.labeling) == c
                 calls += 1
     assert calls == 440
+
+
+def test_doubling_answers_are_one_step_on_the_graph(monkeypatch):
+    # the doubling search labels G itself: no fold, one step of scope
+    # "graph" whose labels are b, a and 2a - b, the labels of the weights
+    # 0, 1 and 2, and which the trace replays
+    assert not hasattr(importlib.import_module("kmagic.construct"), "fold")
+    monkeypatch.setattr(labelings, "fold", lambda *a: pytest.fail("construct folded"))
+    answered = []
+    for G in (bridged_cubic_16(), two_hub_even(4)):
+        for k in range(1, 13):
+            for c in range(-6, 7) if k == 1 else range(k):
+                res = construct(G, k, c)
+                steps = [s for s in res.trace.steps if s.rule != "fallthrough"]
+                if res.status != "found" or steps[0].rule != "doubling-parameter-search":
+                    continue
+                assert [s.scope for s in steps] == ["graph"], (G.n, k, c)
+                a, b = steps[0].params["a"], steps[0].params["b"]
+                values = {_norm(b, k), _norm(a, k), _norm(2 * a - b, k)}
+                assert set(res.labeling.labels.values()) <= values, (G.n, k, c)
+                assert replay_trace(res.trace) == res.labeling.labels
+                answered.append(len(set(res.labeling.labels.values())))
+    # some answers have edges of all three weights
+    assert 3 in answered
 
 
 def test_fallthrough_steps_record_misses():

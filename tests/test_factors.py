@@ -35,7 +35,7 @@ from kmagic import (
     verify,
 )
 from kmagic import factors, solver
-from conftest import CORPUS_BUILDERS, bridged_cubic_16, hub10
+from conftest import CORPUS_BUILDERS, bridged_cubic_16, hub10, hub_quintic_16
 
 
 def bridged_cubic_10() -> MultiGraph:
@@ -71,9 +71,6 @@ ROUTE_CASES = [
     for h in range(1, regularity(make()) + 1)
     if make().m <= 20
 ]
-# (h, graph) where the direct route finds nothing and the gadget decides:
-# bridged10 has no perfect matching to start from.
-GADGET_DECIDES = {(2, "bridged10"), (3, "bridged10")}
 
 
 def factor_degrees(G, edge_ids):
@@ -145,7 +142,24 @@ def test_matching_route_agrees_with_exhaustive(name, h, monkeypatch):
     assert (got is None) == (want is None)
     if got is not None:
         check_factor(G, got, h)
-    assert bool(gadget_calls) == ((h, name) in GADGET_DECIDES)
+    # bridged10 has no perfect matching, but its 2- and 3-factors are the
+    # complements of its 1- and 0-factors, so no case here needs the gadget
+    assert gadget_calls == []
+
+
+def test_gadget_decides_only_the_thin_side_without_a_perfect_matching(monkeypatch):
+    # hub_quintic_16 is 5-regular without a perfect matching: the gadget
+    # decides that it has no 2-factor, and its 4-factor, the complement of
+    # a 1-factor, is ruled out with no gadget call
+    gadget_calls = []
+    gadget = factors._gadget_factor
+    monkeypatch.setattr(
+        factors, "_gadget_factor", lambda *a: gadget_calls.append(a) or gadget(*a)
+    )
+    assert f_factor(hub_quintic_16(), 2) is None
+    assert len(gadget_calls) == 1
+    assert f_factor(hub_quintic_16(), 4) is None
+    assert len(gadget_calls) == 1
 
 
 def test_odd_factor_above_half_degree_is_a_complement(monkeypatch):
