@@ -12,7 +12,8 @@ first.  One case has bridges, so the solver splits it and searches it
 piece by piece, each piece with its own vertex targets and its child
 bridges limited to their feasible labels.  Then every 2-factor split
 runs through both split twins, which must return the same 2-factors;
-its timings are the best of SPLIT_REPEATS runs.  Then the magic-sum
+its timings are milliseconds per call, the best of SPLIT_REPEATS
+batches of SPLIT_CALLS calls (one call with --quick).  Then the magic-sum
 check behind verify runs through both sum twins on a magic and a
 non-magic labeling of each graph in SUM_CASES, which must get the same
 answers; its timings are microseconds per call, the best of SUM_REPEATS
@@ -113,6 +114,7 @@ SPLIT_CASES = [
     )),
     ("random 4-regular n=1500 (long paths)", random_regular(1500, 4, seed=0)),
 ]
+SPLIT_CALLS = 20
 SPLIT_REPEATS = 5
 
 # (label, graph, k) for the magic-sum check; the graphs are regular, so
@@ -231,10 +233,10 @@ def compare_twins(kernels: dict, fn: str, title: str, columns, unit: str, calls:
         print(row)
 
 
-def compare_splits(kernels: dict) -> None:
+def compare_splits(kernels: dict, calls: int) -> None:
     cases = [(label, G, [(G.n, G.us, G.vs)], [(G.n, G.us, G.vs)]) for label, G in SPLIT_CASES]
     parts = ("parts", 6, lambda G, answers: len(answers[0]))
-    compare_twins(kernels, "petersen_split", "2-factor split", [parts, EDGES], "ms", 1,
+    compare_twins(kernels, "petersen_split", "2-factor split", [parts, EDGES], "ms", calls,
                   SPLIT_REPEATS, cases)
 
 
@@ -384,7 +386,7 @@ def main() -> None:
         print(row)
 
     print()
-    compare_splits(kernels)
+    compare_splits(kernels, 1 if args.quick else SPLIT_CALLS)
     print()
     compare_sums(kernels)
     print()

@@ -10,8 +10,11 @@
  * find the components with one walk, split_components(), and
  * split_search() plans each component's pieces with plan_tree(), the
  * transcription of kmagic._backtrack_py.bridge_tree, so split_search
- * makes no Python call per component or piece search, and
- * maximum_matching() none inside its search.
+ * makes no Python call per component or piece search.  The module has one
+ * matcher, match_edges(), the search of maximum_matching() over plain
+ * arrays: petersen_split()'s rounds are maximum matchings of the out/in
+ * incidence graph by that same search, and neither makes a Python call
+ * inside it.
  *
  * kernel() transcribes the pure reference's _kernel line for line: the
  * same edge order, the same forced-label rule and the same node count,
@@ -395,167 +398,6 @@ magic_sum(PyObject *self, PyObject *args)
 done:
     PyMem_Free(ends);
     PyMem_Free(sums);
-    return result;
-}
-
-/* Petersen's split of an even-regular multigraph into 2-factors, the twin
- * of kmagic._backtrack_py.petersen_split.  The orienting walk and the
- * augmenting paths live on explicit stacks: the walk's holds at most
- * m + 1 vertices, a path at most n tails, since each tail after the root
- * is matched into a head first reached on that path.  Every round but the
- * last finds a perfect matching of the out/in incidence graph over the
- * edges no earlier round took, so each 2-factor holds n edges. */
-static PyObject *
-petersen_split(PyObject *self, PyObject *args)
-{
-    int n;
-    PyObject *us_arg, *vs_arg, *parts = NULL, *result = NULL;
-    Py_ssize_t *ends = NULL, *block = NULL, m;
-
-    if (!PyArg_ParseTuple(args, "iOO:petersen_split", &n, &us_arg, &vs_arg))
-        return NULL;
-    if (n < 1)
-        return PyErr_Format(PyExc_ValueError, NOT_EVEN_REGULAR);
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL)
-        goto done;
-    if (m < n) {  /* a vertex would have no edges: checked before allocating per vertex */
-        PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
-        goto done;
-    }
-    /* per edge: tail, arc (edge id, head) by tail, round; per vertex:
-     * degree, walk position, first arc, path state; the walk's stack */
-    Py_ssize_t nv = n;
-    block = PyMem_Calloc(7 * (size_t)m + 8 * (size_t)nv + 2, sizeof(Py_ssize_t));
-    if (block == NULL) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    const Py_ssize_t *eu = ends, *ev = ends + m;
-    Py_ssize_t *tail = block, *arc = tail + m, *head = arc + m;
-    Py_ssize_t *round = head + m, *adj = round + m, *deg = adj + 2 * m, *nxt = deg + nv;
-    Py_ssize_t *first = nxt + nv, *tail_of = first + nv + 1, *arc_of = tail_of + nv;
-    Py_ssize_t *seen = arc_of + nv, *tails = seen + nv, *pos = tails + nv, *stack = pos + nv;
-
-    for (Py_ssize_t i = 0; i < m; i++) {
-        deg[eu[i]] += 1;
-        deg[ev[i]] += 1;
-    }
-    Py_ssize_t d = deg[0];
-    for (Py_ssize_t v = 0; v < nv; v++)
-        if (deg[v] != d)
-            d = 0;
-    if (d < 2 || d % 2 != 0) {
-        PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
-        goto done;
-    }
-    Py_ssize_t rho = d / 2;
-
-    /* the adjacency in edge-id order, vertex v's at adj[v * d .. (v + 1) * d) */
-    for (Py_ssize_t v = 0; v < nv; v++)
-        deg[v] = 0;
-    for (Py_ssize_t e = 0; e < m; e++) {
-        adj[eu[e] * d + deg[eu[e]]++] = e;
-        adj[ev[e] * d + deg[ev[e]]++] = e;
-        tail[e] = -1;
-        round[e] = rho - 1;  /* the last round takes what no earlier one does */
-    }
-    if (rho > 1) {
-        /* orient: each edge leaves the vertex the walk first crossed it from */
-        for (Py_ssize_t start = 0; start < nv; start++) {
-            Py_ssize_t top = 0;
-            stack[0] = start;
-            while (top >= 0) {
-                Py_ssize_t u = stack[top], i = nxt[u];
-                while (i < d && tail[adj[u * d + i]] >= 0)
-                    i++;
-                nxt[u] = i;
-                if (i == d) {
-                    top--;
-                    continue;
-                }
-                Py_ssize_t e = adj[u * d + i];
-                tail[e] = u;
-                stack[++top] = eu[e] == u ? ev[e] : eu[e];
-            }
-        }
-        /* the out-arcs of tail u, by edge id, at arc[first[u] .. first[u + 1]) */
-        for (Py_ssize_t e = 0; e < m; e++)
-            first[tail[e] + 1] += 1;
-        for (Py_ssize_t v = 0; v < nv; v++)
-            first[v + 1] += first[v];
-        for (Py_ssize_t v = 0; v < nv; v++)
-            nxt[v] = first[v];
-        for (Py_ssize_t e = 0; e < m; e++) {
-            Py_ssize_t u = tail[e], j = nxt[u]++;
-            arc[j] = e;
-            head[j] = eu[e] == u ? ev[e] : eu[e];
-        }
-        for (Py_ssize_t v = 0; v < nv; v++)
-            seen[v] = -1;
-    }
-    for (Py_ssize_t r = 0; r < rho - 1; r++) {
-        for (Py_ssize_t v = 0; v < nv; v++)
-            tail_of[v] = -1;
-        for (Py_ssize_t root = 0; root < nv; root++) {
-            /* seen[h] == r * n + root: this round's search from root reached h */
-            Py_ssize_t mark = r * nv + root, depth = 1;
-            tails[0] = root;
-            pos[0] = first[root];
-            for (;;) {
-                Py_ssize_t u = tails[depth - 1], i = pos[depth - 1], end = first[u + 1];
-                while (i < end && (seen[head[i]] == mark || round[arc[i]] < r))
-                    i++;
-                pos[depth - 1] = i + 1;
-                if (i == end) {
-                    if (--depth == 0) {
-                        PyErr_SetString(PyExc_RuntimeError,
-                                        "out/in incidence graph lost regularity");
-                        goto done;
-                    }
-                    continue;
-                }
-                seen[head[i]] = mark;
-                if (tail_of[head[i]] < 0)
-                    break;
-                tails[depth] = tail_of[head[i]];
-                pos[depth] = first[tails[depth]];
-                depth++;
-            }
-            for (Py_ssize_t j = 0; j < depth; j++) {
-                Py_ssize_t a = pos[j] - 1;
-                tail_of[head[a]] = tails[j];
-                arc_of[head[a]] = arc[a];
-            }
-        }
-        for (Py_ssize_t v = 0; v < nv; v++)
-            round[arc_of[v]] = r;
-    }
-
-    parts = PyList_New(rho);
-    if (parts == NULL)
-        goto done;
-    for (Py_ssize_t r = 0; r < rho; r++) {
-        PyObject *part = PyList_New(0);
-        if (part == NULL)
-            goto done;
-        PyList_SET_ITEM(parts, r, part);
-    }
-    for (Py_ssize_t e = 0; e < m; e++) {
-        PyObject *eid = PyLong_FromSsize_t(e);
-        if (eid == NULL)
-            goto done;
-        int failed = PyList_Append(PyList_GET_ITEM(parts, round[e]), eid);
-        Py_DECREF(eid);
-        if (failed)
-            goto done;
-    }
-    result = parts;
-    parts = NULL;
-done:
-    PyMem_Free(ends);
-    PyMem_Free(block);
-    Py_XDECREF(parts);
     return result;
 }
 
@@ -1200,7 +1042,7 @@ done:
     return result;
 }
 
-/* The state of maximum_matching's search over its n vertices: vertex v's
+/* The state of match_edges' search over its n vertices: vertex v's
  * neighbours, each parallel class once, are nb[first[v] .. last[v]), the
  * edge to nb[j] being eid[j]; the rest are the reference's lists, with its
  * sets as stamp arrays (x is in a set when its slot holds the set's
@@ -1296,37 +1138,30 @@ augmenting_path(Matching *s, Py_ssize_t root)
     return -1;
 }
 
-/* A maximum-cardinality matching of a loopless multigraph, the twin of
- * kmagic._backtrack_py.maximum_matching, transcribed line for line: the
- * same neighbour lists, the same greedy pass and the same alternating
- * trees, so both twins return the same mates.  Where the reference keys
- * the lowest id of each class of parallel edges by its vertex pair, each
- * vertex here keeps its first edge to each neighbour, in edge-id order,
- * marking the neighbour in owner.  The reference starts base, parent and
- * even afresh for each root; here the vertices of the last tree, the
- * only ones its search changed, are reset instead. */
-static PyObject *
-maximum_matching(PyObject *self, PyObject *args)
+/* The search of maximum_matching over plain arrays, on the loopless
+ * multigraph of nv vertices whose edge e joins eu[e] and ev[e]: match[v]
+ * becomes vertex v's matched edge id, or -1 where v is exposed.  Returns 0,
+ * or -1 with MemoryError set.  It transcribes the pure reference's
+ * _matching line for line: the same neighbour lists, the same greedy pass
+ * and the same alternating trees, so both twins return the same mates.
+ * Where the reference keys the lowest id of each class of parallel edges
+ * by its vertex pair, each vertex here keeps its first edge to each
+ * neighbour, in edge-id order, marking the neighbour in owner.  The
+ * reference starts base, parent and even afresh for each root; here the
+ * vertices of the last tree, the only ones its search changed, are reset
+ * instead. */
+static int
+match_edges(Py_ssize_t nv, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev,
+            Py_ssize_t *match)
 {
-    int n;
-    PyObject *us_arg, *vs_arg, *result = NULL;
-    Py_ssize_t *ends = NULL, *block = NULL, m;
-
-    if (!PyArg_ParseTuple(args, "iOO:maximum_matching", &n, &us_arg, &vs_arg))
-        return NULL;
-    ends = read_edges(n, us_arg, vs_arg, &m);
-    if (ends == NULL || refuse_loops(ends, m) < 0)
-        goto done;
     /* per edge end: neighbour and edge id; per vertex: first and last
      * neighbour slot, owner, mate, base, parent, even, tree, queue, seen
      * and in_blossom stamps */
-    Py_ssize_t nv = n;
-    block = PyMem_Calloc(4 * (size_t)m + 12 * (size_t)nv + 1, sizeof(Py_ssize_t));
+    Py_ssize_t *block = PyMem_Calloc(4 * (size_t)m + 11 * (size_t)nv + 1, sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
-        goto done;
+        return -1;
     }
-    const Py_ssize_t *eu = ends, *ev = ends + m;
     Py_ssize_t *nb = block, *eid = nb + 2 * m, *first = eid + 2 * m, *last = first + nv + 1;
     Py_ssize_t *owner = last + nv, *mate = owner + nv, *base = mate + nv, *parent = base + nv;
     Py_ssize_t *even = parent + nv, *tree = even + nv, *queue = tree + nv, *seen = queue + nv;
@@ -1391,18 +1226,169 @@ maximum_matching(PyObject *self, PyObject *args)
         }
     }
 
-    /* each vertex's matched edge id, in owner's slots */
+    /* each vertex's matched edge id */
     for (Py_ssize_t v = 0; v < nv; v++) {
         Py_ssize_t j = first[v];
         if (mate[v] >= 0)
             while (nb[j] != mate[v])
                 j++;
-        owner[v] = mate[v] < 0 ? -1 : eid[j];
+        match[v] = mate[v] < 0 ? -1 : eid[j];
     }
-    result = int_tuple(owner, nv);
+    PyMem_Free(block);
+    return 0;
+}
+
+/* A maximum-cardinality matching of a loopless multigraph, the twin of
+ * kmagic._backtrack_py.maximum_matching: the graph read and checked, then
+ * match_edges. */
+static PyObject *
+maximum_matching(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *result = NULL;
+    Py_ssize_t *ends = NULL, *match = NULL, m;
+
+    if (!PyArg_ParseTuple(args, "iOO:maximum_matching", &n, &us_arg, &vs_arg))
+        return NULL;
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL || refuse_loops(ends, m) < 0)
+        goto done;
+    match = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
+    if (match == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (match_edges(n, m, ends, ends + m, match) == 0)
+        result = int_tuple(match, n);
+done:
+    PyMem_Free(ends);
+    PyMem_Free(match);
+    return result;
+}
+
+/* Petersen's split of an even-regular multigraph into 2-factors, the twin
+ * of kmagic._backtrack_py.petersen_split.  The orienting walk lives on an
+ * explicit stack of at most m + 1 vertices.  Every round but the last is
+ * one match_edges call, the search of maximum_matching, on the out/in
+ * incidence graph of the edges no earlier round took (tails 0..n-1, heads
+ * n..2n-1, in edge-id order); that graph is regular, so its maximum
+ * matchings are perfect and each 2-factor holds n edges. */
+static PyObject *
+petersen_split(PyObject *self, PyObject *args)
+{
+    int n;
+    PyObject *us_arg, *vs_arg, *parts = NULL, *result = NULL;
+    Py_ssize_t *ends = NULL, *block = NULL, m;
+
+    if (!PyArg_ParseTuple(args, "iOO:petersen_split", &n, &us_arg, &vs_arg))
+        return NULL;
+    if (n < 1)
+        return PyErr_Format(PyExc_ValueError, NOT_EVEN_REGULAR);
+    ends = read_edges(n, us_arg, vs_arg, &m);
+    if (ends == NULL)
+        goto done;
+    if (m < n) {  /* a vertex would have no edges: checked before allocating per vertex */
+        PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
+        goto done;
+    }
+    /* per edge: tail, round, two adjacency slots, and a round's out/in
+     * edge (tail, n + head) with its edge id; per vertex: degree, walk
+     * position, the mates of its tail and head; the walk's stack */
+    Py_ssize_t nv = n;
+    block = PyMem_Calloc(8 * (size_t)m + 4 * (size_t)nv + 1, sizeof(Py_ssize_t));
+    if (block == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    const Py_ssize_t *eu = ends, *ev = ends + m;
+    Py_ssize_t *tail = block, *round = tail + m, *adj = round + m, *lu = adj + 2 * m, *lv = lu + m;
+    Py_ssize_t *ids = lv + m, *deg = ids + m, *nxt = deg + nv, *match = nxt + nv;
+    Py_ssize_t *stack = match + 2 * nv;
+
+    for (Py_ssize_t i = 0; i < m; i++) {
+        deg[eu[i]] += 1;
+        deg[ev[i]] += 1;
+    }
+    Py_ssize_t d = deg[0];
+    for (Py_ssize_t v = 0; v < nv; v++)
+        if (deg[v] != d)
+            d = 0;
+    if (d < 2 || d % 2 != 0) {
+        PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
+        goto done;
+    }
+    Py_ssize_t rho = d / 2;
+
+    /* the adjacency in edge-id order, vertex v's at adj[v * d .. (v + 1) * d) */
+    for (Py_ssize_t v = 0; v < nv; v++)
+        deg[v] = 0;
+    for (Py_ssize_t e = 0; e < m; e++) {
+        adj[eu[e] * d + deg[eu[e]]++] = e;
+        adj[ev[e] * d + deg[ev[e]]++] = e;
+        tail[e] = -1;
+        round[e] = rho - 1;  /* the last round takes what no earlier one does */
+    }
+    /* orient: each edge leaves the vertex the walk first crossed it from */
+    for (Py_ssize_t start = 0; start < nv; start++) {
+        Py_ssize_t top = 0;
+        stack[0] = start;
+        while (top >= 0) {
+            Py_ssize_t u = stack[top], i = nxt[u];
+            while (i < d && tail[adj[u * d + i]] >= 0)
+                i++;
+            nxt[u] = i;
+            if (i == d) {
+                top--;
+                continue;
+            }
+            Py_ssize_t e = adj[u * d + i];
+            tail[e] = u;
+            stack[++top] = eu[e] == u ? ev[e] : eu[e];
+        }
+    }
+    for (Py_ssize_t r = 0; r < rho - 1; r++) {
+        Py_ssize_t left = 0;
+        for (Py_ssize_t e = 0; e < m; e++)
+            if (round[e] == rho - 1) {
+                lu[left] = tail[e];
+                lv[left] = nv + (eu[e] == tail[e] ? ev[e] : eu[e]);
+                ids[left++] = e;
+            }
+        if (match_edges(2 * nv, left, lu, lv, match) < 0)
+            goto done;
+        for (Py_ssize_t v = 0; v < nv; v++) {
+            if (match[v] < 0) {
+                PyErr_SetString(PyExc_RuntimeError, "out/in incidence graph lost regularity");
+                goto done;
+            }
+            round[ids[match[v]]] = r;
+        }
+    }
+
+    parts = PyList_New(rho);
+    if (parts == NULL)
+        goto done;
+    for (Py_ssize_t r = 0; r < rho; r++) {
+        PyObject *part = PyList_New(0);
+        if (part == NULL)
+            goto done;
+        PyList_SET_ITEM(parts, r, part);
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        PyObject *eid = PyLong_FromSsize_t(e);
+        if (eid == NULL)
+            goto done;
+        int failed = PyList_Append(PyList_GET_ITEM(parts, round[e]), eid);
+        Py_DECREF(eid);
+        if (failed)
+            goto done;
+    }
+    result = parts;
+    parts = NULL;
 done:
     PyMem_Free(ends);
     PyMem_Free(block);
+    Py_XDECREF(parts);
     return result;
 }
 

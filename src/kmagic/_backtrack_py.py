@@ -11,7 +11,10 @@ and each component's order) and of the maximum matching
 (maximum_matching: Edmonds' blossom search, behind every perfect
 matching and f-factor of kmagic.factors); kmagic._backtrack holds their
 compiled twins, with identical semantics, and kmagic._twin picks one of
-the two modules for all six.  search and every piece search of
+the two modules for all six.  The module has one matcher, _matching,
+the search of maximum_matching: petersen_split's rounds are maximum
+matchings of the out/in incidence graph by that same search.  search and
+every piece search of
 split_search run one loop, _kernel, which visits edges in the given
 order; when an edge is the last unlabeled edge at one of its endpoints
 its label is forced by the target sum, otherwise all of its allowed
@@ -42,7 +45,6 @@ edges after it.
 
 from __future__ import annotations
 
-from itertools import compress
 from operator import index
 
 SAT = 1
@@ -220,12 +222,15 @@ def petersen_split(n, us, vs):
 
     (n, us, vs) is the graph, as the module header states.  Returns one
     list of edge ids in increasing order per 2-factor.  The graph is
-    oriented once so that every vertex is left by half of its edges;
-    every round but the last takes a perfect matching of the out/in
-    incidence graph over the edges no earlier round took, and the last
-    round is the edges left, that graph's only perfect matching by then.
-    Raises ValueError when the graph is not regular of even degree at
-    least 2; n < 1 is refused before the graph is read.
+    oriented once so that every vertex is left by half of its edges.
+    Every round but the last is one _matching call, the search of
+    maximum_matching, on the out/in incidence graph of the edges no
+    earlier round took, in edge-id order: tails 0..n-1, heads n..2n-1.
+    That graph is regular, so its maximum matchings are perfect, and the
+    round takes each tail's matched edge.  The last round is the edges
+    left, that graph's only perfect matching by then.  Raises ValueError
+    when the graph is not regular of even degree at least 2; n < 1 is
+    refused before the graph is read.
     """
     n = index(n)
     if n < 1:
@@ -238,15 +243,17 @@ def petersen_split(n, us, vs):
     d = len(adjacency[0])
     if d < 2 or d % 2 or any(len(adj) != d for adj in adjacency):
         raise ValueError(_NOT_EVEN_REGULAR)
-    out_arcs = _orient(adjacency, m)
-    alive = bytearray([1]) * m
+    tail = _orient(adjacency, m)
+    left = range(m)
     parts = []
     for _ in range(d // 2 - 1):
-        matched = _bipartite_round(out_arcs, alive)
-        for eid in matched:
-            alive[eid] = 0
-        parts.append(sorted(matched))
-    parts.append(list(compress(range(m), alive)))
+        mates = _matching(2 * n, [tail[e] for e in left], [n + us[e] + vs[e] - tail[e] for e in left])[:n]
+        if -1 in mates:
+            raise RuntimeError("out/in incidence graph lost regularity")
+        taken = set(mates)
+        parts.append([e for j, e in enumerate(left) if j in taken])
+        left = [e for j, e in enumerate(left) if j not in taken]
+    parts.append(list(left))
     return parts
 
 
@@ -603,6 +610,12 @@ def maximum_matching(n, us, vs):
     n = index(n)
     us, vs = _read_edges(n, us, vs)
     _refuse_loops(us, vs)
+    return _matching(n, us, vs)
+
+
+def _matching(n, us, vs):
+    """maximum_matching's search of the loopless multigraph (n, us, vs),
+    read and checked; petersen_split's rounds call it too."""
     adj = [[] for _ in range(n)]
     pair_id = {}  # the lowest id of each class of parallel edges
     for eid, (u, v) in enumerate(zip(us, vs)):
@@ -630,8 +643,7 @@ def maximum_matching(n, us, vs):
 
 
 def _orient(adjacency, m):
-    """Per tail vertex, its out-arcs (head, edge id) in edge-id order,
-    given the _adjacency of a graph with m edges.
+    """Each edge's tail, given the _adjacency of a graph with m edges.
 
     From each vertex in turn, walk along unused edges, smallest id first,
     backing up when stuck; an edge points the way the walk first crossed
@@ -639,69 +651,24 @@ def _orient(adjacency, m):
     every vertex is left by half of its edges.
     """
     n = len(adjacency)
-    used = bytearray(m)
+    tail = [-1] * m
     nxt = [0] * n
-    out_arcs = [[] for _ in range(n)]
     for start in range(n):
         stack = [start]
         while stack:
             u = stack[-1]
             adj = adjacency[u]
             i = nxt[u]
-            while i < len(adj) and used[adj[i][1]]:
+            while i < len(adj) and tail[adj[i][1]] >= 0:
                 i += 1
             nxt[u] = i
             if i == len(adj):
                 stack.pop()
                 continue
             head, eid = adj[i]
-            used[eid] = 1
-            out_arcs[u].append((head, eid))
+            tail[eid] = u
             stack.append(head)
-    for arcs in out_arcs:
-        arcs.sort(key=lambda arc: arc[1])
-    return out_arcs
-
-
-def _bipartite_round(out_arcs, alive):
-    """One perfect matching of the out/in incidence graph over alive
-    edges, as the matched edge id per head.
-
-    Tails are matched in vertex order by augmenting paths; at each tail
-    the arcs are tried by edge id and the first head not yet visited is
-    followed before later ones.  The path lives on an explicit stack,
-    tails[j] having last tried its arc pos[j] - 1, so its length is not
-    bounded by the interpreter's recursion limit.
-    """
-    n = len(out_arcs)
-    tail_of = [-1] * n  # head -> tail matched into it
-    arc_of = [-1] * n  # head -> edge id of that match
-    visited = [-1] * n  # head -> last root whose search reached it
-    for root in range(n):
-        tails, pos = [root], [0]
-        while tails:
-            arcs = out_arcs[tails[-1]]
-            i = pos[-1]
-            while i < len(arcs) and (visited[arcs[i][0]] == root or not alive[arcs[i][1]]):
-                i += 1
-            pos[-1] = i + 1
-            if i == len(arcs):
-                tails.pop()
-                pos.pop()
-                continue
-            head = arcs[i][0]
-            visited[head] = root
-            if tail_of[head] < 0:
-                break
-            tails.append(tail_of[head])
-            pos.append(0)
-        else:
-            raise RuntimeError("out/in incidence graph lost regularity")
-        for u, p in zip(tails, pos):
-            head, eid = out_arcs[u][p - 1]
-            tail_of[head] = u
-            arc_of[head] = eid
-    return arc_of
+    return tail
 
 
 def _augmenting_path(adj, mate, root):

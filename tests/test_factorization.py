@@ -29,6 +29,7 @@ from kmagic import (
 )
 from kmagic import _backtrack_py, _twin
 from kmagic.factorization import FactorDecomposition
+from conftest import hub10
 
 
 def assert_partition(G, dec):
@@ -121,7 +122,7 @@ def test_two_factorization_takes_one_compiled_call_per_graph(compiled_kernel, mo
         vertex_profile=compiled_kernel.vertex_profile,
     )
     monkeypatch.setattr(_twin, "module", twin)
-    monkeypatch.setattr(_backtrack_py, "_bipartite_round", None)  # no pure round may run
+    monkeypatch.setattr(_backtrack_py, "_matching", None)  # no pure round may run
     D = double_graph(circulant(12, (1, 2, 3, 6))).doubled  # 14-regular
     full = two_factorization(D).parts
     for h in (1, 7, 3, 1, 6):
@@ -176,6 +177,30 @@ def test_split_twins_agree(compiled_kernel, G):
     assert all(p == sorted(p) for p in parts["compiled"])
     dec = FactorDecomposition(tuple(map(frozenset, parts["compiled"])), (2,) * len(parts["compiled"]))
     assert_partition(G, dec)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: double_graph(hub10()).doubled, lambda: disjoint_union([cycle(5), cycle(3), cycle(4)])],
+    ids=["2G of hub10", "C5 + C3 + C4"],
+)
+def test_pure_split_rounds_are_maximum_matchings(compiled_kernel, monkeypatch, build):
+    # 2G of hub10 is 18-regular with parallel edges; the union is 2-regular
+    G = build()
+    calls = []
+    matching = _backtrack_py._matching
+    monkeypatch.setattr(_backtrack_py, "_matching", lambda *a: calls.append(a) or matching(*a))
+    parts = _backtrack_py.petersen_split(G.n, G.us, G.vs)
+    rho = G.m // G.n
+    assert len(parts) == rho
+    # one matching of the out/in graph per round but the last, over the edges left
+    assert len(calls) == rho - 1
+    for j, (n, us, vs) in enumerate(calls):
+        assert n == 2 * G.n
+        assert all(0 <= u < G.n <= v < 2 * G.n for u, v in zip(us, vs))
+        left = sorted(set(range(G.m)).difference(*parts[:j]))
+        assert [{u, v - G.n} for u, v in zip(us, vs)] == [{G.us[e], G.vs[e]} for e in left]
+    assert parts == compiled_kernel.petersen_split(G.n, G.us, G.vs)
 
 
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
