@@ -9,8 +9,10 @@ connected component, every piece search inside it) of
 kmagic._backtrack_py.split_search, the vertex profile (degrees and
 components) of kmagic._backtrack_py.vertex_profile and the maximum
 matching (Edmonds' blossom search, behind every perfect matching and
-f-factor) of kmagic._backtrack_py.maximum_matching.  Like the pure
-twins, the six read their graph argument (n, us, vs) through one
+f-factor) of kmagic._backtrack_py.maximum_matching.  The C module has
+one matcher, the search of maximum_matching: each round of its Petersen
+split is a maximum matching of the out/in incidence graph, found by that
+same search, as in the pure twin.  Like the pure twins, the six read their graph argument (n, us, vs) through one
 reader, read_edges, which holds them to the input contract stated in
 the header of both modules.
 It needs only a C compiler; if none is available the extension is

@@ -11,10 +11,7 @@ and each component's order) and of the maximum matching
 (maximum_matching: Edmonds' blossom search, behind every perfect
 matching and f-factor of kmagic.factors); kmagic._backtrack holds their
 compiled twins, with identical semantics, and kmagic._twin picks one of
-the two modules for all six.  The module has one matcher, _matching,
-the search of maximum_matching: petersen_split's rounds are maximum
-matchings of the out/in incidence graph by that same search.  search and
-every piece search of
+the two modules for all six.  search and every piece search of
 split_search run one loop, _kernel, which visits edges in the given
 order; when an edge is the last unlabeled edge at one of its endpoints
 its label is forced by the target sum, otherwise all of its allowed
@@ -23,6 +20,10 @@ are tried in increasing order.  Every attempted assignment counts as
 one node against the cap; node_cap < 0 means unbounded, in search and
 split_search alike, and the searches of one component in split_search
 share one cap.
+
+The module has one matcher, _matching, the search of maximum_matching:
+each round of petersen_split but the last is a maximum matching of the
+out/in incidence graph, found by that same search.
 
 The scalar arguments n, k, c and node_cap are read through
 operator.index, as the compiled twins read their C ints: any other type

@@ -5,8 +5,10 @@ splits into r edge-disjoint 2-factors.  Walk the graph along unused
 edges and orient each edge the way the walk crosses it; in an even
 graph every walk closes, so every vertex gets out-degree r.  The out/in
 incidence graph is then an r-regular bipartite graph, which decomposes
-into r perfect matchings by repeated augmenting-path search.  Each
-matching pulls back to a spanning 2-regular subgraph.
+into r perfect matchings: each round takes a maximum matching of the
+out/in graph of the edges left, found by the twin module's one matcher,
+the search of maximum_matching, and the last round takes what is left.
+Each matching pulls back to a spanning 2-regular subgraph.
 
 The split is the twin module's petersen_split, compiled or pure as
 kmagic._twin selects; it splits every round in one call the first time
