@@ -58,7 +58,6 @@ from .labelings import (
     fold,
     labeling_from_json,
     labeling_to_json,
-    replay_trace,
     verify,
     verify_subset,
 )
@@ -130,7 +129,6 @@ __all__ = [
     "prism",
     "random_regular",
     "regularity",
-    "replay_trace",
     "search_labeling",
     "subgraph",
     "two_factorization",

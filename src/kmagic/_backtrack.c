@@ -1146,10 +1146,7 @@ augmenting_path(Matching *s, Py_ssize_t root)
  * and the same alternating trees, so both twins return the same mates.
  * Where the reference keys the lowest id of each class of parallel edges
  * by its vertex pair, each vertex here keeps its first edge to each
- * neighbour, in edge-id order, marking the neighbour in owner.  The
- * reference starts base, parent and even afresh for each root; here the
- * vertices of the last tree, the only ones its search changed, are reset
- * instead. */
+ * neighbour, in edge-id order, marking the neighbour in owner. */
 static int
 match_edges(Py_ssize_t nv, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev,
             Py_ssize_t *match)

@@ -632,14 +632,19 @@ def _matching(n, us, vs):
                 if mate[w] < 0:
                     mate[v], mate[w] = w, v
                     break
+    base = list(range(n))
+    parent = [-1] * n  # the even vertex an odd vertex was reached from
+    even = [False] * n
     for root in range(n):
         if mate[root] < 0:
-            end, parent = _augmenting_path(adj, mate, root)
+            end, tree = _augmenting_path(adj, mate, base, parent, even, root)
             while end >= 0:
                 v = parent[end]
                 after = mate[v]
                 mate[end], mate[v] = v, end
                 end = after
+            for u in tree:
+                base[u], parent[u], even[u] = u, -1, False
     return tuple(-1 if w < 0 else pair_id[(v, w) if v < w else (w, v)] for v, w in enumerate(mate))
 
 
@@ -672,13 +677,11 @@ def _orient(adjacency, m):
     return tail
 
 
-def _augmenting_path(adj, mate, root):
-    """Exposed end of an augmenting path from root and the parent links
-    that trace it back, or (-1, parent) when there is none."""
-    n = len(adj)
-    base = list(range(n))
-    parent = [-1] * n  # the even vertex an odd vertex was reached from
-    even = [False] * n
+def _augmenting_path(adj, mate, base, parent, even, root):
+    """Exposed end of an augmenting path from root, traced back by parent,
+    or -1 when there is none; and the vertices of the tree, the only ones
+    whose base, parent and even the search changed.  It starts from
+    base[v] == v, parent[v] == -1 and even[v] false for every v."""
     even[root] = True
     tree = [root]  # every vertex the tree holds; only they have base[v] != v
     queue = [root]
@@ -702,12 +705,12 @@ def _augmenting_path(adj, mate, root):
                 parent[w] = v
                 tree.append(w)
                 if mate[w] < 0:
-                    return w, parent
+                    return w, tree
                 x = mate[w]
                 even[x] = True
                 tree.append(x)
                 queue.append(x)
-    return -1, parent
+    return -1, tree
 
 
 def _common_base(base, mate, parent, a, b):

@@ -18,15 +18,18 @@ perfect matching (at k = 2 the constant label 1 reaches the spectrum
 - odd r: the split at h = 1 or h = 2 reaches every sum a constant
   misses.
 
-The doubling search serves graphs without one.  Both factor rules
+The doubling search serves graphs without one.  All three factor rules
 label through one split over a weighting: edge e weighs j(e), the
-weights at each vertex add up to h, and e gets b + j(e)(a - b), so every
-vertex sums to h*a + (r - h)*b.  The factor split weighs an h-factor of
-G 1, the doubling search each edge by how many of its two copies lie in
-an h-factor of the doubled graph 2G.  A rule whose formula goes illegal
-at a boundary (a label vanishing mod k) falls through to the next rule
-and the event is recorded in the trace.  Every labeling handed back has
-been re-verified against the requested sum.
+weights at each vertex add up to h mod k, and e gets b + j(e)(a - b), so
+every vertex sums to h*a + (r - h)*b.  The factor split weighs an
+h-factor of G 1; the mod-3 rule weighs 1, at h = 1 and k = 3, a factor
+whose degrees are all 1 mod 3; the doubling search weighs each edge by
+how many of its two copies lie in an h-factor of the doubled graph 2G.
+A rule whose formula goes illegal at a boundary (a label vanishing mod
+k) falls through to the next rule and the event is recorded in the
+trace.  Every labeling handed back has been re-verified against the
+requested sum.  It lives in the result alone: the trace records the
+rule that made it and that rule's parameters, not the labels.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ class ConstructResult:
     trace: ConstructionTrace
 
 
-class _NotApplicable(Exception):
-    """Guard failed; not worth a trace entry."""
-
-
 class _Miss(Exception):
     """Rule applied but its formula went illegal; recorded in the trace."""
 
@@ -65,10 +64,9 @@ def _norm(c: int, k: int) -> int:
 
 
 def _accept(G, k, c, labels, rule, params):
-    """Re-verify a candidate assignment and close the trace with it.
-
-    labels is a dict no caller uses again, so the labeling takes it as
-    it is and only the trace step gets a copy."""
+    """Re-verify a candidate assignment: the labeling and the trace step
+    that records how it was made.  labels is a dict no caller uses
+    again, so the labeling takes it as it is."""
     lab = EdgeLabeling(k, labels)
     try:
         got = verify(G, lab)
@@ -76,38 +74,35 @@ def _accept(G, k, c, labels, rule, params):
         raise _Miss(f"{rule}: {exc}") from None
     if got != _norm(c, k):
         raise _Miss(f"{rule}: verified sum {got}, wanted {_norm(c, k)}")
-    return lab, [TraceStep(rule, params, labels=dict(labels))]
+    return lab, TraceStep(rule, params)
 
 
 def _rule_constant(G, r, k, c, budget):
-    """All edges get one label a with r*a = c; rule (gcd) and friends."""
+    """All edges get one label a with r*a = c, or None when none fits;
+    rule (gcd) and friends."""
     if k >= 2:
-        for a in range(1, k):
-            if (r * a) % k == c % k:
-                return _accept(G, k, c, dict.fromkeys(range(G.m), a), "constant", {"a": a})
-        raise _NotApplicable("no constant label fits")
-    if c != 0 and c % r == 0:
-        a = c // r
+        a = next((a for a in range(1, k) if (r * a) % k == c % k), None)
+    else:
+        a = c // r if c != 0 and c % r == 0 else None
+    if a is not None:
         return _accept(G, k, c, dict.fromkeys(range(G.m), a), "constant", {"a": a})
-    raise _NotApplicable("no constant label fits")
 
 
 def _rule_mod3_factor(G, r, k, c, budget):
-    """k = 3, r = 3 mod 6, c != 0: a factor with degrees 1 mod 3 labeled 2
-    against ones gives the 1-sum; its complement the 2-sum.  There no
-    constant fits, as r*a = 0 mod 3 for every a."""
+    """k = 3, r = 3 mod 6, c != 0, else None: the split on a factor H whose
+    degrees are all 1 mod 3, which at k = 3 weighs like a 1-factor.  H
+    labeled a against b elsewhere sums to a + (r - 1)b, (a, b) = (2, 1)
+    for the 1-sum and (1, 2) for the 2-sum.  There no constant fits, as
+    r*a = 0 mod 3 for every a."""
     if k != 3 or r % 6 != 3 or c == 0:
-        raise _NotApplicable("the mod-3 factor serves only nonzero sums mod 3 at r = 3 mod 6")
+        return None
     try:
         H = mod3_factor(G, budget)
     except BudgetError as exc:
         raise _Miss(f"mod-3 factor undecided: {exc}") from None
     if H is None:
         raise _Miss("no mod-3 factor")
-    x = 2 if c == 1 else 1
-    labels = {e: x if e in H else 3 - x for e in range(G.m)}
-    params = {"factor_label": 2} if c == 1 else {"factor_label": 1, "complemented": True}
-    return _accept(G, 3, c, labels, "mod3-factor", params)
+    return _split(G, r, 3, c, 1, {1: H}, "mod3-factor")
 
 
 def _label_pairs(k, c, r, h, weights):
@@ -132,8 +127,8 @@ def _label_pairs(k, c, r, h, weights):
 def _split(G, r, k, c, h, classes, rule):
     """Label each edge of weight j with b + j(a - b) under the first pair
     that fits, or None.  classes maps each weight j >= 1 to its edges and
-    every other edge has weight 0; a vertex's weights add up to h, so
-    its labels add up to h*a + (r - h)*b."""
+    every other edge has weight 0; a vertex's weights add up to h mod k,
+    so its labels add up to h*a + (r - h)*b."""
     weights = set(classes)
     if sum(map(len, classes.values())) < G.m:
         weights.add(0)
@@ -229,10 +224,7 @@ def _solver_result(G, k, c, budget, pre_steps):
         return ConstructResult("undecided", None, None, ConstructionTrace(tuple(steps)))
     res = search_labeling(G, k, c, budget)
     lab = res.labeling if res.status == "found" else None
-    step = TraceStep(
-        _SOLVER_STEP[res.status], {"nodes": res.nodes},
-        labels=None if lab is None else dict(lab.labels),
-    )
+    step = TraceStep(_SOLVER_STEP[res.status], {"nodes": res.nodes})
     return ConstructResult(
         res.status, lab, None if lab is None else c % k,
         ConstructionTrace(tuple(pre_steps + [step])),
@@ -264,11 +256,11 @@ def construct(
         return _solver_result(G, k, cn, budget, pre)
     for name, fn in _CASCADE:
         try:
-            lab, steps = fn(G, r, k, cn, budget)
-        except _NotApplicable:
-            continue
+            found = fn(G, r, k, cn, budget)
         except (_Miss, FactorError) as exc:
             pre.append(TraceStep("fallthrough", {"rule": name, "reason": str(exc)}))
             continue
-        return ConstructResult("found", lab, cn, ConstructionTrace(tuple(pre + steps)))
+        if found is not None:
+            lab, step = found
+            return ConstructResult("found", lab, cn, ConstructionTrace((*pre, step)))
     return _solver_result(G, k, cn, budget, pre)

@@ -6,7 +6,10 @@ labels add up to c.  The transforms here build one labeling from
 another: complementation (label -> k - label), folding a labeling of a
 doubled graph back onto the source, and extending a labeled factor by
 all-ones on the remaining edges.  construct calls none of them; it
-labels G directly and keeps only verify and the trace types.
+labels G directly and keeps only verify and the trace types.  A trace
+records the steps of a construction, each a rule and its parameters;
+the labeling itself lives once, beside the trace, as it does in the
+JSON file of labeling_to_json.
 
 verify, which every transform and every construction runs on its
 result, checks the labeling and its vertex sums in one pass of the
@@ -199,23 +202,17 @@ def extend_by_factor(
 class TraceStep:
     """One recorded construction step.
 
-    rule names the construction applied, params carries its numeric
-    choices, labels (optional) the assignment it produced, and scope
-    says which graph those labels live on ("graph" or "doubled").
+    rule names the construction applied and params carries its numeric
+    choices.  scope is always "graph": construct labels the graph itself.
+    It stays because perfbench/tracer.py reads it.
     """
 
     rule: str
     params: dict = field(default_factory=dict)
-    labels: dict[int, int] | None = None
     scope: str = "graph"
 
     def to_jsonable(self) -> dict:
-        return {
-            "labels": None if self.labels is None else {str(i): v for i, v in sorted(self.labels.items())},
-            "params": self.params,
-            "rule": self.rule,
-            "scope": self.scope,
-        }
+        return {"params": self.params, "rule": self.rule, "scope": self.scope}
 
 
 @dataclass(frozen=True)
@@ -227,19 +224,6 @@ class ConstructionTrace:
 
     def rules(self) -> list[str]:
         return [s.rule for s in self.steps]
-
-
-def replay_trace(trace: ConstructionTrace) -> dict[int, int] | None:
-    """Final edge assignment recorded in a trace, or None if absent.
-
-    Every successful construction ends with a step whose labels are the
-    complete assignment on the target graph; replay returns it.
-    """
-    final = None
-    for step in trace.steps:
-        if step.scope == "graph" and step.labels is not None:
-            final = dict(step.labels)
-    return final
 
 
 def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None = None) -> str:

@@ -69,6 +69,15 @@ def test_unknown_family_is_usage_error(capsys):
     assert run(capsys, "gen", "--family", "nope")[0] == 2
 
 
+def assert_labels_once(payload):
+    """K5's labeling sits at the top level; each trace step records only
+    its rule, params and scope."""
+    assert sorted(payload["labels"], key=int) == [str(e) for e in range(10)]
+    assert payload["trace"]
+    for step in payload["trace"]:
+        assert sorted(step) == ["params", "rule", "scope"]
+
+
 def test_label_found_absent_and_file(tmp_path, k5_file, capsys):
     out_file = tmp_path / "lab.json"
     code, out, _ = run(capsys, "label", k5_file, "--k", "6", "--c", "2", "-o", str(out_file))
@@ -76,6 +85,7 @@ def test_label_found_absent_and_file(tmp_path, k5_file, capsys):
     assert "found" in out
     payload = json.loads(out_file.read_text(encoding="ascii"))
     assert payload["c"] == 2 and payload["k"] == 6
+    assert_labels_once(payload)
     code, out, _ = run(capsys, "label", k5_file, "--k", "6", "--c", "3")
     assert code == 1
     assert "absent" in out and "spectrum-excluded" in out
@@ -87,6 +97,18 @@ def test_label_prints_json_without_output_flag(k5_file, capsys):
     body = out.splitlines()[-1]
     payload = json.loads(body)
     assert payload["c"] == 2
+    assert_labels_once(payload)
+
+
+def test_verify_reads_trace_steps_that_carry_labels(tmp_path, k5_file, capsys):
+    # a file in the earlier format, whose trace steps copied the labeling
+    labels = {str(e): 1 for e in range(10)}
+    step = {"labels": labels, "params": {"a": 1}, "rule": "constant", "scope": "graph"}
+    lab = tmp_path / "lab.json"
+    payload = {"c": 4, "k": 6, "labels": labels, "trace": [step]}
+    lab.write_text(json.dumps(payload, sort_keys=True) + "\n", encoding="ascii")
+    code, out, _ = run(capsys, "verify", k5_file, str(lab))
+    assert (code, out.strip()) == (0, "4")
 
 
 def test_verify_roundtrip(tmp_path, k5_file, capsys):

@@ -1,4 +1,4 @@
-"""Rule-driven construction: dispatch, statuses, traces, replay."""
+"""Rule-driven construction: dispatch, statuses, traces."""
 
 import importlib
 import itertools
@@ -13,14 +13,15 @@ from kmagic import (
     build_graph,
     circulant,
     complete,
+    complete_bipartite,
     construct,
     cycle,
     disjoint_union,
     f_factor,
+    mod3_factor,
     petersen,
     predict_spectrum,
     prism,
-    replay_trace,
     search_labeling,
     verify,
     zero_sum_4_magic,
@@ -115,7 +116,9 @@ def test_trace_replay_matches_labeling():
     ]:
         res = construct(G, k, c)
         assert res.status == "found", (k, c)
-        assert replay_trace(res.trace) == res.labeling.labels
+        # the labeling lives in the result alone, and it verifies
+        assert all("labels" not in step for step in res.trace.to_jsonable()), (k, c)
+        assert verify(G, res.labeling) == c
 
 
 def test_k6_zero_sum_small_modulus_by_factor_split():
@@ -182,6 +185,37 @@ def test_mod3_factor_rule_decides_a_union_per_component():
         assert verify(G, res.labeling) == c
         assert res.trace.rules()[-1] == "mod3-factor"
         assert "fallthrough" not in res.trace.rules()
+
+
+def test_mod3_factor_answers_are_the_split_on_the_factor():
+    # at r = 3 (mod 6) no constant reaches a nonzero sum mod 3; the mod-3
+    # rule answers both, the split at h = 1 on a factor H whose degrees
+    # are all 1 mod 3: H labeled a, every other edge b, a + (r - 1)b = c
+    for G in (
+        complete(4),
+        complete_bipartite(3, 3),
+        petersen(),
+        prism(3),
+        disjoint_union([petersen(), complete(4)]),
+        complete(10),
+    ):
+        r = G.degrees[0]
+        assert r % 6 == 3, G.n
+        H = mod3_factor(G)
+        degrees = [0] * G.n
+        for e in H:
+            degrees[G.us[e]] += 1
+            degrees[G.vs[e]] += 1
+        assert all(d % 3 == 1 for d in degrees), G.n
+        for c in (1, 2):
+            res = construct(G, 3, c)
+            assert res.trace.rules() == ["mod3-factor"], (G.n, c)
+            params = res.trace.steps[0].params
+            a, b = params["a"], params["b"]
+            assert params["h"] == 1 and (a + (r - 1) * b) % 3 == c, (G.n, c)
+            assert (a, b) == ((2, 1) if c == 1 else (1, 2)), (G.n, c)
+            assert {e for e, x in res.labeling.labels.items() if x == a} == H, (G.n, c)
+            assert verify(G, res.labeling) == c
 
 
 def test_doubling_search_serves_even_degree_graphs_without_a_perfect_matching():
@@ -324,7 +358,7 @@ def test_even_degree_sums_need_no_solver():
 def test_doubling_answers_are_one_step_on_the_graph(monkeypatch):
     # the doubling search labels G itself: no fold, one step of scope
     # "graph" whose labels are b, a and 2a - b, the labels of the weights
-    # 0, 1 and 2, and which the trace replays
+    # 0, 1 and 2
     assert not hasattr(importlib.import_module("kmagic.construct"), "fold")
     monkeypatch.setattr(labelings, "fold", lambda *a: pytest.fail("construct folded"))
     answered = []
@@ -339,7 +373,6 @@ def test_doubling_answers_are_one_step_on_the_graph(monkeypatch):
                 a, b = steps[0].params["a"], steps[0].params["b"]
                 values = {_norm(b, k), _norm(a, k), _norm(2 * a - b, k)}
                 assert set(res.labeling.labels.values()) <= values, (G.n, k, c)
-                assert replay_trace(res.trace) == res.labeling.labels
                 answered.append(len(set(res.labeling.labels.values())))
     # some answers have edges of all three weights
     assert 3 in answered

@@ -29,7 +29,6 @@ from kmagic import (
     labeling_from_json,
     labeling_to_json,
     petersen,
-    replay_trace,
     verify,
     verify_subset,
 )
@@ -210,26 +209,10 @@ def test_extend_by_factor_rejections():
         extend_by_factor(G, cyc, labs, 7)
 
 
-def test_replay_trace_returns_last_graph_scope_labels():
-    t = ConstructionTrace(
-        (
-            TraceStep("setup", {}, labels={0: 1}, scope="doubled"),
-            TraceStep("first", {}, labels={0: 1, 1: 1}),
-            TraceStep("final", {"a": 2}, labels={0: 2, 1: 3}),
-        )
-    )
-    assert replay_trace(t) == {0: 2, 1: 3}
-    assert replay_trace(ConstructionTrace(())) is None
-    only_doubled = ConstructionTrace(
-        (TraceStep("setup", {}, labels={0: 1}, scope="doubled"),)
-    )
-    assert replay_trace(only_doubled) is None
-
-
 def test_labeling_json_roundtrip_and_shape():
     G = cycle(4)
     lab = EdgeLabeling(5, {0: 1, 1: 4, 2: 1, 3: 4})
-    step = TraceStep("factor-split", {"h": 1, "a": 1, "b": 4}, labels=dict(lab.labels))
+    step = TraceStep("factor-split", {"h": 1, "a": 1, "b": 4})
     trace = ConstructionTrace((step,))
     text = labeling_to_json(lab, 0, trace)
     assert text.endswith("\n")
