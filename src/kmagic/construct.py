@@ -3,11 +3,10 @@
 construct() first predicts the spectrum; a c outside it is reported
 absent with the excluding rule in the trace.  Otherwise every graph runs
 one fixed cascade, cheapest first, in which each rule decides for
-itself whether it applies: a constant label, the mod-3 factor, the
-h-factor split, the doubling search.  The exact solver runs only when
-every rule misses.  Why the cascade is complete on a graph with a
-perfect matching (at k = 2 the constant label 1 reaches the spectrum
-{r mod 2}):
+itself whether it applies: a constant label, the h-factor split, the
+doubling search.  The exact solver runs only when every rule misses.
+Why the cascade is complete on a graph with a perfect matching (at
+k = 2 the constant label 1 reaches the spectrum {r mod 2}):
 
 - r <= 2: a constant or the split on a perfect matching answers.
 - even r: the split on the first Petersen 2-factor, 2a + (r - 2)b,
@@ -16,15 +15,16 @@ perfect matching (at k = 2 the constant label 1 reaches the spectrum
   when r/2 = 1 (mod k), which h = 4 reaches.  An odd c at even k or at
   k = 1 needs a factor of odd degree, such as a perfect matching.
 - odd r: the split at h = 1 or h = 2 reaches every sum a constant
-  misses.
+  misses; at k = 3 and r = 3 mod 6, h = 1 alone does.
 
-The doubling search serves graphs without one.  All three factor rules
-label through one split over a weighting: edge e weighs j(e), the
-weights at each vertex add up to h mod k, and e gets b + j(e)(a - b), so
-every vertex sums to h*a + (r - h)*b.  The factor split weighs an
-h-factor of G 1; the mod-3 rule weighs 1, at h = 1 and k = 3, a factor
-whose degrees are all 1 mod 3; the doubling search weighs each edge by
-how many of its two copies lie in an h-factor of the doubled graph 2G.
+The doubling search serves graphs without one.  Both factor rules label
+through one split over a weighting: edge e weighs j(e), the weights at
+each vertex add up to h mod k, and e gets b + j(e)(a - b), so every
+vertex sums to h*a + (r - h)*b.  The factor split weighs an h-factor of
+G 1, or at h = 1, k = 3 and r = 3 mod 6 without a perfect matching, a
+factor whose degrees are all 1 mod 3; the doubling search weighs each
+edge by how many of its two copies lie in an h-factor of the doubled
+graph 2G.
 A rule whose formula goes illegal at a boundary (a label vanishing mod
 k) falls through to the next rule and the event is recorded in the
 trace.  Every labeling handed back has been re-verified against the
@@ -88,23 +88,6 @@ def _rule_constant(G, r, k, c, budget):
         return _accept(G, k, c, dict.fromkeys(range(G.m), a), "constant", {"a": a})
 
 
-def _rule_mod3_factor(G, r, k, c, budget):
-    """k = 3, r = 3 mod 6, c != 0, else None: the split on a factor H whose
-    degrees are all 1 mod 3, which at k = 3 weighs like a 1-factor.  H
-    labeled a against b elsewhere sums to a + (r - 1)b, (a, b) = (2, 1)
-    for the 1-sum and (1, 2) for the 2-sum.  There no constant fits, as
-    r*a = 0 mod 3 for every a."""
-    if k != 3 or r % 6 != 3 or c == 0:
-        return None
-    try:
-        H = mod3_factor(G, budget)
-    except BudgetError as exc:
-        raise _Miss(f"mod-3 factor undecided: {exc}") from None
-    if H is None:
-        raise _Miss("no mod-3 factor")
-    return _split(G, r, 3, c, 1, {1: H}, "mod3-factor")
-
-
 def _label_pairs(k, c, r, h, weights):
     """(a, b) with h*a + (r - h)*b = c whose labels b + j(a - b) are
     nonzero for each weight j in weights: b at 0, a at 1, 2a - b at 2.
@@ -150,11 +133,23 @@ def _rule_factor_split(G, r, k, c, budget):
     matching M labeled a and the rest b gives a + b = c.  At even r >= 4
     an odd c at even k or at k = 1 is reached on a perfect matching too:
     a + (r - 1)b = c, since at even k gcd(r - 1, k) <= k/2 leaves a b
-    with (r - 1)b != c, and at k = 1, b = 1 or 2 does."""
+    with (r - 1)b != c, and at k = 1, b = 1 or 2 does.
+
+    At k = 3 and r = 3 mod 6 a constant reaches only c = 0, as r*a = 0
+    mod 3 for every a, and h = 1 reaches the rest: (a, b) = (2, 1) for
+    the 1-sum and (1, 2) for the 2-sum.  There the h = 1 factor is the
+    mod-3 factor when G has no perfect matching: its degrees are all
+    1 mod 3, so at k = 3 it weighs like a 1-factor.  A search for it
+    left undecided by the budget is a miss at h = 1."""
     for h in range(1, r):
         if (h * G.n) % 2 != 0:
             continue
         F = f_factor(G, h)
+        if F is None and h == 1 and k == 3 and r % 6 == 3:
+            try:
+                F = mod3_factor(G, budget)
+            except BudgetError:
+                pass
         if F is not None:
             found = _split(G, r, k, c, h, {1: F}, "factor-split")
             if found:
@@ -202,7 +197,6 @@ def _rule_doubling_search(G, r, k, c, budget):
 # every graph runs these in order, cheapest first; the first to succeed wins
 _CASCADE = (
     ("constant", _rule_constant),
-    ("mod3-factor", _rule_mod3_factor),
     ("factor-split", _rule_factor_split),
     ("doubling-parameter-search", _rule_doubling_search),
 )

@@ -32,8 +32,11 @@ kmagic._twin selects, on the graph as (n, us, vs) edge arrays.
 
 A mod-3 factor is a perfect matching when G has one; otherwise it is
 the set of label-2 edges of a 1-sum 3-magic labeling, which the
-budgeted label search decides.  An exhaustive subset search, which
-shares no code with any of these routes, is the small-instance oracle.
+budgeted label search decides.  The k = 3 prediction asks whether one
+exists, and the construction's factor split takes it as its 1-factor at
+k = 3 when G has no perfect matching, so both read one memoized search.
+An exhaustive subset search, which shares no code with any of these
+routes, is the small-instance oracle.
 
 Each graph has one fact sheet (``fact_sheet``), built from its
 ``vertex_profile``: its common degree and the order of each component,

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from kmagic import (
+    BudgetError,
     KmagicError,
     RegularityError,
     SolverBudget,
@@ -27,7 +28,7 @@ from kmagic import (
     zero_sum_4_magic,
 )
 from kmagic import labelings
-from kmagic.construct import _label_pairs, _norm
+from kmagic.construct import _label_pairs, _norm, _rule_factor_split
 from conftest import (
     bridged_cubic_16,
     hub10,
@@ -173,24 +174,26 @@ def test_guard_rails():
         construct(path, 5, 0)
 
 
-def test_mod3_factor_rule_decides_a_union_per_component():
+def test_factor_split_decides_a_union_per_component():
     # each hub10 decides under the cap on its own (427,422 nodes); the
-    # union's search takes its components one at a time, so the mod-3
-    # rule answers both nonzero sums without falling through
+    # union's search takes its components one at a time, so the factor
+    # split on the union's mod-3 factor answers both nonzero sums without
+    # falling through
     G = disjoint_union([hub10(), hub10()])
     budget = SolverBudget(node_cap=5 * 10**5)
     for c in (1, 2):
         res = construct(G, 3, c, budget)
         assert res.status == "found"
         assert verify(G, res.labeling) == c
-        assert res.trace.rules()[-1] == "mod3-factor"
+        assert res.trace.rules()[-1] == "factor-split"
         assert "fallthrough" not in res.trace.rules()
 
 
 def test_mod3_factor_answers_are_the_split_on_the_factor():
-    # at r = 3 (mod 6) no constant reaches a nonzero sum mod 3; the mod-3
-    # rule answers both, the split at h = 1 on a factor H whose degrees
-    # are all 1 mod 3: H labeled a, every other edge b, a + (r - 1)b = c
+    # at r = 3 (mod 6) no constant reaches a nonzero sum mod 3; the factor
+    # split answers both at h = 1, on a factor H whose degrees are all
+    # 1 mod 3: a perfect matching, or on hub10, which has none, the
+    # mod-3 factor.  H labeled a, every other edge b, a + (r - 1)b = c
     for G in (
         complete(4),
         complete_bipartite(3, 3),
@@ -198,6 +201,7 @@ def test_mod3_factor_answers_are_the_split_on_the_factor():
         prism(3),
         disjoint_union([petersen(), complete(4)]),
         complete(10),
+        hub10(),
     ):
         r = G.degrees[0]
         assert r % 6 == 3, G.n
@@ -209,13 +213,34 @@ def test_mod3_factor_answers_are_the_split_on_the_factor():
         assert all(d % 3 == 1 for d in degrees), G.n
         for c in (1, 2):
             res = construct(G, 3, c)
-            assert res.trace.rules() == ["mod3-factor"], (G.n, c)
+            assert res.trace.rules() == ["factor-split"], (G.n, c)
             params = res.trace.steps[0].params
             a, b = params["a"], params["b"]
             assert params["h"] == 1 and (a + (r - 1) * b) % 3 == c, (G.n, c)
             assert (a, b) == ((2, 1) if c == 1 else (1, 2)), (G.n, c)
             assert {e for e, x in res.labeling.labels.items() if x == a} == H, (G.n, c)
             assert verify(G, res.labeling) == c
+
+
+def test_factor_split_asks_for_a_mod3_factor_only_without_a_perfect_matching(monkeypatch):
+    # at k = 3 and r = 3 (mod 6) the split's weight-1 class at h = 1 is
+    # the mod-3 factor when G has no perfect matching; an undecided
+    # search is a miss at h = 1, and the split moves on to h = 2
+    calls = []
+
+    def capped(G, budget=None):
+        calls.append(G.n)
+        raise BudgetError("capped")
+
+    monkeypatch.setattr(importlib.import_module("kmagic.construct"), "mod3_factor", capped)
+    G = hub10()
+    lab, step = _rule_factor_split(G, 9, 3, 1, None)
+    assert calls == [10]
+    assert step.rule == "factor-split" and step.params == {"h": 2, "a": 1, "b": 2}
+    assert verify(G, lab) == 1
+    lab, step = _rule_factor_split(petersen(), 3, 3, 1, None)
+    assert calls == [10]
+    assert step.params["h"] == 1 and verify(petersen(), lab) == 1
 
 
 def test_doubling_search_serves_even_degree_graphs_without_a_perfect_matching():
@@ -310,14 +335,19 @@ def test_factor_splits_reach_every_sum_no_constant_reaches():
     # every c at odd k), except c = 0 at odd k with r/2 = 1 (mod k), where
     # the split on a 4-factor does; an odd c at even k or at k = 1 takes
     # the split on a perfect matching.  At odd r the split on a perfect
-    # matching or a 2-factor reaches every sum a constant misses
+    # matching or a 2-factor reaches every sum a constant misses; at k = 3
+    # and r = 3 (mod 6), where that is every c != 0, h = 1 alone does, so
+    # a mod-3 factor serves a graph without a perfect matching, which may
+    # have no 2-factor either
     for r in range(3, 21):
         for k in [1, *range(3, 31)]:
             for c in range(-12, 13) if k == 1 else range(k):
                 if _constant_fits(r, k, c):
                     continue
                 split = {h: any(_label_pairs(k, c, r, h, {0, 1})) for h in (1, 2, 4) if h < r}
-                if r % 2 == 1:
+                if k == 3 and r % 6 == 3:
+                    assert split[1], (r, k, c)
+                elif r % 2 == 1:
                     assert split[1] or split[2], (r, k, c)
                 elif c % 2 == 1 and (k == 1 or k % 2 == 0):
                     assert split[1], (r, k, c)
