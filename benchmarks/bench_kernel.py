@@ -16,12 +16,13 @@ its timings are milliseconds per call, the best of SPLIT_REPEATS
 batches of SPLIT_CALLS calls (one call with --quick).  Then the magic-sum
 check behind verify runs through both sum twins on a magic and a
 non-magic labeling of each graph in SUM_CASES, which must get the same
-answers; its timings are microseconds per call, the best of SUM_REPEATS
-batches of SUM_CALLS calls.  Then the split search, the solver's one
-call per search, runs through both split-search twins on three bridged
-graphs (bridged16 and hub_quintic_16 of the digest, and the 16-vertex
-cubic graph without a perfect matching of the spectrum-oracle
-benchmark) and on two disconnected graphs (Petersen's graph beside that
+answers, a sum for the magic one; its timings are microseconds per
+call, the best of SUM_REPEATS batches of SUM_CALLS calls.  Then the
+split search, the solver's one call per search, runs through both
+split-search twins on three bridged graphs (bridged16 and
+hub_quintic_16 of the digest, and the 16-vertex cubic graph without a
+perfect matching of the spectrum-oracle benchmark) and on two
+disconnected graphs (Petersen's graph beside that
 cubic graph, and K4, an isolated vertex and that cubic graph), at every
 sum of SPLIT_SEARCH_CASES' moduli, which must return the same status,
 labeling and node count; its timings are microseconds per call, the
@@ -84,6 +85,7 @@ from kmagic import (
     random_regular,
     search_labeling,
 )
+from kmagic._backtrack_py import MALFORMED
 from kmagic.factors import _gadget
 from kmagic.solver import available_kernels
 
@@ -243,8 +245,10 @@ def compare_splits(kernels: dict, calls: int) -> None:
 def compare_sums(kernels: dict) -> None:
     cases = []
     for label, G, k in SUM_CASES:
-        ones = {e: 1 for e in range(G.m)}
-        args = [(G.n, G.us, G.vs, labels, k) for labels in (ones, {**ones, 0: 2})]
+        ones = (1,) * G.m
+        args = [(G.n, G.us, G.vs, labels, k) for labels in (ones, (2,) + ones[1:])]
+        for name, kernel in kernels.items():
+            assert kernel.magic_sum(*args[0]) not in (None, MALFORMED), f"{label}: {name} found no sum"
         cases.append((label, G, args, args[:1]))
     sums = ("sums", 9, lambda G, answers: answers)
     compare_twins(kernels, "magic_sum", "magic-sum check", [EDGES, sums], "us", SUM_CALLS,

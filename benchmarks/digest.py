@@ -250,7 +250,7 @@ def answers():
         for k in MODULI:
             for c in INTEGER_SUMS if k == 1 else range(k):
                 res = construct(G, k, c, BUDGET)
-                labels = None if res.labeling is None else sorted(res.labeling.labels.items())
+                labels = None if res.labeling is None else list(enumerate(res.labeling.labels))
                 full = [name, k, c, res.status, res.c, labels, res.trace.to_jsonable()]
                 yield full, [name, k, c, res.status], res
 
@@ -266,7 +266,7 @@ def oracle_answers():
             searches = []
             for c in range(k):
                 res = search_labeling(G, k, c, ORACLE_BUDGET)
-                labels = None if res.labeling is None else sorted(res.labeling.labels.items())
+                labels = None if res.labeling is None else list(enumerate(res.labeling.labels))
                 searches.append([res.status, res.nodes, labels])
             yield [name, k, answer, searches], [name, k, answer]
 

@@ -331,12 +331,12 @@ done:
 }
 
 /* The common vertex sum mod k of a labeling, the twin of
- * kmagic._backtrack_py.magic_sum: MALFORMED unless the dict labels holds
- * exactly the ids 0..m-1, each with an int label in 1..k-1, else the sum
- * or None.  Each id is looked up as a Python int, so a key is matched by
- * Python equality, as the reference matches it.  Labels lie below k, a
- * C int, so the per-vertex sums, at most m labels each, fit unsigned
- * long long. */
+ * kmagic._backtrack_py.magic_sum: MALFORMED unless the tuple or list
+ * labels holds m labels, edge i's at index i, each an int in 1..k-1,
+ * else the sum or None.  No Python code runs while the items are read,
+ * so a list cannot change under the loop.  Labels lie below k, a C int,
+ * so the per-vertex sums, at most m labels each, fit unsigned long
+ * long. */
 static PyObject *
 magic_sum(PyObject *self, PyObject *args)
 {
@@ -352,11 +352,11 @@ magic_sum(PyObject *self, PyObject *args)
     ends = read_edges(n, us_arg, vs_arg, &m);
     if (ends == NULL)
         goto done;
-    if (!PyDict_Check(labels)) {
-        PyErr_SetString(PyExc_TypeError, "labels must be a dict");
+    if (!PyTuple_Check(labels) && !PyList_Check(labels)) {
+        PyErr_SetString(PyExc_TypeError, "labels must be a tuple or list");
         goto done;
     }
-    if (PyDict_GET_SIZE(labels) != m) {
+    if (PySequence_Fast_GET_SIZE(labels) != m) {
         result = PyLong_FromLong(MALFORMED);
         goto done;
     }
@@ -365,16 +365,10 @@ magic_sum(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
+    PyObject **items = PySequence_Fast_ITEMS(labels);  /* borrowed */
     for (Py_ssize_t i = 0; i < m; i++) {
-        PyObject *key = PyLong_FromSsize_t(i);
-        if (key == NULL)
-            goto done;
-        PyObject *val = PyDict_GetItemWithError(labels, key);  /* borrowed */
-        Py_DECREF(key);
-        if (val == NULL && PyErr_Occurred())
-            goto done;
         int overflow = 0;
-        long x = val != NULL && PyLong_Check(val) ? PyLong_AsLongAndOverflow(val, &overflow) : 0;
+        long x = PyLong_Check(items[i]) ? PyLong_AsLongAndOverflow(items[i], &overflow) : 0;
         if (x == -1 && PyErr_Occurred())
             goto done;
         if (overflow || x < 1 || x > k - 1) {
@@ -1396,10 +1390,10 @@ static PyMethodDef methods[] = {
      "kmagic._backtrack_py.search, whose semantics this twin shares."},
     {"magic_sum", magic_sum, METH_VARARGS,
      "magic_sum(n, us, vs, labels, k)\n--\n\n"
-     "The common vertex sum mod k of the labeling labels (edge id -> label) of\n"
-     "the multigraph whose edge i joins us[i] and vs[i], None when the sums\n"
-     "differ, MALFORMED (-1) when labels is malformed; see kmagic._backtrack_py.magic_sum,\n"
-     "whose semantics this twin shares."},
+     "The common vertex sum mod k of the labeling labels, a tuple or list with\n"
+     "edge i's label at index i, of the multigraph whose edge i joins us[i] and\n"
+     "vs[i], None when the sums differ, MALFORMED (-1) when labels is malformed;\n"
+     "see kmagic._backtrack_py.magic_sum, whose semantics this twin shares."},
     {"petersen_split", petersen_split, METH_VARARGS,
      "petersen_split(n, us, vs)\n--\n\n"
      "Split an even-regular multigraph, edge i joining us[i] and vs[i], into\n"

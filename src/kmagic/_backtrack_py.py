@@ -96,24 +96,23 @@ def magic_sum(n, us, vs, labels, k):
     """The common vertex sum mod k of a labeling, or None.
 
     (n, us, vs) is the graph, as the module header states.  labels is a
-    dict from edge id to label.  Returns MALFORMED unless its keys are
-    exactly the ids 0..m-1 and every label is an int (a bool counts as
-    one) in 1..k-1.  Otherwise returns the vertex sum mod k when every
-    vertex has the same one, and None when two differ or n is 0.  A
-    vertex without edges sums to 0.  Raises ValueError when k < 2,
-    checked before the graph, and TypeError when labels is not a dict.
+    tuple or list holding edge i's label at index i.  Returns MALFORMED
+    unless it holds m labels, each an int (a bool counts as one) in
+    1..k-1.  Otherwise returns the vertex sum mod k when every vertex has
+    the same one, and None when two differ or n is 0.  A vertex without
+    edges sums to 0.  Raises ValueError when k < 2, checked before the
+    graph, and TypeError when labels is neither a tuple nor a list.
     """
     n, k = index(n), index(k)
     if k < 2:
         raise ValueError(f"magic_sum needs k >= 2, got {k}")
     us, vs = _read_edges(n, us, vs)
-    if not isinstance(labels, dict):
-        raise TypeError("labels must be a dict")
+    if not isinstance(labels, (tuple, list)):
+        raise TypeError("labels must be a tuple or list")
     if len(labels) != len(us):
         return MALFORMED
     sums = [0] * n
-    for i, (u, v) in enumerate(zip(us, vs)):
-        x = labels.get(i)
+    for u, v, x in zip(us, vs, labels):
         if not isinstance(x, int) or not 0 < x < k:
             return MALFORMED
         sums[u] += x
@@ -498,7 +497,7 @@ def _split_connected(n, k, c, us, vs, node_cap):
             if p == 0:
                 feasible[p] = {None: None} if c in sets[0] else {}
             else:
-                feasible[p] = dict.fromkeys(sorted(x for x in ((c - r) % k for r in sets[0]) if x))
+                feasible[p] = {x: None for x in sorted((c - r) % k for r in sets[0]) if x}
         elif alike in searched:
             feasible[p] = searched[alike]
         else:

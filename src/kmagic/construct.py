@@ -18,13 +18,13 @@ k = 2 the constant label 1 reaches the spectrum {r mod 2}):
   misses; at k = 3 and r = 3 mod 6, h = 1 alone does.
 
 The doubling search serves graphs without one.  Both factor rules label
-through one split over a weighting: edge e weighs j(e), the weights at
-each vertex add up to h mod k, and e gets b + j(e)(a - b), so every
-vertex sums to h*a + (r - h)*b.  The factor split weighs an h-factor of
-G 1, or at h = 1, k = 3 and r = 3 mod 6 without a perfect matching, a
-factor whose degrees are all 1 mod 3; the doubling search weighs each
-edge by how many of its two copies lie in an h-factor of the doubled
-graph 2G.
+through one split over a weighting, one weight w[e] per edge id: the
+weights at each vertex add up to h mod k, and e gets b + w[e](a - b),
+so every vertex sums to h*a + (r - h)*b.  The factor split weighs an
+h-factor of G 1 and the rest 0, or at h = 1, k = 3 and r = 3 mod 6
+without a perfect matching, a factor whose degrees are all 1 mod 3; the
+doubling search weighs each edge by how many of its two copies lie in
+an h-factor of the doubled graph 2G.
 A rule whose formula goes illegal at a boundary (a label vanishing mod
 k) falls through to the next rule and the event is recorded in the
 trace.  Every labeling handed back has been re-verified against the
@@ -65,8 +65,8 @@ def _norm(c: int, k: int) -> int:
 
 def _accept(G, k, c, labels, rule, params):
     """Re-verify a candidate assignment: the labeling and the trace step
-    that records how it was made.  labels is a dict no caller uses
-    again, so the labeling takes it as it is."""
+    that records how it was made.  labels is a tuple with edge i's label
+    at index i, which the labeling takes as it is."""
     lab = EdgeLabeling(k, labels)
     try:
         got = verify(G, lab)
@@ -85,7 +85,7 @@ def _rule_constant(G, r, k, c, budget):
     else:
         a = c // r if c != 0 and c % r == 0 else None
     if a is not None:
-        return _accept(G, k, c, dict.fromkeys(range(G.m), a), "constant", {"a": a})
+        return _accept(G, k, c, (a,) * G.m, "constant", {"a": a})
 
 
 def _label_pairs(k, c, r, h, weights):
@@ -107,18 +107,14 @@ def _label_pairs(k, c, r, h, weights):
                 yield a, b
 
 
-def _split(G, r, k, c, h, classes, rule):
-    """Label each edge of weight j with b + j(a - b) under the first pair
-    that fits, or None.  classes maps each weight j >= 1 to its edges and
-    every other edge has weight 0; a vertex's weights add up to h mod k,
-    so its labels add up to h*a + (r - h)*b."""
-    weights = set(classes)
-    if sum(map(len, classes.values())) < G.m:
-        weights.add(0)
-    for a, b in _label_pairs(k, c, r, h, weights):
-        labels = dict.fromkeys(range(G.m), b)
-        for j, edges in classes.items():
-            labels.update(dict.fromkeys(edges, _norm(b + j * (a - b), k)))
+def _split(G, r, k, c, h, w, rule):
+    """Label each edge e with b + w[e](a - b) under the first pair that
+    fits, or None.  w holds one weight, 0, 1 or 2, per edge id; a
+    vertex's weights add up to h mod k, so its labels add up to
+    h*a + (r - h)*b."""
+    for a, b in _label_pairs(k, c, r, h, set(w)):
+        by_weight = tuple(_norm(b + j * (a - b), k) for j in range(3))
+        labels = tuple(map(by_weight.__getitem__, w))
         return _accept(G, k, c, labels, rule, {"h": h, "a": a, "b": b})
 
 
@@ -151,27 +147,25 @@ def _rule_factor_split(G, r, k, c, budget):
             except BudgetError:
                 pass
         if F is not None:
-            found = _split(G, r, k, c, h, {1: F}, "factor-split")
+            found = _split(G, r, k, c, h, tuple(map(F.__contains__, range(G.m))), "factor-split")
             if found:
                 return found
     raise _Miss("no factor split reaches the sum")
 
 
-def _copy_classes(G, h):
-    """The source edges with one copy and with both copies in the doubled
-    graph's h-factor, as {1: edges, 2: edges} without an empty class, or
-    None when the doubled graph has no h-factor.  Found once per graph
-    and h."""
+def _copy_weights(G, h):
+    """Per source edge, how many of its two copies lie in the doubled
+    graph's h-factor, 0, 1 or 2, or None when the doubled graph has no
+    h-factor.  Found once per graph and h."""
 
-    def classes():
+    def weights():
         D = double_graph(G)
         inside = f_factor(D.doubled, h)
         if inside is None:
             return None
-        copies = [(orig in inside) + (dup in inside) for orig, dup in D.pairs]
-        return {j: [e for e, n in enumerate(copies) if n == j] for j in (1, 2) if j in copies}
+        return tuple((orig in inside) + (dup in inside) for orig, dup in D.pairs)
 
-    return G.memo(f"copy classes/{h}", classes)
+    return G.memo(f"copy weights/{h}", weights)
 
 
 def _rule_doubling_search(G, r, k, c, budget):
@@ -186,9 +180,9 @@ def _rule_doubling_search(G, r, k, c, budget):
     for h in range(1 + r % 2, 2 * r, 2):
         if not any(_label_pairs(k, c, r, h, ())):
             continue
-        classes = _copy_classes(G, h)
-        if classes is not None:
-            found = _split(G, r, k, c, h, classes, "doubling-parameter-search")
+        w = _copy_weights(G, h)
+        if w is not None:
+            found = _split(G, r, k, c, h, w, "doubling-parameter-search")
             if found:
                 return found
     raise _Miss("no doubling parameters reach the sum")

@@ -373,4 +373,4 @@ def _mod3_search(G: MultiGraph, budget: SolverBudget | None) -> frozenset[int] |
         raise BudgetError(f"mod-3 factor search hit the node cap after {res.nodes} nodes")
     if res.labeling is None:
         return None
-    return frozenset(e for e, label in res.labeling.labels.items() if label == 2)
+    return frozenset(e for e, label in enumerate(res.labeling.labels) if label == 2)

@@ -124,12 +124,13 @@ def _checked_graph(n: int, us: list[int], vs: list[int]) -> MultiGraph:
     return MultiGraph(n, tuple(us), tuple(vs))
 
 
-def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, dict[int, int]]:
+def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, tuple[int, ...]]:
     """Spanning subgraph on the given edge ids.
 
-    Returns the subgraph (same vertex set, edges reindexed from 0) and
-    the map new id -> parent id.  Ids are read as operator.index reads
-    them; raises GraphError on any other id or one outside 0..m-1.
+    Returns the subgraph (same vertex set, edges reindexed from 0 in
+    increasing parent id) and the parent ids as a tuple ids, new id i
+    mapping to ids[i].  Ids are read as operator.index reads them;
+    raises GraphError on any other id or one outside 0..m-1.
     """
     try:
         ids = sorted(set(map(index, edge_ids)))
@@ -139,7 +140,7 @@ def subgraph(G: MultiGraph, edge_ids: Iterable[int]) -> tuple[MultiGraph, dict[i
         raise GraphError(f"edge id outside 0..{G.m - 1}: {ids[0] if ids[0] < 0 else ids[-1]}")
     us, vs = G.us, G.vs
     H = MultiGraph(G.n, tuple(us[i] for i in ids), tuple(vs[i] for i in ids))
-    return H, dict(enumerate(ids))
+    return H, tuple(ids)
 
 
 # ---------------------------------------------------------------------------

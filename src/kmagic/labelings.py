@@ -1,15 +1,18 @@
 """Edge labelings, verification, and the labeling transforms.
 
 A labeling assigns every edge a nonzero residue mod k (any nonzero
-integer when k = 1).  It is c-sum magic when every vertex's incident
-labels add up to c.  The transforms here build one labeling from
-another: complementation (label -> k - label), folding a labeling of a
-doubled graph back onto the source, and extending a labeled factor by
-all-ones on the remaining edges.  construct calls none of them; it
+integer when k = 1), held as a tuple with edge i's label at index i.  It
+is c-sum magic when every vertex's incident labels add up to c.  The
+JSON file of labeling_to_json writes it as an object from edge id to
+label; labeling_from_json reads it back and is the one place that reads
+edge ids.  The transforms here build one labeling from another:
+complementation (label -> k - label), folding a labeling of a doubled
+graph back onto the source, and extending a labeled factor by all-ones
+on the remaining edges.  construct calls none of them; it
 labels G directly and keeps only verify and the trace types.  A trace
 records the steps of a construction, each a rule and its parameters;
 the labeling itself lives once, beside the trace, as it does in the
-JSON file of labeling_to_json.
+labeling file.
 
 verify, which every transform and every construction runs on its
 result, checks the labeling and its vertex sums in one pass of the
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 from . import _twin
 from ._backtrack_py import MALFORMED
@@ -36,25 +39,24 @@ from .graphs import MultiGraph, regularity
 
 @dataclass(frozen=True)
 class EdgeLabeling:
-    """Labels keyed by edge id; k = 1 means labels are plain integers."""
+    """Edge i's label at labels[i], a tuple; k = 1 means labels are plain
+    integers.  Frozen and hashable."""
 
     k: int
-    labels: dict[int, int]
+    labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.k < 1:
             raise LabelingError(f"modulus must be >= 1, got {self.k}")
+        if not isinstance(self.labels, tuple):
+            raise LabelingError(f"labels must be a tuple, got {type(self.labels).__name__}")
 
 
 def validate_labels(G: MultiGraph, lab: EdgeLabeling) -> None:
-    """Raise LabelingError unless lab covers E(G) exactly with legal values."""
-    ids = set(lab.labels)
-    expected = set(range(G.m))
-    if ids != expected:
-        missing = sorted(expected - ids)[:5]
-        extra = sorted(ids - expected)[:5]
-        raise LabelingError(f"label domain mismatch: missing {missing}, extra {extra}")
-    for eid, val in lab.labels.items():
+    """Raise LabelingError unless lab holds one legal label per edge of G."""
+    if len(lab.labels) != G.m:
+        raise LabelingError(f"{len(lab.labels)} labels for {G.m} edges")
+    for eid, val in enumerate(lab.labels):
         if not isinstance(val, int):
             raise LabelingError(f"edge {eid}: label {val!r} is not an integer")
         if lab.k == 1:
@@ -64,12 +66,13 @@ def validate_labels(G: MultiGraph, lab: EdgeLabeling) -> None:
             raise LabelingError(f"edge {eid}: label {val} outside 1..{lab.k - 1}")
 
 
-def _sums(G: MultiGraph, labels: Mapping[int, int], k: int, edge_ids: Iterable[int]) -> list[int]:
+def _sums(G: MultiGraph, labeled: Iterable[tuple[int, int]], k: int) -> list[int]:
+    """Vertex sums (mod k when k > 1) of the (edge id, label) pairs."""
     sums = [0] * G.n
     us, vs = G.us, G.vs
-    for eid in edge_ids:
-        sums[us[eid]] += labels[eid]
-        sums[vs[eid]] += labels[eid]
+    for eid, x in labeled:
+        sums[us[eid]] += x
+        sums[vs[eid]] += x
     if k > 1:
         sums = [s % k for s in sums]
     return sums
@@ -78,9 +81,9 @@ def _sums(G: MultiGraph, labels: Mapping[int, int], k: int, edge_ids: Iterable[i
 def verify(G: MultiGraph, lab: EdgeLabeling) -> int | None:
     """Magic sum c if every vertex sum equals c, else None.
 
-    Raises LabelingError on a malformed labeling (zero, missing, or
-    out-of-range label); returns None for a legal labeling whose vertex
-    sums are not constant.
+    Raises LabelingError on a malformed labeling (a label count other
+    than G.m, a zero or an out-of-range label); returns None for a legal
+    labeling whose vertex sums are not constant.
     """
     k = lab.k
     if isinstance(k, int) and k >= 2:
@@ -88,22 +91,22 @@ def verify(G: MultiGraph, lab: EdgeLabeling) -> int | None:
         if c != MALFORMED:
             return c
     validate_labels(G, lab)
-    sums = _sums(G, lab.labels, lab.k, range(G.m))
+    sums = _sums(G, enumerate(lab.labels), lab.k)
     if G.n == 0:
         return None
     return sums[0] if len(set(sums)) == 1 else None
 
 
-def verify_subset(G: MultiGraph, labels: Mapping[int, int], k: int, edge_ids: Iterable[int]) -> int | None:
-    """Magic sum of a labeled spanning subgraph given by edge ids."""
-    ids = sorted(edge_ids)
-    if set(ids) != set(labels):
+def verify_subset(G: MultiGraph, labels: Sequence[int], k: int, edge_ids: Iterable[int]) -> int | None:
+    """Magic sum of a labeled spanning subgraph given by edge ids: labels[i]
+    is the label of its i-th smallest id, as subgraph numbers its edges."""
+    ids = sorted(set(edge_ids))
+    if len(labels) != len(ids):
         raise LabelingError("labels do not match the given edge ids")
-    for eid in ids:
-        val = labels[eid]
+    for eid, val in zip(ids, labels):
         if val == 0 or (k > 1 and not 1 <= val <= k - 1):
             raise LabelingError(f"edge {eid}: label {val} illegal mod {k}")
-    sums = _sums(G, labels, k, ids)
+    sums = _sums(G, zip(ids, labels), k)
     return sums[0] if len(set(sums)) == 1 else None
 
 
@@ -113,7 +116,7 @@ def complement(G: MultiGraph, lab: EdgeLabeling) -> EdgeLabeling:
         raise LabelingError("complement needs k >= 2")
     if verify(G, lab) is None:
         raise LabelingError("complement input does not verify")
-    return EdgeLabeling(lab.k, {eid: lab.k - v for eid, v in lab.labels.items()})
+    return EdgeLabeling(lab.k, tuple(lab.k - v for v in lab.labels))
 
 
 def fold(D: DoublingMap, lab2: EdgeLabeling, divisor: int) -> tuple[EdgeLabeling, int]:
@@ -132,7 +135,7 @@ def fold(D: DoublingMap, lab2: EdgeLabeling, divisor: int) -> tuple[EdgeLabeling
     if c2 is None:
         raise LabelingError("doubled labeling does not verify")
     k = lab2.k
-    folded: dict[int, int] = {}
+    folded = []
     for orig, dup in D.pairs:
         s = lab2.labels[orig] + lab2.labels[dup]
         if divisor == 2:
@@ -143,8 +146,8 @@ def fold(D: DoublingMap, lab2: EdgeLabeling, divisor: int) -> tuple[EdgeLabeling
             s %= k
         if s == 0:
             raise LabelingError(f"edge pair ({orig}, {dup}): folded label vanishes")
-        folded[orig] = s
-    out = EdgeLabeling(k, folded)
+        folded.append(s)
+    out = EdgeLabeling(k, tuple(folded))
     c = verify(D.source, out)
     if c is None:
         raise LabelingError("folded labeling is not magic")
@@ -156,10 +159,11 @@ def fold(D: DoublingMap, lab2: EdgeLabeling, divisor: int) -> tuple[EdgeLabeling
 
 
 def extend_by_factor(
-    G: MultiGraph, factor_edges: Iterable[int], lab_H: Mapping[int, int], k: int
+    G: MultiGraph, factor_edges: Iterable[int], lab_H: Sequence[int], k: int
 ) -> tuple[EdgeLabeling, int]:
     """Label a factor as given and everything else with 1.
 
+    lab_H[i] labels the factor's i-th smallest edge id, as in verify_subset.
     For an r-regular G and an h-factor verifying with sum a, the result
     verifies with a + (r - h) mod k.  Requires k != 2 and 2 <= h <= r
     (h = r is an allowed passthrough).
@@ -179,12 +183,13 @@ def extend_by_factor(
     check_factor(G, factor, h)
     if not 2 <= h <= r:
         raise LabelingError(f"factor degree {h} outside 2..{r}")
-    alpha = verify_subset(G, dict(lab_H), k, factor)
+    alpha = verify_subset(G, lab_H, k, factor)
     if alpha is None:
         raise LabelingError("factor labeling does not verify")
-    labels = {eid: 1 for eid in range(G.m)}
-    labels.update({eid: lab_H[eid] for eid in factor})
-    out = EdgeLabeling(k, labels)
+    labels = [1] * G.m
+    for eid, x in zip(factor, lab_H):
+        labels[eid] = x
+    out = EdgeLabeling(k, tuple(labels))
     c = alpha + (r - h)
     if k > 1:
         c %= k
@@ -230,7 +235,7 @@ def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None 
     payload = {
         "c": c,
         "k": lab.k,
-        "labels": {str(eid): v for eid, v in sorted(lab.labels.items())},
+        "labels": {str(eid): v for eid, v in enumerate(lab.labels)},
         "trace": trace.to_jsonable() if trace is not None else [],
     }
     return json.dumps(payload, sort_keys=True) + "\n"
@@ -239,9 +244,9 @@ def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None 
 def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
     """Read a labeling file.  Raises LabelingError unless it is an object
     whose k and labels are JSON integers (a float or a boolean is not),
-    whose edge ids are written as canonical decimals ("5", not "05",
-    "+5" or "0_5") and in which no object repeats a key, so that every
-    edge has exactly one label."""
+    whose L edge ids are exactly "0" .. "L-1" as canonical decimals ("5",
+    not "05", "+5" or "0_5"), and in which no object repeats a key, so
+    that every edge has exactly one label."""
     try:
         payload = json.loads(text, object_pairs_hook=_unique_keys)
         labels = payload["labels"]
@@ -250,12 +255,15 @@ def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
         k = payload["k"]
         if type(k) is not int:
             raise LabelingError(f"bad labeling file: modulus {k!r} is not an integer")
-        for i, v in labels.items():
-            if str(int(i)) != i:
-                raise LabelingError(f"bad labeling file: edge id {i!r} is not a canonical decimal")
+        values = []
+        for i in range(len(labels)):
+            if str(i) not in labels:
+                raise LabelingError(f"bad labeling file: edge ids are not 0..{len(labels) - 1}: no {i}")
+            v = labels[str(i)]
             if type(v) is not int:
                 raise LabelingError(f"bad labeling file: edge {i}: label {v!r} is not an integer")
-        lab = EdgeLabeling(k, {int(i): v for i, v in labels.items()})
+            values.append(v)
+        lab = EdgeLabeling(k, tuple(values))
         return lab, payload["c"], payload.get("trace", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise LabelingError(f"bad labeling file: {exc}") from None

@@ -96,7 +96,7 @@ def search_labeling(
     range goes to the pure twin whatever kernel was asked for.
     """
     status, labels, nodes = _split_search(G, k, c, budget, kernel)
-    labeling = None if labels is None else EdgeLabeling(k, dict(enumerate(labels)))
+    labeling = None if labels is None else EdgeLabeling(k, tuple(labels))
     return SearchResult(status, labeling, nodes)
 
 

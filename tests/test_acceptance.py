@@ -255,12 +255,12 @@ def test_criterion_7_invariants_and_transform_contracts(corpus):
         if verify(G, comp) != (k - c0) % k:
             failures.append(f"graph {i} k={k}: complement sum wrong")
         D = double_graph(G)
-        ones = EdgeLabeling(k, {e: 1 for e in range(D.doubled.m)})
+        ones = EdgeLabeling(k, (1,) * D.doubled.m)
         folded, cf = fold(D, ones, 1)
         if cf != (2 * r) % k or verify(G, folded) != cf:
             failures.append(f"graph {i} k={k}: fold divisor 1 broke the sum")
         half, ch = fold(D, ones, 2)
-        if ch != c0 or half.labels != {e: 1 for e in range(G.m)}:
+        if ch != c0 or half.labels != (1,) * G.m:
             failures.append(f"graph {i} k={k}: fold divisor 2 is not the identity here")
         ext, ce = extend_by_factor(G, range(G.m), res.labeling.labels, k)
         if ce != c0 or ext.labels != res.labeling.labels:

@@ -182,6 +182,16 @@ def test_verify_rejects_edge_ids_that_are_not_canonical(tmp_path, k5_file, capsy
     assert "bad labeling file" in err
 
 
+def test_verify_rejects_edge_ids_that_skip_one(tmp_path, k5_file, capsys):
+    # ten labels for K5's ten edges, but id 9 is skipped and 10 is no edge
+    labels = {**{i: 1 for i in ONES_K5 if i != "9"}, "10": 1}
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"k": 5, "c": 4, "labels": labels}), encoding="ascii")
+    code, out, err = run(capsys, "verify", k5_file, str(lab))
+    assert (code, out) == (2, "")
+    assert "bad labeling file: edge ids are not 0..9: no 9" in err
+
+
 def test_spectrum_methods_agree_and_are_stable(k5_file, capsys):
     code, out1, _ = run(capsys, "spectrum", k5_file, "--k", "6", "--method", "predict")
     assert code == 0

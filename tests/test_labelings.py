@@ -38,7 +38,7 @@ from kmagic.labelings import validate_labels
 
 
 def all_labels(G, value, k):
-    return EdgeLabeling(k, {e: value for e in range(G.m)})
+    return EdgeLabeling(k, (value,) * G.m)
 
 
 def test_verify_constant_labelings():
@@ -50,17 +50,17 @@ def test_verify_constant_labelings():
 
 def test_verify_non_magic_returns_none():
     G = cycle(4)
-    lab = EdgeLabeling(5, {0: 1, 1: 2, 2: 1, 3: 1})
+    lab = EdgeLabeling(5, (1, 2, 1, 1))
     assert verify(G, lab) is None
 
 
 @pytest.mark.parametrize(
     "labels",
     [
-        {0: 0, 1: 1, 2: 1, 3: 1},  # zero label
-        {0: 5, 1: 1, 2: 1, 3: 1},  # out of range
-        {0: 1, 1: 1, 2: 1},  # missing edge
-        {0: 1, 1: 1, 2: 1, 3: 1, 4: 1},  # extra edge
+        (0, 1, 1, 1),  # zero label
+        (5, 1, 1, 1),  # out of range
+        (1, 1, 1),  # too short
+        (1, 1, 1, 1, 1),  # too long
     ],
 )
 def test_verify_rejects_malformed(labels):
@@ -70,11 +70,20 @@ def test_verify_rejects_malformed(labels):
 
 def test_verify_k1_plain_integers():
     G = cycle(4)
-    lab = EdgeLabeling(1, {0: 3, 1: -3, 2: 3, 3: -3})
+    lab = EdgeLabeling(1, (3, -3, 3, -3))
     assert verify(G, lab) == 0
     with pytest.raises(LabelingError):
-        verify(G, EdgeLabeling(1, {0: 0, 1: 1, 2: 1, 3: 1}))
-    validate_labels(G, EdgeLabeling(1, {0: -7, 1: 7, 2: -7, 3: 7}))
+        verify(G, EdgeLabeling(1, (0, 1, 1, 1)))
+    validate_labels(G, EdgeLabeling(1, (-7, 7, -7, 7)))
+
+
+def test_labeling_is_a_hashable_tuple():
+    for labels in ({0: 1, 1: 1, 2: 1, 3: 1}, [1, 1, 1, 1]):
+        with pytest.raises(LabelingError, match="labels must be a tuple"):
+            EdgeLabeling(5, labels)
+    lab = EdgeLabeling(5, (1, 1, 1, 1))
+    assert hash(lab) == hash(EdgeLabeling(5, (1, 1, 1, 1)))
+    assert len({lab, EdgeLabeling(5, (1, 1, 1, 1)), EdgeLabeling(5, (1, 1, 1, 2))}) == 2
 
 
 def test_verify_subset_magic_factor():
@@ -85,9 +94,9 @@ def test_verify_subset_magic_factor():
         for eid in range(G.m)
         if set(G.endpoints(eid)) in ({0, 1}, {2, 3})
     ]
-    assert verify_subset(G, {e: 2 for e in pm}, 5, pm) == 2
+    assert verify_subset(G, (2, 2), 5, pm) == 2
     with pytest.raises(LabelingError):
-        verify_subset(G, {pm[0]: 2}, 5, pm)
+        verify_subset(G, (2,), 5, pm)
 
 
 def test_complement_flips_sum():
@@ -98,11 +107,11 @@ def test_complement_flips_sum():
     G = cycle(5)
     lab = all_labels(G, 2, 7)  # 4-sum
     comp = complement(G, lab)
-    assert set(comp.labels.values()) == {5}
+    assert set(comp.labels) == {5}
     assert verify(G, comp) == 3
     with pytest.raises(LabelingError):
-        complement(G, EdgeLabeling(1, {e: 1 for e in range(5)}))
-    bad = EdgeLabeling(5, {0: 1, 1: 2, 2: 1, 3: 1, 4: 1})
+        complement(G, EdgeLabeling(1, (1,) * 5))
+    bad = EdgeLabeling(5, (1, 2, 1, 1, 1))
     with pytest.raises(LabelingError):
         complement(G, bad)
 
@@ -113,27 +122,27 @@ def test_fold_divisor_1_all_ones_on_k6():
     lab2 = all_labels(D.doubled, 1, 5)
     folded, c = fold(D, lab2, 1)
     assert c == 0
-    assert set(folded.labels.values()) == {2}
+    assert folded.labels == (2,) * K6.m
     assert verify(K6, folded) == 0
 
 
 def test_fold_divisor_2_halves_pairs():
     G = cycle(4)
     D = double_graph(G)
-    labels = {i: 1 for i in range(4)} | {4 + i: 3 for i in range(4)}
+    labels = (1,) * 4 + (3,) * 4
     folded, c = fold(D, EdgeLabeling(8, labels), 2)
-    assert set(folded.labels.values()) == {2}
+    assert folded.labels == (2,) * 4
     assert c == 4
     # divisor 1 on the same input keeps the doubled sum
     folded1, c1 = fold(D, EdgeLabeling(8, labels), 1)
-    assert set(folded1.labels.values()) == {4}
+    assert folded1.labels == (4,) * 4
     assert c1 == 0
 
 
 def test_fold_rejects_odd_pair_sum_under_divisor_2():
     G = cycle(3)
     D = double_graph(G)
-    labels = {0: 1, 1: 1, 2: 1, 3: 2, 4: 2, 5: 2}
+    labels = (1, 1, 1, 2, 2, 2)
     with pytest.raises(LabelingError):
         fold(D, EdgeLabeling(5, labels), 2)
 
@@ -141,7 +150,7 @@ def test_fold_rejects_odd_pair_sum_under_divisor_2():
 def test_fold_rejects_vanishing_label():
     G = cycle(3)
     D = double_graph(G)
-    labels = {0: 1, 1: 1, 2: 1, 3: 4, 4: 4, 5: 4}  # pair sums 5 = 0 mod 5
+    labels = (1, 1, 1, 4, 4, 4)  # pair sums 5 = 0 mod 5
     with pytest.raises(LabelingError):
         fold(D, EdgeLabeling(5, labels), 1)
 
@@ -152,7 +161,7 @@ def test_fold_rejects_non_magic_input_and_bad_divisor():
     ok = all_labels(D.doubled, 1, 5)
     with pytest.raises(LabelingError):
         fold(D, ok, 3)
-    bad = EdgeLabeling(5, {0: 1, 1: 2, 2: 1, 3: 1, 4: 1, 5: 1})
+    bad = EdgeLabeling(5, (1, 2, 1, 1, 1, 1))
     with pytest.raises(LabelingError):
         fold(D, bad, 1)
 
@@ -169,10 +178,10 @@ def k4_two_factor():
 
 def test_extend_by_factor_formula():
     G, cyc = k4_two_factor()
-    lab, c = extend_by_factor(G, cyc, {e: 1 for e in cyc}, 5)
+    lab, c = extend_by_factor(G, cyc, (1,) * len(cyc), 5)
     assert c == (2 + (3 - 2)) % 5 == 3
     assert verify(G, lab) == 3
-    assert all(lab.labels[e] == 1 for e in range(G.m))
+    assert lab.labels == (1,) * G.m
 
 
 def test_extend_by_factor_alpha_wraps_mod_k():
@@ -180,38 +189,37 @@ def test_extend_by_factor_alpha_wraps_mod_k():
     # extension is a 1-sum: the formula alpha + (r - h) decides, not the
     # factor constant plus anything else
     G, cyc = k4_two_factor()
-    lab, c = extend_by_factor(G, cyc, {e: 2 for e in cyc}, 4)
+    lab, c = extend_by_factor(G, cyc, (2,) * len(cyc), 4)
     assert c == 1
     assert verify(G, lab) == 1
 
 
 def test_extend_by_factor_passthrough_h_equals_r():
     G = cycle(5)
-    lab, c = extend_by_factor(G, range(G.m), {e: 3 for e in range(G.m)}, 7)
+    lab, c = extend_by_factor(G, range(G.m), (3,) * G.m, 7)
     assert c == 6
-    assert dict(lab.labels) == {e: 3 for e in range(G.m)}
+    assert lab.labels == (3,) * G.m
 
 
 def test_extend_by_factor_rejections():
     G, cyc = k4_two_factor()
     with pytest.raises(LabelingError):
-        extend_by_factor(G, cyc, {e: 1 for e in cyc}, 2)  # k = 2
+        extend_by_factor(G, cyc, (1,) * len(cyc), 2)  # k = 2
     from kmagic import f_factor
 
     P = petersen()
     pm = sorted(f_factor(P, 1))
     with pytest.raises(LabelingError):
-        extend_by_factor(P, pm, {e: 1 for e in pm}, 5)  # h = 1
+        extend_by_factor(P, pm, (1,) * len(pm), 5)  # h = 1
     # non-magic factor labeling
-    labs = {e: 1 for e in cyc}
-    labs[cyc[0]] = 3
+    labs = (3,) + (1,) * (len(cyc) - 1)
     with pytest.raises(LabelingError):
         extend_by_factor(G, cyc, labs, 7)
 
 
 def test_labeling_json_roundtrip_and_shape():
     G = cycle(4)
-    lab = EdgeLabeling(5, {0: 1, 1: 4, 2: 1, 3: 4})
+    lab = EdgeLabeling(5, (1, 4, 1, 4))
     step = TraceStep("factor-split", {"h": 1, "a": 1, "b": 4})
     trace = ConstructionTrace((step,))
     text = labeling_to_json(lab, 0, trace)
@@ -243,7 +251,7 @@ def reference_verify(G, lab):
     """verify as it reads without the twins: validate, then add up."""
     validate_labels(G, lab)
     sums = [0] * G.n
-    for eid, x in lab.labels.items():
+    for eid, x in enumerate(lab.labels):
         u, v = G.endpoints(eid)
         sums[u] += x
         sums[v] += x
@@ -270,21 +278,21 @@ def labeled_multigraphs(draw):
     kind = draw(st.sampled_from(["constant", "random", "broken"]))
     if kind == "constant":
         x = draw(st.integers(1, k - 1))
-        labels = {e: x for e in range(G.m)}
+        labels = [x] * G.m
     else:
-        labels = {e: draw(st.integers(1, k - 1)) for e in range(G.m)}
+        labels = [draw(st.integers(1, k - 1)) for _ in range(G.m)]
     if kind == "broken":
         fault = draw(st.sampled_from(["drop", "extra", "zero", "k", "negative", "float", "str", "bool"]))
         eid = draw(st.integers(0, G.m)) if G.m else 0
         if fault == "drop":
-            labels.pop(eid, None)
+            del labels[eid:eid + 1]
         elif fault == "extra":
-            labels[G.m] = 1
+            labels.append(1)
         elif G.m:
             labels[min(eid, G.m - 1)] = {
                 "zero": 0, "k": k, "negative": -1, "float": 1.0, "str": "1", "bool": True
             }[fault]
-    return G, EdgeLabeling(k, labels)
+    return G, EdgeLabeling(k, tuple(labels))
 
 
 @given(labeled_multigraphs())
@@ -314,13 +322,13 @@ def test_sum_twins_and_verify_agree(compiled_kernel, case):
 @pytest.mark.parametrize(
     "labels, message",
     [
-        ({0: 1, 1: 1, 2: 1}, "label domain mismatch: missing [3], extra []"),
-        ({0: 1, 1: 1, 2: 1, 3: 1, 4: 1}, "label domain mismatch: missing [], extra [4]"),
-        ({0: 0, 1: 1, 2: 1, 3: 1}, "edge 0: label 0 outside 1..4"),
-        ({0: 1, 1: 5, 2: 1, 3: 1}, "edge 1: label 5 outside 1..4"),
-        ({0: 1, 1: 1, 2: -1, 3: 1}, "edge 2: label -1 outside 1..4"),
-        ({0: 1, 1: 1, 2: 1, 3: 1.0}, "edge 3: label 1.0 is not an integer"),
-        ({0: "1", 1: 1, 2: 1, 3: 1}, "edge 0: label '1' is not an integer"),
+        ((1, 1, 1), "3 labels for 4 edges"),
+        ((1, 1, 1, 1, 1), "5 labels for 4 edges"),
+        ((0, 1, 1, 1), "edge 0: label 0 outside 1..4"),
+        ((1, 5, 1, 1), "edge 1: label 5 outside 1..4"),
+        ((1, 1, -1, 1), "edge 2: label -1 outside 1..4"),
+        ((1, 1, 1, 1.0), "edge 3: label 1.0 is not an integer"),
+        (("1", 1, 1, 1), "edge 0: label '1' is not an integer"),
     ],
     ids=["missing", "extra", "zero", "k", "negative", "float", "str"],
 )
@@ -341,30 +349,33 @@ def test_k1_and_huge_k_stay_on_the_pure_path(monkeypatch):
 
     monkeypatch.setattr(_twin, "module", SimpleNamespace(magic_sum=refuse))
     G = cycle(4)
-    assert verify(G, EdgeLabeling(1, {0: 3, 1: -3, 2: 3, 3: -3})) == 0
+    assert verify(G, EdgeLabeling(1, (3, -3, 3, -3))) == 0
     k = 2**31 + 1
-    assert verify(G, EdgeLabeling(k, {e: 2**31 for e in range(4)})) == 2**32 % k
-    assert verify(G, EdgeLabeling(k, {0: 1, 1: 2, 2: 1, 3: 1})) is None
+    assert verify(G, EdgeLabeling(k, (2**31,) * 4)) == 2**32 % k
+    assert verify(G, EdgeLabeling(k, (1, 2, 1, 1))) is None
     with pytest.raises(LabelingError, match="outside"):
-        verify(G, EdgeLabeling(k, {0: k, 1: 1, 2: 1, 3: 1}))
+        verify(G, EdgeLabeling(k, (k, 1, 1, 1)))
 
 
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
 def test_sum_twins_reject_bad_input_alike(twin, request):
     impl = sum_twins(request.getfixturevalue("compiled_kernel"))[twin].magic_sum
     with pytest.raises(ValueError, match="k >= 2"):
-        impl(2, [0], [1], {0: 1}, 1)
+        impl(2, [0], [1], (1,), 1)
     with pytest.raises(ValueError, match="differ in length"):
-        impl(3, [0, 1], [1], {0: 1, 1: 1}, 5)
+        impl(3, [0, 1], [1], (1, 1), 5)
     with pytest.raises(ValueError, match="endpoint"):
-        impl(3, [0, 1, 2], [1, 2, 3], {0: 1, 1: 1, 2: 1}, 5)
-    with pytest.raises(TypeError, match="dict"):
-        impl(2, [0], [1], [1], 5)
-    assert impl(0, [], [], {}, 5) is None
+        impl(3, [0, 1, 2], [1, 2, 3], (1, 1, 1), 5)
+    # a list is read as a tuple; a dict, a range or an iterator is refused
+    assert impl(2, [0], [1], [1], 5) == 1
+    for labels in ({0: 1}, range(1, 2), iter([1])):
+        with pytest.raises(TypeError, match="tuple or list"):
+            impl(2, [0], [1], labels, 5)
+    assert impl(0, [], [], (), 5) is None
     with pytest.raises(ValueError, match="n >= 0"):
-        impl(-1, [], [], {}, 5)
+        impl(-1, [], [], (), 5)
     # the graph's ends may come from one-shot iterators; a float end is no int
-    assert impl(3, iter([0, 1, 2]), (v for v in [1, 2, 0]), {0: 1, 1: 1, 2: 1}, 5) == 2
+    assert impl(3, iter([0, 1, 2]), (v for v in [1, 2, 0]), (1, 1, 1), 5) == 2
     with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
-        impl(2, [0.0], [1], {0: 1}, 5)
-    assert impl(3, [0], [1], {0: 2}, 5) is None  # vertex 2 has no edges and sums to 0
+        impl(2, [0.0], [1], (1,), 5)
+    assert impl(3, [0], [1], (2,), 5) is None  # vertex 2 has no edges and sums to 0

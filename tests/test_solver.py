@@ -41,14 +41,19 @@ def kernel(request):
 
 
 def whole_graph_search(G, k, c, impl):
-    """(status, labels, nodes) of one uncapped kernel run over all of G
-    in assignment order, with none of the driver's shortcuts."""
+    """(status, labels by edge id, nodes) of one uncapped kernel run over
+    all of G in assignment order, with none of the driver's shortcuts."""
     order = assignment_order(G)
     us = [G.us[eid] for eid in order]
     vs = [G.vs[eid] for eid in order]
     status, labels, nodes = impl.search(G.n, k, c, us, vs, -1)
     name = {SAT: "found", UNSAT: "absent"}.get(status, "undecided")
-    return name, dict(zip(order, labels)) if status == SAT else None, nodes
+    if status != SAT:
+        return name, None, nodes
+    by_id = [0] * G.m
+    for eid, x in zip(order, labels):
+        by_id[eid] = x
+    return name, tuple(by_id), nodes
 
 
 def test_assignment_order_is_a_permutation():
@@ -108,7 +113,7 @@ def test_isolated_vertex_handling():
     empty = build_graph(2, [])
     res = search_labeling(empty, 5, 0)
     assert res.status == "found"
-    assert res.labeling.labels == {}
+    assert res.labeling.labels == ()
 
 
 def test_kernels_agree_everywhere(compiled_kernel):
@@ -143,7 +148,7 @@ def test_kernels_agree_everywhere(compiled_kernel):
             nodes = {r.nodes for r in results.values()}
             assert len(nodes) == 1  # identical search trees
             labs = {
-                tuple(sorted(r.labeling.labels.items()))
+                r.labeling.labels
                 for r in results.values()
                 if r.labeling is not None
             }
@@ -568,7 +573,7 @@ def test_split_search_twins_agree(compiled_kernel, G, k):
                 assert compiled_kernel.split_search(C.n, k, c, C.us, C.vs, cap) == pure, (c, cap)
                 status, labels, nodes = pure
                 if status == SAT:
-                    assert verify(C, EdgeLabeling(k, dict(enumerate(labels)))) == c
+                    assert verify(C, EdgeLabeling(k, tuple(labels))) == c
                 if cap > 0:
                     assert nodes <= cap + 1
 
