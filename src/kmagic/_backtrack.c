@@ -14,7 +14,8 @@
  * matcher, match_edges(), the search of maximum_matching() over plain
  * arrays: petersen_split()'s rounds are maximum matchings of the out/in
  * incidence graph by that same search, and neither makes a Python call
- * inside it.
+ * inside it.  plan_tree(), match_edges() and petersen_split() list each
+ * vertex's edges through one adjacency builder, edge_csr().
  *
  * kernel() transcribes the pure reference's _kernel line for line: the
  * same edge order, the same forced-label rule and the same node count,
@@ -413,6 +414,29 @@ int_tuple(const Py_ssize_t *a, Py_ssize_t len)
     return t;
 }
 
+/* The adjacency of the multigraph on nv vertices whose edge e joins eu[e]
+ * and ev[e], in edge-id order: vertex v's edge ids at adj[first[v] ..
+ * first[v + 1]).  first holds nv + 1 zeroed slots and adj 2m; fill, nv
+ * slots of scratch, ends with fill[v] == first[v + 1].  The one adjacency
+ * builder of plan_tree, match_edges and petersen_split. */
+static void
+edge_csr(Py_ssize_t nv, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev,
+         Py_ssize_t *first, Py_ssize_t *fill, Py_ssize_t *adj)
+{
+    for (Py_ssize_t e = 0; e < m; e++) {
+        first[eu[e] + 1] += 1;
+        first[ev[e] + 1] += 1;
+    }
+    for (Py_ssize_t v = 0; v < nv; v++) {
+        first[v + 1] += first[v];
+        fill[v] = first[v];
+    }
+    for (Py_ssize_t e = 0; e < m; e++) {
+        adj[fill[eu[e]]++] = e;
+        adj[fill[ev[e]]++] = e;
+    }
+}
+
 /* The plan of kmagic._backtrack_py.bridge_tree over plain arrays, its
  * pieces in bridge_tree's order: piece i has size[i] local vertices, its
  * stub included, entry[i] is the local entry and edgeless[i] is set for a
@@ -461,19 +485,7 @@ plan_tree(int n, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev, Plan 
     Py_ssize_t *psize = cstart + nv + 1, *pentry = psize + nv, *pedgeless = pentry + nv;
     Py_ssize_t *cpos = pedgeless + nv, *cidx = cpos + nv;
 
-    for (Py_ssize_t i = 0; i < m; i++) {
-        first[eu[i] + 1] += 1;
-        first[ev[i] + 1] += 1;
-    }
-    /* the adjacency in edge-id order, vertex v's at adj[first[v] .. first[v + 1]) */
-    for (Py_ssize_t v = 0; v < nv; v++)
-        first[v + 1] += first[v];
-    for (Py_ssize_t v = 0; v < nv; v++)
-        nxt[v] = first[v];
-    for (Py_ssize_t e = 0; e < m; e++) {
-        adj[nxt[eu[e]]++] = e;
-        adj[nxt[ev[e]]++] = e;
-    }
+    edge_csr(nv, m, eu, ev, first, nxt, adj);
 
     /* the lowpoint walk from vertex 0 */
     for (Py_ssize_t v = 0; v < nv; v++) {
@@ -1158,35 +1170,25 @@ match_edges(Py_ssize_t nv, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t 
     Py_ssize_t *even = parent + nv, *tree = even + nv, *queue = tree + nv, *seen = queue + nv;
     Py_ssize_t *in_blossom = seen + nv;
 
-    /* the adjacency in edge-id order, then each vertex's list cut to its
-     * first edge to each neighbour, owner[w] == v once v keeps one to w */
-    for (Py_ssize_t e = 0; e < m; e++) {
-        first[eu[e] + 1] += 1;
-        first[ev[e] + 1] += 1;
-    }
+    /* the adjacency, then each vertex's list cut to its first edge to each
+     * neighbour, owner[w] == v once v keeps one to w */
+    edge_csr(nv, m, eu, ev, first, last, eid);
     for (Py_ssize_t v = 0; v < nv; v++) {
-        first[v + 1] += first[v];
-        last[v] = first[v];
         owner[v] = -1;
         mate[v] = -1;
         base[v] = v;
         parent[v] = -1;
     }
-    for (Py_ssize_t e = 0; e < m; e++) {
-        Py_ssize_t a = last[eu[e]]++, b = last[ev[e]]++;
-        nb[a] = ev[e];
-        eid[a] = e;
-        nb[b] = eu[e];
-        eid[b] = e;
-    }
     for (Py_ssize_t v = 0; v < nv; v++) {
         Py_ssize_t out = first[v];
-        for (Py_ssize_t j = first[v]; j < last[v]; j++)
-            if (owner[nb[j]] != v) {
-                owner[nb[j]] = v;
-                nb[out] = nb[j];
-                eid[out++] = eid[j];
+        for (Py_ssize_t j = first[v]; j < last[v]; j++) {
+            Py_ssize_t e = eid[j], w = eu[e] == v ? ev[e] : eu[e];
+            if (owner[w] != v) {
+                owner[w] = v;
+                nb[out] = w;
+                eid[out++] = e;
             }
+        }
         last[v] = out;
     }
 
@@ -1283,26 +1285,24 @@ petersen_split(PyObject *self, PyObject *args)
         goto done;
     }
     /* per edge: tail, round, two adjacency slots, and a round's out/in
-     * edge (tail, n + head) with its edge id; per vertex: degree, walk
-     * position, the mates of its tail and head; the walk's stack */
+     * edge (tail, n + head) with its edge id; per vertex: first adjacency
+     * slot, walk position, the mates of its tail and head (scratch for
+     * edge_csr first); the walk's stack */
     Py_ssize_t nv = n;
-    block = PyMem_Calloc(8 * (size_t)m + 4 * (size_t)nv + 1, sizeof(Py_ssize_t));
+    block = PyMem_Calloc(8 * (size_t)m + 4 * (size_t)nv + 2, sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
         goto done;
     }
     const Py_ssize_t *eu = ends, *ev = ends + m;
     Py_ssize_t *tail = block, *round = tail + m, *adj = round + m, *lu = adj + 2 * m, *lv = lu + m;
-    Py_ssize_t *ids = lv + m, *deg = ids + m, *nxt = deg + nv, *match = nxt + nv;
+    Py_ssize_t *ids = lv + m, *first = ids + m, *nxt = first + nv + 1, *match = nxt + nv;
     Py_ssize_t *stack = match + 2 * nv;
 
-    for (Py_ssize_t i = 0; i < m; i++) {
-        deg[eu[i]] += 1;
-        deg[ev[i]] += 1;
-    }
-    Py_ssize_t d = deg[0];
+    edge_csr(nv, m, eu, ev, first, match, adj);
+    Py_ssize_t d = first[1];
     for (Py_ssize_t v = 0; v < nv; v++)
-        if (deg[v] != d)
+        if (first[v + 1] - first[v] != d)
             d = 0;
     if (d < 2 || d % 2 != 0) {
         PyErr_SetString(PyExc_ValueError, NOT_EVEN_REGULAR);
@@ -1310,12 +1310,7 @@ petersen_split(PyObject *self, PyObject *args)
     }
     Py_ssize_t rho = d / 2;
 
-    /* the adjacency in edge-id order, vertex v's at adj[v * d .. (v + 1) * d) */
-    for (Py_ssize_t v = 0; v < nv; v++)
-        deg[v] = 0;
     for (Py_ssize_t e = 0; e < m; e++) {
-        adj[eu[e] * d + deg[eu[e]]++] = e;
-        adj[ev[e] * d + deg[ev[e]]++] = e;
         tail[e] = -1;
         round[e] = rho - 1;  /* the last round takes what no earlier one does */
     }
@@ -1325,14 +1320,14 @@ petersen_split(PyObject *self, PyObject *args)
         stack[0] = start;
         while (top >= 0) {
             Py_ssize_t u = stack[top], i = nxt[u];
-            while (i < d && tail[adj[u * d + i]] >= 0)
+            while (i < d && tail[adj[first[u] + i]] >= 0)
                 i++;
             nxt[u] = i;
             if (i == d) {
                 top--;
                 continue;
             }
-            Py_ssize_t e = adj[u * d + i];
+            Py_ssize_t e = adj[first[u] + i];
             tail[e] = u;
             stack[++top] = eu[e] == u ? ev[e] : eu[e];
         }

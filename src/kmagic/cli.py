@@ -110,10 +110,13 @@ def _cmd_label(args) -> int:
 
 def _cmd_verify(args) -> int:
     G = _read_graph(args.file)
-    lab, _, _ = labeling_from_json(_read_input(args.labeling))
+    lab, recorded, _ = labeling_from_json(_read_input(args.labeling))
     c = verify(G, lab)
     if c is None:
         print("not magic")
+        return EXIT_NEGATIVE
+    if c != (recorded % lab.k if lab.k > 1 else recorded):
+        print(f"sum {c} differs from the recorded c = {recorded}")
         return EXIT_NEGATIVE
     print(c)
     return EXIT_OK

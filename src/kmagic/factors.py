@@ -38,18 +38,18 @@ k = 3 when G has no perfect matching, so both read one memoized search.
 An exhaustive subset search, which shares no code with any of these
 routes, is the small-instance oracle.
 
-Each graph has one fact sheet (``fact_sheet``), built from its
-``vertex_profile``: its common degree and the order of each component,
-and, from the first perfect-matching question on, one maximum matching
-of the whole graph.  A maximum matching of G restricted to a component
-is a maximum matching of that component, so the sheet tells for every
-component at once whether it has a perfect matching, and G's perfect
-matching, the one route to a 1-factor, is that matching when no vertex
-is exposed.  Each h-factor and a decided mod-3 factor are computed once
-per graph (``MultiGraph.memo``).  A mod-3 factor of a disconnected G is
-the union of its components' ones: a matched component's part of G's
-matching, and for each other component the search on that component's
-own graph, memoized there.  The exhaustive oracle never reads either.
+Each graph has one maximum matching (``G.memo("matching")``), found on
+the first perfect-matching question.  A maximum matching of G restricted
+to a component is a maximum matching of that component, so it tells
+for every component at once whether it has a perfect matching
+(``has_perfect_matching``), and G's perfect matching, the one route to
+a 1-factor, is that matching when no vertex is exposed.  G's degree
+and its components come from its ``vertex_profile``.  Each h-factor and
+a decided mod-3 factor are computed once per graph (``MultiGraph.memo``).
+A mod-3 factor of a disconnected G is the union of its components'
+ones: a matched component's part of G's matching, and for each other
+component the search on that component's own graph, memoized there.
+The exhaustive oracle never reads either.
 """
 
 from __future__ import annotations
@@ -93,53 +93,28 @@ def _maximum_matching(graph: _Graph) -> tuple[int, ...]:
 nx = SimpleNamespace(max_weight_matching=_maximum_matching)
 
 
-class FactSheet:
-    """What the characterization of completely k-magic regular graphs
-    reads of one graph, found once per graph (fact_sheet).
+def _matching(G: MultiGraph) -> tuple[tuple[int, ...], Collection[int], frozenset[int] | None]:
+    """(mates, exposed, perfect matching or None) of G's one maximum
+    matching, one call through the seam above, once per graph: mates[v]
+    is v's matched edge id or -1, and exposed holds the components, by
+    vertex_profile index, with a vertex left unmatched."""
 
-    r is the common degree, or None when the graph is irregular;
-    component[v] is the index of v's connected component, in order of
-    smallest vertex, and orders[i] the order of component i.  component
-    and orders are those of the graph's one vertex_profile call, and r
-    is read off its degrees.  The matching half is
-    filled on the first perfect-matching question: mates, each vertex's
-    matched edge id or -1 in one maximum matching of the whole graph,
-    one call through the seam below.  A maximum matching of G restricted
-    to a component is a maximum matching of that component, so component
-    i has a perfect matching (has_pm(i)) exactly when none of its
-    vertices is exposed, and G has one exactly when no vertex is.
-    """
+    def match():
+        mates = nx.max_weight_matching(_Graph(G.n, G.us, G.vs))
+        if -1 not in mates:
+            return mates, (), frozenset(mates)
+        return mates, frozenset(compress(_vertex_profile(G)[1], map((-1).__eq__, mates))), None
 
-    __slots__ = ("r", "orders", "component", "_graph", "_mates", "_exposed")
-
-    def __init__(self, G: MultiGraph) -> None:
-        _, self.component, self.orders = _vertex_profile(G)
-        self.r = regularity(G)
-        self._graph = _Graph(G.n, G.us, G.vs)
-        self._mates = None
-
-    def _match(self) -> None:
-        mates = self._mates = nx.max_weight_matching(self._graph)
-        # the components with an exposed vertex
-        self._exposed = set(compress(self.component, map((-1).__eq__, mates))) if -1 in mates else ()
-
-    @property
-    def mates(self) -> tuple[int, ...]:
-        if self._mates is None:
-            self._match()
-        return self._mates
-
-    def has_pm(self, i: int | None = None) -> bool:
-        """Does component i, or the whole graph when i is None, have a
-        perfect matching?"""
-        if self._mates is None:
-            self._match()
-        return not self._exposed if i is None else i not in self._exposed
+    return G.memo("matching", match)
 
 
-def fact_sheet(G: MultiGraph) -> FactSheet:
-    """G's fact sheet, built once per graph."""
-    return G.memo("fact_sheet", lambda: FactSheet(G))
+def has_perfect_matching(G: MultiGraph, i: int | None = None) -> bool:
+    """Does component i of G, or G itself when i is None, have a perfect
+    matching?  A maximum matching of G restricted to a component is a
+    maximum matching of that component, so G's one matching answers for
+    every component at once."""
+    exposed = _matching(G)[1]
+    return not exposed if i is None else i not in exposed
 
 
 def degree_constrained_factor(G: MultiGraph, targets: Sequence[int]) -> frozenset[int] | None:
@@ -163,7 +138,7 @@ def _check_targets(G: MultiGraph, targets: Sequence[int]) -> None:
     """Raise FactorError unless targets holds one degree in 0..deg(v) per vertex v."""
     if len(targets) != G.n:
         raise FactorError(f"expected {G.n} degree targets, got {len(targets)}")
-    degrees = _vertex_profile(G)[0]
+    degrees = G.degrees
     if min(targets, default=0) < 0 or any(map(gt, targets, degrees)):
         v = next(v for v, t in enumerate(targets) if not 0 <= t <= degrees[v])
         raise FactorError(f"target {targets[v]} at vertex {v} outside 0..{degrees[v]}")
@@ -213,15 +188,11 @@ def _regular_factor(G: MultiGraph, h: int) -> frozenset[int] | None:
 
 
 def _one_factor(G: MultiGraph) -> frozenset[int] | None:
-    """Perfect matching of G, read off its fact sheet, once per graph: the
-    one route to a 1-factor, for f_factor(G, 1), all-ones targets of
+    """Perfect matching of G, read off its one maximum matching: the one
+    route to a 1-factor, for f_factor(G, 1), all-ones targets of
     degree_constrained_factor, the odd-degree factors and mod3_factor
     alike."""
-    return G.memo("one_factor", lambda: _perfect_matching(fact_sheet(G)))
-
-
-def _perfect_matching(sheet: FactSheet) -> frozenset[int] | None:
-    return frozenset(sheet.mates) if sheet.has_pm() else None
+    return _matching(G)[2]
 
 
 def _matching_factor(G: MultiGraph, edge_ids: Collection[int]) -> frozenset[int] | None:
@@ -323,29 +294,27 @@ def mod3_factor(G: MultiGraph, budget: SolverBudget | None = None) -> frozenset[
     search is capped (the problem is NP-complete in general).  A
     disconnected G has one exactly when each component has one, and its
     factor is the union of theirs: a component with a perfect matching
-    gives its part of the fact sheet's matching, and each other one is
+    gives its part of G's one maximum matching, and each other one is
     searched once on its own graph (unmatched_mod3_factor); a capped
     component raises only when no other one is absent.  A decided answer
     is computed once per graph.
     """
-    r = fact_sheet(G).r
+    r = regularity(G)
     if r is None or r % 3 != 0 or r % 2 == 0:
         raise RegularityError(f"need r-regular with r odd and 3 | r, got r={r}")
     return G.memo("mod3_factor", lambda: _mod3_union(G, r, budget))
 
 
 def _mod3_union(G: MultiGraph, r: int, budget: SolverBudget | None) -> frozenset[int] | None:
-    sheet = fact_sheet(G)
-    if sheet.has_pm() or r == 3:
-        return _one_factor(G)
-    if len(sheet.orders) == 1:
+    mates, exposed, pm = _matching(G)
+    if pm is not None or r == 3:
+        return pm
+    _, component, orders = _vertex_profile(G)
+    if len(orders) == 1:
         return _mod3_search(G, budget)
-    matched = [sheet.has_pm(i) for i in range(len(sheet.orders))]
-    union = [e for e, i in zip(sheet.mates, sheet.component) if matched[i]]
+    union = [e for e, i in zip(mates, component) if i not in exposed]
     capped = None
-    for i, has_pm in enumerate(matched):
-        if has_pm:
-            continue
+    for i in sorted(exposed):
         C, edge_ids = component_graph(G, i)
         try:
             F = unmatched_mod3_factor(C, budget)

@@ -194,7 +194,7 @@ def regularity(G: MultiGraph) -> int | None:
 
 
 def _common_degree(G: MultiGraph) -> int | None:
-    degs = set(_vertex_profile(G)[0])
+    degs = set(G.degrees)
     return degs.pop() if len(degs) == 1 else None
 
 
@@ -224,8 +224,9 @@ def component_graph(G: MultiGraph, i: int) -> tuple[MultiGraph, Sequence[int]]:
     graph and index, so that its own memos (factors, say) are found once
     too, and it stores its profile, that of a connected graph, with it.
     The package builds one only where that component still needs the
-    solver; everything else it reads off the fact sheet
-    (kmagic.factors.fact_sheet).
+    solver; its degree and order it reads off G's vertex profile, and
+    whether it has a perfect matching off G's one maximum matching
+    (kmagic.factors.has_perfect_matching).
     """
     if len(_vertex_profile(G)[2]) < 2:
         return G, range(G.m)
@@ -234,13 +235,13 @@ def component_graph(G: MultiGraph, i: int) -> tuple[MultiGraph, Sequence[int]]:
 
 def _component(G: MultiGraph, i: int) -> tuple[MultiGraph, tuple[int, ...]]:
     """Component i of G, sliced from G's edge arrays and profile."""
-    degrees, component, orders = _vertex_profile(G)
+    _, component, orders = _vertex_profile(G)
     vertices = [v for v, c in enumerate(component) if c == i]
     local = {v: j for j, v in enumerate(vertices)}
     edge_ids = tuple(e for e, u in enumerate(G.us) if component[u] == i)
     us, vs = (tuple(local[ends[e]] for e in edge_ids) for ends in (G.us, G.vs))
     C = MultiGraph(orders[i], us, vs)
-    profile = (tuple(degrees[v] for v in vertices), (0,) * C.n, (C.n,))
+    profile = (tuple(G.degrees[v] for v in vertices), (0,) * C.n, (C.n,))
     C.memo("vertex_profile", lambda: profile)
     return C, edge_ids
 

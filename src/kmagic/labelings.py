@@ -243,7 +243,7 @@ def labeling_to_json(lab: EdgeLabeling, c: int, trace: ConstructionTrace | None 
 
 def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
     """Read a labeling file.  Raises LabelingError unless it is an object
-    whose k and labels are JSON integers (a float or a boolean is not),
+    whose k, c and labels are JSON integers (a float or a boolean is not),
     whose L edge ids are exactly "0" .. "L-1" as canonical decimals ("5",
     not "05", "+5" or "0_5"), and in which no object repeats a key, so
     that every edge has exactly one label."""
@@ -255,6 +255,9 @@ def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
         k = payload["k"]
         if type(k) is not int:
             raise LabelingError(f"bad labeling file: modulus {k!r} is not an integer")
+        c = payload["c"]
+        if type(c) is not int:
+            raise LabelingError(f"bad labeling file: sum {c!r} is not an integer")
         values = []
         for i in range(len(labels)):
             if str(i) not in labels:
@@ -264,7 +267,7 @@ def labeling_from_json(text: str) -> tuple[EdgeLabeling, int, list[dict]]:
                 raise LabelingError(f"bad labeling file: edge {i}: label {v!r} is not an integer")
             values.append(v)
         lab = EdgeLabeling(k, tuple(values))
-        return lab, payload["c"], payload.get("trace", [])
+        return lab, c, payload.get("trace", [])
     except (KeyError, TypeError, ValueError) as exc:
         raise LabelingError(f"bad labeling file: {exc}") from None
 

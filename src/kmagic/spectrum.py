@@ -14,15 +14,16 @@ and the oracle there is independent of the prediction.  Disconnected
 graphs are handled component by component and the spectra intersected,
 since a magic labeling restricts to every component.
 
-The prediction reads what it needs of each component off the graph's
-fact sheet (kmagic.factors.fact_sheet): the degree, the order and, only
-at k = 3 and 4 with odd degree, whether it has a perfect matching, all
-components answered by one maximum matching of the whole graph.  A
-component is built as a graph of its own only where the solver still
-decides: a zero sum mod 4 at odd r >= 5, or a mod-3 factor at
-r = 3 mod 6, r > 3, without a perfect matching.  The oracle reads only
-whether each search found a labeling, so it takes the status of one
-split_search call and builds no labeling.
+The prediction reads only three facts of each component, each from one
+source: the degree (regularity), the order (the graph's vertex profile)
+and, only at k = 3 and 4 with odd degree, whether it has a perfect
+matching (kmagic.factors.has_perfect_matching), all components answered
+by one maximum matching of the whole graph.  A component is built as a
+graph of its own only where the solver still decides: a zero sum mod 4
+at odd r >= 5, or a mod-3 factor at r = 3 mod 6, r > 3, without a
+perfect matching.  The oracle reads only whether each search found a
+labeling, so it takes the status of one split_search call and builds
+no labeling.
 
 The prediction depends on k only through k in {1, 2, 3, 4} and, for
 k >= 5, the parity of k: conditions (2)-(4) and every answer at r <= 2
@@ -41,13 +42,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import partial
 from math import gcd
-from typing import Callable
 
 from .errors import BudgetError, KmagicError, RegularityError
-from .factors import FactSheet, fact_sheet, unmatched_mod3_factor
-from .graphs import MultiGraph, component_graph
+from .factors import has_perfect_matching, unmatched_mod3_factor
+from .graphs import MultiGraph, _vertex_profile, component_graph, regularity
 from .solver import DEFAULT_BUDGET, SolverBudget, _search_status
 
 SYMBOLIC_TAGS = ("Z", "Z*", "2Z", "2Z*")  # * marks "zero excluded"
@@ -116,12 +115,12 @@ class SpectrumSet:
         return json.dumps(payload, sort_keys=True) + "\n"
 
 
-def _regular_sheet(G: MultiGraph) -> FactSheet:
-    """G's fact sheet; raises RegularityError unless G is r-regular, r >= 1."""
-    sheet = fact_sheet(G)
-    if sheet.r is None or sheet.r < 1:
-        raise RegularityError(f"need a regular graph with r >= 1, got r={sheet.r}")
-    return sheet
+def _regular_degree(G: MultiGraph) -> int:
+    """G's common degree r; raises RegularityError unless G is r-regular, r >= 1."""
+    r = regularity(G)
+    if r is None or r < 1:
+        raise RegularityError(f"need a regular graph with r >= 1, got r={r}")
+    return r
 
 
 def brute_force_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) -> SpectrumSet:
@@ -136,7 +135,7 @@ def brute_force_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = No
     """
     if k < 2:
         raise RegularityError("brute force needs k >= 2")
-    _regular_sheet(G)
+    _regular_degree(G)
     verdict: dict[int, bool] = {}  # gcd(c, k) -> whether that class is in the spectrum
     for c in range(k):
         d = gcd(c, k)
@@ -164,29 +163,28 @@ def zero_sum_4_magic(G: MultiGraph, budget: SolverBudget | None = None) -> tuple
     2 mod 4, so its label-2 edges would form a perfect matching.  For
     r >= 5 the solver decides (None when the budget runs out).
     """
-    sheet = _regular_sheet(G)
-    r = sheet.r
+    r = _regular_degree(G)
     if r < 3:
         raise RegularityError(f"zero-sum 4-magic test needs r >= 3, got {r}")
-    return _zero_sum_4(r, sheet.has_pm, lambda: _search_status(G, 4, 0, budget))
+    return _zero_sum_4(G, r, None, budget)
 
 
 def _zero_sum_4(
-    r: int, has_pm: Callable[[], bool], search: Callable[[], str]
+    G: MultiGraph, r: int, i: int | None, budget: SolverBudget | None
 ) -> tuple[bool | None, str]:
-    """zero_sum_4_magic for degree r >= 3, where has_pm() tells whether
-    the graph has a perfect matching and search() is the status of its
-    0-sum 4-magic label search; each is called only when needed."""
+    """zero_sum_4_magic of component i of the r-regular G, r >= 3, or of
+    G itself when i is None.  The matching is asked only at odd r, and the
+    component is built as a graph of its own only for the solver."""
     if r % 2 == 0:
         return True, "even degree: pairs of 2-factors labeled to cancel mod 4"
-    if has_pm():
+    if has_perfect_matching(G, i):
         return True, (
             "odd degree with a perfect matching M: a 2-factor of G - M labeled 1,"
             " the rest 2, sums to 2(r-1) = 0 mod 4"
         )
     if r == 3:
         return False, "cubic without a perfect matching: the label-2 edges of a zero sum mod 4 would form one"
-    status = search()
+    status = _search_status(G if i is None else component_graph(G, i)[0], 4, 0, budget)
     if status == "found":
         return True, "solver found a zero-sum labeling"
     if status == "absent":
@@ -240,38 +238,34 @@ def _tag_residues(tag: str, k: int) -> range:
     return range(step if tag[-1] == "*" else 0, k, step)
 
 
-def _class_entry(G: MultiGraph, sheet: FactSheet, k: int) -> tuple[str, tuple[str, ...]]:
-    """(tag, provenance) of G at k = 1 or in the class of k >= 5, kept in
-    G.memo under "spectrum/1", "spectrum/odd" or "spectrum/even"."""
+def _class_entry(G: MultiGraph, r: int, k: int) -> tuple[str, tuple[str, ...]]:
+    """(tag, provenance) of the r-regular G at k = 1 or in the class of
+    k >= 5, kept in G.memo under "spectrum/1", "spectrum/odd" or
+    "spectrum/even"."""
     key = "spectrum/1" if k == 1 else ("spectrum/even", "spectrum/odd")[k % 2]
-    return G.memo(key, lambda: _class_spectrum(sheet, k))
+    return G.memo(key, lambda: _class_spectrum(G, r, k))
 
 
-def _class_spectrum(sheet: FactSheet, k: int) -> tuple[str, tuple[str, ...]]:
+def _class_spectrum(G: MultiGraph, r: int, k: int) -> tuple[str, tuple[str, ...]]:
     """(tag, provenance) of the whole graph at k = 1 or in the class of
     k >= 5: its components' tags, intersected."""
-    orders = sheet.orders
+    orders = _vertex_profile(G)[2]
     tags = []
     prov = []
     for i, n in enumerate(orders):
-        tag, why = _component_tag(sheet.r, n, k)
+        tag, why = _component_tag(r, n, k)
         tags.append(tag)
         prov.append(why if len(orders) == 1 else f"component {i}: {why}")
     return _intersect_symbolic(tags), tuple(prov)
 
 
 def _component_spectrum(
-    r: int,
-    n: int,
-    has_pm: Callable[[], bool],
-    graph: Callable[[], MultiGraph],
-    k: int,
-    budget: SolverBudget | None,
+    G: MultiGraph, r: int, i: int, n: int, k: int, budget: SolverBudget | None
 ) -> tuple[set[int], set[int], list[str]]:
-    """(residues, undecided, provenance) for one connected r-regular
-    component of order n, k = 3 or 4.  has_pm() tells whether it has a
-    perfect matching and graph() builds it as a graph of its own, for
-    the solver; each is called only where the answer needs it."""
+    """(residues, undecided, provenance) for component i, of order n, of
+    the r-regular G, k = 3 or 4.  Whether it has a perfect matching is
+    asked, and it is built as a graph of its own for the solver, only
+    where the answer needs it."""
     full = set(range(k))
     if r <= 2:
         tag, why = _component_tag(r, n, k)
@@ -283,7 +277,7 @@ def _component_spectrum(
             ]
         if r % 2 == 0:
             return full, set(), [CONDITIONS[5] + "; zero-sum automatic for even degree"]
-        decision, reason = _zero_sum_4(r, has_pm, lambda: _search_status(graph(), 4, 0, budget))
+        decision, reason = _zero_sum_4(G, r, i, budget)
         if decision is True:
             return full, set(), [CONDITIONS[5] + f"; {reason}"]
         if decision is False:
@@ -295,11 +289,11 @@ def _component_spectrum(
         return full, set(), [CONDITIONS[6]]
     # a perfect matching is a mod-3 factor, and at r = 3 the only kind;
     # otherwise the 1-sum label search decides, the one the oracle runs
-    found = has_pm()
+    found = has_perfect_matching(G, i)
     shared = ""
     if not found and r > 3:
         try:
-            found = unmatched_mod3_factor(graph(), budget) is not None
+            found = unmatched_mod3_factor(component_graph(G, i)[0], budget) is not None
         except BudgetError as exc:
             return {0}, {1, 2}, [f"k = 3, r % 6 == 3: mod-3 factor undecided ({exc})"]
         shared = "; decided by the 1-sum 3-magic search the oracle also runs"
@@ -310,18 +304,14 @@ def _component_spectrum(
     ]
 
 
-def _small_modulus_spectrum(
-    G: MultiGraph, sheet: FactSheet, k: int, budget: SolverBudget | None
-) -> SpectrumSet:
+def _small_modulus_spectrum(G: MultiGraph, r: int, k: int, budget: SolverBudget | None) -> SpectrumSet:
     """The prediction at k = 3 or 4: each component's spectrum, intersected."""
-    orders = sheet.orders
+    orders = _vertex_profile(G)[2]
     residue_sets = []
     undecided_sets = []
     prov: list[str] = []
     for i, n in enumerate(orders):
-        res, und, why = _component_spectrum(
-            sheet.r, n, partial(sheet.has_pm, i), lambda i=i: component_graph(G, i)[0], k, budget
-        )
+        res, und, why = _component_spectrum(G, r, i, n, k, budget)
         residue_sets.append(res)
         undecided_sets.append(und)
         prov.extend(w if len(orders) == 1 else f"component {i}: {w}" for w in why)
@@ -355,17 +345,16 @@ def predict_spectrum(G: MultiGraph, k: int, budget: SolverBudget | None = None) 
     """
     if k < 1:
         raise KmagicError(f"modulus must be >= 1, got {k}")
-    sheet = _regular_sheet(G)
+    r = _regular_degree(G)
     if k == 2:
-        r = sheet.r
         why = f"k = 2: every label is 1, so every vertex sums to r = {r}, which is {r % 2} mod 2"
         return SpectrumSet(2, residues=frozenset({r % 2}), provenance=(why,))
     if k == 3 or k == 4:
         node_cap = (budget or DEFAULT_BUDGET).node_cap
         return G.memo(
-            f"spectrum/{k}/{node_cap}", lambda: _small_modulus_spectrum(G, sheet, k, budget)
+            f"spectrum/{k}/{node_cap}", lambda: _small_modulus_spectrum(G, r, k, budget)
         )
-    tag, provenance = _class_entry(G, sheet, k)
+    tag, provenance = _class_entry(G, r, k)
     if k == 1:
         return SpectrumSet(1, symbolic=tag, provenance=provenance)
     return SpectrumSet(k, residues=frozenset(_tag_residues(tag, k)), provenance=provenance)
@@ -401,10 +390,10 @@ def null_set(G: MultiGraph, kmax: int, budget: SolverBudget | None = None) -> di
     """
     if kmax < 1:
         raise RegularityError("kmax must be >= 1")
-    sheet = _regular_sheet(G)
+    r = _regular_degree(G)
     return {
         k: predict_spectrum(G, k, budget).contains(0)
         if 2 <= k <= 4
-        else not _class_entry(G, sheet, k)[0].endswith("*")
+        else not _class_entry(G, r, k)[0].endswith("*")
         for k in range(1, kmax + 1)
     }

@@ -6,6 +6,7 @@ import importlib.util
 import sys
 from collections import deque
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +83,23 @@ def corpus() -> dict[str, MultiGraph]:
 @pytest.fixture(scope="session")
 def bridged16() -> MultiGraph:
     return bridged_cubic_16()
+
+
+def twin_spy(monkeypatch, *names):
+    """Replace the twin module by one that offers only the twins names,
+    each recording its calls as (name, n) in the returned list."""
+    twin = _twin.module
+    calls = []
+
+    def spy(name):
+        def call(n, *args):
+            calls.append((name, n))
+            return getattr(twin, name)(n, *args)
+
+        return call
+
+    monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
+    return calls
 
 
 @pytest.fixture

@@ -163,6 +163,32 @@ def test_verify_rejects_non_integer_k_and_labels(tmp_path, k5_file, capsys, payl
     assert "is not an integer" in err
 
 
+@pytest.mark.parametrize("c", [4.0, True], ids=["float-c", "bool-c"])
+def test_verify_rejects_a_non_integer_c(tmp_path, k5_file, capsys, c):
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"k": 5, "c": c, "labels": ONES_K5}), encoding="ascii")
+    code, out, err = run(capsys, "verify", k5_file, str(lab))
+    assert (code, out) == (2, "")
+    assert "sum" in err and "is not an integer" in err
+
+
+@pytest.mark.parametrize(
+    ("k", "c", "code", "out"),
+    [
+        (5, 0, 1, "sum 4 differs from the recorded c = 0\n"),
+        (5, 9, 0, "4\n"),  # the recorded c is read mod k
+        (1, 4, 0, "4\n"),
+        (1, 9, 1, "sum 4 differs from the recorded c = 9\n"),  # over the integers, c itself
+    ],
+    ids=["k5-c0", "k5-c9", "k1-c4", "k1-c9"],
+)
+def test_verify_compares_the_sum_with_the_recorded_c(tmp_path, k5_file, capsys, k, c, code, out):
+    # ten labels 1 on K5 sum to 4 at every vertex
+    lab = tmp_path / "lab.json"
+    lab.write_text(json.dumps({"k": k, "c": c, "labels": ONES_K5}), encoding="ascii")
+    assert run(capsys, "verify", k5_file, str(lab))[:2] == (code, out)
+
+
 @pytest.mark.parametrize(
     "labels",
     [

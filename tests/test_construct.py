@@ -23,6 +23,7 @@ from kmagic import (
     petersen,
     predict_spectrum,
     prism,
+    random_regular,
     search_labeling,
     verify,
     zero_sum_4_magic,
@@ -34,6 +35,7 @@ from conftest import (
     hub10,
     hub_quintic_16,
     quintic38,
+    twin_spy,
     two_hub_even,
     unmatched_cubic_28,
 )
@@ -241,6 +243,38 @@ def test_factor_split_asks_for_a_mod3_factor_only_without_a_perfect_matching(mon
     lab, step = _rule_factor_split(petersen(), 3, 3, 1, None)
     assert calls == [10]
     assert step.params["h"] == 1 and verify(petersen(), lab) == 1
+
+
+TWINS = ("search", "magic_sum", "petersen_split", "split_search", "vertex_profile", "maximum_matching")
+
+
+@pytest.mark.parametrize(
+    ("make", "k", "c", "twins"),
+    [
+        (petersen, 4, 1, ["vertex_profile", "maximum_matching", "magic_sum"]),
+        (petersen, 3, 1, ["vertex_profile", "maximum_matching", "magic_sum"]),
+        (
+            lambda: circulant(12, (1, 2, 3)), 5, 0,
+            ["vertex_profile", "maximum_matching", "petersen_split", "magic_sum"],
+        ),
+        (
+            lambda: disjoint_union([petersen(), complete(4)]), 3, 2,
+            ["vertex_profile", "maximum_matching", "magic_sum"],
+        ),
+        (lambda: random_regular(10, 5, seed=3), 6, 3, ["vertex_profile", "magic_sum"]),
+    ],
+    ids=["petersen-k4", "petersen-k3", "circ12-k5", "petersen+K4-k3", "quintic10-k6"],
+)
+def test_construct_calls_each_twin_at_most_once_on_a_fresh_graph(make, k, c, twins, monkeypatch):
+    # one profile, at most one matching of the whole graph, shared by the
+    # prediction and the factor split, at most one split, and the one
+    # magic-sum check of the answer
+    G = make()
+    calls = twin_spy(monkeypatch, *TWINS)
+    res = construct(G, k, c)
+    assert res.status == "found"
+    assert [name for name, _ in calls] == twins
+    assert {n for _, n in calls} == {G.n}
 
 
 def test_doubling_search_serves_even_degree_graphs_without_a_perfect_matching():

@@ -308,7 +308,7 @@ def test_one_factor_of_a_union_is_the_whole_graph_matching(parts):
     ids=["cubic12", "circ9-quartic", "petersen+K4", "C3+C5", "bridged16"],
 )
 def test_a_regular_one_factor_builds_no_targets(make, monkeypatch):
-    # f_factor(G, 1) of a regular G is the fact sheet's perfect matching,
+    # f_factor(G, 1) of a regular G is its one matching, when perfect,
     # or None at odd order; only explicit targets are checked
     checked = []
     check = factors._check_targets

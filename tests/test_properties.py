@@ -39,8 +39,8 @@ from kmagic import (
     verify,
 )
 from kmagic import _backtrack_py, _twin
-from kmagic.factors import fact_sheet
-from kmagic.graphs import component_graphs
+from kmagic.factors import has_perfect_matching
+from kmagic.graphs import _vertex_profile, component_graphs, regularity
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -252,10 +252,10 @@ def test_union_spectrum_is_component_intersection(ns, k):
     assert whole.residues == expect
 
 
-# Connected parts of one degree each, for unions the fact sheet reads:
+# Connected parts of one degree each, for unions the prediction reads:
 # simple graphs and multigraphs, odd and even order, with and without a
 # perfect matching (a 2-vertex multigraph stands for every parallel class)
-SHEET_PARTS = {
+UNION_PARTS = {
     2: [lambda: cycle(3), lambda: cycle(4), lambda: cycle(5), lambda: build_graph(2, [(0, 1)] * 2)],
     3: [lambda: complete(4), lambda: prism(3), petersen, bridged_cubic_16,
         lambda: build_graph(2, [(0, 1)] * 3)],
@@ -264,14 +264,14 @@ SHEET_PARTS = {
     5: [lambda: complete(6), hub_quintic_16, lambda: build_graph(2, [(0, 1)] * 5)],
     9: [lambda: complete(10), hub10],
 }
-SHEET_BUDGET = SolverBudget(node_cap=2000)
+UNION_BUDGET = SolverBudget(node_cap=2000)
 
 
 @st.composite
-def sheet_unions(draw):
+def one_degree_unions(draw):
     """(G, r): the disjoint union of one to three parts of degree r."""
-    r = draw(st.sampled_from(sorted(SHEET_PARTS)))
-    builders = draw(st.lists(st.sampled_from(SHEET_PARTS[r]), min_size=1, max_size=3))
+    r = draw(st.sampled_from(sorted(UNION_PARTS)))
+    builders = draw(st.lists(st.sampled_from(UNION_PARTS[r]), min_size=1, max_size=3))
     return disjoint_union([build() for build in builders]), r
 
 
@@ -281,18 +281,21 @@ def fresh_components(G):
 
 
 @SETTINGS
-@given(sheet_unions())
+@given(one_degree_unions())
 def test_fact_sheet_matches_each_component(graph):
+    # the degree, each component's order and whether it has a perfect
+    # matching, as the prediction reads them off the whole graph
     G, r = graph
-    sheet = fact_sheet(G)
+    orders = _vertex_profile(G)[2]
     comps = fresh_components(G)
-    assert sheet.r == r
-    assert [(n, sheet.has_pm(i)) for i, n in enumerate(sheet.orders)] == [
+    assert regularity(G) == r
+    assert [(n, has_perfect_matching(G, i)) for i, n in enumerate(orders)] == [
         (C.n, f_factor(C, 1) is not None) for C in comps
     ]
     # the whole graph's perfect matching is the union of the components'
     whole = f_factor(G, 1)
-    assert (whole is None) == (not all(sheet.has_pm(i) for i in range(len(comps))))
+    assert (whole is None) == (not all(has_perfect_matching(G, i) for i in range(len(comps))))
+    assert (whole is None) == (not has_perfect_matching(G))
     if whole is not None:
         parts = [(C, ids) for C, ids in component_graphs(MultiGraph(G.n, G.us, G.vs))]
         assert whole == {ids[e] for C, ids in parts for e in f_factor(C, 1)}
@@ -312,12 +315,12 @@ def _intersect(spectra, k):
 
 
 @settings(SETTINGS, max_examples=60)
-@given(sheet_unions())
+@given(one_degree_unions())
 def test_prediction_from_the_sheet_equals_the_per_component_one(graph):
     G, _ = graph
     for k in range(1, 7):
-        got = predict_spectrum(G, k, SHEET_BUDGET)
-        spectra = [predict_spectrum(C, k, SHEET_BUDGET) for C in fresh_components(G)]
+        got = predict_spectrum(G, k, UNION_BUDGET)
+        spectra = [predict_spectrum(C, k, UNION_BUDGET) for C in fresh_components(G)]
         if k == 2:  # the closed form {r mod 2}, read off the whole graph
             assert (got.residues, got.provenance) == (spectra[0].residues, spectra[0].provenance)
         elif k == 1:
@@ -329,7 +332,7 @@ def test_prediction_from_the_sheet_equals_the_per_component_one(graph):
 @pytest.mark.parametrize("twin", ["pure-python", "compiled"])
 @SETTINGS
 @given(
-    st.one_of(sheet_unions().map(lambda graph: graph[0]), regular_graphs(), regular_unions()),
+    st.one_of(one_degree_unions().map(lambda graph: graph[0]), regular_graphs(), regular_unions()),
     st.permutations(range(1, 31)),
 )
 def test_a_memoized_prediction_equals_a_fresh_one(twin, compiled_kernel, G, ks):
@@ -340,7 +343,7 @@ def test_a_memoized_prediction_equals_a_fresh_one(twin, compiled_kernel, G, ks):
     _twin.module = _backtrack_py if twin == "pure-python" else compiled_kernel
     try:
         for k in ks:
-            fresh = predict_spectrum(MultiGraph(G.n, G.us, G.vs), k, SHEET_BUDGET)
-            assert predict_spectrum(G, k, SHEET_BUDGET) == fresh, k
+            fresh = predict_spectrum(MultiGraph(G.n, G.us, G.vs), k, UNION_BUDGET)
+            assert predict_spectrum(G, k, UNION_BUDGET) == fresh, k
     finally:
         _twin.module = selected

@@ -6,7 +6,6 @@ sets in this file were frozen from oracle runs.
 """
 
 import json
-from types import SimpleNamespace
 
 import pytest
 
@@ -29,7 +28,7 @@ from kmagic import (
     prism,
     zero_sum_4_magic,
 )
-from conftest import hub_quintic_16, quintic38
+from conftest import hub_quintic_16, quintic38, twin_spy
 
 TINY = SolverBudget(node_cap=2)
 
@@ -243,27 +242,10 @@ def test_a_union_is_matched_once(monkeypatch):
     assert len(calls) == 1
 
 
-def twin_spy(monkeypatch, *names):
-    """Replace the twin module by one that offers only the twins names,
-    each recording its calls as (name, n) in the returned list."""
-    twin = _twin.module
-    calls = []
-
-    def spy(name):
-        def call(n, *args):
-            calls.append((name, n))
-            return getattr(twin, name)(n, *args)
-
-        return call
-
-    monkeypatch.setattr(_twin, "module", SimpleNamespace(**{name: spy(name) for name in names}))
-    return calls
-
-
 def test_prediction_reads_one_profile_and_one_matching(monkeypatch):
-    # every component of the union has a perfect matching: the sheet answers
-    # all three from one matching of the whole graph, and no component is
-    # built as a graph of its own
+    # every component of the union has a perfect matching: one matching of
+    # the whole graph answers all three, and no component is built as a
+    # graph of its own
     calls = twin_spy(monkeypatch, "vertex_profile", "maximum_matching", "split_search")
     built = []
     build = graphs._component
@@ -338,7 +320,7 @@ class TwinSpy:
 
 def test_each_class_of_moduli_is_predicted_once(monkeypatch):
     # cubic, two components, both with a perfect matching: k = 3 and 4 ask
-    # the sheet's matching, and every k >= 5 reads only r, n and k mod 2
+    # the one matching, and every k >= 5 reads only r, n and k mod 2
     G = disjoint_union([petersen(), complete(4)])
     spy = TwinSpy(_twin.module, G, ("vertex_profile", "maximum_matching"))
     monkeypatch.setattr(_twin, "module", spy)
