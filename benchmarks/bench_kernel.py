@@ -53,7 +53,15 @@ prediction: predict_spectrum on that union at each k of PREDICT_KS, on
 fresh copies and asked again of one copy, which reads the graph's memo
 of its class of k, and null_set(G, 2000) on fresh copies of a 6-regular
 circulant on 100 vertices, with each twin module selected in turn, in
-microseconds per call as above.
+microseconds per call as above.  Then the construction rules: construct
+at a sum that each rule of the cascade answers, on fresh copies, where
+the call pays for its prediction, factors and plans, and asked again of
+one copy, where it reads them from the graph's memo; the constant, the
+factor split at h = 1 and at h = 2 on an 8-regular circulant on 40
+vertices, and the doubling search on two_hub_even(4), which has no
+perfect matching, at an odd sum.  Each row checks that its rule (and h)
+answered, with each twin module selected in turn, in microseconds per
+call as above.
 
 Usage: python3 benchmarks/bench_kernel.py [--quick]
 """
@@ -65,7 +73,7 @@ import sys
 import time
 from pathlib import Path
 
-from digest import bridged_cubic_16, hub10, hub_quintic_16, unmatched_cubic_28
+from digest import bridged_cubic_16, hub10, hub_quintic_16, two_hub_even, unmatched_cubic_28
 from kmagic import (
     DEFAULT_BUDGET,
     MultiGraph,
@@ -75,6 +83,7 @@ from kmagic import (
     build_graph,
     circulant,
     complete,
+    construct,
     cycle,
     disjoint_union,
     double_graph,
@@ -191,6 +200,15 @@ NULL_SET_GRAPH = circulant(100, (1, 2, 3))
 NULL_SET_KMAX = 2000
 NULL_SET_REPEATS, QUICK_NULL_SET_REPEATS = 5, 2
 
+# (label, graph, k, c, the rule that answers, its h or None) for the
+# construction-rule table
+RULE_GRAPH = circulant(40, (1, 2, 3, 4))
+RULE_CASES = [
+    ("constant, circ n=40 r=8, k=8 c=0", RULE_GRAPH, 8, 0, "constant", None),
+    ("split h=1, circ n=40 r=8, k=8 c=1", RULE_GRAPH, 8, 1, "factor-split", 1),
+    ("split h=2, circ n=40 r=8, k=7 c=0", RULE_GRAPH, 7, 0, "factor-split", 2),
+    ("doubling, two_hub_even(4), k=4 c=1", two_hub_even(4), 4, 1, "doubling-parameter-search", 3),
+]
 
 # the edge count of a case's graph, a column of every twin table
 EDGES = ("edges", 6, lambda G, answers: G.m)
@@ -347,6 +365,19 @@ def compare_predictions(kernels: dict, calls: int, repeats: int, null_repeats: i
     time_calls(kernels, f"prediction, {DRIVER_GRAPH.n}-vertex medium union", rows)
 
 
+def compare_rules(kernels: dict, calls: int, repeats: int) -> None:
+    """construct on each of RULE_CASES, fresh and repeated, after checking
+    that the case's rule answers it."""
+    rows = []
+    for label, G, k, c, rule, h in RULE_CASES:
+        step = construct(G, k, c).trace.steps[-1]
+        assert (step.rule, step.params.get("h")) == (rule, h), f"{label}: answered by {step}"
+        for fresh in (True, False):
+            rows.append((f"{label}, {'fresh' if fresh else 'repeat'}", G,
+                         lambda H, k=k, c=c: construct(H, k, c), fresh, calls, repeats))
+    time_calls(kernels, "construction rules", rows)
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="cap searches at 1e6 nodes")
@@ -407,6 +438,8 @@ def main() -> None:
     compare_driver(kernels, calls, repeats)
     print()
     compare_predictions(kernels, calls, repeats, null_repeats)
+    print()
+    compare_rules(kernels, calls, repeats)
     print("all kernels returned identical results")
 
 

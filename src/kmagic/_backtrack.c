@@ -1144,31 +1144,35 @@ augmenting_path(Matching *s, Py_ssize_t root)
     return -1;
 }
 
+/* The slots of match_edges' workspace for nv vertices and m edges: per
+ * edge end, neighbour and edge id; per vertex, first and last neighbour
+ * slot, owner, mate, base, parent, even, tree, queue, seen and in_blossom
+ * stamps. */
+#define MATCH_SLOTS(nv, m) (4 * (size_t)(m) + 11 * (size_t)(nv) + 1)
+
 /* The search of maximum_matching over plain arrays, on the loopless
  * multigraph of nv vertices whose edge e joins eu[e] and ev[e]: match[v]
- * becomes vertex v's matched edge id, or -1 where v is exposed.  Returns 0,
- * or -1 with MemoryError set.  It transcribes the pure reference's
- * _matching line for line: the same neighbour lists, the same greedy pass
- * and the same alternating trees, so both twins return the same mates.
- * Where the reference keys the lowest id of each class of parallel edges
- * by its vertex pair, each vertex here keeps its first edge to each
- * neighbour, in edge-id order, marking the neighbour in owner. */
-static int
+ * becomes vertex v's matched edge id, or -1 where v is exposed.  block is
+ * the caller's workspace of at least MATCH_SLOTS(nv, m) slots, whatever
+ * they hold, so one workspace serves every round of a split.  It
+ * transcribes the pure reference's _matching line for line: the same
+ * neighbour lists, the same greedy pass and the same alternating trees,
+ * so both twins return the same mates.  Where the reference keys the
+ * lowest id of each class of parallel edges by its vertex pair, each
+ * vertex here keeps its first edge to each neighbour, in edge-id order,
+ * marking the neighbour in owner. */
+static void
 match_edges(Py_ssize_t nv, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t *ev,
-            Py_ssize_t *match)
+            Py_ssize_t *match, Py_ssize_t *block)
 {
-    /* per edge end: neighbour and edge id; per vertex: first and last
-     * neighbour slot, owner, mate, base, parent, even, tree, queue, seen
-     * and in_blossom stamps */
-    Py_ssize_t *block = PyMem_Calloc(4 * (size_t)m + 11 * (size_t)nv + 1, sizeof(Py_ssize_t));
-    if (block == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
     Py_ssize_t *nb = block, *eid = nb + 2 * m, *first = eid + 2 * m, *last = first + nv + 1;
     Py_ssize_t *owner = last + nv, *mate = owner + nv, *base = mate + nv, *parent = base + nv;
     Py_ssize_t *even = parent + nv, *tree = even + nv, *queue = tree + nv, *seen = queue + nv;
     Py_ssize_t *in_blossom = seen + nv;
+
+    /* the per-vertex slots start zeroed: edge_csr counts into first, and
+     * the stamps of the seen and in_blossom sets start again from 0 */
+    memset(first, 0, (11 * (size_t)nv + 1) * sizeof(Py_ssize_t));
 
     /* the adjacency, then each vertex's list cut to its first edge to each
      * neighbour, owner[w] == v once v keeps one to w */
@@ -1227,35 +1231,34 @@ match_edges(Py_ssize_t nv, Py_ssize_t m, const Py_ssize_t *eu, const Py_ssize_t 
                 j++;
         match[v] = mate[v] < 0 ? -1 : eid[j];
     }
-    PyMem_Free(block);
-    return 0;
 }
 
 /* A maximum-cardinality matching of a loopless multigraph, the twin of
  * kmagic._backtrack_py.maximum_matching: the graph read and checked, then
- * match_edges. */
+ * match_edges, whose workspace and the mates share one allocation. */
 static PyObject *
 maximum_matching(PyObject *self, PyObject *args)
 {
     int n;
     PyObject *us_arg, *vs_arg, *result = NULL;
-    Py_ssize_t *ends = NULL, *match = NULL, m;
+    Py_ssize_t *ends = NULL, *block = NULL, m;
 
     if (!PyArg_ParseTuple(args, "iOO:maximum_matching", &n, &us_arg, &vs_arg))
         return NULL;
     ends = read_edges(n, us_arg, vs_arg, &m);
     if (ends == NULL || refuse_loops(ends, m) < 0)
         goto done;
-    match = PyMem_Malloc(((size_t)n + 1) * sizeof(Py_ssize_t));
-    if (match == NULL) {
+    block = PyMem_Malloc((MATCH_SLOTS(n, m) + (size_t)n) * sizeof(Py_ssize_t));
+    if (block == NULL) {
         PyErr_NoMemory();
         goto done;
     }
-    if (match_edges(n, m, ends, ends + m, match) == 0)
-        result = int_tuple(match, n);
+    Py_ssize_t *match = block + MATCH_SLOTS(n, m);
+    match_edges(n, m, ends, ends + m, match, block);
+    result = int_tuple(match, n);
 done:
     PyMem_Free(ends);
-    PyMem_Free(match);
+    PyMem_Free(block);
     return result;
 }
 
@@ -1265,7 +1268,9 @@ done:
  * one match_edges call, the search of maximum_matching, on the out/in
  * incidence graph of the edges no earlier round took (tails 0..n-1, heads
  * n..2n-1, in edge-id order); that graph is regular, so its maximum
- * matchings are perfect and each 2-factor holds n edges. */
+ * matchings are perfect and each 2-factor holds n edges.  Every round
+ * shares one matching workspace, sized for the first round, which takes
+ * the most edges: all m. */
 static PyObject *
 petersen_split(PyObject *self, PyObject *args)
 {
@@ -1287,9 +1292,9 @@ petersen_split(PyObject *self, PyObject *args)
     /* per edge: tail, round, two adjacency slots, and a round's out/in
      * edge (tail, n + head) with its edge id; per vertex: first adjacency
      * slot, walk position, the mates of its tail and head (scratch for
-     * edge_csr first); the walk's stack */
+     * edge_csr first); the walk's stack; the rounds' matching workspace */
     Py_ssize_t nv = n;
-    block = PyMem_Calloc(8 * (size_t)m + 4 * (size_t)nv + 2, sizeof(Py_ssize_t));
+    block = PyMem_Calloc(8 * (size_t)m + 4 * (size_t)nv + 2 + MATCH_SLOTS(2 * nv, m), sizeof(Py_ssize_t));
     if (block == NULL) {
         PyErr_NoMemory();
         goto done;
@@ -1297,7 +1302,7 @@ petersen_split(PyObject *self, PyObject *args)
     const Py_ssize_t *eu = ends, *ev = ends + m;
     Py_ssize_t *tail = block, *round = tail + m, *adj = round + m, *lu = adj + 2 * m, *lv = lu + m;
     Py_ssize_t *ids = lv + m, *first = ids + m, *nxt = first + nv + 1, *match = nxt + nv;
-    Py_ssize_t *stack = match + 2 * nv;
+    Py_ssize_t *stack = match + 2 * nv, *workspace = stack + m + 1;
 
     edge_csr(nv, m, eu, ev, first, match, adj);
     Py_ssize_t d = first[1];
@@ -1340,8 +1345,7 @@ petersen_split(PyObject *self, PyObject *args)
                 lv[left] = nv + (eu[e] == tail[e] ? ev[e] : eu[e]);
                 ids[left++] = e;
             }
-        if (match_edges(2 * nv, left, lu, lv, match) < 0)
-            goto done;
+        match_edges(2 * nv, left, lu, lv, match, workspace);
         for (Py_ssize_t v = 0; v < nv; v++) {
             if (match[v] < 0) {
                 PyErr_SetString(PyExc_RuntimeError, "out/in incidence graph lost regularity");

@@ -24,7 +24,14 @@ so every vertex sums to h*a + (r - h)*b.  The factor split weighs an
 h-factor of G 1 and the rest 0, or at h = 1, k = 3 and r = 3 mod 6
 without a perfect matching, a factor whose degrees are all 1 mod 3; the
 doubling search weighs each edge by how many of its two copies lie in
-an h-factor of the doubled graph 2G.
+an h-factor of the doubled graph 2G.  Each weighting is read through its
+label plan, made once per graph and weighting and kept in G.memo: the
+factor split's under "split plan/{h}" (G's h-factor, or None when G has
+none) and "mod3 plan", the doubling search's under "copy plan/{h}".  A
+plan holds the weights present, which decide the label pairs, and a
+gather that builds the m labels from the label of each weight in one
+call.  Both rules look for a label pair before they ask for a factor,
+so an h that no pair reaches costs no factor.
 A rule whose formula goes illegal at a boundary (a label vanishing mod
 k) falls through to the next rule and the event is recorded in the
 trace.  Every labeling handed back has been re-verified against the
@@ -35,6 +42,8 @@ rule that made it and that rule's parameters, not the labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .errors import BudgetError, FactorError, KmagicError, LabelingError, RegularityError
 from .factorization import double_graph
@@ -88,6 +97,10 @@ def _rule_constant(G, r, k, c, budget):
         return _accept(G, k, c, (a,) * G.m, "constant", {"a": a})
 
 
+# the weights of a factor split: the factor's edges 1, the rest 0
+_FACTOR_WEIGHTS = frozenset((0, 1))
+
+
 def _label_pairs(k, c, r, h, weights):
     """(a, b) with h*a + (r - h)*b = c whose labels b + j(a - b) are
     nonzero for each weight j in weights: b at 0, a at 1, 2a - b at 2.
@@ -107,20 +120,47 @@ def _label_pairs(k, c, r, h, weights):
                 yield a, b
 
 
-def _split(G, r, k, c, h, w, rule):
-    """Label each edge e with b + w[e](a - b) under the first pair that
-    fits, or None.  w holds one weight, 0, 1 or 2, per edge id; a
-    vertex's weights add up to h mod k, so its labels add up to
-    h*a + (r - h)*b."""
-    for a, b in _label_pairs(k, c, r, h, set(w)):
-        by_weight = tuple(_norm(b + j * (a - b), k) for j in range(3))
-        labels = tuple(map(by_weight.__getitem__, w))
-        return _accept(G, k, c, labels, rule, {"h": h, "a": a, "b": b})
+class _Plan(NamedTuple):
+    """The label plan of a weighting, one weight per edge id: the weights
+    present, which decide the label pairs, and gather, which reads edge
+    e's label off a table of the label of each weight, 0, 1 and 2, so one
+    C call gather(by_weight) builds the m labels."""
+
+    weights: frozenset[int]
+    gather: Callable[[tuple[int, int, int]], tuple[int, ...]]
+
+
+def _plan(w):
+    """The label plan of the weighting w."""
+    get = itemgetter(*w)
+    # at m = 1 itemgetter hands back the bare label, not a 1-tuple
+    return _Plan(frozenset(w), get if len(w) > 1 else lambda by_weight: (get(by_weight),))
+
+
+def _factor_plan(G, F):
+    """The plan of the weighting that weighs the factor F 1 and the rest 0."""
+    return None if F is None else _plan(tuple(map(F.__contains__, range(G.m))))
+
+
+def _split(G, k, c, h, plan, pair, rule):
+    """Label each edge e with b + w[e](a - b), w being the weighting
+    that plan, G's memoized label plan, was made from; a vertex's weights
+    add up to h mod k, so its labels add up to h*a + (r - h)*b.  The rule
+    found the pair (a, b) before it asked for the plan, which reads no
+    weight per call: one gather builds the labels from b, a and 2a - b,
+    the labels of the weights 0, 1 and 2 (each pair is a residue mod k at
+    k >= 2)."""
+    a, b = pair
+    labels = plan.gather((b, a, _norm(2 * a - b, k)))
+    return _accept(G, k, c, labels, rule, {"h": h, "a": a, "b": b})
 
 
 def _rule_factor_split(G, r, k, c, budget):
     """An h-factor labeled a against its complement labeled b, at the
-    first h = 1, 2, ... where G has an h-factor and some pair fits.
+    first h = 1, 2, ... where some pair fits and G has an h-factor.  The
+    pairs come first: an h that no pair reaches costs no factor.  A
+    factor of degree 1..r - 1 leaves both weights, 0 and 1, at every
+    vertex, so its pairs are listed once per h, before its plan is read.
 
     At r = 1 the constant c reaches every sum but 0, which the spectrum
     excludes.  At r = 2 a constant a with 2a = c exists unless c is odd
@@ -140,32 +180,34 @@ def _rule_factor_split(G, r, k, c, budget):
     for h in range(1, r):
         if (h * G.n) % 2 != 0:
             continue
-        F = f_factor(G, h)
-        if F is None and h == 1 and k == 3 and r % 6 == 3:
+        pair = next(_label_pairs(k, c, r, h, _FACTOR_WEIGHTS), None)
+        if pair is None:
+            continue
+        plan = G.memo(f"split plan/{h}", lambda: _factor_plan(G, f_factor(G, h)))
+        if plan is None and h == 1 and k == 3 and r % 6 == 3:
             try:
-                F = mod3_factor(G, budget)
+                plan = G.memo("mod3 plan", lambda: _factor_plan(G, mod3_factor(G, budget)))
             except BudgetError:
                 pass
-        if F is not None:
-            found = _split(G, r, k, c, h, tuple(map(F.__contains__, range(G.m))), "factor-split")
-            if found:
-                return found
+        if plan is not None:
+            return _split(G, k, c, h, plan, pair, "factor-split")
     raise _Miss("no factor split reaches the sum")
 
 
-def _copy_weights(G, h):
-    """Per source edge, how many of its two copies lie in the doubled
-    graph's h-factor, 0, 1 or 2, or None when the doubled graph has no
-    h-factor.  Found once per graph and h."""
+def _copy_plan(G, h):
+    """The plan of the weighting that weighs each source edge by how many
+    of its two copies lie in the doubled graph's h-factor, 0, 1 or 2, or
+    None when the doubled graph has no h-factor.  Found once per graph
+    and h."""
 
-    def weights():
+    def plan():
         D = double_graph(G)
         inside = f_factor(D.doubled, h)
         if inside is None:
             return None
-        return tuple((orig in inside) + (dup in inside) for orig, dup in D.pairs)
+        return _plan(tuple((orig in inside) + (dup in inside) for orig, dup in D.pairs))
 
-    return G.memo(f"copy weights/{h}", weights)
+    return G.memo(f"copy plan/{h}", plan)
 
 
 def _rule_doubling_search(G, r, k, c, budget):
@@ -180,11 +222,11 @@ def _rule_doubling_search(G, r, k, c, budget):
     for h in range(1 + r % 2, 2 * r, 2):
         if not any(_label_pairs(k, c, r, h, ())):
             continue
-        w = _copy_weights(G, h)
-        if w is not None:
-            found = _split(G, r, k, c, h, w, "doubling-parameter-search")
-            if found:
-                return found
+        plan = _copy_plan(G, h)
+        if plan is not None:
+            pair = next(_label_pairs(k, c, r, h, plan.weights), None)
+            if pair is not None:
+                return _split(G, k, c, h, plan, pair, "doubling-parameter-search")
     raise _Miss("no doubling parameters reach the sum")
 
 

@@ -29,7 +29,7 @@ from kmagic import (
     zero_sum_4_magic,
 )
 from kmagic import labelings
-from kmagic.construct import _label_pairs, _norm, _rule_factor_split
+from kmagic.construct import _label_pairs, _norm, _plan, _rule_factor_split
 from conftest import (
     bridged_cubic_16,
     hub10,
@@ -245,6 +245,20 @@ def test_factor_split_asks_for_a_mod3_factor_only_without_a_perfect_matching(mon
     assert step.params["h"] == 1 and verify(petersen(), lab) == 1
 
 
+@pytest.mark.parametrize("weights", [(0, 1), (0, 1, 2)], ids=["factor", "doubling"])
+def test_a_plan_gathers_each_edge_label_by_its_weight(weights):
+    # every weighting over the weights of up to 3 edges, m = 1 included,
+    # where itemgetter would hand back a bare label
+    for m in (1, 2, 3):
+        for w in itertools.product(weights, repeat=m):
+            plan = _plan(w)
+            assert plan.weights == set(w)
+            for k in range(2, 7):
+                for a, b in itertools.product(range(k), repeat=2):
+                    got = plan.gather((b, a, (2 * a - b) % k))
+                    assert got == tuple((b + j * (a - b)) % k for j in w), (w, k, a, b)
+
+
 TWINS = ("search", "magic_sum", "petersen_split", "split_search", "vertex_profile", "maximum_matching")
 
 
@@ -254,8 +268,9 @@ TWINS = ("search", "magic_sum", "petersen_split", "split_search", "vertex_profil
         (petersen, 4, 1, ["vertex_profile", "maximum_matching", "magic_sum"]),
         (petersen, 3, 1, ["vertex_profile", "maximum_matching", "magic_sum"]),
         (
+            # no pair at h = 1 reaches the zero sum, so no matching is asked
             lambda: circulant(12, (1, 2, 3)), 5, 0,
-            ["vertex_profile", "maximum_matching", "petersen_split", "magic_sum"],
+            ["vertex_profile", "petersen_split", "magic_sum"],
         ),
         (
             lambda: disjoint_union([petersen(), complete(4)]), 3, 2,

@@ -8,7 +8,7 @@ exhaustive checks honest but quick.
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from conftest import bridged_cubic_16, hub10, hub_quintic_16
+from conftest import bridged_cubic_16, hub10, hub_quintic_16, two_hub_even, unmatched_cubic_28
 from kmagic import (
     EdgeLabeling,
     GraphError,
@@ -345,5 +345,58 @@ def test_a_memoized_prediction_equals_a_fresh_one(twin, compiled_kernel, G, ks):
         for k in ks:
             fresh = predict_spectrum(MultiGraph(G.n, G.us, G.vs), k, UNION_BUDGET)
             assert predict_spectrum(G, k, UNION_BUDGET) == fresh, k
+    finally:
+        _twin.module = selected
+
+
+def _random_regular(draw, r):
+    n = draw(st.integers(r + 1, 12).filter(lambda n: n * r % 2 == 0))
+    try:
+        return random_regular(n, r, seed=draw(st.integers(0, 10**6)))
+    except GraphError:  # pairing model gave up for this seed
+        assume(False)
+
+
+# graphs without a perfect matching, whose odd sums the doubling search answers
+UNMATCHED = [bridged_cubic_16, two_hub_even, unmatched_cubic_28]
+
+
+@st.composite
+def construct_graphs(draw):
+    """A circulant on 4..12 vertices, a random regular graph of degree
+    2..5 or a graph of UNMATCHED, alone or beside a random regular graph
+    of its degree."""
+    kind = draw(st.sampled_from(["circulant", "random", "unmatched"]))
+    if kind == "circulant":
+        n = draw(st.integers(4, 12))
+        G = circulant(n, sorted(draw(st.sets(st.integers(1, n // 2), min_size=1, max_size=3))))
+    elif kind == "random":
+        G = _random_regular(draw, draw(st.integers(2, 5)))
+    else:
+        build = draw(st.sampled_from(UNMATCHED))
+        G = build(4) if build is two_hub_even else build()
+    r = regularity(G)
+    if r >= 2 and draw(st.booleans()):
+        G = disjoint_union([G, _random_regular(draw, r)])
+    return G
+
+
+# every (k, c) for k = 1..8: c in -3..3 at k = 1, every residue otherwise
+CONSTRUCT_CALLS = [(1, c) for c in range(-3, 4)] + [(k, c) for k in range(2, 9) for c in range(k)]
+
+
+@pytest.mark.parametrize("twin", ["pure-python", "compiled"])
+@SETTINGS
+@given(construct_graphs(), st.permutations(CONSTRUCT_CALLS))
+def test_construct_on_a_reused_graph_equals_construct_on_a_fresh_one(twin, compiled_kernel, G, calls):
+    # asked in any order, each answer built from the plans, factors and
+    # predictions in the graph's memo is the one a graph without memo
+    # gives: status, labeling, sum and trace alike
+    selected = _twin.module
+    _twin.module = _backtrack_py if twin == "pure-python" else compiled_kernel
+    try:
+        for k, c in calls:
+            fresh = construct(MultiGraph(G.n, G.us, G.vs), k, c, UNION_BUDGET)
+            assert construct(G, k, c, UNION_BUDGET) == fresh, (k, c)
     finally:
         _twin.module = selected
