@@ -53,7 +53,6 @@ from .labelings import (
     ConstructionTrace,
     EdgeLabeling,
     TraceStep,
-    complement,
     extend_by_factor,
     fold,
     labeling_from_json,
@@ -103,7 +102,6 @@ __all__ = [
     "build_graph",
     "check_factor",
     "circulant",
-    "complement",
     "complete",
     "complete_bipartite",
     "components",

@@ -6,10 +6,10 @@ is c-sum magic when every vertex's incident labels add up to c.  The
 JSON file of labeling_to_json writes it as an object from edge id to
 label; labeling_from_json reads it back and is the one place that reads
 edge ids.  The transforms here build one labeling from another:
-complementation (label -> k - label), folding a labeling of a doubled
-graph back onto the source, and extending a labeled factor by all-ones
-on the remaining edges.  construct calls none of them; it
-labels G directly and keeps only verify and the trace types.  A trace
+folding a labeling of a doubled graph back onto the source, and
+extending a labeled factor by all-ones on the remaining edges.
+construct calls none of them; it labels G directly and keeps only
+verify and the trace types.  A trace
 records the steps of a construction, each a rule and its parameters;
 the labeling itself lives once, beside the trace, as it does in the
 labeling file.
@@ -108,15 +108,6 @@ def verify_subset(G: MultiGraph, labels: Sequence[int], k: int, edge_ids: Iterab
             raise LabelingError(f"edge {eid}: label {val} illegal mod {k}")
     sums = _sums(G, zip(ids, labels), k)
     return sums[0] if len(set(sums)) == 1 else None
-
-
-def complement(G: MultiGraph, lab: EdgeLabeling) -> EdgeLabeling:
-    """Replace every label x by k - x, turning a c-sum into a (k-c)-sum."""
-    if lab.k == 1:
-        raise LabelingError("complement needs k >= 2")
-    if verify(G, lab) is None:
-        raise LabelingError("complement input does not verify")
-    return EdgeLabeling(lab.k, tuple(lab.k - v for v in lab.labels))
 
 
 def fold(D: DoublingMap, lab2: EdgeLabeling, divisor: int) -> tuple[EdgeLabeling, int]:

@@ -4,15 +4,13 @@ import json
 
 import pytest
 
-from kmagic import cycle, parse_graph, petersen, write_graph
+from kmagic import complete, complete_bipartite, cycle, parse_graph, petersen, write_graph
 from kmagic.cli import main
-from conftest import hub10, quintic38
+from conftest import bridged_cubic_16, hub10, quintic38
 
 
 @pytest.fixture()
 def k5_file(tmp_path):
-    from kmagic import complete
-
     p = tmp_path / "k5.txt"
     p.write_text(write_graph(complete(5)), encoding="ascii")
     return str(p)
@@ -40,6 +38,15 @@ def test_gen_writes_parseable_graph(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "--family", "petersen")
     assert code == 0
     assert parse_graph(out).m == 15
+    code, out, _ = run(capsys, "gen", "--family", "complete", "--n", "5")
+    assert code == 0
+    assert parse_graph(out) == complete(5)
+    target = tmp_path / "k34.txt"
+    code, out, _ = run(
+        capsys, "gen", "--family", "complete_bipartite", "--n", "3", "--n2", "4", "-o", str(target)
+    )
+    assert (code, out) == (0, "")
+    assert parse_graph(target.read_text(encoding="ascii")) == complete_bipartite(3, 4)
 
 
 def test_gen_random_needs_seed(capsys):
@@ -63,6 +70,10 @@ def test_gen_compound_families(capsys):
     assert parse_graph(out).m == 16
     code, _, _ = run(capsys, "gen", "--family", "circulant", "--n", "8", "--offsets", "1,x")
     assert code == 2
+    for parts, message in [("foo:3", "unknown family 'foo'"), ("cycle:x", "bad part size 'x'")]:
+        code, out, err = run(capsys, "gen", "--family", "disjoint_union", "--parts", parts)
+        assert (code, out) == (2, "")
+        assert message in err
 
 
 def test_unknown_family_is_usage_error(capsys):
@@ -249,6 +260,10 @@ def test_factorize_modes(tmp_path, k5_file, pete_file, capsys, monkeypatch):
     code, out, _ = run(capsys, "factorize", k5_file, "--mode", "f-factor", "--h", "1")
     assert code == 1
     assert "no factor" in out
+    # even order, but the bridges leave no perfect matching
+    bridged = tmp_path / "bridged16.txt"
+    bridged.write_text(write_graph(bridged_cubic_16()), encoding="ascii")
+    assert run(capsys, "factorize", str(bridged), "--mode", "f-factor", "--h", "1") == (1, "no factor\n", "")
     assert run(capsys, "factorize", k5_file, "--mode", "f-factor")[0] == 2
     # the path 0-1-2-3 has a 1-factor, but the rest has no single degree
     path = tmp_path / "path.txt"
@@ -287,8 +302,6 @@ def test_null_set_output(k5_file, capsys):
 
 
 def test_compare_over_corpus(tmp_path, capsys):
-    from kmagic import complete
-
     d = tmp_path / "corpus"
     d.mkdir()
     (d / "k4.txt").write_text(write_graph(complete(4)), encoding="ascii")
@@ -304,6 +317,9 @@ def test_compare_over_corpus(tmp_path, capsys):
     assert run(capsys, "compare", "--corpus", str(empty), "--k-range", "3..4")[0] == 2
     assert run(capsys, "compare", "--corpus", str(d), "--k-range", "35")[0] == 2
     assert run(capsys, "compare", "--corpus", str(d), "--k-range", "5..3")[0] == 2
+    code, out, err = run(capsys, "compare", "--corpus", str(d), "--k-range", "a..b")
+    assert (code, out) == (2, "")
+    assert "--k-range wants A..B" in err
 
 
 def test_budget_env_var(tmp_path, pete_file, capsys, monkeypatch):

@@ -332,3 +332,40 @@ def test_vertex_profile_returns_each_components_order(compiled_kernel):
         assert twin.vertex_profile(G.n, G.us, G.vs) == (degrees, comp, (4, 1, 5))
         assert twin.vertex_profile(0, [], []) == ((), (), ())
         assert twin.vertex_profile(P.n, P.us, P.vs) == ((3,) * 10, (0,) * 10, (10,))
+
+
+def _k5_with(n=5, ui=None, vi=None, drop=0):
+    """(n, us, vs) of K5, with us[3] = ui and vs[3] = vi where given, and
+    the last drop ends of vs left out."""
+    K5 = complete(5)
+    us, vs = list(K5.us), list(K5.vs)
+    if ui is not None:
+        us[3] = ui
+    if vi is not None:
+        vs[3] = vi
+    return n, us, vs[: len(vs) - drop]
+
+
+# (n, us, vs) that no twin should read as a graph, bools and a loop
+# besides; K5 is 4-regular, so the Petersen split gets past its degree test
+MALFORMED_GRAPHS = {
+    "n<0": _k5_with(n=-5),
+    "end=n": _k5_with(ui=5),
+    "end<0": _k5_with(vi=-1),
+    "end=2**64": _k5_with(ui=2**64),
+    "end=-2**64": _k5_with(vi=-(2**64)),
+    "unequal-lengths": _k5_with(drop=1),
+    "float-end": _k5_with(vi=4.0),
+    "float-n": _k5_with(n=5.0),
+    "bool-end": _k5_with(ui=True),
+    "bool-n": (True, [], []),
+    "loop": _k5_with(ui=2, vi=2),
+}
+
+
+@pytest.mark.parametrize("graph", MALFORMED_GRAPHS.values(), ids=MALFORMED_GRAPHS)
+@pytest.mark.parametrize("twin", ["vertex_profile", "maximum_matching", "petersen_split"])
+def test_twins_meet_malformed_graphs_alike(compiled_kernel, twin, graph):
+    n, us, vs = graph
+    got = outcome(getattr(_backtrack_py, twin), n, us, vs)
+    assert outcome(getattr(compiled_kernel, twin), n, us, vs) == got

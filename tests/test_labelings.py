@@ -1,4 +1,4 @@
-"""Labeling verification and the three transforms.
+"""Labeling verification and the two transforms.
 
 Expected values in the fold and extension tests are frozen from hand
 computation: the doubled all-ones fold on K6 gives the all-2 labeling
@@ -20,7 +20,6 @@ from kmagic import (
     LabelingError,
     TraceStep,
     build_graph,
-    complement,
     complete,
     cycle,
     double_graph,
@@ -97,23 +96,6 @@ def test_verify_subset_magic_factor():
     assert verify_subset(G, (2, 2), 5, pm) == 2
     with pytest.raises(LabelingError):
         verify_subset(G, (2,), 5, pm)
-
-
-def test_complement_flips_sum():
-    K6 = complete(6)
-    lab = all_labels(K6, 2, 5)  # 0-sum
-    comp = complement(K6, lab)
-    assert verify(K6, comp) == 0  # 5 - 0 = 0 mod 5
-    G = cycle(5)
-    lab = all_labels(G, 2, 7)  # 4-sum
-    comp = complement(G, lab)
-    assert set(comp.labels) == {5}
-    assert verify(G, comp) == 3
-    with pytest.raises(LabelingError):
-        complement(G, EdgeLabeling(1, (1,) * 5))
-    bad = EdgeLabeling(5, (1, 2, 1, 1, 1))
-    with pytest.raises(LabelingError):
-        complement(G, bad)
 
 
 def test_fold_divisor_1_all_ones_on_k6():

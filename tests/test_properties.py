@@ -17,7 +17,6 @@ from kmagic import (
     brute_force_spectrum,
     build_graph,
     circulant,
-    complement,
     complete,
     complete_bipartite,
     construct,
@@ -118,7 +117,7 @@ def test_construct_found_verifies_and_complements(G, k, c):
     if res.status != "found":
         return
     assert verify(G, res.labeling) == c % k
-    comp = complement(G, res.labeling)
+    comp = EdgeLabeling(k, tuple(k - x for x in res.labeling.labels))
     assert verify(G, comp) == (k - c) % k
 
 

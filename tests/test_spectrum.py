@@ -144,6 +144,14 @@ def test_modulus_4_rules(bridged16):
     assert why.startswith("cubic without a perfect matching")
     assert predict_spectrum(bridged16, 4).residues == {1, 2, 3}
     assert brute_force_spectrum(bridged16, 4).residues == {1, 2, 3}
+    # even degree answers before any matching is asked
+    assert zero_sum_4_magic(circulant(9, (1, 2))) == (
+        True, "even degree: pairs of 2-factors labeled to cancel mod 4"
+    )
+    # quintic38 has odd degree 5 and no perfect matching: the solver finds one
+    budget = SolverBudget(node_cap=10**5)
+    assert zero_sum_4_magic(quintic38(), budget) == (True, "solver found a zero-sum labeling")
+    assert 0 in predict_spectrum(quintic38(), 4, budget).residues
 
 
 def test_modulus_3_rules(bridged16):
